@@ -93,11 +93,18 @@ class Certificate:
 
     @staticmethod
     def from_dict(data: dict) -> "Certificate":
+        if not isinstance(data, dict):
+            raise ValueError("certificate body is not a JSON object")
         required = {"claim", "verdict", "witnesses", "inputs", "seed",
                     "inputs_digest"}
         missing = required - set(data)
         if missing:
             raise ValueError(f"certificate missing fields {sorted(missing)}")
+        for name, kind in (("claim", str), ("inputs", dict),
+                           ("witnesses", dict)):
+            if not isinstance(data[name], kind):
+                raise ValueError(f"certificate field {name!r} has the "
+                                 f"wrong type")
         cert = Certificate(
             claim=data["claim"],
             verdict=data["verdict"],

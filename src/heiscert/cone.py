@@ -107,20 +107,6 @@ class SymForm:
         return all(x == 0 for x in flat_b)
 
 
-def psd_by_charpoly(form: SymForm) -> bool:
-    """Independent PSD test: a real-rooted cubic has all roots >= 0 iff
-    its elementary symmetric functions are all >= 0."""
-    trace = sum(form.m[i][i] for i in range(3))
-    e2 = sum(form.principal_minor(s) for s in ((0, 1), (0, 2), (1, 2)))
-    return trace >= 0 and e2 >= 0 and form.det() >= 0
-
-
-def pd_by_charpoly(form: SymForm) -> bool:
-    trace = sum(form.m[i][i] for i in range(3))
-    e2 = sum(form.principal_minor(s) for s in ((0, 1), (0, 2), (1, 2)))
-    return trace >= 0 and e2 >= 0 and form.det() > 0
-
-
 def form_coordinates(form: SymForm) -> list[Fraction]:
     """Coordinates of a form in the monomial ordering FORM_MONOMIALS."""
     return [form.m[i][j] for i, j in FORM_MONOMIALS]

@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .certs import Certificate
-from .heis import ENTRY_RING, HeisElement, get_representation, heis_mul
+from .heis import ENTRY_RING, PAIR_RING, HeisElement, get_representation, \
+    heis_mul, symbolic_pair
 from .linalg import Matrix
 from .lp import convex_combination_weights
 from .poly import NEG_INFINITY, Poly, PolyRing
@@ -139,14 +140,13 @@ def equivariance_certificate(g: HeisElement, h: HeisElement) -> Certificate:
 
 def symbolic_equivariance_holds() -> bool:
     """The equivariance identity as a polynomial identity in six variables."""
-    ring = PolyRing("a", "b", "c", "a'", "b'", "c'")
+    g, h = symbolic_pair()
     theta = get_representation("theta")
-    g = HeisElement.symbolic(ring, ("a", "b", "c"))
-    h = HeisElement.symbolic(ring, ("a'", "b'", "c'"))
-    image = theta(g).apply(symbolic_orbit_lift(ring, ("a'", "b'", "c'")))
+    image = theta(g).apply(symbolic_orbit_lift(PAIR_RING, ("a'", "b'", "c'")))
     mapping = {n: comp for n, comp in zip(("a", "b", "c"),
                                           heis_mul(g, h).components())}
-    target = [p.substitute(mapping, ring) for p in ORBIT_FORMULA] + [ring.one()]
+    target = [p.substitute(mapping, PAIR_RING) for p in ORBIT_FORMULA] + \
+        [PAIR_RING.one()]
     return all(x == y for x, y in zip(image, target))
 
 

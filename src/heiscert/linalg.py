@@ -1,10 +1,11 @@
 """Dense exact matrices over Fraction or Poly entries.
 
 Multiplication, powers and equality work for either scalar kind.
-Determinant, rank, kernel and inverse are restricted to Fraction
-matrices and use fraction-free Bareiss elimination on a denominator-
-cleared integer copy, so intermediate values stay integral instead of
-accumulating huge reduced fractions.
+Determinant, rank, reduced echelon form, kernel, solve and inverse are
+restricted to Fraction matrices.  All of them run on a denominator-
+cleared integer copy through one fraction-free pivot step, eliminate(),
+which the lp simplex shares; intermediate values stay integral instead
+of accumulating huge reduced fractions.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ class Matrix:
     def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> "Matrix":
         return Matrix([[one if i == j else zero for j in range(n)]
                        for i in range(n)])
-
-    @staticmethod
-    def from_rows(rows) -> "Matrix":
-        return Matrix(rows)
 
     def __getitem__(self, pos):
         i, j = pos
@@ -163,78 +160,28 @@ class Matrix:
             raise ValueError("determinant needs a square matrix")
         self._require_rational()
         m, scale = _integer_copy(self.entries)
-        n = self.rows
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return Fraction(sign * m[n - 1][n - 1]) / scale
+        pivots, swaps = _echelon(m, reduce_above=False)
+        if len(pivots) < self.rows:
+            return Fraction(0)
+        return Fraction((-1) ** swaps * m[-1][-1]) / scale
 
     def rank(self) -> int:
-        """Exact rank by integer fraction-free elimination."""
+        """Exact rank by fraction-free Bareiss elimination."""
         self._require_rational()
         m, _ = _integer_copy(self.entries)
-        n_rows, n_cols = self.rows, self.cols
-        rank = 0
-        prev = 1
-        for col in range(n_cols):
-            pivot_row = None
-            for i in range(rank, n_rows):
-                if m[i][col] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[rank], m[pivot_row] = m[pivot_row], m[rank]
-            for i in range(rank + 1, n_rows):
-                for j in range(col + 1, n_cols):
-                    m[i][j] = (m[i][j] * m[rank][col]
-                               - m[i][col] * m[rank][j]) // prev
-                m[i][col] = 0
-            prev = m[rank][col]
-            rank += 1
-            if rank == n_rows:
-                break
-        return rank
+        return len(_echelon(m, reduce_above=False)[0])
 
     def rref(self) -> tuple["Matrix", list[int]]:
-        """Reduced row echelon form and its pivot columns (Fraction math)."""
+        """Reduced row echelon form and its pivot columns.
+
+        Fraction-free Gauss-Jordan on the integer copy leaves every pivot
+        row scaled by the last pivot, so one division finishes the job.
+        """
         self._require_rational()
-        m = [[Fraction(x) for x in row] for row in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for col in range(self.cols):
-            pivot_row = None
-            for i in range(r, self.rows):
-                if m[i][col] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            pivot = m[r][col]
-            m[r] = [x / pivot for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][col] != 0:
-                    factor = m[i][col]
-                    m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-            pivots.append(col)
-            r += 1
-            if r == self.rows:
-                break
-        return Matrix(m), pivots
+        m, _ = _integer_copy(self.entries)
+        pivots, _ = _echelon(m, reduce_above=True)
+        last = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+        return Matrix([[Fraction(x, last) for x in row] for row in m]), pivots
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """Exact basis of the right null space; [] iff full column rank."""
@@ -250,17 +197,21 @@ class Matrix:
         return basis
 
     def solve_right(self, rhs: "Matrix") -> "Matrix":
-        """Unique solution X of self @ X = rhs for invertible square self."""
-        if not self.is_square() or rhs.rows != self.rows:
+        """Unique solution X of self @ X = rhs for self of full column rank.
+
+        Raises ValueError when self is rank deficient or the system is
+        inconsistent.
+        """
+        if rhs.rows != self.rows:
             raise ValueError("shape mismatch in solve")
-        self._require_rational()
-        rhs._require_rational()
-        n = self.rows
-        aug = [[Fraction(x) for x in self.entries[i]] +
-               [Fraction(x) for x in rhs.entries[i]] for i in range(n)]
-        reduced, pivots = Matrix(aug).rref()
-        if pivots != list(range(n)):
-            raise ValueError("matrix is singular")
+        n = self.cols
+        aug = Matrix([self.entries[i] + rhs.entries[i]
+                      for i in range(self.rows)])
+        reduced, pivots = aug.rref()
+        if pivots[:n] != list(range(n)):
+            raise ValueError("matrix does not have full column rank")
+        if len(pivots) > n:
+            raise ValueError("system is inconsistent")
         return Matrix([[reduced[i, n + j] for j in range(rhs.cols)]
                        for i in range(n)])
 
@@ -306,8 +257,58 @@ def _integer_copy(entries) -> tuple[list[list[int]], Fraction]:
         for x in row:
             lcm = lcm * x.denominator // gcd(lcm, x.denominator)
         scale *= lcm
-        out.append([int(x * lcm) for x in row])
+        out.append([x.numerator * (lcm // x.denominator) for x in row])
     return out, scale
+
+
+def eliminate(m: list[list[int]], r: int, c: int, rows, prev: int) -> None:
+    """One fraction-free pivot step on the integer matrix m, in place.
+
+    Every row i in rows becomes (m[i] * p - m[i][c] * m[r]) // prev with
+    pivot p = m[r][c], which clears column c.  With prev the previous
+    pivot of the same elimination (1 before the first), the division is
+    exact: every entry stays a minor of the starting matrix (Bareiss,
+    Math. Comp. 22, 1968; Edmonds, J. Res. NBS 71B, 1967).
+    """
+    pivot_row = m[r]
+    p = pivot_row[c]
+    for i in rows:
+        row = m[i]
+        f = row[c]
+        if f:
+            m[i] = [(x * p - f * y) // prev for x, y in zip(row, pivot_row)]
+        elif p != prev:
+            m[i] = [x * p // prev for x in row]
+
+
+def _echelon(m: list[list[int]], reduce_above: bool) -> tuple[list[int], int]:
+    """Bring the integer matrix m to fraction-free echelon form in place.
+
+    Rows below each pivot are cleared; with reduce_above the rows above
+    are too (Gauss-Jordan), after which every pivot row holds the last
+    pivot in its pivot column.  Returns the pivot columns and the number
+    of row swaps.
+    """
+    n_rows = len(m)
+    pivots: list[int] = []
+    swaps = 0
+    prev = 1
+    for col in range(len(m[0])):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, n_rows) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            swaps += 1
+        rows = [i for i in range(n_rows) if i != r] if reduce_above \
+            else range(r + 1, n_rows)
+        eliminate(m, r, col, rows, prev)
+        prev = m[r][col]
+        pivots.append(col)
+        if r + 1 == n_rows:
+            break
+    return pivots, swaps
 
 
 def jordan_partition(m: Matrix) -> list[int]:

@@ -1,18 +1,22 @@
 """Exact rational linear programming: Phase-I simplex with Bland's rule.
 
 Only feasibility of equality systems {Ax = b, x >= 0} is needed here (it
-decides convex-combination membership).  The tableau runs entirely over
-Fraction; Bland's smallest-index rule guarantees termination.  On an
-infeasible system the final multipliers give a Farkas functional y with
-y.b > 0 and y.A <= 0, which is verified before being returned so the
-caller gets a self-checking witness.
+decides convex-combination membership).  The tableau is scaled once to
+integers and then pivoted with the fraction-free step of linalg
+(Edmonds' integer-preserving pivoting); Bland's smallest-index rule
+guarantees termination.  On an infeasible system the final multipliers
+give a Farkas functional y with y.b > 0 and y.A <= 0, which is verified
+before being returned so the caller gets a self-checking witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
+
+from .linalg import eliminate
 
 
 @dataclass
@@ -47,72 +51,66 @@ def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
         else:
             flipped.append(False)
 
-    # Tableau columns: n structural, then m artificial, then rhs.
-    # Phase-I objective: minimize the sum of artificials.
+    # Tableau columns: n structural, then m artificial, then rhs; row m
+    # is the Phase-I cost row.  Everything is scaled once by the lcm L of
+    # the denominators and then kept integral by fraction-free pivots.
     tableau = [rows[i] + [Fraction(1) if j == i else Fraction(0)
                           for j in range(m)] + [b[i]] for i in range(m)]
+    scale = 1
+    for row in tableau:
+        for x in row:
+            scale = lcm(scale, x.denominator)
+    tableau = [[int(x * scale) for x in row] for row in tableau]
     basis = [n + i for i in range(m)]
 
-    # Objective row holds reduced costs z_j - c_j for minimization via
-    # maximizing -sum(artificials): start from cost row = sum of rows.
-    cost = [Fraction(0)] * (n + m + 1)
+    # Reduced costs of minimizing the sum of artificials (artificial
+    # columns carry cost 1): start from the sum of the rows.
+    cost = [sum(tableau[i][j] for i in range(m)) for j in range(n + m + 1)]
     for i in range(m):
-        for j in range(n + m + 1):
-            cost[j] += tableau[i][j]
-    for i in range(m):
-        cost[n + i] -= Fraction(1)  # artificial columns carry cost 1
+        cost[n + i] -= scale
+    tableau.append(cost)
 
-    def pivot(row: int, col: int) -> None:
-        p = tableau[row][col]
-        tableau[row] = [x / p for x in tableau[row]]
-        for i in range(m):
-            if i != row and tableau[i][col] != 0:
-                f = tableau[i][col]
-                tableau[i] = [x - f * y
-                              for x, y in zip(tableau[i], tableau[row])]
-        f = cost[col]
-        if f != 0:
-            for j in range(n + m + 1):
-                cost[j] -= f * tableau[row][j]
-        basis[row] = col
-
+    # Row i stands for tableau[i] / tableau[i][basis[i]] and the cost row
+    # for cost / (scale * prev).  Pivots are positive, so every one of
+    # these denominators is too and signs can be read off directly.
+    prev = 1
     while True:
+        cost = tableau[m]
         # Bland: entering column is the smallest index with positive
         # reduced cost (we are driving the artificial sum down to 0).
-        entering = None
-        for j in range(n + m):
-            if cost[j] > 0:
-                entering = j
-                break
+        entering = next((j for j in range(n + m) if cost[j] > 0), None)
         if entering is None:
             break
         # Bland: among minimum-ratio rows pick the one whose basic
-        # variable has the smallest index.
+        # variable has the smallest index.  A row's denominator cancels
+        # from its ratio.
         best = None
         for i in range(m):
             coeff = tableau[i][entering]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                key = (ratio, basis[i])
+                key = (Fraction(tableau[i][-1], coeff), basis[i])
                 if best is None or key < best[0]:
                     best = (key, i)
         if best is None:
             raise RuntimeError("phase-I objective is bounded by construction")
-        pivot(best[1], entering)
+        row = best[1]
+        eliminate(tableau, row, entering,
+                  (i for i in range(m + 1) if i != row), prev)
+        prev = tableau[row][entering]
+        basis[row] = entering
 
-    infeasibility = sum(tableau[i][-1] for i in range(m)
-                        if basis[i] >= n)
-    if infeasibility == 0:
+    # The artificial sum is 0 iff every basic artificial sits at 0.
+    if all(tableau[i][-1] == 0 for i in range(m) if basis[i] >= n):
         solution = [Fraction(0)] * n
         for i, var in enumerate(basis):
             if var < n:
-                solution[var] = tableau[i][-1]
+                solution[var] = Fraction(tableau[i][-1], tableau[i][var])
         return FeasibilityResult(True, solution, None)
 
     # Multipliers: at optimality, y_i = (reduced cost of artificial i) + 1;
     # after the sign flips y certifies y.A <= 0 and y.b > 0 for the
     # original system.
-    y = [cost[n + i] + 1 for i in range(m)]
+    y = [Fraction(cost[n + i], scale * prev) + 1 for i in range(m)]
     y = [-v if flip else v for v, flip in zip(y, flipped)]
     _verify_farkas(matrix, rhs, y)
     return FeasibilityResult(False, None, y)

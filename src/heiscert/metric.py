@@ -29,12 +29,11 @@ def cross_ratio(p1, p2, p3, p4) -> Fraction:
     lifts = [_as_tuple(p) for p in (p1, p2, p3, p4)]
     if len({len(v) for v in lifts}) != 1:
         raise ValueError("points live in different dimensions")
-    stack = Matrix(lifts)
-    if stack.rank() != 2:
+    _, pivots = Matrix(lifts).rref()
+    if len(pivots) != 2:
         raise ValueError("cross ratio needs four collinear points "
                          "spanning a line")
-    _, pivots = stack.rref()
-    c1, c2 = pivots[0], pivots[1]
+    c1, c2 = pivots
     plane = [(v[c1], v[c2]) for v in lifts]
 
     def d(i: int, j: int) -> Fraction:
@@ -123,22 +122,7 @@ def hilbert_log_argument(polytope: Sequence[Halfspace],
     if x == y:
         return Fraction(1)
 
-    direction = [b - a for a, b in zip(x, y)]
-    # Parameterize z(s) = x + s * direction; x at s=0, y at s=1.  Each
-    # face bounds s on one side unless the chord is parallel to it.
-    s_low = None
-    s_high = None
-    for face in polytope:
-        rate = sum(c * d for c, d in zip(face.coeffs, direction))
-        if rate == 0:
-            continue
-        limit = (face.bound - face.value(x)) / rate
-        if rate > 0:
-            s_high = limit if s_high is None else min(s_high, limit)
-        else:
-            s_low = limit if s_low is None else max(s_low, limit)
-    if s_low is None or s_high is None:
-        raise ValueError("polytope is unbounded along the chord")
+    s_low, s_high = _chord(polytope, x, y)
     # Interior points force s_low < 0 < 1 < s_high.
     return ((1 - s_low) * s_high) / ((-s_low) * (s_high - 1))
 
@@ -149,7 +133,18 @@ def hilbert_boundary_points(polytope, x, y):
     y = [Fraction(v) for v in y]
     if x == y:
         raise ValueError("equal points have no chord")
+    s_low, s_high = _chord(polytope, x, y)
     direction = [b - a for a, b in zip(x, y)]
+    u = [a + s_low * d for a, d in zip(x, direction)]
+    v = [a + s_high * d for a, d in zip(x, direction)]
+    return u, v
+
+
+def _chord(polytope, x, y) -> tuple[Fraction, Fraction]:
+    """Parameters (s_low, s_high) where z(s) = x + s (y - x) leaves the
+    polytope: x sits at s=0 and y at s=1."""
+    direction = [b - a for a, b in zip(x, y)]
+    # Each face bounds s on one side unless the chord is parallel to it.
     s_low = None
     s_high = None
     for face in polytope:
@@ -163,6 +158,4 @@ def hilbert_boundary_points(polytope, x, y):
             s_low = limit if s_low is None else max(s_low, limit)
     if s_low is None or s_high is None:
         raise ValueError("polytope is unbounded along the chord")
-    u = [a + s_low * d for a, d in zip(x, direction)]
-    v = [a + s_high * d for a, d in zip(x, direction)]
-    return u, v
+    return s_low, s_high

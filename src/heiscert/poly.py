@@ -169,14 +169,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(all(x == 0 for x in e) for e in self.terms)
 
-    def constant_value(self) -> Fraction:
-        """The rational value of a constant polynomial."""
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        if not self.terms:
-            return Fraction(0)
-        return next(iter(self.terms.values()))
-
     def variables(self) -> tuple[str, ...]:
         """Names of the variables actually occurring."""
         used = [False] * len(self.ring.names)

@@ -111,7 +111,7 @@ def derive_conjugator() -> Matrix:
     # Solve t_i . A = y_i for each row of T, i.e. A^T t_i^T = y_i^T.
     lhs = Matrix(columns_a).transpose()          # K x 10
     rhs = Matrix(rows_y).transpose()             # K x 10
-    solution = _solve_full_column_rank(lhs, rhs)  # 10 x 10
+    solution = lhs.solve_right(rhs)              # 10 x 10
     return solution.transpose()
 
 
@@ -124,18 +124,6 @@ def _subspace_coordinates_and_check(lift14, basis) -> list[Poly]:
     if any(x != y for x, y in zip(reconstructed, lift14)):
         raise ValueError("vector is not in the invariant subspace")
     return coords
-
-
-def _solve_full_column_rank(lhs: Matrix, rhs: Matrix) -> Matrix:
-    """Unique X with lhs @ X = rhs for lhs of full column rank."""
-    n = lhs.cols
-    aug = Matrix([list(lhs.row(i)) + list(rhs.row(i))
-                  for i in range(lhs.rows)])
-    reduced, pivots = aug.rref()
-    if pivots[:n] != list(range(n)) or any(p >= n for p in pivots):
-        raise ValueError("system is rank deficient or inconsistent")
-    return Matrix([[reduced[i, n + j] for j in range(rhs.cols)]
-                   for i in range(n)])
 
 
 def load_witness(name: str, directory: Path = None) -> Matrix:

@@ -25,16 +25,15 @@ def mix64(x: int) -> int:
 
 
 class RandomStream:
-    def __init__(self, seed: int, _path: tuple = ()):
+    def __init__(self, seed: int):
         self.seed = int(seed) & MASK64
-        self.path = _path
         self._counter = 0
 
     def split(self, label: str) -> "RandomStream":
         """An independent child stream; deterministic in (seed, label)."""
         material = f"{self.seed}:{label}".encode()
         child = int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
-        return RandomStream(child, self.path + (label,))
+        return RandomStream(child)
 
     def next_u64(self) -> int:
         value = mix64(self.seed + (self._counter + 1) * GAMMA)

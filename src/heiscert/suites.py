@@ -630,7 +630,11 @@ def replay(path: Path) -> tuple[str, dict]:
     if claim is None:
         raise KeyError(f"unknown claim id {stored.claim!r}")
     digest_ok = stored.inputs_digest() == data["inputs_digest"]
-    recomputed = claim.replay(stored.inputs, stored.seed)
+    try:
+        recomputed = claim.replay(stored.inputs, stored.seed)
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"malformed stored inputs for {stored.claim}: "
+                         f"{exc}") from exc
     recomputed.claim = claim.id
     recomputed.anchor = claim.statement
     if not recomputed.seed:

@@ -143,6 +143,29 @@ def test_replay_cli_exit_codes(tmp_path, capsys):
     assert main(["replay", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.fixture(scope="module")
+def hull_dimension_cert(tmp_path_factory) -> dict:
+    out = tmp_path_factory.mktemp("hull")
+    run_suite(RunConfig(suites=("hull",), output_dir=out,
+                        sample_sizes={"hull_fresh": 3}))
+    return read_json(out / "hull.dimension.json")
+
+
+@pytest.mark.parametrize("malform", [
+    lambda data: {**data, "inputs": {"frozen": [[1, 2]], "fresh": []}},
+    lambda data: {**data, "inputs": "oops"},
+    lambda data: 123,
+    lambda data: {**data, "claim": ["hull.dimension"]},
+], ids=["short-frozen-triple", "inputs-not-object", "body-not-object",
+        "claim-not-string"])
+def test_replay_malformed_certificate_exits_2(hull_dimension_cert, malform,
+                                              tmp_path, capsys):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(malform(hull_dimension_cert)))
+    assert main(["replay", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_orbit_command_is_deterministic(capsys):
     assert main(["orbit", "--count", "4", "--seed", "9"]) == 0
     first = capsys.readouterr().out

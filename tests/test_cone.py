@@ -8,8 +8,7 @@ import pytest
 from heiscert.cone import (SymForm, act_on_form, attraction_gaps,
                            congruence_image, flat_segment_certificate,
                            form_coordinates, form_from_coordinates,
-                           parabolic_fixed_form, pd_by_charpoly,
-                           pd_preservation_certificate, psd_by_charpoly,
+                           parabolic_fixed_form, pd_preservation_certificate,
                            sym_square_match_certificate)
 from heiscert.heis import GENERATORS, HeisElement, Representation, \
     get_representation
@@ -23,6 +22,20 @@ def random_symmetric(stream) -> SymForm:
     vals = [Fraction(stream.next_int(-4, 4), stream.next_int(1, 3))
             for _ in range(6)]
     return form_from_coordinates(vals)
+
+
+def psd_by_charpoly(form: SymForm) -> bool:
+    """Independent PSD test: a real-rooted cubic has all roots >= 0 iff
+    its elementary symmetric functions are all >= 0."""
+    trace = sum(form.m[i][i] for i in range(3))
+    e2 = sum(form.principal_minor(s) for s in ((0, 1), (0, 2), (1, 2)))
+    return trace >= 0 and e2 >= 0 and form.det() >= 0
+
+
+def pd_by_charpoly(form: SymForm) -> bool:
+    trace = sum(form.m[i][i] for i in range(3))
+    e2 = sum(form.principal_minor(s) for s in ((0, 1), (0, 2), (1, 2)))
+    return trace >= 0 and e2 >= 0 and form.det() > 0
 
 
 def test_psd_decision_matches_charpoly_oracle():

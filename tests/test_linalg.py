@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heiscert.convexity import OrbitSample
@@ -140,6 +140,24 @@ def test_dimension_mismatch_raises():
         Matrix([[Fraction(1), Fraction(2)]]).det()
 
 
+def test_solve_right_full_column_rank_system():
+    # 4 equations, 2 unknowns, consistent: rhs columns are lhs @ x
+    lhs = Matrix([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1, 3)],
+                  [Fraction(-2), Fraction(5)], [Fraction(7), Fraction(0)]])
+    x = Matrix([[Fraction(3, 2), Fraction(0)], [Fraction(-1), Fraction(4)]])
+    assert lhs.solve_right(lhs * x) == x
+
+
+def test_solve_right_rejects_inconsistent_and_rank_deficient():
+    lhs = Matrix([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)],
+                  [Fraction(1), Fraction(1)]])
+    with pytest.raises(ValueError, match="inconsistent"):
+        lhs.solve_right(Matrix([[Fraction(1)], [Fraction(1)], [Fraction(3)]]))
+    square = Matrix([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+    with pytest.raises(ValueError, match="full column rank"):
+        square.inverse()
+
+
 def test_matrix_text_round_trip():
     m = Matrix([[Fraction(1, 2), Fraction(-3)], [Fraction(0), Fraction(7, 5)]])
     assert Matrix.from_text(m.to_text()) == m
@@ -153,6 +171,48 @@ entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 def square(n):
     return st.lists(st.lists(entries, min_size=n, max_size=n),
                     min_size=n, max_size=n).map(Matrix)
+
+
+def _fraction_rref(rows):
+    """Reference oracle: textbook Gauss-Jordan over Fraction."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n_rows, n_cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for col in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if m[i][col] != 0),
+                         None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pivot = m[r][col]
+        m[r] = [x / pivot for x in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][col] != 0:
+                factor = m[i][col]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == n_rows:
+            break
+    return m, pivots
+
+
+fractional = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(st.lists(fractional, min_size=n, max_size=n),
+                       min_size=1, max_size=6)))
+def test_rref_matches_fraction_gauss_jordan(rows):
+    assume(any(x.denominator > 1 for row in rows for x in row))
+    # append a combination of rows so rank deficiency is common
+    rows = rows + [[2 * x - y for x, y in zip(rows[0], rows[-1])]]
+    reduced, pivots = Matrix(rows).rref()
+    expected, expected_pivots = _fraction_rref(rows)
+    assert pivots == expected_pivots
+    assert [list(r) for r in reduced.entries] == expected
 
 
 @settings(max_examples=60)
