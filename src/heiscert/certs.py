@@ -59,20 +59,6 @@ class Certificate:
     anchor: str = ""
     timestamp: str = ""
 
-    @staticmethod
-    def ok(claim: str, witnesses: dict, inputs: dict = None,
-           seed: str = "") -> "Certificate":
-        return Certificate(claim, PASS, witnesses, inputs or {}, seed)
-
-    @staticmethod
-    def fail(claim: str, witnesses: dict, inputs: dict = None,
-             seed: str = "") -> "Certificate":
-        return Certificate(claim, FAIL, witnesses, inputs or {}, seed)
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == PASS
-
     def inputs_digest(self) -> str:
         return digest(self.inputs)
 

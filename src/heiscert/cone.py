@@ -16,7 +16,6 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from .certs import Certificate
 from .heis import ENTRY_RING, GENERATORS, HeisElement, Representation, \
     get_representation, heis_mul
 from .linalg import Matrix
@@ -215,7 +214,8 @@ def _constant_quotient(numer: Poly, denom: Poly):
     return quotient
 
 
-def sym_square_match_certificate(rep: Representation = None) -> Certificate:
+def sym_square_match_certificate(rep: Representation = None
+                                 ) -> tuple[bool, dict]:
     """Search for a monomial ordering and diagonal rescaling conjugating
     the symmetric-square congruence action onto the shipped 6x6 table."""
     rep = rep or get_representation("rho6")
@@ -233,20 +233,15 @@ def sym_square_match_certificate(rep: Representation = None) -> Certificate:
         if conjugated == target:
             monomial_names = ["".join(f"x{k+1}" for k in pair)
                               for pair in ordering]
-            return Certificate.ok(
-                "cone.sym_square_match",
-                witnesses={"monomial_ordering": monomial_names,
-                           "diagonal_rescaling": d},
-                inputs={"representation": rep.name})
-    return Certificate.fail(
-        "cone.sym_square_match",
-        witnesses={"orderings_tried": 720},
-        inputs={"representation": rep.name})
+            return True, {"monomial_ordering": monomial_names,
+                          "diagonal_rescaling": d}
+    return False, {"orderings_tried": 720}
 
 
 # -- cone preservation and boundary structure ---------------------------------
 
-def pd_preservation_certificate(g: HeisElement, form: SymForm) -> Certificate:
+def pd_preservation_certificate(g: HeisElement, form: SymForm
+                                ) -> tuple[bool, dict]:
     """The action of g keeps a positive-definite form positive definite;
     the image is recorded and cross-checked against the congruence g S g^T."""
     if not form.is_positive_definite():
@@ -254,13 +249,8 @@ def pd_preservation_certificate(g: HeisElement, form: SymForm) -> Certificate:
     image = act_on_form(g, form)
     consistent = image == congruence_image(g, form)
     ok = image.is_positive_definite() and consistent
-    ctor = Certificate.ok if ok else Certificate.fail
-    return ctor(
-        "cone.pd_preserved",
-        witnesses={"image_form": [list(r) for r in image.m],
-                   "matches_congruence": consistent},
-        inputs={"g": list(g.components()),
-                "form": [list(r) for r in form.m]})
+    return ok, {"image_form": [list(r) for r in image.m],
+                "matches_congruence": consistent}
 
 
 def parabolic_fixed_form(generator: str) -> SymForm:
@@ -319,7 +309,8 @@ def _canonical(coords: Sequence[Fraction]) -> list[Fraction]:
     return [x / pivot for x in coords]
 
 
-def flat_segment_certificate(f1: SymForm, f2: SymForm) -> Certificate:
+def flat_segment_certificate(f1: SymForm, f2: SymForm
+                             ) -> tuple[bool, dict]:
     """The segment between two degenerate semidefinite forms stays in the
     cone's boundary: every sampled mixture is PSD with determinant zero."""
     for f in (f1, f2):
@@ -336,8 +327,4 @@ def flat_segment_certificate(f1: SymForm, f2: SymForm) -> Certificate:
         det = mix.det()
         ok = ok and psd and det == 0
         samples.append({"t": t, "psd": psd, "det": det})
-    ctor = Certificate.ok if ok else Certificate.fail
-    return ctor("cone.boundary_flat",
-                witnesses={"segment_samples": samples},
-                inputs={"f1": [list(r) for r in f1.m],
-                        "f2": [list(r) for r in f2.m]})
+    return ok, {"segment_samples": samples}

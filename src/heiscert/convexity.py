@@ -1,4 +1,4 @@
-"""Orbit geometry and exact convexity certificates.
+"""Orbit geometry and exact convexity checks.
 
 The 10-dimensional representation acts affinely on the patch
 [x1:...:x9:1]; the orbit of the origin is a polynomial embedding of the
@@ -7,6 +7,7 @@ module certifies, in exact arithmetic: the closed orbit formula, its
 equivariance, domination along rays to infinity, full dimensionality of
 the orbit hull (a nonzero 10x10 determinant), proper convexity (the hull
 stays in {x1 >= 0}) and extremality of sampled orbit points via exact LP.
+Each check returns (ok, witnesses).
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ import io
 from fractions import Fraction
 from typing import Sequence
 
-from .certs import Certificate
 from .heis import ENTRY_RING, PAIR_RING, HeisElement, get_representation, \
     heis_mul, symbolic_pair
-from .linalg import Matrix
 from .lp import convex_combination_weights
 from .poly import NEG_INFINITY, Poly, PolyRing
 from .rationals import format_rational, parse_rational
@@ -93,7 +92,7 @@ def symbolic_orbit_lift(ring: PolyRing, names=("a", "b", "c")) -> list[Poly]:
     return [p.substitute(mapping, ring) for p in ORBIT_FORMULA] + [ring.one()]
 
 
-def orbit_formula_certificate() -> Certificate:
+def orbit_formula_certificate() -> tuple[bool, dict]:
     """The entry table applied to the lifted origin reproduces the closed
     orbit formula, as an exact polynomial identity."""
     theta = get_representation("theta")
@@ -105,11 +104,10 @@ def orbit_formula_certificate() -> Certificate:
     witnesses = {"coordinates": [str(p) for p in expected]}
     if mismatches:
         witnesses["mismatched_coordinates"] = mismatches
-        return Certificate.fail("orbit.formula", witnesses)
-    return Certificate.ok("orbit.formula", witnesses)
+    return not mismatches, witnesses
 
 
-def fixed_structure_certificate() -> Certificate:
+def fixed_structure_certificate() -> tuple[bool, dict]:
     """The symbolic matrix fixes the point [1:0:...:0] (first column) and
     preserves the hyperplane at infinity x10 = 0 (last row)."""
     theta = get_representation("theta")
@@ -120,22 +118,19 @@ def fixed_structure_certificate() -> Certificate:
                                         for i in range(1, n))
     row_ok = table[n - 1, n - 1] == one and all(table[n - 1, j] == zero
                                                 for j in range(n - 1))
-    witnesses = {"first_column_is_e1": col_ok, "last_row_is_e10": row_ok}
-    ctor = Certificate.ok if (col_ok and row_ok) else Certificate.fail
-    return ctor("orbit.fixed_at_infinity", witnesses)
+    return col_ok and row_ok, {"first_column_is_e1": col_ok,
+                               "last_row_is_e10": row_ok}
 
 
-def equivariance_certificate(g: HeisElement, h: HeisElement) -> Certificate:
+def equivariance_certificate(g: HeisElement, h: HeisElement
+                             ) -> tuple[bool, dict]:
     """Acting on the orbit point of h by the matrix of g lands on the
     orbit point of g*h (projective equality, exact)."""
     theta = get_representation("theta")
     image = theta(g).apply(orbit_lift(h))
-    target = orbit_lift(heis_mul(g, h))
-    ok = ProjPoint(image) == ProjPoint(target)
-    inputs = {"g": [g.a, g.b, g.c], "h": [h.a, h.b, h.c]}
-    witnesses = {"target_parameter": [x for x in heis_mul(g, h).components()]}
-    ctor = Certificate.ok if ok else Certificate.fail
-    return ctor("orbit.equivariance", witnesses, inputs=inputs)
+    product = heis_mul(g, h)
+    ok = ProjPoint(image) == ProjPoint(orbit_lift(product))
+    return ok, {"target_parameter": list(product.components())}
 
 
 def symbolic_equivariance_holds() -> bool:
@@ -172,7 +167,7 @@ DOMINATION_BOUND = Fraction(1, 1000)
 
 def limit_point_certificate(rays: Sequence[Sequence[Poly]] = DEFAULT_RAYS,
                             t_values: Sequence[Fraction] = DEFAULT_RAY_TS,
-                            ) -> Certificate:
+                            ) -> tuple[bool, dict]:
     """Domination of the first coordinate along rays to infinity.
 
     Symbolic part: on each ray the first orbit coordinate has strictly
@@ -220,27 +215,21 @@ def limit_point_certificate(rays: Sequence[Sequence[Poly]] = DEFAULT_RAYS,
             "ratios": ratios,
             "passes": ok,
         })
-    witnesses = {"rays": ray_reports,
-                 "bound": DOMINATION_BOUND,
-                 "limit_point": "[1:0:0:0:0:0:0:0:0:0]"}
-    inputs = {"t_values": t_values,
-              "rays": [[str(p) for p in ray] for ray in rays]}
-    ctor = Certificate.ok if all_ok else Certificate.fail
-    return ctor("orbit.limit_point", witnesses, inputs=inputs)
+    return all_ok, {"rays": ray_reports,
+                    "bound": DOMINATION_BOUND,
+                    "limit_point": "[1:0:0:0:0:0:0:0:0:0]"}
 
 
 # -- orbit samples ------------------------------------------------------------
 
 class OrbitSample:
-    """Deterministically sampled orbit parameters and their points."""
+    """Distinct orbit parameters (a, b, c), sampled or read from a file."""
 
-    def __init__(self, parameters: Sequence[tuple], seed: str = ""):
+    def __init__(self, parameters: Sequence[tuple]):
         parameters = [tuple(Fraction(x) for x in p) for p in parameters]
         if len(set(parameters)) != len(parameters):
             raise ValueError("orbit sample parameters must be distinct")
         self.parameters = parameters
-        self.seed = seed
-        self.points = [orbit_point(HeisElement.of(*p)) for p in parameters]
 
     def lifts(self) -> list[list[Fraction]]:
         return [orbit_lift(HeisElement.of(*p)) for p in self.parameters]
@@ -258,55 +247,40 @@ class OrbitSample:
         return buf.getvalue()
 
     @staticmethod
-    def from_csv(text: str, seed: str = "") -> "OrbitSample":
+    def from_csv(text: str) -> "OrbitSample":
         reader = csv.reader(io.StringIO(text))
         header = next(reader)
         if header != ["a", "b", "c"]:
             raise ValueError("orbit sample CSV must have header a,b,c")
         params = [tuple(parse_rational(cell) for cell in row)
                   for row in reader if row]
-        return OrbitSample(params, seed=seed)
+        return OrbitSample(params)
 
 
 def sample_orbit(count: int, seed: int, label: str = "orbit",
                  nonzero: bool = False) -> OrbitSample:
     stream = RandomStream(seed).split(label)
     params = stream.distinct_triples(count, nonzero=nonzero)
-    return OrbitSample(params, seed=str(seed))
+    return OrbitSample(params)
 
 
-def hull_dimension_certificate(sample: OrbitSample) -> Certificate:
-    """Nonzero determinant of ten lifted orbit points: the hull interior
-    has full dimension nine."""
-    if len(sample) != 10:
-        raise ValueError("hull dimension check needs exactly 10 points")
-    det = Matrix(sample.lifts()).det()
-    witnesses = {"determinant": det}
-    inputs = {"parameters": [[x for x in p] for p in sample.parameters]}
-    ctor = Certificate.ok if det != 0 else Certificate.fail
-    return ctor("hull.dimension", witnesses, inputs=inputs,
-                seed=sample.seed)
-
-
-def proper_convexity_certificate() -> Certificate:
+def proper_convexity_certificate() -> tuple[bool, dict]:
     """Every orbit point satisfies x1 >= 0, by the syntactic even-power
     criterion on the first coordinate; the closed hull therefore lies in
     the halfspace {x1 >= 0} and misses the hyperplane {x1 = -1}."""
     first = ORBIT_FORMULA[0]
-    nonneg = nonneg_certificate(first)
-    witnesses = {
+    nonneg, nonneg_witnesses = nonneg_certificate(first)
+    return nonneg, {
         "halfspace": "x1 >= 0",
         "separated_from": "x1 = -1",
         "first_coordinate": str(first),
-        "nonnegativity": nonneg.witnesses,
+        "nonnegativity": nonneg_witnesses,
     }
-    ctor = Certificate.ok if nonneg.passed else Certificate.fail
-    return ctor("hull.proper_convexity", witnesses)
 
 
-def nonneg_certificate(p: Poly) -> Certificate:
+def nonneg_certificate(p: Poly) -> tuple[bool, dict]:
     """Syntactic nonnegativity: every term has all-even exponents and a
-    positive coefficient.  FAIL means inconclusive, not negative."""
+    positive coefficient.  False means inconclusive, not negative."""
     terms = []
     ok = True
     for exps, coeff in p.sorted_terms():
@@ -315,15 +289,15 @@ def nonneg_certificate(p: Poly) -> Certificate:
         terms.append({"monomial_exponents": list(exps), "coefficient": coeff,
                       "all_even": even, "positive": positive})
         ok = ok and even and positive
-    ctor = Certificate.ok if ok else Certificate.fail
-    return ctor("poly.nonnegative", {"terms": terms, "polynomial": str(p)})
+    return ok, {"terms": terms, "polynomial": str(p)}
 
 
-def extreme_point_certificate(sample: OrbitSample, index: int) -> Certificate:
+def extreme_point_certificate(sample: OrbitSample, index: int
+                              ) -> tuple[bool, dict]:
     """Is sample point `index` outside the convex hull of the others?
 
-    Decided by exact LP: PASS records a verified separating functional;
-    FAIL records the convex-combination weights.
+    Decided by exact LP: True comes with a verified separating
+    functional, False with the convex-combination weights.
     """
     if len(sample) < 11:
         raise ValueError("extreme point check needs at least 11 points")
@@ -333,14 +307,6 @@ def extreme_point_certificate(sample: OrbitSample, index: int) -> Certificate:
     target = lifts[index]
     others = [lift for i, lift in enumerate(lifts) if i != index]
     result = convex_combination_weights(others, target)
-    inputs = {"parameters": [[x for x in p] for p in sample.parameters],
-              "index": index}
     if result.feasible:
-        return Certificate.fail(
-            "hull.extreme_point",
-            witnesses={"convex_combination_weights": result.solution},
-            inputs=inputs, seed=sample.seed)
-    return Certificate.ok(
-        "hull.extreme_point",
-        witnesses={"separating_functional": result.farkas},
-        inputs=inputs, seed=sample.seed)
+        return False, {"convex_combination_weights": result.solution}
+    return True, {"separating_functional": result.farkas}

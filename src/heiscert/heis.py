@@ -19,7 +19,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
-from .certs import Certificate
 from .linalg import Matrix
 from .poly import Poly, PolyRing
 
@@ -156,7 +155,7 @@ def symbolic_pair() -> tuple[HeisElement, HeisElement]:
     return g, h
 
 
-def verify_homomorphism(rep: Representation) -> Certificate:
+def verify_homomorphism(rep: Representation) -> tuple[bool, dict]:
     """Check rep(g) rep(h) = rep(g h) as an exact identity in six variables."""
     g, h = symbolic_pair()
     product = rep(g) * rep(h)
@@ -165,24 +164,16 @@ def verify_homomorphism(rep: Representation) -> Certificate:
     for i in range(rep.dimension):
         for j in range(rep.dimension):
             if not difference[i, j].is_zero():
-                return Certificate.fail(
-                    claim=f"homomorphism.{rep.name}",
-                    witnesses={
-                        "first_nonzero_entry": {"row": i + 1, "col": j + 1,
-                                                "value": str(difference[i, j])},
-                    },
-                    inputs={"representation": rep.name},
-                )
-    return Certificate.ok(
-        claim=f"homomorphism.{rep.name}",
-        witnesses={"entries_checked": rep.dimension ** 2,
-                   "ring": list(PAIR_RING.names)},
-        inputs={"representation": rep.name},
-    )
+                return False, {
+                    "first_nonzero_entry": {"row": i + 1, "col": j + 1,
+                                            "value": str(difference[i, j])},
+                }
+    return True, {"entries_checked": rep.dimension ** 2,
+                  "ring": list(PAIR_RING.names)}
 
 
-def verify_injectivity_generators(rep: Representation) -> Certificate:
-    """PASS iff the table carries the bare coordinate polynomials a, b, c
+def verify_injectivity_generators(rep: Representation) -> tuple[bool, dict]:
+    """True iff the table carries the bare coordinate polynomials a, b, c
     somewhere, so a matrix determines its group element by inspection."""
     targets = {n: ENTRY_RING.var(n) for n in ("a", "b", "c")}
     found: dict[str, list[list[int]]] = {n: [] for n in targets}
@@ -192,18 +183,9 @@ def verify_injectivity_generators(rep: Representation) -> Certificate:
                 if rep.table[i, j] == target:
                     found[name].append([i + 1, j + 1])
     missing = [n for n, positions in found.items() if not positions]
-    inputs = {"representation": rep.name}
     if missing:
-        return Certificate.fail(
-            claim=f"injectivity.{rep.name}",
-            witnesses={"missing_coordinates": missing, "positions": found},
-            inputs=inputs,
-        )
-    return Certificate.ok(
-        claim=f"injectivity.{rep.name}",
-        witnesses={"positions": found},
-        inputs=inputs,
-    )
+        return False, {"missing_coordinates": missing, "positions": found}
+    return True, {"positions": found}
 
 
 def one_parameter_power(rep: Representation, generator: str,

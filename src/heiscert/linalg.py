@@ -311,13 +311,10 @@ def _echelon(m: list[list[int]], reduce_above: bool) -> tuple[list[int], int]:
     return pivots, swaps
 
 
-def jordan_partition(m: Matrix) -> list[int]:
-    """Jordan block sizes of a unipotent rational matrix, largest first.
-
-    Derived from the rank sequence of the nilpotent part N = m - I: the
-    number of blocks of size >= k is rank(N^(k-1)) - rank(N^k).  Raises
-    if m - I is not nilpotent.
-    """
+def nilpotent_ranks(m: Matrix) -> list[int]:
+    """rank(N), rank(N^2), ... ending at 0, for the nilpotent part
+    N = m - I of a unipotent rational matrix.  Raises if m - I is not
+    nilpotent."""
     if not m.is_square():
         raise ValueError("Jordan analysis needs a square matrix")
     m._require_rational()
@@ -325,11 +322,22 @@ def jordan_partition(m: Matrix) -> list[int]:
     nilpotent = m - Matrix.identity(n)
     if not (nilpotent ** n).is_zero():
         raise ValueError("matrix is not unipotent: (m - I) is not nilpotent")
-    ranks = [n]  # rank of N^0
+    ranks = []
     power = Matrix.identity(n)
-    while ranks[-1] > 0:
+    while not ranks or ranks[-1] > 0:
         power = power * nilpotent
         ranks.append(power.rank())
+    return ranks
+
+
+def jordan_partition(m: Matrix) -> list[int]:
+    """Jordan block sizes of a unipotent rational matrix, largest first.
+
+    Derived from the rank sequence of the nilpotent part N = m - I: the
+    number of blocks of size >= k is rank(N^(k-1)) - rank(N^k).  Raises
+    if m - I is not nilpotent.
+    """
+    ranks = [m.rows] + nilpotent_ranks(m)  # N^0 has full rank
     at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     partition = []
     for size in range(len(at_least), 0, -1):

@@ -13,9 +13,7 @@ versus quartic entry growth of generator powers that motivates the
 from __future__ import annotations
 
 from fractions import Fraction
-from pathlib import Path
 
-from .certs import Certificate
 from .convexity import ORBIT_FORMULA
 from .heis import DATA_DIR, ENTRY_RING, PAIR_RING, HeisElement, \
     get_representation, heis_mul, one_parameter_power
@@ -126,23 +124,11 @@ def _subspace_coordinates_and_check(lift14, basis) -> list[Poly]:
     return coords
 
 
-def load_witness(name: str, directory: Path = None) -> Matrix:
-    path = (directory or DATA_DIR) / name
-    return Matrix.from_text(path.read_text())
+def load_witness(name: str) -> Matrix:
+    return Matrix.from_text((DATA_DIR / name).read_text())
 
 
-def write_witnesses(directory: Path) -> dict[str, Path]:
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    for name, matrix in ((T_WITNESS, derive_conjugator()),
-                         (BASIS_WITNESS, derive_subspace_basis())):
-        path = directory / name
-        path.write_text(matrix.to_text())
-        paths[name] = path
-    return paths
-
-
-def restriction_certificate(rederive: bool = False) -> Certificate:
+def restriction_certificate(rederive: bool = False) -> tuple[bool, dict]:
     """Full restriction verdict: equations have rank 4 and are preserved,
     the induced action is multiplicative, and it is conjugate to the
     10-dimensional representation by the witness T."""
@@ -178,16 +164,12 @@ def restriction_certificate(rederive: bool = False) -> Certificate:
         induced_matrix(gp) * induced_matrix(hp) == \
         induced_matrix(heis_mul(gp, hp))
 
-    ok = all(checks.values())
-    witnesses = {
+    return all(checks.values()), {
         "checks": checks,
         "conjugator_det": t_det,
         "conjugator": [list(conjugator.row(i)) for i in range(SUBSPACE_DIM)],
         "intertwiner_space_dimension": intertwiner_dimension(),
     }
-    ctor = Certificate.ok if ok else Certificate.fail
-    return ctor("restrict.conjugate_to_theta", witnesses,
-                inputs={"rederived": rederive})
 
 
 def intertwiner_dimension() -> int:
@@ -234,7 +216,7 @@ def _max_degree(matrix: Matrix, cells) -> int:
     return max(finite) if finite else 0
 
 
-def growth_certificate() -> Certificate:
+def growth_certificate() -> tuple[bool, dict]:
     """Quadratic growth inside the 6x6 block versus quartic growth in the
     glued chains, for symbolic powers of the first two generators; the
     central generator stays quadratic everywhere."""
@@ -258,6 +240,4 @@ def growth_certificate() -> Certificate:
     center_deg = _max_degree(center_power, whole)
     report["C"] = {"whole_matrix_degree": center_deg}
     ok = ok and center_deg <= 2
-
-    ctor = Certificate.ok if ok else Certificate.fail
-    return ctor("growth.block_degrees", witnesses=report)
+    return ok, report

@@ -1,10 +1,17 @@
 """Claim registry, suite runner and certificate replay.
 
-Every checkable claim is a registry entry with a stable id, the suite it
-belongs to, a one-line statement, and two entry points: run(config)
-computes it fresh (sampling through a stream split off the config seed,
-so results are independent of execution order), while replay(inputs,
-seed) recomputes it from a stored certificate's recorded inputs.  The
+Every claim has one shape: a stable id, its suite, a one-line statement,
+its inputs, and check(inputs) -> (ok, witnesses).  A sampled claim draws
+its inputs with sample(config) from a stream split off the config seed,
+so results are independent of execution order; a fixed claim computes
+its own inputs.  `_claim` turns that pair into the registry's
+run(config) and replay(inputs, seed) entry points, and `_certificate` is
+the one place a Certificate is built.
+
+Replay of a sampled claim runs the check on the stored inputs, so it
+confirms that the stored verdict and witnesses are what those inputs
+give.  Replay of a fixed claim recomputes from the claim's own inputs,
+so a certificate whose stored inputs were edited is a MISMATCH.  The
 runner writes one JSON certificate per claim plus report.json/report.md;
 a crash inside a claim becomes a FAIL certificate, never a silent skip.
 """
@@ -16,6 +23,7 @@ import sys
 import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -26,7 +34,7 @@ from .cone import (SymForm, attraction_gaps, flat_segment_certificate,
                    sym_square_match_certificate)
 from .heis import (DATA_DIR, HeisElement, get_representation,
                    verify_homomorphism, verify_injectivity_generators)
-from .linalg import Matrix, jordan_partition
+from .linalg import Matrix, jordan_partition, nilpotent_ranks
 from .metric import box, cross_ratio, hilbert_log_argument
 from .rationals import to_fraction
 from .sampler import RandomStream
@@ -68,6 +76,34 @@ class Claim:
     replay: callable      # (inputs, seed) -> Certificate
 
 
+def _certificate(claim_id: str, ok: bool, witnesses: dict, inputs: dict,
+                 seed: str) -> Certificate:
+    return Certificate(claim_id, PASS if ok else FAIL, witnesses, inputs,
+                       seed)
+
+
+def _claim(claim_id: str, statement: str, check, sample=None,
+           inputs=dict) -> Claim:
+    """A registry entry from check(inputs) -> (ok, witnesses) and either
+    sample(config) -> inputs (a sampled claim, replayed on its stored
+    inputs) or inputs() -> inputs (a fixed claim, always checked on its
+    own inputs; the default has none).  The suite is the id's first
+    component."""
+    def certify(claim_inputs, seed: str) -> Certificate:
+        ok, witnesses = check(claim_inputs)
+        return _certificate(claim_id, ok, witnesses, claim_inputs, seed)
+
+    def run(config: RunConfig) -> Certificate:
+        return certify(sample(config) if sample else inputs(),
+                       str(config.seed))
+
+    def replay(stored_inputs, seed: str) -> Certificate:
+        return certify(stored_inputs if sample else inputs(), seed)
+
+    return Claim(claim_id, claim_id.partition(".")[0], statement, run,
+                 replay)
+
+
 def _triples(raw) -> list[tuple[Fraction, Fraction, Fraction]]:
     return [tuple(to_fraction(x) for x in item) for item in raw]
 
@@ -76,32 +112,36 @@ def _element(raw) -> HeisElement:
     return HeisElement.of(*(to_fraction(x) for x in raw))
 
 
+def _representation(name: str):
+    """inputs() naming one shipped entry table."""
+    return partial(dict, representation=name)
+
+
 # -- reps ---------------------------------------------------------------------
 
+def _homomorphism(inputs):
+    return verify_homomorphism(get_representation(inputs["representation"]))
+
+
+def _injectivity(inputs):
+    return verify_injectivity_generators(
+        get_representation(inputs["representation"]))
+
+
 def _homomorphism_claim(rep_name: str) -> Claim:
-    def compute(_inputs=None, _seed=""):
-        return verify_homomorphism(get_representation(rep_name))
-    return Claim(
-        id=f"reps.homomorphism.{rep_name}",
-        suite="reps",
-        statement=(f"the {rep_name} entry table is a group homomorphism: "
-                   "M(g) M(h) = M(g*h) as an exact polynomial identity"),
-        run=lambda config: compute(),
-        replay=compute,
-    )
+    return _claim(
+        f"reps.homomorphism.{rep_name}",
+        f"the {rep_name} entry table is a group homomorphism: "
+        "M(g) M(h) = M(g*h) as an exact polynomial identity",
+        _homomorphism, inputs=_representation(rep_name))
 
 
 def _injectivity_claim(rep_name: str) -> Claim:
-    def compute(_inputs=None, _seed=""):
-        return verify_injectivity_generators(get_representation(rep_name))
-    return Claim(
-        id=f"reps.injectivity.{rep_name}",
-        suite="reps",
-        statement=(f"the {rep_name} table carries the bare coordinates "
-                   "a, b, c, so the matrix determines the group element"),
-        run=lambda config: compute(),
-        replay=compute,
-    )
+    return _claim(
+        f"reps.injectivity.{rep_name}",
+        f"the {rep_name} table carries the bare coordinates "
+        "a, b, c, so the matrix determines the group element",
+        _injectivity, inputs=_representation(rep_name))
 
 
 # -- jordan -------------------------------------------------------------------
@@ -109,30 +149,22 @@ def _injectivity_claim(rep_name: str) -> Claim:
 CENTER_PARTITION = [3, 2, 1, 1, 1, 1, 1]
 
 
-def _jordan_center(_inputs=None, _seed=""):
-    theta = get_representation("theta")
-    mat = theta(HeisElement.of(0, 0, 1))
-    nilpotent = mat - Matrix.identity(10)
-    ranks = []
-    power = Matrix.identity(10)
-    while not power.is_zero():
-        power = power * nilpotent
-        ranks.append(power.rank())
+def _jordan_center(_inputs):
+    mat = get_representation("theta")(HeisElement.of(0, 0, 1))
+    ranks = nilpotent_ranks(mat)
     partition = jordan_partition(mat)
     ok = partition == CENTER_PARTITION and ranks == [3, 1, 0]
-    witnesses = {"partition": partition, "nilpotent_rank_sequence": ranks,
-                 "expected": CENTER_PARTITION}
-    return (Certificate.ok if ok else Certificate.fail)(
-        "jordan.center_case", witnesses)
+    return ok, {"partition": partition, "nilpotent_rank_sequence": ranks,
+                "expected": CENTER_PARTITION}
 
 
-def _jordan_sample_run(config: RunConfig) -> Certificate:
+def _jordan_sample(config: RunConfig) -> dict:
     stream = config.stream("jordan.unique_odd_largest")
-    params = stream.distinct_triples(config.size("jordan"), nonzero=True)
-    return _jordan_sample_compute({"parameters": params}, str(config.seed))
+    return {"parameters": stream.distinct_triples(config.size("jordan"),
+                                                  nonzero=True)}
 
 
-def _jordan_sample_compute(inputs, seed="") -> Certificate:
+def _jordan_unique_odd(inputs):
     params = _triples(inputs["parameters"])
     theta = get_representation("theta")
     histogram: dict[str, int] = {}
@@ -145,140 +177,146 @@ def _jordan_sample_compute(inputs, seed="") -> Certificate:
         if not (unique and largest % 2 == 1):
             failures.append({"parameter": list(triple),
                              "partition": partition})
-    witnesses = {"sampled": len(params), "partition_histogram": histogram,
-                 "failures": failures}
-    ctor = Certificate.ok if not failures else Certificate.fail
-    return ctor("jordan.unique_odd_largest", witnesses,
-                inputs={"parameters": [list(p) for p in params]}, seed=seed)
+    return not failures, {"sampled": len(params),
+                          "partition_histogram": histogram,
+                          "failures": failures}
 
 
 # -- orbit --------------------------------------------------------------------
 
-def _equivariance_run(config: RunConfig) -> Certificate:
+def _orbit_formula(_inputs):
+    return convexity.orbit_formula_certificate()
+
+
+def _equivariance_sample(config: RunConfig) -> dict:
     stream = config.stream("orbit.equivariance")
-    pairs = [[stream.next_triple(), stream.next_triple()]
-             for _ in range(config.size("equivariance"))]
-    return _equivariance_compute({"pairs": pairs}, str(config.seed))
+    return {"pairs": [[stream.next_triple(), stream.next_triple()]
+                      for _ in range(config.size("equivariance"))]}
 
 
-def _equivariance_compute(inputs, seed="") -> Certificate:
-    pairs = [(tuple(to_fraction(x) for x in g), tuple(to_fraction(x) for x in h))
-             for g, h in inputs["pairs"]]
+def _equivariance(inputs):
+    pairs = [(tuple(to_fraction(x) for x in g),
+              tuple(to_fraction(x) for x in h)) for g, h in inputs["pairs"]]
     symbolic_ok = convexity.symbolic_equivariance_holds()
     failures = []
     for g_raw, h_raw in pairs:
-        cert = convexity.equivariance_certificate(_element(g_raw),
-                                                  _element(h_raw))
-        if not cert.passed:
+        ok, _ = convexity.equivariance_certificate(_element(g_raw),
+                                                   _element(h_raw))
+        if not ok:
             failures.append({"g": list(g_raw), "h": list(h_raw)})
-    witnesses = {"symbolic_identity": symbolic_ok,
-                 "sampled_pairs": len(pairs), "failures": failures}
-    ok = symbolic_ok and not failures
-    ctor = Certificate.ok if ok else Certificate.fail
-    return ctor("orbit.equivariance", witnesses,
-                inputs={"pairs": [[list(g), list(h)] for g, h in pairs]},
-                seed=seed)
+    return symbolic_ok and not failures, {"symbolic_identity": symbolic_ok,
+                                          "sampled_pairs": len(pairs),
+                                          "failures": failures}
 
 
-def _limit_point_compute(inputs=None, seed="") -> Certificate:
-    if inputs:
-        ring = convexity.RAY_RING
-        rays = [[ring.parse(p) for p in ray] for ray in inputs["rays"]]
-        ts = [to_fraction(t) for t in inputs["t_values"]]
-        return convexity.limit_point_certificate(rays, ts)
-    return convexity.limit_point_certificate()
+def _limit_point_inputs() -> dict:
+    return {"rays": convexity.DEFAULT_RAYS,
+            "t_values": convexity.DEFAULT_RAY_TS}
+
+
+def _limit_point(inputs):
+    return convexity.limit_point_certificate(inputs["rays"],
+                                             inputs["t_values"])
+
+
+def _fixed_at_infinity(_inputs):
+    return convexity.fixed_structure_certificate()
 
 
 # -- hull ---------------------------------------------------------------------
 
-def _load_frozen_sample(name: str) -> convexity.OrbitSample:
-    return convexity.OrbitSample.from_csv((DATA_DIR / name).read_text(),
-                                          seed="frozen")
+def _frozen_parameters(name: str) -> list[tuple]:
+    return convexity.OrbitSample.from_csv(
+        (DATA_DIR / name).read_text()).parameters
 
 
-def _hull_dimension_run(config: RunConfig) -> Certificate:
-    frozen = _load_frozen_sample("hull_sample.csv")
-    fresh_count = config.size("hull_fresh")
+def _lift_det(raw) -> Fraction:
+    """Determinant of the lifts of the orbit points with parameters raw;
+    raises unless there are exactly ten of them."""
+    return Matrix(convexity.OrbitSample(_triples(raw)).lifts()).det()
+
+
+def _hull_dimension_sample(config: RunConfig) -> dict:
     fresh = [convexity.sample_orbit(10, config.seed + 1 + k, "hull")
-             for k in range(fresh_count)]
-    inputs = {"frozen": [list(p) for p in frozen.parameters],
-              "fresh": [[list(p) for p in s.parameters] for s in fresh]}
-    return _hull_dimension_compute(inputs, str(config.seed))
+             for k in range(config.size("hull_fresh"))]
+    return {"frozen": _frozen_parameters("hull_sample.csv"),
+            "fresh": [sample.parameters for sample in fresh]}
 
 
-def _hull_dimension_compute(inputs, seed="") -> Certificate:
-    frozen = convexity.OrbitSample(_triples(inputs["frozen"]), seed=seed)
-    frozen_det = Matrix(frozen.lifts()).det()
-    fresh_dets = []
-    for raw in inputs["fresh"]:
-        sample = convexity.OrbitSample(_triples(raw), seed=seed)
-        fresh_dets.append(Matrix(sample.lifts()).det())
+def _hull_dimension(inputs):
+    frozen_det = _lift_det(inputs["frozen"])
+    fresh_dets = [_lift_det(raw) for raw in inputs["fresh"]]
     ok = frozen_det != 0 and all(d != 0 for d in fresh_dets)
-    witnesses = {"frozen_determinant": frozen_det,
-                 "fresh_determinants": fresh_dets}
-    ctor = Certificate.ok if ok else Certificate.fail
-    return ctor("hull.dimension", witnesses, inputs=inputs, seed=seed)
+    return ok, {"frozen_determinant": frozen_det,
+                "fresh_determinants": fresh_dets}
 
 
-def _hull_degenerate_compute(inputs=None, seed="") -> Certificate:
-    if inputs:
-        params = _triples(inputs["parameters"])
-    else:
-        params = [(Fraction(0), Fraction(0), Fraction(k))
-                  for k in range(1, 11)]
-    sample = convexity.OrbitSample(params)
-    det = Matrix(sample.lifts()).det()
-    witnesses = {"determinant": det}
-    ctor = Certificate.ok if det == 0 else Certificate.fail
-    return ctor("hull.degenerate_center", witnesses,
-                inputs={"parameters": [list(p) for p in params]}, seed=seed)
+def _degenerate_center_inputs() -> dict:
+    return {"parameters": [(Fraction(0), Fraction(0), Fraction(k))
+                           for k in range(1, 11)]}
 
 
-def _extreme_points_compute(inputs=None, seed="") -> Certificate:
-    if inputs:
-        sample = convexity.OrbitSample(_triples(inputs["parameters"]),
-                                       seed=seed)
-    else:
-        sample = _load_frozen_sample("extreme_sample.csv")
+def _degenerate_center(inputs):
+    det = _lift_det(inputs["parameters"])
+    return det == 0, {"determinant": det}
+
+
+def _proper_convexity(_inputs):
+    return convexity.proper_convexity_certificate()
+
+
+def _extreme_points_inputs() -> dict:
+    return {"parameters": _frozen_parameters("extreme_sample.csv")}
+
+
+def _extreme_points(inputs):
+    sample = convexity.OrbitSample(inputs["parameters"])
     verdicts = []
     functionals = []
     for i in range(len(sample)):
-        cert = convexity.extreme_point_certificate(sample, i)
-        verdicts.append(cert.passed)
+        extreme, witnesses = convexity.extreme_point_certificate(sample, i)
+        verdicts.append(extreme)
         functionals.append(
-            cert.witnesses.get("separating_functional")
-            or {"weights": cert.witnesses.get("convex_combination_weights")})
+            witnesses["separating_functional"] if extreme
+            else {"weights": witnesses["convex_combination_weights"]})
     ok = all(verdicts)
-    witnesses = {"points": len(sample), "all_extreme": ok,
-                 "separating_functionals": functionals}
-    ctor = Certificate.ok if ok else Certificate.fail
-    return ctor("hull.extreme_points", witnesses,
-                inputs={"parameters": [list(p) for p in sample.parameters]},
-                seed=seed)
+    return ok, {"points": len(sample), "all_extreme": ok,
+                "separating_functionals": functionals}
 
 
 # -- restrict / growth --------------------------------------------------------
 
-def _restriction_run(config: RunConfig) -> Certificate:
-    return restriction.restriction_certificate(
-        rederive=config.rederive_witnesses)
+def _restriction_sample(config: RunConfig) -> dict:
+    return {"rederived": config.rederive_witnesses}
 
 
-def _restriction_replay(inputs, _seed="") -> Certificate:
-    return restriction.restriction_certificate(
-        rederive=bool(inputs.get("rederived")))
+def _restriction(inputs):
+    rederived = inputs["rederived"]
+    if not isinstance(rederived, bool):
+        raise ValueError(f"'rederived' must be true or false, "
+                         f"not {rederived!r}")
+    return restriction.restriction_certificate(rederive=rederived)
+
+
+def _growth(_inputs):
+    return restriction.growth_certificate()
 
 
 # -- cone ---------------------------------------------------------------------
 
-def _pd_preserved_run(config: RunConfig) -> Certificate:
+def _sym_square_match(inputs):
+    return sym_square_match_certificate(
+        get_representation(inputs["representation"]))
+
+
+def _pd_preserved_sample(config: RunConfig) -> dict:
     stream = config.stream("cone.pd_preserved")
     cases = []
     for _ in range(config.size("pd_checks")):
         form = _random_pd_form(stream)
         g = stream.next_triple()
         cases.append({"g": list(g), "form": [list(r) for r in form.m]})
-    return _pd_preserved_compute({"cases": cases}, str(config.seed))
+    return {"cases": cases}
 
 
 def _random_pd_form(stream: RandomStream) -> SymForm:
@@ -290,21 +328,20 @@ def _random_pd_form(stream: RandomStream) -> SymForm:
             return SymForm((r.transpose() * r).entries)
 
 
-def _pd_preserved_compute(inputs, seed="") -> Certificate:
+def _pd_preserved(inputs):
     failures = []
     for case in inputs["cases"]:
         g = _element(case["g"])
         form = SymForm([[to_fraction(x) for x in row]
                         for row in case["form"]])
-        cert = pd_preservation_certificate(g, form)
-        if not cert.passed:
+        ok, _ = pd_preservation_certificate(g, form)
+        if not ok:
             failures.append(case)
-    witnesses = {"checked": len(inputs["cases"]), "failures": failures}
-    ctor = Certificate.ok if not failures else Certificate.fail
-    return ctor("cone.pd_preserved", witnesses, inputs=inputs, seed=seed)
+    return not failures, {"checked": len(inputs["cases"]),
+                          "failures": failures}
 
 
-def _parabolic_compute(_inputs=None, _seed="") -> Certificate:
+def _parabolic(_inputs):
     forms = {name: parabolic_fixed_form(name) for name in ("A", "B", "C")}
     gaps = {name: attraction_gaps(name) for name in ("A", "B", "C")}
     checks = {
@@ -317,24 +354,26 @@ def _parabolic_compute(_inputs=None, _seed="") -> Certificate:
     }
     ok = all(value for key, value in checks.items()
              if key != "C_shares_A_fixed_form")
-    witnesses = {
+    return ok, {
         "checks": checks,
         "fixed_forms": {k: [list(r) for r in f.m] for k, f in forms.items()},
         "attraction_gaps": gaps,
     }
-    ctor = Certificate.ok if ok else Certificate.fail
-    return ctor("cone.parabolic_fixed_points", witnesses)
 
 
-def _flat_compute(_inputs=None, _seed="") -> Certificate:
-    cert = flat_segment_certificate(parabolic_fixed_form("A"),
-                                    parabolic_fixed_form("B"))
-    return cert
+def _flat_inputs() -> dict:
+    return {"f1": parabolic_fixed_form("A").m,
+            "f2": parabolic_fixed_form("B").m}
+
+
+def _flat(inputs):
+    return flat_segment_certificate(SymForm(inputs["f1"]),
+                                    SymForm(inputs["f2"]))
 
 
 # -- hilbert ------------------------------------------------------------------
 
-def _hilbert_axioms_run(config: RunConfig) -> Certificate:
+def _hilbert_axioms_sample(config: RunConfig) -> dict:
     stream = config.stream("hilbert.metric_axioms")
     instances = []
     for _ in range(config.size("hilbert")):
@@ -346,11 +385,10 @@ def _hilbert_axioms_run(config: RunConfig) -> Certificate:
                     for lo, hi in zip(lows, highs)]
         instances.append({"lows": lows, "highs": highs,
                           "x": interior(), "y": interior(), "z": interior()})
-    return _hilbert_axioms_compute({"instances": instances},
-                                   str(config.seed))
+    return {"instances": instances}
 
 
-def _hilbert_axioms_compute(inputs, seed="") -> Certificate:
+def _hilbert_axioms(inputs):
     failures = []
     for idx, raw in enumerate(inputs["instances"]):
         lows = [to_fraction(v) for v in raw["lows"]]
@@ -370,23 +408,21 @@ def _hilbert_axioms_compute(inputs, seed="") -> Certificate:
               and r_xz <= r_xy * r_yz)
         if not ok:
             failures.append({"instance": idx})
-    witnesses = {"instances": len(inputs["instances"]), "failures": failures}
-    ctor = Certificate.ok if not failures else Certificate.fail
-    return ctor("hilbert.metric_axioms", witnesses, inputs=inputs, seed=seed)
+    return not failures, {"instances": len(inputs["instances"]),
+                          "failures": failures}
 
 
-def _cross_ratio_run(config: RunConfig) -> Certificate:
+def _cross_ratio_sample(config: RunConfig) -> dict:
     stream = config.stream("hilbert.cross_ratio_invariance")
     elements = [stream.next_triple() for _ in range(config.size("cross_ratio"))]
-    inputs = {
+    return {
         "line_parameters": [[0, 0, 0], [1, 1, 1]],
         "mix_values": [0, 1, 2, 3],
         "elements": [list(g) for g in elements],
     }
-    return _cross_ratio_compute(inputs, str(config.seed))
 
 
-def _cross_ratio_compute(inputs, seed="") -> Certificate:
+def _cross_ratio(inputs):
     p_param, q_param = (_element(raw) for raw in inputs["line_parameters"])
     p = convexity.orbit_lift(p_param)
     q = convexity.orbit_lift(q_param)
@@ -402,21 +438,12 @@ def _cross_ratio_compute(inputs, seed="") -> Certificate:
         moved = [mat.apply(v) for v in points]
         if cross_ratio(*moved) != base:
             failures.append({"g": list(raw)})
-    witnesses = {"base_cross_ratio": base,
-                 "elements_checked": len(inputs["elements"]),
-                 "failures": failures}
-    ctor = Certificate.ok if not failures else Certificate.fail
-    return ctor("hilbert.cross_ratio_invariance", witnesses, inputs=inputs,
-                seed=seed)
+    return not failures, {"base_cross_ratio": base,
+                          "elements_checked": len(inputs["elements"]),
+                          "failures": failures}
 
 
 # -- registry -----------------------------------------------------------------
-
-def _simple(claim_id, suite, statement, compute) -> Claim:
-    return Claim(claim_id, suite, statement,
-                 run=lambda config: compute(),
-                 replay=lambda inputs, seed: compute(inputs, seed))
-
 
 CLAIMS: tuple[Claim, ...] = (
     _homomorphism_claim("theta"),
@@ -424,98 +451,87 @@ CLAIMS: tuple[Claim, ...] = (
     _homomorphism_claim("rho14"),
     _injectivity_claim("theta"),
     _injectivity_claim("rho6"),
-    _simple("jordan.center_case", "jordan",
-            "the central generator's image has Jordan blocks "
-            "[3,2,1,1,1,1,1], read off the rank sequence of its "
-            "nilpotent part",
-            lambda inputs=None, seed="": _jordan_center(inputs, seed)),
-    Claim("jordan.unique_odd_largest", "jordan",
-          "every sampled nontrivial element's image has a unique largest "
-          "Jordan block, and that block has odd size",
-          run=_jordan_sample_run, replay=_jordan_sample_compute),
-    Claim("orbit.formula", "orbit",
-          "the matrix of g applied to the lifted origin equals the closed "
-          "orbit formula ((a^4+b^4)/24 + c^2, bc, c, a^3/6, a^2/2, a, "
-          "b^3/6, b^2/2, b, 1)",
-          run=lambda config: convexity.orbit_formula_certificate(),
-          replay=lambda inputs, seed: convexity.orbit_formula_certificate()),
-    Claim("orbit.equivariance", "orbit",
-          "acting by the matrix of g maps the orbit point of h to the "
-          "orbit point of g*h, symbolically and on sampled pairs",
-          run=_equivariance_run, replay=_equivariance_compute),
-    Claim("orbit.limit_point", "orbit",
-          "along rays to infinity the first coordinate dominates every "
-          "other, so the orbit accumulates only at [1:0:...:0]",
-          run=lambda config: _limit_point_compute(),
-          replay=_limit_point_compute),
-    Claim("orbit.fixed_at_infinity", "orbit",
-          "the group fixes [1:0:...:0] and maps the hyperplane at "
-          "infinity x10 = 0 to itself",
-          run=lambda config: convexity.fixed_structure_certificate(),
-          replay=lambda inputs, seed: convexity.fixed_structure_certificate()),
-    Claim("hull.dimension", "hull",
-          "ten lifted orbit points have nonzero determinant, so the "
-          "orbit hull has interior of full dimension 9",
-          run=_hull_dimension_run, replay=_hull_dimension_compute),
-    Claim("hull.degenerate_center", "hull",
-          "orbit points of central elements are degenerate: their ten "
-          "lifts have determinant 0",
-          run=lambda config: _hull_degenerate_compute(),
-          replay=_hull_degenerate_compute),
-    Claim("hull.proper_convexity", "hull",
-          "the first orbit coordinate is a positive combination of even "
-          "powers, so the closed hull lies in {x1 >= 0} and misses "
-          "{x1 = -1}",
-          run=lambda config: convexity.proper_convexity_certificate(),
-          replay=lambda inputs, seed:
-              convexity.proper_convexity_certificate()),
-    Claim("hull.extreme_points", "hull",
-          "each shipped orbit point lies outside the convex hull of the "
-          "others, certified by an exact separating functional",
-          run=lambda config: _extreme_points_compute(),
-          replay=_extreme_points_compute),
-    Claim("restrict.conjugate_to_theta", "restrict",
-          "the equations x6=x10=x14, x5=x13, x3=2*x12 cut an invariant "
-          "subspace of the 14-dimensional action whose induced 10x10 "
-          "action is conjugate to the 10-dimensional table by the "
-          "witness T",
-          run=_restriction_run, replay=_restriction_replay),
-    Claim("growth.block_degrees", "growth",
-          "powers of the first two generators grow quadratically inside "
-          "the 6x6 block and quartically in the glued chains; the "
-          "central generator stays quadratic",
-          run=lambda config: restriction.growth_certificate(),
-          replay=lambda inputs, seed: restriction.growth_certificate()),
-    Claim("cone.sym_square_match", "cone",
-          "the 6x6 table is the congruence action g S g^T on quadratic "
-          "forms, in an explicit monomial basis found by search",
-          run=lambda config: sym_square_match_certificate(),
-          replay=lambda inputs, seed: sym_square_match_certificate()),
-    Claim("cone.pd_preserved", "cone",
-          "the 6x6 action keeps sampled positive-definite forms positive "
-          "definite and agrees with the congruence action",
-          run=_pd_preserved_run, replay=_pd_preserved_compute),
-    Claim("cone.parabolic_fixed_points", "cone",
-          "each generator has an attracting rank-1 semidefinite fixed "
-          "form; the first two generators' fixed forms are distinct and "
-          "iteration contracts toward them",
-          run=lambda config: _parabolic_compute(),
-          replay=_parabolic_compute),
-    Claim("cone.boundary_flat", "cone",
-          "the straight segment between the two distinct fixed forms "
-          "stays semidefinite with determinant zero: a flat in the cone "
-          "boundary",
-          run=lambda config: _flat_compute(),
-          replay=_flat_compute),
-    Claim("hilbert.metric_axioms", "hilbert",
-          "on sampled rational polytopes the Hilbert cross-ratio "
-          "satisfies R >= 1 with equality iff the points coincide, "
-          "symmetry, and the multiplicative triangle inequality",
-          run=_hilbert_axioms_run, replay=_hilbert_axioms_compute),
-    Claim("hilbert.cross_ratio_invariance", "hilbert",
-          "the cross ratio of four collinear points is unchanged by "
-          "every sampled group matrix",
-          run=_cross_ratio_run, replay=_cross_ratio_compute),
+    _claim("jordan.center_case",
+           "the central generator's image has Jordan blocks "
+           "[3,2,1,1,1,1,1], read off the rank sequence of its "
+           "nilpotent part",
+           _jordan_center),
+    _claim("jordan.unique_odd_largest",
+           "every sampled nontrivial element's image has a unique largest "
+           "Jordan block, and that block has odd size",
+           _jordan_unique_odd, sample=_jordan_sample),
+    _claim("orbit.formula",
+           "the matrix of g applied to the lifted origin equals the closed "
+           "orbit formula ((a^4+b^4)/24 + c^2, bc, c, a^3/6, a^2/2, a, "
+           "b^3/6, b^2/2, b, 1)",
+           _orbit_formula),
+    _claim("orbit.equivariance",
+           "acting by the matrix of g maps the orbit point of h to the "
+           "orbit point of g*h, symbolically and on sampled pairs",
+           _equivariance, sample=_equivariance_sample),
+    _claim("orbit.limit_point",
+           "along rays to infinity the first coordinate dominates every "
+           "other, so the orbit accumulates only at [1:0:...:0]",
+           _limit_point, inputs=_limit_point_inputs),
+    _claim("orbit.fixed_at_infinity",
+           "the group fixes [1:0:...:0] and maps the hyperplane at "
+           "infinity x10 = 0 to itself",
+           _fixed_at_infinity),
+    _claim("hull.dimension",
+           "ten lifted orbit points have nonzero determinant, so the "
+           "orbit hull has interior of full dimension 9",
+           _hull_dimension, sample=_hull_dimension_sample),
+    _claim("hull.degenerate_center",
+           "orbit points of central elements are degenerate: their ten "
+           "lifts have determinant 0",
+           _degenerate_center, inputs=_degenerate_center_inputs),
+    _claim("hull.proper_convexity",
+           "the first orbit coordinate is a positive combination of even "
+           "powers, so the closed hull lies in {x1 >= 0} and misses "
+           "{x1 = -1}",
+           _proper_convexity),
+    _claim("hull.extreme_points",
+           "each shipped orbit point lies outside the convex hull of the "
+           "others, certified by an exact separating functional",
+           _extreme_points, inputs=_extreme_points_inputs),
+    _claim("restrict.conjugate_to_theta",
+           "the equations x6=x10=x14, x5=x13, x3=2*x12 cut an invariant "
+           "subspace of the 14-dimensional action whose induced 10x10 "
+           "action is conjugate to the 10-dimensional table by the "
+           "witness T",
+           _restriction, sample=_restriction_sample),
+    _claim("growth.block_degrees",
+           "powers of the first two generators grow quadratically inside "
+           "the 6x6 block and quartically in the glued chains; the "
+           "central generator stays quadratic",
+           _growth),
+    _claim("cone.sym_square_match",
+           "the 6x6 table is the congruence action g S g^T on quadratic "
+           "forms, in an explicit monomial basis found by search",
+           _sym_square_match, inputs=_representation("rho6")),
+    _claim("cone.pd_preserved",
+           "the 6x6 action keeps sampled positive-definite forms positive "
+           "definite and agrees with the congruence action",
+           _pd_preserved, sample=_pd_preserved_sample),
+    _claim("cone.parabolic_fixed_points",
+           "each generator has an attracting rank-1 semidefinite fixed "
+           "form; the first two generators' fixed forms are distinct and "
+           "iteration contracts toward them",
+           _parabolic),
+    _claim("cone.boundary_flat",
+           "the straight segment between the two distinct fixed forms "
+           "stays semidefinite with determinant zero: a flat in the cone "
+           "boundary",
+           _flat, inputs=_flat_inputs),
+    _claim("hilbert.metric_axioms",
+           "on sampled rational polytopes the Hilbert cross-ratio "
+           "satisfies R >= 1 with equality iff the points coincide, "
+           "symmetry, and the multiplicative triangle inequality",
+           _hilbert_axioms, sample=_hilbert_axioms_sample),
+    _claim("hilbert.cross_ratio_invariance",
+           "the cross ratio of four collinear points is unchanged by "
+           "every sampled group matrix",
+           _cross_ratio, sample=_cross_ratio_sample),
 )
 
 CLAIMS_BY_ID = {c.id: c for c in CLAIMS}
@@ -543,15 +559,12 @@ def run_suite(config: RunConfig) -> dict:
         try:
             cert = claim.run(config)
         except Exception:
-            cert = Certificate.fail(
-                claim.id,
-                witnesses={"error": traceback.format_exc(limit=20)},
-                seed=str(config.seed))
-        cert.claim = claim.id
+            cert = _certificate(
+                claim.id, False,
+                {"error": traceback.format_exc(limit=20)}, {},
+                str(config.seed))
         cert.anchor = claim.statement
         cert.timestamp = timestamp
-        if not cert.seed:
-            cert.seed = str(config.seed)
         path = out / f"{claim.id}.json"
         _atomic_write(path, cert.to_json())
         certificates.append(cert)
@@ -621,8 +634,9 @@ MISMATCH = "MISMATCH"
 
 
 def replay(path: Path) -> tuple[str, dict]:
-    """Recompute a stored certificate from its recorded inputs and seed;
-    MATCH iff the recomputation reproduces it (timestamp aside)."""
+    """Recompute a stored certificate, from its recorded inputs for a
+    sampled claim and from the claim's own inputs for a fixed one; MATCH
+    iff the recomputation reproduces it (timestamp aside)."""
     import json
     data = json.loads(Path(path).read_text())
     stored = Certificate.from_dict(data)
@@ -635,10 +649,7 @@ def replay(path: Path) -> tuple[str, dict]:
     except (TypeError, IndexError) as exc:
         raise ValueError(f"malformed stored inputs for {stored.claim}: "
                          f"{exc}") from exc
-    recomputed.claim = claim.id
     recomputed.anchor = claim.statement
-    if not recomputed.seed:
-        recomputed.seed = stored.seed
     same = digest_ok and recomputed.comparable() == stored.comparable()
     detail = {
         "claim": stored.claim,

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from heiscert.certs import Certificate, canonical_json, digest, jsonable
+from heiscert.certs import PASS, Certificate, canonical_json, digest, \
+    jsonable
 
 
 def test_fractions_serialize_as_strings():
@@ -29,8 +30,8 @@ def test_digest_tracks_inputs():
 
 
 def test_certificate_round_trip():
-    cert = Certificate.ok("demo.claim", {"value": Fraction(5, 3)},
-                          inputs={"n": 3}, seed="0")
+    cert = Certificate("demo.claim", PASS, {"value": Fraction(5, 3)},
+                       inputs={"n": 3}, seed="0")
     cert.anchor = "a demonstration claim"
     cert.timestamp = "2020-01-01T00:00:00"
     data = json.loads(cert.to_json())
@@ -41,8 +42,8 @@ def test_certificate_round_trip():
 
 
 def test_comparable_strips_timestamp():
-    a = Certificate.ok("demo", {})
-    b = Certificate.ok("demo", {})
+    a = Certificate("demo", PASS, {})
+    b = Certificate("demo", PASS, {})
     a.timestamp = "1"
     b.timestamp = "2"
     assert a.comparable() == b.comparable()

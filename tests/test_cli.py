@@ -6,8 +6,14 @@ from pathlib import Path
 
 import pytest
 
+from heiscert.certs import FAIL, PASS, digest, jsonable
 from heiscert.cli import main
-from heiscert.suites import (MATCH, MISMATCH, RunConfig, replay, run_suite)
+from heiscert.suites import (CLAIMS_BY_ID, MATCH, MISMATCH, RunConfig,
+                             replay, run_suite)
+
+# Small sample sizes keep a run of all eight suites short.
+SMALL_SIZES = {"jordan": 3, "equivariance": 2, "hull_fresh": 2,
+               "pd_checks": 3, "hilbert": 3, "cross_ratio": 3}
 
 
 def read_json(path: Path) -> dict:
@@ -144,24 +150,84 @@ def test_replay_cli_exit_codes(tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
-def hull_dimension_cert(tmp_path_factory) -> dict:
-    out = tmp_path_factory.mktemp("hull")
-    run_suite(RunConfig(suites=("hull",), output_dir=out,
-                        sample_sizes={"hull_fresh": 3}))
-    return read_json(out / "hull.dimension.json")
+def certificates(tmp_path_factory) -> Path:
+    """One seed-0 run of every suite at small sample sizes."""
+    out = tmp_path_factory.mktemp("all")
+    report = run_suite(RunConfig(sample_sizes=SMALL_SIZES, output_dir=out))
+    assert report["overall"] == PASS
+    assert len(report["claims"]) == len(CLAIMS_BY_ID)
+    return out
 
 
-@pytest.mark.parametrize("malform", [
-    lambda data: {**data, "inputs": {"frozen": [[1, 2]], "fresh": []}},
-    lambda data: {**data, "inputs": "oops"},
-    lambda data: 123,
-    lambda data: {**data, "claim": ["hull.dimension"]},
+@pytest.mark.parametrize("claim_id", sorted(CLAIMS_BY_ID))
+def test_every_claim_replays(certificates, claim_id, tmp_path):
+    path = certificates / f"{claim_id}.json"
+    verdict, detail = replay(path)
+    assert verdict == MATCH
+    assert detail["inputs_digest_intact"]
+
+    data = read_json(path)
+    data["verdict"] = FAIL if data["verdict"] == PASS else PASS
+    flipped = tmp_path / "flipped.json"
+    flipped.write_text(json.dumps(data))
+    verdict, detail = replay(flipped)
+    assert verdict == MISMATCH
+    assert detail["inputs_digest_intact"]
+
+
+@pytest.mark.parametrize("claim_id, edit", [
+    ("orbit.limit_point", lambda inputs: {**inputs, "rays": []}),
+    ("hull.extreme_points",
+     lambda inputs: {"parameters": inputs["parameters"][:11]}),
+    ("hull.degenerate_center",
+     lambda inputs: {"parameters": [["0", "0", str(k)]
+                                    for k in range(2, 12)]}),
+], ids=["limit-point-no-rays", "extreme-points-subset",
+        "degenerate-center-other-parameters"])
+def test_replay_rejects_forged_fixed_inputs(certificates, claim_id, edit,
+                                            tmp_path):
+    # The forger edits the inputs of a fixed claim, re-derives verdict
+    # and witnesses from the edited inputs through the registry, and
+    # recomputes the inputs digest.
+    data = read_json(certificates / f"{claim_id}.json")
+    inputs = edit(data["inputs"])
+    forged = CLAIMS_BY_ID[claim_id].replay(inputs, data["seed"])
+    data.update(verdict=forged.verdict, witnesses=jsonable(forged.witnesses),
+                inputs=inputs, inputs_digest=digest(inputs))
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(data))
+    verdict, detail = replay(path)
+    assert detail["inputs_digest_intact"]
+    assert verdict == MISMATCH
+
+
+def _with_inputs(data: dict, inputs) -> dict:
+    return {**data, "inputs": inputs, "inputs_digest": digest(inputs)}
+
+
+@pytest.mark.parametrize("claim_id, malform", [
+    ("hull.dimension",
+     lambda data: {**data, "inputs": {"frozen": [[1, 2]], "fresh": []}}),
+    ("hull.dimension", lambda data: {**data, "inputs": "oops"}),
+    ("hull.dimension", lambda data: 123),
+    ("hull.dimension", lambda data: {**data, "claim": ["hull.dimension"]}),
+    ("hull.dimension",
+     lambda data: {**data, "inputs": {**data["inputs"],
+                                      "frozen": data["inputs"]["frozen"][:9]}}),
+    ("restrict.conjugate_to_theta",
+     lambda data: _with_inputs(data, {"rederived": "yes"})),
+    ("restrict.conjugate_to_theta",
+     lambda data: _with_inputs(data, {"rederived": 1})),
+    ("restrict.conjugate_to_theta",
+     lambda data: _with_inputs(data, {"rederived": None})),
 ], ids=["short-frozen-triple", "inputs-not-object", "body-not-object",
-        "claim-not-string"])
-def test_replay_malformed_certificate_exits_2(hull_dimension_cert, malform,
+        "claim-not-string", "nine-frozen-points", "rederived-string",
+        "rederived-int", "rederived-null"])
+def test_replay_malformed_certificate_exits_2(certificates, claim_id, malform,
                                               tmp_path, capsys):
+    data = read_json(certificates / f"{claim_id}.json")
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(malform(hull_dimension_cert)))
+    path.write_text(json.dumps(malform(data)))
     assert main(["replay", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
 

@@ -1,15 +1,18 @@
 """Invariant subspace of the 14-dimensional action and entry growth."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from heiscert.heis import ENTRY_RING, HeisElement, get_representation, \
     heis_mul, one_parameter_power
 from heiscert.poly import PolyRing
 from heiscert.restriction import (derive_conjugator, derive_subspace_basis,
                                   growth_certificate, induced_matrix,
-                                  intertwiner_dimension, load_witness,
-                                  orbit_lift_14, restriction_certificate,
-                                  subspace_equations, write_witnesses)
+                                  intertwiner_dimension, orbit_lift_14,
+                                  restriction_certificate,
+                                  subspace_equations)
 
 THETA = get_representation("theta")
 RHO14 = get_representation("rho14")
@@ -66,18 +69,22 @@ def test_induced_action_is_multiplicative():
         induced_matrix(heis_mul(g, h))
 
 
-def test_frozen_witnesses_match_rederivation(tmp_path):
-    paths = write_witnesses(tmp_path)
-    for name, fresh_path in paths.items():
-        assert load_witness(name).to_text() == fresh_path.read_text()
+def test_rederive_witnesses_script_check():
+    # Covers the subspace witnesses and both frozen orbit samples.
+    script = Path(__file__).resolve().parents[1] / "scripts" / \
+        "rederive_witnesses.py"
+    result = subprocess.run([sys.executable, str(script), "--check"],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "all frozen files match their derivations" in result.stdout
 
 
 def test_restriction_certificate_passes():
-    cert = restriction_certificate()
-    assert cert.verdict == "PASS"
-    assert all(cert.witnesses["checks"].values())
-    rederived = restriction_certificate(rederive=True)
-    assert rederived.verdict == "PASS"
+    ok, witnesses = restriction_certificate()
+    assert ok
+    assert all(witnesses["checks"].values())
+    rederived_ok, _ = restriction_certificate(rederive=True)
+    assert rederived_ok
 
 
 def test_intertwiner_space_dimension():
@@ -87,13 +94,13 @@ def test_intertwiner_space_dimension():
 
 
 def test_growth_certificate():
-    cert = growth_certificate()
-    assert cert.verdict == "PASS"
-    assert cert.witnesses["A"] == {"six_block_degree": 2,
-                                   "added_blocks_degree": 4}
-    assert cert.witnesses["B"] == {"six_block_degree": 2,
-                                   "added_blocks_degree": 4}
-    assert cert.witnesses["C"]["whole_matrix_degree"] <= 2
+    ok, witnesses = growth_certificate()
+    assert ok
+    assert witnesses["A"] == {"six_block_degree": 2,
+                              "added_blocks_degree": 4}
+    assert witnesses["B"] == {"six_block_degree": 2,
+                              "added_blocks_degree": 4}
+    assert witnesses["C"]["whole_matrix_degree"] <= 2
 
 
 def test_growth_quartic_entry_location():
