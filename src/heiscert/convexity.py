@@ -7,7 +7,9 @@ module certifies, in exact arithmetic: the closed orbit formula, its
 equivariance, domination along rays to infinity, full dimensionality of
 the orbit hull (a nonzero 10x10 determinant), proper convexity (the hull
 stays in {x1 >= 0}) and extremality of sampled orbit points via exact LP.
-Each check returns (ok, witnesses).
+Each check returns (ok, witnesses).  orbit_lift() specializes the lifted
+formula through heis.specialize, so it serves rational elements, symbolic
+ones and rays to infinity alike.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import io
 from fractions import Fraction
 from typing import Sequence
 
-from .heis import ENTRY_RING, PAIR_RING, HeisElement, get_representation, \
-    heis_mul, symbolic_pair
+from .heis import ENTRY_RING, HeisElement, get_representation, heis_mul, \
+    specialize, symbolic_pair
 from .lp import convex_combination_weights
 from .poly import NEG_INFINITY, Poly, PolyRing
 from .rationals import format_rational, parse_rational
@@ -41,6 +43,8 @@ ORBIT_FORMULA: tuple[Poly, ...] = (
     _B ** 2 * Fraction(1, 2),
     _B,
 )
+# The homogeneous lift (x1..x9, 1) of the orbit point.
+ORBIT_LIFT: tuple[Poly, ...] = ORBIT_FORMULA + (ENTRY_RING.one(),)
 
 
 class ProjPoint:
@@ -75,21 +79,14 @@ def lift_origin() -> list[Fraction]:
     return [Fraction(0)] * AFFINE_DIM + [Fraction(1)]
 
 
-def orbit_lift(g: HeisElement) -> list[Fraction]:
-    """Homogeneous lift (x1..x9, 1) of the orbit point of g."""
-    assignment = {"a": g.a, "b": g.b, "c": g.c}
-    if not all(isinstance(v, Fraction) for v in assignment.values()):
-        raise TypeError("orbit points need rational group elements")
-    return [p.eval(assignment) for p in ORBIT_FORMULA] + [Fraction(1)]
+def orbit_lift(g: HeisElement) -> list:
+    """Homogeneous lift (x1..x9, 1) of the orbit point of g: rational if
+    g is rational, polynomials in g's ring otherwise."""
+    return specialize(ORBIT_LIFT, g)
 
 
 def orbit_point(g: HeisElement) -> ProjPoint:
     return ProjPoint(orbit_lift(g))
-
-
-def symbolic_orbit_lift(ring: PolyRing, names=("a", "b", "c")) -> list[Poly]:
-    mapping = dict(zip(("a", "b", "c"), (ring.var(n) for n in names)))
-    return [p.substitute(mapping, ring) for p in ORBIT_FORMULA] + [ring.one()]
 
 
 def orbit_formula_certificate() -> tuple[bool, dict]:
@@ -98,10 +95,9 @@ def orbit_formula_certificate() -> tuple[bool, dict]:
     theta = get_representation("theta")
     g = HeisElement.symbolic(ENTRY_RING)
     column = theta(g).apply([ENTRY_RING.const(x) for x in lift_origin()])
-    expected = list(ORBIT_FORMULA) + [ENTRY_RING.one()]
-    mismatches = [i + 1 for i, (got, want) in enumerate(zip(column, expected))
-                  if got != want]
-    witnesses = {"coordinates": [str(p) for p in expected]}
+    mismatches = [i + 1 for i, (got, want)
+                  in enumerate(zip(column, ORBIT_LIFT)) if got != want]
+    witnesses = {"coordinates": [str(p) for p in ORBIT_LIFT]}
     if mismatches:
         witnesses["mismatched_coordinates"] = mismatches
     return not mismatches, witnesses
@@ -137,12 +133,7 @@ def symbolic_equivariance_holds() -> bool:
     """The equivariance identity as a polynomial identity in six variables."""
     g, h = symbolic_pair()
     theta = get_representation("theta")
-    image = theta(g).apply(symbolic_orbit_lift(PAIR_RING, ("a'", "b'", "c'")))
-    mapping = {n: comp for n, comp in zip(("a", "b", "c"),
-                                          heis_mul(g, h).components())}
-    target = [p.substitute(mapping, PAIR_RING) for p in ORBIT_FORMULA] + \
-        [PAIR_RING.one()]
-    return all(x == y for x, y in zip(image, target))
+    return theta(g).apply(orbit_lift(h)) == orbit_lift(heis_mul(g, h))
 
 
 # -- limit point at infinity -------------------------------------------------
@@ -187,9 +178,7 @@ def limit_point_certificate(rays: Sequence[Sequence[Poly]] = DEFAULT_RAYS,
             raise ValueError("a ray is three polynomials in t")
         if all(p.total_degree() <= 0 for p in ray):
             raise ValueError("ray has no coordinate of positive degree")
-        mapping = dict(zip(("a", "b", "c"), ray))
-        coords = [p.substitute(mapping, RAY_RING) for p in ORBIT_FORMULA]
-        coords.append(RAY_RING.one())
+        coords = orbit_lift(HeisElement(*ray))
         if coords[0].is_zero():
             raise ValueError("first coordinate vanishes identically; "
                              "the ray does not leave every bounded set")

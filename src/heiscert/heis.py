@@ -8,8 +8,11 @@ upper-triangular matrix with a, c on the first row and b in position
 
 The entry tables of the three representations (named theta, rho6 and
 rho14; dimensions 10, 6 and 14) are loaded from plain-text .rep files so
-they exist in exactly one transcription.  Homomorphism and injectivity
-verification run fully symbolically over a six-variable ring.
+they exist in exactly one transcription.  specialize() is the one place
+that evaluates polynomials in a, b, c at a group element, rational or
+symbolic; the entry tables and the orbit formula both go through it.
+Homomorphism and injectivity verification run fully symbolically over a
+six-variable ring.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Union
+from typing import Sequence, Union
 
 from .linalg import Matrix
 from .poly import Poly, PolyRing
@@ -52,7 +55,7 @@ class HeisElement:
         return HeisElement(*(ring.var(n) for n in names))
 
     def is_identity(self) -> bool:
-        return all(_is_zero(x) for x in (self.a, self.b, self.c))
+        return all(x == 0 for x in (self.a, self.b, self.c))
 
     def inverse(self) -> "HeisElement":
         return HeisElement(-self.a, -self.b, -self.c + self.a * self.b)
@@ -71,8 +74,17 @@ GEN_C = HeisElement.of(0, 0, 1)
 GENERATORS = {"A": GEN_A, "B": GEN_B, "C": GEN_C}
 
 
-def _is_zero(x: Component) -> bool:
-    return x.is_zero() if isinstance(x, Poly) else x == 0
+def specialize(polys: Sequence[Poly], g: HeisElement) -> list[Component]:
+    """The polynomials in a, b, c evaluated at g: rationals if g is
+    rational, otherwise polynomials in the one ring g's components share."""
+    mapping = {"a": g.a, "b": g.b, "c": g.c}
+    if all(isinstance(v, Fraction) for v in mapping.values()):
+        return [p.eval(mapping) for p in polys]
+    rings = {v.ring for v in mapping.values() if isinstance(v, Poly)}
+    if len(rings) != 1:
+        raise ValueError("symbolic components must share one ring")
+    ring = rings.pop()
+    return [p.substitute(mapping, ring) for p in polys]
 
 
 class Representation:
@@ -88,27 +100,15 @@ class Representation:
                 if not table[i, j].is_zero():
                     raise ValueError(
                         f"{name}: nonzero entry ({i},{j}) below the diagonal")
-        if self._specialize_table(table, HeisElement.identity()) != \
-                Matrix.identity(dimension):
-            raise ValueError(f"{name}: table at the identity is not I")
         self.name = name
         self.dimension = dimension
         self.table = table
-
-    @staticmethod
-    def _specialize_table(table: Matrix, g: HeisElement) -> Matrix:
-        mapping = {"a": g.a, "b": g.b, "c": g.c}
-        if all(isinstance(v, Fraction) for v in mapping.values()):
-            return table.map(lambda p: p.eval(mapping))
-        rings = {v.ring for v in mapping.values() if isinstance(v, Poly)}
-        if len(rings) != 1:
-            raise ValueError("symbolic components must share one ring")
-        ring = rings.pop()
-        return table.map(lambda p: p.substitute(mapping, ring))
+        if self(HeisElement.identity()) != Matrix.identity(dimension):
+            raise ValueError(f"{name}: table at the identity is not I")
 
     def __call__(self, g: HeisElement) -> Matrix:
         """The matrix of g: rational if g is rational, symbolic otherwise."""
-        return self._specialize_table(self.table, g)
+        return Matrix([specialize(row, g) for row in self.table.entries])
 
     def __repr__(self):
         return f"Representation({self.name}, dim={self.dimension})"

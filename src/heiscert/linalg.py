@@ -1,6 +1,6 @@
 """Dense exact matrices over Fraction or Poly entries.
 
-Multiplication, powers and equality work for either scalar kind.
+Multiplication and equality work for either scalar kind.
 Determinant, rank, reduced echelon form, kernel, solve and inverse are
 restricted to Fraction matrices.  All of them run on a denominator-
 cleared integer copy through one fraction-free pivot step, eliminate(),
@@ -37,9 +37,9 @@ class Matrix:
         self.entries = tuple(tuple(r) for r in rows)
 
     @staticmethod
-    def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> "Matrix":
-        return Matrix([[one if i == j else zero for j in range(n)]
-                       for i in range(n)])
+    def identity(n: int) -> "Matrix":
+        return Matrix([[Fraction(1) if i == j else Fraction(0)
+                        for j in range(n)] for i in range(n)])
 
     def __getitem__(self, pos):
         i, j = pos
@@ -97,24 +97,6 @@ class Matrix:
             out.append(out_row)
         return Matrix(out)
 
-    def scale(self, factor) -> "Matrix":
-        return Matrix([[factor * x for x in row] for row in self.entries])
-
-    def __pow__(self, n: int) -> "Matrix":
-        if not self.is_square():
-            raise ValueError("powers need a square matrix")
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("matrix powers must be nonnegative integers")
-        result = Matrix.identity(self.rows, one=self._one(), zero=self._zero())
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
-
     def transpose(self) -> "Matrix":
         return Matrix([self.column(j) for j in range(self.cols)])
 
@@ -134,15 +116,7 @@ class Matrix:
         return Matrix([[fn(x) for x in row] for row in self.entries])
 
     def is_zero(self) -> bool:
-        return all(_entry_is_zero(x) for row in self.entries for x in row)
-
-    def _zero(self):
-        sample = self.entries[0][0]
-        return sample.ring.zero() if isinstance(sample, Poly) else Fraction(0)
-
-    def _one(self):
-        sample = self.entries[0][0]
-        return sample.ring.one() if isinstance(sample, Poly) else Fraction(1)
+        return all(x == 0 for row in self.entries for x in row)
 
     def _check_shape(self, other: "Matrix", same: bool):
         if same and (self.rows != other.rows or self.cols != other.cols):
@@ -243,10 +217,6 @@ class Matrix:
         return Matrix(rows)
 
 
-def _entry_is_zero(x: Entry) -> bool:
-    return x.is_zero() if isinstance(x, Poly) else x == 0
-
-
 def _integer_copy(entries) -> tuple[list[list[int]], Fraction]:
     """Clear denominators row by row; returns the int matrix and the
     factor by which its determinant exceeds the original's."""
@@ -313,34 +283,37 @@ def _echelon(m: list[list[int]], reduce_above: bool) -> tuple[list[int], int]:
 
 def nilpotent_ranks(m: Matrix) -> list[int]:
     """rank(N), rank(N^2), ... ending at 0, for the nilpotent part
-    N = m - I of a unipotent rational matrix.  Raises if m - I is not
-    nilpotent."""
+    N = m - I of a unipotent rational matrix.
+
+    The ranks of successive powers fall strictly until they settle
+    (Fitting's lemma), and they settle at 0 exactly when N is nilpotent,
+    so a positive rank that repeats its predecessor proves m is not
+    unipotent.
+    """
     if not m.is_square():
         raise ValueError("Jordan analysis needs a square matrix")
     m._require_rational()
     n = m.rows
     nilpotent = m - Matrix.identity(n)
-    if not (nilpotent ** n).is_zero():
-        raise ValueError("matrix is not unipotent: (m - I) is not nilpotent")
-    ranks = []
+    ranks = [n]
     power = Matrix.identity(n)
-    while not ranks or ranks[-1] > 0:
+    while ranks[-1] > 0:
         power = power * nilpotent
         ranks.append(power.rank())
-    return ranks
+        if ranks[-1] == ranks[-2]:
+            raise ValueError(
+                "matrix is not unipotent: (m - I) is not nilpotent")
+    return ranks[1:]
 
 
 def jordan_partition(m: Matrix) -> list[int]:
     """Jordan block sizes of a unipotent rational matrix, largest first.
 
     Derived from the rank sequence of the nilpotent part N = m - I: the
-    number of blocks of size >= k is rank(N^(k-1)) - rank(N^k).  Raises
-    if m - I is not nilpotent.
+    number of blocks of size > j is rank(N^j) - rank(N^(j+1)), and the
+    partition is the conjugate of those counts.  Raises if m - I is not
+    nilpotent.
     """
     ranks = [m.rows] + nilpotent_ranks(m)  # N^0 has full rank
-    at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    partition = []
-    for size in range(len(at_least), 0, -1):
-        exactly = at_least[size - 1] - (at_least[size] if size < len(at_least) else 0)
-        partition.extend([size] * exactly)
-    return partition
+    at_least = [r - s for r, s in zip(ranks, ranks[1:])]
+    return [sum(1 for k in at_least if k > j) for j in range(at_least[0])]

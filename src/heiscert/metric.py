@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import Matrix
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 
 
 def cross_ratio(p1, p2, p3, p4) -> Fraction:
@@ -66,10 +66,6 @@ class Halfspace:
 
     def strictly_inside(self, point: Sequence[Fraction]) -> bool:
         return self.value(point) < self.bound
-
-    def to_text(self) -> str:
-        cells = [format_rational(c) for c in self.coeffs]
-        return "\t".join(cells + [format_rational(self.bound)])
 
     @staticmethod
     def from_text(line: str) -> "Halfspace":

@@ -166,9 +166,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self.terms)
-
     def variables(self) -> tuple[str, ...]:
         """Names of the variables actually occurring."""
         used = [False] * len(self.ring.names)

@@ -30,10 +30,13 @@ def to_fraction(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" with arbitrary-precision integers."""
+    """Parse "p/q" or "p" with arbitrary-precision integers; malformed
+    text and a zero denominator raise ValueError."""
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .convexity import ORBIT_FORMULA
-from .heis import DATA_DIR, ENTRY_RING, PAIR_RING, HeisElement, \
-    get_representation, heis_mul, one_parameter_power
+from .convexity import ORBIT_LIFT
+from .heis import DATA_DIR, ENTRY_RING, GEN_A, GEN_B, HeisElement, \
+    get_representation, heis_mul, one_parameter_power, symbolic_pair
 from .linalg import Matrix
 from .poly import Poly, PolyRing
 
@@ -64,7 +64,7 @@ def orbit_lift_14(ring: PolyRing, names=("a", "b", "c")) -> list[Poly]:
     """The symbolic 14-dimensional orbit of the base point
     e6 + e10 + e14 under the 14x14 action."""
     rho14 = get_representation("rho14")
-    g = HeisElement(*(ring.var(n) for n in names))
+    g = HeisElement.symbolic(ring, names)
     base = [Fraction(0)] * AMBIENT_DIM
     for i in (6, 10, 14):
         base[i - 1] = Fraction(1)
@@ -99,11 +99,11 @@ def derive_conjugator() -> Matrix:
     lift14 = orbit_lift_14(ENTRY_RING)
     basis = derive_subspace_basis()
     residual = _subspace_coordinates_and_check(lift14, basis)
-    target = list(ORBIT_FORMULA) + [ENTRY_RING.one()]
 
-    monomials = sorted({e for p in target + residual for e in p.terms})
+    monomials = sorted({e for p in ORBIT_LIFT + tuple(residual)
+                        for e in p.terms})
     columns_a = [[p.terms.get(e, Fraction(0)) for e in monomials]
-                 for p in target]   # 10 x K
+                 for p in ORBIT_LIFT]   # 10 x K
     rows_y = [[p.terms.get(e, Fraction(0)) for e in monomials]
               for p in residual]    # 10 x K
     # Solve t_i . A = y_i for each row of T, i.e. A^T t_i^T = y_i^T.
@@ -158,8 +158,7 @@ def restriction_certificate(rederive: bool = False) -> tuple[bool, dict]:
     t_det = conjugator.det()
     checks["conjugator_invertible"] = t_det != 0
 
-    gp, hp = HeisElement.symbolic(PAIR_RING, ("a", "b", "c")), \
-        HeisElement.symbolic(PAIR_RING, ("a'", "b'", "c'"))
+    gp, hp = symbolic_pair()
     checks["induced_multiplicative"] = \
         induced_matrix(gp) * induced_matrix(hp) == \
         induced_matrix(heis_mul(gp, hp))
@@ -182,7 +181,7 @@ def intertwiner_dimension() -> int:
     theta = get_representation("theta")
     n = SUBSPACE_DIM
     rows = []
-    for gen in (HeisElement.of(1, 0, 0), HeisElement.of(0, 1, 0)):
+    for gen in (GEN_A, GEN_B):
         left = induced_matrix(gen)
         right = theta(gen)
         # condition left @ X - X @ right = 0, unknowns X_kl flattened

@@ -643,8 +643,8 @@ def replay(path: Path) -> tuple[str, dict]:
     claim = CLAIMS_BY_ID.get(stored.claim)
     if claim is None:
         raise KeyError(f"unknown claim id {stored.claim!r}")
-    digest_ok = stored.inputs_digest() == data["inputs_digest"]
     try:
+        digest_ok = stored.inputs_digest() == data["inputs_digest"]
         recomputed = claim.replay(stored.inputs, stored.seed)
     except (TypeError, IndexError) as exc:
         raise ValueError(f"malformed stored inputs for {stored.claim}: "

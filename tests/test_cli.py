@@ -205,6 +205,19 @@ def _with_inputs(data: dict, inputs) -> dict:
     return {**data, "inputs": inputs, "inputs_digest": digest(inputs)}
 
 
+def _with_first_parameter(data: dict, value: str) -> dict:
+    first, *rest = data["inputs"]["parameters"]
+    return _with_inputs(data, {**data["inputs"],
+                               "parameters": [[value, *first[1:]], *rest]})
+
+
+def _with_float_g(data: dict) -> dict:
+    # digest() refuses floats, so the stored digest is left as it was.
+    first, *rest = data["inputs"]["cases"]
+    case = {**first, "g": [1.5, *first["g"][1:]]}
+    return {**data, "inputs": {**data["inputs"], "cases": [case, *rest]}}
+
+
 @pytest.mark.parametrize("claim_id, malform", [
     ("hull.dimension",
      lambda data: {**data, "inputs": {"frozen": [[1, 2]], "fresh": []}}),
@@ -220,9 +233,13 @@ def _with_inputs(data: dict, inputs) -> dict:
      lambda data: _with_inputs(data, {"rederived": 1})),
     ("restrict.conjugate_to_theta",
      lambda data: _with_inputs(data, {"rederived": None})),
+    ("jordan.unique_odd_largest",
+     lambda data: _with_first_parameter(data, "1/0")),
+    ("cone.pd_preserved", _with_float_g),
 ], ids=["short-frozen-triple", "inputs-not-object", "body-not-object",
         "claim-not-string", "nine-frozen-points", "rederived-string",
-        "rederived-int", "rederived-null"])
+        "rederived-int", "rederived-null", "zero-denominator",
+        "float-input"])
 def test_replay_malformed_certificate_exits_2(certificates, claim_id, malform,
                                               tmp_path, capsys):
     data = read_json(certificates / f"{claim_id}.json")
@@ -251,6 +268,11 @@ def test_jordan_command_rejects_identity(capsys):
     # identity is unipotent; partition is all singletons
     assert main(["jordan", "--element", "0,0,0"]) == 0
     assert "[1, 1, 1, 1, 1, 1, 1, 1, 1, 1]" in capsys.readouterr().out
+
+
+def test_jordan_command_rejects_zero_denominator(capsys):
+    assert main(["jordan", "--element", "1/0,0,0"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_hilbert_command(tmp_path, capsys):

@@ -118,15 +118,29 @@ def test_jordan_center_element():
     assert partition == [3, 2, 1, 1, 1, 1, 1]
 
 
-def test_jordan_single_block():
-    block = Matrix([[Fraction(1), Fraction(1), Fraction(0)],
-                    [Fraction(0), Fraction(1), Fraction(1)],
-                    [Fraction(0), Fraction(0), Fraction(1)]])
+SINGLE_BLOCK = Matrix([[Fraction(1), Fraction(1), Fraction(0)],
+                       [Fraction(0), Fraction(1), Fraction(1)],
+                       [Fraction(0), Fraction(0), Fraction(1)]])
+
+
+# The transpose is unipotent but lower-triangular: nilpotency is decided
+# from the rank sequence, not from the shape.
+@pytest.mark.parametrize("block", [SINGLE_BLOCK, SINGLE_BLOCK.transpose()],
+                         ids=["upper", "lower"])
+def test_jordan_single_block(block):
     assert jordan_partition(block) == [3]
 
 
-def test_jordan_rejects_non_unipotent():
-    m = Matrix([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1)]])
+def _rational(rows):
+    return Matrix([[Fraction(x) for x in row] for row in rows])
+
+
+# The second matrix's ranks of N, N^2 fall 2 -> 1 and then stall at 1.
+@pytest.mark.parametrize("m", [
+    _rational([[2, 0], [0, 1]]),
+    _rational([[1, 1, 0], [0, 1, 0], [0, 0, 2]]),
+], ids=["diagonal", "rank-stalls-at-1"])
+def test_jordan_rejects_non_unipotent(m):
     with pytest.raises(ValueError):
         jordan_partition(m)
 
