@@ -10,7 +10,10 @@ The entry tables of the three representations (named theta, rho6 and
 rho14; dimensions 10, 6 and 14) are loaded from plain-text .rep files so
 they exist in exactly one transcription.  specialize() is the one place
 that evaluates polynomials in a, b, c at a group element, rational or
-symbolic; the entry tables and the orbit formula both go through it.
+symbolic; the entry tables and the orbit formula both go through it.  At
+a rational element it evaluates each distinct monomial a^i b^j c^k once
+and shares it across all the polynomials passed, so a whole table costs
+one pass over its monomials.
 Homomorphism and injectivity verification run fully symbolically over a
 six-variable ring.
 """
@@ -24,6 +27,7 @@ from typing import Sequence, Union
 
 from .linalg import Matrix
 from .poly import Poly, PolyRing
+from .rationals import to_fraction
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -43,7 +47,7 @@ class HeisElement:
 
     @staticmethod
     def of(a, b, c) -> "HeisElement":
-        conv = lambda x: x if isinstance(x, Poly) else Fraction(x)
+        conv = lambda x: x if isinstance(x, Poly) else to_fraction(x)
         return HeisElement(conv(a), conv(b), conv(c))
 
     @staticmethod
@@ -75,11 +79,25 @@ GENERATORS = {"A": GEN_A, "B": GEN_B, "C": GEN_C}
 
 
 def specialize(polys: Sequence[Poly], g: HeisElement) -> list[Component]:
-    """The polynomials in a, b, c evaluated at g: rationals if g is
-    rational, otherwise polynomials in the one ring g's components share."""
+    """The polynomials of ENTRY_RING evaluated at g: rationals if g is
+    rational, otherwise polynomials in the one ring g's components share.
+
+    At a rational g each distinct monomial a^i b^j c^k is evaluated once
+    and shared by every polynomial passed."""
     mapping = {"a": g.a, "b": g.b, "c": g.c}
     if all(isinstance(v, Fraction) for v in mapping.values()):
-        return [p.eval(mapping) for p in polys]
+        a, b, c = g.components()
+        monomials: dict[tuple, Fraction] = {}
+        values = []
+        for p in polys:
+            total = Fraction(0)
+            for e, coeff in p.terms.items():
+                value = monomials.get(e)
+                if value is None:
+                    value = monomials[e] = a ** e[0] * b ** e[1] * c ** e[2]
+                total += coeff * value
+            values.append(total)
+        return values
     rings = {v.ring for v in mapping.values() if isinstance(v, Poly)}
     if len(rings) != 1:
         raise ValueError("symbolic components must share one ring")
@@ -93,6 +111,8 @@ class Representation:
     def __init__(self, name: str, dimension: int, table: Matrix):
         if table.rows != dimension or table.cols != dimension:
             raise ValueError("entry table has wrong shape")
+        if any(p.ring != ENTRY_RING for row in table.entries for p in row):
+            raise ValueError(f"{name}: entries are not in {ENTRY_RING}")
         for i in range(dimension):
             if table[i, i] != ENTRY_RING.one():
                 raise ValueError(f"{name}: diagonal entry ({i},{i}) is not 1")
@@ -108,7 +128,9 @@ class Representation:
 
     def __call__(self, g: HeisElement) -> Matrix:
         """The matrix of g: rational if g is rational, symbolic otherwise."""
-        return Matrix([specialize(row, g) for row in self.table.entries])
+        n = self.dimension
+        flat = specialize([p for row in self.table.entries for p in row], g)
+        return Matrix([flat[i:i + n] for i in range(0, n * n, n)])
 
     def __repr__(self):
         return f"Representation({self.name}, dim={self.dimension})"

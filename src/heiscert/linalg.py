@@ -1,27 +1,29 @@
-"""Dense exact matrices over Fraction or Poly entries.
+"""Dense exact matrices over rational (Fraction or int) or Poly entries.
 
 Multiplication and equality work for either scalar kind.
 Determinant, rank, reduced echelon form, kernel, solve and inverse are
-restricted to Fraction matrices.  All of them run on a denominator-
+restricted to rational matrices.  All of them run on a denominator-
 cleared integer copy through one fraction-free pivot step, eliminate(),
 which the lp simplex shares; intermediate values stay integral instead
-of accumulating huge reduced fractions.
+of accumulating huge reduced fractions.  nilpotent_ranks() scales
+N = m - I by one common denominator, so its powers are int matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Sequence, Union
 
 from .poly import Poly
 from .rationals import format_rational, parse_rational
 
-Entry = Union[Fraction, Poly]
+Entry = Union[int, Fraction, Poly]
 
 
 class Matrix:
-    """Immutable rectangular matrix; entries all Fraction or all Poly."""
+    """Immutable rectangular matrix; entries all rational (Fraction or
+    int, which may mix) or all Poly."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -285,25 +287,31 @@ def nilpotent_ranks(m: Matrix) -> list[int]:
     """rank(N), rank(N^2), ... ending at 0, for the nilpotent part
     N = m - I of a unipotent rational matrix.
 
-    The ranks of successive powers fall strictly until they settle
-    (Fitting's lemma), and they settle at 0 exactly when N is nilpotent,
-    so a positive rank that repeats its predecessor proves m is not
-    unipotent.
+    N is scaled by the lcm d of all entry denominators, which keeps every
+    rank because (dN)^k = d^k N^k, so the powers are products of int
+    matrices.  (Clearing each row by its own factor would not do: the
+    powers of D N are not D^k N^k.)  The ranks of successive powers fall
+    strictly until they settle (Fitting's lemma), and they settle at 0
+    exactly when N is nilpotent, so a positive rank that repeats its
+    predecessor proves m is not unipotent.
     """
     if not m.is_square():
         raise ValueError("Jordan analysis needs a square matrix")
     m._require_rational()
-    n = m.rows
-    nilpotent = m - Matrix.identity(n)
-    ranks = [n]
-    power = Matrix.identity(n)
-    while ranks[-1] > 0:
-        power = power * nilpotent
+    d = lcm(*(x.denominator for row in m.entries for x in row))
+    nilpotent = Matrix([[x.numerator * (d // x.denominator)
+                         - (d if i == j else 0) for j, x in enumerate(row)]
+                        for i, row in enumerate(m.entries)])
+    ranks = [m.rows]
+    power = nilpotent
+    while True:
         ranks.append(power.rank())
+        if ranks[-1] == 0:
+            return ranks[1:]
         if ranks[-1] == ranks[-2]:
             raise ValueError(
                 "matrix is not unipotent: (m - I) is not nilpotent")
-    return ranks[1:]
+        power = power * nilpotent
 
 
 def jordan_partition(m: Matrix) -> list[int]:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
+from .rationals import parse_rational, to_fraction
+
 NEG_INFINITY = float("-inf")
 
 # Exponents are bounded so that accidental runaway powers fail loudly
@@ -190,11 +192,12 @@ class Poly:
     # -- evaluation and substitution --------------------------------------
 
     def eval(self, assignment: Mapping[str, Scalar]) -> Fraction:
-        """Evaluate at a rational point covering every occurring variable."""
+        """Evaluate at a rational point covering every occurring variable;
+        a float or bool value raises TypeError."""
         missing = [n for n in self.variables() if n not in assignment]
         if missing:
             raise KeyError(f"assignment missing variables {missing}")
-        values = {n: Fraction(assignment[n]) for n in assignment}
+        values = {n: to_fraction(assignment[n]) for n in assignment}
         total = Fraction(0)
         for e, c in self.terms.items():
             term = c
@@ -304,7 +307,7 @@ def _parse_term(ring: PolyRing, chunk: str) -> Poly:
             raise ValueError(f"empty factor in term {chunk!r}")
         head = factor[0]
         if head.isdigit():
-            term = term * ring.const(Fraction(factor))
+            term = term * ring.const(parse_rational(factor))
             continue
         if "^" in factor:
             name, _, exp_text = factor.partition("^")

@@ -1,5 +1,6 @@
 """Certificate serialization: canonical JSON, digests, exactness."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -7,6 +8,12 @@ import pytest
 
 from heiscert.certs import PASS, Certificate, canonical_json, digest, \
     jsonable
+from heiscert.suites import RunConfig, run_suite
+
+# SHA-256 of the seed-0 certificates' comparable() bodies, sorted by claim;
+# a change that alters any certificate byte (timestamps aside) moves it.
+SEED0_CERTIFICATES_SHA256 = (
+    "95bf03d27385f8d2ba9bb5922a46c913b546d100e5a6304fa31d3feed02e65a6")
 
 
 def test_fractions_serialize_as_strings():
@@ -52,3 +59,13 @@ def test_comparable_strips_timestamp():
 def test_missing_fields_rejected():
     with pytest.raises(ValueError):
         Certificate.from_dict({"claim": "x", "verdict": "PASS"})
+
+
+def test_seed0_certificates_are_pinned(tmp_path):
+    report = run_suite(RunConfig(seed=0, output_dir=tmp_path))
+    body = [Certificate.from_dict(
+                json.loads((tmp_path / row["file"]).read_text())).comparable()
+            for row in sorted(report["claims"], key=lambda r: r["claim"])]
+    encoded = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(encoded.encode()).hexdigest() == \
+        SEED0_CERTIFICATES_SHA256

@@ -24,6 +24,12 @@ def test_identity_is_neutral():
     assert heis_mul(g, HeisElement.identity()) == g
 
 
+@pytest.mark.parametrize("value", [0.1, True], ids=["float", "bool"])
+def test_element_refuses_inexact_and_bool_components(value):
+    with pytest.raises(TypeError):
+        HeisElement.of(value, 0, 0)
+
+
 def test_group_law_examples():
     assert heis_mul(HeisElement.of(1, 0, 0), HeisElement.of(0, 1, 0)) == \
         HeisElement.of(1, 1, 1)
@@ -111,6 +117,14 @@ def test_trivial_representation_fails_injectivity():
     trivial = Representation("trivial", 1, Matrix([[ENTRY_RING.one()]]))
     ok, _ = verify_injectivity_generators(trivial)
     assert not ok
+
+
+def test_table_outside_entry_ring_rejected():
+    other = PolyRing("x")
+    table = Matrix([[ENTRY_RING.one(), other.var("x")],
+                    [ENTRY_RING.zero(), ENTRY_RING.one()]])
+    with pytest.raises(ValueError, match="not in"):
+        Representation("foreign", 2, table)
 
 
 def test_inverse_matrices_for_sampled_elements():

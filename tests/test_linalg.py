@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heiscert.convexity import OrbitSample
-from heiscert.heis import DATA_DIR, HeisElement, get_representation, heis_mul
-from heiscert.linalg import Matrix, jordan_partition
+from heiscert.heis import (DATA_DIR, ENTRY_RING, HeisElement,
+                           get_representation, heis_mul)
+from heiscert.linalg import Matrix, jordan_partition, nilpotent_ranks
 from heiscert.sampler import RandomStream
 
 THETA = get_representation("theta")
@@ -243,6 +244,21 @@ def test_rank_nullity(m):
     assert m.rank() + len(m.kernel_basis()) == m.cols
 
 
+def _fraction_nilpotent_ranks(m):
+    """Reference oracle: ranks of the powers of N = m - I multiplied out
+    over Fraction, starting from the identity."""
+    n = m.rows
+    nilpotent = m - Matrix.identity(n)
+    ranks = [n]
+    power = Matrix.identity(n)
+    while ranks[-1] > 0:
+        power = power * nilpotent
+        ranks.append(power.rank())
+        if ranks[-1] == ranks[-2]:
+            raise ValueError("matrix is not unipotent")
+    return ranks[1:]
+
+
 def test_partition_conjugate_matches_rank_sequence():
     stream = RandomStream(5).split("jordan-props")
     for _ in range(25):
@@ -250,13 +266,55 @@ def test_partition_conjugate_matches_rank_sequence():
         mat = THETA(g)
         partition = jordan_partition(mat)
         assert sum(partition) == 10
-        n = mat - Matrix.identity(10)
-        power = Matrix.identity(10)
-        ranks = [10]
-        while ranks[-1] > 0:
-            power = power * n
-            ranks.append(power.rank())
+        ranks = [10] + _fraction_nilpotent_ranks(mat)
         diffs = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
         conjugate = [sum(1 for p in partition if p >= k)
                      for k in range(1, max(partition) + 1)]
         assert conjugate == diffs
+
+
+@st.composite
+def conjugated_triangular(draw, unipotent):
+    """P U P^-1 for an upper-triangular U and an invertible integer P, so
+    the rows of the result carry unrelated denominators.  U has a unit
+    diagonal if unipotent, else a diagonal entry other than 1."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    if unipotent:
+        diag = [Fraction(1)] * n
+    else:
+        diag = draw(st.lists(fractional, min_size=n, max_size=n))
+        assume(any(x != 1 for x in diag))
+    upper = st.one_of(st.just(Fraction(0)), fractional)
+    u = Matrix([[diag[i] if i == j else draw(upper) if j > i else Fraction(0)
+                 for j in range(n)] for i in range(n)])
+    p = Matrix([[Fraction(draw(st.integers(min_value=-3, max_value=3)))
+                 for _ in range(n)] for _ in range(n)])
+    assume(p.det() != 0)
+    return p * u * p.inverse()
+
+
+@settings(max_examples=120, deadline=None)
+@given(conjugated_triangular(unipotent=True))
+def test_nilpotent_ranks_match_fraction_powers(m):
+    assert nilpotent_ranks(m) == _fraction_nilpotent_ranks(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugated_triangular(unipotent=False))
+def test_non_unipotent_rejected_like_fraction_powers(m):
+    with pytest.raises(ValueError):
+        _fraction_nilpotent_ranks(m)
+    with pytest.raises(ValueError):
+        nilpotent_ranks(m)
+
+
+points = st.tuples(fractional, fractional, fractional)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["theta", "rho6", "rho14"]), points)
+def test_table_specialization_matches_entrywise_eval(name, point):
+    rep = get_representation(name)
+    values = dict(zip(ENTRY_RING.names, point))
+    expected = rep.table.map(lambda p: p.eval(values))
+    assert rep(HeisElement.of(*point)) == expected

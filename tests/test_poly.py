@@ -54,6 +54,25 @@ def test_eval_missing_variable_raises():
         (A + B).eval({"a": 1})
 
 
+@pytest.mark.parametrize("value", [0.1, True], ids=["float", "bool"])
+def test_eval_refuses_inexact_and_bool_values(value):
+    with pytest.raises(TypeError):
+        A.eval({"a": value})
+
+
+def test_parse_reduces_rational_coefficients():
+    assert RING.parse("2/4*a") == Fraction(1, 2) * A
+
+
+# A zero denominator and decimal or exponent literals are malformed, not
+# silently read as some other rational.
+@pytest.mark.parametrize("text", ["1/0*a", "1.5*a", "1e3*a"],
+                         ids=["zero-denominator", "decimal", "exponent"])
+def test_parse_rejects_malformed_coefficients(text):
+    with pytest.raises(ValueError):
+        RING.parse(text)
+
+
 def test_degree_in():
     n_ring = PolyRing("n")
     n = n_ring.var("n")
