@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the frozen data files (subspace witnesses and default
-orbit samples) and report whether anything changed.
+"""Regenerate the frozen data files (the restriction conjugator T and the
+default orbit samples) and report whether anything changed.
 
 With --check, exit nonzero instead of rewriting when a regenerated file
 differs from the shipped copy.
@@ -14,14 +14,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from heiscert.convexity import sample_orbit  # noqa: E402
 from heiscert.heis import DATA_DIR  # noqa: E402
-from heiscert.restriction import derive_conjugator, \
-    derive_subspace_basis  # noqa: E402
+from heiscert.restriction import derive_conjugator  # noqa: E402
 
 
 def regenerate() -> dict[str, str]:
     return {
         "restriction_T.tsv": derive_conjugator().to_text(),
-        "restriction_basis.tsv": derive_subspace_basis().to_text(),
         "hull_sample.csv": sample_orbit(10, 0, "hull").to_csv(),
         "extreme_sample.csv":
             sample_orbit(20, 0, "extreme", nonzero=True).to_csv(),

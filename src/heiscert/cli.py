@@ -42,9 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", default=DEFAULT_OUT,
                         help="certificate directory "
                              "(default: $HEISCERT_OUT or ./certificates)")
-    verify.add_argument("--rederive-witnesses", action="store_true",
-                        help="recompute the frozen subspace witnesses "
-                             "instead of loading them")
 
     rep_cmd = sub.add_parser("replay", help="recompute a certificate file")
     rep_cmd.add_argument("certificate", type=Path)
@@ -79,8 +76,7 @@ def _parse_point(text: str) -> list[Fraction]:
 def cmd_verify(args) -> int:
     suites = tuple(args.suite) if args.suite else SUITE_ORDER
     config = RunConfig(seed=args.seed, output_dir=Path(args.out),
-                       suites=suites,
-                       rederive_witnesses=args.rederive_witnesses)
+                       suites=suites)
     report = run_suite(config)
     for row in report["claims"]:
         print(f"{row['verdict']:4}  {row['claim']}")

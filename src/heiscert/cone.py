@@ -3,23 +3,21 @@ its boundary flats.
 
 The 6x6 representation acts on symmetric 3x3 forms by congruence
 S -> g S g^T, which visibly preserves positive definiteness.  The module
-certifies the identification of the shipped entry table with that
-symmetric-square action (searching monomial orderings with a solved
-diagonal rescaling), exact PD/PSD decisions, the attracting rank-1
-boundary fixed form of each generator, and straight segments inside the
-boundary (flats) witnessing that the cone is not strictly convex.
+certifies that the shipped entry table is that symmetric-square action
+in the monomial basis FORM_MONOMIALS with unit rescaling, exact PD/PSD
+decisions, the attracting rank-1 boundary fixed form of each generator,
+and straight segments inside the boundary (flats) witnessing that the
+cone is not strictly convex.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 from typing import Sequence
 
 from .heis import ENTRY_RING, GENERATORS, HeisElement, Representation, \
     get_representation, heis_mul
 from .linalg import Matrix
-from .poly import Poly, PolyRing
 
 # Monomial basis ordering under which the shipped 6x6 table acts on form
 # coordinates: quadratic monomials in the three linear coordinates.
@@ -140,102 +138,38 @@ def congruence_image(g: HeisElement, form: SymForm) -> SymForm:
 
 # -- matching the entry table against the symmetric-square action ------------
 
-def _sym_square_matrix(ordering: Sequence[tuple[int, int]],
-                       ring: PolyRing) -> Matrix:
-    """Matrix of the congruence action on form coordinates in the given
-    monomial ordering, for the symbolic element (a, b, c)."""
-    g = HeisElement.symbolic(ring, ("a", "b", "c"))
+def _sym_square_matrix() -> Matrix:
+    """Matrix of the congruence action on form coordinates in the
+    ordering FORM_MONOMIALS, for the symbolic element (a, b, c)."""
+    g = HeisElement.symbolic(ENTRY_RING)
     a, b, c = g.a, g.b, g.c
-    one, zero = ring.one(), ring.zero()
+    one, zero = ENTRY_RING.one(), ENTRY_RING.zero()
     h = [[one, a, c], [zero, one, b], [zero, zero, one]]
     columns = []
-    for (i, j) in ordering:
+    for (i, j) in FORM_MONOMIALS:
         # image of the basis form E_ij (symmetrized): h E h^T has entries
         # (h E h^T)_{kl} = h_ki h_lj + (i != j) * h_kj h_li
         image = [[h[k][i] * h[l][j] + (h[k][j] * h[l][i] if i != j else zero)
                   for l in range(3)] for k in range(3)]
-        columns.append([image[k][l] for k, l in ordering])
+        columns.append([image[k][l] for k, l in FORM_MONOMIALS])
     return Matrix(columns).transpose()
-
-
-def _solve_diagonal_match(candidate: Matrix, target: Matrix):
-    """Diagonal d with diag(d) * candidate * diag(d)^-1 == target, if any.
-
-    The constraint d_i / d_j = target_ij / candidate_ij propagates along
-    nonzero entries; d_0 is normalized to 1.
-    """
-    n = candidate.rows
-    ratios = {}
-    for i in range(n):
-        for j in range(n):
-            ci, ti = candidate[i, j], target[i, j]
-            if ci.is_zero() != ti.is_zero():
-                return None
-            if ci.is_zero():
-                continue
-            # the ratio must be a nonzero constant
-            quot = _constant_quotient(ti, ci)
-            if quot is None:
-                return None
-            ratios[(i, j)] = quot
-    d: list = [None] * n
-    d[0] = Fraction(1)
-    changed = True
-    while changed:
-        changed = False
-        for (i, j), q in ratios.items():
-            if d[j] is not None and d[i] is None:
-                d[i] = q * d[j]
-                changed = True
-            elif d[i] is not None and d[j] is None:
-                d[j] = d[i] / q
-                changed = True
-            elif d[i] is not None and d[j] is not None:
-                if d[i] != q * d[j]:
-                    return None
-    if any(x is None for x in d):
-        return None
-    return d
-
-
-def _constant_quotient(numer: Poly, denom: Poly):
-    """numer / denom when the quotient is a nonzero rational constant."""
-    d_terms = denom.terms
-    n_terms = numer.terms
-    if set(d_terms) != set(n_terms):
-        return None
-    quotient = None
-    for e, c in d_terms.items():
-        r = n_terms[e] / c
-        if quotient is None:
-            quotient = r
-        elif quotient != r:
-            return None
-    return quotient
 
 
 def sym_square_match_certificate(rep: Representation = None
                                  ) -> tuple[bool, dict]:
-    """Search for a monomial ordering and diagonal rescaling conjugating
-    the symmetric-square congruence action onto the shipped 6x6 table."""
+    """The shipped 6x6 table equals the symmetric-square congruence
+    action in the monomial basis FORM_MONOMIALS with unit rescaling;
+    on a mismatch the differing entries are listed."""
     rep = rep or get_representation("rho6")
-    target = rep.table
-    for ordering in permutations([(0, 0), (0, 1), (0, 2),
-                                  (1, 1), (1, 2), (2, 2)]):
-        candidate = _sym_square_matrix(ordering, ENTRY_RING)
-        d = _solve_diagonal_match(candidate, target)
-        if d is None:
-            continue
-        scale = Matrix([[d[i] if i == j else Fraction(0) for j in range(6)]
-                        for i in range(6)])
-        conjugated = scale.map(ENTRY_RING.const) * candidate \
-            * scale.inverse().map(ENTRY_RING.const)
-        if conjugated == target:
-            monomial_names = ["".join(f"x{k+1}" for k in pair)
-                              for pair in ordering]
-            return True, {"monomial_ordering": monomial_names,
-                          "diagonal_rescaling": d}
-    return False, {"orderings_tried": 720}
+    expected = _sym_square_matrix()
+    mismatches = [[i, j] for i in range(6) for j in range(6)
+                  if expected[i, j] != rep.table[i, j]]
+    witnesses = {"monomial_ordering": ["".join(f"x{k+1}" for k in pair)
+                                       for pair in FORM_MONOMIALS],
+                 "diagonal_rescaling": [Fraction(1)] * 6}
+    if mismatches:
+        witnesses["mismatched_entries"] = mismatches
+    return not mismatches, witnesses
 
 
 # -- cone preservation and boundary structure ---------------------------------

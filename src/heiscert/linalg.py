@@ -1,11 +1,11 @@
 """Dense exact matrices over rational (Fraction or int) or Poly entries.
 
 Multiplication and equality work for either scalar kind.
-Determinant, rank, reduced echelon form, kernel, solve and inverse are
-restricted to rational matrices.  All of them run on a denominator-
-cleared integer copy through one fraction-free pivot step, eliminate(),
-which the lp simplex shares; intermediate values stay integral instead
-of accumulating huge reduced fractions.  nilpotent_ranks() scales
+Determinant, rank, reduced echelon form, kernel and solve are restricted
+to rational matrices.  All of them run on a denominator-cleared integer
+copy through one fraction-free pivot step, eliminate(), which the lp
+simplex shares; intermediate values stay integral instead of
+accumulating huge reduced fractions.  nilpotent_ranks() scales
 N = m - I by one common denominator, so its powers are int matrices.
 """
 
@@ -125,8 +125,13 @@ class Matrix:
             raise ValueError("shape mismatch")
 
     def _require_rational(self):
-        if any(isinstance(x, Poly) for row in self.entries for x in row):
-            raise TypeError("operation defined for rational matrices only")
+        """Raise TypeError unless every entry is an int or a Fraction;
+        Poly, float and bool entries are all refused."""
+        for row in self.entries:
+            for x in row:
+                if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
+                    raise TypeError("operation defined for rational "
+                                    f"matrices only, not {type(x).__name__}")
 
     # -- exact elimination ---------------------------------------------------
 
@@ -190,9 +195,6 @@ class Matrix:
             raise ValueError("system is inconsistent")
         return Matrix([[reduced[i, n + j] for j in range(rhs.cols)]
                        for i in range(n)])
-
-    def inverse(self) -> "Matrix":
-        return self.solve_right(Matrix.identity(self.rows))
 
     # -- wire format ---------------------------------------------------------
 

@@ -51,8 +51,9 @@ class PolyRing:
         return tuple(self.var(n) for n in names)
 
     def const(self, value: Scalar) -> "Poly":
-        """The constant polynomial with the given rational value."""
-        value = Fraction(value)
+        """The constant polynomial with the given rational value; floats
+        and bools are refused."""
+        value = to_fraction(value)
         if value == 0:
             return Poly(self, {})
         return Poly(self, {(0,) * len(self.names): value})

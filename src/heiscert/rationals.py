@@ -42,8 +42,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Scalar) -> str:
-    """Render as "p/q", or "p" when the denominator is 1."""
-    value = Fraction(value)
+    """Render as "p/q", or "p" when the denominator is 1; floats and
+    bools are refused."""
+    value = to_fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -3,11 +3,12 @@
 Four linear equations (x6 = x10 = x14, x5 = x13, x3 = 2*x12, 1-based)
 cut out a subspace that the 14x14 action preserves; in the right basis
 the induced 10x10 action is conjugate, by a constant matrix T, to the
-10-dimensional representation.  Both the subspace basis and T are
-derived here by exact linear solves, shipped as frozen witness files,
-and re-derivable on demand.  The same module certifies the quadratic
-versus quartic entry growth of generator powers that motivates the
-14-dimensional construction.
+10-dimensional representation.  The subspace basis is written down from
+the equations.  T is found once by an exact linear solve
+(derive_conjugator, which the regeneration script under scripts/
+reruns), shipped as a frozen witness file, and only checked here.  The
+same module certifies the quadratic versus quartic entry growth of
+generator powers that motivates the 14-dimensional construction.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ AMBIENT_DIM = 14
 SUBSPACE_DIM = 10
 
 T_WITNESS = "restriction_T.tsv"
-BASIS_WITNESS = "restriction_basis.tsv"
 
 
 def subspace_equations() -> Matrix:
@@ -128,14 +128,13 @@ def load_witness(name: str) -> Matrix:
     return Matrix.from_text((DATA_DIR / name).read_text())
 
 
-def restriction_certificate(rederive: bool = False) -> tuple[bool, dict]:
+def restriction_certificate() -> tuple[bool, dict]:
     """Full restriction verdict: equations have rank 4 and are preserved,
     the induced action is multiplicative, and it is conjugate to the
-    10-dimensional representation by the witness T."""
+    10-dimensional representation by the shipped witness T."""
     equations = subspace_equations()
-    basis = derive_subspace_basis() if rederive else \
-        load_witness(BASIS_WITNESS)
-    conjugator = derive_conjugator() if rederive else load_witness(T_WITNESS)
+    basis = derive_subspace_basis()
+    conjugator = load_witness(T_WITNESS)
     theta = get_representation("theta")
     rho14 = get_representation("rho14")
 

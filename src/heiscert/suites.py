@@ -58,7 +58,6 @@ class RunConfig:
     sample_sizes: dict = field(default_factory=dict)
     output_dir: Path = Path("certificates")
     suites: tuple = SUITE_ORDER
-    rederive_witnesses: bool = False
 
     def size(self, key: str) -> int:
         return int(self.sample_sizes.get(key, DEFAULT_SAMPLE_SIZES[key]))
@@ -237,10 +236,10 @@ def _lift_det(raw) -> Fraction:
 
 
 def _hull_dimension_sample(config: RunConfig) -> dict:
-    fresh = [convexity.sample_orbit(10, config.seed + 1 + k, "hull")
-             for k in range(config.size("hull_fresh"))]
+    stream = config.stream("hull.dimension")
     return {"frozen": _frozen_parameters("hull_sample.csv"),
-            "fresh": [sample.parameters for sample in fresh]}
+            "fresh": [stream.distinct_triples(10)
+                      for _ in range(config.size("hull_fresh"))]}
 
 
 def _hull_dimension(inputs):
@@ -286,16 +285,8 @@ def _extreme_points(inputs):
 
 # -- restrict / growth --------------------------------------------------------
 
-def _restriction_sample(config: RunConfig) -> dict:
-    return {"rederived": config.rederive_witnesses}
-
-
-def _restriction(inputs):
-    rederived = inputs["rederived"]
-    if not isinstance(rederived, bool):
-        raise ValueError(f"'rederived' must be true or false, "
-                         f"not {rederived!r}")
-    return restriction.restriction_certificate(rederive=rederived)
+def _restriction(_inputs):
+    return restriction.restriction_certificate()
 
 
 def _growth(_inputs):
@@ -499,7 +490,7 @@ CLAIMS: tuple[Claim, ...] = (
            "subspace of the 14-dimensional action whose induced 10x10 "
            "action is conjugate to the 10-dimensional table by the "
            "witness T",
-           _restriction, sample=_restriction_sample),
+           _restriction),
     _claim("growth.block_degrees",
            "powers of the first two generators grow quadratically inside "
            "the 6x6 block and quartically in the glued chains; the "
@@ -579,8 +570,7 @@ def run_suite(config: RunConfig) -> dict:
         "suites_run": selected,
         "config": {"seed": config.seed, "suites": list(config.suites),
                    "sample_sizes": {k: config.size(k)
-                                    for k in DEFAULT_SAMPLE_SIZES},
-                   "rederive_witnesses": config.rederive_witnesses},
+                                    for k in DEFAULT_SAMPLE_SIZES}},
         "toolchain": {"package_version": __version__,
                       "python": sys.version.split()[0]},
         "generated_at": timestamp,

@@ -87,8 +87,10 @@ def test_mutated_table_fails_sym_square_match():
     entries = [list(row) for row in RHO6.table.entries]
     entries[0][2], entries[2][5] = entries[2][5], entries[0][2]
     mutated = Representation("rho6_mutated", 6, Matrix(entries))
-    ok, _ = sym_square_match_certificate(mutated)
+    ok, witnesses = sym_square_match_certificate(mutated)
     assert not ok
+    assert [0, 2] in witnesses["mismatched_entries"]
+    assert [2, 5] in witnesses["mismatched_entries"]
 
 
 def test_pd_preservation():

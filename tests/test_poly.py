@@ -58,6 +58,8 @@ def test_eval_missing_variable_raises():
 def test_eval_refuses_inexact_and_bool_values(value):
     with pytest.raises(TypeError):
         A.eval({"a": value})
+    with pytest.raises(TypeError):
+        RING.const(value)
 
 
 def test_parse_reduces_rational_coefficients():
