@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .heis import ENTRY_RING, HeisElement, get_representation, heis_mul, \
@@ -221,7 +222,14 @@ class OrbitSample:
         self.parameters = parameters
 
     def lifts(self) -> list[list[Fraction]]:
-        return [orbit_lift(HeisElement.of(*p)) for p in self.parameters]
+        """The orbit lifts of the parameters, computed once per sample;
+        each call returns fresh lists."""
+        return [list(lift) for lift in self._lifts]
+
+    @cached_property
+    def _lifts(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(orbit_lift(HeisElement.of(*p)))
+                     for p in self.parameters)
 
     def __len__(self):
         return len(self.parameters)

@@ -11,9 +11,12 @@ rho14; dimensions 10, 6 and 14) are loaded from plain-text .rep files so
 they exist in exactly one transcription.  specialize() is the one place
 that evaluates polynomials in a, b, c at a group element, rational or
 symbolic; the entry tables and the orbit formula both go through it.  At
-a rational element it evaluates each distinct monomial a^i b^j c^k once
-and shares it across all the polynomials passed, so a whole table costs
-one pass over its monomials.
+a rational element it works in plain integers: each distinct monomial
+a^i b^j c^k becomes one (numerator, denominator) pair, built once from
+the components' numerators and denominators and shared across all the
+polynomials passed; each polynomial's terms are summed over one common
+denominator, and a single Fraction is built per value.  A whole table
+costs one pass over its monomials and one reduction per nonzero entry.
 Homomorphism and injectivity verification run fully symbolically over a
 six-variable ring.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -82,21 +86,34 @@ def specialize(polys: Sequence[Poly], g: HeisElement) -> list[Component]:
     """The polynomials of ENTRY_RING evaluated at g: rationals if g is
     rational, otherwise polynomials in the one ring g's components share.
 
-    At a rational g each distinct monomial a^i b^j c^k is evaluated once
-    and shared by every polynomial passed."""
+    At a rational g each distinct monomial a^i b^j c^k is evaluated once,
+    as an int numerator and denominator shared by every polynomial
+    passed; each value is summed in int over the lcm of its terms'
+    denominators and becomes one Fraction (a shared 0 when it vanishes)."""
     mapping = {"a": g.a, "b": g.b, "c": g.c}
     if all(isinstance(v, Fraction) for v in mapping.values()):
-        a, b, c = g.components()
-        monomials: dict[tuple, Fraction] = {}
+        (an, ad), (bn, bd), (cn, cd) = (
+            (x.numerator, x.denominator) for x in g.components())
+        monomials: dict[tuple, tuple[int, int]] = {}
+        zero = Fraction(0)
         values = []
         for p in polys:
-            total = Fraction(0)
+            num, den = 0, 1
             for e, coeff in p.terms.items():
-                value = monomials.get(e)
-                if value is None:
-                    value = monomials[e] = a ** e[0] * b ** e[1] * c ** e[2]
-                total += coeff * value
-            values.append(total)
+                mono = monomials.get(e)
+                if mono is None:
+                    i, j, k = e
+                    mono = monomials[e] = (an ** i * bn ** j * cn ** k,
+                                           ad ** i * bd ** j * cd ** k)
+                t_num = coeff.numerator * mono[0]
+                t_den = coeff.denominator * mono[1]
+                if t_den == den:
+                    num += t_num
+                else:
+                    common = lcm(den, t_den)
+                    num = num * (common // den) + t_num * (common // t_den)
+                    den = common
+            values.append(Fraction(num, den) if num else zero)
         return values
     rings = {v.ring for v in mapping.values() if isinstance(v, Poly)}
     if len(rings) != 1:

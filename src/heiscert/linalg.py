@@ -5,14 +5,18 @@ Determinant, rank, reduced echelon form, kernel and solve are restricted
 to rational matrices.  All of them run on a denominator-cleared integer
 copy through one fraction-free pivot step, eliminate(), which the lp
 simplex shares; intermediate values stay integral instead of
-accumulating huge reduced fractions.  nilpotent_ranks() scales
-N = m - I by one common denominator, so its powers are int matrices.
+accumulating huge reduced fractions.  Rows are scaled lazily: each row
+carries a divisor, the pivot in force when it was last exact, and a
+pivot step touches only the rows with a nonzero entry in its column,
+dividing each exactly by its own divisor (see eliminate for why the
+division is exact).  nilpotent_ranks() scales N = m - I by one common
+denominator, so its powers are int matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Sequence, Union
 
 from .poly import Poly
@@ -127,11 +131,10 @@ class Matrix:
     def _require_rational(self):
         """Raise TypeError unless every entry is an int or a Fraction;
         Poly, float and bool entries are all refused."""
-        for row in self.entries:
-            for x in row:
-                if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
-                    raise TypeError("operation defined for rational "
-                                    f"matrices only, not {type(x).__name__}")
+        for kind in {type(x) for row in self.entries for x in row}:
+            if not issubclass(kind, (int, Fraction)) or issubclass(kind, bool):
+                raise TypeError("operation defined for rational "
+                                f"matrices only, not {kind.__name__}")
 
     # -- exact elimination ---------------------------------------------------
 
@@ -141,9 +144,10 @@ class Matrix:
             raise ValueError("determinant needs a square matrix")
         self._require_rational()
         m, scale = _integer_copy(self.entries)
-        pivots, swaps = _echelon(m, reduce_above=False)
+        pivots, swaps, _ = _echelon(m, reduce_above=False)
         if len(pivots) < self.rows:
             return Fraction(0)
+        # The last pivot was brought to scale when it was used.
         return Fraction((-1) ** swaps * m[-1][-1]) / scale
 
     def rank(self) -> int:
@@ -155,14 +159,16 @@ class Matrix:
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and its pivot columns.
 
-        Fraction-free Gauss-Jordan on the integer copy leaves every pivot
-        row scaled by the last pivot, so one division finishes the job.
+        Fraction-free Gauss-Jordan on the integer copy leaves row i
+        scaled by its divisor d[i], so one division per entry finishes
+        the job.
         """
         self._require_rational()
         m, _ = _integer_copy(self.entries)
-        pivots, _ = _echelon(m, reduce_above=True)
-        last = m[len(pivots) - 1][pivots[-1]] if pivots else 1
-        return Matrix([[Fraction(x, last) for x in row] for row in m]), pivots
+        pivots, _, d = _echelon(m, reduce_above=True)
+        zero = Fraction(0)
+        return Matrix([[Fraction(x, di) if x else zero for x in row]
+                       for row, di in zip(m, d)]), pivots
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """Exact basis of the right null space; [] iff full column rank."""
@@ -221,49 +227,69 @@ class Matrix:
         return Matrix(rows)
 
 
-def _integer_copy(entries) -> tuple[list[list[int]], Fraction]:
+def _integer_copy(entries) -> tuple[list[list[int]], int]:
     """Clear denominators row by row; returns the int matrix and the
     factor by which its determinant exceeds the original's."""
     out = []
-    scale = Fraction(1)
+    scale = 1
     for row in entries:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        scale *= lcm
-        out.append([x.numerator * (lcm // x.denominator) for x in row])
+        dens = [x.denominator for x in row]
+        row_lcm = lcm(*dens)
+        scale *= row_lcm
+        out.append([x.numerator * (row_lcm // d) for x, d in zip(row, dens)])
     return out, scale
 
 
-def eliminate(m: list[list[int]], r: int, c: int, rows, prev: int) -> None:
-    """One fraction-free pivot step on the integer matrix m, in place.
+def eliminate(m: list[list[int]], d: list[int], r: int, c: int, rows,
+              prev: int) -> int:
+    """One fraction-free pivot step on the integer matrix m, in place;
+    returns the new pivot p.
 
-    Every row i in rows becomes (m[i] * p - m[i][c] * m[r]) // prev with
-    pivot p = m[r][c], which clears column c.  With prev the previous
-    pivot of the same elimination (1 before the first), the division is
-    exact: every entry stays a minor of the starting matrix (Bareiss,
-    Math. Comp. 22, 1968; Edmonds, J. Res. NBS 71B, 1967).
+    Rows are scaled lazily.  Row i stands for its Bareiss row
+    m[i] * prev // d[i], where prev is the previous pivot of the same
+    elimination (1 before the first) and d[i] the pivot in force when row
+    i was last exact (1 at the start).  The step first brings the pivot
+    row r to scale, so p = m[r][c] is the true pivot and d[r] becomes p.
+    Every row i in rows with an entry f != 0 in column c becomes
+    (m[i] * p - f * m[r]) // d[i], and d[i] becomes p.  The division is
+    exact: substituting the stored rows shows that the result is the
+    Bareiss update (true_i * p - true_f * true_r) // prev, every entry of
+    which is a minor of the starting matrix (Bareiss, Math. Comp. 22,
+    1968; Edmonds, J. Res. NBS 71B, 1967).  A row with a zero in column
+    c, an all-zero row included, is not touched: its Bareiss row gains
+    the factor p / prev, which the move from prev to p accounts for.  So
+    a stored row differs from its Bareiss row by a nonzero factor, which
+    changes no entry's zeroness and, when every pivot is positive, no
+    sign.
     """
     pivot_row = m[r]
+    if d[r] != prev:
+        scale = d[r]
+        pivot_row = m[r] = [x * prev // scale for x in pivot_row]
     p = pivot_row[c]
+    d[r] = p
     for i in rows:
         row = m[i]
         f = row[c]
         if f:
-            m[i] = [(x * p - f * y) // prev for x, y in zip(row, pivot_row)]
-        elif p != prev:
-            m[i] = [x * p // prev for x in row]
+            scale = d[i]
+            m[i] = [(x * p - f * y) // scale for x, y in zip(row, pivot_row)]
+            d[i] = p
+    return p
 
 
-def _echelon(m: list[list[int]], reduce_above: bool) -> tuple[list[int], int]:
+def _echelon(m: list[list[int]], reduce_above: bool
+             ) -> tuple[list[int], int, list[int]]:
     """Bring the integer matrix m to fraction-free echelon form in place.
 
     Rows below each pivot are cleared; with reduce_above the rows above
-    are too (Gauss-Jordan), after which every pivot row holds the last
-    pivot in its pivot column.  Returns the pivot columns and the number
-    of row swaps.
+    are too (Gauss-Jordan), after which row i divided by its divisor
+    d[i] is row i of the reduced echelon form.  Returns the pivot
+    columns, the number of row swaps and the row divisors d (see
+    eliminate).
     """
     n_rows = len(m)
+    d = [1] * n_rows
     pivots: list[int] = []
     swaps = 0
     prev = 1
@@ -274,15 +300,15 @@ def _echelon(m: list[list[int]], reduce_above: bool) -> tuple[list[int], int]:
             continue
         if pivot_row != r:
             m[r], m[pivot_row] = m[pivot_row], m[r]
+            d[r], d[pivot_row] = d[pivot_row], d[r]
             swaps += 1
         rows = [i for i in range(n_rows) if i != r] if reduce_above \
             else range(r + 1, n_rows)
-        eliminate(m, r, col, rows, prev)
-        prev = m[r][col]
+        prev = eliminate(m, d, r, col, rows, prev)
         pivots.append(col)
         if r + 1 == n_rows:
             break
-    return pivots, swaps
+    return pivots, swaps, d
 
 
 def nilpotent_ranks(m: Matrix) -> list[int]:

@@ -56,11 +56,9 @@ def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
     # the denominators and then kept integral by fraction-free pivots.
     tableau = [rows[i] + [Fraction(1) if j == i else Fraction(0)
                           for j in range(m)] + [b[i]] for i in range(m)]
-    scale = 1
-    for row in tableau:
-        for x in row:
-            scale = lcm(scale, x.denominator)
-    tableau = [[int(x * scale) for x in row] for row in tableau]
+    scale = lcm(*(x.denominator for row in tableau for x in row))
+    tableau = [[x.numerator * (scale // x.denominator) for x in row]
+               for row in tableau]
     basis = [n + i for i in range(m)]
 
     # Reduced costs of minimizing the sum of artificials (artificial
@@ -70,9 +68,12 @@ def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
         cost[n + i] -= scale
     tableau.append(cost)
 
-    # Row i stands for tableau[i] / tableau[i][basis[i]] and the cost row
-    # for cost / (scale * prev).  Pivots are positive, so every one of
-    # these denominators is too and signs can be read off directly.
+    # Rows are scaled lazily (see linalg.eliminate): row i's exact row is
+    # tableau[i] * prev // d[i], and it stands for that row divided by its
+    # basic entry, so the scale cancels from every read of one row.  The
+    # cost row stands for tableau[m] / (scale * d[m]).  Pivots are
+    # positive, so every d[i] is too and signs can be read off directly.
+    d = [1] * (m + 1)
     prev = 1
     while True:
         cost = tableau[m]
@@ -94,9 +95,8 @@ def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
         if best is None:
             raise RuntimeError("phase-I objective is bounded by construction")
         row = best[1]
-        eliminate(tableau, row, entering,
-                  (i for i in range(m + 1) if i != row), prev)
-        prev = tableau[row][entering]
+        prev = eliminate(tableau, d, row, entering,
+                         (i for i in range(m + 1) if i != row), prev)
         basis[row] = entering
 
     # The artificial sum is 0 iff every basic artificial sits at 0.
@@ -107,10 +107,11 @@ def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
                 solution[var] = Fraction(tableau[i][-1], tableau[i][var])
         return FeasibilityResult(True, solution, None)
 
-    # Multipliers: at optimality, y_i = (reduced cost of artificial i) + 1;
+    # Multipliers: at optimality, y_i = (reduced cost of artificial i) + 1,
+    # read off the cost row brought to scale through its divisor d[m];
     # after the sign flips y certifies y.A <= 0 and y.b > 0 for the
     # original system.
-    y = [Fraction(cost[n + i], scale * prev) + 1 for i in range(m)]
+    y = [Fraction(cost[n + i], scale * d[m]) + 1 for i in range(m)]
     y = [-v if flip else v for v, flip in zip(y, flipped)]
     _verify_farkas(matrix, rhs, y)
     return FeasibilityResult(False, None, y)

@@ -14,6 +14,7 @@ generator powers that motivates the 14-dimensional construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .convexity import ORBIT_LIFT
 from .heis import DATA_DIR, ENTRY_RING, GEN_A, GEN_B, HeisElement, \
@@ -42,9 +43,11 @@ def subspace_equations() -> Matrix:
 FREE_COORDINATES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11)  # 1-based
 
 
+@lru_cache(maxsize=None)
 def derive_subspace_basis() -> Matrix:
     """A 14x10 basis of the solution space, one column per free
-    coordinate, dependent coordinates filled from the equations."""
+    coordinate, dependent coordinates filled from the equations.  Built
+    once; Matrix is immutable, so callers share it."""
     columns = []
     for free in FREE_COORDINATES:
         vec = [Fraction(0)] * AMBIENT_DIM
@@ -79,13 +82,29 @@ def induced_matrix(g: HeisElement) -> Matrix:
     rho14(g) * basis; the dropped rows are rechecked separately by the
     invariance certificate.
     """
-    rho14 = get_representation("rho14")
-    mat = rho14(g)
+    return _free_rows(_basis_image(g))
+
+
+def _basis_image(g: HeisElement) -> Matrix:
+    """rho14(g) * basis, the 14x10 image of the subspace basis."""
+    mat = get_representation("rho14")(g)
     basis = derive_subspace_basis()
     if isinstance(mat[0, 0], Poly):
         basis = basis.map(mat[0, 0].ring.const)
-    image = mat * basis
+    return mat * basis
+
+
+def _free_rows(image: Matrix) -> Matrix:
     return Matrix([image.row(f - 1) for f in FREE_COORDINATES])
+
+
+@lru_cache(maxsize=None)
+def _symbolic_action() -> tuple[Matrix, Matrix]:
+    """rho14(g) * basis and theta(g) at the symbolic element g of
+    ENTRY_RING, computed once for the certificate and the intertwiner
+    solve."""
+    g = HeisElement.symbolic(ENTRY_RING)
+    return _basis_image(g), get_representation("theta")(g)
 
 
 def derive_conjugator() -> Matrix:
@@ -135,25 +154,22 @@ def restriction_certificate() -> tuple[bool, dict]:
     equations = subspace_equations()
     basis = derive_subspace_basis()
     conjugator = load_witness(T_WITNESS)
-    theta = get_representation("theta")
-    rho14 = get_representation("rho14")
 
     checks = {}
     checks["equations_rank_4"] = equations.rank() == 4
     checks["basis_rank_10"] = basis.rank() == SUBSPACE_DIM
     checks["basis_solves_equations"] = (equations * basis).is_zero()
 
-    g = HeisElement.symbolic(ENTRY_RING)
-    image = rho14(g) * basis.map(ENTRY_RING.const)
+    image, theta_g = _symbolic_action()
     checks["subspace_invariant"] = \
         (equations.map(ENTRY_RING.const) * image).is_zero()
 
-    induced = induced_matrix(g)
+    induced = _free_rows(image)
     checks["induced_consistent"] = \
         image == basis.map(ENTRY_RING.const) * induced
 
     t_poly = conjugator.map(ENTRY_RING.const)
-    checks["conjugate_to_theta"] = induced * t_poly == t_poly * theta(g)
+    checks["conjugate_to_theta"] = induced * t_poly == t_poly * theta_g
     t_det = conjugator.det()
     checks["conjugator_invertible"] = t_det != 0
 
@@ -192,9 +208,8 @@ def intertwiner_dimension() -> int:
                     row[i * n + k] -= right[k, j]
                 rows.append(row)
     kernel = Matrix(rows).kernel_basis()
-    g = HeisElement.symbolic(ENTRY_RING)
-    induced = induced_matrix(g)
-    theta_g = theta(g)
+    image, theta_g = _symbolic_action()
+    induced = _free_rows(image)
     for vec in kernel:
         x = Matrix([[ENTRY_RING.const(vec[i * n + j]) for j in range(n)]
                     for i in range(n)])

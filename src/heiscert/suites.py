@@ -10,10 +10,13 @@ the one place a Certificate is built.
 
 Replay of a sampled claim runs the check on the stored inputs, so it
 confirms that the stored verdict and witnesses are what those inputs
-give.  Replay of a fixed claim recomputes from the claim's own inputs,
-so a certificate whose stored inputs were edited is a MISMATCH.  The
-runner writes one JSON certificate per claim plus report.json/report.md;
-a crash inside a claim becomes a FAIL certificate, never a silent skip.
+give, and then re-draws the inputs from the stored seed at the sizes the
+stored inputs have, so inputs that the seed does not give (an edited
+seed or edited samples) are a MISMATCH.  Replay of a fixed claim
+recomputes from the claim's own inputs, so a certificate whose stored
+inputs were edited is a MISMATCH.  The runner writes one JSON
+certificate per claim plus report.json/report.md; a crash inside a
+claim becomes a FAIL certificate, never a silent skip.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from pathlib import Path
 
 from . import __version__
 from . import convexity, restriction
-from .certs import FAIL, PASS, Certificate
+from .certs import FAIL, PASS, Certificate, digest
 from .cone import (SymForm, attraction_gaps, flat_segment_certificate,
                    parabolic_fixed_form, pd_preservation_certificate,
                    sym_square_match_certificate)
@@ -82,12 +85,14 @@ def _certificate(claim_id: str, ok: bool, witnesses: dict, inputs: dict,
 
 
 def _claim(claim_id: str, statement: str, check, sample=None,
-           inputs=dict) -> Claim:
+           inputs=dict, size=None) -> Claim:
     """A registry entry from check(inputs) -> (ok, witnesses) and either
     sample(config) -> inputs (a sampled claim, replayed on its stored
     inputs) or inputs() -> inputs (a fixed claim, always checked on its
-    own inputs; the default has none).  The suite is the id's first
-    component."""
+    own inputs; the default has none).  A sampled claim names its
+    sample-size key and the inputs list whose length that size is, as
+    size=(key, field), so replay can re-draw the inputs.  The suite is
+    the id's first component."""
     def certify(claim_inputs, seed: str) -> Certificate:
         ok, witnesses = check(claim_inputs)
         return _certificate(claim_id, ok, witnesses, claim_inputs, seed)
@@ -97,7 +102,17 @@ def _claim(claim_id: str, statement: str, check, sample=None,
                        str(config.seed))
 
     def replay(stored_inputs, seed: str) -> Certificate:
-        return certify(stored_inputs if sample else inputs(), seed)
+        if not sample:
+            return certify(inputs(), seed)
+        recomputed = certify(stored_inputs, seed)
+        key, field_name = size
+        drawn = sample(RunConfig(
+            seed=int(seed),
+            sample_sizes={key: len(stored_inputs[field_name])}))
+        # Inputs the stored seed does not draw replay as what a run at
+        # that seed writes, which differs from them.
+        return recomputed if digest(drawn) == digest(stored_inputs) \
+            else certify(drawn, seed)
 
     return Claim(claim_id, claim_id.partition(".")[0], statement, run,
                  replay)
@@ -450,7 +465,8 @@ CLAIMS: tuple[Claim, ...] = (
     _claim("jordan.unique_odd_largest",
            "every sampled nontrivial element's image has a unique largest "
            "Jordan block, and that block has odd size",
-           _jordan_unique_odd, sample=_jordan_sample),
+           _jordan_unique_odd, sample=_jordan_sample,
+           size=("jordan", "parameters")),
     _claim("orbit.formula",
            "the matrix of g applied to the lifted origin equals the closed "
            "orbit formula ((a^4+b^4)/24 + c^2, bc, c, a^3/6, a^2/2, a, "
@@ -459,7 +475,8 @@ CLAIMS: tuple[Claim, ...] = (
     _claim("orbit.equivariance",
            "acting by the matrix of g maps the orbit point of h to the "
            "orbit point of g*h, symbolically and on sampled pairs",
-           _equivariance, sample=_equivariance_sample),
+           _equivariance, sample=_equivariance_sample,
+           size=("equivariance", "pairs")),
     _claim("orbit.limit_point",
            "along rays to infinity the first coordinate dominates every "
            "other, so the orbit accumulates only at [1:0:...:0]",
@@ -471,7 +488,8 @@ CLAIMS: tuple[Claim, ...] = (
     _claim("hull.dimension",
            "ten lifted orbit points have nonzero determinant, so the "
            "orbit hull has interior of full dimension 9",
-           _hull_dimension, sample=_hull_dimension_sample),
+           _hull_dimension, sample=_hull_dimension_sample,
+           size=("hull_fresh", "fresh")),
     _claim("hull.degenerate_center",
            "orbit points of central elements are degenerate: their ten "
            "lifts have determinant 0",
@@ -503,7 +521,8 @@ CLAIMS: tuple[Claim, ...] = (
     _claim("cone.pd_preserved",
            "the 6x6 action keeps sampled positive-definite forms positive "
            "definite and agrees with the congruence action",
-           _pd_preserved, sample=_pd_preserved_sample),
+           _pd_preserved, sample=_pd_preserved_sample,
+           size=("pd_checks", "cases")),
     _claim("cone.parabolic_fixed_points",
            "each generator has an attracting rank-1 semidefinite fixed "
            "form; the first two generators' fixed forms are distinct and "
@@ -518,11 +537,13 @@ CLAIMS: tuple[Claim, ...] = (
            "on sampled rational polytopes the Hilbert cross-ratio "
            "satisfies R >= 1 with equality iff the points coincide, "
            "symmetry, and the multiplicative triangle inequality",
-           _hilbert_axioms, sample=_hilbert_axioms_sample),
+           _hilbert_axioms, sample=_hilbert_axioms_sample,
+           size=("hilbert", "instances")),
     _claim("hilbert.cross_ratio_invariance",
            "the cross ratio of four collinear points is unchanged by "
            "every sampled group matrix",
-           _cross_ratio, sample=_cross_ratio_sample),
+           _cross_ratio, sample=_cross_ratio_sample,
+           size=("cross_ratio", "elements")),
 )
 
 CLAIMS_BY_ID = {c.id: c for c in CLAIMS}
@@ -625,14 +646,20 @@ MISMATCH = "MISMATCH"
 
 def replay(path: Path) -> tuple[str, dict]:
     """Recompute a stored certificate, from its recorded inputs for a
-    sampled claim and from the claim's own inputs for a fixed one; MATCH
-    iff the recomputation reproduces it (timestamp aside)."""
+    sampled claim (which its stored seed must re-draw) and from the
+    claim's own inputs for a fixed one; MATCH iff the recomputation
+    reproduces it (timestamp aside).  A seed that is not an integer
+    raises ValueError."""
     import json
     data = json.loads(Path(path).read_text())
     stored = Certificate.from_dict(data)
     claim = CLAIMS_BY_ID.get(stored.claim)
     if claim is None:
         raise KeyError(f"unknown claim id {stored.claim!r}")
+    # A run writes str(config.seed); anything else is malformed.
+    seed = stored.seed
+    if not isinstance(seed, str) or str(int(seed)) != seed:
+        raise ValueError(f"stored seed {seed!r} is not an integer")
     try:
         digest_ok = stored.inputs_digest() == data["inputs_digest"]
         recomputed = claim.replay(stored.inputs, stored.seed)

@@ -211,6 +211,18 @@ def test_replay_rejects_forged_fixed_inputs(certificates, claim_id, edit,
     assert verdict == MISMATCH
 
 
+@pytest.mark.parametrize("seed", ["5", "1"])
+def test_replay_rejects_edited_seed(certificates, seed, tmp_path):
+    # The inputs digest does not cover the seed; the re-draw does.
+    data = read_json(certificates / "hull.dimension.json")
+    assert data["seed"] == "0"
+    path = tmp_path / "reseeded.json"
+    path.write_text(json.dumps({**data, "seed": seed}))
+    verdict, detail = replay(path)
+    assert detail["inputs_digest_intact"]
+    assert verdict == MISMATCH
+
+
 def _with_inputs(data: dict, inputs) -> dict:
     return {**data, "inputs": inputs, "inputs_digest": digest(inputs)}
 
@@ -240,9 +252,13 @@ def _with_float_g(data: dict) -> dict:
     ("jordan.unique_odd_largest",
      lambda data: _with_first_parameter(data, "1/0")),
     ("cone.pd_preserved", _with_float_g),
+    ("hull.dimension", lambda data: {**data, "seed": "five"}),
+    ("hull.dimension", lambda data: {**data, "seed": "05"}),
+    ("hull.dimension", lambda data: {**data, "seed": 0}),
 ], ids=["short-frozen-triple", "inputs-not-object", "body-not-object",
         "claim-not-string", "nine-frozen-points", "zero-denominator",
-        "float-input"])
+        "float-input", "seed-not-integer", "seed-not-canonical",
+        "seed-not-string"])
 def test_replay_malformed_certificate_exits_2(certificates, claim_id, malform,
                                               tmp_path, capsys):
     data = read_json(certificates / f"{claim_id}.json")

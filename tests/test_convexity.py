@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from heiscert import convexity
 from heiscert.convexity import (DEFAULT_RAY_TS, DEFAULT_RAYS, ORBIT_FORMULA,
                                 OrbitSample, ProjPoint,
                                 equivariance_certificate,
@@ -208,6 +209,19 @@ def test_too_small_sample_rejected():
 
 
 # -- orbit sample plumbing ---------------------------------------------------------
+
+def test_lifts_are_computed_once_and_copied(monkeypatch):
+    sample = OrbitSample([(1, 2, 3), (0, -1, Fraction(1, 2))])
+    calls = []
+    monkeypatch.setattr(convexity, "orbit_lift",
+                        lambda g: calls.append(g) or orbit_lift(g))
+    first = sample.lifts()
+    first[0][0] = Fraction(-7)
+    second = sample.lifts()
+    assert len(calls) == 2
+    assert second == [orbit_lift(HeisElement.of(*p))
+                      for p in sample.parameters]
+
 
 def test_sample_csv_round_trip():
     sample = sample_orbit(10, 0, "hull")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heiscert.convexity import OrbitSample
+from heiscert.convexity import ORBIT_LIFT, OrbitSample, orbit_lift
 from heiscert.heis import (DATA_DIR, ENTRY_RING, HeisElement,
                            get_representation, heis_mul)
 from heiscert.linalg import Matrix, jordan_partition, nilpotent_ranks
@@ -216,18 +216,53 @@ def _fraction_rref(rows):
 fractional = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 
 
-@settings(max_examples=150)
-@given(st.integers(min_value=1, max_value=6).flatmap(
+@st.composite
+def sparse_rows(draw, max_rows, max_cols, square=False, zero_rows=True):
+    """Mostly-zero rational rows, so many rows have a zero in a pivot's
+    column and sit out elimination steps; with zero_rows, whole zero
+    rows are common too."""
+    n_cols = draw(st.integers(min_value=1, max_value=max_cols))
+    n_rows = n_cols if square else \
+        draw(st.integers(min_value=1, max_value=max_rows))
+    zero = Fraction(0)
+    entry = st.integers(min_value=0, max_value=2).flatmap(
+        lambda k: fractional if k == 0 else st.just(zero))
+    row = st.lists(entry, min_size=n_cols, max_size=n_cols)
+    if zero_rows:
+        row = st.one_of(st.just([zero] * n_cols), row, row)
+    return draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+
+
+dense_rows = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.lists(st.lists(fractional, min_size=n, max_size=n),
-                       min_size=1, max_size=6)))
+                       min_size=1, max_size=6))
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(dense_rows, sparse_rows(16, 10)))
 def test_rref_matches_fraction_gauss_jordan(rows):
     assume(any(x.denominator > 1 for row in rows for x in row))
     # append a combination of rows so rank deficiency is common
     rows = rows + [[2 * x - y for x, y in zip(rows[0], rows[-1])]]
-    reduced, pivots = Matrix(rows).rref()
+    m = Matrix(rows)
+    reduced, pivots = m.rref()
     expected, expected_pivots = _fraction_rref(rows)
     assert pivots == expected_pivots
     assert [list(r) for r in reduced.entries] == expected
+    assert m.rank() == len(expected_pivots)
+    expected_kernel = []
+    for f in (j for j in range(m.cols) if j not in expected_pivots):
+        vec = [Fraction(int(j == f)) for j in range(m.cols)]
+        for r, p in enumerate(expected_pivots):
+            vec[p] = -expected[r][f]
+        expected_kernel.append(tuple(vec))
+    assert m.kernel_basis() == expected_kernel
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_rows(8, 8, square=True, zero_rows=False))
+def test_sparse_det_matches_cofactor_oracle(rows):
+    assert Matrix(rows).det() == _cofactor_det(tuple(map(tuple, rows)))
 
 
 @settings(max_examples=60)
@@ -308,13 +343,21 @@ def test_non_unipotent_rejected_like_fraction_powers(m):
         nilpotent_ranks(m)
 
 
-points = st.tuples(fractional, fractional, fractional)
+coordinate = st.one_of(
+    fractional,
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4),
+    st.fractions(max_value=0, max_denominator=97))
+points = st.tuples(coordinate, coordinate, coordinate)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["theta", "rho6", "rho14"]), points)
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["theta", "rho6", "rho14", "orbit"]), points)
 def test_table_specialization_matches_entrywise_eval(name, point):
-    rep = get_representation(name)
     values = dict(zip(ENTRY_RING.names, point))
+    g = HeisElement.of(*point)
+    if name == "orbit":
+        assert orbit_lift(g) == [p.eval(values) for p in ORBIT_LIFT]
+        return
+    rep = get_representation(name)
     expected = rep.table.map(lambda p: p.eval(values))
-    assert rep(HeisElement.of(*point)) == expected
+    assert rep(g) == expected

@@ -70,14 +70,30 @@ def test_inconsistent_system_produces_farkas():
 
 
 entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# Mostly zeros, so many tableau rows sit out a pivot step.
+sparse_entries = st.integers(min_value=0, max_value=2).flatmap(
+    lambda k: entries if k == 0 else st.just(Fraction(0)))
 
 
-@settings(max_examples=60)
-@given(st.lists(st.lists(entries, min_size=3, max_size=3),
-                min_size=1, max_size=4),
-       st.lists(entries, min_size=1, max_size=4))
-def test_verdicts_carry_checked_witnesses(matrix, rhs):
-    rhs = rhs[:len(matrix)] + [Fraction(0)] * (len(matrix) - len(rhs))
+@st.composite
+def systems(draw):
+    """Dense 3-column systems of up to 4 rows, or sparse ones of up to 8
+    rows and 6 columns."""
+    if draw(st.booleans()):
+        n_rows, n_cols, entry = draw(st.integers(1, 4)), 3, entries
+    else:
+        n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+        entry = sparse_entries
+    matrix = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                           min_size=n_rows, max_size=n_rows))
+    rhs = draw(st.lists(entry, min_size=n_rows, max_size=n_rows))
+    return matrix, rhs
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_verdicts_carry_checked_witnesses(system):
+    matrix, rhs = system
     result = solve_equality_feasibility(matrix, rhs)
     if result.feasible:
         x = result.solution
@@ -87,5 +103,5 @@ def test_verdicts_carry_checked_witnesses(matrix, rhs):
     else:
         y = result.farkas
         assert sum(f * b for f, b in zip(y, rhs)) > 0
-        for j in range(3):
+        for j in range(len(matrix[0])):
             assert sum(y[i] * matrix[i][j] for i in range(len(matrix))) <= 0
