@@ -49,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     orbit = sub.add_parser("orbit", help="emit sampled orbit parameters")
     orbit.add_argument("--count", type=int, default=10)
     orbit.add_argument("--seed", type=int, default=0)
-    orbit.add_argument("--emit", choices=["csv"], default="csv")
 
     jordan = sub.add_parser("jordan",
                             help="Jordan partition of one element's image")

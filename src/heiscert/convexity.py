@@ -9,7 +9,10 @@ the orbit hull (a nonzero 10x10 determinant), proper convexity (the hull
 stays in {x1 >= 0}) and extremality of sampled orbit points via exact LP.
 Each check returns (ok, witnesses).  orbit_lift() specializes the lifted
 formula through heis.specialize, so it serves rational elements, symbolic
-ones and rays to infinity alike.
+ones and rays to infinity alike.  Orbit points are compared as lifts in
+the affine chart x10 = 1: theta's last row is e10 (certified by
+fixed_structure_certificate), so every image of a lift ends in 1 as well,
+and for such vectors projective equality is vector equality.
 """
 
 from __future__ import annotations
@@ -48,33 +51,6 @@ ORBIT_FORMULA: tuple[Poly, ...] = (
 ORBIT_LIFT: tuple[Poly, ...] = ORBIT_FORMULA + (ENTRY_RING.one(),)
 
 
-class ProjPoint:
-    """A point of projective space, stored in canonical homogeneous form
-    (first nonzero coordinate scaled to 1)."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: Sequence[Fraction]):
-        coords = [Fraction(x) for x in coords]
-        pivot = next((x for x in coords if x != 0), None)
-        if pivot is None:
-            raise ValueError("projective points cannot be the zero vector")
-        self.coords = tuple(x / pivot for x in coords)
-
-    def __eq__(self, other):
-        return isinstance(other, ProjPoint) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return "[" + ":".join(format_rational(x) for x in self.coords) + "]"
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-
 def lift_origin() -> list[Fraction]:
     """Homogeneous lift of the affine origin."""
     return [Fraction(0)] * AFFINE_DIM + [Fraction(1)]
@@ -86,16 +62,12 @@ def orbit_lift(g: HeisElement) -> list:
     return specialize(ORBIT_LIFT, g)
 
 
-def orbit_point(g: HeisElement) -> ProjPoint:
-    return ProjPoint(orbit_lift(g))
-
-
 def orbit_formula_certificate() -> tuple[bool, dict]:
     """The entry table applied to the lifted origin reproduces the closed
     orbit formula, as an exact polynomial identity."""
     theta = get_representation("theta")
     g = HeisElement.symbolic(ENTRY_RING)
-    column = theta(g).apply([ENTRY_RING.const(x) for x in lift_origin()])
+    column = theta(g).apply(lift_origin())
     mismatches = [i + 1 for i, (got, want)
                   in enumerate(zip(column, ORBIT_LIFT)) if got != want]
     witnesses = {"coordinates": [str(p) for p in ORBIT_LIFT]}
@@ -121,12 +93,11 @@ def fixed_structure_certificate() -> tuple[bool, dict]:
 
 def equivariance_certificate(g: HeisElement, h: HeisElement
                              ) -> tuple[bool, dict]:
-    """Acting on the orbit point of h by the matrix of g lands on the
-    orbit point of g*h (projective equality, exact)."""
+    """Acting on the orbit lift of h by the matrix of g gives the orbit
+    lift of g*h, compared as vectors in the affine chart x10 = 1."""
     theta = get_representation("theta")
-    image = theta(g).apply(orbit_lift(h))
     product = heis_mul(g, h)
-    ok = ProjPoint(image) == ProjPoint(orbit_lift(product))
+    ok = theta(g).apply(orbit_lift(h)) == orbit_lift(product)
     return ok, {"target_parameter": list(product.components())}
 
 

@@ -62,9 +62,6 @@ class HeisElement:
     def symbolic(ring: PolyRing = ENTRY_RING, names=("a", "b", "c")) -> "HeisElement":
         return HeisElement(*(ring.var(n) for n in names))
 
-    def is_identity(self) -> bool:
-        return all(x == 0 for x in (self.a, self.b, self.c))
-
     def inverse(self) -> "HeisElement":
         return HeisElement(-self.a, -self.b, -self.c + self.a * self.b)
 

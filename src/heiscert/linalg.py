@@ -1,6 +1,9 @@
 """Dense exact matrices over rational (Fraction or int) or Poly entries.
 
-Multiplication and equality work for either scalar kind.
+Multiplication and equality work for either scalar kind, and one operand
+of a product or of apply() may be rational while the other is Poly:
+Poly.__mul__ scales by a rational directly, so rational data never needs
+lifting into the polynomial ring by hand.
 Determinant, rank, reduced echelon form, kernel and solve are restricted
 to rational matrices.  All of them run on a denominator-cleared integer
 copy through one fraction-free pivot step, eliminate(), which the lp
@@ -27,7 +30,8 @@ Entry = Union[int, Fraction, Poly]
 
 class Matrix:
     """Immutable rectangular matrix; entries all rational (Fraction or
-    int, which may mix) or all Poly."""
+    int, which may mix) or all Poly.  In a product or apply() one operand
+    may be rational and the other Poly; the result is then Poly."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -205,25 +209,21 @@ class Matrix:
     # -- wire format ---------------------------------------------------------
 
     def to_text(self) -> str:
-        """Row-per-line, tab-separated entries (rationals or poly strings)."""
+        """Row-per-line, tab-separated rational entries."""
         lines = []
         for row in self.entries:
-            cells = [format_rational(x) if isinstance(x, Fraction) else str(x)
-                     for x in row]
+            cells = [format_rational(x) for x in row]
             lines.append("\t".join(cells))
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def from_text(text: str, ring=None) -> "Matrix":
+    def from_text(text: str) -> "Matrix":
         rows = []
         for line in text.splitlines():
             if not line.strip():
                 continue
             cells = line.split("\t")
-            if ring is None:
-                rows.append([parse_rational(c) for c in cells])
-            else:
-                rows.append([ring.parse(c) for c in cells])
+            rows.append([parse_rational(c) for c in cells])
         return Matrix(rows)
 
 

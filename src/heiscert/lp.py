@@ -75,6 +75,9 @@ def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
     # positive, so every d[i] is too and signs can be read off directly.
     d = [1] * (m + 1)
     prev = 1
+    # In exact arithmetic Bland's rule never returns to a basis, so a
+    # repeat can only come from an arithmetic defect: raise, not cycle.
+    visited = {tuple(basis)}
     while True:
         cost = tableau[m]
         # Bland: entering column is the smallest index with positive
@@ -98,6 +101,9 @@ def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
         prev = eliminate(tableau, d, row, entering,
                          (i for i in range(m + 1) if i != row), prev)
         basis[row] = entering
+        if tuple(basis) in visited:
+            raise RuntimeError("simplex revisited a basis")
+        visited.add(tuple(basis))
 
     # The artificial sum is 0 iff every basic artificial sits at 0.
     if all(tableau[i][-1] == 0 for i in range(m) if basis[i] >= n):

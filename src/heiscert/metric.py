@@ -22,11 +22,11 @@ def cross_ratio(p1, p2, p3, p4) -> Fraction:
     """Cross ratio [p1,p2; p3,p4] of four collinear projective points.
 
     With affine parameters t_i on the common line this is
-    ((t3-t1)(t4-t2)) / ((t3-t2)(t4-t1)).  Points are given as homogeneous
-    coordinate sequences (ProjPoint.coords works); they must be pairwise
-    distinct and collinear.
+    ((t3-t1)(t4-t2)) / ((t3-t2)(t4-t1)).  Points are given as sequences
+    of homogeneous coordinates, any nonzero multiple standing for the same
+    point; they must be pairwise distinct and collinear.
     """
-    lifts = [_as_tuple(p) for p in (p1, p2, p3, p4)]
+    lifts = [tuple(Fraction(x) for x in p) for p in (p1, p2, p3, p4)]
     if len({len(v) for v in lifts}) != 1:
         raise ValueError("points live in different dimensions")
     _, pivots = Matrix(lifts).rref()
@@ -44,11 +44,6 @@ def cross_ratio(p1, p2, p3, p4) -> Fraction:
             or d(1, 3) == 0 or d(2, 3) == 0:
         raise ValueError("cross ratio needs pairwise distinct points")
     return (d(0, 2) * d(1, 3)) / (d(1, 2) * d(0, 3))
-
-
-def _as_tuple(p) -> tuple[Fraction, ...]:
-    coords = getattr(p, "coords", p)
-    return tuple(Fraction(x) for x in coords)
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,12 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) in (int, Fraction):
+            # Scaling by a rational: one product per term, no expansion.
+            if not other:
+                return Poly(self.ring, {})
+            return Poly(self.ring, {e: c * other
+                                    for e, c in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

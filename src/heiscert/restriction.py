@@ -3,8 +3,11 @@
 Four linear equations (x6 = x10 = x14, x5 = x13, x3 = 2*x12, 1-based)
 cut out a subspace that the 14x14 action preserves; in the right basis
 the induced 10x10 action is conjugate, by a constant matrix T, to the
-10-dimensional representation.  The subspace basis is written down from
-the equations.  T is found once by an exact linear solve
+10-dimensional representation.  The equations are stated once, in the
+table EQUATIONS; the equation matrix, the free coordinates and the
+subspace basis are all read from it.  These rational matrices multiply
+the symbolic ones directly, with no lift into the polynomial ring.  T
+is found once by an exact linear solve
 (derive_conjugator, which the regeneration script under scripts/
 reruns), shipped as a frozen witness file, and only checked here.  The
 same module certifies the quadratic versus quartic entry growth of
@@ -28,19 +31,23 @@ SUBSPACE_DIM = 10
 T_WITNESS = "restriction_T.tsv"
 
 
+# Each (p, n, f) is the equation x_p = f * x_n (1-based): x_n is
+# determined by the free coordinate x_p.  The shipped T depends on the
+# increasing order of the free coordinates, (1, ..., 9, 11).
+EQUATIONS = ((6, 10, 1), (6, 14, 1), (5, 13, 1), (3, 12, 2))
+FREE_COORDINATES = tuple(i for i in range(1, AMBIENT_DIM + 1)
+                         if i not in {n for _, n, _ in EQUATIONS})
+
+
 def subspace_equations() -> Matrix:
     """The four defining linear functionals as rows of a 4x14 matrix."""
     rows = []
-    for positive, negative, factor in (
-            (6, 10, 1), (6, 14, 1), (5, 13, 1), (3, 12, 2)):
+    for positive, negative, factor in EQUATIONS:
         row = [Fraction(0)] * AMBIENT_DIM
         row[positive - 1] = Fraction(1)
         row[negative - 1] = Fraction(-factor)
         rows.append(row)
     return Matrix(rows)
-
-
-FREE_COORDINATES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11)  # 1-based
 
 
 @lru_cache(maxsize=None)
@@ -52,13 +59,9 @@ def derive_subspace_basis() -> Matrix:
     for free in FREE_COORDINATES:
         vec = [Fraction(0)] * AMBIENT_DIM
         vec[free - 1] = Fraction(1)
-        if free == 6:
-            vec[10 - 1] = Fraction(1)
-            vec[14 - 1] = Fraction(1)
-        elif free == 5:
-            vec[13 - 1] = Fraction(1)
-        elif free == 3:
-            vec[12 - 1] = Fraction(1, 2)
+        for positive, negative, factor in EQUATIONS:
+            if positive == free:
+                vec[negative - 1] = Fraction(1, factor)
         columns.append(vec)
     return Matrix(columns).transpose()
 
@@ -71,7 +74,7 @@ def orbit_lift_14(ring: PolyRing, names=("a", "b", "c")) -> list[Poly]:
     base = [Fraction(0)] * AMBIENT_DIM
     for i in (6, 10, 14):
         base[i - 1] = Fraction(1)
-    return rho14(g).apply([ring.const(x) for x in base])
+    return rho14(g).apply(base)
 
 
 def induced_matrix(g: HeisElement) -> Matrix:
@@ -87,11 +90,7 @@ def induced_matrix(g: HeisElement) -> Matrix:
 
 def _basis_image(g: HeisElement) -> Matrix:
     """rho14(g) * basis, the 14x10 image of the subspace basis."""
-    mat = get_representation("rho14")(g)
-    basis = derive_subspace_basis()
-    if isinstance(mat[0, 0], Poly):
-        basis = basis.map(mat[0, 0].ring.const)
-    return mat * basis
+    return get_representation("rho14")(g) * derive_subspace_basis()
 
 
 def _free_rows(image: Matrix) -> Matrix:
@@ -136,8 +135,7 @@ def _subspace_coordinates_and_check(lift14, basis) -> list[Poly]:
     """Free-coordinate components of a vector known to lie in the
     subspace; raises if it does not."""
     coords = [lift14[f - 1] for f in FREE_COORDINATES]
-    ring = coords[0].ring
-    reconstructed = basis.map(ring.const).apply(coords)
+    reconstructed = basis.apply(coords)
     if any(x != y for x, y in zip(reconstructed, lift14)):
         raise ValueError("vector is not in the invariant subspace")
     return coords
@@ -161,15 +159,12 @@ def restriction_certificate() -> tuple[bool, dict]:
     checks["basis_solves_equations"] = (equations * basis).is_zero()
 
     image, theta_g = _symbolic_action()
-    checks["subspace_invariant"] = \
-        (equations.map(ENTRY_RING.const) * image).is_zero()
+    checks["subspace_invariant"] = (equations * image).is_zero()
 
     induced = _free_rows(image)
-    checks["induced_consistent"] = \
-        image == basis.map(ENTRY_RING.const) * induced
-
-    t_poly = conjugator.map(ENTRY_RING.const)
-    checks["conjugate_to_theta"] = induced * t_poly == t_poly * theta_g
+    checks["induced_consistent"] = image == basis * induced
+    checks["conjugate_to_theta"] = \
+        induced * conjugator == conjugator * theta_g
     t_det = conjugator.det()
     checks["conjugator_invertible"] = t_det != 0
 
@@ -211,8 +206,7 @@ def intertwiner_dimension() -> int:
     image, theta_g = _symbolic_action()
     induced = _free_rows(image)
     for vec in kernel:
-        x = Matrix([[ENTRY_RING.const(vec[i * n + j]) for j in range(n)]
-                    for i in range(n)])
+        x = Matrix([vec[i * n:(i + 1) * n] for i in range(n)])
         if induced * x != x * theta_g:
             raise AssertionError("generator conditions were not sufficient")
     return len(kernel)

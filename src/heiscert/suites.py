@@ -122,10 +122,6 @@ def _triples(raw) -> list[tuple[Fraction, Fraction, Fraction]]:
     return [tuple(to_fraction(x) for x in item) for item in raw]
 
 
-def _element(raw) -> HeisElement:
-    return HeisElement.of(*(to_fraction(x) for x in raw))
-
-
 def _representation(name: str):
     """inputs() naming one shipped entry table."""
     return partial(dict, representation=name)
@@ -214,8 +210,8 @@ def _equivariance(inputs):
     symbolic_ok = convexity.symbolic_equivariance_holds()
     failures = []
     for g_raw, h_raw in pairs:
-        ok, _ = convexity.equivariance_certificate(_element(g_raw),
-                                                   _element(h_raw))
+        ok, _ = convexity.equivariance_certificate(HeisElement.of(*g_raw),
+                                                   HeisElement.of(*h_raw))
         if not ok:
             failures.append({"g": list(g_raw), "h": list(h_raw)})
     return symbolic_ok and not failures, {"symbolic_identity": symbolic_ok,
@@ -337,7 +333,7 @@ def _random_pd_form(stream: RandomStream) -> SymForm:
 def _pd_preserved(inputs):
     failures = []
     for case in inputs["cases"]:
-        g = _element(case["g"])
+        g = HeisElement.of(*case["g"])
         form = SymForm([[to_fraction(x) for x in row]
                         for row in case["form"]])
         ok, _ = pd_preservation_certificate(g, form)
@@ -429,7 +425,8 @@ def _cross_ratio_sample(config: RunConfig) -> dict:
 
 
 def _cross_ratio(inputs):
-    p_param, q_param = (_element(raw) for raw in inputs["line_parameters"])
+    p_param, q_param = (HeisElement.of(*raw)
+                        for raw in inputs["line_parameters"])
     p = convexity.orbit_lift(p_param)
     q = convexity.orbit_lift(q_param)
     points = []
@@ -440,7 +437,7 @@ def _cross_ratio(inputs):
     theta = get_representation("theta")
     failures = []
     for raw in inputs["elements"]:
-        mat = theta(_element(raw))
+        mat = theta(HeisElement.of(*raw))
         moved = [mat.apply(v) for v in points]
         if cross_ratio(*moved) != base:
             failures.append({"g": list(raw)})

@@ -6,11 +6,11 @@ import pytest
 
 from heiscert import convexity
 from heiscert.convexity import (DEFAULT_RAY_TS, DEFAULT_RAYS, ORBIT_FORMULA,
-                                OrbitSample, ProjPoint,
+                                OrbitSample,
                                 equivariance_certificate,
                                 extreme_point_certificate, lift_origin,
                                 limit_point_certificate, nonneg_certificate,
-                                orbit_lift, orbit_point,
+                                orbit_lift,
                                 proper_convexity_certificate, sample_orbit,
                                 symbolic_equivariance_holds)
 from heiscert.heis import DATA_DIR, ENTRY_RING, HeisElement, \
@@ -23,14 +23,13 @@ THETA = get_representation("theta")
 
 
 def test_orbit_of_identity_is_origin():
-    assert orbit_point(HeisElement.identity()) == ProjPoint(lift_origin())
+    assert orbit_lift(HeisElement.identity()) == lift_origin()
 
 
 def test_orbit_point_explicit_value():
-    point = orbit_point(HeisElement.of(1, 1, 1))
-    expected = ProjPoint([Fraction(13, 12), 1, 1, Fraction(1, 6),
-                          Fraction(1, 2), 1, Fraction(1, 6), Fraction(1, 2),
-                          1, 1])
+    point = orbit_lift(HeisElement.of(1, 1, 1))
+    expected = [Fraction(13, 12), 1, 1, Fraction(1, 6), Fraction(1, 2), 1,
+                Fraction(1, 6), Fraction(1, 2), 1, 1]
     assert point == expected
 
 
@@ -62,15 +61,6 @@ def test_equivariance_generator_pair():
 
 def test_equivariance_symbolic():
     assert symbolic_equivariance_holds()
-
-
-def test_projective_canonicalization():
-    v = [Fraction(0), Fraction(3), Fraction(-6)]
-    p = ProjPoint(v)
-    assert p == ProjPoint([x * Fraction(-7, 5) for x in v])
-    assert ProjPoint(p.coords) == p
-    with pytest.raises(ValueError):
-        ProjPoint([0, 0, 0])
 
 
 # -- limit point ---------------------------------------------------------------

@@ -11,6 +11,7 @@ from heiscert.convexity import ORBIT_LIFT, OrbitSample, orbit_lift
 from heiscert.heis import (DATA_DIR, ENTRY_RING, HeisElement,
                            get_representation, heis_mul)
 from heiscert.linalg import Matrix, jordan_partition, nilpotent_ranks
+from heiscert.poly import Poly
 from heiscert.sampler import RandomStream
 
 THETA = get_representation("theta")
@@ -24,7 +25,7 @@ def test_identity_multiplication():
 def test_inverse_element_multiplies_to_identity():
     g = HeisElement.of(1, 0, 0)
     h = g.inverse()
-    assert heis_mul(g, h).is_identity()
+    assert heis_mul(g, h) == HeisElement.identity()
     assert THETA(g) * THETA(h) == Matrix.identity(10)
 
 
@@ -361,3 +362,44 @@ def test_table_specialization_matches_entrywise_eval(name, point):
     rep = get_representation(name)
     expected = rep.table.map(lambda p: p.eval(values))
     assert rep(g) == expected
+
+
+small_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), entries, max_size=3).map(
+        lambda terms: Poly(ENTRY_RING, terms))
+scalars = st.one_of(st.integers(-5, 5), entries)
+
+
+def _lift(matrix):
+    return matrix.map(ENTRY_RING.const)
+
+
+@st.composite
+def mixed_operands(draw):
+    """A rational n x k matrix, a Poly k x m matrix, a rational m x n
+    matrix, a rational m-vector and a rational scalar."""
+    n, k, m = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def grid(rows, cols, cell):
+        return Matrix(draw(st.lists(st.lists(cell, min_size=cols,
+                                             max_size=cols),
+                                    min_size=rows, max_size=rows)))
+
+    vector = draw(st.lists(scalars, min_size=m, max_size=m))
+    return (grid(n, k, scalars), grid(k, m, small_polys),
+            grid(m, n, scalars), vector, draw(scalars))
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_operands())
+def test_rational_operands_meet_poly_as_if_lifted(operands):
+    left, poly, right, vector, scalar = operands
+    assert left * poly == _lift(left) * poly
+    assert poly * right == poly * _lift(right)
+    assert poly.apply(vector) == \
+        poly.apply([ENTRY_RING.const(x) for x in vector])
+    p = poly[0, 0]
+    for k in (scalar, 0, Fraction(0)):
+        assert p * k == k * p == p * ENTRY_RING.const(k)
+    with pytest.raises(TypeError):
+        p * True

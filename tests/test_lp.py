@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heiscert import lp
 from heiscert.lp import convex_combination_weights, solve_equality_feasibility
 
 
@@ -105,3 +107,12 @@ def test_verdicts_carry_checked_witnesses(system):
         assert sum(f * b for f, b in zip(y, rhs)) > 0
         for j in range(len(matrix[0])):
             assert sum(y[i] * matrix[i][j] for i in range(len(matrix))) <= 0
+
+
+def test_repeated_basis_raises_instead_of_cycling(monkeypatch):
+    # A pivot step that changes nothing stands for an arithmetic defect:
+    # the simplex then picks the same pivot again and must stop there.
+    monkeypatch.setattr(lp, "eliminate",
+                        lambda m, d, r, c, rows, prev: prev)
+    with pytest.raises(RuntimeError, match="revisited a basis"):
+        convex_combination_weights([[0], [1]], [3])
