@@ -1,9 +1,15 @@
-"""Dense exact matrices over rational (Fraction or int) or Poly entries.
+"""Exact matrices over rational (Fraction or int) or Poly entries.
 
 Multiplication and equality work for either scalar kind, and one operand
 of a product or of apply() may be rational while the other is Poly:
 Poly.__mul__ scales by a rational directly, so rational data never needs
-lifting into the polynomial ring by hand.
+lifting into the polynomial ring by hand.  Storage is dense, but the
+product and apply() multiply only nonzero pairs (Gustavson's row-by-row
+scheme): the unipotent tables, their nilpotent parts and the subspace
+basis are mostly zeros.  An entry that no nonzero pair reaches is one
+shared zero per call, built as a product of the operands' first entries
+times 0, so it has the type (0, Fraction(0) or the zero Poly) that a
+dense sum of homogeneous operands gives.
 Determinant, rank, reduced echelon form, kernel and solve are restricted
 to rational matrices.  All of them run on a denominator-cleared integer
 copy through one fraction-free pivot step, eliminate(), which the lp
@@ -31,7 +37,9 @@ Entry = Union[int, Fraction, Poly]
 class Matrix:
     """Immutable rectangular matrix; entries all rational (Fraction or
     int, which may mix) or all Poly.  In a product or apply() one operand
-    may be rational and the other Poly; the result is then Poly."""
+    may be rational and the other Poly; the result is then Poly.  Both
+    multiply only nonzero pairs; with int and Fraction entries mixed, an
+    entry's type may then differ from a dense sum's, never its value."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -88,38 +96,49 @@ class Matrix:
                        for ra, rb in zip(self.entries, other.entries)])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """Matrix product over the nonzero pairs only (Gustavson, ACM
+        TOMS 4(3), 1978): each row of other lists its nonzero (j, y)
+        once, and each nonzero x = self[i, k] adds x * y into output
+        column j, k increasing as in the textbook sum.  An entry with no
+        nonzero pair is the shared zero self[0, 0] * other[0, 0] * 0,
+        which has the type a dense sum of homogeneous operands would have
+        (0, Fraction(0) or the zero Poly)."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by "
                 f"{other.rows}x{other.cols}")
-        cols = [other.column(j) for j in range(other.cols)]
+        zero = self.entries[0][0] * other.entries[0][0] * 0
+        nonzero = [[(j, y) for j, y in enumerate(row) if y]
+                   for row in other.entries]
         out = []
-        for i in range(self.rows):
-            row = self.entries[i]
-            out_row = []
-            for col in cols:
-                acc = row[0] * col[0]
-                for k in range(1, self.cols):
-                    acc = acc + row[k] * col[k]
-                out_row.append(acc)
-            out.append(out_row)
+        for row in self.entries:
+            acc = [None] * other.cols
+            for x, pairs in zip(row, nonzero):
+                if x:
+                    for j, y in pairs:
+                        a = acc[j]
+                        acc[j] = x * y if a is None else a + x * y
+            out.append([zero if a is None else a for a in acc])
         return Matrix(out)
 
     def transpose(self) -> "Matrix":
         return Matrix([self.column(j) for j in range(self.cols)])
 
     def apply(self, vector: Sequence[Entry]) -> list:
-        """Matrix-vector product."""
+        """Matrix-vector product over the nonzero pairs only: the
+        vector's nonzero (k, v) are listed once, and each row sums its
+        row[k] * v with row[k] nonzero, k increasing.  A row with no
+        such pair gives the shared zero self[0, 0] * vector[0] * 0."""
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
+        zero = self.entries[0][0] * vector[0] * 0
+        nonzero = [(k, v) for k, v in enumerate(vector) if v]
         out = []
         for row in self.entries:
-            acc = row[0] * vector[0]
-            for k in range(1, self.cols):
-                acc = acc + row[k] * vector[k]
-            out.append(acc)
+            terms = [row[k] * v for k, v in nonzero if row[k]]
+            out.append(sum(terms[1:], terms[0]) if terms else zero)
         return out
 
     def map(self, fn: Callable[[Entry], Entry]) -> "Matrix":

@@ -6,7 +6,8 @@ integers and then pivoted with the fraction-free step of linalg
 (Edmonds' integer-preserving pivoting); Bland's smallest-index rule
 guarantees termination.  On an infeasible system the final multipliers
 give a Farkas functional y with y.b > 0 and y.A <= 0, which is verified
-before being returned so the caller gets a self-checking witness.
+in integer arithmetic before being returned so the caller gets a
+self-checking witness.
 """
 
 from __future__ import annotations
@@ -124,14 +125,22 @@ def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
 
 
 def _verify_farkas(matrix, rhs, y) -> None:
-    dot_b = sum(f * x for f, x in zip(y, rhs))
-    if dot_b <= 0:
+    """Check y.b > 0 and y.A <= 0 in integer arithmetic.
+
+    y is scaled by the lcm of its denominators and [A | b] by one common
+    denominator.  Both scales are positive, so every integer dot product
+    has the sign of the rational one and the check is no weaker.
+    """
+    dy = lcm(*(v.denominator for v in y))
+    y = [v.numerator * (dy // v.denominator) for v in y]
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    da = lcm(*(x.denominator for row in rows for x in row))
+    dots = [sum(f * x.numerator * (da // x.denominator)
+                for f, x in zip(y, col)) for col in zip(*rows)]
+    if dots[-1] <= 0:
         raise AssertionError("Farkas witness failed: y.b <= 0")
-    n = len(matrix[0])
-    for j in range(n):
-        col = sum(y[i] * matrix[i][j] for i in range(len(matrix)))
-        if col > 0:
-            raise AssertionError("Farkas witness failed: y.A has a positive entry")
+    if any(v > 0 for v in dots[:-1]):
+        raise AssertionError("Farkas witness failed: y.A has a positive entry")
 
 
 def convex_combination_weights(points: Sequence[Sequence[Fraction]],

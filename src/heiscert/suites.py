@@ -16,13 +16,15 @@ seed or edited samples) are a MISMATCH.  Replay of a fixed claim
 recomputes from the claim's own inputs, so a certificate whose stored
 inputs were edited is a MISMATCH.  The runner writes one JSON
 certificate per claim plus report.json/report.md; a crash inside a
-claim becomes a FAIL certificate, never a silent skip.
+claim becomes a FAIL certificate, never a silent skip.  Each claim's wall
+time goes into its report row only, never into a certificate.
 """
 
 from __future__ import annotations
 
 import datetime
 import sys
+import time
 import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -565,6 +567,7 @@ def run_suite(config: RunConfig) -> dict:
     for claim in CLAIMS:
         if claim.suite not in selected:
             continue
+        start = time.perf_counter()
         try:
             cert = claim.run(config)
         except Exception:
@@ -572,6 +575,7 @@ def run_suite(config: RunConfig) -> dict:
                 claim.id, False,
                 {"error": traceback.format_exc(limit=20)}, {},
                 str(config.seed))
+        wall_s = time.perf_counter() - start
         cert.anchor = claim.statement
         cert.timestamp = timestamp
         path = out / f"{claim.id}.json"
@@ -579,7 +583,7 @@ def run_suite(config: RunConfig) -> dict:
         certificates.append(cert)
         rows.append({"claim": claim.id, "suite": claim.suite,
                      "verdict": cert.verdict, "statement": claim.statement,
-                     "file": path.name})
+                     "file": path.name, "wall_s": wall_s})
 
     overall = PASS if all(r["verdict"] == PASS for r in rows) else FAIL
     report = {
@@ -615,11 +619,12 @@ def _report_markdown(report: dict) -> str:
                  f"{report['toolchain']['package_version']}, Python "
                  f"{report['toolchain']['python']}.")
     lines.append("")
-    lines.append("| Claim | Suite | Verdict | Statement |")
-    lines.append("|---|---|---|---|")
+    lines.append("| Claim | Suite | Verdict | Wall (s) | Statement |")
+    lines.append("|---|---|---|---:|---|")
     for row in report["claims"]:
         lines.append(f"| `{row['claim']}` | {row['suite']} | "
-                     f"{row['verdict']} | {row['statement']} |")
+                     f"{row['verdict']} | {row['wall_s']:.3f} | "
+                     f"{row['statement']} |")
     lines.append("")
     lines.append("Strict convexity of an invariant domain is intentionally "
                  "not certified here: the cone picture shows boundary "

@@ -196,5 +196,8 @@ def test_criterion_13_determinism(tmp_path):
         for d in (a, b):
             d.pop("timestamp", None)
             d.pop("generated_at", None)
+            # Only report.json has claim rows, each with its wall time.
+            for row in d.get("claims", ()):
+                row.pop("wall_s")
         ok = ok and a == b
     report(13, "two seed-0 runs are byte-identical modulo timestamps", ok)

@@ -12,6 +12,7 @@ from heiscert.heis import (DATA_DIR, ENTRY_RING, HeisElement,
                            get_representation, heis_mul)
 from heiscert.linalg import Matrix, jordan_partition, nilpotent_ranks
 from heiscert.poly import Poly
+from heiscert.restriction import derive_subspace_basis
 from heiscert.sampler import RandomStream
 
 THETA = get_representation("theta")
@@ -403,3 +404,103 @@ def test_rational_operands_meet_poly_as_if_lifted(operands):
         assert p * k == k * p == p * ENTRY_RING.const(k)
     with pytest.raises(TypeError):
         p * True
+
+
+# -- sparse product kernel ------------------------------------------------------
+
+def _dense_product(left, right):
+    """Reference: the textbook triple loop, every pair multiplied."""
+    out = []
+    for row in left:
+        out_row = []
+        for j in range(len(right[0])):
+            acc = row[0] * right[0][j]
+            for k in range(1, len(row)):
+                acc = acc + row[k] * right[k][j]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+KINDS = {"int": (st.integers(-5, 5), 0),
+         "fraction": (entries, Fraction(0)),
+         "poly": (small_polys, ENTRY_RING.zero())}
+
+
+@st.composite
+def product_operands(draw):
+    """Two matrices and a vector of the drawn entry kinds and shapes
+    (1 x n and n x 1 included), each cell nonzero-drawn with a drawn
+    density, plus whole zero rows and columns."""
+    left_kind, right_kind = draw(st.sampled_from(
+        [("int", "int"), ("fraction", "fraction"), ("poly", "poly"),
+         ("fraction", "poly"), ("poly", "fraction"), ("int", "poly"),
+         ("int", "fraction"), ("fraction", "int")]))
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    density = draw(st.integers(0, 100))
+
+    def cells(kind, count):
+        value, zero = KINDS[kind]
+        return [draw(value) if draw(st.integers(0, 99)) < density else zero
+                for _ in range(count)]
+
+    def grid(kind, rows, cols):
+        zero = KINDS[kind][1]
+        zero_rows = draw(st.sets(st.integers(0, rows - 1)))
+        zero_cols = draw(st.sets(st.integers(0, cols - 1)))
+        return [[zero if i in zero_rows or j in zero_cols else x
+                 for j, x in enumerate(cells(kind, cols))]
+                for i in range(rows)]
+
+    return (left_kind, right_kind, grid(left_kind, n, k),
+            grid(right_kind, k, m), cells(right_kind, k))
+
+
+def _types(rows):
+    return [[type(x) for x in row] for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_operands())
+def test_sparse_kernel_matches_dense_reference(operands):
+    """Products and apply() equal the dense triple loop in value, and in
+    entry type unless one operand is int and the other Fraction.  There
+    the sparse sum may skip the term that sets the type: [Fraction(0), 1]
+    times [5, 2] is Fraction(2) dense but int 2 sparse.  No run path
+    multiplies such a pair."""
+    left_kind, right_kind, left, right, vector = operands
+    product = (Matrix(left) * Matrix(right)).entries
+    applied = Matrix(left).apply(vector)
+    expected = _dense_product(left, right)
+    expected_apply = [row[0] for row in
+                      _dense_product(left, [[v] for v in vector])]
+    assert [list(row) for row in product] == expected
+    assert applied == expected_apply
+    if {left_kind, right_kind} != {"int", "fraction"}:
+        assert _types(product) == _types(expected)
+        assert _types([applied]) == _types([expected_apply])
+
+
+def test_symbolic_basis_image_multiplies_only_nonzero_pairs(monkeypatch):
+    """rho14 at the symbolic element times the 14x10 subspace basis makes
+    one Poly product per (nonzero, nonzero) pair plus the two that build
+    the shared zero, not one per pair of entries."""
+    rho = get_representation("rho14")(HeisElement.symbolic(ENTRY_RING))
+    basis = derive_subspace_basis()
+    pairs = sum(1 for row in rho.entries for x, b in zip(row, basis.entries)
+                if x for y in b if y)
+    calls = 0
+    original = Poly.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(Poly, "__rmul__", counted)
+    product = rho * basis
+    monkeypatch.undo()
+    assert calls <= pairs + 2
+    assert [list(row) for row in product.entries] == \
+        _dense_product(rho.entries, basis.entries)

@@ -116,3 +116,21 @@ def test_repeated_basis_raises_instead_of_cycling(monkeypatch):
                         lambda m, d, r, c, rows, prev: prev)
     with pytest.raises(RuntimeError, match="revisited a basis"):
         convex_combination_weights([[0], [1]], [3])
+
+
+FORGED_FARKAS = {
+    "yb_zero": ([F(1), F(-1)], [F(1), F(1)], "y.b <= 0"),
+    "yb_negative": ([F(1), F(-1)], [F(-1), F(0)], "y.b <= 0"),
+    # y.A = (0, 1/2 - 1/3): positive only through the fractional parts,
+    # so numerators alone, floors or a per-row scale would read it as 0.
+    "yA_fractional_positive": ([F(1), F(0)], [F(1), F(1)],
+                               "positive entry"),
+}
+
+
+@pytest.mark.parametrize("rhs, y, message", FORGED_FARKAS.values(),
+                         ids=FORGED_FARKAS)
+def test_forged_farkas_witness_raises(rhs, y, message):
+    matrix = [[F(1), Fraction(1, 2)], [F(-1), Fraction(-1, 3)]]
+    with pytest.raises(AssertionError, match=message):
+        lp._verify_farkas(matrix, rhs, y)
