@@ -63,13 +63,17 @@ class Certificate:
         return digest(self.inputs)
 
     def to_dict(self) -> dict:
+        # jsonable is idempotent on its own output, so digesting the
+        # converted inputs gives inputs_digest() without formatting every
+        # rational twice.
+        inputs = jsonable(self.inputs)
         return {
             "claim": self.claim,
             "verdict": self.verdict,
             "witnesses": jsonable(self.witnesses),
-            "inputs": jsonable(self.inputs),
+            "inputs": inputs,
             "seed": self.seed,
-            "inputs_digest": self.inputs_digest(),
+            "inputs_digest": digest(inputs),
             "paper_anchor": self.anchor,
             "timestamp": self.timestamp,
         }

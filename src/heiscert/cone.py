@@ -17,7 +17,8 @@ from typing import Sequence
 
 from .heis import ENTRY_RING, GENERATORS, HeisElement, Representation, \
     get_representation, heis_mul
-from .linalg import Matrix
+from .linalg import Matrix, _echelon, _integer_copy
+from .rationals import to_fraction
 
 # Monomial basis ordering under which the shipped 6x6 table acts on form
 # coordinates: quadratic monomials in the three linear coordinates.
@@ -30,7 +31,7 @@ class SymForm:
     __slots__ = ("m",)
 
     def __init__(self, entries: Sequence[Sequence[Fraction]]):
-        m = [[Fraction(x) for x in row] for row in entries]
+        m = [[to_fraction(x) for x in row] for row in entries]
         if len(m) != 3 or any(len(r) != 3 for r in m):
             raise ValueError("forms are 3x3")
         for i in range(3):
@@ -49,7 +50,7 @@ class SymForm:
 
     @staticmethod
     def rank_one(vector: Sequence[Fraction]) -> "SymForm":
-        v = [Fraction(x) for x in vector]
+        v = [to_fraction(x) for x in vector]
         return SymForm([[v[i] * v[j] for j in range(3)] for i in range(3)])
 
     def matrix(self) -> Matrix:
@@ -65,7 +66,7 @@ class SymForm:
         return f"SymForm({self.m})"
 
     def scale(self, factor: Fraction) -> "SymForm":
-        f = Fraction(factor)
+        f = to_fraction(factor)
         return SymForm([[f * x for x in row] for row in self.m])
 
     def add(self, other: "SymForm") -> "SymForm":
@@ -83,9 +84,19 @@ class SymForm:
         return Matrix(sub).det()
 
     def is_positive_definite(self) -> bool:
-        """Sylvester: all leading principal minors positive."""
-        return all(self.principal_minor(tuple(range(k))) > 0
-                   for k in (1, 2, 3))
+        """Sylvester: all leading principal minors positive.
+
+        Read off one fraction-free pass over the row-scaled integer copy.
+        Without row exchanges the pivots of that pass are the leading
+        principal minors of the copy (Bareiss, Math. Comp. 22, 1968),
+        and the positive row scales keep their signs.  A zero leading
+        minor forces an exchange or a missing pivot, so the form is PD
+        iff there is no exchange, there are 3 pivots and all are
+        positive.
+        """
+        m, _ = _integer_copy(self.m)
+        pivots, swaps, d = _echelon(m, reduce_above=False)
+        return swaps == 0 and len(pivots) == 3 and all(p > 0 for p in d)
 
     def is_positive_semidefinite(self) -> bool:
         """All principal minors (not only leading ones) nonnegative."""
@@ -110,10 +121,9 @@ def form_coordinates(form: SymForm) -> list[Fraction]:
 
 
 def form_from_coordinates(coords: Sequence[Fraction]) -> SymForm:
-    m = [[Fraction(0)] * 3 for _ in range(3)]
+    m = [[0] * 3 for _ in range(3)]
     for (i, j), value in zip(FORM_MONOMIALS, coords):
-        m[i][j] = Fraction(value)
-        m[j][i] = Fraction(value)
+        m[i][j] = m[j][i] = value
     return SymForm(m)
 
 

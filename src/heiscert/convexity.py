@@ -27,7 +27,7 @@ from .heis import ENTRY_RING, HeisElement, get_representation, heis_mul, \
     specialize, symbolic_pair
 from .lp import convex_combination_weights
 from .poly import NEG_INFINITY, Poly, PolyRing
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, to_fraction
 from .sampler import RandomStream
 
 AFFINE_DIM = 9
@@ -138,7 +138,7 @@ def limit_point_certificate(rays: Sequence[Sequence[Poly]] = DEFAULT_RAYS,
     ratio max_i>=2 |x_i(t)| / x1(t) strictly decreases along the given
     t values and ends below 1/1000.
     """
-    t_values = [Fraction(t) for t in t_values]
+    t_values = [to_fraction(t) for t in t_values]
     if any(t <= 0 for t in t_values) or sorted(t_values) != list(t_values) \
             or len(set(t_values)) != len(t_values):
         raise ValueError("t values must be positive and strictly increasing")
@@ -187,7 +187,7 @@ class OrbitSample:
     """Distinct orbit parameters (a, b, c), sampled or read from a file."""
 
     def __init__(self, parameters: Sequence[tuple]):
-        parameters = [tuple(Fraction(x) for x in p) for p in parameters]
+        parameters = [tuple(to_fraction(x) for x in p) for p in parameters]
         if len(set(parameters)) != len(parameters):
             raise ValueError("orbit sample parameters must be distinct")
         self.parameters = parameters

@@ -9,7 +9,10 @@ scheme): the unipotent tables, their nilpotent parts and the subspace
 basis are mostly zeros.  An entry that no nonzero pair reaches is one
 shared zero per call, built as a product of the operands' first entries
 times 0, so it has the type (0, Fraction(0) or the zero Poly) that a
-dense sum of homogeneous operands gives.
+dense sum of homogeneous operands gives.  When that zero is a
+Fraction, the product runs on int numerators: the left operand's rows
+and the right operand's columns are cleared of denominators, and a
+Fraction is built once per nonzero output entry, not once per pair.
 Determinant, rank, reduced echelon form, kernel and solve are restricted
 to rational matrices.  All of them run on a denominator-cleared integer
 copy through one fraction-free pivot step, eliminate(), which the lp
@@ -19,13 +22,15 @@ carries a divisor, the pivot in force when it was last exact, and a
 pivot step touches only the rows with a nonzero entry in its column,
 dividing each exactly by its own divisor (see eliminate for why the
 division is exact).  nilpotent_ranks() scales N = m - I by one common
-denominator, so its powers are int matrices.
+denominator, so its powers are int matrices, ranked by one elimination
+pass each without going through Matrix.rank; SymForm.is_positive_definite
+reads its leading minors off the pivots of one such pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Callable, Sequence, Union
 
 from .poly import Poly
@@ -102,7 +107,15 @@ class Matrix:
         column j, k increasing as in the textbook sum.  An entry with no
         nonzero pair is the shared zero self[0, 0] * other[0, 0] * 0,
         which has the type a dense sum of homogeneous operands would have
-        (0, Fraction(0) or the zero Poly)."""
+        (0, Fraction(0) or the zero Poly).
+
+        When that zero is a Fraction, the loop runs on int numerators:
+        row i of self is scaled by the lcm r_i of its denominators and
+        column j of other by the lcm c_j of its own, so each nonzero
+        entry is one Fraction(sum, r_i * c_j) and a zero one is the
+        shared zero.  Int operands (the Jordan powers) and Poly operands
+        are multiplied as they are.
+        """
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -110,18 +123,28 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by "
                 f"{other.rows}x{other.cols}")
         zero = self.entries[0][0] * other.entries[0][0] * 0
-        nonzero = [[(j, y) for j, y in enumerate(row) if y]
-                   for row in other.entries]
-        out = []
-        for row in self.entries:
+        left, right = self.entries, other.entries
+        rational = type(zero) is Fraction
+        if rational:
+            left, row_scales = _integer_copy(left)
+            columns, col_scales = _integer_copy(zip(*right))
+            right = zip(*columns)
+        nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in right]
+        sums = []
+        for row in left:
             acc = [None] * other.cols
             for x, pairs in zip(row, nonzero):
                 if x:
                     for j, y in pairs:
                         a = acc[j]
                         acc[j] = x * y if a is None else a + x * y
-            out.append([zero if a is None else a for a in acc])
-        return Matrix(out)
+            sums.append(acc)
+        if rational:
+            return Matrix([[Fraction(a, r * c) if a else zero
+                            for a, c in zip(acc, col_scales)]
+                           for acc, r in zip(sums, row_scales)])
+        return Matrix([[zero if a is None else a for a in acc]
+                       for acc in sums])
 
     def transpose(self) -> "Matrix":
         return Matrix([self.column(j) for j in range(self.cols)])
@@ -130,16 +153,27 @@ class Matrix:
         """Matrix-vector product over the nonzero pairs only: the
         vector's nonzero (k, v) are listed once, and each row sums its
         row[k] * v with row[k] nonzero, k increasing.  A row with no
-        such pair gives the shared zero self[0, 0] * vector[0] * 0."""
+        such pair gives the shared zero self[0, 0] * vector[0] * 0.
+        When that zero is a Fraction, the sums run on int numerators as
+        in __mul__: row i scaled by its lcm r_i and the vector by its
+        lcm s, so a nonzero entry is one Fraction(sum, r_i * s)."""
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
         zero = self.entries[0][0] * vector[0] * 0
+        rows = self.entries
+        rational = type(zero) is Fraction
+        if rational:
+            rows, row_scales = _integer_copy(rows)
+            (vector,), (scale,) = _integer_copy([vector])
         nonzero = [(k, v) for k, v in enumerate(vector) if v]
-        out = []
-        for row in self.entries:
+        sums = []
+        for row in rows:
             terms = [row[k] * v for k, v in nonzero if row[k]]
-            out.append(sum(terms[1:], terms[0]) if terms else zero)
-        return out
+            sums.append(sum(terms[1:], terms[0]) if terms else None)
+        if rational:
+            return [Fraction(t, r * scale) if t else zero
+                    for t, r in zip(sums, row_scales)]
+        return [zero if t is None else t for t in sums]
 
     def map(self, fn: Callable[[Entry], Entry]) -> "Matrix":
         return Matrix([[fn(x) for x in row] for row in self.entries])
@@ -166,12 +200,12 @@ class Matrix:
         if not self.is_square():
             raise ValueError("determinant needs a square matrix")
         self._require_rational()
-        m, scale = _integer_copy(self.entries)
+        m, scales = _integer_copy(self.entries)
         pivots, swaps, _ = _echelon(m, reduce_above=False)
         if len(pivots) < self.rows:
             return Fraction(0)
         # The last pivot was brought to scale when it was used.
-        return Fraction((-1) ** swaps * m[-1][-1]) / scale
+        return Fraction((-1) ** swaps * m[-1][-1], prod(scales))
 
     def rank(self) -> int:
         """Exact rank by fraction-free Bareiss elimination."""
@@ -246,17 +280,19 @@ class Matrix:
         return Matrix(rows)
 
 
-def _integer_copy(entries) -> tuple[list[list[int]], int]:
-    """Clear denominators row by row; returns the int matrix and the
-    factor by which its determinant exceeds the original's."""
+def _integer_copy(entries) -> tuple[list[list[int]], list[int]]:
+    """Clear denominators row by row; returns the int rows and each
+    row's scale, the lcm of its denominators.  Row i of the copy is row i
+    of entries times scales[i], so the copy's determinant is the
+    original's times their product."""
     out = []
-    scale = 1
+    scales = []
     for row in entries:
         dens = [x.denominator for x in row]
         row_lcm = lcm(*dens)
-        scale *= row_lcm
+        scales.append(row_lcm)
         out.append([x.numerator * (row_lcm // d) for x, d in zip(row, dens)])
-    return out, scale
+    return out, scales
 
 
 def eliminate(m: list[list[int]], d: list[int], r: int, c: int, rows,
@@ -336,11 +372,12 @@ def nilpotent_ranks(m: Matrix) -> list[int]:
 
     N is scaled by the lcm d of all entry denominators, which keeps every
     rank because (dN)^k = d^k N^k, so the powers are products of int
-    matrices.  (Clearing each row by its own factor would not do: the
-    powers of D N are not D^k N^k.)  The ranks of successive powers fall
-    strictly until they settle (Fitting's lemma), and they settle at 0
-    exactly when N is nilpotent, so a positive rank that repeats its
-    predecessor proves m is not unipotent.
+    matrices, each ranked by one fraction-free pass over a copy of its
+    rows with no denominators to clear.  (Clearing each row by its own
+    factor would not do: the powers of D N are not D^k N^k.)  The ranks
+    of successive powers fall strictly until they settle (Fitting's
+    lemma), and they settle at 0 exactly when N is nilpotent, so a
+    positive rank that repeats its predecessor proves m is not unipotent.
     """
     if not m.is_square():
         raise ValueError("Jordan analysis needs a square matrix")
@@ -352,7 +389,8 @@ def nilpotent_ranks(m: Matrix) -> list[int]:
     ranks = [m.rows]
     power = nilpotent
     while True:
-        ranks.append(power.rank())
+        rows = [list(row) for row in power.entries]
+        ranks.append(len(_echelon(rows, reduce_above=False)[0]))
         if ranks[-1] == 0:
             return ranks[1:]
         if ranks[-1] == ranks[-2]:

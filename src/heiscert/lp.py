@@ -18,6 +18,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .linalg import eliminate
+from .rationals import to_fraction
 
 
 @dataclass
@@ -36,30 +37,25 @@ def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
     if m == 0:
         return FeasibilityResult(True, [], None)
     n = len(matrix[0])
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    b = [Fraction(x) for x in rhs]
-    if any(len(row) != n for row in rows) or len(b) != m:
+    if any(len(row) != n for row in matrix) or len(rhs) != m:
         raise ValueError("inconsistent system shape")
-
-    # Normalize to b >= 0 so the artificial basis is feasible; remember
-    # the flips to recover multipliers for the original rows.
-    flipped = []
-    for i in range(m):
-        if b[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            b[i] = -b[i]
-            flipped.append(True)
-        else:
-            flipped.append(False)
+    rows = [[to_fraction(x) for x in row] + [to_fraction(v)]
+            for row, v in zip(matrix, rhs)]
 
     # Tableau columns: n structural, then m artificial, then rhs; row m
     # is the Phase-I cost row.  Everything is scaled once by the lcm L of
-    # the denominators and then kept integral by fraction-free pivots.
-    tableau = [rows[i] + [Fraction(1) if j == i else Fraction(0)
-                          for j in range(m)] + [b[i]] for i in range(m)]
-    scale = lcm(*(x.denominator for row in tableau for x in row))
-    tableau = [[x.numerator * (scale // x.denominator) for x in row]
-               for row in tableau]
+    # the denominators of [A | b] and then kept integral by fraction-free
+    # pivots, so the artificial block is L times the identity.  A row
+    # with b < 0 is negated so the artificial basis is feasible; the
+    # flips are remembered to recover multipliers for the original rows.
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    flipped = [row[-1] < 0 for row in rows]
+    tableau = []
+    for i, (row, flip) in enumerate(zip(rows, flipped)):
+        sign = -scale if flip else scale
+        ints = [x.numerator * (sign // x.denominator) for x in row]
+        tableau.append(ints[:-1] + [scale if j == i else 0
+                                    for j in range(m)] + ints[-1:])
     basis = [n + i for i in range(m)]
 
     # Reduced costs of minimizing the sum of artificials (artificial
@@ -154,7 +150,7 @@ def convex_combination_weights(points: Sequence[Sequence[Fraction]],
     dim = len(target)
     if any(len(p) != dim for p in points):
         raise ValueError("point dimension mismatch")
-    matrix = [[Fraction(p[i]) for p in points] for i in range(dim)]
+    matrix = [[to_fraction(p[i]) for p in points] for i in range(dim)]
     matrix.append([Fraction(1)] * len(points))
-    rhs = [Fraction(x) for x in target] + [Fraction(1)]
+    rhs = [to_fraction(x) for x in target] + [Fraction(1)]
     return solve_equality_feasibility(matrix, rhs)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import Matrix
-from .rationals import parse_rational
+from .rationals import parse_rational, to_fraction
 
 
 def cross_ratio(p1, p2, p3, p4) -> Fraction:
@@ -26,7 +26,7 @@ def cross_ratio(p1, p2, p3, p4) -> Fraction:
     of homogeneous coordinates, any nonzero multiple standing for the same
     point; they must be pairwise distinct and collinear.
     """
-    lifts = [tuple(Fraction(x) for x in p) for p in (p1, p2, p3, p4)]
+    lifts = [tuple(to_fraction(x) for x in p) for p in (p1, p2, p3, p4)]
     if len({len(v) for v in lifts}) != 1:
         raise ValueError("points live in different dimensions")
     _, pivots = Matrix(lifts).rref()
@@ -54,10 +54,11 @@ class Halfspace:
 
     @staticmethod
     def of(coeffs, bound) -> "Halfspace":
-        return Halfspace(tuple(Fraction(x) for x in coeffs), Fraction(bound))
+        return Halfspace(tuple(to_fraction(x) for x in coeffs),
+                         to_fraction(bound))
 
     def value(self, point: Sequence[Fraction]) -> Fraction:
-        return sum(c * Fraction(x) for c, x in zip(self.coeffs, point))
+        return sum(c * to_fraction(x) for c, x in zip(self.coeffs, point))
 
     def strictly_inside(self, point: Sequence[Fraction]) -> bool:
         return self.value(point) < self.bound
@@ -87,10 +88,10 @@ def box(lows: Sequence[Fraction], highs: Sequence[Fraction]) -> list[Halfspace]:
     for i, (lo, hi) in enumerate(zip(lows, highs)):
         if not lo < hi:
             raise ValueError("box needs lo < hi in every axis")
-        e = [Fraction(0)] * len(lows)
-        e[i] = Fraction(1)
+        e = [0] * len(lows)
+        e[i] = 1
         faces.append(Halfspace.of(e, hi))
-        faces.append(Halfspace.of([-x for x in e], -Fraction(lo)))
+        faces.append(Halfspace.of([-x for x in e], -to_fraction(lo)))
     return faces
 
 
@@ -103,8 +104,8 @@ def hilbert_log_argument(polytope: Sequence[Halfspace],
     the x side) and v (on the y side); R is the cross ratio
     (|uy| |xv|) / (|ux| |yv|) in the chord's affine parameter.
     """
-    x = [Fraction(v) for v in x]
-    y = [Fraction(v) for v in y]
+    x = [to_fraction(v) for v in x]
+    y = [to_fraction(v) for v in y]
     for face in polytope:
         if not face.strictly_inside(x):
             raise ValueError("x is not interior to the polytope")
@@ -120,8 +121,8 @@ def hilbert_log_argument(polytope: Sequence[Halfspace],
 
 def hilbert_boundary_points(polytope, x, y):
     """The chord endpoints (u, v) used by hilbert_log_argument."""
-    x = [Fraction(v) for v in x]
-    y = [Fraction(v) for v in y]
+    x = [to_fraction(v) for v in x]
+    y = [to_fraction(v) for v in y]
     if x == y:
         raise ValueError("equal points have no chord")
     s_low, s_high = _chord(polytope, x, y)

@@ -17,7 +17,15 @@ Scalar = Union[int, Fraction]
 
 
 def to_fraction(value) -> Fraction:
-    """Convert an exact value to Fraction; floats are rejected."""
+    """Convert an exact value to Fraction; floats and bools are rejected.
+
+    A Fraction is returned as it is, not copied: Fraction is immutable,
+    and Fraction(x) on a Fraction goes through the numbers.Rational check
+    on every call.  An int becomes a Fraction and a string is parsed as
+    "p/q" or "p".
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational scalar")
     if isinstance(value, (int, Fraction)):

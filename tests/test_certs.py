@@ -8,7 +8,12 @@ import pytest
 
 from heiscert.certs import PASS, Certificate, canonical_json, digest, \
     jsonable
+from heiscert.cone import SymForm, form_from_coordinates
+from heiscert.convexity import OrbitSample, limit_point_certificate
 from heiscert.linalg import Matrix
+from heiscert.lp import convex_combination_weights, solve_equality_feasibility
+from heiscert.metric import Halfspace, box, cross_ratio, \
+    hilbert_boundary_points, hilbert_log_argument
 from heiscert.rationals import format_rational
 from heiscert.suites import RunConfig, run_suite
 
@@ -79,6 +84,47 @@ def test_floats_are_rejected():
                     lambda: Matrix([[True]]).rank()):
         with pytest.raises(TypeError):
             convert()
+
+
+HALF = Fraction(1, 2)
+UNIT_BOX = box([-1], [1])
+RATIONAL_ENTRY_POINTS = {
+    "SymForm": lambda v: SymForm([[v, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    "SymForm.rank_one": lambda v: SymForm.rank_one([v, 0, 1]),
+    "SymForm.scale": lambda v: SymForm.identity().scale(v),
+    "form_from_coordinates": lambda v: form_from_coordinates([v, 0, 1, 0,
+                                                               0, 1]),
+    "cross_ratio": lambda v: cross_ratio([1, 0], [0, 1], [1, 1], [1, v]),
+    "Halfspace.of": lambda v: Halfspace.of([v], 1),
+    "Halfspace.of.bound": lambda v: Halfspace.of([1], v),
+    "Halfspace.value": lambda v: Halfspace.of([1], 1).value([v]),
+    "box": lambda v: box([-1], [v]),
+    "hilbert_log_argument": lambda v: hilbert_log_argument(
+        UNIT_BOX, [v], [Fraction(1, 4)]),
+    "hilbert_boundary_points": lambda v: hilbert_boundary_points(
+        UNIT_BOX, [Fraction(1, 4)], [v]),
+    "solve_equality_feasibility": lambda v: solve_equality_feasibility(
+        [[v]], [1]),
+    "solve_equality_feasibility.rhs": lambda v: solve_equality_feasibility(
+        [[1]], [v]),
+    "convex_combination_weights": lambda v: convex_combination_weights(
+        [[v], [2]], [1]),
+    "OrbitSample": lambda v: OrbitSample([(v, 0, 0)]),
+    "limit_point_certificate": lambda v: limit_point_certificate(
+        t_values=(v, 10, 100)),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("entry", sorted(RATIONAL_ENTRY_POINTS))
+def test_rational_entry_points_refuse_floats_and_bools(entry, value):
+    with pytest.raises(TypeError):
+        RATIONAL_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", sorted(RATIONAL_ENTRY_POINTS))
+def test_rational_entry_points_accept_exact_values(entry):
+    RATIONAL_ENTRY_POINTS[entry](HALF)
 
 
 def test_canonical_json_is_order_insensitive():

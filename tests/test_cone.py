@@ -4,6 +4,8 @@ fixed boundary forms and flats."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heiscert.cone import (SymForm, act_on_form, attraction_gaps,
                            congruence_image, flat_segment_certificate,
@@ -49,12 +51,50 @@ def test_psd_decision_matches_charpoly_oracle():
     assert psd_seen > 0  # the sample hits both sides of the boundary
 
 
+form_entry = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def symmetric_forms(draw):
+    """Rational symmetric forms biased toward the PD boundary: Gram forms
+    R^T R (PD when R is invertible, singular when not) shifted along the
+    diagonal, so zero and negative first minors, singular forms and forms
+    whose 3x3 minor alone fails all come up, beside plain drawn forms."""
+    kind = draw(st.sampled_from(["gram", "shifted", "plain"]))
+    if kind == "plain":
+        return form_from_coordinates(draw(st.lists(form_entry, min_size=6,
+                                                   max_size=6)))
+    cell = st.one_of(st.just(Fraction(0)), form_entry)
+    r = Matrix(draw(st.lists(st.lists(cell, min_size=3, max_size=3),
+                             min_size=3, max_size=3)))
+    gram = (r.transpose() * r).entries
+    shift = Fraction(0) if kind == "gram" else draw(form_entry)
+    corner = draw(st.integers(0, 2))
+    return SymForm([[x - shift if i == j == corner else x
+                     for j, x in enumerate(row)]
+                    for i, row in enumerate(gram)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(symmetric_forms())
+def test_positive_definite_is_leading_minors_positive(form):
+    expected = all(form.principal_minor(tuple(range(k))) > 0
+                   for k in (1, 2, 3))
+    assert form.is_positive_definite() == expected
+
+
 def test_psd_boundary_cases():
     assert SymForm([[0, 0, 0], [0, 0, 0], [0, 0, -1]]) \
         .is_positive_semidefinite() is False
     assert SymForm.rank_one([1, 2, 3]).is_positive_semidefinite()
     assert not SymForm.rank_one([1, 2, 3]).is_positive_definite()
     assert SymForm.identity().is_positive_definite()
+    # Leading minors (1, 1, 0): only the 3x3 minor fails.
+    assert not SymForm([[1, 0, 1], [0, 1, 0], [1, 0, 1]]) \
+        .is_positive_definite()
+    # Leading minors (2, 1, 1/2).
+    assert SymForm([[2, 1, 0], [1, 1, Fraction(1, 2)],
+                    [0, Fraction(1, 2), 1]]).is_positive_definite()
 
 
 def test_form_coordinates_round_trip():

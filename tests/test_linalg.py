@@ -12,6 +12,7 @@ from heiscert.heis import (DATA_DIR, ENTRY_RING, HeisElement,
                            get_representation, heis_mul)
 from heiscert.linalg import Matrix, jordan_partition, nilpotent_ranks
 from heiscert.poly import Poly
+from heiscert.rationals import to_fraction
 from heiscert.restriction import derive_subspace_basis
 from heiscert.sampler import RandomStream
 
@@ -345,6 +346,45 @@ def test_non_unipotent_rejected_like_fraction_powers(m):
         nilpotent_ranks(m)
 
 
+@st.composite
+def unipotent_upper(draw):
+    """The rows of a unit upper-triangular matrix, all int or all
+    Fraction, with its strict upper part drawn sparse or dense."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    integral = draw(st.booleans())
+    one = 1 if integral else Fraction(1)
+    value = st.integers(-4, 4) if integral else fractional
+    cell = st.one_of(st.just(0 * one), value)
+    return [[one if i == j else draw(cell) if j > i else 0 * one
+             for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(unipotent_upper(), st.data())
+def test_nilpotent_ranks_match_rank_of_powers(rows, data):
+    m = Matrix(rows)
+    n = m.rows
+    nilpotent = m - Matrix.identity(n)
+    expected = []
+    power = nilpotent
+    while not expected or expected[-1]:
+        expected.append(power.rank())
+        power = power * nilpotent
+    assert nilpotent_ranks(m) == expected
+    # A diagonal entry other than 1 leaves N with a nonzero eigenvalue.
+    k = data.draw(st.integers(0, n - 1))
+    rows[k][k] = data.draw(st.sampled_from([0, -1, 2, Fraction(1, 2)]))
+    with pytest.raises(ValueError):
+        nilpotent_ranks(Matrix(rows))
+
+
+def test_to_fraction_passes_a_fraction_through():
+    f = Fraction(3, 7)
+    assert to_fraction(f) is f
+    assert to_fraction(3) == Fraction(3)
+    assert type(to_fraction(3)) is Fraction
+
+
 coordinate = st.one_of(
     fractional,
     st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4),
@@ -504,3 +544,34 @@ def test_symbolic_basis_image_multiplies_only_nonzero_pairs(monkeypatch):
     assert calls <= pairs + 2
     assert [list(row) for row in product.entries] == \
         _dense_product(rho.entries, basis.entries)
+
+
+def test_rational_products_build_no_fraction_per_pair(monkeypatch):
+    """Dense 3x3 Fraction operands are multiplied on int numerators: the
+    only Fraction products are the two that build the shared zero."""
+    left = Matrix([[Fraction(i + 2 * j + 1, j + 2) for j in range(3)]
+                   for i in range(3)])
+    right = Matrix([[Fraction(3 * i - j - 5, i + 3) for j in range(3)]
+                    for i in range(3)])
+    vector = [Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2)]
+    expected = _dense_product(left.entries, right.entries)
+    expected_apply = [row[0] for row in
+                      _dense_product(left.entries, [[v] for v in vector])]
+    calls = 0
+    original = Fraction.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Fraction, "__mul__", counted)
+    product = left * right
+    product_calls, calls = calls, 0
+    applied = left.apply(vector)
+    apply_calls = calls
+    monkeypatch.undo()
+    assert product_calls <= 2
+    assert apply_calls <= 2
+    assert [list(row) for row in product.entries] == expected
+    assert applied == expected_apply
