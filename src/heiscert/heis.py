@@ -10,15 +10,17 @@ The entry tables of the three representations (named theta, rho6 and
 rho14; dimensions 10, 6 and 14) are loaded from plain-text .rep files so
 they exist in exactly one transcription.  specialize() is the one place
 that evaluates polynomials in a, b, c at a group element, rational or
-symbolic; the entry tables and the orbit formula both go through it.  At
-a rational element it works in plain integers: each distinct monomial
-a^i b^j c^k becomes one (numerator, denominator) pair, built once from
-the components' numerators and denominators and shared across all the
-polynomials passed; each polynomial's terms are summed over one common
-denominator, and a single Fraction is built per value.  A whole table
-costs one pass over its monomials and one reduction per nonzero entry.
-Homomorphism and injectivity verification run fully symbolically over a
-six-variable ring.
+symbolic; the entry tables and the orbit formula both go through it.
+Each distinct monomial a^i b^j c^k is built once per call and shared
+across all the polynomials passed.  At a rational element it works in
+plain integers: a monomial is one (numerator, denominator) pair built
+from the components' numerators and denominators, each polynomial's
+terms are summed over one common denominator, and a single Fraction is
+built per value.  At a symbolic element a monomial is a product of
+cached powers of the components, and each polynomial's terms go into one
+term map.  A whole table costs one pass over its monomials and one
+reduction per nonzero entry.  Homomorphism and injectivity verification
+run fully symbolically over a six-variable ring.
 """
 
 from __future__ import annotations
@@ -62,9 +64,6 @@ class HeisElement:
     def symbolic(ring: PolyRing = ENTRY_RING, names=("a", "b", "c")) -> "HeisElement":
         return HeisElement(*(ring.var(n) for n in names))
 
-    def inverse(self) -> "HeisElement":
-        return HeisElement(-self.a, -self.b, -self.c + self.a * self.b)
-
     def components(self) -> tuple[Component, Component, Component]:
         return (self.a, self.b, self.c)
 
@@ -83,14 +82,16 @@ def specialize(polys: Sequence[Poly], g: HeisElement) -> list[Component]:
     """The polynomials of ENTRY_RING evaluated at g: rationals if g is
     rational, otherwise polynomials in the one ring g's components share.
 
-    At a rational g each distinct monomial a^i b^j c^k is evaluated once,
-    as an int numerator and denominator shared by every polynomial
-    passed; each value is summed in int over the lcm of its terms'
-    denominators and becomes one Fraction (a shared 0 when it vanishes)."""
-    mapping = {"a": g.a, "b": g.b, "c": g.c}
-    if all(isinstance(v, Fraction) for v in mapping.values()):
+    Each distinct monomial a^i b^j c^k is built once per call and shared
+    by every polynomial passed.  At a rational g it is an int numerator
+    and denominator; each value is summed in int over the lcm of its
+    terms' denominators and becomes one Fraction (a shared 0 when it
+    vanishes).  At a symbolic g it is a product of cached powers of g's
+    components, and each value collects its terms in one term map."""
+    components = g.components()
+    if all(isinstance(v, Fraction) for v in components):
         (an, ad), (bn, bd), (cn, cd) = (
-            (x.numerator, x.denominator) for x in g.components())
+            (x.numerator, x.denominator) for x in components)
         monomials: dict[tuple, tuple[int, int]] = {}
         zero = Fraction(0)
         values = []
@@ -112,11 +113,33 @@ def specialize(polys: Sequence[Poly], g: HeisElement) -> list[Component]:
                     den = common
             values.append(Fraction(num, den) if num else zero)
         return values
-    rings = {v.ring for v in mapping.values() if isinstance(v, Poly)}
+    rings = {v.ring for v in components if isinstance(v, Poly)}
     if len(rings) != 1:
         raise ValueError("symbolic components must share one ring")
     ring = rings.pop()
-    return [p.substitute(mapping, ring) for p in polys]
+    powers = [[x if isinstance(x, Poly) else ring.const(x)]
+              for x in components]   # powers[axis][n - 1] = component^n
+    symbolic: dict[tuple, dict] = {}
+    values = []
+    for p in polys:
+        terms: dict = {}
+        for e, coeff in p.terms.items():
+            mono = symbolic.get(e)
+            if mono is None:
+                factors = []
+                for seq, n in zip(powers, e):
+                    if n:
+                        while len(seq) < n:
+                            seq.append(seq[-1] * seq[0])
+                        factors.append(seq[n - 1])
+                product = factors[0] if factors else ring.one()
+                for f in factors[1:]:
+                    product = product * f
+                mono = symbolic[e] = product.terms
+            for m, c in mono.items():
+                terms[m] = terms.get(m, 0) + coeff * c
+        values.append(Poly(ring, terms))
+    return values
 
 
 class Representation:

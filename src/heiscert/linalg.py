@@ -22,9 +22,11 @@ carries a divisor, the pivot in force when it was last exact, and a
 pivot step touches only the rows with a nonzero entry in its column,
 dividing each exactly by its own divisor (see eliminate for why the
 division is exact).  nilpotent_ranks() scales N = m - I by one common
-denominator, so its powers are int matrices, ranked by one elimination
-pass each without going through Matrix.rank; SymForm.is_positive_definite
-reads its leading minors off the pivots of one such pass.
+denominator and never forms a full power of it: the echelon rows of
+N^(k-1) times N span the rows of N^k, so each rank is one elimination
+pass over an int product with as many rows as the previous rank,
+without going through Matrix.rank; SymForm.is_positive_definite reads
+its leading minors off the pivots of one such pass.
 """
 
 from __future__ import annotations
@@ -371,13 +373,15 @@ def nilpotent_ranks(m: Matrix) -> list[int]:
     N = m - I of a unipotent rational matrix.
 
     N is scaled by the lcm d of all entry denominators, which keeps every
-    rank because (dN)^k = d^k N^k, so the powers are products of int
-    matrices, each ranked by one fraction-free pass over a copy of its
-    rows with no denominators to clear.  (Clearing each row by its own
-    factor would not do: the powers of D N are not D^k N^k.)  The ranks
-    of successive powers fall strictly until they settle (Fitting's
-    lemma), and they settle at 0 exactly when N is nilpotent, so a
-    positive rank that repeats its predecessor proves m is not unipotent.
+    rank because (dN)^k = d^k N^k, so everything below is int.  (Clearing
+    each row by its own factor would not do: the powers of D N are not
+    D^k N^k.)  The full powers are never formed: rowspace(N^k) =
+    rowspace(N^(k-1)) N, so the echelon rows E of N^(k-1), rank(N^(k-1))
+    of them, give rank(N^k) as the rank of the product E N, ranked by one
+    fraction-free pass whose nonzero rows are the next E.  The ranks
+    fall strictly until they settle (Fitting's lemma), and they settle at
+    0 exactly when N is nilpotent, so a positive rank that repeats its
+    predecessor proves m is not unipotent.
     """
     if not m.is_square():
         raise ValueError("Jordan analysis needs a square matrix")
@@ -387,16 +391,17 @@ def nilpotent_ranks(m: Matrix) -> list[int]:
                          - (d if i == j else 0) for j, x in enumerate(row)]
                         for i, row in enumerate(m.entries)])
     ranks = [m.rows]
-    power = nilpotent
+    rows = [list(row) for row in nilpotent.entries]
     while True:
-        rows = [list(row) for row in power.entries]
         ranks.append(len(_echelon(rows, reduce_above=False)[0]))
         if ranks[-1] == 0:
             return ranks[1:]
         if ranks[-1] == ranks[-2]:
             raise ValueError(
                 "matrix is not unipotent: (m - I) is not nilpotent")
-        power = power * nilpotent
+        # The echelon pass left the nonzero rows on top.
+        rows = [list(row) for row in
+                (Matrix(rows[:ranks[-1]]) * nilpotent).entries]
 
 
 def jordan_partition(m: Matrix) -> list[int]:

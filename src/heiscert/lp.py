@@ -116,12 +116,13 @@ def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
     # original system.
     y = [Fraction(cost[n + i], scale * d[m]) + 1 for i in range(m)]
     y = [-v if flip else v for v, flip in zip(y, flipped)]
-    _verify_farkas(matrix, rhs, y)
+    _verify_farkas(rows, y)
     return FeasibilityResult(False, None, y)
 
 
-def _verify_farkas(matrix, rhs, y) -> None:
-    """Check y.b > 0 and y.A <= 0 in integer arithmetic.
+def _verify_farkas(rows, y) -> None:
+    """Check y.b > 0 and y.A <= 0 in integer arithmetic, for rows the
+    rational rows of [A | b].
 
     y is scaled by the lcm of its denominators and [A | b] by one common
     denominator.  Both scales are positive, so every integer dot product
@@ -129,7 +130,6 @@ def _verify_farkas(matrix, rhs, y) -> None:
     """
     dy = lcm(*(v.denominator for v in y))
     y = [v.numerator * (dy // v.denominator) for v in y]
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
     da = lcm(*(x.denominator for row in rows for x in row))
     dots = [sum(f * x.numerator * (da // x.denominator)
                 for f, x in zip(y, col)) for col in zip(*rows)]

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .linalg import Matrix
+from .linalg import Matrix, _integer_copy
 from .rationals import parse_rational, to_fraction
 
 
@@ -60,9 +60,6 @@ class Halfspace:
     def value(self, point: Sequence[Fraction]) -> Fraction:
         return sum(c * to_fraction(x) for c, x in zip(self.coeffs, point))
 
-    def strictly_inside(self, point: Sequence[Fraction]) -> bool:
-        return self.value(point) < self.bound
-
     @staticmethod
     def from_text(line: str) -> "Halfspace":
         cells = [parse_rational(c) for c in line.split()]
@@ -106,48 +103,50 @@ def hilbert_log_argument(polytope: Sequence[Halfspace],
     """
     x = [to_fraction(v) for v in x]
     y = [to_fraction(v) for v in y]
-    for face in polytope:
-        if not face.strictly_inside(x):
-            raise ValueError("x is not interior to the polytope")
-        if not face.strictly_inside(y):
-            raise ValueError("y is not interior to the polytope")
+    s_low, s_high = _chord(polytope, x, y)
     if x == y:
         return Fraction(1)
-
-    s_low, s_high = _chord(polytope, x, y)
+    if s_low is None or s_high is None:
+        raise ValueError("polytope is unbounded along the chord")
     # Interior points force s_low < 0 < 1 < s_high.
     return ((1 - s_low) * s_high) / ((-s_low) * (s_high - 1))
 
 
-def hilbert_boundary_points(polytope, x, y):
-    """The chord endpoints (u, v) used by hilbert_log_argument."""
-    x = [to_fraction(v) for v in x]
-    y = [to_fraction(v) for v in y]
-    if x == y:
-        raise ValueError("equal points have no chord")
-    s_low, s_high = _chord(polytope, x, y)
-    direction = [b - a for a, b in zip(x, y)]
-    u = [a + s_low * d for a, d in zip(x, direction)]
-    v = [a + s_high * d for a, d in zip(x, direction)]
-    return u, v
-
-
-def _chord(polytope, x, y) -> tuple[Fraction, Fraction]:
+def _chord(polytope, x, y) -> tuple[Optional[Fraction], Optional[Fraction]]:
     """Parameters (s_low, s_high) where z(s) = x + s (y - x) leaves the
-    polytope: x sits at s=0 and y at s=1."""
-    direction = [b - a for a, b in zip(x, y)]
-    # Each face bounds s on one side unless the chord is parallel to it.
+    polytope, None on a side no face bounds: x sits at s=0 and y at s=1.
+    Raises ValueError unless x and y are strictly inside every face.
+
+    x, y and each face a.z <= b are cleared of denominators once, to
+    x = xs/dx, y = ys/dy and a.z <= b with a, b integral (each face's
+    own positive scale does not change it).  With ax = a.xs and
+    ay = a.ys, the slack of x is b - a.x = (b dx - ax)/dx up to that
+    scale, the rate a.(y - x) has the sign of dx ay - dy ax, and the
+    face is met at s = (b dx - ax) dy / (dx ay - dy ax), the one
+    Fraction a face costs.
+    """
+    (xs, ys), (dx, dy) = _integer_copy([x, y])
+    faces, _ = _integer_copy([(*face.coeffs, face.bound) for face in polytope])
     s_low = None
     s_high = None
-    for face in polytope:
-        rate = sum(c * d for c, d in zip(face.coeffs, direction))
+    for *coeffs, bound in faces:
+        ax = ay = 0
+        for a, u, v in zip(coeffs, xs, ys):
+            if a:
+                ax += a * u
+                ay += a * v
+        slack = bound * dx - ax
+        if slack <= 0:
+            raise ValueError("x is not interior to the polytope")
+        if bound * dy <= ay:
+            raise ValueError("y is not interior to the polytope")
+        # Each face bounds s on one side unless the chord is parallel to it.
+        rate = dx * ay - dy * ax
         if rate == 0:
             continue
-        limit = (face.bound - face.value(x)) / rate
+        limit = Fraction(slack * dy, rate)
         if rate > 0:
             s_high = limit if s_high is None else min(s_high, limit)
         else:
             s_low = limit if s_low is None else max(s_low, limit)
-    if s_low is None or s_high is None:
-        raise ValueError("polytope is unbounded along the chord")
     return s_low, s_high

@@ -437,10 +437,10 @@ def _cross_ratio(inputs):
         points.append([a + t * b for a, b in zip(p, q)])
     base = cross_ratio(*points)
     theta = get_representation("theta")
+    columns = Matrix(points).transpose()
     failures = []
     for raw in inputs["elements"]:
-        mat = theta(HeisElement.of(*raw))
-        moved = [mat.apply(v) for v in points]
+        moved = zip(*(theta(HeisElement.of(*raw)) * columns).entries)
         if cross_ratio(*moved) != base:
             failures.append({"g": list(raw)})
     return not failures, {"base_cross_ratio": base,

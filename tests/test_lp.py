@@ -71,6 +71,17 @@ def test_inconsistent_system_produces_farkas():
     assert y[0] + y[1] <= 0     # y.A columns
 
 
+def test_string_rows_give_verified_farkas():
+    # "p/q" strings are converted once at entry; the Farkas check reads
+    # the converted rows, not the caller's strings.
+    result = solve_equality_feasibility([["1"]], ["-1"])
+    assert not result.feasible
+    y = result.farkas
+    assert y[0] * -1 > 0 and y[0] * 1 <= 0
+    lp._verify_farkas([[F(1), F(-1)]], y)
+    assert solve_equality_feasibility([["1/2"]], ["1"]).solution == [F(2)]
+
+
 entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 # Mostly zeros, so many tableau rows sit out a pivot step.
 sparse_entries = st.integers(min_value=0, max_value=2).flatmap(
@@ -133,4 +144,4 @@ FORGED_FARKAS = {
 def test_forged_farkas_witness_raises(rhs, y, message):
     matrix = [[F(1), Fraction(1, 2)], [F(-1), Fraction(-1, 3)]]
     with pytest.raises(AssertionError, match=message):
-        lp._verify_farkas(matrix, rhs, y)
+        lp._verify_farkas([row + [b] for row, b in zip(matrix, rhs)], y)

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from heiscert.convexity import orbit_lift
 from heiscert.heis import HeisElement, get_representation
-from heiscert.metric import (Halfspace, box, cross_ratio,
-                             hilbert_boundary_points, hilbert_log_argument,
-                             load_polytope)
+from heiscert.metric import (Halfspace, _chord, box, cross_ratio,
+                             hilbert_log_argument, load_polytope)
 from heiscert.sampler import RandomStream
 
 THETA = get_representation("theta")
@@ -70,7 +69,9 @@ def test_equal_points_give_unit_ratio():
 def test_boundary_points_and_consistency_with_cross_ratio():
     interval = box([Fraction(-1)], [Fraction(1)])
     x, y = [Fraction(0)], [Fraction(1, 2)]
-    u, v = hilbert_boundary_points(interval, x, y)
+    s_low, s_high = _chord(interval, x, y)
+    u = [a + s_low * (b - a) for a, b in zip(x, y)]
+    v = [a + s_high * (b - a) for a, b in zip(x, y)]
     assert (u, v) == ([Fraction(-1)], [Fraction(1)])
     quad = [line_point(u[0]), line_point(v[0]), line_point(y[0]),
             line_point(x[0])]
@@ -130,3 +131,100 @@ def test_metric_axioms_on_random_boxes(instance):
     r_xz = hilbert_log_argument(faces, x, z)
     r_yz = hilbert_log_argument(faces, y, z)
     assert r_xz <= r_xy * r_yz
+
+
+def _reference_chord(polytope, x, y):
+    """Reference oracle: the chord parameters in plain Fraction arithmetic,
+    after the same interior checks, face by face and x before y."""
+    def value(face, point):
+        return sum(c * v for c, v in zip(face.coeffs, point))
+
+    for face in polytope:
+        if not value(face, x) < face.bound:
+            raise ValueError("x is not interior to the polytope")
+        if not value(face, y) < face.bound:
+            raise ValueError("y is not interior to the polytope")
+    direction = [b - a for a, b in zip(x, y)]
+    s_low = s_high = None
+    for face in polytope:
+        rate = value(face, direction)
+        if rate == 0:
+            continue
+        limit = (face.bound - value(face, x)) / rate
+        if rate > 0:
+            s_high = limit if s_high is None else min(s_high, limit)
+        else:
+            s_low = limit if s_low is None else max(s_low, limit)
+    return s_low, s_high
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+# Mostly zeros, so many faces are parallel to an axis-aligned chord.
+coefficient = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small)
+
+
+# About one face in eight puts x or y outside it or on it.
+slacks = st.sampled_from([1] * 7 + [-1]).flatmap(
+    lambda sign: st.fractions(min_value=0, max_value=4, max_denominator=7)
+    .filter(lambda s: s > 0 or sign < 0).map(lambda s: sign * s))
+
+
+@st.composite
+def polytope_with_chord(draw):
+    """x (sometimes the origin) and y (sometimes x moved along one axis,
+    or x itself), then faces with rational coefficients whose bounds lie
+    a drawn slack past the larger of a.x and a.y (sometimes a negative
+    one, so a point falls outside), optionally closed by a box around
+    x."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    # The origin makes a.x vanish on every face, rate or not.
+    x = draw(st.one_of(st.just([Fraction(0)] * dim),
+                       st.lists(small, min_size=dim, max_size=dim)))
+    offset = st.fractions(min_value=-2, max_value=2,
+                          max_denominator=9).filter(bool)
+    kind = draw(st.sampled_from(["free", "free", "axis", "equal"]))
+    if kind == "free":
+        y = [v + draw(offset) for v in x]
+    elif kind == "axis":
+        k = draw(st.integers(min_value=0, max_value=dim - 1))
+        y = list(x)
+        y[k] += draw(offset)
+    else:
+        y = list(x)
+    faces = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        coeffs = draw(st.lists(coefficient, min_size=dim, max_size=dim))
+        bound = max(sum(c * v for c, v in zip(coeffs, p)) for p in (x, y))
+        faces.append(Halfspace.of(coeffs, bound + draw(slacks)))
+    if draw(st.booleans()):
+        faces += box([v - 3 for v in x], [v + 3 for v in x])
+    return draw(st.permutations(faces)), x, y
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polytope_with_chord())
+def test_int_chord_matches_fraction_reference(instance):
+    faces, x, y = instance
+    for p, q in ((x, y), (y, x)):
+        expected = _outcome(_reference_chord, faces, p, q)
+        assert _outcome(_chord, faces, p, q) == expected
+        argument = _outcome(hilbert_log_argument, faces, p, q)
+        if expected[0] == "ValueError":
+            assert argument == expected
+        elif p == q:
+            assert argument == 1
+        elif None in expected:
+            assert argument == ("ValueError",
+                                "polytope is unbounded along the chord")
+        else:
+            s_low, s_high = expected
+            assert s_low < 0 < 1 < s_high
+            assert argument == ((1 - s_low) * s_high) \
+                / ((-s_low) * (s_high - 1))
