@@ -44,15 +44,6 @@ class SymForm:
     def identity() -> "SymForm":
         return SymForm([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
-    @staticmethod
-    def zero() -> "SymForm":
-        return SymForm([[0] * 3 for _ in range(3)])
-
-    @staticmethod
-    def rank_one(vector: Sequence[Fraction]) -> "SymForm":
-        v = [to_fraction(x) for x in vector]
-        return SymForm([[v[i] * v[j] for j in range(3)] for i in range(3)])
-
     def matrix(self) -> Matrix:
         return Matrix(self.m)
 
@@ -73,16 +64,6 @@ class SymForm:
         return SymForm([[x + y for x, y in zip(r1, r2)]
                         for r1, r2 in zip(self.m, other.m)])
 
-    def rank(self) -> int:
-        return self.matrix().rank()
-
-    def det(self) -> Fraction:
-        return self.matrix().det()
-
-    def principal_minor(self, indices: tuple[int, ...]) -> Fraction:
-        sub = [[self.m[i][j] for j in indices] for i in indices]
-        return Matrix(sub).det()
-
     def is_positive_definite(self) -> bool:
         """Sylvester: all leading principal minors positive.
 
@@ -101,18 +82,8 @@ class SymForm:
     def is_positive_semidefinite(self) -> bool:
         """All principal minors (not only leading ones) nonnegative."""
         index_sets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
-        return all(self.principal_minor(s) >= 0 for s in index_sets)
-
-    def is_proportional_to(self, other: "SymForm") -> bool:
-        flat_a = [x for row in self.m for x in row]
-        flat_b = [x for row in other.m for x in row]
-        for i, va in enumerate(flat_a):
-            if va != 0:
-                if flat_b[i] == 0:
-                    return False
-                r = flat_b[i] / va
-                return all(r * x == y for x, y in zip(flat_a, flat_b))
-        return all(x == 0 for x in flat_b)
+        return all(Matrix([[self.m[i][j] for j in s] for i in s]).det() >= 0
+                   for s in index_sets)
 
 
 def form_coordinates(form: SymForm) -> list[Fraction]:
@@ -135,8 +106,10 @@ def act_on_form(g: HeisElement, form: SymForm) -> SymForm:
 
 
 def heis_3x3(g: HeisElement) -> Matrix:
-    """The defining 3x3 unit upper-triangular matrix of g."""
-    one, zero = Fraction(1), Fraction(0)
+    """The defining 3x3 unit upper-triangular matrix of g; its entries
+    are Poly when g's components are."""
+    zero = g.a * 0
+    one = zero + 1
     return Matrix([[one, g.a, g.c], [zero, one, g.b], [zero, zero, one]])
 
 
@@ -151,17 +124,14 @@ def congruence_image(g: HeisElement, form: SymForm) -> SymForm:
 def _sym_square_matrix() -> Matrix:
     """Matrix of the congruence action on form coordinates in the
     ordering FORM_MONOMIALS, for the symbolic element (a, b, c)."""
-    g = HeisElement.symbolic(ENTRY_RING)
-    a, b, c = g.a, g.b, g.c
-    one, zero = ENTRY_RING.one(), ENTRY_RING.zero()
-    h = [[one, a, c], [zero, one, b], [zero, zero, one]]
+    h = heis_3x3(HeisElement.symbolic(ENTRY_RING))
     columns = []
-    for (i, j) in FORM_MONOMIALS:
-        # image of the basis form E_ij (symmetrized): h E h^T has entries
-        # (h E h^T)_{kl} = h_ki h_lj + (i != j) * h_kj h_li
-        image = [[h[k][i] * h[l][j] + (h[k][j] * h[l][i] if i != j else zero)
-                  for l in range(3)] for k in range(3)]
-        columns.append([image[k][l] for k, l in FORM_MONOMIALS])
+    for i, j in FORM_MONOMIALS:
+        # The symmetrized basis form E_ij has a 1 at (i, j) and at (j, i).
+        basis_form = Matrix([[int({k, l} == {i, j}) for l in range(3)]
+                             for k in range(3)])
+        image = h * basis_form * h.transpose()
+        columns.append([image[k, l] for k, l in FORM_MONOMIALS])
     return Matrix(columns).transpose()
 
 
@@ -202,8 +172,8 @@ def parabolic_fixed_form(generator: str) -> SymForm:
 
     With N the nilpotent part of the 6x6 image, the top nonzero power of
     N has rank 1 and sends every positive-definite form to the same ray;
-    that ray is the limit of the iterated action.  Normalized so the
-    largest-magnitude entry is 1.
+    that ray is the limit of the iterated action.  Normalized by
+    _canonical, so the largest-magnitude coordinate is 1.
     """
     rho6 = get_representation("rho6")
     mat = rho6(GENERATORS[generator])
@@ -219,11 +189,10 @@ def parabolic_fixed_form(generator: str) -> SymForm:
     image = power.apply(form_coordinates(SymForm.identity()))
     if all(x == 0 for x in image):
         raise ValueError("identity form is annihilated by the top power")
-    form = form_from_coordinates(image)
-    largest = max((x for row in form.m for x in row), key=abs)
-    form = form.scale(1 / largest)
+    form = form_from_coordinates(_canonical(image))
     fixed = act_on_form(GENERATORS[generator], form) == form
-    if not fixed or form.rank() != 1 or not form.is_positive_semidefinite():
+    if not fixed or form.matrix().rank() != 1 \
+            or not form.is_positive_semidefinite():
         raise ValueError("attractor is not a fixed rank-1 semidefinite form")
     return form
 
@@ -256,19 +225,20 @@ def _canonical(coords: Sequence[Fraction]) -> list[Fraction]:
 def flat_segment_certificate(f1: SymForm, f2: SymForm
                              ) -> tuple[bool, dict]:
     """The segment between two degenerate semidefinite forms stays in the
-    cone's boundary: every sampled mixture is PSD with determinant zero."""
+    cone's boundary: every sampled mixture is PSD with determinant zero.
+    The endpoints must be linearly independent, so neither may be zero."""
     for f in (f1, f2):
-        if not f.is_positive_semidefinite() or f.det() != 0:
+        if not f.is_positive_semidefinite() or f.matrix().det() != 0:
             raise ValueError("inputs must be semidefinite with det 0")
-    if f1.is_proportional_to(f2):
-        raise ValueError("flat check needs non-proportional endpoints")
+    if Matrix([form_coordinates(f1), form_coordinates(f2)]).rank() < 2:
+        raise ValueError("flat check needs linearly independent endpoints")
     samples = []
     ok = True
     for t in (Fraction(0), Fraction(1, 4), Fraction(1, 2),
               Fraction(3, 4), Fraction(1)):
         mix = f1.scale(1 - t).add(f2.scale(t))
         psd = mix.is_positive_semidefinite()
-        det = mix.det()
+        det = mix.matrix().det()
         ok = ok and psd and det == 0
         samples.append({"t": t, "psd": psd, "det": det})
     return ok, {"segment_samples": samples}

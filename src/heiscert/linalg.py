@@ -1,18 +1,19 @@
 """Exact matrices over rational (Fraction or int) or Poly entries.
 
 Multiplication and equality work for either scalar kind, and one operand
-of a product or of apply() may be rational while the other is Poly:
-Poly.__mul__ scales by a rational directly, so rational data never needs
-lifting into the polynomial ring by hand.  Storage is dense, but the
-product and apply() multiply only nonzero pairs (Gustavson's row-by-row
-scheme): the unipotent tables, their nilpotent parts and the subspace
-basis are mostly zeros.  An entry that no nonzero pair reaches is one
-shared zero per call, built as a product of the operands' first entries
-times 0, so it has the type (0, Fraction(0) or the zero Poly) that a
-dense sum of homogeneous operands gives.  When that zero is a
-Fraction, the product runs on int numerators: the left operand's rows
-and the right operand's columns are cleared of denominators, and a
-Fraction is built once per nonzero output entry, not once per pair.
+of a product may be rational while the other is Poly: Poly.__mul__
+scales by a rational directly, so rational data never needs lifting
+into the polynomial ring by hand.  apply() is the one-column case of
+the product.  Storage is dense, but the product multiplies only nonzero
+pairs (Gustavson's row-by-row scheme): the unipotent tables, their
+nilpotent parts and the subspace basis are mostly zeros.  An entry that
+no nonzero pair reaches is one shared zero per call, built as a product
+of the operands' first entries times 0, so it has the type (0,
+Fraction(0) or the zero Poly) that a dense sum of homogeneous operands
+gives.  When that zero is a Fraction, the product runs on int
+numerators: the left operand's rows and the right operand's columns are
+cleared of denominators, and a Fraction is built once per nonzero output
+entry, not once per pair.
 Determinant, rank, reduced echelon form, kernel and solve are restricted
 to rational matrices.  All of them run on a denominator-cleared integer
 copy through one fraction-free pivot step, eliminate(), which the lp
@@ -44,9 +45,10 @@ Entry = Union[int, Fraction, Poly]
 class Matrix:
     """Immutable rectangular matrix; entries all rational (Fraction or
     int, which may mix) or all Poly.  In a product or apply() one operand
-    may be rational and the other Poly; the result is then Poly.  Both
-    multiply only nonzero pairs; with int and Fraction entries mixed, an
-    entry's type may then differ from a dense sum's, never its value."""
+    may be rational and the other Poly; the result is then Poly.  The
+    product multiplies only nonzero pairs; with int and Fraction entries
+    mixed, an entry's type may then differ from a dense sum's, never its
+    value."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -93,12 +95,12 @@ class Matrix:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other, same=True)
+        self._check_shape(other)
         return Matrix([[a + b for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other, same=True)
+        self._check_shape(other)
         return Matrix([[a - b for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.entries, other.entries)])
 
@@ -152,30 +154,12 @@ class Matrix:
         return Matrix([self.column(j) for j in range(self.cols)])
 
     def apply(self, vector: Sequence[Entry]) -> list:
-        """Matrix-vector product over the nonzero pairs only: the
-        vector's nonzero (k, v) are listed once, and each row sums its
-        row[k] * v with row[k] nonzero, k increasing.  A row with no
-        such pair gives the shared zero self[0, 0] * vector[0] * 0.
-        When that zero is a Fraction, the sums run on int numerators as
-        in __mul__: row i scaled by its lcm r_i and the vector by its
-        lcm s, so a nonzero entry is one Fraction(sum, r_i * s)."""
+        """Matrix-vector product: the one column of self times the
+        vector as a column matrix, so its entries, their types and the
+        shared zero are those of __mul__."""
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        zero = self.entries[0][0] * vector[0] * 0
-        rows = self.entries
-        rational = type(zero) is Fraction
-        if rational:
-            rows, row_scales = _integer_copy(rows)
-            (vector,), (scale,) = _integer_copy([vector])
-        nonzero = [(k, v) for k, v in enumerate(vector) if v]
-        sums = []
-        for row in rows:
-            terms = [row[k] * v for k, v in nonzero if row[k]]
-            sums.append(sum(terms[1:], terms[0]) if terms else None)
-        if rational:
-            return [Fraction(t, r * scale) if t else zero
-                    for t, r in zip(sums, row_scales)]
-        return [zero if t is None else t for t in sums]
+        return list((self * Matrix([[x] for x in vector])).column(0))
 
     def map(self, fn: Callable[[Entry], Entry]) -> "Matrix":
         return Matrix([[fn(x) for x in row] for row in self.entries])
@@ -183,8 +167,8 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
-    def _check_shape(self, other: "Matrix", same: bool):
-        if same and (self.rows != other.rows or self.cols != other.cols):
+    def _check_shape(self, other: "Matrix"):
+        if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
     def _require_rational(self):

@@ -48,24 +48,23 @@ def cross_ratio(p1, p2, p3, p4) -> Fraction:
 
 @dataclass(frozen=True)
 class Halfspace:
-    """The affine constraint coeffs . z <= bound."""
+    """The affine constraint coeffs . z <= bound.  The constructor turns
+    coeffs into a tuple and converts every value with to_fraction, so
+    floats and bools raise TypeError."""
     coeffs: tuple[Fraction, ...]
     bound: Fraction
 
-    @staticmethod
-    def of(coeffs, bound) -> "Halfspace":
-        return Halfspace(tuple(to_fraction(x) for x in coeffs),
-                         to_fraction(bound))
-
-    def value(self, point: Sequence[Fraction]) -> Fraction:
-        return sum(c * to_fraction(x) for c, x in zip(self.coeffs, point))
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs",
+                           tuple(to_fraction(x) for x in self.coeffs))
+        object.__setattr__(self, "bound", to_fraction(self.bound))
 
     @staticmethod
     def from_text(line: str) -> "Halfspace":
         cells = [parse_rational(c) for c in line.split()]
         if len(cells) < 2:
             raise ValueError("halfspace line needs coefficients and a bound")
-        return Halfspace(tuple(cells[:-1]), cells[-1])
+        return Halfspace(cells[:-1], cells[-1])
 
 
 def load_polytope(text: str) -> list[Halfspace]:
@@ -87,8 +86,8 @@ def box(lows: Sequence[Fraction], highs: Sequence[Fraction]) -> list[Halfspace]:
             raise ValueError("box needs lo < hi in every axis")
         e = [0] * len(lows)
         e[i] = 1
-        faces.append(Halfspace.of(e, hi))
-        faces.append(Halfspace.of([-x for x in e], -to_fraction(lo)))
+        faces.append(Halfspace(e, hi))
+        faces.append(Halfspace([-x for x in e], -to_fraction(lo)))
     return faces
 
 

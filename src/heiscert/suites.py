@@ -245,7 +245,7 @@ def _frozen_parameters(name: str) -> list[tuple]:
 def _lift_det(raw) -> Fraction:
     """Determinant of the lifts of the orbit points with parameters raw;
     raises unless there are exactly ten of them."""
-    return Matrix(convexity.OrbitSample(_triples(raw)).lifts()).det()
+    return Matrix(convexity.OrbitSample(raw).lifts()).det()
 
 
 def _hull_dimension_sample(config: RunConfig) -> dict:
@@ -336,9 +336,7 @@ def _pd_preserved(inputs):
     failures = []
     for case in inputs["cases"]:
         g = HeisElement.of(*case["g"])
-        form = SymForm([[to_fraction(x) for x in row]
-                        for row in case["form"]])
-        ok, _ = pd_preservation_certificate(g, form)
+        ok, _ = pd_preservation_certificate(g, SymForm(case["form"]))
         if not ok:
             failures.append(case)
     return not failures, {"checked": len(inputs["cases"]),
@@ -349,7 +347,7 @@ def _parabolic(_inputs):
     forms = {name: parabolic_fixed_form(name) for name in ("A", "B", "C")}
     gaps = {name: attraction_gaps(name) for name in ("A", "B", "C")}
     checks = {
-        "rank_one": all(f.rank() == 1 for f in forms.values()),
+        "rank_one": all(f.matrix().rank() == 1 for f in forms.values()),
         "semidefinite": all(f.is_positive_semidefinite()
                             for f in forms.values()),
         "A_B_distinct": forms["A"] != forms["B"],

@@ -134,7 +134,7 @@ def test_criterion_10_cone_picture():
         g = HeisElement.of(*stream.next_triple())
         ok = ok and pd_preservation_certificate(g, form)[0]
     fa, fb = parabolic_fixed_form("A"), parabolic_fixed_form("B")
-    ok = ok and fa.rank() == 1 and fb.rank() == 1 and fa != fb
+    ok = ok and fa != fb and all(f.matrix().rank() == 1 for f in (fa, fb))
     ok = ok and flat_segment_certificate(fa, fb)[0]
     report(10, "symmetric-square match, 200 PD checks, distinct rank-1 "
                "fixed forms in a flat", ok)

@@ -90,14 +90,12 @@ HALF = Fraction(1, 2)
 UNIT_BOX = box([-1], [1])
 RATIONAL_ENTRY_POINTS = {
     "SymForm": lambda v: SymForm([[v, 0, 0], [0, 1, 0], [0, 0, 1]]),
-    "SymForm.rank_one": lambda v: SymForm.rank_one([v, 0, 1]),
     "SymForm.scale": lambda v: SymForm.identity().scale(v),
     "form_from_coordinates": lambda v: form_from_coordinates([v, 0, 1, 0,
                                                                0, 1]),
     "cross_ratio": lambda v: cross_ratio([1, 0], [0, 1], [1, 1], [1, v]),
-    "Halfspace.of": lambda v: Halfspace.of([v], 1),
-    "Halfspace.of.bound": lambda v: Halfspace.of([1], v),
-    "Halfspace.value": lambda v: Halfspace.of([1], 1).value([v]),
+    "Halfspace": lambda v: Halfspace([v], 1),
+    "Halfspace.bound": lambda v: Halfspace([1], v),
     "box": lambda v: box([-1], [v]),
     "hilbert_log_argument": lambda v: hilbert_log_argument(
         UNIT_BOX, [v], [Fraction(1, 4)]),

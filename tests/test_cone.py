@@ -26,18 +26,26 @@ def random_symmetric(stream) -> SymForm:
     return form_from_coordinates(vals)
 
 
+def rank_one(vector) -> SymForm:
+    return SymForm([[x * y for y in vector] for x in vector])
+
+
+def principal_minor(form: SymForm, indices: tuple[int, ...]) -> Fraction:
+    return Matrix([[form.m[i][j] for j in indices] for i in indices]).det()
+
+
 def psd_by_charpoly(form: SymForm) -> bool:
     """Independent PSD test: a real-rooted cubic has all roots >= 0 iff
     its elementary symmetric functions are all >= 0."""
     trace = sum(form.m[i][i] for i in range(3))
-    e2 = sum(form.principal_minor(s) for s in ((0, 1), (0, 2), (1, 2)))
-    return trace >= 0 and e2 >= 0 and form.det() >= 0
+    e2 = sum(principal_minor(form, s) for s in ((0, 1), (0, 2), (1, 2)))
+    return trace >= 0 and e2 >= 0 and form.matrix().det() >= 0
 
 
 def pd_by_charpoly(form: SymForm) -> bool:
     trace = sum(form.m[i][i] for i in range(3))
-    e2 = sum(form.principal_minor(s) for s in ((0, 1), (0, 2), (1, 2)))
-    return trace >= 0 and e2 >= 0 and form.det() > 0
+    e2 = sum(principal_minor(form, s) for s in ((0, 1), (0, 2), (1, 2)))
+    return trace >= 0 and e2 >= 0 and form.matrix().det() > 0
 
 
 def test_psd_decision_matches_charpoly_oracle():
@@ -78,7 +86,7 @@ def symmetric_forms(draw):
 @settings(max_examples=400, deadline=None)
 @given(symmetric_forms())
 def test_positive_definite_is_leading_minors_positive(form):
-    expected = all(form.principal_minor(tuple(range(k))) > 0
+    expected = all(principal_minor(form, tuple(range(k))) > 0
                    for k in (1, 2, 3))
     assert form.is_positive_definite() == expected
 
@@ -86,8 +94,8 @@ def test_positive_definite_is_leading_minors_positive(form):
 def test_psd_boundary_cases():
     assert SymForm([[0, 0, 0], [0, 0, 0], [0, 0, -1]]) \
         .is_positive_semidefinite() is False
-    assert SymForm.rank_one([1, 2, 3]).is_positive_semidefinite()
-    assert not SymForm.rank_one([1, 2, 3]).is_positive_definite()
+    assert rank_one([1, 2, 3]).is_positive_semidefinite()
+    assert not rank_one([1, 2, 3]).is_positive_definite()
     assert SymForm.identity().is_positive_definite()
     # Leading minors (1, 1, 0): only the 3x3 minor fails.
     assert not SymForm([[1, 0, 1], [0, 1, 0], [1, 0, 1]]) \
@@ -98,7 +106,7 @@ def test_psd_boundary_cases():
 
 
 def test_form_coordinates_round_trip():
-    assert form_coordinates(SymForm.zero()) == [Fraction(0)] * 6
+    assert form_coordinates(SymForm([[0] * 3] * 3)) == [Fraction(0)] * 6
     identity_coords = form_coordinates(SymForm.identity())
     assert identity_coords == [1, 0, 1, 0, 0, 1]
     stream = RandomStream(43).split("round-trip")
@@ -167,7 +175,7 @@ def test_pd_preservation_rejects_indefinite_input():
 def test_fixed_forms_are_rank_one_eigenvectors():
     for name in ("A", "B", "C"):
         form = parabolic_fixed_form(name)
-        assert form.rank() == 1
+        assert form.matrix().rank() == 1
         assert form.is_positive_semidefinite()
         coords = form_coordinates(form)
         assert RHO6(GENERATORS[name]).apply(coords) == coords
@@ -188,8 +196,8 @@ def test_attraction_gaps_decrease():
 
 
 def test_flat_between_coordinate_squares():
-    f1 = SymForm.rank_one([1, 0, 0])
-    f2 = SymForm.rank_one([0, 1, 0])
+    f1 = rank_one([1, 0, 0])
+    f2 = rank_one([0, 1, 0])
     ok, witnesses = flat_segment_certificate(f1, f2)
     assert ok
     assert all(s["det"] == 0 and s["psd"]
@@ -203,9 +211,19 @@ def test_flat_between_fixed_forms():
 
 
 def test_flat_rejects_proportional_inputs():
-    f = SymForm.rank_one([1, 2, 0])
+    f = rank_one([1, 2, 0])
     with pytest.raises(ValueError):
         flat_segment_certificate(f, f.scale(Fraction(3, 2)))
+
+
+def test_flat_rejects_zero_endpoint():
+    # The zero form is PSD with det 0, but the segment from it to f is a
+    # ray, not a flat.
+    zero = SymForm([[0] * 3] * 3)
+    f = rank_one([1, 2, 0])
+    for ends in ((zero, f), (f, zero)):
+        with pytest.raises(ValueError):
+            flat_segment_certificate(*ends)
 
 
 def test_symform_validation():

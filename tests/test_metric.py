@@ -85,14 +85,21 @@ def test_exterior_point_rejected():
 
 
 def test_unbounded_chord_rejected():
-    half = [Halfspace.of([1], 1)]
+    half = [Halfspace([1], 1)]
     with pytest.raises(ValueError):
         hilbert_log_argument(half, [Fraction(0)], [Fraction(1, 2)])
 
 
+def test_halfspace_constructor_refuses_floats():
+    with pytest.raises(TypeError):
+        Halfspace((0.5,), 1)
+    with pytest.raises(TypeError):
+        Halfspace((1,), 0.5)
+
+
 def test_polytope_file_parsing():
     faces = load_polytope("1\t1\n-1\t1\n")
-    assert faces == [Halfspace.of([1], 1), Halfspace.of([-1], 1)]
+    assert faces == [Halfspace([1], 1), Halfspace([-1], 1)]
     with pytest.raises(ValueError):
         load_polytope("")
     with pytest.raises(ValueError):
@@ -195,7 +202,7 @@ def polytope_with_chord(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=5))):
         coeffs = draw(st.lists(coefficient, min_size=dim, max_size=dim))
         bound = max(sum(c * v for c, v in zip(coeffs, p)) for p in (x, y))
-        faces.append(Halfspace.of(coeffs, bound + draw(slacks)))
+        faces.append(Halfspace(coeffs, bound + draw(slacks)))
     if draw(st.booleans()):
         faces += box([v - 3 for v in x], [v + 3 for v in x])
     return draw(st.permutations(faces)), x, y
