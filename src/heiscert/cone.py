@@ -197,14 +197,13 @@ def parabolic_fixed_form(generator: str) -> SymForm:
     return form
 
 
-def attraction_gaps(generator: str, steps: Sequence[int] = (4, 8, 16)
-                    ) -> list[Fraction]:
+def attraction_gaps(generator: str) -> list[Fraction]:
     """Projective gap between the iterated image of the identity form and
-    the fixed form, at the given iteration counts."""
+    the fixed form, after 4, 8 and 16 steps."""
     fixed = parabolic_fixed_form(generator)
     fixed_coords = _canonical(form_coordinates(fixed))
     gaps = []
-    for count in steps:
+    for count in (4, 8, 16):
         g = GENERATORS[generator]
         power = HeisElement.identity()
         for _ in range(count):

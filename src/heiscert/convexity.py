@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .heis import ENTRY_RING, HeisElement, get_representation, heis_mul, \
-    specialize, symbolic_pair
+    specialize
 from .lp import convex_combination_weights
 from .poly import NEG_INFINITY, Poly, PolyRing
 from .rationals import format_rational, parse_rational, to_fraction
@@ -99,13 +99,6 @@ def equivariance_certificate(g: HeisElement, h: HeisElement
     product = heis_mul(g, h)
     ok = theta(g).apply(orbit_lift(h)) == orbit_lift(product)
     return ok, {"target_parameter": list(product.components())}
-
-
-def symbolic_equivariance_holds() -> bool:
-    """The equivariance identity as a polynomial identity in six variables."""
-    g, h = symbolic_pair()
-    theta = get_representation("theta")
-    return theta(g).apply(orbit_lift(h)) == orbit_lift(heis_mul(g, h))
 
 
 # -- limit point at infinity -------------------------------------------------

@@ -173,10 +173,10 @@ class Representation:
         return f"Representation({self.name}, dim={self.dimension})"
 
 
-def load_representation(name: str, dimension: int, path: Path = None) -> Representation:
-    """Read a .rep file: lines "row col polynomial", 1-based indices,
+def load_representation(name: str, dimension: int) -> Representation:
+    """Read data/NAME.rep: lines "row col polynomial", 1-based indices,
     omitted entries 0 off-diagonal and 1 on-diagonal."""
-    path = path or DATA_DIR / f"{name}.rep"
+    path = DATA_DIR / f"{name}.rep"
     entries = [[ENTRY_RING.one() if i == j else ENTRY_RING.zero()
                 for j in range(dimension)] for i in range(dimension)]
     seen = set()
@@ -248,8 +248,8 @@ def verify_injectivity_generators(rep: Representation) -> tuple[bool, dict]:
 
 
 def one_parameter_power(rep: Representation, generator: str,
-                        ring: PolyRing, name: str = "n") -> Matrix:
-    """The symbolic n-th power of a generator's image.
+                        ring: PolyRing) -> Matrix:
+    """The symbolic n-th power of a generator's image, n in ring.
 
     Each generator spans a one-parameter subgroup ((t,0,0)*(s,0,0) =
     (t+s,0,0) and likewise for B and C), so the n-th power is the entry
@@ -257,7 +257,7 @@ def one_parameter_power(rep: Representation, generator: str,
     """
     if generator not in GENERATORS:
         raise KeyError(f"generator must be one of A, B, C, got {generator!r}")
-    n = ring.var(name)
+    n = ring.var("n")
     zero = ring.zero()
     components = {"A": (n, zero, zero), "B": (zero, n, zero),
                   "C": (zero, zero, n)}[generator]

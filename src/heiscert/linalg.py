@@ -281,6 +281,16 @@ def _integer_copy(entries) -> tuple[list[list[int]], list[int]]:
     return out, scales
 
 
+def clear_denominators(entries) -> tuple[list[list[int]], int]:
+    """Clear denominators over one common scale, the lcm of all of them;
+    returns the int rows and that scale, so the copy is entries times
+    scale.  Unlike a per-row scale, one scale keeps products and the
+    signs of dot products."""
+    scale = lcm(*(x.denominator for row in entries for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row]
+            for row in entries], scale
+
+
 def eliminate(m: list[list[int]], d: list[int], r: int, c: int, rows,
               prev: int) -> int:
     """One fraction-free pivot step on the integer matrix m, in place;
@@ -370,12 +380,11 @@ def nilpotent_ranks(m: Matrix) -> list[int]:
     if not m.is_square():
         raise ValueError("Jordan analysis needs a square matrix")
     m._require_rational()
-    d = lcm(*(x.denominator for row in m.entries for x in row))
-    nilpotent = Matrix([[x.numerator * (d // x.denominator)
-                         - (d if i == j else 0) for j, x in enumerate(row)]
-                        for i, row in enumerate(m.entries)])
+    rows, d = clear_denominators(m.entries)
+    for i, row in enumerate(rows):
+        row[i] -= d
+    nilpotent = Matrix(rows)
     ranks = [m.rows]
-    rows = [list(row) for row in nilpotent.entries]
     while True:
         ranks.append(len(_echelon(rows, reduce_above=False)[0]))
         if ranks[-1] == 0:

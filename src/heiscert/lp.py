@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
-from .linalg import eliminate
+from .linalg import clear_denominators, eliminate
 from .rationals import to_fraction
 
 
@@ -48,14 +47,13 @@ def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
     # pivots, so the artificial block is L times the identity.  A row
     # with b < 0 is negated so the artificial basis is feasible; the
     # flips are remembered to recover multipliers for the original rows.
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    flipped = [row[-1] < 0 for row in rows]
+    ints, scale = clear_denominators(rows)
+    flipped = [row[-1] < 0 for row in ints]
     tableau = []
-    for i, (row, flip) in enumerate(zip(rows, flipped)):
-        sign = -scale if flip else scale
-        ints = [x.numerator * (sign // x.denominator) for x in row]
-        tableau.append(ints[:-1] + [scale if j == i else 0
-                                    for j in range(m)] + ints[-1:])
+    for i, (row, flip) in enumerate(zip(ints, flipped)):
+        row = [-x for x in row] if flip else row
+        tableau.append(row[:-1] + [scale if j == i else 0
+                                   for j in range(m)] + row[-1:])
     basis = [n + i for i in range(m)]
 
     # Reduced costs of minimizing the sum of artificials (artificial
@@ -128,11 +126,9 @@ def _verify_farkas(rows, y) -> None:
     denominator.  Both scales are positive, so every integer dot product
     has the sign of the rational one and the check is no weaker.
     """
-    dy = lcm(*(v.denominator for v in y))
-    y = [v.numerator * (dy // v.denominator) for v in y]
-    da = lcm(*(x.denominator for row in rows for x in row))
-    dots = [sum(f * x.numerator * (da // x.denominator)
-                for f, x in zip(y, col)) for col in zip(*rows)]
+    (y,), _ = clear_denominators([y])
+    rows, _ = clear_denominators(rows)
+    dots = [sum(f * x for f, x in zip(y, col)) for col in zip(*rows)]
     if dots[-1] <= 0:
         raise AssertionError("Farkas witness failed: y.b <= 0")
     if any(v > 0 for v in dots[:-1]):

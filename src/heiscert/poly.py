@@ -17,7 +17,9 @@ from .rationals import parse_rational, to_fraction
 NEG_INFINITY = float("-inf")
 
 # Exponents are bounded so that accidental runaway powers fail loudly
-# instead of silently eating memory.
+# instead of silently eating memory.  Only a product of two polynomials
+# makes new exponents (powers and parsing go through it), so that is
+# where the bound is checked.
 MAX_EXPONENT = 2**31
 
 Scalar = Union[int, Fraction]
@@ -82,11 +84,6 @@ class Poly:
     def __init__(self, ring: PolyRing, terms: Mapping[tuple, Fraction]):
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if c != 0}
-        for e in self.terms:
-            if len(e) != len(ring.names):
-                raise ValueError(f"exponent tuple {e} does not fit {ring}")
-            if any(x < 0 or x > MAX_EXPONENT for x in e):
-                raise OverflowError(f"exponent out of range in {e}")
         self._hash = None
 
     # -- ring plumbing ---------------------------------------------------
@@ -139,6 +136,9 @@ class Poly:
             for e2, c2 in other.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
+        for e in out:
+            if max(e, default=0) > MAX_EXPONENT:
+                raise OverflowError(f"exponent out of range in {e}")
         return Poly(self.ring, out)
 
     __rmul__ = __mul__

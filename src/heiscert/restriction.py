@@ -66,11 +66,11 @@ def derive_subspace_basis() -> Matrix:
     return Matrix(columns).transpose()
 
 
-def orbit_lift_14(ring: PolyRing, names=("a", "b", "c")) -> list[Poly]:
+def orbit_lift_14() -> list[Poly]:
     """The symbolic 14-dimensional orbit of the base point
-    e6 + e10 + e14 under the 14x14 action."""
+    e6 + e10 + e14 under the 14x14 action, over ENTRY_RING."""
     rho14 = get_representation("rho14")
-    g = HeisElement.symbolic(ring, names)
+    g = HeisElement.symbolic()
     base = [Fraction(0)] * AMBIENT_DIM
     for i in (6, 10, 14):
         base[i - 1] = Fraction(1)
@@ -114,7 +114,7 @@ def derive_conjugator() -> Matrix:
     orbit.  Componentwise this is a linear solve in the monomial
     coefficients of the two orbit polynomial tuples.
     """
-    lift14 = orbit_lift_14(ENTRY_RING)
+    lift14 = orbit_lift_14()
     basis = derive_subspace_basis()
     residual = _subspace_coordinates_and_check(lift14, basis)
 

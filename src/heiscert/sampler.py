@@ -14,6 +14,9 @@ from fractions import Fraction
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
+# Sampled rationals are p/q with |p| <= MAX_NUM and 1 <= q <= MAX_DEN.
+MAX_NUM = 12
+MAX_DEN = 5
 
 
 def mix64(x: int) -> int:
@@ -46,26 +49,24 @@ class RandomStream:
             raise ValueError("empty range")
         return lo + self.next_u64() % (hi - lo + 1)
 
-    def next_fraction(self, max_num: int = 12, max_den: int = 5) -> Fraction:
-        num = self.next_int(-max_num, max_num)
-        den = self.next_int(1, max_den)
+    def next_fraction(self) -> Fraction:
+        num = self.next_int(-MAX_NUM, MAX_NUM)
+        den = self.next_int(1, MAX_DEN)
         return Fraction(num, den)
 
-    def next_triple(self, max_num: int = 12, max_den: int = 5,
-                    nonzero: bool = False) -> tuple[Fraction, Fraction, Fraction]:
+    def next_triple(self, nonzero: bool = False
+                    ) -> tuple[Fraction, Fraction, Fraction]:
         """A rational (a, b, c); with nonzero=True, never the identity."""
         while True:
-            triple = tuple(self.next_fraction(max_num, max_den)
-                           for _ in range(3))
+            triple = tuple(self.next_fraction() for _ in range(3))
             if not nonzero or any(x != 0 for x in triple):
                 return triple
 
-    def distinct_triples(self, count: int, max_num: int = 12,
-                         max_den: int = 5, nonzero: bool = False) -> list:
+    def distinct_triples(self, count: int, nonzero: bool = False) -> list:
         out: list = []
         seen = set()
         while len(out) < count:
-            t = self.next_triple(max_num, max_den, nonzero=nonzero)
+            t = self.next_triple(nonzero=nonzero)
             if t not in seen:
                 seen.add(t)
                 out.append(t)

@@ -2,15 +2,17 @@
 
 Every claim has one shape: a stable id, its suite, a one-line statement,
 its inputs, and check(inputs) -> (ok, witnesses).  A sampled claim draws
-its inputs with sample(config) from a stream split off the config seed,
-so results are independent of execution order; a fixed claim computes
-its own inputs.  `_claim` turns that pair into the registry's
-run(config) and replay(inputs, seed) entry points, and `_certificate` is
-the one place a Certificate is built.
+its inputs with sample(stream, count), where the stream is split off the
+seed with the claim id as its label, so the streams of different claims
+are independent and results do not depend on execution order; a fixed
+claim computes its own inputs.  `_claim` turns that pair into the
+registry's run(config) and replay(inputs, seed) entry points, and
+`_certificate` is the one place a Certificate is built.
 
-Replay of a sampled claim runs the check on the stored inputs, so it
+Replay of a sampled claim refuses more stored samples than a run with
+the default sizes draws, runs the check on the stored inputs, so it
 confirms that the stored verdict and witnesses are what those inputs
-give, and then re-draws the inputs from the stored seed at the sizes the
+give, and then re-draws the inputs from the stored seed at the count the
 stored inputs have, so inputs that the seed does not give (an edited
 seed or edited samples) are a MISMATCH.  Replay of a fixed claim
 recomputes from the claim's own inputs, so a certificate whose stored
@@ -37,7 +39,7 @@ from .certs import FAIL, PASS, Certificate, digest
 from .cone import (SymForm, attraction_gaps, flat_segment_certificate,
                    parabolic_fixed_form, pd_preservation_certificate,
                    sym_square_match_certificate)
-from .heis import (DATA_DIR, HeisElement, get_representation,
+from .heis import (DATA_DIR, HeisElement, get_representation, symbolic_pair,
                    verify_homomorphism, verify_injectivity_generators)
 from .linalg import Matrix, jordan_partition, nilpotent_ranks
 from .metric import box, cross_ratio, hilbert_log_argument
@@ -67,9 +69,6 @@ class RunConfig:
     def size(self, key: str) -> int:
         return int(self.sample_sizes.get(key, DEFAULT_SAMPLE_SIZES[key]))
 
-    def stream(self, label: str) -> RandomStream:
-        return RandomStream(self.seed).split(label)
-
 
 @dataclass(frozen=True)
 class Claim:
@@ -89,28 +88,35 @@ def _certificate(claim_id: str, ok: bool, witnesses: dict, inputs: dict,
 def _claim(claim_id: str, statement: str, check, sample=None,
            inputs=dict, size=None) -> Claim:
     """A registry entry from check(inputs) -> (ok, witnesses) and either
-    sample(config) -> inputs (a sampled claim, replayed on its stored
-    inputs) or inputs() -> inputs (a fixed claim, always checked on its
-    own inputs; the default has none).  A sampled claim names its
-    sample-size key and the inputs list whose length that size is, as
-    size=(key, field), so replay can re-draw the inputs.  The suite is
-    the id's first component."""
+    sample(stream, count) -> inputs (a sampled claim, replayed on its
+    stored inputs) or inputs() -> inputs (a fixed claim, always checked
+    on its own inputs; the default has none).  A sampled claim's stream
+    is split off the seed with the claim id as label, and size=(key,
+    field) names its sample-size key and the inputs list of `count`
+    entries; replay re-draws at the stored count, at most
+    DEFAULT_SAMPLE_SIZES[key], the count `heiscert verify` draws.  The
+    suite is the id's first component."""
     def certify(claim_inputs, seed: str) -> Certificate:
         ok, witnesses = check(claim_inputs)
         return _certificate(claim_id, ok, witnesses, claim_inputs, seed)
 
+    def draw(seed: int, count: int) -> dict:
+        return sample(RandomStream(seed).split(claim_id), count)
+
     def run(config: RunConfig) -> Certificate:
-        return certify(sample(config) if sample else inputs(),
-                       str(config.seed))
+        return certify(draw(config.seed, config.size(size[0])) if sample
+                       else inputs(), str(config.seed))
 
     def replay(stored_inputs, seed: str) -> Certificate:
         if not sample:
             return certify(inputs(), seed)
-        recomputed = certify(stored_inputs, seed)
         key, field_name = size
-        drawn = sample(RunConfig(
-            seed=int(seed),
-            sample_sizes={key: len(stored_inputs[field_name])}))
+        count = len(stored_inputs[field_name])
+        if count > DEFAULT_SAMPLE_SIZES[key]:
+            raise ValueError(f"{count} stored {field_name}, more than the "
+                             f"{DEFAULT_SAMPLE_SIZES[key]} a run draws")
+        recomputed = certify(stored_inputs, seed)
+        drawn = draw(int(seed), count)
         # Inputs the stored seed does not draw replay as what a run at
         # that seed writes, which differs from them.
         return recomputed if digest(drawn) == digest(stored_inputs) \
@@ -170,10 +176,8 @@ def _jordan_center(_inputs):
                 "expected": CENTER_PARTITION}
 
 
-def _jordan_sample(config: RunConfig) -> dict:
-    stream = config.stream("jordan.unique_odd_largest")
-    return {"parameters": stream.distinct_triples(config.size("jordan"),
-                                                  nonzero=True)}
+def _jordan_sample(stream: RandomStream, count: int) -> dict:
+    return {"parameters": stream.distinct_triples(count, nonzero=True)}
 
 
 def _jordan_unique_odd(inputs):
@@ -200,16 +204,15 @@ def _orbit_formula(_inputs):
     return convexity.orbit_formula_certificate()
 
 
-def _equivariance_sample(config: RunConfig) -> dict:
-    stream = config.stream("orbit.equivariance")
+def _equivariance_sample(stream: RandomStream, count: int) -> dict:
     return {"pairs": [[stream.next_triple(), stream.next_triple()]
-                      for _ in range(config.size("equivariance"))]}
+                      for _ in range(count)]}
 
 
 def _equivariance(inputs):
     pairs = [(tuple(to_fraction(x) for x in g),
               tuple(to_fraction(x) for x in h)) for g, h in inputs["pairs"]]
-    symbolic_ok = convexity.symbolic_equivariance_holds()
+    symbolic_ok, _ = convexity.equivariance_certificate(*symbolic_pair())
     failures = []
     for g_raw, h_raw in pairs:
         ok, _ = convexity.equivariance_certificate(HeisElement.of(*g_raw),
@@ -248,11 +251,9 @@ def _lift_det(raw) -> Fraction:
     return Matrix(convexity.OrbitSample(raw).lifts()).det()
 
 
-def _hull_dimension_sample(config: RunConfig) -> dict:
-    stream = config.stream("hull.dimension")
+def _hull_dimension_sample(stream: RandomStream, count: int) -> dict:
     return {"frozen": _frozen_parameters("hull_sample.csv"),
-            "fresh": [stream.distinct_triples(10)
-                      for _ in range(config.size("hull_fresh"))]}
+            "fresh": [stream.distinct_triples(10) for _ in range(count)]}
 
 
 def _hull_dimension(inputs):
@@ -313,10 +314,9 @@ def _sym_square_match(inputs):
         get_representation(inputs["representation"]))
 
 
-def _pd_preserved_sample(config: RunConfig) -> dict:
-    stream = config.stream("cone.pd_preserved")
+def _pd_preserved_sample(stream: RandomStream, count: int) -> dict:
     cases = []
-    for _ in range(config.size("pd_checks")):
+    for _ in range(count):
         form = _random_pd_form(stream)
         g = stream.next_triple()
         cases.append({"g": list(g), "form": [list(r) for r in form.m]})
@@ -375,10 +375,9 @@ def _flat(inputs):
 
 # -- hilbert ------------------------------------------------------------------
 
-def _hilbert_axioms_sample(config: RunConfig) -> dict:
-    stream = config.stream("hilbert.metric_axioms")
+def _hilbert_axioms_sample(stream: RandomStream, count: int) -> dict:
     instances = []
-    for _ in range(config.size("hilbert")):
+    for _ in range(count):
         dim = stream.next_int(1, 3)
         lows = [Fraction(stream.next_int(-5, -1)) for _ in range(dim)]
         highs = [Fraction(stream.next_int(1, 5)) for _ in range(dim)]
@@ -414,9 +413,8 @@ def _hilbert_axioms(inputs):
                           "failures": failures}
 
 
-def _cross_ratio_sample(config: RunConfig) -> dict:
-    stream = config.stream("hilbert.cross_ratio_invariance")
-    elements = [stream.next_triple() for _ in range(config.size("cross_ratio"))]
+def _cross_ratio_sample(stream: RandomStream, count: int) -> dict:
+    elements = [stream.next_triple() for _ in range(count)]
     return {
         "line_parameters": [[0, 0, 0], [1, 1, 1]],
         "mix_values": [0, 1, 2, 3],

@@ -8,8 +8,8 @@ import pytest
 
 from heiscert.certs import FAIL, PASS, digest, jsonable
 from heiscert.cli import main
-from heiscert.suites import (CLAIMS_BY_ID, MATCH, MISMATCH, RunConfig,
-                             replay, run_suite)
+from heiscert.suites import (CLAIMS_BY_ID, DEFAULT_SAMPLE_SIZES, MATCH,
+                             MISMATCH, RunConfig, replay, run_suite)
 
 # Small sample sizes keep a run of all eight suites short.
 SMALL_SIZES = {"jordan": 3, "equivariance": 2, "hull_fresh": 2,
@@ -248,6 +248,15 @@ def _with_float_g(data: dict) -> dict:
     return {**data, "inputs": {**data["inputs"], "cases": [case, *rest]}}
 
 
+def _with_one_fresh_too_many(data: dict) -> dict:
+    # One entry more than `heiscert verify` draws, the smallest count
+    # replay refuses.
+    fresh = data["inputs"]["fresh"]
+    count = DEFAULT_SAMPLE_SIZES["hull_fresh"] + 1
+    return _with_inputs(data, {**data["inputs"], "fresh": [
+        fresh[i % len(fresh)] for i in range(count)]})
+
+
 @pytest.mark.parametrize("claim_id, malform", [
     ("hull.dimension",
      lambda data: {**data, "inputs": {"frozen": [[1, 2]], "fresh": []}}),
@@ -263,10 +272,11 @@ def _with_float_g(data: dict) -> dict:
     ("hull.dimension", lambda data: {**data, "seed": "five"}),
     ("hull.dimension", lambda data: {**data, "seed": "05"}),
     ("hull.dimension", lambda data: {**data, "seed": 0}),
+    ("hull.dimension", _with_one_fresh_too_many),
 ], ids=["short-frozen-triple", "inputs-not-object", "body-not-object",
         "claim-not-string", "nine-frozen-points", "zero-denominator",
         "float-input", "seed-not-integer", "seed-not-canonical",
-        "seed-not-string"])
+        "seed-not-string", "fresh-above-run-size"])
 def test_replay_malformed_certificate_exits_2(certificates, claim_id, malform,
                                               tmp_path, capsys):
     data = read_json(certificates / f"{claim_id}.json")

@@ -11,10 +11,9 @@ from heiscert.convexity import (DEFAULT_RAY_TS, DEFAULT_RAYS, ORBIT_FORMULA,
                                 extreme_point_certificate, lift_origin,
                                 limit_point_certificate, nonneg_certificate,
                                 orbit_lift,
-                                proper_convexity_certificate, sample_orbit,
-                                symbolic_equivariance_holds)
+                                proper_convexity_certificate, sample_orbit)
 from heiscert.heis import DATA_DIR, ENTRY_RING, HeisElement, \
-    get_representation, heis_mul
+    get_representation, heis_mul, symbolic_pair
 from heiscert.linalg import Matrix
 from heiscert.poly import PolyRing
 from heiscert.sampler import RandomStream
@@ -60,7 +59,8 @@ def test_equivariance_generator_pair():
 
 
 def test_equivariance_symbolic():
-    assert symbolic_equivariance_holds()
+    ok, _ = equivariance_certificate(*symbolic_pair())
+    assert ok
 
 
 # -- limit point ---------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heiscert.poly import NEG_INFINITY, Poly, PolyRing
+from heiscert.poly import MAX_EXPONENT, NEG_INFINITY, Poly, PolyRing
 from heiscert.convexity import nonneg_certificate
 
 RING = PolyRing("a", "b", "c")
@@ -81,6 +81,12 @@ def test_degree_in():
     assert (n ** 4 * Fraction(1, 24)).degree_in("n") == 4
     assert n_ring.zero().degree_in("n") == NEG_INFINITY
     assert (2 * n ** 2 + n ** 2 * Fraction(1, 2)).degree_in("n") == 2
+
+
+def test_power_past_exponent_bound_overflows():
+    assert (A ** MAX_EXPONENT).degree_in("a") == MAX_EXPONENT
+    with pytest.raises(OverflowError):
+        RING.var("a") ** (MAX_EXPONENT + 1)
 
 
 def test_ring_mismatch_rejected():

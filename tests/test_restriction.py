@@ -23,7 +23,7 @@ def test_equations_have_rank_four():
 
 
 def test_orbit_point_satisfies_equations():
-    lift = orbit_lift_14(ENTRY_RING)
+    lift = orbit_lift_14()
     one = ENTRY_RING.one()
     b = ENTRY_RING.var("b")
     assert lift[5] == one and lift[9] == one and lift[13] == one

@@ -38,7 +38,7 @@ def test_split_unaffected_by_parent_draws():
 def test_fraction_bounds():
     stream = RandomStream(11)
     for _ in range(200):
-        f = stream.next_fraction(max_num=12, max_den=5)
+        f = stream.next_fraction()
         assert isinstance(f, Fraction)
         assert abs(f) <= 12
         assert f.denominator <= 5
