@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .poly import Poly
 from .rationals import format_rational, parse_rational
@@ -160,9 +160,6 @@ class Matrix:
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
         return list((self * Matrix([[x] for x in vector])).column(0))
-
-    def map(self, fn: Callable[[Entry], Entry]) -> "Matrix":
-        return Matrix([[fn(x) for x in row] for row in self.entries])
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)

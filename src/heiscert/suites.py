@@ -4,17 +4,18 @@ Every claim has one shape: a stable id, its suite, a one-line statement,
 its inputs, and check(inputs) -> (ok, witnesses).  A sampled claim draws
 its inputs with sample(stream, count), where the stream is split off the
 seed with the claim id as its label, so the streams of different claims
-are independent and results do not depend on execution order; a fixed
-claim computes its own inputs.  `_claim` turns that pair into the
-registry's run(config) and replay(inputs, seed) entry points, and
-`_certificate` is the one place a Certificate is built.
+are independent and results do not depend on execution order, and the
+count is the constant DEFAULT_SAMPLE_SIZES[claim id]; a fixed claim
+computes its own inputs.  `_claim` turns that pair into the registry's
+run(config) and replay(inputs, seed) entry points, and `_certificate` is
+the one place a Certificate is built.
 
-Replay of a sampled claim refuses more stored samples than a run with
-the default sizes draws, runs the check on the stored inputs, so it
-confirms that the stored verdict and witnesses are what those inputs
-give, and then re-draws the inputs from the stored seed at the count the
-stored inputs have, so inputs that the seed does not give (an edited
-seed or edited samples) are a MISMATCH.  Replay of a fixed claim
+Replay of a sampled claim refuses more stored samples than a run draws,
+runs the check on the stored inputs, so it confirms that the stored
+verdict and witnesses are what those inputs give, and then re-draws the
+inputs from the stored seed at the same constant count a run uses, so
+inputs that a run at that seed does not write (an edited seed, edited
+samples or a shortened list) are a MISMATCH.  Replay of a fixed claim
 recomputes from the claim's own inputs, so a certificate whose stored
 inputs were edited is a MISMATCH.  The runner writes one JSON
 certificate per claim plus report.json/report.md; a crash inside a
@@ -28,7 +29,7 @@ import datetime
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -50,24 +51,20 @@ SUITE_ORDER = ("reps", "jordan", "orbit", "hull", "restrict", "cone",
                "growth", "hilbert")
 
 DEFAULT_SAMPLE_SIZES = {
-    "jordan": 200,
-    "equivariance": 25,
-    "hull_fresh": 20,
-    "pd_checks": 200,
-    "hilbert": 50,
-    "cross_ratio": 50,
+    "jordan.unique_odd_largest": 200,
+    "orbit.equivariance": 25,
+    "hull.dimension": 20,
+    "cone.pd_preserved": 200,
+    "hilbert.metric_axioms": 50,
+    "hilbert.cross_ratio_invariance": 50,
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    sample_sizes: dict = field(default_factory=dict)
     output_dir: Path = Path("certificates")
     suites: tuple = SUITE_ORDER
-
-    def size(self, key: str) -> int:
-        return int(self.sample_sizes.get(key, DEFAULT_SAMPLE_SIZES[key]))
 
 
 @dataclass(frozen=True)
@@ -86,37 +83,36 @@ def _certificate(claim_id: str, ok: bool, witnesses: dict, inputs: dict,
 
 
 def _claim(claim_id: str, statement: str, check, sample=None,
-           inputs=dict, size=None) -> Claim:
+           inputs=dict, samples=None) -> Claim:
     """A registry entry from check(inputs) -> (ok, witnesses) and either
     sample(stream, count) -> inputs (a sampled claim, replayed on its
     stored inputs) or inputs() -> inputs (a fixed claim, always checked
     on its own inputs; the default has none).  A sampled claim's stream
-    is split off the seed with the claim id as label, and size=(key,
-    field) names its sample-size key and the inputs list of `count`
-    entries; replay re-draws at the stored count, at most
-    DEFAULT_SAMPLE_SIZES[key], the count `heiscert verify` draws.  The
+    is split off the seed with the claim id as label, its count is
+    DEFAULT_SAMPLE_SIZES[claim_id] for run and replay alike, and
+    `samples` names the inputs list that holds that many entries.  The
     suite is the id's first component."""
     def certify(claim_inputs, seed: str) -> Certificate:
         ok, witnesses = check(claim_inputs)
         return _certificate(claim_id, ok, witnesses, claim_inputs, seed)
 
-    def draw(seed: int, count: int) -> dict:
-        return sample(RandomStream(seed).split(claim_id), count)
+    def draw(seed: int) -> dict:
+        return sample(RandomStream(seed).split(claim_id),
+                      DEFAULT_SAMPLE_SIZES[claim_id])
 
     def run(config: RunConfig) -> Certificate:
-        return certify(draw(config.seed, config.size(size[0])) if sample
-                       else inputs(), str(config.seed))
+        return certify(draw(config.seed) if sample else inputs(),
+                       str(config.seed))
 
     def replay(stored_inputs, seed: str) -> Certificate:
         if not sample:
             return certify(inputs(), seed)
-        key, field_name = size
-        count = len(stored_inputs[field_name])
-        if count > DEFAULT_SAMPLE_SIZES[key]:
-            raise ValueError(f"{count} stored {field_name}, more than the "
-                             f"{DEFAULT_SAMPLE_SIZES[key]} a run draws")
+        count = len(stored_inputs[samples])
+        if count > DEFAULT_SAMPLE_SIZES[claim_id]:
+            raise ValueError(f"{count} stored {samples}, more than the "
+                             f"{DEFAULT_SAMPLE_SIZES[claim_id]} a run draws")
         recomputed = certify(stored_inputs, seed)
-        drawn = draw(int(seed), count)
+        drawn = draw(int(seed))
         # Inputs the stored seed does not draw replay as what a run at
         # that seed writes, which differs from them.
         return recomputed if digest(drawn) == digest(stored_inputs) \
@@ -461,7 +457,7 @@ CLAIMS: tuple[Claim, ...] = (
            "every sampled nontrivial element's image has a unique largest "
            "Jordan block, and that block has odd size",
            _jordan_unique_odd, sample=_jordan_sample,
-           size=("jordan", "parameters")),
+           samples="parameters"),
     _claim("orbit.formula",
            "the matrix of g applied to the lifted origin equals the closed "
            "orbit formula ((a^4+b^4)/24 + c^2, bc, c, a^3/6, a^2/2, a, "
@@ -471,7 +467,7 @@ CLAIMS: tuple[Claim, ...] = (
            "acting by the matrix of g maps the orbit point of h to the "
            "orbit point of g*h, symbolically and on sampled pairs",
            _equivariance, sample=_equivariance_sample,
-           size=("equivariance", "pairs")),
+           samples="pairs"),
     _claim("orbit.limit_point",
            "along rays to infinity the first coordinate dominates every "
            "other, so the orbit accumulates only at [1:0:...:0]",
@@ -484,7 +480,7 @@ CLAIMS: tuple[Claim, ...] = (
            "ten lifted orbit points have nonzero determinant, so the "
            "orbit hull has interior of full dimension 9",
            _hull_dimension, sample=_hull_dimension_sample,
-           size=("hull_fresh", "fresh")),
+           samples="fresh"),
     _claim("hull.degenerate_center",
            "orbit points of central elements are degenerate: their ten "
            "lifts have determinant 0",
@@ -517,7 +513,7 @@ CLAIMS: tuple[Claim, ...] = (
            "the 6x6 action keeps sampled positive-definite forms positive "
            "definite and agrees with the congruence action",
            _pd_preserved, sample=_pd_preserved_sample,
-           size=("pd_checks", "cases")),
+           samples="cases"),
     _claim("cone.parabolic_fixed_points",
            "each generator has an attracting rank-1 semidefinite fixed "
            "form; the first two generators' fixed forms are distinct and "
@@ -533,12 +529,12 @@ CLAIMS: tuple[Claim, ...] = (
            "satisfies R >= 1 with equality iff the points coincide, "
            "symmetry, and the multiplicative triangle inequality",
            _hilbert_axioms, sample=_hilbert_axioms_sample,
-           size=("hilbert", "instances")),
+           samples="instances"),
     _claim("hilbert.cross_ratio_invariance",
            "the cross ratio of four collinear points is unchanged by "
            "every sampled group matrix",
            _cross_ratio, sample=_cross_ratio_sample,
-           size=("cross_ratio", "elements")),
+           samples="elements"),
 )
 
 CLAIMS_BY_ID = {c.id: c for c in CLAIMS}
@@ -587,8 +583,7 @@ def run_suite(config: RunConfig) -> dict:
         "claims": rows,
         "suites_run": selected,
         "config": {"seed": config.seed, "suites": list(config.suites),
-                   "sample_sizes": {k: config.size(k)
-                                    for k in DEFAULT_SAMPLE_SIZES}},
+                   "sample_sizes": dict(DEFAULT_SAMPLE_SIZES)},
         "toolchain": {"package_version": __version__,
                       "python": sys.version.split()[0]},
         "generated_at": timestamp,

@@ -15,7 +15,6 @@ from heiscert.lp import convex_combination_weights, solve_equality_feasibility
 from heiscert.metric import Halfspace, box, cross_ratio, \
     hilbert_log_argument
 from heiscert.rationals import format_rational
-from heiscert.suites import RunConfig, run_suite
 
 # SHA-256 of each seed-0 certificate's comparable() body, by claim; a change
 # that alters any certificate byte (timestamps aside) moves that claim's pin.
@@ -157,12 +156,12 @@ def test_missing_fields_rejected():
         Certificate.from_dict({"claim": "x", "verdict": "PASS"})
 
 
-def test_seed0_certificates_are_pinned(tmp_path):
-    report = run_suite(RunConfig(seed=0, output_dir=tmp_path))
+def test_seed0_certificates_are_pinned(seed0_run):
+    report = json.loads((seed0_run / "report.json").read_text())
     pins = {}
     for row in report["claims"]:
         body = Certificate.from_dict(
-            json.loads((tmp_path / row["file"]).read_text())).comparable()
+            json.loads((seed0_run / row["file"]).read_text())).comparable()
         encoded = json.dumps(body, sort_keys=True, separators=(",", ":"))
         pins[row["claim"]] = hashlib.sha256(encoded.encode()).hexdigest()
     moved = sorted(claim for claim in pins.keys() | SEED0_CERTIFICATE_SHA256

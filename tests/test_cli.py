@@ -5,15 +5,15 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heiscert.certs import FAIL, PASS, digest, jsonable
 from heiscert.cli import main
+from heiscert.rationals import format_rational
+from heiscert.sampler import MASK64
 from heiscert.suites import (CLAIMS_BY_ID, DEFAULT_SAMPLE_SIZES, MATCH,
                              MISMATCH, RunConfig, replay, run_suite)
-
-# Small sample sizes keep a run of all eight suites short.
-SMALL_SIZES = {"jordan": 3, "equivariance": 2, "hull_fresh": 2,
-               "pd_checks": 3, "hilbert": 3, "cross_ratio": 3}
 
 
 def read_json(path: Path) -> dict:
@@ -124,8 +124,7 @@ def test_seeds_share_no_hull_fresh_sample():
 
 
 def test_replay_match_and_tamper_detection(tmp_path):
-    run_suite(RunConfig(suites=("hull",), output_dir=tmp_path,
-                        sample_sizes={"hull_fresh": 3}))
+    run_suite(RunConfig(suites=("hull",), output_dir=tmp_path))
     path = tmp_path / "hull.dimension.json"
     verdict, detail = replay(path)
     assert verdict == MATCH
@@ -167,13 +166,12 @@ def test_replay_cli_exit_codes(tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
-def certificates(tmp_path_factory) -> Path:
-    """One seed-0 run of every suite at small sample sizes."""
-    out = tmp_path_factory.mktemp("all")
-    report = run_suite(RunConfig(sample_sizes=SMALL_SIZES, output_dir=out))
+def certificates(seed0_run) -> Path:
+    """The certificates of one seed-0 run of every suite."""
+    report = read_json(seed0_run / "report.json")
     assert report["overall"] == PASS
     assert len(report["claims"]) == len(CLAIMS_BY_ID)
-    return out
+    return seed0_run
 
 
 @pytest.mark.parametrize("claim_id", sorted(CLAIMS_BY_ID))
@@ -231,6 +229,122 @@ def test_replay_rejects_edited_seed(certificates, seed, tmp_path):
     assert verdict == MISMATCH
 
 
+@pytest.mark.parametrize("claim_id, samples", [
+    ("jordan.unique_odd_largest", "parameters"),
+    ("orbit.equivariance", "pairs"),
+    ("hull.dimension", "fresh"),
+    ("cone.pd_preserved", "cases"),
+    ("hilbert.metric_axioms", "instances"),
+    ("hilbert.cross_ratio_invariance", "elements"),
+])
+def test_replay_rejects_truncated_samples(certificates, claim_id, samples,
+                                          tmp_path, monkeypatch):
+    # The forger keeps only the first drawn sample, which is all a run
+    # drawing one sample writes, re-derives verdict and witnesses for it
+    # through the registry, and recomputes the inputs digest.
+    data = read_json(certificates / f"{claim_id}.json")
+    assert len(data["inputs"][samples]) == DEFAULT_SAMPLE_SIZES[claim_id]
+    inputs = {**data["inputs"], samples: data["inputs"][samples][:1]}
+    with monkeypatch.context() as patch:
+        patch.setitem(DEFAULT_SAMPLE_SIZES, claim_id, 1)
+        forged = CLAIMS_BY_ID[claim_id].replay(inputs, data["seed"])
+    assert digest(forged.inputs) == digest(inputs)
+    data.update(verdict=forged.verdict, witnesses=jsonable(forged.witnesses),
+                inputs=inputs, inputs_digest=digest(inputs))
+    path = tmp_path / "truncated.json"
+    path.write_text(json.dumps(data))
+    verdict, detail = replay(path)
+    assert detail["inputs_digest_intact"]
+    assert verdict == MISMATCH
+
+
+def _leaf_paths(value, path=()) -> list[tuple]:
+    """The key path of every leaf (neither list nor object) in value."""
+    if isinstance(value, dict):
+        return [p for key in sorted(value)
+                for p in _leaf_paths(value[key], path + (key,))]
+    if isinstance(value, list):
+        return [p for i, item in enumerate(value)
+                for p in _leaf_paths(item, path + (i,))]
+    return [path]
+
+
+def _replaced(value, path, new):
+    """A copy of value with the leaf at path replaced by new."""
+    if not path:
+        return new
+    head, *rest = path
+    copy = list(value) if isinstance(value, list) else dict(value)
+    copy[head] = _replaced(value[head], rest, new)
+    return copy
+
+
+def _leaf(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-30, 30),
+    st.fractions(-30, 30, max_denominator=7).map(format_rational),
+    st.text("0123456789/-x", max_size=4))
+
+
+@st.composite
+def one_field_mutations(draw, certificates: Path):
+    """(claim id, certificate body with exactly one field changed, kind)."""
+    claim_id = draw(st.sampled_from(sorted(CLAIMS_BY_ID)))
+    data = read_json(certificates / f"{claim_id}.json")
+    kinds = ["witnesses", "verdict", "inputs_digest", "claim", "seed"]
+    if data["inputs"]:
+        kinds += ["inputs", "inputs+digest"]
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("inputs", "inputs+digest", "witnesses"):
+        part = kind.partition("+")[0]
+        path = draw(st.sampled_from(_leaf_paths(data[part])))
+        new = draw(JSON_LEAVES.filter(
+            lambda v: digest(v) != digest(_leaf(data[part], path))))
+        data[part] = _replaced(data[part], path, new)
+        if kind == "inputs+digest":
+            data["inputs_digest"] = digest(data["inputs"])
+    elif kind == "verdict":
+        data["verdict"] = draw(st.sampled_from(
+            [v for v in (PASS, FAIL, "", None) if v != data["verdict"]]))
+    elif kind == "inputs_digest":
+        i = draw(st.integers(0, len(data["inputs_digest"]) - 1))
+        old = data["inputs_digest"][i]
+        new = draw(st.sampled_from("0123456789abcdef").filter(
+            lambda c: c != old))
+        data["inputs_digest"] = (data["inputs_digest"][:i] + new
+                                 + data["inputs_digest"][i + 1:])
+    elif kind == "claim":
+        data["claim"] = draw(st.sampled_from(
+            [c for c in sorted(CLAIMS_BY_ID) if c != claim_id]
+            + ["no.such.claim"]))
+    else:
+        # RandomStream keeps a seed modulo 2**64, so a larger seed draws
+        # the samples of a smaller one and is what a run at it writes.
+        data["seed"] = str(draw(st.integers(1, MASK64)))
+    return claim_id, data, kind
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_one_field_mutation_never_matches(certificates, tmp_path_factory,
+                                          data):
+    claim_id, body, kind = data.draw(one_field_mutations(certificates))
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(body))
+    code = main(["replay", str(path)])
+    if kind == "seed" and claim_id not in DEFAULT_SAMPLE_SIZES:
+        # A fixed claim computes its own inputs, so this is the
+        # certificate `heiscert verify --seed N` writes.
+        assert code == 0
+    else:
+        assert code in (1, 2)
+
+
 def _with_inputs(data: dict, inputs) -> dict:
     return {**data, "inputs": inputs, "inputs_digest": digest(inputs)}
 
@@ -252,7 +366,7 @@ def _with_one_fresh_too_many(data: dict) -> dict:
     # One entry more than `heiscert verify` draws, the smallest count
     # replay refuses.
     fresh = data["inputs"]["fresh"]
-    count = DEFAULT_SAMPLE_SIZES["hull_fresh"] + 1
+    count = DEFAULT_SAMPLE_SIZES["hull.dimension"] + 1
     return _with_inputs(data, {**data["inputs"], "fresh": [
         fresh[i % len(fresh)] for i in range(count)]})
 

@@ -155,12 +155,16 @@ def test_commutator_relations_in_every_representation():
         assert mb * mc * ib * ic == identity
 
 
+def _at(power: Matrix, n: int) -> Matrix:
+    """The one-parameter power specialized at n."""
+    return Matrix([[p.eval({"n": n}) for p in row] for row in power.entries])
+
+
 def test_one_parameter_power_at_zero_is_identity():
     ring = PolyRing("n")
     for rep in ALL_REPS:
         power = one_parameter_power(rep, "A", ring)
-        at_zero = power.map(lambda p: p.eval({"n": 0}))
-        assert at_zero == Matrix.identity(rep.dimension)
+        assert _at(power, 0) == Matrix.identity(rep.dimension)
 
 
 def test_rho14_quartic_entry():
@@ -179,8 +183,7 @@ def test_one_parameter_power_matches_iterated_products():
             gen_matrix = rep(GENERATORS[gen_name])
             for k in range(1, 7):
                 iterated = iterated * gen_matrix
-                specialized = symbolic.map(lambda p: p.eval({"n": k}))
-                assert specialized == iterated
+                assert _at(symbolic, k) == iterated
 
 
 def test_unknown_generator_rejected():

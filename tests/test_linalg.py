@@ -423,7 +423,8 @@ def test_table_specialization_matches_entrywise_eval(name, point):
         assert orbit_lift(g) == [p.eval(values) for p in ORBIT_LIFT]
         return
     rep = get_representation(name)
-    expected = rep.table.map(lambda p: p.eval(values))
+    expected = Matrix([[p.eval(values) for p in row]
+                       for row in rep.table.entries])
     assert rep(g) == expected
 
 
@@ -434,7 +435,8 @@ scalars = st.one_of(st.integers(-5, 5), entries)
 
 
 def _lift(matrix):
-    return matrix.map(ENTRY_RING.const)
+    return Matrix([[ENTRY_RING.const(x) for x in row]
+                   for row in matrix.entries])
 
 
 @st.composite
