@@ -641,8 +641,8 @@ def replay(path: Path) -> tuple[str, dict]:
     """Recompute a stored certificate, from its recorded inputs for a
     sampled claim (which its stored seed must re-draw) and from the
     claim's own inputs for a fixed one; MATCH iff the recomputation
-    reproduces it (timestamp aside).  A seed that is not an integer
-    raises ValueError."""
+    reproduces it as JSON (timestamp aside).  A seed that is not an
+    integer raises ValueError."""
     import json
     data = json.loads(Path(path).read_text())
     stored = Certificate.from_dict(data)
@@ -660,7 +660,10 @@ def replay(path: Path) -> tuple[str, dict]:
         raise ValueError(f"malformed stored inputs for {stored.claim}: "
                          f"{exc}") from exc
     recomputed.anchor = claim.statement
-    same = digest_ok and recomputed.comparable() == stored.comparable()
+    # Compared as JSON text: as dicts, a stored 1 equals a recomputed True.
+    same = digest_ok and \
+        json.dumps(recomputed.comparable(), sort_keys=True) == \
+        json.dumps(stored.comparable(), sort_keys=True)
     detail = {
         "claim": stored.claim,
         "stored_verdict": stored.verdict,

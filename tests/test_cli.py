@@ -258,6 +258,27 @@ def test_replay_rejects_truncated_samples(certificates, claim_id, samples,
     assert verdict == MISMATCH
 
 
+@pytest.mark.parametrize("claim_id, path, old, new", [
+    ("cone.parabolic_fixed_points", ("checks", "A_B_distinct"), True, 1),
+    ("orbit.equivariance", ("symbolic_identity",), True, 1),
+    ("jordan.center_case", ("partition", 2), 1, True),
+    ("jordan.center_case", ("nilpotent_rank_sequence", 2), 0, False),
+], ids=["checks-true-to-1", "symbolic-identity-true-to-1",
+        "partition-1-to-true", "rank-0-to-false"])
+def test_replay_tells_bool_from_int_witness(certificates, claim_id, path, old,
+                                            new, tmp_path):
+    # Equal as Python values (True == 1), different as JSON.
+    data = read_json(certificates / f"{claim_id}.json")
+    current = _leaf(data["witnesses"], path)
+    assert (type(current), current) == (type(old), old)
+    data["witnesses"] = _replaced(data["witnesses"], path, new)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(data))
+    verdict, detail = replay(edited)
+    assert detail["inputs_digest_intact"]
+    assert verdict == MISMATCH
+
+
 def _leaf_paths(value, path=()) -> list[tuple]:
     """The key path of every leaf (neither list nor object) in value."""
     if isinstance(value, dict):
