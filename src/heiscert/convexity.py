@@ -7,9 +7,10 @@ module certifies, in exact arithmetic: the closed orbit formula, its
 equivariance, domination along rays to infinity, full dimensionality of
 the orbit hull (a nonzero 10x10 determinant), proper convexity (the hull
 stays in {x1 >= 0}) and extremality of sampled orbit points via exact LP.
-Each check returns (ok, witnesses).  orbit_lift() specializes the lifted
-formula through heis.specialize, so it serves rational elements, symbolic
-ones and rays to infinity alike.  Orbit points are compared as lifts in
+Each check returns (ok, witnesses).  orbit_lift() evaluates the lifted
+formula through its compiled heis.EntryPlan, the path the entry tables
+take, so it serves rational elements, symbolic ones and rays to infinity
+alike.  Orbit points are compared as lifts in
 the affine chart x10 = 1: theta's last row is e10 (certified by
 fixed_structure_certificate), so every image of a lift ends in 1 as well,
 and for such vectors projective equality is vector equality.
@@ -23,8 +24,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .heis import ENTRY_RING, HeisElement, get_representation, heis_mul, \
-    specialize
+from .heis import ENTRY_RING, EntryPlan, HeisElement, get_representation, \
+    heis_mul
 from .lp import convex_combination_weights
 from .poly import NEG_INFINITY, Poly, PolyRing
 from .rationals import format_rational, parse_rational, to_fraction
@@ -49,6 +50,7 @@ ORBIT_FORMULA: tuple[Poly, ...] = (
 )
 # The homogeneous lift (x1..x9, 1) of the orbit point.
 ORBIT_LIFT: tuple[Poly, ...] = ORBIT_FORMULA + (ENTRY_RING.one(),)
+_ORBIT_LIFT_PLAN = EntryPlan(ORBIT_LIFT)
 
 
 def lift_origin() -> list[Fraction]:
@@ -59,7 +61,7 @@ def lift_origin() -> list[Fraction]:
 def orbit_lift(g: HeisElement) -> list:
     """Homogeneous lift (x1..x9, 1) of the orbit point of g: rational if
     g is rational, polynomials in g's ring otherwise."""
-    return specialize(ORBIT_LIFT, g)
+    return _ORBIT_LIFT_PLAN.specialize(g)
 
 
 def orbit_formula_certificate() -> tuple[bool, dict]:

@@ -8,19 +8,21 @@ upper-triangular matrix with a, c on the first row and b in position
 
 The entry tables of the three representations (named theta, rho6 and
 rho14; dimensions 10, 6 and 14) are loaded from plain-text .rep files so
-they exist in exactly one transcription.  specialize() is the one place
+they exist in exactly one transcription.  EntryPlan is the one place
 that evaluates polynomials in a, b, c at a group element, rational or
-symbolic; the entry tables and the orbit formula both go through it.
-Each distinct monomial a^i b^j c^k is built once per call and shared
-across all the polynomials passed.  At a rational element it works in
-plain integers: a monomial is one (numerator, denominator) pair built
-from the components' numerators and denominators, each polynomial's
-terms are summed over one common denominator, and a single Fraction is
-built per value.  At a symbolic element a monomial is a product of
-cached powers of the components, and each polynomial's terms go into one
-term map.  A whole table costs one pass over its monomials and one
-reduction per nonzero entry.  Homomorphism and injectivity verification
-run fully symbolically over a six-variable ring.
+symbolic; each entry table compiles one when its Representation is
+built, and the orbit formula has its own.  A plan lists the distinct
+monomials, the largest exponent of each of a, b, c, and every term's
+coefficient numerator over one common coefficient denominator.  At a
+rational element it runs in plain integers: one power table per
+component, one int product per monomial, one int sum per entry, and a
+single denominator d for them all, so Representation.integer_image hands
+out the matrix as int rows over d, and the rational matrix builds one
+Fraction per nonzero entry from them.  At a symbolic element each
+distinct monomial is a product of cached powers of the components, built
+once per call, and each entry collects its terms in one term map.
+Homomorphism and injectivity verification run fully symbolically over a
+six-variable ring.
 """
 
 from __future__ import annotations
@@ -78,68 +80,92 @@ GEN_C = HeisElement.of(0, 0, 1)
 GENERATORS = {"A": GEN_A, "B": GEN_B, "C": GEN_C}
 
 
-def specialize(polys: Sequence[Poly], g: HeisElement) -> list[Component]:
-    """The polynomials of ENTRY_RING evaluated at g: rationals if g is
-    rational, otherwise polynomials in the one ring g's components share.
+class EntryPlan:
+    """Polynomials of ENTRY_RING compiled once for evaluation at group
+    elements.
 
-    Each distinct monomial a^i b^j c^k is built once per call and shared
-    by every polynomial passed.  At a rational g it is an int numerator
-    and denominator; each value is summed in int over the lcm of its
-    terms' denominators and becomes one Fraction (a shared 0 when it
-    vanishes).  At a symbolic g it is a product of cached powers of g's
-    components, and each value collects its terms in one term map."""
-    components = g.components()
-    if all(isinstance(v, Fraction) for v in components):
-        (an, ad), (bn, bd), (cn, cd) = (
-            (x.numerator, x.denominator) for x in components)
-        monomials: dict[tuple, tuple[int, int]] = {}
-        zero = Fraction(0)
+    The plan holds the distinct monomials a^i b^j c^k, the largest
+    exponent (I, J, K) of each of a, b, c among them, and every term as
+    (polynomial index, monomial index, coefficient numerator), each
+    numerator over one denominator L, the lcm of every coefficient's
+    denominator.  A zero polynomial has no terms, so it costs nothing."""
+
+    def __init__(self, polys: Sequence[Poly]):
+        self.polys = tuple(polys)
+        if any(p.ring != ENTRY_RING for p in self.polys):
+            raise ValueError(f"polynomials are not in {ENTRY_RING}")
+        index: dict[tuple, int] = {}
+        for p in self.polys:
+            for e in p.terms:
+                index.setdefault(e, len(index))
+        self.monomials = tuple(index)
+        self.max_exponents = tuple(max((e[axis] for e in index), default=0)
+                                   for axis in range(3))
+        self.denominator = lcm(*(c.denominator for p in self.polys
+                                 for c in p.terms.values()))
+        self.terms = tuple(
+            (n, index[e], c.numerator * (self.denominator // c.denominator))
+            for n, p in enumerate(self.polys) for e, c in p.terms.items())
+
+    def integer_values(self, g: HeisElement) -> tuple[list[int], int]:
+        """Ints R and d > 0 with the polynomials at the rational g equal
+        to R / d.  With x = xn / xd for each component, a^i b^j c^k is
+        an^i ad^(I-i) bn^j bd^(J-j) cn^k cd^(K-k) over ad^I bd^J cd^K,
+        so d is L ad^I bd^J cd^K, each monomial is one product from a
+        power table per component, and each value adds up its terms."""
+        d = self.denominator
+        tables = []
+        for x, top in zip(g.components(), self.max_exponents):
+            num, den = x.numerator, x.denominator
+            ups, downs = [1], [1]
+            for _ in range(top):
+                ups.append(ups[-1] * num)
+                downs.append(downs[-1] * den)
+            tables.append([u * v for u, v in zip(ups, reversed(downs))])
+            d *= downs[-1]
+        pa, pb, pc = tables
+        monomials = [pa[i] * pb[j] * pc[k] for i, j, k in self.monomials]
+        values = [0] * len(self.polys)
+        for n, m, c in self.terms:
+            values[n] += c * monomials[m]
+        return values, d
+
+    def specialize(self, g: HeisElement) -> list[Component]:
+        """The polynomials evaluated at g: Fraction(R, d) from
+        integer_values (a shared 0 where R is 0) if g is rational,
+        otherwise polynomials in the one ring g's components share."""
+        components = g.components()
+        if all(isinstance(v, Fraction) for v in components):
+            values, d = self.integer_values(g)
+            zero = Fraction(0)
+            return [Fraction(x, d) if x else zero for x in values]
+        rings = {v.ring for v in components if isinstance(v, Poly)}
+        if len(rings) != 1:
+            raise ValueError("symbolic components must share one ring")
+        ring = rings.pop()
+        powers = [[x if isinstance(x, Poly) else ring.const(x)]
+                  for x in components]   # powers[axis][n - 1] = component^n
+        symbolic: dict[tuple, dict] = {}
         values = []
-        for p in polys:
-            num, den = 0, 1
+        for p in self.polys:
+            terms: dict = {}
             for e, coeff in p.terms.items():
-                mono = monomials.get(e)
+                mono = symbolic.get(e)
                 if mono is None:
-                    i, j, k = e
-                    mono = monomials[e] = (an ** i * bn ** j * cn ** k,
-                                           ad ** i * bd ** j * cd ** k)
-                t_num = coeff.numerator * mono[0]
-                t_den = coeff.denominator * mono[1]
-                if t_den == den:
-                    num += t_num
-                else:
-                    common = lcm(den, t_den)
-                    num = num * (common // den) + t_num * (common // t_den)
-                    den = common
-            values.append(Fraction(num, den) if num else zero)
+                    factors = []
+                    for seq, n in zip(powers, e):
+                        if n:
+                            while len(seq) < n:
+                                seq.append(seq[-1] * seq[0])
+                            factors.append(seq[n - 1])
+                    product = factors[0] if factors else ring.one()
+                    for f in factors[1:]:
+                        product = product * f
+                    mono = symbolic[e] = product.terms
+                for m, c in mono.items():
+                    terms[m] = terms.get(m, 0) + coeff * c
+            values.append(Poly(ring, terms))
         return values
-    rings = {v.ring for v in components if isinstance(v, Poly)}
-    if len(rings) != 1:
-        raise ValueError("symbolic components must share one ring")
-    ring = rings.pop()
-    powers = [[x if isinstance(x, Poly) else ring.const(x)]
-              for x in components]   # powers[axis][n - 1] = component^n
-    symbolic: dict[tuple, dict] = {}
-    values = []
-    for p in polys:
-        terms: dict = {}
-        for e, coeff in p.terms.items():
-            mono = symbolic.get(e)
-            if mono is None:
-                factors = []
-                for seq, n in zip(powers, e):
-                    if n:
-                        while len(seq) < n:
-                            seq.append(seq[-1] * seq[0])
-                        factors.append(seq[n - 1])
-                product = factors[0] if factors else ring.one()
-                for f in factors[1:]:
-                    product = product * f
-                mono = symbolic[e] = product.terms
-            for m, c in mono.items():
-                terms[m] = terms.get(m, 0) + coeff * c
-        values.append(Poly(ring, terms))
-    return values
 
 
 class Representation:
@@ -148,8 +174,7 @@ class Representation:
     def __init__(self, name: str, dimension: int, table: Matrix):
         if table.rows != dimension or table.cols != dimension:
             raise ValueError("entry table has wrong shape")
-        if any(p.ring != ENTRY_RING for row in table.entries for p in row):
-            raise ValueError(f"{name}: entries are not in {ENTRY_RING}")
+        self.plan = EntryPlan([p for row in table.entries for p in row])
         for i in range(dimension):
             if table[i, i] != ENTRY_RING.one():
                 raise ValueError(f"{name}: diagonal entry ({i},{i}) is not 1")
@@ -166,8 +191,15 @@ class Representation:
     def __call__(self, g: HeisElement) -> Matrix:
         """The matrix of g: rational if g is rational, symbolic otherwise."""
         n = self.dimension
-        flat = specialize([p for row in self.table.entries for p in row], g)
+        flat = self.plan.specialize(g)
         return Matrix([flat[i:i + n] for i in range(0, n * n, n)])
+
+    def integer_image(self, g: HeisElement) -> tuple[list[list[int]], int]:
+        """Int rows R and d > 0 with the matrix of the rational g equal
+        to R / d, read straight off the compiled plan."""
+        n = self.dimension
+        values, d = self.plan.integer_values(g)
+        return [values[i:i + n] for i in range(0, n * n, n)], d
 
     def __repr__(self):
         return f"Representation({self.name}, dim={self.dimension})"

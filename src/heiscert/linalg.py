@@ -22,12 +22,16 @@ accumulating huge reduced fractions.  Rows are scaled lazily: each row
 carries a divisor, the pivot in force when it was last exact, and a
 pivot step touches only the rows with a nonzero entry in its column,
 dividing each exactly by its own divisor (see eliminate for why the
-division is exact).  nilpotent_ranks() scales N = m - I by one common
-denominator and never forms a full power of it: the echelon rows of
-N^(k-1) times N span the rows of N^k, so each rank is one elimination
-pass over an int product with as many rows as the previous rank,
-without going through Matrix.rank; SymForm.is_positive_definite reads
-its leading minors off the pivots of one such pass.
+division is exact).  The Jordan rank chain runs on ints:
+integer_nilpotent_ranks() takes int rows R and a d > 0 standing for the
+matrix R / d (the integer image of an entry table, or a rational matrix
+cleared by nilpotent_ranks()), works with dN = R - d I, and never forms a
+full power of it: the echelon rows of N^(k-1) times N span the rows of
+N^k, so each rank is one elimination pass over an int product with as
+many rows as the previous rank, made by the same Gustavson kernel as
+Matrix products over N's nonzero pairs, listed once.
+SymForm.is_positive_definite reads its leading minors off the pivots of
+one elimination pass.
 """
 
 from __future__ import annotations
@@ -105,20 +109,17 @@ class Matrix:
                        for ra, rb in zip(self.entries, other.entries)])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        """Matrix product over the nonzero pairs only (Gustavson, ACM
-        TOMS 4(3), 1978): each row of other lists its nonzero (j, y)
-        once, and each nonzero x = self[i, k] adds x * y into output
-        column j, k increasing as in the textbook sum.  An entry with no
-        nonzero pair is the shared zero self[0, 0] * other[0, 0] * 0,
-        which has the type a dense sum of homogeneous operands would have
-        (0, Fraction(0) or the zero Poly).
+        """Matrix product over the nonzero pairs only, through the one
+        kernel _gustavson.  An entry with no nonzero pair is the shared
+        zero self[0, 0] * other[0, 0] * 0, which has the type a dense
+        sum of homogeneous operands would have (0, Fraction(0) or the
+        zero Poly).
 
         When that zero is a Fraction, the loop runs on int numerators:
         row i of self is scaled by the lcm r_i of its denominators and
         column j of other by the lcm c_j of its own, so each nonzero
         entry is one Fraction(sum, r_i * c_j) and a zero one is the
-        shared zero.  Int operands (the Jordan powers) and Poly operands
-        are multiplied as they are.
+        shared zero.  Int and Poly operands are multiplied as they are.
         """
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -133,16 +134,7 @@ class Matrix:
             left, row_scales = _integer_copy(left)
             columns, col_scales = _integer_copy(zip(*right))
             right = zip(*columns)
-        nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in right]
-        sums = []
-        for row in left:
-            acc = [None] * other.cols
-            for x, pairs in zip(row, nonzero):
-                if x:
-                    for j, y in pairs:
-                        a = acc[j]
-                        acc[j] = x * y if a is None else a + x * y
-            sums.append(acc)
+        sums = _gustavson(left, _nonzero_pairs(right), other.cols)
         if rational:
             return Matrix([[Fraction(a, r * c) if a else zero
                             for a, c in zip(acc, col_scales)]
@@ -359,49 +351,86 @@ def _echelon(m: list[list[int]], reduce_above: bool
     return pivots, swaps, d
 
 
+def _nonzero_pairs(rows) -> list[list[tuple]]:
+    """Each row's nonzero entries as (column, value) pairs."""
+    return [[(j, y) for j, y in enumerate(row) if y] for row in rows]
+
+
+def _gustavson(left, nonzero, width: int) -> list[list]:
+    """The one product kernel (Gustavson, ACM TOMS 4(3), 1978): row i
+    of the result adds x * y into column j for each nonzero
+    x = left[i][k] and each (j, y) in nonzero[k], the nonzero pairs of
+    the right operand's row k, k increasing as in the textbook sum.  An
+    entry that no nonzero pair reaches is left None, for the caller to
+    fill with its zero."""
+    sums = []
+    for row in left:
+        acc = [None] * width
+        for x, pairs in zip(row, nonzero):
+            if x:
+                for j, y in pairs:
+                    a = acc[j]
+                    acc[j] = x * y if a is None else a + x * y
+        sums.append(acc)
+    return sums
+
+
 def nilpotent_ranks(m: Matrix) -> list[int]:
     """rank(N), rank(N^2), ... ending at 0, for the nilpotent part
-    N = m - I of a unipotent rational matrix.
-
-    N is scaled by the lcm d of all entry denominators, which keeps every
-    rank because (dN)^k = d^k N^k, so everything below is int.  (Clearing
-    each row by its own factor would not do: the powers of D N are not
-    D^k N^k.)  The full powers are never formed: rowspace(N^k) =
-    rowspace(N^(k-1)) N, so the echelon rows E of N^(k-1), rank(N^(k-1))
-    of them, give rank(N^k) as the rank of the product E N, ranked by one
-    fraction-free pass whose nonzero rows are the next E.  The ranks
-    fall strictly until they settle (Fitting's lemma), and they settle at
-    0 exactly when N is nilpotent, so a positive rank that repeats its
-    predecessor proves m is not unipotent.
-    """
+    N = m - I of a unipotent rational matrix: m is cleared to int rows
+    over the lcm d of all its entry denominators, and
+    integer_nilpotent_ranks does the rest."""
     if not m.is_square():
         raise ValueError("Jordan analysis needs a square matrix")
     m._require_rational()
-    rows, d = clear_denominators(m.entries)
-    for i, row in enumerate(rows):
+    return integer_nilpotent_ranks(*clear_denominators(m.entries))
+
+
+def integer_nilpotent_ranks(rows: list[list[int]], d: int) -> list[int]:
+    """rank(N), rank(N^2), ... ending at 0, for N = rows / d - I, where
+    rows is a square list of int rows (left unmodified) and d > 0.
+
+    dN = rows - d I has the ranks of N at every power, because
+    (dN)^k = d^k N^k.  (Clearing each row by its own factor would not
+    do: the powers of D N are not D^k N^k.)  The full powers are never
+    formed: rowspace(N^k) = rowspace(N^(k-1)) N, so the echelon rows E
+    of N^(k-1), rank(N^(k-1)) of them, give rank(N^k) as the rank of
+    the product E N (one _gustavson call over N's nonzero pairs, listed
+    once), ranked by one fraction-free pass whose nonzero rows are the
+    next E.  The ranks fall strictly until they settle (Fitting's
+    lemma), and they settle at 0 exactly when N is nilpotent, so a
+    positive rank that repeats its predecessor proves the matrix is not
+    unipotent.
+    """
+    n = len(rows)
+    current = [list(row) for row in rows]
+    for i, row in enumerate(current):
         row[i] -= d
-    nilpotent = Matrix(rows)
-    ranks = [m.rows]
+    nonzero = _nonzero_pairs(current)
+    ranks = [n]
     while True:
-        ranks.append(len(_echelon(rows, reduce_above=False)[0]))
+        ranks.append(len(_echelon(current, reduce_above=False)[0]))
         if ranks[-1] == 0:
             return ranks[1:]
         if ranks[-1] == ranks[-2]:
             raise ValueError(
                 "matrix is not unipotent: (m - I) is not nilpotent")
         # The echelon pass left the nonzero rows on top.
-        rows = [list(row) for row in
-                (Matrix(rows[:ranks[-1]]) * nilpotent).entries]
+        current = [[a or 0 for a in acc] for acc in
+                   _gustavson(current[:ranks[-1]], nonzero, n)]
+
+
+def jordan_blocks(ranks: Sequence[int]) -> list[int]:
+    """Jordan block sizes, largest first, from the rank sequence n,
+    rank(N), rank(N^2), ..., 0 of a nilpotent N: the number of blocks of
+    size > j is rank(N^j) - rank(N^(j+1)), and the partition is the
+    conjugate of those counts."""
+    at_least = [r - s for r, s in zip(ranks, ranks[1:])]
+    return [sum(1 for k in at_least if k > j) for j in range(at_least[0])]
 
 
 def jordan_partition(m: Matrix) -> list[int]:
-    """Jordan block sizes of a unipotent rational matrix, largest first.
-
-    Derived from the rank sequence of the nilpotent part N = m - I: the
-    number of blocks of size > j is rank(N^j) - rank(N^(j+1)), and the
-    partition is the conjugate of those counts.  Raises if m - I is not
-    nilpotent.
-    """
-    ranks = [m.rows] + nilpotent_ranks(m)  # N^0 has full rank
-    at_least = [r - s for r, s in zip(ranks, ranks[1:])]
-    return [sum(1 for k in at_least if k > j) for j in range(at_least[0])]
+    """Jordan block sizes of a unipotent rational matrix, largest first,
+    from the rank sequence of its nilpotent part N = m - I.  Raises if
+    m - I is not nilpotent."""
+    return jordan_blocks([m.rows] + nilpotent_ranks(m))  # N^0 has full rank

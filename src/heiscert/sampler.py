@@ -27,9 +27,18 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def check_seed(seed: int) -> int:
+    """seed itself if it is one of the 2**64 seeds in [0, 2**64);
+    otherwise ValueError, since a seed outside would draw the samples of
+    the seed it equals modulo 2**64."""
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    return seed
+
+
 class RandomStream:
     def __init__(self, seed: int):
-        self.seed = int(seed) & MASK64
+        self.seed = check_seed(seed)
         self._counter = 0
 
     def split(self, label: str) -> "RandomStream":

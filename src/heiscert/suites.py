@@ -42,10 +42,11 @@ from .cone import (SymForm, attraction_gaps, flat_segment_certificate,
                    sym_square_match_certificate)
 from .heis import (DATA_DIR, HeisElement, get_representation, symbolic_pair,
                    verify_homomorphism, verify_injectivity_generators)
-from .linalg import Matrix, jordan_partition, nilpotent_ranks
+from .linalg import (Matrix, integer_nilpotent_ranks, jordan_blocks,
+                     jordan_partition, nilpotent_ranks)
 from .metric import box, cross_ratio, hilbert_log_argument
 from .rationals import to_fraction
-from .sampler import RandomStream
+from .sampler import RandomStream, check_seed
 
 SUITE_ORDER = ("reps", "jordan", "orbit", "hull", "restrict", "cone",
                "growth", "hilbert")
@@ -65,6 +66,9 @@ class RunConfig:
     seed: int = 0
     output_dir: Path = Path("certificates")
     suites: tuple = SUITE_ORDER
+
+    def __post_init__(self):
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -182,7 +186,9 @@ def _jordan_unique_odd(inputs):
     histogram: dict[str, int] = {}
     failures = []
     for triple in params:
-        partition = jordan_partition(theta(HeisElement.of(*triple)))
+        rows, d = theta.integer_image(HeisElement.of(*triple))
+        partition = jordan_blocks([len(rows)]
+                                  + integer_nilpotent_ranks(rows, d))
         histogram[str(partition)] = histogram.get(str(partition), 0) + 1
         largest = partition[0]
         unique = partition.count(largest) == 1
@@ -555,7 +561,6 @@ def run_suite(config: RunConfig) -> dict:
     timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     rows = []
-    certificates = []
     for claim in CLAIMS:
         if claim.suite not in selected:
             continue
@@ -572,7 +577,6 @@ def run_suite(config: RunConfig) -> dict:
         cert.timestamp = timestamp
         path = out / f"{claim.id}.json"
         _atomic_write(path, cert.to_json())
-        certificates.append(cert)
         rows.append({"claim": claim.id, "suite": claim.suite,
                      "verdict": cert.verdict, "statement": claim.statement,
                      "file": path.name, "wall_s": wall_s})
@@ -642,17 +646,19 @@ def replay(path: Path) -> tuple[str, dict]:
     sampled claim (which its stored seed must re-draw) and from the
     claim's own inputs for a fixed one; MATCH iff the recomputation
     reproduces it as JSON (timestamp aside).  A seed that is not an
-    integer raises ValueError."""
+    integer in [0, 2**64) raises ValueError."""
     import json
     data = json.loads(Path(path).read_text())
     stored = Certificate.from_dict(data)
     claim = CLAIMS_BY_ID.get(stored.claim)
     if claim is None:
         raise KeyError(f"unknown claim id {stored.claim!r}")
-    # A run writes str(config.seed); anything else is malformed.
+    # A run writes str(config.seed) for a seed in [0, 2**64); anything
+    # else is malformed.
     seed = stored.seed
     if not isinstance(seed, str) or str(int(seed)) != seed:
         raise ValueError(f"stored seed {seed!r} is not an integer")
+    check_seed(int(seed))
     try:
         digest_ok = stored.inputs_digest() == data["inputs_digest"]
         recomputed = claim.replay(stored.inputs, stored.seed)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heiscert import suites
 from heiscert.certs import FAIL, PASS, digest, jsonable
 from heiscert.cli import main
 from heiscert.rationals import format_rational
@@ -190,26 +191,30 @@ def test_every_claim_replays(certificates, claim_id, tmp_path):
     assert detail["inputs_digest_intact"]
 
 
-@pytest.mark.parametrize("claim_id, edit", [
-    ("orbit.limit_point", lambda inputs: {**inputs, "rays": []}),
-    ("hull.extreme_points",
+@pytest.mark.parametrize("claim_id, check, edit", [
+    ("orbit.limit_point", suites._limit_point,
+     lambda inputs: {**inputs, "rays": []}),
+    ("hull.extreme_points", suites._extreme_points,
      lambda inputs: {"parameters": inputs["parameters"][:11]}),
-    ("hull.degenerate_center",
+    ("hull.degenerate_center", suites._degenerate_center,
      lambda inputs: {"parameters": [["0", "0", str(k)]
                                     for k in range(2, 12)]}),
-    ("restrict.conjugate_to_theta", lambda inputs: {"rederived": True}),
+    ("restrict.conjugate_to_theta", suites._restriction,
+     lambda inputs: {"rederived": True}),
 ], ids=["limit-point-no-rays", "extreme-points-subset",
         "degenerate-center-other-parameters", "restriction-rederived"])
-def test_replay_rejects_forged_fixed_inputs(certificates, claim_id, edit,
-                                            tmp_path):
+def test_replay_rejects_forged_fixed_inputs(certificates, claim_id, check,
+                                            edit, tmp_path):
     # The forger edits the inputs of a fixed claim, re-derives verdict
-    # and witnesses from the edited inputs through the registry, and
-    # recomputes the inputs digest.
+    # and witnesses by running the claim's own check on the edited
+    # inputs, and recomputes the inputs digest.  Each forgery passes its
+    # check, so only the inputs betray it.
     data = read_json(certificates / f"{claim_id}.json")
     inputs = edit(data["inputs"])
-    forged = CLAIMS_BY_ID[claim_id].replay(inputs, data["seed"])
-    data.update(verdict=forged.verdict, witnesses=jsonable(forged.witnesses),
-                inputs=inputs, inputs_digest=digest(inputs))
+    ok, witnesses = check(inputs)
+    assert ok
+    data.update(verdict=PASS, witnesses=jsonable(witnesses), inputs=inputs,
+                inputs_digest=digest(inputs))
     path = tmp_path / "forged.json"
     path.write_text(json.dumps(data))
     verdict, detail = replay(path)
@@ -344,8 +349,8 @@ def one_field_mutations(draw, certificates: Path):
             [c for c in sorted(CLAIMS_BY_ID) if c != claim_id]
             + ["no.such.claim"]))
     else:
-        # RandomStream keeps a seed modulo 2**64, so a larger seed draws
-        # the samples of a smaller one and is what a run at it writes.
+        # Seeds outside [0, 2**64) exit 2 (see the malformed rows); a
+        # seed inside is one a run may write.
         data["seed"] = str(draw(st.integers(1, MASK64)))
     return claim_id, data, kind
 
@@ -408,10 +413,15 @@ def _with_one_fresh_too_many(data: dict) -> dict:
     ("hull.dimension", lambda data: {**data, "seed": "05"}),
     ("hull.dimension", lambda data: {**data, "seed": 0}),
     ("hull.dimension", _with_one_fresh_too_many),
+    ("hull.dimension", lambda data: {**data, "seed": str(2 ** 64)}),
+    ("hull.dimension", lambda data: {**data, "seed": "-1"}),
+    ("orbit.formula", lambda data: {**data, "seed": str(2 ** 64)}),
+    ("orbit.formula", lambda data: {**data, "seed": "-1"}),
 ], ids=["short-frozen-triple", "inputs-not-object", "body-not-object",
         "claim-not-string", "nine-frozen-points", "zero-denominator",
         "float-input", "seed-not-integer", "seed-not-canonical",
-        "seed-not-string", "fresh-above-run-size"])
+        "seed-not-string", "fresh-above-run-size", "sampled-seed-2**64",
+        "sampled-seed-negative", "fixed-seed-2**64", "fixed-seed-negative"])
 def test_replay_malformed_certificate_exits_2(certificates, claim_id, malform,
                                               tmp_path, capsys):
     data = read_json(certificates / f"{claim_id}.json")
@@ -419,6 +429,16 @@ def test_replay_malformed_certificate_exits_2(certificates, claim_id, malform,
     path.write_text(json.dumps(malform(data)))
     assert main(["replay", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [str(2 ** 64), "-1"])
+def test_seed_outside_64_bits_exits_2(tmp_path, seed, capsys):
+    # Seeds 0 and 2**64 would draw the same samples.
+    out = tmp_path / "certs"
+    assert main(["verify", "--seed", seed, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["orbit", "--count", "4", "--seed", seed]) == 2
+    assert "outside [0, 2**64)" in capsys.readouterr().err
 
 
 def test_orbit_command_is_deterministic(capsys):

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from heiscert.convexity import ORBIT_LIFT
-from heiscert.heis import (ENTRY_RING, GENERATORS, HeisElement,
+from heiscert.heis import (ENTRY_RING, GENERATORS, EntryPlan, HeisElement,
                            Representation, get_representation, heis_mul,
-                           one_parameter_power, specialize, symbolic_pair,
+                           one_parameter_power, symbolic_pair,
                            verify_homomorphism, verify_injectivity_generators)
 from heiscert.linalg import Matrix
 from heiscert.poly import Poly, PolyRing
@@ -217,13 +217,14 @@ def test_symbolic_specialize_matches_substitute(name):
               for rep in ALL_REPS]
     for polys in tables + [list(ORBIT_LIFT)]:
         expected = [p.substitute(mapping, ring) for p in polys]
-        assert specialize(polys, g) == expected
-    # All three tables in one call share their monomials.
+        assert EntryPlan(polys).specialize(g) == expected
+    # All three tables in one plan share their monomials.
     flat = [p for polys in tables for p in polys]
-    assert specialize(flat, g) == [p.substitute(mapping, ring) for p in flat]
+    assert EntryPlan(flat).specialize(g) == \
+        [p.substitute(mapping, ring) for p in flat]
 
 
 def test_symbolic_specialize_needs_one_ring():
     g = HeisElement(ENTRY_RING.var("a"), GROWTH_RING.var("n"), Fraction(0))
     with pytest.raises(ValueError, match="one ring"):
-        specialize([ENTRY_RING.var("a")], g)
+        EntryPlan([ENTRY_RING.var("a")]).specialize(g)

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from heiscert import linalg, suites
 from heiscert.convexity import ORBIT_LIFT, OrbitSample, orbit_lift
-from heiscert.heis import (DATA_DIR, ENTRY_RING, HeisElement,
+from heiscert.heis import (DATA_DIR, ENTRY_RING, EntryPlan, HeisElement,
                            get_representation, heis_mul)
-from heiscert.linalg import Matrix, jordan_partition, nilpotent_ranks
+from heiscert.linalg import (Matrix, integer_nilpotent_ranks,
+                             jordan_partition, nilpotent_ranks)
 from heiscert.poly import Poly
 from heiscert.rationals import to_fraction
 from heiscert.restriction import derive_subspace_basis
@@ -297,6 +299,33 @@ def _fraction_nilpotent_ranks(m):
     return ranks[1:]
 
 
+def _blocks_from_ranks(ranks):
+    """Reference: with r_k = rank(N^k), the blocks of size exactly k
+    number (r_(k-1) - r_k) - (r_k - r_(k+1))."""
+    r = list(ranks) + [0]
+    sizes = []
+    for k in range(1, len(r) - 1):
+        sizes += [k] * ((r[k - 1] - r[k]) - (r[k] - r[k + 1]))
+    return sorted(sizes, reverse=True)
+
+
+def test_claim_integer_route_matches_fraction_oracle():
+    """jordan.unique_odd_largest ranks theta's integer image directly;
+    its ranks and partitions equal the Fraction powers' for sampled,
+    central and identity elements."""
+    stream = RandomStream(13).split("integer-route")
+    triples = [stream.next_triple(nonzero=True) for _ in range(30)]
+    triples += [(0, 0, c) for c in (1, -2, Fraction(3, 5))] + [(0, 0, 0)]
+    for triple in triples:
+        g = HeisElement.of(*triple)
+        oracle = _fraction_nilpotent_ranks(THETA(g))
+        assert integer_nilpotent_ranks(*THETA.integer_image(g)) == oracle
+        _, witnesses = suites._jordan_unique_odd({"parameters": [triple]})
+        expected = _blocks_from_ranks([10] + oracle)
+        assert witnesses["partition_histogram"] == {str(expected): 1}
+    assert expected == [1] * 10
+
+
 def test_partition_conjugate_matches_rank_sequence():
     stream = RandomStream(5).split("jordan-props")
     for _ in range(25):
@@ -349,23 +378,27 @@ def test_non_unipotent_rejected_like_fraction_powers(m):
 def test_nilpotent_ranks_multiply_only_echelon_rows(monkeypatch):
     """rank(N^k) comes from the rank(N^(k-1)) echelon rows times N, so
     each product's left operand has as many rows as the previous rank;
-    the full n x n powers are never formed."""
+    the full n x n powers are never formed.  Every product goes through
+    the one Gustavson kernel with N's nonzero pairs listed once."""
     stream = RandomStream(7).split("row-space-chain")
     for g in [HeisElement.of(*stream.next_triple(nonzero=True))
               for _ in range(5)] + [HeisElement.of(0, 0, 1)]:
         m = THETA(g)
         shapes = []
-        original = Matrix.__mul__
+        right_operands = set()
+        original = linalg._gustavson
 
-        def recorded(self, other):
-            shapes.append((self.rows, other.rows, other.cols))
-            return original(self, other)
+        def recorded(left, nonzero, width):
+            shapes.append((len(left), len(nonzero), width))
+            right_operands.add(id(nonzero))
+            return original(left, nonzero, width)
 
-        monkeypatch.setattr(Matrix, "__mul__", recorded)
+        monkeypatch.setattr(linalg, "_gustavson", recorded)
         ranks = nilpotent_ranks(m)
         monkeypatch.undo()
         assert ranks == _fraction_nilpotent_ranks(m)
         assert shapes == [(r, 10, 10) for r in ranks[:-1]]
+        assert len(right_operands) == 1
 
 
 @st.composite
@@ -426,6 +459,33 @@ def test_table_specialization_matches_entrywise_eval(name, point):
     expected = Matrix([[p.eval(values) for p in row]
                        for row in rep.table.entries])
     assert rep(g) == expected
+
+
+integer_coordinate = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-50, 50).map(Fraction),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["theta", "rho6", "rho14", "orbit"]),
+       st.tuples(integer_coordinate, integer_coordinate, integer_coordinate))
+def test_integer_image_over_d_matches_entrywise_eval(name, point):
+    g = HeisElement.of(*point)
+    if name == "orbit":
+        polys = ORBIT_LIFT
+        values, d = EntryPlan(ORBIT_LIFT).integer_values(g)
+    else:
+        rep = get_representation(name)
+        polys = [p for row in rep.table.entries for p in row]
+        rows, d = rep.integer_image(g)
+        assert [len(row) for row in rows] == [rep.dimension] * rep.dimension
+        values = [x for row in rows for x in row]
+    assert type(d) is int and d > 0
+    assert all(type(x) is int for x in values)
+    assignment = dict(zip(ENTRY_RING.names, point))
+    assert [Fraction(x, d) for x in values] == \
+        [p.eval(assignment) for p in polys]
 
 
 small_polys = st.dictionaries(

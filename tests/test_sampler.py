@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from heiscert.sampler import RandomStream, mix64
+from heiscert.sampler import MASK64, RandomStream, mix64
 
 
 def test_streams_with_equal_seeds_agree():
@@ -16,6 +16,13 @@ def test_streams_with_equal_seeds_agree():
 
 def test_different_seeds_differ():
     assert RandomStream(1).next_u64() != RandomStream(2).next_u64()
+
+
+@pytest.mark.parametrize("seed", [-1, MASK64 + 1])
+def test_seed_outside_64_bits_refused(seed):
+    with pytest.raises(ValueError, match="outside"):
+        RandomStream(seed)
+    assert RandomStream(MASK64).seed == MASK64
 
 
 def test_split_is_deterministic_and_independent():
