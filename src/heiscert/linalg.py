@@ -24,12 +24,11 @@ pivot step touches only the rows with a nonzero entry in its column,
 dividing each exactly by its own divisor (see eliminate for why the
 division is exact).  The Jordan rank chain runs on ints:
 integer_nilpotent_ranks() takes int rows R and a d > 0 standing for the
-matrix R / d (the integer image of an entry table, or a rational matrix
-cleared by nilpotent_ranks()), works with dN = R - d I, and never forms a
-full power of it: the echelon rows of N^(k-1) times N span the rows of
-N^k, so each rank is one elimination pass over an int product with as
-many rows as the previous rank, made by the same Gustavson kernel as
-Matrix products over N's nonzero pairs, listed once.
+matrix R / d, an entry table's integer image; it works with dN = R - dI
+and never forms a full power of it: the echelon rows of N^(k-1) times N
+span the rows of N^k, so each rank is one elimination pass over an int
+product with as many rows as the previous rank, made by the same
+Gustavson kernel as Matrix products over N's nonzero pairs, listed once.
 SymForm.is_positive_definite reads its leading minors off the pivots of
 one elimination pass.
 """
@@ -82,9 +81,6 @@ class Matrix:
     def column(self, j: int):
         return tuple(self.entries[i][j] for i in range(self.rows))
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -98,13 +94,9 @@ class Matrix:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other)
-        return Matrix([[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)])
-
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
         return Matrix([[a - b for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.entries, other.entries)])
 
@@ -156,10 +148,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
-    def _check_shape(self, other: "Matrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-
     def _require_rational(self):
         """Raise TypeError unless every entry is an int or a Fraction;
         Poly, float and bool entries are all refused."""
@@ -172,7 +160,7 @@ class Matrix:
 
     def det(self) -> Fraction:
         """Exact determinant by fraction-free Bareiss elimination."""
-        if not self.is_square():
+        if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
         self._require_rational()
         m, scales = _integer_copy(self.entries)
@@ -375,20 +363,10 @@ def _gustavson(left, nonzero, width: int) -> list[list]:
     return sums
 
 
-def nilpotent_ranks(m: Matrix) -> list[int]:
-    """rank(N), rank(N^2), ... ending at 0, for the nilpotent part
-    N = m - I of a unipotent rational matrix: m is cleared to int rows
-    over the lcm d of all its entry denominators, and
-    integer_nilpotent_ranks does the rest."""
-    if not m.is_square():
-        raise ValueError("Jordan analysis needs a square matrix")
-    m._require_rational()
-    return integer_nilpotent_ranks(*clear_denominators(m.entries))
-
-
 def integer_nilpotent_ranks(rows: list[list[int]], d: int) -> list[int]:
-    """rank(N), rank(N^2), ... ending at 0, for N = rows / d - I, where
-    rows is a square list of int rows (left unmodified) and d > 0.
+    """rank(N^0) = n, rank(N), rank(N^2), ... ending at 0, for
+    N = rows / d - I, where rows is a square list of n int rows (left
+    unmodified) and d > 0.
 
     dN = rows - d I has the ranks of N at every power, because
     (dN)^k = d^k N^k.  (Clearing each row by its own factor would not
@@ -411,7 +389,7 @@ def integer_nilpotent_ranks(rows: list[list[int]], d: int) -> list[int]:
     while True:
         ranks.append(len(_echelon(current, reduce_above=False)[0]))
         if ranks[-1] == 0:
-            return ranks[1:]
+            return ranks
         if ranks[-1] == ranks[-2]:
             raise ValueError(
                 "matrix is not unipotent: (m - I) is not nilpotent")
@@ -420,17 +398,10 @@ def integer_nilpotent_ranks(rows: list[list[int]], d: int) -> list[int]:
                    _gustavson(current[:ranks[-1]], nonzero, n)]
 
 
-def jordan_blocks(ranks: Sequence[int]) -> list[int]:
+def jordan_partition(ranks: Sequence[int]) -> list[int]:
     """Jordan block sizes, largest first, from the rank sequence n,
-    rank(N), rank(N^2), ..., 0 of a nilpotent N: the number of blocks of
-    size > j is rank(N^j) - rank(N^(j+1)), and the partition is the
-    conjugate of those counts."""
+    rank(N), ..., 0 of a nilpotent N from integer_nilpotent_ranks: the
+    number of blocks of size > j is rank(N^j) - rank(N^(j+1)), and the
+    partition is the conjugate of those counts."""
     at_least = [r - s for r, s in zip(ranks, ranks[1:])]
     return [sum(1 for k in at_least if k > j) for j in range(at_least[0])]
-
-
-def jordan_partition(m: Matrix) -> list[int]:
-    """Jordan block sizes of a unipotent rational matrix, largest first,
-    from the rank sequence of its nilpotent part N = m - I.  Raises if
-    m - I is not nilpotent."""
-    return jordan_blocks([m.rows] + nilpotent_ranks(m))  # N^0 has full rank

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from math import gcd
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -72,6 +73,13 @@ class RandomStream:
                 return triple
 
     def distinct_triples(self, count: int, nonzero: bool = False) -> list:
+        # The sampled values are 0 and +-p/q in lowest terms.  A count
+        # above the number of distinct triples would draw forever.
+        values = 1 + 2 * sum(gcd(p, q) == 1 for p in range(1, MAX_NUM + 1)
+                             for q in range(1, MAX_DEN + 1))
+        available = values ** 3 - nonzero  # less the identity (0, 0, 0)
+        if not 0 <= count <= available:
+            raise ValueError(f"count {count} is outside [0, {available}]")
         out: list = []
         seen = set()
         while len(out) < count:

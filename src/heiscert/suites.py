@@ -42,8 +42,7 @@ from .cone import (SymForm, attraction_gaps, flat_segment_certificate,
                    sym_square_match_certificate)
 from .heis import (DATA_DIR, HeisElement, get_representation, symbolic_pair,
                    verify_homomorphism, verify_injectivity_generators)
-from .linalg import (Matrix, integer_nilpotent_ranks, jordan_blocks,
-                     jordan_partition, nilpotent_ranks)
+from .linalg import Matrix, integer_nilpotent_ranks, jordan_partition
 from .metric import box, cross_ratio, hilbert_log_argument
 from .rationals import to_fraction
 from .sampler import RandomStream, check_seed
@@ -168,11 +167,13 @@ CENTER_PARTITION = [3, 2, 1, 1, 1, 1, 1]
 
 
 def _jordan_center(_inputs):
-    mat = get_representation("theta")(HeisElement.of(0, 0, 1))
-    ranks = nilpotent_ranks(mat)
-    partition = jordan_partition(mat)
-    ok = partition == CENTER_PARTITION and ranks == [3, 1, 0]
-    return ok, {"partition": partition, "nilpotent_rank_sequence": ranks,
+    theta = get_representation("theta")
+    ranks = integer_nilpotent_ranks(
+        *theta.integer_image(HeisElement.of(0, 0, 1)))
+    partition = jordan_partition(ranks)
+    ok = partition == CENTER_PARTITION and ranks == [10, 3, 1, 0]
+    # The stored sequence starts at rank(N); rank(N^0) is the dimension.
+    return ok, {"partition": partition, "nilpotent_rank_sequence": ranks[1:],
                 "expected": CENTER_PARTITION}
 
 
@@ -186,9 +187,8 @@ def _jordan_unique_odd(inputs):
     histogram: dict[str, int] = {}
     failures = []
     for triple in params:
-        rows, d = theta.integer_image(HeisElement.of(*triple))
-        partition = jordan_blocks([len(rows)]
-                                  + integer_nilpotent_ranks(rows, d))
+        partition = jordan_partition(integer_nilpotent_ranks(
+            *theta.integer_image(HeisElement.of(*triple))))
         histogram[str(partition)] = histogram.get(str(partition), 0) + 1
         largest = partition[0]
         unique = partition.count(largest) == 1

@@ -18,13 +18,14 @@ from heiscert.cone import (flat_segment_certificate, parabolic_fixed_form,
                            sym_square_match_certificate)
 from heiscert.heis import (DATA_DIR, ENTRY_RING, HeisElement,
                            get_representation, verify_homomorphism)
-from heiscert.linalg import Matrix, jordan_partition
+from heiscert.linalg import Matrix
 from heiscert.metric import box, cross_ratio, hilbert_log_argument
 from heiscert.restriction import (growth_certificate,
                                   restriction_certificate,
                                   subspace_equations)
 from heiscert.sampler import RandomStream
 from heiscert.suites import RunConfig, run_suite
+from test_linalg import _rational_partition
 
 THETA = get_representation("theta")
 
@@ -48,14 +49,16 @@ def test_criterion_02_orbit_formula():
 
 
 def test_criterion_03_jordan_claim():
-    center = jordan_partition(THETA(HeisElement.of(0, 0, 1)))
+    # The rational matrices are cleared here, not read off integer_image,
+    # so this cross-checks the claim's route.
+    center = _rational_partition(THETA(HeisElement.of(0, 0, 1)))
     nilpotent = THETA(HeisElement.of(0, 0, 1)) - Matrix.identity(10)
     rank_oracle = [nilpotent.rank(), (nilpotent * nilpotent).rank(),
                    (nilpotent * nilpotent * nilpotent).rank()]
     ok = center == [3, 2, 1, 1, 1, 1, 1] and rank_oracle == [3, 1, 0]
     stream = RandomStream(0).split("acceptance-jordan")
     for triple in stream.distinct_triples(200, nonzero=True):
-        partition = jordan_partition(THETA(HeisElement.of(*triple)))
+        partition = _rational_partition(THETA(HeisElement.of(*triple)))
         largest = partition[0]
         ok = ok and partition.count(largest) == 1 and largest % 2 == 1
     report(3, "unique odd largest Jordan block on 200 samples", ok)

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from heiscert import suites
 from heiscert.certs import FAIL, PASS, digest, jsonable
 from heiscert.cli import main
-from heiscert.rationals import format_rational
-from heiscert.sampler import MASK64
+from heiscert.heis import HeisElement, get_representation
+from heiscert.rationals import format_rational, parse_rational
+from heiscert.sampler import MASK64, RandomStream
 from heiscert.suites import (CLAIMS_BY_ID, DEFAULT_SAMPLE_SIZES, MATCH,
                              MISMATCH, RunConfig, replay, run_suite)
+from test_linalg import _blocks_from_ranks, _fraction_nilpotent_ranks
 
 
 def read_json(path: Path) -> dict:
@@ -441,6 +443,21 @@ def test_seed_outside_64_bits_exits_2(tmp_path, seed, capsys):
     assert "outside [0, 2**64)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", ["614126", "-1"])
+def test_orbit_count_outside_distinct_triples_exits_2(count, capsys,
+                                                      monkeypatch):
+    # 85 sampled values give 85**3 = 614125 distinct triples; a larger
+    # count can never be drawn, and a negative one is no count at all.
+    def refuse(self):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(RandomStream, "next_u64", refuse)
+    assert main(["orbit", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "outside [0, 614125]" in captured.err
+
+
 def test_orbit_command_is_deterministic(capsys):
     assert main(["orbit", "--count", "4", "--seed", "9"]) == 0
     first = capsys.readouterr().out
@@ -451,12 +468,29 @@ def test_orbit_command_is_deterministic(capsys):
     assert len(first.splitlines()) == 5
 
 
-def test_jordan_command(capsys):
-    assert main(["jordan", "--element", "0,0,1", "--rep", "theta"]) == 0
-    assert "[3, 2, 1, 1, 1, 1, 1]" in capsys.readouterr().out
+JORDAN_ELEMENTS = ["0,0,1", "1,0,0", "0,1,0", "2,-1/3,5/2", "-7/4,3,0"]
 
 
-def test_jordan_command_rejects_identity(capsys):
+@pytest.mark.parametrize("rep_name", ["theta", "rho6", "rho14"])
+def test_jordan_command(rep_name, capsys):
+    # The command ranks each table's integer image; the oracle multiplies
+    # out the rational powers of N = M - I.
+    rep = get_representation(rep_name)
+    for element in JORDAN_ELEMENTS:
+        # "=" keeps argparse from reading "-7/4,..." as an option.
+        assert main(["jordan", f"--element={element}", "--rep",
+                     rep_name]) == 0
+        g = HeisElement.of(*(parse_rational(x) for x in element.split(",")))
+        expected = _blocks_from_ranks(
+            [rep.dimension] + _fraction_nilpotent_ranks(rep(g)))
+        assert capsys.readouterr().out == \
+            f"{rep_name}({element}) jordan blocks: {expected}\n"
+    if rep_name == "theta":
+        assert main(["jordan", "--element", "0,0,1", "--rep", "theta"]) == 0
+        assert "[3, 2, 1, 1, 1, 1, 1]" in capsys.readouterr().out
+
+
+def test_jordan_command_accepts_identity(capsys):
     # identity is unipotent; partition is all singletons
     assert main(["jordan", "--element", "0,0,0"]) == 0
     assert "[1, 1, 1, 1, 1, 1, 1, 1, 1, 1]" in capsys.readouterr().out

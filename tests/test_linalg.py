@@ -11,8 +11,8 @@ from heiscert import linalg, suites
 from heiscert.convexity import ORBIT_LIFT, OrbitSample, orbit_lift
 from heiscert.heis import (DATA_DIR, ENTRY_RING, EntryPlan, HeisElement,
                            get_representation, heis_mul)
-from heiscert.linalg import (Matrix, integer_nilpotent_ranks,
-                             jordan_partition, nilpotent_ranks)
+from heiscert.linalg import (Matrix, clear_denominators,
+                             integer_nilpotent_ranks, jordan_partition)
 from heiscert.poly import Poly
 from heiscert.rationals import to_fraction
 from heiscert.restriction import derive_subspace_basis
@@ -115,12 +115,20 @@ def test_kernel_of_six_dim_generator():
         assert all(x == 0 for x in n.apply(list(vec)))
 
 
+def _rational_partition(m):
+    """The Jordan partition of a unipotent rational matrix, cleared to
+    int rows over one denominator."""
+    return jordan_partition(
+        integer_nilpotent_ranks(*clear_denominators(m.entries)))
+
+
 def test_jordan_identity():
-    assert jordan_partition(Matrix.identity(10)) == [1] * 10
+    assert _rational_partition(Matrix.identity(10)) == [1] * 10
 
 
 def test_jordan_center_element():
-    partition = jordan_partition(THETA(HeisElement.of(0, 0, 1)))
+    partition = jordan_partition(integer_nilpotent_ranks(
+        *THETA.integer_image(HeisElement.of(0, 0, 1))))
     assert partition == [3, 2, 1, 1, 1, 1, 1]
 
 
@@ -134,7 +142,7 @@ SINGLE_BLOCK = Matrix([[Fraction(1), Fraction(1), Fraction(0)],
 @pytest.mark.parametrize("block", [SINGLE_BLOCK, SINGLE_BLOCK.transpose()],
                          ids=["upper", "lower"])
 def test_jordan_single_block(block):
-    assert jordan_partition(block) == [3]
+    assert _rational_partition(block) == [3]
 
 
 def _rational(rows):
@@ -148,7 +156,7 @@ def _rational(rows):
 ], ids=["diagonal", "rank-stalls-at-1"])
 def test_jordan_rejects_non_unipotent(m):
     with pytest.raises(ValueError):
-        jordan_partition(m)
+        _rational_partition(m)
 
 
 def test_dimension_mismatch_raises():
@@ -319,7 +327,8 @@ def test_claim_integer_route_matches_fraction_oracle():
     for triple in triples:
         g = HeisElement.of(*triple)
         oracle = _fraction_nilpotent_ranks(THETA(g))
-        assert integer_nilpotent_ranks(*THETA.integer_image(g)) == oracle
+        assert integer_nilpotent_ranks(*THETA.integer_image(g)) == \
+            [10] + oracle
         _, witnesses = suites._jordan_unique_odd({"parameters": [triple]})
         expected = _blocks_from_ranks([10] + oracle)
         assert witnesses["partition_histogram"] == {str(expected): 1}
@@ -331,7 +340,7 @@ def test_partition_conjugate_matches_rank_sequence():
     for _ in range(25):
         g = HeisElement.of(*stream.next_triple(nonzero=True))
         mat = THETA(g)
-        partition = jordan_partition(mat)
+        partition = _rational_partition(mat)
         assert sum(partition) == 10
         ranks = [10] + _fraction_nilpotent_ranks(mat)
         diffs = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
@@ -363,7 +372,8 @@ def conjugated_triangular(draw, unipotent):
 @settings(max_examples=120, deadline=None)
 @given(conjugated_triangular(unipotent=True))
 def test_nilpotent_ranks_match_fraction_powers(m):
-    assert nilpotent_ranks(m) == _fraction_nilpotent_ranks(m)
+    assert integer_nilpotent_ranks(*clear_denominators(m.entries)) == \
+        [m.rows] + _fraction_nilpotent_ranks(m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -372,7 +382,7 @@ def test_non_unipotent_rejected_like_fraction_powers(m):
     with pytest.raises(ValueError):
         _fraction_nilpotent_ranks(m)
     with pytest.raises(ValueError):
-        nilpotent_ranks(m)
+        integer_nilpotent_ranks(*clear_denominators(m.entries))
 
 
 def test_nilpotent_ranks_multiply_only_echelon_rows(monkeypatch):
@@ -394,10 +404,10 @@ def test_nilpotent_ranks_multiply_only_echelon_rows(monkeypatch):
             return original(left, nonzero, width)
 
         monkeypatch.setattr(linalg, "_gustavson", recorded)
-        ranks = nilpotent_ranks(m)
+        ranks = integer_nilpotent_ranks(*clear_denominators(m.entries))
         monkeypatch.undo()
-        assert ranks == _fraction_nilpotent_ranks(m)
-        assert shapes == [(r, 10, 10) for r in ranks[:-1]]
+        assert ranks == [10] + _fraction_nilpotent_ranks(m)
+        assert shapes == [(r, 10, 10) for r in ranks[1:-1]]
         assert len(right_operands) == 1
 
 
@@ -425,12 +435,13 @@ def test_nilpotent_ranks_match_rank_of_powers(rows, data):
     while not expected or expected[-1]:
         expected.append(power.rank())
         power = power * nilpotent
-    assert nilpotent_ranks(m) == expected
+    assert integer_nilpotent_ranks(*clear_denominators(m.entries)) == \
+        [n] + expected
     # A diagonal entry other than 1 leaves N with a nonzero eigenvalue.
     k = data.draw(st.integers(0, n - 1))
     rows[k][k] = data.draw(st.sampled_from([0, -1, 2, Fraction(1, 2)]))
     with pytest.raises(ValueError):
-        nilpotent_ranks(Matrix(rows))
+        integer_nilpotent_ranks(*clear_denominators(Matrix(rows).entries))
 
 
 def test_to_fraction_passes_a_fraction_through():

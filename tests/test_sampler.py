@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from heiscert.sampler import MASK64, RandomStream, mix64
+from heiscert.sampler import MASK64, MAX_DEN, MAX_NUM, RandomStream, mix64
 
 
 def test_streams_with_equal_seeds_agree():
@@ -62,6 +62,30 @@ def test_distinct_triples():
     stream = RandomStream(15)
     triples = stream.distinct_triples(50)
     assert len(set(triples)) == 50
+
+
+def _refuse_draws(self):
+    raise AssertionError("a sample was drawn")
+
+
+# The sampled values, counted here by reducing every p/q the sampler can
+# draw, are 85; so there are 85**3 distinct triples, one of them the
+# identity.
+VALUES = len({Fraction(p, q) for p in range(-MAX_NUM, MAX_NUM + 1)
+              for q in range(1, MAX_DEN + 1)})
+
+
+@pytest.mark.parametrize("count, nonzero", [
+    (-1, False), (VALUES ** 3 + 1, False), (VALUES ** 3, True)])
+def test_distinct_triples_refuses_a_count_it_cannot_draw(count, nonzero,
+                                                        monkeypatch):
+    # No draw could ever complete such a count, so none is made.
+    assert VALUES == 85
+    monkeypatch.setattr(RandomStream, "next_u64", _refuse_draws)
+    bound = VALUES ** 3 - nonzero
+    with pytest.raises(ValueError, match=rf"outside \[0, {bound}\]"):
+        RandomStream(15).distinct_triples(count, nonzero=nonzero)
+    assert RandomStream(15).distinct_triples(0, nonzero=nonzero) == []
 
 
 def test_empty_range_rejected():
