@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     jordan = sub.add_parser("jordan",
                             help="Jordan partition of one element's image")
     jordan.add_argument("--element", required=True,
-                        help="comma-separated rationals a,b,c")
+                        help="comma-separated rationals a,b,c, "
+                             "as --element=-7/4,3,0")
     jordan.add_argument("--rep", choices=["theta", "rho6", "rho14"],
                         default="theta")
 
@@ -63,8 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="halfspace file: per line, coefficients "
                               "then bound, meaning coeffs . z <= bound")
     hilbert.add_argument("--x", required=True,
-                         help="comma-separated rational coordinates")
-    hilbert.add_argument("--y", required=True)
+                         help="comma-separated rational coordinates, "
+                              "as --x=-1/2,0")
+    hilbert.add_argument("--y", required=True, help="as --x")
     return parser
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .heis import ENTRY_RING, GENERATORS, HeisElement, Representation, \
-    get_representation, heis_mul
+    get_representation
 from .linalg import Matrix, _echelon, _integer_copy
 from .rationals import to_fraction
 
@@ -203,11 +203,11 @@ def attraction_gaps(generator: str) -> list[Fraction]:
     fixed = parabolic_fixed_form(generator)
     fixed_coords = _canonical(form_coordinates(fixed))
     gaps = []
+    g = GENERATORS[generator]
     for count in (4, 8, 16):
-        g = GENERATORS[generator]
-        power = HeisElement.identity()
-        for _ in range(count):
-            power = heis_mul(power, g)
+        # g spans a one-parameter subgroup (see heis.one_parameter_power),
+        # so g^count is g's components times count.
+        power = HeisElement(g.a * count, g.b * count, g.c * count)
         coords = _canonical(form_coordinates(
             act_on_form(power, SymForm.identity())))
         gaps.append(max(abs(x - y) for x, y in zip(coords, fixed_coords)))

@@ -7,20 +7,17 @@ seed with the claim id as its label, so the streams of different claims
 are independent and results do not depend on execution order, and the
 count is the constant DEFAULT_SAMPLE_SIZES[claim id]; a fixed claim
 computes its own inputs.  `_claim` turns that pair into the registry's
-run(config) and replay(inputs, seed) entry points, and `_certificate` is
-the one place a Certificate is built.
+run(config) entry point, and `_certificate` is the one place a
+Certificate is built.
 
-Replay of a sampled claim refuses more stored samples than a run draws,
-runs the check on the stored inputs, so it confirms that the stored
-verdict and witnesses are what those inputs give, and then re-draws the
-inputs from the stored seed at the same constant count a run uses, so
-inputs that a run at that seed does not write (an edited seed, edited
-samples or a shortened list) are a MISMATCH.  Replay of a fixed claim
-recomputes from the claim's own inputs, so a certificate whose stored
-inputs were edited is a MISMATCH.  The runner writes one JSON
-certificate per claim plus report.json/report.md; a crash inside a
-claim becomes a FAIL certificate, never a silent skip.  Each claim's wall
-time goes into its report row only, never into a certificate.
+Replay re-runs the claim at the stored seed and compares the JSON text
+of the two certificates, so it never evaluates stored inputs: a sampled
+certificate matches only if its inputs are the ones its seed draws, and
+a fixed one only if its inputs are the claim's own.  The runner writes
+one JSON certificate per claim plus report.json/report.md; a crash
+inside a claim becomes a FAIL certificate, in a run and in a replay
+alike, never a silent skip.  Each claim's wall time goes into its report
+row only, never into a certificate.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from pathlib import Path
 
 from . import __version__
 from . import convexity, restriction
-from .certs import FAIL, PASS, Certificate, digest
+from .certs import FAIL, PASS, Certificate
 from .cone import (SymForm, attraction_gaps, flat_segment_certificate,
                    parabolic_fixed_form, pd_preservation_certificate,
                    sym_square_match_certificate)
@@ -76,7 +73,7 @@ class Claim:
     suite: str
     statement: str
     run: callable         # RunConfig -> Certificate
-    replay: callable      # (inputs, seed) -> Certificate
+    replay: callable      # the same function as run
 
 
 def _certificate(claim_id: str, ok: bool, witnesses: dict, inputs: dict,
@@ -86,43 +83,24 @@ def _certificate(claim_id: str, ok: bool, witnesses: dict, inputs: dict,
 
 
 def _claim(claim_id: str, statement: str, check, sample=None,
-           inputs=dict, samples=None) -> Claim:
+           inputs=dict) -> Claim:
     """A registry entry from check(inputs) -> (ok, witnesses) and either
-    sample(stream, count) -> inputs (a sampled claim, replayed on its
-    stored inputs) or inputs() -> inputs (a fixed claim, always checked
-    on its own inputs; the default has none).  A sampled claim's stream
-    is split off the seed with the claim id as label, its count is
-    DEFAULT_SAMPLE_SIZES[claim_id] for run and replay alike, and
-    `samples` names the inputs list that holds that many entries.  The
-    suite is the id's first component."""
-    def certify(claim_inputs, seed: str) -> Certificate:
-        ok, witnesses = check(claim_inputs)
-        return _certificate(claim_id, ok, witnesses, claim_inputs, seed)
-
-    def draw(seed: int) -> dict:
-        return sample(RandomStream(seed).split(claim_id),
-                      DEFAULT_SAMPLE_SIZES[claim_id])
-
+    sample(stream, count) -> inputs (a sampled claim) or inputs() ->
+    inputs (a fixed claim; the default has none).  A sampled claim's
+    stream is split off the run seed with the claim id as label, and its
+    count is DEFAULT_SAMPLE_SIZES[claim_id].  The suite is the id's first
+    component."""
     def run(config: RunConfig) -> Certificate:
-        return certify(draw(config.seed) if sample else inputs(),
-                       str(config.seed))
+        claim_inputs = (sample(RandomStream(config.seed).split(claim_id),
+                               DEFAULT_SAMPLE_SIZES[claim_id])
+                        if sample else inputs())
+        ok, witnesses = check(claim_inputs)
+        return _certificate(claim_id, ok, witnesses, claim_inputs,
+                            str(config.seed))
 
-    def replay(stored_inputs, seed: str) -> Certificate:
-        if not sample:
-            return certify(inputs(), seed)
-        count = len(stored_inputs[samples])
-        if count > DEFAULT_SAMPLE_SIZES[claim_id]:
-            raise ValueError(f"{count} stored {samples}, more than the "
-                             f"{DEFAULT_SAMPLE_SIZES[claim_id]} a run draws")
-        recomputed = certify(stored_inputs, seed)
-        drawn = draw(int(seed))
-        # Inputs the stored seed does not draw replay as what a run at
-        # that seed writes, which differs from them.
-        return recomputed if digest(drawn) == digest(stored_inputs) \
-            else certify(drawn, seed)
-
-    return Claim(claim_id, claim_id.partition(".")[0], statement, run,
-                 replay)
+    # Replay is the run at the stored seed; the field stays only because
+    # perfbench/tracing.py wraps both run and replay.
+    return Claim(claim_id, claim_id.partition(".")[0], statement, run, run)
 
 
 def _triples(raw) -> list[tuple[Fraction, Fraction, Fraction]]:
@@ -462,8 +440,7 @@ CLAIMS: tuple[Claim, ...] = (
     _claim("jordan.unique_odd_largest",
            "every sampled nontrivial element's image has a unique largest "
            "Jordan block, and that block has odd size",
-           _jordan_unique_odd, sample=_jordan_sample,
-           samples="parameters"),
+           _jordan_unique_odd, sample=_jordan_sample),
     _claim("orbit.formula",
            "the matrix of g applied to the lifted origin equals the closed "
            "orbit formula ((a^4+b^4)/24 + c^2, bc, c, a^3/6, a^2/2, a, "
@@ -472,8 +449,7 @@ CLAIMS: tuple[Claim, ...] = (
     _claim("orbit.equivariance",
            "acting by the matrix of g maps the orbit point of h to the "
            "orbit point of g*h, symbolically and on sampled pairs",
-           _equivariance, sample=_equivariance_sample,
-           samples="pairs"),
+           _equivariance, sample=_equivariance_sample),
     _claim("orbit.limit_point",
            "along rays to infinity the first coordinate dominates every "
            "other, so the orbit accumulates only at [1:0:...:0]",
@@ -485,8 +461,7 @@ CLAIMS: tuple[Claim, ...] = (
     _claim("hull.dimension",
            "ten lifted orbit points have nonzero determinant, so the "
            "orbit hull has interior of full dimension 9",
-           _hull_dimension, sample=_hull_dimension_sample,
-           samples="fresh"),
+           _hull_dimension, sample=_hull_dimension_sample),
     _claim("hull.degenerate_center",
            "orbit points of central elements are degenerate: their ten "
            "lifts have determinant 0",
@@ -518,8 +493,7 @@ CLAIMS: tuple[Claim, ...] = (
     _claim("cone.pd_preserved",
            "the 6x6 action keeps sampled positive-definite forms positive "
            "definite and agrees with the congruence action",
-           _pd_preserved, sample=_pd_preserved_sample,
-           samples="cases"),
+           _pd_preserved, sample=_pd_preserved_sample),
     _claim("cone.parabolic_fixed_points",
            "each generator has an attracting rank-1 semidefinite fixed "
            "form; the first two generators' fixed forms are distinct and "
@@ -534,13 +508,11 @@ CLAIMS: tuple[Claim, ...] = (
            "on sampled rational polytopes the Hilbert cross-ratio "
            "satisfies R >= 1 with equality iff the points coincide, "
            "symmetry, and the multiplicative triangle inequality",
-           _hilbert_axioms, sample=_hilbert_axioms_sample,
-           samples="instances"),
+           _hilbert_axioms, sample=_hilbert_axioms_sample),
     _claim("hilbert.cross_ratio_invariance",
            "the cross ratio of four collinear points is unchanged by "
            "every sampled group matrix",
-           _cross_ratio, sample=_cross_ratio_sample,
-           samples="elements"),
+           _cross_ratio, sample=_cross_ratio_sample),
 )
 
 CLAIMS_BY_ID = {c.id: c for c in CLAIMS}
@@ -565,13 +537,7 @@ def run_suite(config: RunConfig) -> dict:
         if claim.suite not in selected:
             continue
         start = time.perf_counter()
-        try:
-            cert = claim.run(config)
-        except Exception:
-            cert = _certificate(
-                claim.id, False,
-                {"error": traceback.format_exc(limit=20)}, {},
-                str(config.seed))
+        cert = _guarded(claim.id, claim.run, config)
         wall_s = time.perf_counter() - start
         cert.anchor = claim.statement
         cert.timestamp = timestamp
@@ -597,6 +563,18 @@ def run_suite(config: RunConfig) -> dict:
     _atomic_write(out / "report.json", _report_json(report))
     _atomic_write(out / "report.md", _report_markdown(report))
     return report
+
+
+def _guarded(claim_id: str, entry, config: RunConfig) -> Certificate:
+    """entry(config), or a FAIL certificate carrying the traceback if it
+    raises; run and replay both go through here, so a crashed claim's
+    certificate replays to MATCH."""
+    try:
+        return entry(config)
+    except Exception:
+        return _certificate(claim_id, False,
+                            {"error": traceback.format_exc(limit=20)}, {},
+                            str(config.seed))
 
 
 def _report_json(report: dict) -> str:
@@ -642,11 +620,9 @@ MISMATCH = "MISMATCH"
 
 
 def replay(path: Path) -> tuple[str, dict]:
-    """Recompute a stored certificate, from its recorded inputs for a
-    sampled claim (which its stored seed must re-draw) and from the
-    claim's own inputs for a fixed one; MATCH iff the recomputation
-    reproduces it as JSON (timestamp aside).  A seed that is not an
-    integer in [0, 2**64) raises ValueError."""
+    """Re-run a stored certificate's claim at its recorded seed; MATCH iff
+    the rerun reproduces it as JSON (timestamp aside).  A seed that is
+    not an integer in [0, 2**64) raises ValueError."""
     import json
     data = json.loads(Path(path).read_text())
     stored = Certificate.from_dict(data)
@@ -658,13 +634,13 @@ def replay(path: Path) -> tuple[str, dict]:
     seed = stored.seed
     if not isinstance(seed, str) or str(int(seed)) != seed:
         raise ValueError(f"stored seed {seed!r} is not an integer")
-    check_seed(int(seed))
+    config = RunConfig(seed=int(seed))
     try:
         digest_ok = stored.inputs_digest() == data["inputs_digest"]
-        recomputed = claim.replay(stored.inputs, stored.seed)
-    except (TypeError, IndexError) as exc:
+    except TypeError as exc:
         raise ValueError(f"malformed stored inputs for {stored.claim}: "
                          f"{exc}") from exc
+    recomputed = _guarded(claim.id, claim.replay, config)
     recomputed.anchor = claim.statement
     # Compared as JSON text: as dicts, a stored 1 equals a recomputed True.
     same = digest_ok and \

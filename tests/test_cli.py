@@ -13,7 +13,7 @@ from heiscert.certs import FAIL, PASS, digest, jsonable
 from heiscert.cli import main
 from heiscert.heis import HeisElement, get_representation
 from heiscert.rationals import format_rational, parse_rational
-from heiscert.sampler import MASK64, RandomStream
+from heiscert.sampler import MASK64, MAX_DEN, MAX_NUM, RandomStream
 from heiscert.suites import (CLAIMS_BY_ID, DEFAULT_SAMPLE_SIZES, MATCH,
                              MISMATCH, RunConfig, replay, run_suite)
 from test_linalg import _blocks_from_ranks, _fraction_nilpotent_ranks
@@ -91,6 +91,29 @@ def test_crash_becomes_fail_certificate(tmp_path, monkeypatch):
     cert = read_json(tmp_path / "growth.block_degrees.json")
     assert cert["verdict"] == "FAIL"
     assert "ZeroDivisionError" in cert["witnesses"]["error"]
+
+
+def test_crash_certificate_replays_to_match(tmp_path, monkeypatch):
+    # Run and replay share one crash path, so the traceback a run writes
+    # is the one a replay on the same checkout recomputes.
+    import heiscert.suites as suites_module
+    claim = suites_module.CLAIMS_BY_ID["growth.block_degrees"]
+
+    def crash(config):
+        return 1 / 0
+
+    broken = suites_module.Claim(claim.id, claim.suite, claim.statement,
+                                 run=crash, replay=crash)
+    monkeypatch.setattr(suites_module, "CLAIMS",
+                        tuple(broken if c.id == claim.id else c
+                              for c in suites_module.CLAIMS))
+    monkeypatch.setitem(suites_module.CLAIMS_BY_ID, claim.id, broken)
+    suites_module.run_suite(RunConfig(suites=("growth",), output_dir=tmp_path))
+    path = tmp_path / "growth.block_degrees.json"
+    assert read_json(path)["verdict"] == FAIL
+    verdict, detail = replay(path)
+    assert verdict == MATCH
+    assert detail["recomputed_verdict"] == FAIL
 
 
 def test_determinism_across_runs(tmp_path):
@@ -177,6 +200,10 @@ def certificates(seed0_run) -> Path:
     return seed0_run
 
 
+def test_replay_is_the_run():
+    assert all(claim.replay is claim.run for claim in CLAIMS_BY_ID.values())
+
+
 @pytest.mark.parametrize("claim_id", sorted(CLAIMS_BY_ID))
 def test_every_claim_replays(certificates, claim_id, tmp_path):
     path = certificates / f"{claim_id}.json"
@@ -247,14 +274,14 @@ def test_replay_rejects_edited_seed(certificates, seed, tmp_path):
 def test_replay_rejects_truncated_samples(certificates, claim_id, samples,
                                           tmp_path, monkeypatch):
     # The forger keeps only the first drawn sample, which is all a run
-    # drawing one sample writes, re-derives verdict and witnesses for it
-    # through the registry, and recomputes the inputs digest.
+    # drawing one sample writes, takes verdict and witnesses from such a
+    # run, and recomputes the inputs digest.
     data = read_json(certificates / f"{claim_id}.json")
     assert len(data["inputs"][samples]) == DEFAULT_SAMPLE_SIZES[claim_id]
     inputs = {**data["inputs"], samples: data["inputs"][samples][:1]}
     with monkeypatch.context() as patch:
         patch.setitem(DEFAULT_SAMPLE_SIZES, claim_id, 1)
-        forged = CLAIMS_BY_ID[claim_id].replay(inputs, data["seed"])
+        forged = CLAIMS_BY_ID[claim_id].run(RunConfig(seed=0))
     assert digest(forged.inputs) == digest(inputs)
     data.update(verdict=forged.verdict, witnesses=jsonable(forged.witnesses),
                 inputs=inputs, inputs_digest=digest(inputs))
@@ -391,8 +418,7 @@ def _with_float_g(data: dict) -> dict:
 
 
 def _with_one_fresh_too_many(data: dict) -> dict:
-    # One entry more than `heiscert verify` draws, the smallest count
-    # replay refuses.
+    # One entry more than `heiscert verify` draws.
     fresh = data["inputs"]["fresh"]
     count = DEFAULT_SAMPLE_SIZES["hull.dimension"] + 1
     return _with_inputs(data, {**data["inputs"], "fresh": [
@@ -400,30 +426,21 @@ def _with_one_fresh_too_many(data: dict) -> dict:
 
 
 @pytest.mark.parametrize("claim_id, malform", [
-    ("hull.dimension",
-     lambda data: {**data, "inputs": {"frozen": [[1, 2]], "fresh": []}}),
     ("hull.dimension", lambda data: {**data, "inputs": "oops"}),
     ("hull.dimension", lambda data: 123),
     ("hull.dimension", lambda data: {**data, "claim": ["hull.dimension"]}),
-    ("hull.dimension",
-     lambda data: {**data, "inputs": {**data["inputs"],
-                                      "frozen": data["inputs"]["frozen"][:9]}}),
-    ("jordan.unique_odd_largest",
-     lambda data: _with_first_parameter(data, "1/0")),
     ("cone.pd_preserved", _with_float_g),
     ("hull.dimension", lambda data: {**data, "seed": "five"}),
     ("hull.dimension", lambda data: {**data, "seed": "05"}),
     ("hull.dimension", lambda data: {**data, "seed": 0}),
-    ("hull.dimension", _with_one_fresh_too_many),
     ("hull.dimension", lambda data: {**data, "seed": str(2 ** 64)}),
     ("hull.dimension", lambda data: {**data, "seed": "-1"}),
     ("orbit.formula", lambda data: {**data, "seed": str(2 ** 64)}),
     ("orbit.formula", lambda data: {**data, "seed": "-1"}),
-], ids=["short-frozen-triple", "inputs-not-object", "body-not-object",
-        "claim-not-string", "nine-frozen-points", "zero-denominator",
+], ids=["inputs-not-object", "body-not-object", "claim-not-string",
         "float-input", "seed-not-integer", "seed-not-canonical",
-        "seed-not-string", "fresh-above-run-size", "sampled-seed-2**64",
-        "sampled-seed-negative", "fixed-seed-2**64", "fixed-seed-negative"])
+        "seed-not-string", "sampled-seed-2**64", "sampled-seed-negative",
+        "fixed-seed-2**64", "fixed-seed-negative"])
 def test_replay_malformed_certificate_exits_2(certificates, claim_id, malform,
                                               tmp_path, capsys):
     data = read_json(certificates / f"{claim_id}.json")
@@ -431,6 +448,34 @@ def test_replay_malformed_certificate_exits_2(certificates, claim_id, malform,
     path.write_text(json.dumps(malform(data)))
     assert main(["replay", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("claim_id, forge", [
+    ("hull.dimension",
+     lambda data: {**data, "inputs": {"frozen": [[1, 2]], "fresh": []}}),
+    ("hull.dimension",
+     lambda data: {**data, "inputs": {**data["inputs"],
+                                      "frozen": data["inputs"]["frozen"][:9]}}),
+    ("jordan.unique_odd_largest",
+     lambda data: _with_first_parameter(data, "1/0")),
+    ("hull.dimension", _with_one_fresh_too_many),
+    ("jordan.unique_odd_largest",
+     lambda data: _with_first_parameter(data, str(MAX_NUM + 1))),
+    ("jordan.unique_odd_largest",
+     lambda data: _with_first_parameter(data, f"1/{MAX_DEN + 1}")),
+], ids=["short-frozen-triple", "nine-frozen-points", "zero-denominator",
+        "fresh-above-run-size", "numerator-above-sampler",
+        "denominator-above-sampler"])
+def test_replay_of_inputs_no_run_draws_mismatches(certificates, claim_id,
+                                                  forge, tmp_path, capsys):
+    # Replay re-runs the claim at the stored seed and never evaluates the
+    # stored inputs, so inputs the check could not even read, and values
+    # the sampler never draws, are a MISMATCH like any other edit.
+    data = read_json(certificates / f"{claim_id}.json")
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(forge(data)))
+    assert main(["replay", str(path)]) == 1
+    assert "MISMATCH" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("seed", [str(2 ** 64), "-1"])
@@ -511,6 +556,13 @@ def test_hilbert_command(tmp_path, capsys):
 
     assert main(["hilbert", "--polytope", str(polytope),
                  "--x", "5", "--y", "0"]) == 2
+    capsys.readouterr()
+
+    # "=" keeps argparse from reading "-1/2" as an option.
+    polytope.write_text("1 1\n-1 1\n")
+    assert main(["hilbert", "--polytope", str(polytope),
+                 "--x=-1/2", "--y=1/2"]) == 0
+    assert "R = 9" in capsys.readouterr().out
 
 
 def test_output_dir_errors_exit_2(tmp_path, capsys):
