@@ -98,10 +98,13 @@ def hilbert_log_argument(polytope: Sequence[Halfspace],
 
     The chord through interior points x, y meets the boundary in u (on
     the x side) and v (on the y side); R is the cross ratio
-    (|uy| |xv|) / (|ux| |yv|) in the chord's affine parameter.
+    (|uy| |xv|) / (|ux| |yv|) in the chord's affine parameter.  Raises
+    ValueError unless x, y and every face have the same dimension.
     """
     x = [to_fraction(v) for v in x]
     y = [to_fraction(v) for v in y]
+    if len(y) != len(x) or any(len(f.coeffs) != len(x) for f in polytope):
+        raise ValueError("x, y and the faces differ in dimension")
     s_low, s_high = _chord(polytope, x, y)
     if x == y:
         return Fraction(1)

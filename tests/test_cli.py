@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heiscert import suites
+from heiscert import convexity, suites
 from heiscert.certs import FAIL, PASS, digest, jsonable
 from heiscert.cli import main
 from heiscert.heis import HeisElement, get_representation
@@ -221,14 +221,14 @@ def test_every_claim_replays(certificates, claim_id, tmp_path):
 
 
 @pytest.mark.parametrize("claim_id, check, edit", [
-    ("orbit.limit_point", suites._limit_point,
+    ("orbit.limit_point", convexity.limit_point_certificate,
      lambda inputs: {**inputs, "rays": []}),
     ("hull.extreme_points", suites._extreme_points,
      lambda inputs: {"parameters": inputs["parameters"][:11]}),
     ("hull.degenerate_center", suites._degenerate_center,
      lambda inputs: {"parameters": [["0", "0", str(k)]
                                     for k in range(2, 12)]}),
-    ("restrict.conjugate_to_theta", suites._restriction,
+    ("restrict.conjugate_to_theta", lambda rederived: suites._restriction(),
      lambda inputs: {"rederived": True}),
 ], ids=["limit-point-no-rays", "extreme-points-subset",
         "degenerate-center-other-parameters", "restriction-rederived"])
@@ -240,7 +240,7 @@ def test_replay_rejects_forged_fixed_inputs(certificates, claim_id, check,
     # check, so only the inputs betray it.
     data = read_json(certificates / f"{claim_id}.json")
     inputs = edit(data["inputs"])
-    ok, witnesses = check(inputs)
+    ok, witnesses = check(**inputs)
     assert ok
     data.update(verdict=PASS, witnesses=jsonable(witnesses), inputs=inputs,
                 inputs_digest=digest(inputs))
@@ -563,6 +563,16 @@ def test_hilbert_command(tmp_path, capsys):
     assert main(["hilbert", "--polytope", str(polytope),
                  "--x=-1/2", "--y=1/2"]) == 0
     assert "R = 9" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("x, y", [("0", "1/2"), ("0,0,5", "1/2,0,-7")],
+                         ids=["point-too-short", "point-too-long"])
+def test_hilbert_dimension_mismatch_exits_2(tmp_path, capsys, x, y):
+    square = tmp_path / "square.txt"
+    square.write_text("1 0 1\n-1 0 1\n0 1 1\n0 -1 1\n")
+    assert main(["hilbert", "--polytope", str(square),
+                 f"--x={x}", f"--y={y}"]) == 2
+    assert "dimension" in capsys.readouterr().err
 
 
 def test_output_dir_errors_exit_2(tmp_path, capsys):

@@ -329,7 +329,7 @@ def test_claim_integer_route_matches_fraction_oracle():
         oracle = _fraction_nilpotent_ranks(THETA(g))
         assert integer_nilpotent_ranks(*THETA.integer_image(g)) == \
             [10] + oracle
-        _, witnesses = suites._jordan_unique_odd({"parameters": [triple]})
+        _, witnesses = suites._jordan_unique_odd(parameters=[triple])
         expected = _blocks_from_ranks([10] + oracle)
         assert witnesses["partition_histogram"] == {str(expected): 1}
     assert expected == [1] * 10

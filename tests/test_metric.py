@@ -90,6 +90,19 @@ def test_unbounded_chord_rejected():
         hilbert_log_argument(half, [Fraction(0)], [Fraction(1, 2)])
 
 
+@pytest.mark.parametrize("x, y", [
+    ([0], [Fraction(1, 2)]),
+    ([0, 0, 5], [Fraction(1, 2), 0, -7]),
+    ([0, 0], [Fraction(1, 2)]),
+], ids=["both-short", "both-long", "y-short"])
+def test_dimension_mismatch_rejected(x, y):
+    # The chord pairs coordinates with face coefficients, so a point of
+    # another dimension would silently lose or ignore coordinates.
+    square = box([Fraction(-1)] * 2, [Fraction(1)] * 2)
+    with pytest.raises(ValueError, match="dimension"):
+        hilbert_log_argument(square, x, y)
+
+
 def test_halfspace_constructor_refuses_floats():
     with pytest.raises(TypeError):
         Halfspace((0.5,), 1)
