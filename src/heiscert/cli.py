@@ -119,7 +119,9 @@ def cmd_hilbert(args) -> int:
     y = _parse_point(args.y)
     ratio = hilbert_log_argument(polytope, x, y)
     print(f"log-argument R = {format_rational(ratio)}")
-    print(f"distance (1/2) log R = {0.5 * math.log(ratio):.12g}")
+    # math.log takes ints of any size, but no Fraction beyond float range.
+    distance = (math.log(ratio.numerator) - math.log(ratio.denominator)) / 2
+    print(f"distance (1/2) log R = {distance:.12g}")
     return 0
 
 

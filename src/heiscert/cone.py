@@ -2,12 +2,13 @@
 its boundary flats.
 
 The 6x6 representation acts on symmetric 3x3 forms by congruence
-S -> g S g^T, which visibly preserves positive definiteness.  The module
-certifies that the shipped entry table is that symmetric-square action
-in the monomial basis FORM_MONOMIALS with unit rescaling, exact PD/PSD
-decisions, the attracting rank-1 boundary fixed form of each generator,
-and straight segments inside the boundary (flats) witnessing that the
-cone is not strictly convex.
+S -> g S g^T, which visibly preserves positive definiteness.  At a rational
+g both run on ints, the table on rho6's integer image and the congruence
+on the 3x3 matrix alone.  The module certifies that the shipped entry table
+is that symmetric-square action in the monomial basis FORM_MONOMIALS with
+unit rescaling, exact PD/PSD decisions, the attracting rank-1 boundary
+fixed form of each generator, and straight segments inside the boundary
+(flats) witnessing that the cone is not strictly convex.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Sequence
 
 from .heis import ENTRY_RING, GENERATORS, HeisElement, Representation, \
     get_representation
-from .linalg import Matrix, _echelon, _integer_copy
+from .linalg import Matrix, _echelon, _integer_copy, _nonzero_pairs, \
+    clear_denominators, integer_product
 from .rationals import to_fraction
 
 # Monomial basis ordering under which the shipped 6x6 table acts on form
@@ -99,10 +101,11 @@ def form_from_coordinates(coords: Sequence[Fraction]) -> SymForm:
 
 
 def act_on_form(g: HeisElement, form: SymForm) -> SymForm:
-    """The 6x6 representation applied through form coordinates."""
-    rho6 = get_representation("rho6")
-    image = rho6(g).apply(form_coordinates(form))
-    return form_from_coordinates(image)
+    """The 6x6 table at the rational g on form coordinates, on ints."""
+    rows, d = get_representation("rho6").integer_image(g)
+    coords, s = clear_denominators([[x] for x in form_coordinates(form)])
+    image = integer_product(rows, _nonzero_pairs(coords), 1)
+    return form_from_coordinates([Fraction(x, d * s) for (x,) in image])
 
 
 def heis_3x3(g: HeisElement) -> Matrix:
@@ -114,9 +117,13 @@ def heis_3x3(g: HeisElement) -> Matrix:
 
 
 def congruence_image(g: HeisElement, form: SymForm) -> SymForm:
-    """g S g^T: the geometric description of the same action."""
-    m = heis_3x3(g)
-    return SymForm((m * form.matrix() * m.transpose()).entries)
+    """g S g^T at the rational g from heis_3x3 alone, never the 6x6
+    table: H S H^T / (e^2 s) on ints, H = e heis_3x3(g), S = s form."""
+    h, e = clear_denominators(heis_3x3(g).entries)
+    m, s = clear_denominators(form.m)
+    hs = integer_product(h, _nonzero_pairs(m), 3)
+    image = integer_product(hs, _nonzero_pairs(zip(*h)), 3)
+    return SymForm([[Fraction(x, e * e * s) for x in row] for row in image])
 
 
 # -- matching the entry table against the symmetric-square action ------------
@@ -175,9 +182,7 @@ def parabolic_fixed_form(generator: str) -> SymForm:
     that ray is the limit of the iterated action.  Normalized by
     _canonical, so the largest-magnitude coordinate is 1.
     """
-    rho6 = get_representation("rho6")
-    mat = rho6(GENERATORS[generator])
-    n = mat - Matrix.identity(6)
+    n = get_representation("rho6")(GENERATORS[generator]) - Matrix.identity(6)
     power = n
     while True:
         next_power = power * n

@@ -27,8 +27,8 @@ integer_nilpotent_ranks() takes int rows R and a d > 0 standing for the
 matrix R / d, an entry table's integer image; it works with dN = R - dI
 and never forms a full power of it: the echelon rows of N^(k-1) times N
 span the rows of N^k, so each rank is one elimination pass over an int
-product with as many rows as the previous rank, made by the same
-Gustavson kernel as Matrix products over N's nonzero pairs, listed once.
+product with as many rows as the previous rank, over N's nonzero pairs
+listed once, by integer_product(), which every int product shares.
 SymForm.is_positive_definite reads its leading minors off the pivots of
 one elimination pass.
 """
@@ -323,8 +323,10 @@ def _echelon(m: list[list[int]], reduce_above: bool
     prev = 1
     for col in range(len(m[0])):
         r = len(pivots)
-        pivot_row = next((i for i in range(r, n_rows) if m[i][col]), None)
-        if pivot_row is None:
+        for pivot_row in range(r, n_rows):
+            if m[pivot_row][col]:
+                break
+        else:
             continue
         if pivot_row != r:
             m[r], m[pivot_row] = m[pivot_row], m[r]
@@ -363,6 +365,11 @@ def _gustavson(left, nonzero, width: int) -> list[list]:
     return sums
 
 
+def integer_product(left, nonzero, width: int) -> list[list[int]]:
+    """_gustavson on int operands, each unreached entry an int 0."""
+    return [[a or 0 for a in acc] for acc in _gustavson(left, nonzero, width)]
+
+
 def integer_nilpotent_ranks(rows: list[list[int]], d: int) -> list[int]:
     """rank(N^0) = n, rank(N), rank(N^2), ... ending at 0, for
     N = rows / d - I, where rows is a square list of n int rows (left
@@ -373,7 +380,7 @@ def integer_nilpotent_ranks(rows: list[list[int]], d: int) -> list[int]:
     do: the powers of D N are not D^k N^k.)  The full powers are never
     formed: rowspace(N^k) = rowspace(N^(k-1)) N, so the echelon rows E
     of N^(k-1), rank(N^(k-1)) of them, give rank(N^k) as the rank of
-    the product E N (one _gustavson call over N's nonzero pairs, listed
+    the product E N (one integer_product call over N's nonzero pairs, listed
     once), ranked by one fraction-free pass whose nonzero rows are the
     next E.  The ranks fall strictly until they settle (Fitting's
     lemma), and they settle at 0 exactly when N is nilpotent, so a
@@ -394,8 +401,7 @@ def integer_nilpotent_ranks(rows: list[list[int]], d: int) -> list[int]:
             raise ValueError(
                 "matrix is not unipotent: (m - I) is not nilpotent")
         # The echelon pass left the nonzero rows on top.
-        current = [[a or 0 for a in acc] for acc in
-                   _gustavson(current[:ranks[-1]], nonzero, n)]
+        current = integer_product(current[:ranks[-1]], nonzero, n)
 
 
 def jordan_partition(ranks: Sequence[int]) -> list[int]:

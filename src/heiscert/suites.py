@@ -41,7 +41,8 @@ from .cone import (SymForm, attraction_gaps, flat_segment_certificate,
                    sym_square_match_certificate)
 from .heis import (DATA_DIR, HeisElement, get_representation, symbolic_pair,
                    verify_homomorphism, verify_injectivity_generators)
-from .linalg import Matrix, integer_nilpotent_ranks, jordan_partition
+from .linalg import Matrix, _nonzero_pairs, clear_denominators, \
+    integer_nilpotent_ranks, integer_product, jordan_partition
 from .metric import box, cross_ratio, hilbert_log_argument
 from .sampler import RandomStream, check_seed
 
@@ -275,10 +276,9 @@ def _pd_preserved_sample(stream: RandomStream, count: int) -> dict:
 def _random_pd_form(stream: RandomStream) -> SymForm:
     # R^T R is positive definite whenever R is invertible.
     while True:
-        r = Matrix([[Fraction(stream.next_int(-3, 3)) for _ in range(3)]
-                    for _ in range(3)])
-        if r.det() != 0:
-            return SymForm((r.transpose() * r).entries)
+        r = [[stream.next_int(-3, 3) for _ in range(3)] for _ in range(3)]
+        if Matrix(r).det() != 0:
+            return SymForm(integer_product(zip(*r), _nonzero_pairs(r), 3))
 
 
 def _pd_preserved(cases: list[dict]):
@@ -373,10 +373,12 @@ def _cross_ratio(line_parameters: list[list[int]], mix_values: list[int],
     points = [[a + t * b for a, b in zip(p, q)] for t in mix_values]
     base = cross_ratio(*points)
     theta = get_representation("theta")
-    columns = Matrix(points).transpose()
+    # Scaling a point keeps it: map the four cleared to one scale on ints.
+    columns = _nonzero_pairs(zip(*clear_denominators(points)[0]))
     failures = []
     for raw in elements:
-        moved = zip(*(theta(HeisElement.of(*raw)) * columns).entries)
+        rows, _ = theta.integer_image(HeisElement.of(*raw))
+        moved = zip(*integer_product(rows, columns, len(points)))
         if cross_ratio(*moved) != base:
             failures.append({"g": list(raw)})
     return not failures, {"base_cross_ratio": base,

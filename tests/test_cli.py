@@ -2,6 +2,7 @@
 replay, report files."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -563,6 +564,20 @@ def test_hilbert_command(tmp_path, capsys):
     assert main(["hilbert", "--polytope", str(polytope),
                  "--x=-1/2", "--y=1/2"]) == 0
     assert "R = 9" in capsys.readouterr().out
+
+
+def test_hilbert_command_beyond_float_range(tmp_path, capsys):
+    """R = (1 + y) / (1 - y) = 2 * 10**400 - 1 on (-1, 1) with x = 0 is
+    too large for a float, but its log is not."""
+    polytope = tmp_path / "interval.txt"
+    polytope.write_text("1 1\n-1 1\n")
+    assert main(["hilbert", "--polytope", str(polytope), "--x=0",
+                 f"--y={10**400 - 1}/{10**400}"]) == 0
+    out = capsys.readouterr().out
+    assert f"log-argument R = {2 * 10**400 - 1}\n" in out
+    distance = float(out.split("distance (1/2) log R = ")[1])
+    assert math.isfinite(distance)
+    assert math.isclose(distance, (400 * math.log(10) + math.log(2)) / 2)
 
 
 @pytest.mark.parametrize("x, y", [("0", "1/2"), ("0,0,5", "1/2,0,-7")],

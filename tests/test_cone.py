@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from heiscert.cone import (SymForm, act_on_form, attraction_gaps,
                            congruence_image, flat_segment_certificate,
-                           form_coordinates, form_from_coordinates,
+                           form_coordinates, form_from_coordinates, heis_3x3,
                            parabolic_fixed_form, pd_preservation_certificate,
                            sym_square_match_certificate)
 from heiscert.heis import GENERATORS, HeisElement, Representation, \
     get_representation
 from heiscert.linalg import Matrix
 from heiscert.sampler import RandomStream
+from heiscert.suites import _random_pd_form
 
 RHO6 = get_representation("rho6")
 
@@ -115,12 +116,65 @@ def test_form_coordinates_round_trip():
         assert form_from_coordinates(form_coordinates(form)) == form
 
 
+def action_reference(g: HeisElement, form: SymForm) -> SymForm:
+    """The 6x6 action as a Fraction matrix times a Fraction vector."""
+    return form_from_coordinates(RHO6(g).apply(form_coordinates(form)))
+
+
+def congruence_reference(g: HeisElement, form: SymForm) -> SymForm:
+    """g S g^T as a product of Fraction matrices."""
+    h = heis_3x3(g)
+    return SymForm((h * form.matrix() * h.transpose()).entries)
+
+
 def test_action_agrees_with_congruence():
+    """Both integer routes against their Fraction references, at the
+    identity, at elements with mixed denominators and at sampled ones,
+    on the zero form, forms with non-unit denominators and sampled ones:
+    the scales d s and e^2 s each matter once a denominator is."""
     stream = RandomStream(47).split("action")
-    for _ in range(50):
-        g = HeisElement.of(*stream.next_triple())
-        form = random_symmetric(stream)
-        assert act_on_form(g, form) == congruence_image(g, form)
+    elements = [HeisElement.identity(), HeisElement.of(1, 0, 0),
+                HeisElement.of("1/2", "-2/3", "5/7"),
+                HeisElement.of(3, "1/4", "-7/6")] + \
+        [HeisElement.of(*stream.next_triple()) for _ in range(20)]
+    forms = [SymForm([[0] * 3] * 3), SymForm.identity(),
+             SymForm([[Fraction(1, 2), Fraction(1, 3), 0],
+                      [Fraction(1, 3), Fraction(5, 6), Fraction(-1, 4)],
+                      [0, Fraction(-1, 4), Fraction(7, 5)]]),
+             rank_one([Fraction(2, 3), 0, Fraction(-1, 5)])] + \
+        [random_symmetric(stream) for _ in range(10)]
+    for g in elements:
+        for form in forms:
+            image = act_on_form(g, form)
+            assert image == action_reference(g, form)
+            assert congruence_image(g, form) == \
+                congruence_reference(g, form) == image
+            assert all(type(x) is Fraction for row in image.m for x in row)
+    assert act_on_form(HeisElement.identity(), forms[2]) == forms[2]
+
+
+def random_pd_form_reference(stream: RandomStream) -> SymForm:
+    """The Fraction-matrix sampler that suites._random_pd_form replaced."""
+    while True:
+        r = Matrix([[Fraction(stream.next_int(-3, 3)) for _ in range(3)]
+                    for _ in range(3)])
+        if r.det() != 0:
+            return SymForm((r.transpose() * r).entries)
+
+
+@pytest.mark.parametrize("seed", [3, 2**63 + 11])
+def test_pd_sampler_matches_fraction_reference(seed):
+    """At seeds other than the pinned 0 the integer sampler draws the
+    forms and consumes the stream as the Fraction one did, and every
+    entry is a Fraction (certs.jsonable writes int 2 as 2, Fraction 2
+    as "2")."""
+    new, old = (RandomStream(seed).split("cone.pd_preserved")
+                for _ in range(2))
+    for _ in range(100):
+        form = _random_pd_form(new)
+        assert form == random_pd_form_reference(old)
+        assert all(type(x) is Fraction for row in form.m for x in row)
+    assert new.next_u64() == old.next_u64()
 
 
 def test_sym_square_match():
