@@ -41,12 +41,17 @@ def jsonable(value: Any) -> Any:
     return str(value)
 
 
-def canonical_json(data: Any) -> str:
-    return json.dumps(jsonable(data), sort_keys=True, separators=(",", ":"))
+def canonical_json(converted: Any) -> str:
+    return json.dumps(converted, sort_keys=True, separators=(",", ":"))
 
 
 def digest(data: Any) -> str:
-    return hashlib.sha256(canonical_json(data).encode()).hexdigest()
+    return _sha256(jsonable(data))
+
+
+def _sha256(converted: Any) -> str:
+    """digest() of values jsonable returned, without converting again."""
+    return hashlib.sha256(canonical_json(converted).encode()).hexdigest()
 
 
 @dataclass
@@ -63,9 +68,6 @@ class Certificate:
         return digest(self.inputs)
 
     def to_dict(self) -> dict:
-        # jsonable is idempotent on its own output, so digesting the
-        # converted inputs gives inputs_digest() without formatting every
-        # rational twice.
         inputs = jsonable(self.inputs)
         return {
             "claim": self.claim,
@@ -73,7 +75,7 @@ class Certificate:
             "witnesses": jsonable(self.witnesses),
             "inputs": inputs,
             "seed": self.seed,
-            "inputs_digest": digest(inputs),
+            "inputs_digest": _sha256(inputs),
             "paper_anchor": self.anchor,
             "timestamp": self.timestamp,
         }

@@ -3,12 +3,12 @@ its boundary flats.
 
 The 6x6 representation acts on symmetric 3x3 forms by congruence
 S -> g S g^T, which visibly preserves positive definiteness.  At a rational
-g both run on ints, the table on rho6's integer image and the congruence
-on the 3x3 matrix alone.  The module certifies that the shipped entry table
-is that symmetric-square action in the monomial basis FORM_MONOMIALS with
-unit rescaling, exact PD/PSD decisions, the attracting rank-1 boundary
-fixed form of each generator, and straight segments inside the boundary
-(flats) witnessing that the cone is not strictly convex.
+g both give int values over a denominator (the table from rho6's integer
+image, the congruence from the 3x3 matrix alone), compared cross-multiplied;
+PD is decided on ints.  The module certifies that the shipped table is that
+symmetric-square action in the monomial basis FORM_MONOMIALS with unit
+rescaling, exact PD/PSD decisions, each generator's attracting rank-1 fixed
+form, and boundary flats, so the cone is not strictly convex.
 """
 
 from __future__ import annotations
@@ -67,19 +67,8 @@ class SymForm:
                         for r1, r2 in zip(self.m, other.m)])
 
     def is_positive_definite(self) -> bool:
-        """Sylvester: all leading principal minors positive.
-
-        Read off one fraction-free pass over the row-scaled integer copy.
-        Without row exchanges the pivots of that pass are the leading
-        principal minors of the copy (Bareiss, Math. Comp. 22, 1968),
-        and the positive row scales keep their signs.  A zero leading
-        minor forces an exchange or a missing pivot, so the form is PD
-        iff there is no exchange, there are 3 pivots and all are
-        positive.
-        """
-        m, _ = _integer_copy(self.m)
-        pivots, swaps, d = _echelon(m, reduce_above=False)
-        return swaps == 0 and len(pivots) == 3 and all(p > 0 for p in d)
+        """Decided on the row-scaled integer copy (_positive_definite)."""
+        return _positive_definite(_integer_copy(self.m)[0])
 
     def is_positive_semidefinite(self) -> bool:
         """All principal minors (not only leading ones) nonnegative."""
@@ -88,24 +77,38 @@ class SymForm:
                    for s in index_sets)
 
 
+def _positive_definite(m: list[list[int]]) -> bool:
+    """Sylvester for the 3x3 int matrix m, symmetric up to positive row
+    scales, by one fraction-free pass that reduces m in place: without
+    row exchanges its pivots are the leading principal minors (Bareiss,
+    1968), and a zero one forces an exchange or a missing pivot."""
+    pivots, swaps, d = _echelon(m, reduce_above=False)
+    return swaps == 0 and len(pivots) == 3 and all(p > 0 for p in d)
+
+
 def form_coordinates(form: SymForm) -> list[Fraction]:
     """Coordinates of a form in the monomial ordering FORM_MONOMIALS."""
     return [form.m[i][j] for i, j in FORM_MONOMIALS]
 
 
 def form_from_coordinates(coords: Sequence[Fraction]) -> SymForm:
+    return SymForm(_symmetric(coords))
+
+
+def _symmetric(coords: Sequence) -> list[list]:
     m = [[0] * 3 for _ in range(3)]
     for (i, j), value in zip(FORM_MONOMIALS, coords):
         m[i][j] = m[j][i] = value
-    return SymForm(m)
+    return m
 
 
-def act_on_form(g: HeisElement, form: SymForm) -> SymForm:
-    """The 6x6 table at the rational g on form coordinates, on ints."""
+def act_on_form(g: HeisElement, form: SymForm) -> tuple[list[int], int]:
+    """The 6x6 table at the rational g on form coordinates, on ints: the
+    int image of the coordinates cleared to scale s, over d s > 0."""
     rows, d = get_representation("rho6").integer_image(g)
     coords, s = clear_denominators([[x] for x in form_coordinates(form)])
     image = integer_product(rows, _nonzero_pairs(coords), 1)
-    return form_from_coordinates([Fraction(x, d * s) for (x,) in image])
+    return [x for (x,) in image], d * s
 
 
 def heis_3x3(g: HeisElement) -> Matrix:
@@ -116,14 +119,14 @@ def heis_3x3(g: HeisElement) -> Matrix:
     return Matrix([[one, g.a, g.c], [zero, one, g.b], [zero, zero, one]])
 
 
-def congruence_image(g: HeisElement, form: SymForm) -> SymForm:
+def congruence_image(g: HeisElement, form: SymForm) -> tuple[list, int]:
     """g S g^T at the rational g from heis_3x3 alone, never the 6x6
-    table: H S H^T / (e^2 s) on ints, H = e heis_3x3(g), S = s form."""
+    table, on ints: the int matrix H S H^T and its denominator e^2 s,
+    for H = e heis_3x3(g) and S = s form."""
     h, e = clear_denominators(heis_3x3(g).entries)
     m, s = clear_denominators(form.m)
     hs = integer_product(h, _nonzero_pairs(m), 3)
-    image = integer_product(hs, _nonzero_pairs(zip(*h)), 3)
-    return SymForm([[Fraction(x, e * e * s) for x in row] for row in image])
+    return integer_product(hs, _nonzero_pairs(zip(*h)), 3), e * e * s
 
 
 # -- matching the entry table against the symmetric-square action ------------
@@ -164,14 +167,16 @@ def sym_square_match_certificate(rep: Representation = None
 def pd_preservation_certificate(g: HeisElement, form: SymForm
                                 ) -> tuple[bool, dict]:
     """The action of g keeps a positive-definite form positive definite;
-    the image is recorded and cross-checked against the congruence g S g^T."""
+    the image is recorded and cross-checked, on ints, against g S g^T."""
     if not form.is_positive_definite():
         raise ValueError("input form must be positive definite")
-    image = act_on_form(g, form)
-    consistent = image == congruence_image(g, form)
-    ok = image.is_positive_definite() and consistent
-    return ok, {"image_form": [list(r) for r in image.m],
-                "matches_congruence": consistent}
+    coords, scale = act_on_form(g, form)
+    congruence, congruence_scale = congruence_image(g, form)
+    consistent = all(x * congruence_scale == congruence[i][j] * scale
+                     for x, (i, j) in zip(coords, FORM_MONOMIALS))
+    ok = _positive_definite(_symmetric(coords)) and consistent
+    image_form = _symmetric([Fraction(x, scale) for x in coords])
+    return ok, {"image_form": image_form, "matches_congruence": consistent}
 
 
 def parabolic_fixed_form(generator: str) -> SymForm:
@@ -195,17 +200,17 @@ def parabolic_fixed_form(generator: str) -> SymForm:
     if all(x == 0 for x in image):
         raise ValueError("identity form is annihilated by the top power")
     form = form_from_coordinates(_canonical(image))
-    fixed = act_on_form(GENERATORS[generator], form) == form
+    coords, scale = act_on_form(GENERATORS[generator], form)
+    fixed = all(x == scale * y for x, y in zip(coords, form_coordinates(form)))
     if not fixed or form.matrix().rank() != 1 \
             or not form.is_positive_semidefinite():
         raise ValueError("attractor is not a fixed rank-1 semidefinite form")
     return form
 
 
-def attraction_gaps(generator: str) -> list[Fraction]:
+def attraction_gaps(generator: str, fixed: SymForm) -> list[Fraction]:
     """Projective gap between the iterated image of the identity form and
-    the fixed form, after 4, 8 and 16 steps."""
-    fixed = parabolic_fixed_form(generator)
+    the fixed form from parabolic_fixed_form, after 4, 8 and 16 steps."""
     fixed_coords = _canonical(form_coordinates(fixed))
     gaps = []
     g = GENERATORS[generator]
@@ -213,17 +218,17 @@ def attraction_gaps(generator: str) -> list[Fraction]:
         # g spans a one-parameter subgroup (see heis.one_parameter_power),
         # so g^count is g's components times count.
         power = HeisElement(g.a * count, g.b * count, g.c * count)
-        coords = _canonical(form_coordinates(
-            act_on_form(power, SymForm.identity())))
+        coords = _canonical(act_on_form(power, SymForm.identity())[0])
         gaps.append(max(abs(x - y) for x, y in zip(coords, fixed_coords)))
     return gaps
 
 
-def _canonical(coords: Sequence[Fraction]) -> list[Fraction]:
-    # Normalize by the largest-magnitude entry; unlike first-nonzero
-    # scaling this stays bounded when the leading coordinate dies off.
+def _canonical(coords: Sequence) -> list[Fraction]:
+    # Normalize by the largest-magnitude entry, which cancels any common
+    # scale; unlike first-nonzero scaling this stays bounded when the
+    # leading coordinate dies off.
     pivot = max(coords, key=abs)
-    return [x / pivot for x in coords]
+    return [Fraction(x, pivot) for x in coords]
 
 
 def flat_segment_certificate(f1: SymForm, f2: SymForm

@@ -50,7 +50,7 @@ ORBIT_FORMULA: tuple[Poly, ...] = (
 )
 # The homogeneous lift (x1..x9, 1) of the orbit point.
 ORBIT_LIFT: tuple[Poly, ...] = ORBIT_FORMULA + (ENTRY_RING.one(),)
-_ORBIT_LIFT_PLAN = EntryPlan(ORBIT_LIFT)
+ORBIT_LIFT_PLAN = EntryPlan(ORBIT_LIFT)
 
 
 def lift_origin() -> list[Fraction]:
@@ -61,7 +61,7 @@ def lift_origin() -> list[Fraction]:
 def orbit_lift(g: HeisElement) -> list:
     """Homogeneous lift (x1..x9, 1) of the orbit point of g: rational if
     g is rational, polynomials in g's ring otherwise."""
-    return _ORBIT_LIFT_PLAN.specialize(g)
+    return ORBIT_LIFT_PLAN.specialize(g)
 
 
 def orbit_formula_certificate() -> tuple[bool, dict]:

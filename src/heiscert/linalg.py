@@ -14,8 +14,8 @@ gives.  When that zero is a Fraction, the product runs on int
 numerators: the left operand's rows and the right operand's columns are
 cleared of denominators, and a Fraction is built once per nonzero output
 entry, not once per pair.
-Determinant, rank, reduced echelon form, kernel and solve are restricted
-to rational matrices.  All of them run on a denominator-cleared integer
+Determinant, rank, reduced echelon form and solve are restricted to
+rational matrices.  All of them run on a denominator-cleared integer
 copy through one fraction-free pivot step, eliminate(), which the lp
 simplex shares; intermediate values stay integral instead of
 accumulating huge reduced fractions.  Rows are scaled lazily: each row
@@ -29,6 +29,7 @@ and never forms a full power of it: the echelon rows of N^(k-1) times N
 span the rows of N^k, so each rank is one elimination pass over an int
 product with as many rows as the previous rank, over N's nonzero pairs
 listed once, by integer_product(), which every int product shares.
+integer_kernel() reads an int null-space basis off one Gauss-Jordan pass.
 SymForm.is_positive_definite reads its leading minors off the pivots of
 one elimination pass.
 """
@@ -189,19 +190,6 @@ class Matrix:
         zero = Fraction(0)
         return Matrix([[Fraction(x, di) if x else zero for x in row]
                        for row, di in zip(m, d)]), pivots
-
-    def kernel_basis(self) -> list[tuple[Fraction, ...]]:
-        """Exact basis of the right null space; [] iff full column rank."""
-        reduced, pivots = self.rref()
-        free = [j for j in range(self.cols) if j not in pivots]
-        basis = []
-        for f in free:
-            vec = [Fraction(0)] * self.cols
-            vec[f] = Fraction(1)
-            for r, p in enumerate(pivots):
-                vec[p] = -reduced[r, f]
-            basis.append(tuple(vec))
-        return basis
 
     def solve_right(self, rhs: "Matrix") -> "Matrix":
         """Unique solution X of self @ X = rhs for self of full column rank.
@@ -402,6 +390,25 @@ def integer_nilpotent_ranks(rows: list[list[int]], d: int) -> list[int]:
                 "matrix is not unipotent: (m - I) is not nilpotent")
         # The echelon pass left the nonzero rows on top.
         current = integer_product(current[:ranks[-1]], nonzero, n)
+
+
+def integer_kernel(m: list[list[int]]) -> list[list[int]]:
+    """An int basis of the right null space of the int rows m (reduced
+    in place), one vector per free column f, in order: after one
+    Gauss-Jordan pass row r over its divisor d[r] is row r of the RREF,
+    so the vector is L at f and -m[r][f] * (L // d[r]) at row r's pivot,
+    L being the lcm of the d[r] with m[r][f] != 0."""
+    width = len(m[0])
+    pivots, _, d = _echelon(m, reduce_above=True)
+    basis = []
+    for f in (j for j in range(width) if j not in pivots):
+        used = [r for r in range(len(pivots)) if m[r][f]]
+        vec = [0] * width
+        vec[f] = scale = lcm(*(d[r] for r in used))
+        for r in used:
+            vec[pivots[r]] = -m[r][f] * (scale // d[r])
+        basis.append(vec)
+    return basis
 
 
 def jordan_partition(ranks: Sequence[int]) -> list[int]:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from .convexity import ORBIT_LIFT
 from .heis import DATA_DIR, ENTRY_RING, GEN_A, GEN_B, HeisElement, \
     get_representation, heis_mul, one_parameter_power, symbolic_pair
-from .linalg import Matrix
+from .linalg import Matrix, clear_denominators, integer_kernel
 from .poly import Poly, PolyRing
 
 AMBIENT_DIM = 14
@@ -184,25 +184,27 @@ def restriction_certificate() -> tuple[bool, dict]:
 def intertwiner_dimension() -> int:
     """Dimension of {X : induced(g) X = X theta(g) for all g}.
 
-    Solved from the generator conditions (enough because the integer
-    points are Zariski dense); every kernel element is then reverified
-    against the full symbolic identity.
+    Solved on ints from the generator conditions (enough because the
+    integer points are Zariski dense); every int kernel vector is then
+    reverified against the full symbolic identity.
     """
     theta = get_representation("theta")
     n = SUBSPACE_DIM
     rows = []
     for gen in (GEN_A, GEN_B):
-        left = induced_matrix(gen)
-        right = theta(gen)
+        # One shared scale, since a scale per row breaks L X - X R = 0.
+        cleared, _ = clear_denominators(
+            induced_matrix(gen).entries + theta(gen).entries)
+        left, right = cleared[:n], cleared[n:]
         # condition left @ X - X @ right = 0, unknowns X_kl flattened
         for i in range(n):
             for j in range(n):
-                row = [Fraction(0)] * (n * n)
+                row = [0] * (n * n)
                 for k in range(n):
-                    row[k * n + j] += left[i, k]
-                    row[i * n + k] -= right[k, j]
+                    row[k * n + j] += left[i][k]
+                    row[i * n + k] -= right[k][j]
                 rows.append(row)
-    kernel = Matrix(rows).kernel_basis()
+    kernel = integer_kernel(rows)
     image, theta_g = _symbolic_action()
     induced = _free_rows(image)
     for vec in kernel:

@@ -31,6 +31,7 @@ import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import prod
 from pathlib import Path
 
 from . import __version__
@@ -203,9 +204,12 @@ def _frozen_parameters(name: str) -> list[tuple]:
 
 
 def _lift_det(raw) -> Fraction:
-    """Determinant of the lifts of the orbit points with parameters raw;
-    raises unless there are exactly ten of them."""
-    return Matrix(convexity.OrbitSample(raw).lifts()).det()
+    """Determinant of the ten distinct orbit lifts of raw (else raises),
+    det(R) / prod(d_i) for the lifts R_i / d_i from the orbit plan."""
+    plan = convexity.ORBIT_LIFT_PLAN
+    rows, dens = zip(*(plan.integer_values(HeisElement(*p))
+                       for p in convexity.OrbitSample(raw).parameters))
+    return Matrix(rows).det() / prod(dens)
 
 
 def _hull_dimension_sample(stream: RandomStream, count: int) -> dict:
@@ -294,7 +298,7 @@ def _pd_preserved(cases: list[dict]):
 
 def _parabolic():
     forms = {name: parabolic_fixed_form(name) for name in ("A", "B", "C")}
-    gaps = {name: attraction_gaps(name) for name in ("A", "B", "C")}
+    gaps = {name: attraction_gaps(name, form) for name, form in forms.items()}
     checks = {
         "rank_one": all(f.matrix().rank() == 1 for f in forms.values()),
         "semidefinite": all(f.is_positive_semidefinite()

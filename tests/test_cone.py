@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heiscert import cone
 from heiscert.cone import (SymForm, act_on_form, attraction_gaps,
                            congruence_image, flat_segment_certificate,
                            form_coordinates, form_from_coordinates, heis_3x3,
@@ -127,11 +128,25 @@ def congruence_reference(g: HeisElement, form: SymForm) -> SymForm:
     return SymForm((h * form.matrix() * h.transpose()).entries)
 
 
+def action_form(g: HeisElement, form: SymForm) -> SymForm:
+    """act_on_form's int coordinates over its denominator, as a form."""
+    coords, scale = act_on_form(g, form)
+    assert all(type(x) is int for x in coords) and scale > 0
+    return form_from_coordinates([Fraction(x, scale) for x in coords])
+
+
+def congruence_form(g: HeisElement, form: SymForm) -> SymForm:
+    """congruence_image's int matrix over its denominator, as a form."""
+    matrix, scale = congruence_image(g, form)
+    assert all(type(x) is int for row in matrix for x in row) and scale > 0
+    return SymForm([[Fraction(x, scale) for x in row] for row in matrix])
+
+
 def test_action_agrees_with_congruence():
     """Both integer routes against their Fraction references, at the
     identity, at elements with mixed denominators and at sampled ones,
     on the zero form, forms with non-unit denominators and sampled ones:
-    the scales d s and e^2 s each matter once a denominator is."""
+    the denominators d s and e^2 s each matter once a denominator is."""
     stream = RandomStream(47).split("action")
     elements = [HeisElement.identity(), HeisElement.of(1, 0, 0),
                 HeisElement.of("1/2", "-2/3", "5/7"),
@@ -145,12 +160,11 @@ def test_action_agrees_with_congruence():
         [random_symmetric(stream) for _ in range(10)]
     for g in elements:
         for form in forms:
-            image = act_on_form(g, form)
+            image = action_form(g, form)
             assert image == action_reference(g, form)
-            assert congruence_image(g, form) == \
+            assert congruence_form(g, form) == \
                 congruence_reference(g, form) == image
-            assert all(type(x) is Fraction for row in image.m for x in row)
-    assert act_on_form(HeisElement.identity(), forms[2]) == forms[2]
+    assert action_form(HeisElement.identity(), forms[2]) == forms[2]
 
 
 def random_pd_form_reference(stream: RandomStream) -> SymForm:
@@ -220,6 +234,17 @@ def test_pd_preservation_spot_checks():
         assert ok
 
 
+def test_pd_preservation_fails_against_transposed_congruence(monkeypatch):
+    """With heis_3x3 transposed, g^T S g differs from the table's
+    g S g^T, so the cross-multiplied comparison must fail."""
+    original = cone.heis_3x3
+    monkeypatch.setattr(cone, "heis_3x3", lambda g: original(g).transpose())
+    ok, witnesses = pd_preservation_certificate(HeisElement.of(1, 1, 1),
+                                                SymForm.identity())
+    assert not ok
+    assert witnesses["matches_congruence"] is False
+
+
 def test_pd_preservation_rejects_indefinite_input():
     indefinite = SymForm([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
@@ -245,7 +270,7 @@ def test_fixed_forms_of_first_two_generators_differ():
 
 def test_attraction_gaps_decrease():
     for name in ("A", "B", "C"):
-        g1, g2, g3 = attraction_gaps(name)
+        g1, g2, g3 = attraction_gaps(name, parabolic_fixed_form(name))
         assert g1 > g2 > g3
 
 

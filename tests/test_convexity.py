@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from heiscert import convexity
+from heiscert import convexity, suites
 from heiscert.convexity import (DEFAULT_RAY_TS, DEFAULT_RAYS, ORBIT_FORMULA,
                                 OrbitSample,
                                 equivariance_certificate,
@@ -124,6 +124,26 @@ def test_repeated_point_matrix_is_singular():
 def test_center_only_sample_is_degenerate():
     params = [(Fraction(0), Fraction(0), Fraction(k)) for k in range(1, 11)]
     assert Matrix(OrbitSample(params).lifts()).det() == 0
+
+
+def test_lift_det_matches_fraction_lift_matrix():
+    """suites._lift_det, det of the int lift rows over the product of
+    their denominators, equals the determinant of the Fraction lifts on
+    the frozen sample, the central one and fresh draws at seed 3 (a
+    Fraction, which certificates write as "p/q"), and still refuses
+    nine points and a repeated point."""
+    drawn = suites._hull_dimension_sample(
+        RandomStream(3).split("hull.dimension"), 20)
+    frozen = drawn["frozen"]
+    center = suites._degenerate_center_inputs()["parameters"]
+    for raw in [frozen, center, *drawn["fresh"]]:
+        det = suites._lift_det(raw)
+        assert type(det) is Fraction
+        assert det == Matrix(OrbitSample(raw).lifts()).det()
+    assert suites._lift_det(center) == 0 != suites._lift_det(frozen)
+    for bad in (frozen[:9], frozen[:9] + frozen[:1]):
+        with pytest.raises(ValueError):
+            suites._lift_det(bad)
 
 
 def test_fresh_seeded_samples_stay_nondegenerate():
