@@ -14,6 +14,7 @@ form, and boundary flats, so the cone is not strictly convex.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .heis import ENTRY_RING, GENERATORS, HeisElement, Representation, \
@@ -119,11 +120,20 @@ def heis_3x3(g: HeisElement) -> Matrix:
     return Matrix([[one, g.a, g.c], [zero, one, g.b], [zero, zero, one]])
 
 
+def integer_heis_3x3(g: HeisElement) -> tuple[list[list[int]], int]:
+    """heis_3x3 at the rational g as int rows H over e > 0, the lcm of
+    the components' denominators."""
+    a, b, c = g.components()
+    e = lcm(a.denominator, b.denominator, c.denominator)
+    a, b, c = (x.numerator * (e // x.denominator) for x in (a, b, c))
+    return [[e, a, c], [0, e, b], [0, 0, e]], e
+
+
 def congruence_image(g: HeisElement, form: SymForm) -> tuple[list, int]:
-    """g S g^T at the rational g from heis_3x3 alone, never the 6x6
+    """g S g^T at the rational g from the 3x3 matrix alone, never the 6x6
     table, on ints: the int matrix H S H^T and its denominator e^2 s,
-    for H = e heis_3x3(g) and S = s form."""
-    h, e = clear_denominators(heis_3x3(g).entries)
+    for H / e = heis_3x3(g) (integer_heis_3x3) and S = s form."""
+    h, e = integer_heis_3x3(g)
     m, s = clear_denominators(form.m)
     hs = integer_product(h, _nonzero_pairs(m), 3)
     return integer_product(hs, _nonzero_pairs(zip(*h)), 3), e * e * s

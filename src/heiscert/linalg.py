@@ -22,13 +22,15 @@ accumulating huge reduced fractions.  Rows are scaled lazily: each row
 carries a divisor, the pivot in force when it was last exact, and a
 pivot step touches only the rows with a nonzero entry in its column,
 dividing each exactly by its own divisor (see eliminate for why the
-division is exact).  The Jordan rank chain runs on ints:
-integer_nilpotent_ranks() takes int rows R and a d > 0 standing for the
-matrix R / d, an entry table's integer image; it works with dN = R - dI
-and never forms a full power of it: the echelon rows of N^(k-1) times N
-span the rows of N^k, so each rank is one elimination pass over an int
-product with as many rows as the previous rank, over N's nonzero pairs
-listed once, by integer_product(), which every int product shares.
+division is exact); in a touched row, an entry whose pair with the
+pivot row is zero on both sides stays 0 without arithmetic.  The Jordan
+rank chain runs on ints: integer_nilpotent_ranks() takes int rows R and
+a d > 0 standing for the matrix R / d, an entry table's integer image;
+it works with dN = R - dI and never forms a full power of it: the
+echelon rows of N^(k-1) times N span the rows of N^k, so each rank is
+one elimination pass over an int product with as many rows as the
+previous rank, over N's nonzero pairs listed once, by integer_product(),
+which every int product shares.
 integer_kernel() reads an int null-space basis off one Gauss-Jordan pass.
 SymForm.is_positive_definite reads its leading minors off the pivots of
 one elimination pass.
@@ -267,7 +269,9 @@ def eliminate(m: list[list[int]], d: list[int], r: int, c: int, rows,
     i was last exact (1 at the start).  The step first brings the pivot
     row r to scale, so p = m[r][c] is the true pivot and d[r] becomes p.
     Every row i in rows with an entry f != 0 in column c becomes
-    (m[i] * p - f * m[r]) // d[i], and d[i] becomes p.  The division is
+    (m[i] * p - f * m[r]) // d[i], and d[i] becomes p; an entry that is
+    0 in both m[i] and m[r] is written 0 directly, the value that
+    (0 * p - f * 0) // d[i] would give.  The division is
     exact: substituting the stored rows shows that the result is the
     Bareiss update (true_i * p - true_f * true_r) // prev, every entry of
     which is a minor of the starting matrix (Bareiss, Math. Comp. 22,
@@ -289,7 +293,8 @@ def eliminate(m: list[list[int]], d: list[int], r: int, c: int, rows,
         f = row[c]
         if f:
             scale = d[i]
-            m[i] = [(x * p - f * y) // scale for x, y in zip(row, pivot_row)]
+            m[i] = [(x * p - f * y) // scale if x or y else 0
+                    for x, y in zip(row, pivot_row)]
             d[i] = p
     return p
 

@@ -1,9 +1,12 @@
 """Exact rational linear programming: Phase-I simplex with Bland's rule.
 
 Only feasibility of equality systems {Ax = b, x >= 0} is needed here (it
-decides convex-combination membership).  The tableau is scaled once to
-integers and then pivoted with the fraction-free step of linalg
-(Edmonds' integer-preserving pivoting); Bland's smallest-index rule
+decides convex-combination membership).  Each row of the tableau is
+scaled once to integers by the lcm of its own denominators and then
+pivoted with the fraction-free step of linalg (Edmonds' integer-preserving
+pivoting); a positive row scale cancels from every ratio and flips no
+sign, so the pivots are those of a tableau over one common denominator.
+The ratio test cross-multiplies ints.  Bland's smallest-index rule
 guarantees termination.  On an infeasible system the final multipliers
 give a Farkas functional y with y.b > 0 and y.A <= 0, which is verified
 in integer arithmetic before being returned so the caller gets a
@@ -14,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
-from .linalg import clear_denominators, eliminate
+from .linalg import _integer_copy, clear_denominators, eliminate
 from .rationals import to_fraction
 
 
@@ -42,32 +46,39 @@ def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
             for row, v in zip(matrix, rhs)]
 
     # Tableau columns: n structural, then m artificial, then rhs; row m
-    # is the Phase-I cost row.  Everything is scaled once by the lcm L of
-    # the denominators of [A | b] and then kept integral by fraction-free
-    # pivots, so the artificial block is L times the identity.  A row
-    # with b < 0 is negated so the artificial basis is feasible; the
-    # flips are remembered to recover multipliers for the original rows.
-    ints, scale = clear_denominators(rows)
+    # is the Phase-I cost row.  Row i of [A | b] is cleared of
+    # denominators by its own lcm r_i and then kept integral by
+    # fraction-free pivots, so artificial column i carries r_i in row i.
+    # A row with b < 0 is negated so the artificial basis is feasible;
+    # the flips are remembered to recover multipliers for the original
+    # rows.
+    ints, scales = _integer_copy(rows)
+    scale = lcm(*scales)
     flipped = [row[-1] < 0 for row in ints]
     tableau = []
-    for i, (row, flip) in enumerate(zip(ints, flipped)):
+    for i, (row, flip, r) in enumerate(zip(ints, flipped, scales)):
         row = [-x for x in row] if flip else row
-        tableau.append(row[:-1] + [scale if j == i else 0
+        tableau.append(row[:-1] + [r if j == i else 0
                                    for j in range(m)] + row[-1:])
     basis = [n + i for i in range(m)]
 
     # Reduced costs of minimizing the sum of artificials (artificial
-    # columns carry cost 1): start from the sum of the rows.
-    cost = [sum(tableau[i][j] for i in range(m)) for j in range(n + m + 1)]
+    # columns carry cost 1), brought to the common scale L = lcm r_i:
+    # the sum of the rows, row i taken L / r_i times, less L on each
+    # artificial column.
+    factors = [scale // r for r in scales]
+    cost = [sum(f * row[j] for f, row in zip(factors, tableau))
+            for j in range(n + m + 1)]
     for i in range(m):
         cost[n + i] -= scale
     tableau.append(cost)
 
     # Rows are scaled lazily (see linalg.eliminate): row i's exact row is
     # tableau[i] * prev // d[i], and it stands for that row divided by its
-    # basic entry, so the scale cancels from every read of one row.  The
-    # cost row stands for tableau[m] / (scale * d[m]).  Pivots are
-    # positive, so every d[i] is too and signs can be read off directly.
+    # basic entry, so any positive scale of the row, r_i included, cancels
+    # from every read of one row.  The cost row stands for
+    # tableau[m] / (L * d[m]).  Pivots are positive, so every d[i] is too
+    # and signs can be read off directly.
     d = [1] * (m + 1)
     prev = 1
     # In exact arithmetic Bland's rule never returns to a basis, so a
@@ -81,18 +92,22 @@ def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
         if entering is None:
             break
         # Bland: among minimum-ratio rows pick the one whose basic
-        # variable has the smallest index.  A row's denominator cancels
-        # from its ratio.
-        best = None
+        # variable has the smallest index.  With both coefficients
+        # positive, b_i / a_i < b_k / a_k is b_i a_k < b_k a_i on the
+        # ints; a row's divisor cancels from its own ratio.
+        row = None
         for i in range(m):
             coeff = tableau[i][entering]
             if coeff > 0:
-                key = (Fraction(tableau[i][-1], coeff), basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
+                b = tableau[i][-1]
+                if row is not None:
+                    left, right = b * best_coeff, best_b * coeff
+                    if left > right or (left == right
+                                        and basis[i] > basis[row]):
+                        continue
+                row, best_b, best_coeff = i, b, coeff
+        if row is None:
             raise RuntimeError("phase-I objective is bounded by construction")
-        row = best[1]
         prev = eliminate(tableau, d, row, entering,
                          (i for i in range(m + 1) if i != row), prev)
         basis[row] = entering
@@ -109,7 +124,7 @@ def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
         return FeasibilityResult(True, solution, None)
 
     # Multipliers: at optimality, y_i = (reduced cost of artificial i) + 1,
-    # read off the cost row brought to scale through its divisor d[m];
+    # read off the cost row brought to L through its divisor d[m];
     # after the sign flips y certifies y.A <= 0 and y.b > 0 for the
     # original system.
     y = [Fraction(cost[n + i], scale * d[m]) + 1 for i in range(m)]
@@ -146,7 +161,6 @@ def convex_combination_weights(points: Sequence[Sequence[Fraction]],
     dim = len(target)
     if any(len(p) != dim for p in points):
         raise ValueError("point dimension mismatch")
-    matrix = [[to_fraction(p[i]) for p in points] for i in range(dim)]
+    matrix = [[p[i] for p in points] for i in range(dim)]
     matrix.append([Fraction(1)] * len(points))
-    rhs = [to_fraction(x) for x in target] + [Fraction(1)]
-    return solve_equality_feasibility(matrix, rhs)
+    return solve_equality_feasibility(matrix, [*target, Fraction(1)])

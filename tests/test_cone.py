@@ -235,10 +235,16 @@ def test_pd_preservation_spot_checks():
 
 
 def test_pd_preservation_fails_against_transposed_congruence(monkeypatch):
-    """With heis_3x3 transposed, g^T S g differs from the table's
-    g S g^T, so the cross-multiplied comparison must fail."""
-    original = cone.heis_3x3
-    monkeypatch.setattr(cone, "heis_3x3", lambda g: original(g).transpose())
+    """With the int H that congruence_image uses transposed, g^T S g
+    differs from the table's g S g^T, so the cross-multiplied comparison
+    must fail."""
+    original = cone.integer_heis_3x3
+
+    def transposed(g):
+        h, e = original(g)
+        return [list(column) for column in zip(*h)], e
+
+    monkeypatch.setattr(cone, "integer_heis_3x3", transposed)
     ok, witnesses = pd_preservation_certificate(HeisElement.of(1, 1, 1),
                                                 SymForm.identity())
     assert not ok

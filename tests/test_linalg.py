@@ -303,6 +303,77 @@ def test_rank_nullity(m):
     assert m.rank() + len(_kernel(m)) == m.cols
 
 
+@st.composite
+def sparse_int_rows(draw):
+    """Int rows of up to 12 by 12, at least 70% zeros; one drawn row and
+    one drawn column are often cleared whole."""
+    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1),
+                  st.integers(-9, 9).filter(bool)),
+        max_size=n_rows * n_cols * 3 // 10, unique_by=lambda t: t[:2]))
+    rows = [[0] * n_cols for _ in range(n_rows)]
+    for i, j, value in cells:
+        rows[i][j] = value
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n_rows - 1))] = [0] * n_cols
+    if draw(st.booleans()):
+        dead = draw(st.integers(0, n_cols - 1))
+        for row in rows:
+            row[dead] = 0
+    return rows
+
+
+def _dense_echelon(m, reduce_above):
+    """Reference: the fraction-free pass of linalg._echelon with every
+    touched row rewritten densely, zero pairs included."""
+    n_rows = len(m)
+    d = [1] * n_rows
+    pivots, swaps, prev = [], 0, 1
+    for col in range(len(m[0])):
+        r = len(pivots)
+        found = next((i for i in range(r, n_rows) if m[i][col]), None)
+        if found is None:
+            continue
+        if found != r:
+            m[r], m[found] = m[found], m[r]
+            d[r], d[found] = d[found], d[r]
+            swaps += 1
+        m[r] = [x * prev // d[r] for x in m[r]]
+        p = d[r] = m[r][col]
+        for i in range(0 if reduce_above else r + 1, n_rows):
+            f = m[i][col]
+            if i != r and f:
+                m[i] = [(x * p - f * y) // d[i] for x, y in zip(m[i], m[r])]
+                d[i] = p
+        prev = p
+        pivots.append(col)
+        if r + 1 == n_rows:
+            break
+    return pivots, swaps, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_int_rows(), st.booleans())
+def test_sparse_echelon_matches_dense_step(rows, reduce_above):
+    m = [list(row) for row in rows]
+    expected = [list(row) for row in rows]
+    assert linalg._echelon(m, reduce_above) == \
+        _dense_echelon(expected, reduce_above)
+    assert m == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_int_rows())
+def test_sparse_integer_kernel_is_a_null_space_basis(rows):
+    basis = integer_kernel([list(row) for row in rows])
+    assert len(basis) == len(rows[0]) - Matrix(rows).rank()
+    for vec in basis:
+        assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in rows)
+    if basis:
+        assert Matrix(basis).rank() == len(basis)
+
+
 def _fraction_nilpotent_ranks(m):
     """Reference oracle: ranks of the powers of N = m - I multiplied out
     over Fraction, starting from the identity."""

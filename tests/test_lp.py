@@ -1,5 +1,6 @@
 """Exact simplex feasibility and its Farkas witnesses."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,83 @@ def test_verdicts_carry_checked_witnesses(system):
         assert sum(f * b for f, b in zip(y, rhs)) > 0
         for j in range(len(matrix[0])):
             assert sum(y[i] * matrix[i][j] for i in range(len(matrix))) <= 0
+
+
+def _fraction_phase_one(matrix, rhs):
+    """Reference oracle: the Phase-I tableau over Fraction, scaled by one
+    common denominator L (artificial block L times the identity, rows
+    with b < 0 negated), pivoted by Gauss-Jordan with Bland's rule:
+    the smallest entering index with positive reduced cost, and the
+    minimum ratio with ties to the smallest basic index."""
+    m, n = len(matrix), len(matrix[0])
+    rows = [[F(x) for x in row] + [F(b)] for row, b in zip(matrix, rhs)]
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    flipped = [row[-1] < 0 for row in rows]
+    tableau = [[(-scale if flip else scale) * x for x in row[:-1]]
+               + [F(scale if j == i else 0) for j in range(m)]
+               + [(-scale if flip else scale) * row[-1]]
+               for i, (row, flip) in enumerate(zip(rows, flipped))]
+    cost = [sum(row[j] for row in tableau) for j in range(n + m + 1)]
+    for i in range(m):
+        cost[n + i] -= scale
+    basis = [n + i for i in range(m)]
+    while True:
+        entering = next((j for j in range(n + m) if cost[j] > 0), None)
+        if entering is None:
+            break
+        candidates = [(tableau[i][-1] / tableau[i][entering], basis[i], i)
+                      for i in range(m) if tableau[i][entering] > 0]
+        r = min(candidates)[2]
+        pivot = tableau[r][entering]
+        tableau[r] = [x / pivot for x in tableau[r]]
+        for row in tableau[:r] + tableau[r + 1:] + [cost]:
+            f = row[entering]
+            row[:] = [x - f * y for x, y in zip(row, tableau[r])]
+        basis[r] = entering
+    if all(tableau[i][-1] == 0 for i in range(m) if basis[i] >= n):
+        solution = [F(0)] * n
+        for i, var in enumerate(basis):
+            if var < n:
+                solution[var] = tableau[i][-1]
+        return True, solution, None
+    y = [cost[n + i] / scale + 1 for i in range(m)]
+    return False, None, [-v if flip else v for v, flip in zip(y, flipped)]
+
+
+@st.composite
+def mixed_scale_systems(draw):
+    """Up to 5 rows and 5 columns: one row with denominators up to
+    15000, the others integral, b of both signs.  Half the systems have
+    b = A x for a drawn x >= 0, so they are feasible; the rest are
+    mostly infeasible."""
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    fine_row = draw(st.integers(0, n_rows - 1))
+    fine = st.fractions(min_value=-4, max_value=4, max_denominator=15000)
+    coarse = st.integers(-4, 4).map(F)
+    matrix = [draw(st.lists(fine if i == fine_row else coarse,
+                            min_size=n_cols, max_size=n_cols))
+              for i in range(n_rows)]
+    if draw(st.booleans()):
+        x = draw(st.lists(st.fractions(min_value=0, max_value=3,
+                                       max_denominator=7),
+                          min_size=n_cols, max_size=n_cols))
+        rhs = [sum(a * v for a, v in zip(row, x)) for row in matrix]
+    else:
+        rhs = [draw(fine if i == fine_row else coarse)
+               for i in range(n_rows)]
+    return matrix, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_scale_systems())
+def test_pivot_path_matches_fraction_tableau(system):
+    """Per-row clearing and the integer ratio test pick the pivots of
+    the common-denominator Fraction tableau, so the solution and the
+    Farkas vector come out exactly equal, not just equally valid."""
+    matrix, rhs = system
+    result = solve_equality_feasibility(matrix, rhs)
+    assert (result.feasible, result.solution, result.farkas) == \
+        _fraction_phase_one(matrix, rhs)
 
 
 def test_repeated_basis_raises_instead_of_cycling(monkeypatch):
