@@ -10,14 +10,11 @@ nilpotent parts and the subspace basis are mostly zeros.  An entry that
 no nonzero pair reaches is one shared zero per call, built as a product
 of the operands' first entries times 0, so it has the type (0,
 Fraction(0) or the zero Poly) that a dense sum of homogeneous operands
-gives.  When that zero is a Fraction, the product runs on int
-numerators: the left operand's rows and the right operand's columns are
-cleared of denominators, and a Fraction is built once per nonzero output
-entry, not once per pair.
-Determinant, rank, reduced echelon form and solve are restricted to
-rational matrices.  All of them run on a denominator-cleared integer
-copy through one fraction-free pivot step, eliminate(), which the lp
-simplex shares; intermediate values stay integral instead of
+gives.
+Determinant, rank and reduced echelon form are restricted to rational
+matrices.  All of them run on a denominator-cleared integer copy
+through one fraction-free pivot step, eliminate(), which the lp simplex
+shares; intermediate values stay integral instead of
 accumulating huge reduced fractions.  Rows are scaled lazily: each row
 carries a divisor, the pivot in force when it was last exact, and a
 pivot step touches only the rows with a nonzero entry in its column,
@@ -108,14 +105,7 @@ class Matrix:
         kernel _gustavson.  An entry with no nonzero pair is the shared
         zero self[0, 0] * other[0, 0] * 0, which has the type a dense
         sum of homogeneous operands would have (0, Fraction(0) or the
-        zero Poly).
-
-        When that zero is a Fraction, the loop runs on int numerators:
-        row i of self is scaled by the lcm r_i of its denominators and
-        column j of other by the lcm c_j of its own, so each nonzero
-        entry is one Fraction(sum, r_i * c_j) and a zero one is the
-        shared zero.  Int and Poly operands are multiplied as they are.
-        """
+        zero Poly)."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -123,17 +113,8 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by "
                 f"{other.rows}x{other.cols}")
         zero = self.entries[0][0] * other.entries[0][0] * 0
-        left, right = self.entries, other.entries
-        rational = type(zero) is Fraction
-        if rational:
-            left, row_scales = _integer_copy(left)
-            columns, col_scales = _integer_copy(zip(*right))
-            right = zip(*columns)
-        sums = _gustavson(left, _nonzero_pairs(right), other.cols)
-        if rational:
-            return Matrix([[Fraction(a, r * c) if a else zero
-                            for a, c in zip(acc, col_scales)]
-                           for acc, r in zip(sums, row_scales)])
+        sums = _gustavson(self.entries, _nonzero_pairs(other.entries),
+                          other.cols)
         return Matrix([[zero if a is None else a for a in acc]
                        for acc in sums])
 
@@ -192,25 +173,6 @@ class Matrix:
         zero = Fraction(0)
         return Matrix([[Fraction(x, di) if x else zero for x in row]
                        for row, di in zip(m, d)]), pivots
-
-    def solve_right(self, rhs: "Matrix") -> "Matrix":
-        """Unique solution X of self @ X = rhs for self of full column rank.
-
-        Raises ValueError when self is rank deficient or the system is
-        inconsistent.
-        """
-        if rhs.rows != self.rows:
-            raise ValueError("shape mismatch in solve")
-        n = self.cols
-        aug = Matrix([self.entries[i] + rhs.entries[i]
-                      for i in range(self.rows)])
-        reduced, pivots = aug.rref()
-        if pivots[:n] != list(range(n)):
-            raise ValueError("matrix does not have full column rank")
-        if len(pivots) > n:
-            raise ValueError("system is inconsistent")
-        return Matrix([[reduced[i, n + j] for j in range(rhs.cols)]
-                       for i in range(n)])
 
     # -- wire format ---------------------------------------------------------
 

@@ -118,17 +118,18 @@ def derive_conjugator() -> Matrix:
     basis = derive_subspace_basis()
     residual = _subspace_coordinates_and_check(lift14, basis)
 
-    monomials = sorted({e for p in ORBIT_LIFT + tuple(residual)
-                        for e in p.terms})
-    columns_a = [[p.terms.get(e, Fraction(0)) for e in monomials]
-                 for p in ORBIT_LIFT]   # 10 x K
-    rows_y = [[p.terms.get(e, Fraction(0)) for e in monomials]
-              for p in residual]    # 10 x K
-    # Solve t_i . A = y_i for each row of T, i.e. A^T t_i^T = y_i^T.
-    lhs = Matrix(columns_a).transpose()          # K x 10
-    rhs = Matrix(rows_y).transpose()             # K x 10
-    solution = lhs.solve_right(rhs)              # 10 x 10
-    return solution.transpose()
+    polys = ORBIT_LIFT + tuple(residual)
+    monomials = sorted({e for p in polys for e in p.terms})
+    # T A = Y row by row is A^T T^T = Y^T: one rref of the K x 20
+    # system [A^T | Y^T], one row per monomial.  Pivots exactly in the
+    # first n columns mean A^T has full column rank and the system is
+    # consistent; T^T is then the top n rows of the right half.
+    n = len(ORBIT_LIFT)
+    reduced, pivots = Matrix([[p.terms.get(e, Fraction(0)) for p in polys]
+                              for e in monomials]).rref()
+    if pivots != list(range(n)):
+        raise ValueError("the orbit lifts do not determine T")
+    return Matrix([[reduced[j, n + i] for j in range(n)] for i in range(n)])
 
 
 def _subspace_coordinates_and_check(lift14, basis) -> list[Poly]:

@@ -40,8 +40,9 @@ from .certs import FAIL, PASS, Certificate
 from .cone import (SymForm, attraction_gaps, flat_segment_certificate,
                    parabolic_fixed_form, pd_preservation_certificate,
                    sym_square_match_certificate)
-from .heis import (DATA_DIR, HeisElement, get_representation, symbolic_pair,
-                   verify_homomorphism, verify_injectivity_generators)
+from .heis import (DATA_DIR, HeisElement, get_representation, heis_mul,
+                   symbolic_pair, verify_homomorphism,
+                   verify_injectivity_generators)
 from .linalg import Matrix, _nonzero_pairs, clear_denominators, \
     integer_nilpotent_ranks, integer_product, jordan_partition
 from .metric import box, cross_ratio, hilbert_log_argument
@@ -185,12 +186,18 @@ def _equivariance_sample(stream: RandomStream, count: int) -> dict:
 
 def _equivariance(pairs: list[list[tuple]]):
     symbolic_ok, _ = convexity.equivariance_certificate(*symbolic_pair())
+    theta = get_representation("theta")
+    plan = convexity.ORBIT_LIFT_PLAN
     failures = []
-    for g, h in pairs:
-        ok, _ = convexity.equivariance_certificate(HeisElement.of(*g),
-                                                   HeisElement.of(*h))
-        if not ok:
-            failures.append({"g": list(g), "h": list(h)})
+    for raw_g, raw_h in pairs:
+        g, h = HeisElement.of(*raw_g), HeisElement.of(*raw_h)
+        # theta(g) = R/d, lift(h) = L/e, lift(g*h) = M/f: R L f == M d e.
+        rows, d = theta.integer_image(g)
+        lift, e = plan.integer_values(h)
+        target, f = plan.integer_values(heis_mul(g, h))
+        image = integer_product(rows, _nonzero_pairs([x] for x in lift), 1)
+        if any(x * f != y * d * e for (x,), y in zip(image, target)):
+            failures.append({"g": list(raw_g), "h": list(raw_h)})
     return symbolic_ok and not failures, {"symbolic_identity": symbolic_ok,
                                           "sampled_pairs": len(pairs),
                                           "failures": failures}

@@ -63,6 +63,50 @@ def test_equivariance_symbolic():
     assert ok
 
 
+def _law_without_ab(g, h):
+    """The group law with its a*b' term dropped."""
+    return HeisElement(g.a + h.a, g.b + h.b, g.c + h.c)
+
+
+def _equivariance_pairs(seed):
+    return suites._equivariance_sample(
+        RandomStream(seed).split("orbit.equivariance"), 25)["pairs"]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("broken_law", [False, True])
+def test_int_equivariance_agrees_with_certificate_per_pair(
+        monkeypatch, seed, broken_law):
+    """The claim's int loop (theta's int image times the orbit plan's int
+    lift, cross-multiplied against the target's) lists exactly the pairs
+    that equivariance_certificate refuses, under the group law and under
+    one without its a*b' term."""
+    if broken_law:
+        monkeypatch.setattr(suites, "heis_mul", _law_without_ab)
+        monkeypatch.setattr(convexity, "heis_mul", _law_without_ab)
+    pairs = _equivariance_pairs(seed)
+    _, witnesses = suites._equivariance(pairs)
+    refused = [{"g": list(g), "h": list(h)} for g, h in pairs
+               if not equivariance_certificate(HeisElement.of(*g),
+                                               HeisElement.of(*h))[0]]
+    assert witnesses["failures"] == refused
+    assert bool(refused) == broken_law
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_int_equivariance_fails_pairs_that_meet_the_ab_term(monkeypatch,
+                                                            seed):
+    """With the target's group law missing a*b', the failures are exactly
+    the pairs with a_g * b_h != 0, and the claim fails although the
+    symbolic identity (on the true law) holds."""
+    monkeypatch.setattr(suites, "heis_mul", _law_without_ab)
+    pairs = _equivariance_pairs(seed)
+    ok, witnesses = suites._equivariance(pairs)
+    assert not ok and witnesses["symbolic_identity"]
+    assert witnesses["failures"] == [{"g": list(g), "h": list(h)}
+                                     for g, h in pairs if g[0] * h[1] != 0]
+
+
 # -- limit point ---------------------------------------------------------------
 
 def test_shipped_rays_pass():

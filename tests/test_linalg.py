@@ -176,24 +176,6 @@ def test_dimension_mismatch_raises():
         Matrix([[Fraction(1), Fraction(2)]]).det()
 
 
-def test_solve_right_full_column_rank_system():
-    # 4 equations, 2 unknowns, consistent: rhs columns are lhs @ x
-    lhs = Matrix([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1, 3)],
-                  [Fraction(-2), Fraction(5)], [Fraction(7), Fraction(0)]])
-    x = Matrix([[Fraction(3, 2), Fraction(0)], [Fraction(-1), Fraction(4)]])
-    assert lhs.solve_right(lhs * x) == x
-
-
-def test_solve_right_rejects_inconsistent_and_rank_deficient():
-    lhs = Matrix([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)],
-                  [Fraction(1), Fraction(1)]])
-    with pytest.raises(ValueError, match="inconsistent"):
-        lhs.solve_right(Matrix([[Fraction(1)], [Fraction(1)], [Fraction(3)]]))
-    square = Matrix([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
-    with pytest.raises(ValueError, match="full column rank"):
-        square.solve_right(Matrix.identity(2))
-
-
 def test_matrix_text_round_trip():
     m = Matrix([[Fraction(1, 2), Fraction(-3)], [Fraction(0), Fraction(7, 5)]])
     assert Matrix.from_text(m.to_text()) == m
@@ -448,7 +430,10 @@ def conjugated_triangular(draw, unipotent):
     p = Matrix([[Fraction(draw(st.integers(min_value=-3, max_value=3)))
                  for _ in range(n)] for _ in range(n)])
     assume(p.det() != 0)
-    return p * u * p.solve_right(Matrix.identity(n))
+    # The rref of [P | I] is [I | P^-1].
+    reduced, _ = Matrix([row + tuple(Fraction(int(i == j)) for j in range(n))
+                         for i, row in enumerate(p.entries)]).rref()
+    return p * u * Matrix([row[n:] for row in reduced.entries])
 
 
 @settings(max_examples=120, deadline=None)
@@ -680,12 +665,13 @@ def _types(rows):
 @settings(max_examples=200, deadline=None)
 @given(product_operands())
 def test_sparse_kernel_matches_dense_reference(operands):
-    """Products and apply() equal the dense triple loop in value, and in
-    entry type unless one operand is int and the other Fraction.  There
-    the sparse sum may skip the term that sets the type: [Fraction(0), 1]
-    times [5, 2] is Fraction(2) dense but int 2 sparse.  No run path
-    multiplies such a pair."""
-    left_kind, right_kind, left, right, vector = operands
+    """Products and apply(), for all eight kind pairs, equal the dense
+    triple loop in value and in entry type: each operand holds one kind,
+    so every pair product, and the shared zero, has the dense sum's type.
+    Only int and Fraction mixed inside one operand can change a type,
+    never a value: [Fraction(0), 1] times [5, 2] is Fraction(2) dense but
+    int 2 sparse.  No run path multiplies such an operand."""
+    _, _, left, right, vector = operands
     product = (Matrix(left) * Matrix(right)).entries
     applied = Matrix(left).apply(vector)
     expected = _dense_product(left, right)
@@ -693,9 +679,8 @@ def test_sparse_kernel_matches_dense_reference(operands):
                       _dense_product(left, [[v] for v in vector])]
     assert [list(row) for row in product] == expected
     assert applied == expected_apply
-    if {left_kind, right_kind} != {"int", "fraction"}:
-        assert _types(product) == _types(expected)
-        assert _types([applied]) == _types([expected_apply])
+    assert _types(product) == _types(expected)
+    assert _types([applied]) == _types([expected_apply])
 
 
 def test_symbolic_basis_image_multiplies_only_nonzero_pairs(monkeypatch):
@@ -721,34 +706,3 @@ def test_symbolic_basis_image_multiplies_only_nonzero_pairs(monkeypatch):
     assert calls <= pairs + 2
     assert [list(row) for row in product.entries] == \
         _dense_product(rho.entries, basis.entries)
-
-
-def test_rational_products_build_no_fraction_per_pair(monkeypatch):
-    """Dense 3x3 Fraction operands are multiplied on int numerators: the
-    only Fraction products are the two that build the shared zero."""
-    left = Matrix([[Fraction(i + 2 * j + 1, j + 2) for j in range(3)]
-                   for i in range(3)])
-    right = Matrix([[Fraction(3 * i - j - 5, i + 3) for j in range(3)]
-                    for i in range(3)])
-    vector = [Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2)]
-    expected = _dense_product(left.entries, right.entries)
-    expected_apply = [row[0] for row in
-                      _dense_product(left.entries, [[v] for v in vector])]
-    calls = 0
-    original = Fraction.__mul__
-
-    def counted(self, other):
-        nonlocal calls
-        calls += 1
-        return original(self, other)
-
-    monkeypatch.setattr(Fraction, "__mul__", counted)
-    product = left * right
-    product_calls, calls = calls, 0
-    applied = left.apply(vector)
-    apply_calls = calls
-    monkeypatch.undo()
-    assert product_calls <= 2
-    assert apply_calls <= 2
-    assert [list(row) for row in product.entries] == expected
-    assert applied == expected_apply

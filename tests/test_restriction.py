@@ -5,6 +5,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from heiscert import restriction
 from heiscert.heis import ENTRY_RING, HeisElement, get_representation, \
     heis_mul, one_parameter_power
 from heiscert.poly import PolyRing
@@ -48,6 +51,16 @@ def test_induced_action_is_conjugate_to_theta():
     g = HeisElement.symbolic(ENTRY_RING)
     conjugator = derive_conjugator()
     assert induced_matrix(g) * conjugator == conjugator * THETA(g)
+
+
+def test_conjugator_refuses_orbit_lifts_that_do_not_determine_it(
+        monkeypatch):
+    """With one orbit coordinate repeated, the rref of [A^T | Y^T] misses
+    a pivot among the first ten columns, so no T is returned."""
+    lift = restriction.ORBIT_LIFT
+    monkeypatch.setattr(restriction, "ORBIT_LIFT", lift[:-1] + lift[-2:-1])
+    with pytest.raises(ValueError, match="do not determine T"):
+        derive_conjugator()
 
 
 def test_conjugator_shape():
