@@ -64,9 +64,6 @@ class Certificate:
     anchor: str = ""
     timestamp: str = ""
 
-    def inputs_digest(self) -> str:
-        return digest(self.inputs)
-
     def to_dict(self) -> dict:
         inputs = jsonable(self.inputs)
         return {

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .heis import ENTRY_RING, GENERATORS, HeisElement, Representation, \
     get_representation
-from .linalg import Matrix, _echelon, _integer_copy, _nonzero_pairs, \
+from .linalg import Matrix, _echelon, _nonzero_pairs, \
     clear_denominators, integer_product
 from .rationals import to_fraction
 
@@ -29,9 +29,11 @@ FORM_MONOMIALS = ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2))
 
 
 class SymForm:
-    """A symmetric 3x3 rational matrix, i.e. a quadratic form."""
+    """A symmetric 3x3 rational matrix, i.e. a quadratic form.  cleared
+    holds m cleared to int rows over one positive scale
+    (clear_denominators), made once for the int checks."""
 
-    __slots__ = ("m",)
+    __slots__ = ("m", "cleared")
 
     def __init__(self, entries: Sequence[Sequence[Fraction]]):
         m = [[to_fraction(x) for x in row] for row in entries]
@@ -42,6 +44,7 @@ class SymForm:
                 if m[i][j] != m[j][i]:
                     raise ValueError("form matrix is not symmetric")
         self.m = tuple(tuple(r) for r in m)
+        self.cleared = clear_denominators(self.m)
 
     @staticmethod
     def identity() -> "SymForm":
@@ -68,8 +71,8 @@ class SymForm:
                         for r1, r2 in zip(self.m, other.m)])
 
     def is_positive_definite(self) -> bool:
-        """Decided on the row-scaled integer copy (_positive_definite)."""
-        return _positive_definite(_integer_copy(self.m)[0])
+        """Decided on a copy of the cleared int rows (_positive_definite)."""
+        return _positive_definite([list(r) for r in self.cleared[0]])
 
     def is_positive_semidefinite(self) -> bool:
         """All principal minors (not only leading ones) nonnegative."""
@@ -107,7 +110,10 @@ def act_on_form(g: HeisElement, form: SymForm) -> tuple[list[int], int]:
     """The 6x6 table at the rational g on form coordinates, on ints: the
     int image of the coordinates cleared to scale s, over d s > 0."""
     rows, d = get_representation("rho6").integer_image(g)
-    coords, s = clear_denominators([[x] for x in form_coordinates(form)])
+    # The coordinates are the form's distinct entries, so its one scale
+    # clears them.
+    m, s = form.cleared
+    coords = [[m[i][j]] for i, j in FORM_MONOMIALS]
     image = integer_product(rows, _nonzero_pairs(coords), 1)
     return [x for (x,) in image], d * s
 
@@ -134,7 +140,7 @@ def congruence_image(g: HeisElement, form: SymForm) -> tuple[list, int]:
     table, on ints: the int matrix H S H^T and its denominator e^2 s,
     for H / e = heis_3x3(g) (integer_heis_3x3) and S = s form."""
     h, e = integer_heis_3x3(g)
-    m, s = clear_denominators(form.m)
+    m, s = form.cleared
     hs = integer_product(h, _nonzero_pairs(m), 3)
     return integer_product(hs, _nonzero_pairs(zip(*h)), 3), e * e * s
 

@@ -1,20 +1,23 @@
 """Cross ratio and the Hilbert metric on rational polytopes.
 
-The cross ratio of four collinear projective points is computed through
-2x2 determinants in a coordinate pair that embeds their common line, so
-points at infinity need no special casing.  The Hilbert metric between
-interior points of a polytope is returned as the exact rational argument
-R of the distance (1/2) log R; taking the log is left to callers that
-want floats.
+Both run on ints, with one Fraction built per result.  The cross ratio
+of four collinear projective points is computed through 2x2
+determinants in a coordinate pair that embeds their common line, so
+points at infinity need no special casing; each point is cleared to
+ints by its own scale, which the ratio cancels.  The Hilbert metric
+between interior points of a polytope is returned as the exact rational
+argument R of the distance (1/2) log R; each face keeps its int row,
+cleared once when it is built, and the chord's two limits are int
+pairs.  Taking the log is left to callers that want floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import Matrix, _integer_copy
+from .linalg import _echelon, _integer_copy
 from .rationals import parse_rational, to_fraction
 
 
@@ -25,39 +28,53 @@ def cross_ratio(p1, p2, p3, p4) -> Fraction:
     ((t3-t1)(t4-t2)) / ((t3-t2)(t4-t1)).  Points are given as sequences
     of homogeneous coordinates, any nonzero multiple standing for the same
     point; they must be pairwise distinct and collinear.
+
+    Each point is cleared to ints by its own lcm, which keeps its
+    projective class; the ratio (d02 d13) / (d12 d03) of the 2x2
+    determinants d_ij cancels every point's scale.  The two pivot
+    columns come off one fraction-free echelon pass, since row scales
+    do not move pivots, and only the result is a Fraction.
     """
-    lifts = [tuple(to_fraction(x) for x in p) for p in (p1, p2, p3, p4)]
+    lifts = [[x if type(x) is int else to_fraction(x) for x in p]
+             for p in (p1, p2, p3, p4)]
     if len({len(v) for v in lifts}) != 1:
         raise ValueError("points live in different dimensions")
-    _, pivots = Matrix(lifts).rref()
+    points, _ = _integer_copy(lifts)
+    pivots = _echelon([list(v) for v in points], reduce_above=False)[0]
     if len(pivots) != 2:
         raise ValueError("cross ratio needs four collinear points "
                          "spanning a line")
     c1, c2 = pivots
-    plane = [(v[c1], v[c2]) for v in lifts]
+    plane = [(v[c1], v[c2]) for v in points]
 
-    def d(i: int, j: int) -> Fraction:
+    def d(i: int, j: int) -> int:
         (x1, y1), (x2, y2) = plane[i], plane[j]
         return x1 * y2 - x2 * y1
 
     if d(0, 1) == 0 or d(0, 2) == 0 or d(0, 3) == 0 or d(1, 2) == 0 \
             or d(1, 3) == 0 or d(2, 3) == 0:
         raise ValueError("cross ratio needs pairwise distinct points")
-    return (d(0, 2) * d(1, 3)) / (d(1, 2) * d(0, 3))
+    return Fraction(d(0, 2) * d(1, 3), d(1, 2) * d(0, 3))
 
 
 @dataclass(frozen=True)
 class Halfspace:
     """The affine constraint coeffs . z <= bound.  The constructor turns
     coeffs into a tuple and converts every value with to_fraction, so
-    floats and bools raise TypeError."""
+    floats and bools raise TypeError.  It also keeps row, the int row
+    [a | b] of the face cleared by its own lcm (the same face), which
+    takes no part in equality, hashing or repr."""
     coeffs: tuple[Fraction, ...]
     bound: Fraction
+    row: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs",
-                           tuple(to_fraction(x) for x in self.coeffs))
-        object.__setattr__(self, "bound", to_fraction(self.bound))
+        coeffs = tuple(to_fraction(x) for x in self.coeffs)
+        bound = to_fraction(self.bound)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "bound", bound)
+        (row,), _ = _integer_copy([(*coeffs, bound)])
+        object.__setattr__(self, "row", tuple(row))
 
     @staticmethod
     def from_text(line: str) -> "Halfspace":
@@ -110,33 +127,40 @@ def hilbert_log_argument(polytope: Sequence[Halfspace],
         return Fraction(1)
     if s_low is None or s_high is None:
         raise ValueError("polytope is unbounded along the chord")
-    # Interior points force s_low < 0 < 1 < s_high.
-    return ((1 - s_low) * s_high) / ((-s_low) * (s_high - 1))
+    # Interior points force s_low < 0 < 1 < s_high; with s_low = a/b and
+    # s_high = c/e, R = ((1 - s_low) s_high) / (-s_low (s_high - 1)).
+    (a, b), (c, e) = s_low, s_high
+    return Fraction((b - a) * c, -a * (c - e))
 
 
-def _chord(polytope, x, y) -> tuple[Optional[Fraction], Optional[Fraction]]:
+def _chord(polytope, x, y) -> tuple[Optional[tuple[int, int]],
+                                    Optional[tuple[int, int]]]:
     """Parameters (s_low, s_high) where z(s) = x + s (y - x) leaves the
-    polytope, None on a side no face bounds: x sits at s=0 and y at s=1.
-    Raises ValueError unless x and y are strictly inside every face.
+    polytope, each an int pair (num, den) with den > 0 standing for
+    num / den, None on a side no face bounds: x sits at s=0 and y at
+    s=1.  x, y and every face must have one dimension (as
+    hilbert_log_argument checks).  Raises ValueError unless x and y are
+    strictly inside every face.
 
-    x, y and each face a.z <= b are cleared of denominators once, to
-    x = xs/dx, y = ys/dy and a.z <= b with a, b integral (each face's
-    own positive scale does not change it).  With ax = a.xs and
-    ay = a.ys, the slack of x is b - a.x = (b dx - ax)/dx up to that
-    scale, the rate a.(y - x) has the sign of dx ay - dy ax, and the
-    face is met at s = (b dx - ax) dy / (dx ay - dy ax), the one
-    Fraction a face costs.
+    x and y are cleared of denominators once, to x = xs/dx and
+    y = ys/dy; each face a.z <= b comes as its int row (Halfspace.row,
+    a positive scale of the face).  With ax = a.xs and ay = a.ys, the
+    slack of x is b - a.x = (b dx - ax)/dx up to that scale, the rate
+    a.(y - x) has the sign of dx ay - dy ax, and the face is met at
+    s = (b dx - ax) dy / (dx ay - dy ax).  The nearest face on each
+    side is picked by cross-multiplying, so no Fraction is built.
     """
     (xs, ys), (dx, dy) = _integer_copy([x, y])
-    faces, _ = _integer_copy([(*face.coeffs, face.bound) for face in polytope])
     s_low = None
     s_high = None
-    for *coeffs, bound in faces:
+    for row in (face.row for face in polytope):
         ax = ay = 0
-        for a, u, v in zip(coeffs, xs, ys):
+        # row is [a | b]: zip stops at the points' length, before b.
+        for a, u, v in zip(row, xs, ys):
             if a:
                 ax += a * u
                 ay += a * v
+        bound = row[-1]
         slack = bound * dx - ax
         if slack <= 0:
             raise ValueError("x is not interior to the polytope")
@@ -144,11 +168,12 @@ def _chord(polytope, x, y) -> tuple[Optional[Fraction], Optional[Fraction]]:
             raise ValueError("y is not interior to the polytope")
         # Each face bounds s on one side unless the chord is parallel to it.
         rate = dx * ay - dy * ax
-        if rate == 0:
-            continue
-        limit = Fraction(slack * dy, rate)
         if rate > 0:
-            s_high = limit if s_high is None else min(s_high, limit)
-        else:
-            s_low = limit if s_low is None else max(s_low, limit)
+            num = slack * dy
+            if s_high is None or num * s_high[1] < s_high[0] * rate:
+                s_high = (num, rate)
+        elif rate < 0:
+            num = -slack * dy
+            if s_low is None or num * s_low[1] > s_low[0] * -rate:
+                s_low = (num, -rate)
     return s_low, s_high

@@ -43,8 +43,9 @@ from .cone import (SymForm, attraction_gaps, flat_segment_certificate,
 from .heis import (DATA_DIR, HeisElement, get_representation, heis_mul,
                    symbolic_pair, verify_homomorphism,
                    verify_injectivity_generators)
-from .linalg import Matrix, _nonzero_pairs, clear_denominators, \
-    integer_nilpotent_ranks, integer_product, jordan_partition
+from .linalg import Matrix, _echelon, _nonzero_pairs, \
+    clear_denominators, integer_nilpotent_ranks, integer_product, \
+    jordan_partition
 from .metric import box, cross_ratio, hilbert_log_argument
 from .sampler import RandomStream, check_seed
 
@@ -285,10 +286,12 @@ def _pd_preserved_sample(stream: RandomStream, count: int) -> dict:
 
 
 def _random_pd_form(stream: RandomStream) -> SymForm:
-    # R^T R is positive definite whenever R is invertible.
+    # R^T R is positive definite whenever R is invertible, that is of
+    # rank 3, read off one elimination pass on a copy.
     while True:
         r = [[stream.next_int(-3, 3) for _ in range(3)] for _ in range(3)]
-        if Matrix(r).det() != 0:
+        pivots, _, _ = _echelon([list(row) for row in r], reduce_above=False)
+        if len(pivots) == 3:
             return SymForm(integer_product(zip(*r), _nonzero_pairs(r), 3))
 
 
@@ -609,16 +612,19 @@ def replay(path: Path) -> tuple[str, dict]:
     if not isinstance(seed, str) or str(int(seed)) != seed:
         raise ValueError(f"stored seed {seed!r} is not an integer")
     config = RunConfig(seed=int(seed))
+    # One conversion of the stored body, which also hashes its inputs; a
+    # float anywhere in it is malformed.
     try:
-        digest_ok = stored.inputs_digest() == data["inputs_digest"]
+        stored_body = stored.comparable()
     except TypeError as exc:
-        raise ValueError(f"malformed stored inputs for {stored.claim}: "
-                         f"{exc}") from exc
+        raise ValueError(f"malformed stored certificate for "
+                         f"{stored.claim}: {exc}") from exc
+    digest_ok = stored_body["inputs_digest"] == data["inputs_digest"]
     recomputed = _guarded(claim, claim.replay, config)
     # Compared as JSON text: as dicts, a stored 1 equals a recomputed True.
     same = digest_ok and \
         json.dumps(recomputed.comparable(), sort_keys=True) == \
-        json.dumps(stored.comparable(), sort_keys=True)
+        json.dumps(stored_body, sort_keys=True)
     detail = {
         "claim": stored.claim,
         "stored_verdict": stored.verdict,

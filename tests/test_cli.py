@@ -418,6 +418,11 @@ def _with_float_g(data: dict) -> dict:
     return {**data, "inputs": {**data["inputs"], "cases": [case, *rest]}}
 
 
+def _with_float_determinant(data: dict) -> dict:
+    # A float in the witnesses, which the inputs digest does not cover.
+    return {**data, "witnesses": {**data["witnesses"], "determinant": 0.0}}
+
+
 def _with_one_fresh_too_many(data: dict) -> dict:
     # One entry more than `heiscert verify` draws.
     fresh = data["inputs"]["fresh"]
@@ -431,6 +436,7 @@ def _with_one_fresh_too_many(data: dict) -> dict:
     ("hull.dimension", lambda data: 123),
     ("hull.dimension", lambda data: {**data, "claim": ["hull.dimension"]}),
     ("cone.pd_preserved", _with_float_g),
+    ("hull.degenerate_center", _with_float_determinant),
     ("hull.dimension", lambda data: {**data, "seed": "five"}),
     ("hull.dimension", lambda data: {**data, "seed": "05"}),
     ("hull.dimension", lambda data: {**data, "seed": 0}),
@@ -439,7 +445,7 @@ def _with_one_fresh_too_many(data: dict) -> dict:
     ("orbit.formula", lambda data: {**data, "seed": str(2 ** 64)}),
     ("orbit.formula", lambda data: {**data, "seed": "-1"}),
 ], ids=["inputs-not-object", "body-not-object", "claim-not-string",
-        "float-input", "seed-not-integer", "seed-not-canonical",
+        "float-input", "float-witness", "seed-not-integer", "seed-not-canonical",
         "seed-not-string", "sampled-seed-2**64", "sampled-seed-negative",
         "fixed-seed-2**64", "fixed-seed-negative"])
 def test_replay_malformed_certificate_exits_2(certificates, claim_id, malform,

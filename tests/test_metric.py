@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from heiscert.convexity import orbit_lift
 from heiscert.heis import HeisElement, get_representation
+from heiscert.linalg import Matrix
 from heiscert.metric import (Halfspace, _chord, box, cross_ratio,
                              hilbert_log_argument, load_polytope)
+from heiscert.rationals import format_rational, to_fraction
 from heiscert.sampler import RandomStream
 
 THETA = get_representation("theta")
@@ -69,7 +71,7 @@ def test_equal_points_give_unit_ratio():
 def test_boundary_points_and_consistency_with_cross_ratio():
     interval = box([Fraction(-1)], [Fraction(1)])
     x, y = [Fraction(0)], [Fraction(1, 2)]
-    s_low, s_high = _chord(interval, x, y)
+    s_low, s_high = _fraction_chord(interval, x, y)
     u = [a + s_low * (b - a) for a, b in zip(x, y)]
     v = [a + s_high * (b - a) for a, b in zip(x, y)]
     assert (u, v) == ([Fraction(-1)], [Fraction(1)])
@@ -108,6 +110,17 @@ def test_halfspace_constructor_refuses_floats():
         Halfspace((0.5,), 1)
     with pytest.raises(TypeError):
         Halfspace((1,), 0.5)
+
+
+def test_halfspace_row_stays_out_of_eq_hash_and_repr():
+    face = Halfspace([Fraction(1, 2), Fraction(-2, 3)], Fraction(5, 4))
+    assert face.row == (6, -8, 15)
+    twin = Halfspace([Fraction(1, 2), Fraction(-2, 3)], Fraction(5, 4))
+    object.__setattr__(twin, "row", (0, 0, 0))
+    assert face == twin
+    assert hash(face) == hash(twin) == hash((face.coeffs, face.bound))
+    assert repr(face) == ("Halfspace(coeffs=(Fraction(1, 2), "
+                          "Fraction(-2, 3)), bound=Fraction(5, 4))")
 
 
 def test_polytope_file_parsing():
@@ -151,6 +164,18 @@ def test_metric_axioms_on_random_boxes(instance):
     r_xz = hilbert_log_argument(faces, x, z)
     r_yz = hilbert_log_argument(faces, y, z)
     assert r_xz <= r_xy * r_yz
+
+
+def _fraction_chord(polytope, x, y):
+    """_chord's int pairs (num, den), den > 0, as Fractions."""
+    limits = []
+    for limit in _chord(polytope, x, y):
+        if limit is not None:
+            num, den = limit
+            assert den > 0
+            limit = Fraction(num, den)
+        limits.append(limit)
+    return tuple(limits)
 
 
 def _reference_chord(polytope, x, y):
@@ -234,7 +259,7 @@ def test_int_chord_matches_fraction_reference(instance):
     faces, x, y = instance
     for p, q in ((x, y), (y, x)):
         expected = _outcome(_reference_chord, faces, p, q)
-        assert _outcome(_chord, faces, p, q) == expected
+        assert _outcome(_fraction_chord, faces, p, q) == expected
         argument = _outcome(hilbert_log_argument, faces, p, q)
         if expected[0] == "ValueError":
             assert argument == expected
@@ -248,3 +273,90 @@ def test_int_chord_matches_fraction_reference(instance):
             assert s_low < 0 < 1 < s_high
             assert argument == ((1 - s_low) * s_high) \
                 / ((-s_low) * (s_high - 1))
+
+
+def _reference_cross_ratio(p1, p2, p3, p4):
+    """Reference oracle: the cross ratio in Fraction arithmetic, its
+    pivot columns read off a Fraction rref."""
+    lifts = [tuple(to_fraction(x) for x in p) for p in (p1, p2, p3, p4)]
+    if len({len(v) for v in lifts}) != 1:
+        raise ValueError("points live in different dimensions")
+    _, pivots = Matrix(lifts).rref()
+    if len(pivots) != 2:
+        raise ValueError("cross ratio needs four collinear points "
+                         "spanning a line")
+    c1, c2 = pivots
+    plane = [(v[c1], v[c2]) for v in lifts]
+
+    def d(i, j):
+        (x1, y1), (x2, y2) = plane[i], plane[j]
+        return x1 * y2 - x2 * y1
+
+    if d(0, 1) == 0 or d(0, 2) == 0 or d(0, 3) == 0 or d(1, 2) == 0 \
+            or d(1, 3) == 0 or d(2, 3) == 0:
+        raise ValueError("cross ratio needs pairwise distinct points")
+    return (d(0, 2) * d(1, 3)) / (d(1, 2) * d(0, 3))
+
+
+nonzero_scale = small.filter(bool)
+
+
+@st.composite
+def entry(draw, value):
+    """value as an int (when integral), a Fraction or a "p/q" string,
+    the string sometimes unreduced."""
+    kind = draw(st.sampled_from(["int", "fraction", "str", "unreduced"]))
+    if kind == "int" and value.denominator == 1:
+        return int(value)
+    if kind == "str":
+        return format_rational(value)
+    if kind == "unreduced":
+        k = draw(st.integers(min_value=2, max_value=4))
+        return f"{value.numerator * k}/{value.denominator * k}"
+    return value
+
+
+@st.composite
+def four_points(draw):
+    """Four points a p + b q of the line through p and q, each scaled
+    by a nonzero, possibly negative rational.  The dimension is 1 to 4;
+    from 2 on p and q are independent, and leading columns are sometimes
+    zero, so the pivots lie further right and the first coordinate is
+    0 (points at infinity).  Sometimes one point is moved off the line,
+    repeated, or given another dimension.  Dimension 0 is left out:
+    there the reference's Matrix refuses the empty rows with a message
+    of its own."""
+    dim = draw(st.sampled_from([1, 2, 2, 3, 3, 4, 4]))
+    p, q = (draw(st.lists(coefficient, min_size=dim, max_size=dim))
+            for _ in range(2))
+    if dim > 1:
+        # Zero columns before `lead`, and p, q independent: p is nonzero
+        # at lead, where q is zero, and q is nonzero at j > lead.
+        lead = draw(st.integers(min_value=0, max_value=dim - 2))
+        j = draw(st.integers(min_value=lead + 1, max_value=dim - 1))
+        p[:lead] = q[:lead] = [Fraction(0)] * lead
+        p[lead], q[lead] = draw(nonzero_scale), Fraction(0)
+        q[j] = draw(nonzero_scale)
+    weights = st.tuples(st.integers(min_value=-3, max_value=3),
+                        st.integers(min_value=-3, max_value=3))
+    points = [[a * x + b * y for x, y in zip(p, q)]
+              for a, b in draw(st.lists(weights, min_size=4, max_size=4))]
+    kind = draw(st.sampled_from(["line"] * 5 + ["off", "repeat", "dim"]))
+    k = draw(st.integers(min_value=0, max_value=3))
+    if kind == "off":
+        points[k] = draw(st.lists(small, min_size=dim, max_size=dim))
+    elif kind == "repeat":
+        points[k] = list(points[(k + 1) % 4])
+    elif kind == "dim":
+        points[k] = points[k] + [Fraction(1)] if dim < 4 else points[k][1:]
+    scales = draw(st.lists(nonzero_scale, min_size=4, max_size=4))
+    points = [[x * scale for x in point]
+              for point, scale in zip(points, scales)]
+    return [[draw(entry(x)) for x in point] for point in points]
+
+
+@settings(max_examples=300, deadline=None)
+@given(four_points())
+def test_int_cross_ratio_matches_fraction_reference(points):
+    assert _outcome(cross_ratio, *points) == \
+        _outcome(_reference_cross_ratio, *points)
