@@ -75,10 +75,14 @@ class SymForm:
         return _positive_definite([list(r) for r in self.cleared[0]])
 
     def is_positive_semidefinite(self) -> bool:
-        """All principal minors (not only leading ones) nonnegative."""
-        index_sets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
-        return all(Matrix([[self.m[i][j] for j in s] for i in s]).det() >= 0
-                   for s in index_sets)
+        """All principal minors (not only leading ones) nonnegative, read
+        off the cleared int rows: a k x k minor of them is the form's
+        minor times scale^k > 0, so its sign is the form's."""
+        m = self.cleared[0]
+        return all(m[i][i] >= 0 for i in range(3)) \
+            and all(m[i][i] * m[j][j] - m[i][j] ** 2 >= 0
+                    for i, j in ((0, 1), (0, 2), (1, 2))) \
+            and Matrix(m).det() >= 0
 
 
 def _positive_definite(m: list[list[int]]) -> bool:

@@ -28,7 +28,9 @@ echelon rows of N^(k-1) times N span the rows of N^k, so each rank is
 one elimination pass over an int product with as many rows as the
 previous rank, over N's nonzero pairs listed once, by integer_product(),
 which every int product shares.
-integer_kernel() reads an int null-space basis off one Gauss-Jordan pass.
+integer_kernel() reads an int null-space basis off one Gauss-Jordan pass
+over a presolved copy: the columns that singleton rows force to zero,
+round after round, are dropped first.
 SymForm.is_positive_definite reads its leading minors off the pivots of
 one elimination pass.
 """
@@ -360,20 +362,41 @@ def integer_nilpotent_ranks(rows: list[list[int]], d: int) -> list[int]:
 
 
 def integer_kernel(m: list[list[int]]) -> list[list[int]]:
-    """An int basis of the right null space of the int rows m (reduced
-    in place), one vector per free column f, in order: after one
-    Gauss-Jordan pass row r over its divisor d[r] is row r of the RREF,
-    so the vector is L at f and -m[r][f] * (L // d[r]) at row r's pivot,
-    L being the lcm of the d[r] with m[r][f] != 0."""
+    """An int basis of the right null space of the int rows m (left
+    unmodified), one vector per free column f, in order.
+
+    Presolve (Andersen & Andersen, Math. Programming 71, 1995): a row
+    whose one nonzero among the live columns is at j forces x_j = 0, so
+    j is dropped, round after round.  The row space then holds e_j for
+    every dropped j, so these are pivot columns of the RREF, and the
+    free columns and basis vectors are those of the copy R of the rows
+    still live on the live columns, written back with 0 at every dropped
+    column.  After one Gauss-Jordan pass over R, row r over its divisor
+    d[r] is row r of its RREF, so the vector is L at f and
+    -R[r][f] * (L // d[r]) at row r's pivot, L being the lcm of the d[r]
+    with R[r][f] != 0.
+    """
     width = len(m[0])
-    pivots, _, d = _echelon(m, reduce_above=True)
+    supports = [[j for j, x in enumerate(row) if x] for row in m]
+    forced: set[int] = set()
+    while True:
+        supports = [[j for j in s if j not in forced] for s in supports]
+        singles = {s[0] for s in supports if len(s) == 1}
+        if not singles:
+            break
+        forced |= singles
+    keep = [j for j in range(width) if j not in forced]
+    # With every row dead, one zero row leaves every kept column free.
+    reduced = [[row[j] for j in keep] for row, s in zip(m, supports) if s] \
+        or [[0] * len(keep)]
+    pivots, _, d = _echelon(reduced, reduce_above=True)
     basis = []
-    for f in (j for j in range(width) if j not in pivots):
-        used = [r for r in range(len(pivots)) if m[r][f]]
+    for f in (j for j in range(len(keep)) if j not in pivots):
+        used = [r for r in range(len(pivots)) if reduced[r][f]]
         vec = [0] * width
-        vec[f] = scale = lcm(*(d[r] for r in used))
+        vec[keep[f]] = scale = lcm(*(d[r] for r in used))
         for r in used:
-            vec[pivots[r]] = -m[r][f] * (scale // d[r])
+            vec[keep[pivots[r]]] = -reduced[r][f] * (scale // d[r])
         basis.append(vec)
     return basis
 

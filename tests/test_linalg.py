@@ -94,7 +94,7 @@ def test_rank_center_nilpotent_part():
 
 def _kernel(m: Matrix) -> list[list[int]]:
     """integer_kernel of a rational matrix, on its rows cleared to one
-    scale (a fresh copy, since integer_kernel reduces its rows)."""
+    scale."""
     return integer_kernel(clear_denominators(m.entries)[0])
 
 
@@ -102,6 +102,19 @@ def _normalized(basis, free) -> list[tuple[Fraction, ...]]:
     """Each int kernel vector divided by its entry at its free column."""
     return [tuple(Fraction(x, vec[f]) for x in vec)
             for vec, f in zip(basis, free)]
+
+
+def _rref_null_basis(reduced, pivots, width) -> list[tuple[Fraction, ...]]:
+    """The null-space basis read off a reduced echelon form: one vector
+    per free column f, 1 at f and minus column f of the RREF at the
+    pivots."""
+    basis = []
+    for f in (j for j in range(width) if j not in pivots):
+        vec = [Fraction(int(j == f)) for j in range(width)]
+        for r, p in enumerate(pivots):
+            vec[p] = -reduced[r][f]
+        basis.append(tuple(vec))
+    return basis
 
 
 def test_kernel_of_zero_matrix_is_standard_basis():
@@ -254,15 +267,10 @@ def test_rref_matches_fraction_gauss_jordan(rows):
     assert [list(r) for r in reduced.entries] == expected
     assert m.rank() == len(expected_pivots)
     free = [j for j in range(m.cols) if j not in expected_pivots]
-    expected_kernel = []
-    for f in free:
-        vec = [Fraction(int(j == f)) for j in range(m.cols)]
-        for r, p in enumerate(expected_pivots):
-            vec[p] = -expected[r][f]
-        expected_kernel.append(tuple(vec))
     kernel = _kernel(m)
     assert len(kernel) == m.cols - len(expected_pivots)
-    assert _normalized(kernel, free) == expected_kernel
+    assert _normalized(kernel, free) == \
+        _rref_null_basis(expected, expected_pivots, m.cols)
 
 
 @settings(max_examples=100, deadline=None)
@@ -288,7 +296,10 @@ def test_rank_nullity(m):
 @st.composite
 def sparse_int_rows(draw):
     """Int rows of up to 12 by 12, at least 70% zeros; one drawn row and
-    one drawn column are often cleared whole."""
+    one drawn column are often cleared whole.  Often a singleton chain
+    is planted on top: its row t is nonzero at chain column t and at
+    some earlier chain columns only, so presolving the kernel drops the
+    chain one column per round."""
     n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     cells = draw(st.lists(
         st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1),
@@ -303,6 +314,17 @@ def sparse_int_rows(draw):
         dead = draw(st.integers(0, n_cols - 1))
         for row in rows:
             row[dead] = 0
+    if draw(st.booleans()):
+        chain = draw(st.permutations(range(n_cols)))[
+            :draw(st.integers(1, n_cols))]
+        nonzero = st.integers(-9, 9).filter(bool)
+        for t, col in enumerate(chain):
+            row = [0] * n_cols
+            row[col] = draw(nonzero)
+            for earlier in chain[:t]:
+                if draw(st.booleans()):
+                    row[earlier] = draw(nonzero)
+            rows.insert(0, row)
     return rows
 
 
@@ -348,12 +370,30 @@ def test_sparse_echelon_matches_dense_step(rows, reduce_above):
 @settings(max_examples=200, deadline=None)
 @given(sparse_int_rows())
 def test_sparse_integer_kernel_is_a_null_space_basis(rows):
-    basis = integer_kernel([list(row) for row in rows])
-    assert len(basis) == len(rows[0]) - Matrix(rows).rank()
+    argument = [list(row) for row in rows]
+    basis = integer_kernel(argument)
+    assert argument == rows
     for vec in basis:
         assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in rows)
-    if basis:
-        assert Matrix(basis).rank() == len(basis)
+    reduced, pivots = Matrix(rows).rref()
+    free = [j for j in range(len(rows[0])) if j not in pivots]
+    assert len(basis) == len(free)
+    assert _normalized(basis, free) == \
+        _rref_null_basis(reduced.entries, pivots, len(rows[0]))
+
+
+@pytest.mark.parametrize("rows, expected", [
+    # Three rounds: column 0, then 1, then 2 is forced.
+    ([[0, -1, 3, 0], [2, 1, 0, 0], [1, 0, 0, 0]], [[0, 0, 0, 1]]),
+    # Every column forced.
+    ([[1, 2], [0, 3]], []),
+    # Every row dies once column 0 is forced.
+    ([[1, 0, 0], [1, 0, 0]], [[0, 1, 0], [0, 0, 1]]),
+])
+def test_integer_kernel_presolve_cases(rows, expected):
+    argument = [list(row) for row in rows]
+    assert integer_kernel(argument) == expected
+    assert argument == rows
 
 
 def _fraction_nilpotent_ranks(m):
