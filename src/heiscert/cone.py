@@ -187,7 +187,8 @@ def sym_square_match_certificate(rep: Representation = None
 def pd_preservation_certificate(g: HeisElement, form: SymForm
                                 ) -> tuple[bool, dict]:
     """The action of g keeps a positive-definite form positive definite;
-    the image is recorded and cross-checked, on ints, against g S g^T."""
+    the int image (the six coordinates over their scale) is returned and
+    cross-checked, on ints, against g S g^T."""
     if not form.is_positive_definite():
         raise ValueError("input form must be positive definite")
     coords, scale = act_on_form(g, form)
@@ -195,8 +196,8 @@ def pd_preservation_certificate(g: HeisElement, form: SymForm
     consistent = all(x * congruence_scale == congruence[i][j] * scale
                      for x, (i, j) in zip(coords, FORM_MONOMIALS))
     ok = _positive_definite(_symmetric(coords)) and consistent
-    image_form = _symmetric([Fraction(x, scale) for x in coords])
-    return ok, {"image_form": image_form, "matches_congruence": consistent}
+    return ok, {"image": coords, "scale": scale,
+                "matches_congruence": consistent}
 
 
 def parabolic_fixed_form(generator: str) -> SymForm:

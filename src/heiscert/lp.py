@@ -1,26 +1,25 @@
 """Exact rational linear programming: Phase-I simplex with Bland's rule.
 
 Only feasibility of equality systems {Ax = b, x >= 0} is needed here (it
-decides convex-combination membership).  Each row of the tableau is
-scaled once to integers by the lcm of its own denominators and then
-pivoted with the fraction-free step of linalg (Edmonds' integer-preserving
-pivoting); a positive row scale cancels from every ratio and flips no
-sign, so the pivots are those of a tableau over one common denominator.
-The ratio test cross-multiplies ints.  Bland's smallest-index rule
-guarantees termination.  On an infeasible system the final multipliers
-give a Farkas functional y with y.b > 0 and y.A <= 0, which is verified
-in integer arithmetic before being returned so the caller gets a
-self-checking witness.
-"""
+decides convex-combination membership).  Each column of [A | b] is
+scaled once to integers by the lcm of its own denominators.  The simplex
+is the revised one (Dantzig and Orchard-Hays, MTAC 8, 1954): only the
+basis-inverse block and the rhs are pivoted, with the fraction-free step
+of linalg (Edmonds' integer-preserving pivoting), and a structural
+column is priced from them on demand.  The ratio test cross-multiplies
+ints.  Bland's smallest-index rule guarantees termination.  On an
+infeasible system the final multipliers give a Farkas functional y with
+y.b > 0 and y.A <= 0, which is verified in integer arithmetic before
+being returned so the caller gets a self-checking witness."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
-from .linalg import _integer_copy, clear_denominators, eliminate
+from .linalg import _integer_copy, eliminate
 from .rationals import to_fraction
 
 
@@ -42,42 +41,34 @@ def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
     n = len(matrix[0])
     if any(len(row) != n for row in matrix) or len(rhs) != m:
         raise ValueError("inconsistent system shape")
-    rows = [[to_fraction(x) for x in row] + [to_fraction(v)]
-            for row, v in zip(matrix, rhs)]
 
-    # Tableau columns: n structural, then m artificial, then rhs; row m
-    # is the Phase-I cost row.  Row i of [A | b] is cleared of
-    # denominators by its own lcm r_i and then kept integral by
-    # fraction-free pivots, so artificial column i carries r_i in row i.
-    # A row with b < 0 is negated so the artificial basis is feasible;
-    # the flips are remembered to recover multipliers for the original
-    # rows.
-    ints, scales = _integer_copy(rows)
-    scale = lcm(*scales)
-    flipped = [row[-1] < 0 for row in ints]
-    tableau = []
-    for i, (row, flip, r) in enumerate(zip(ints, flipped, scales)):
-        row = [-x for x in row] if flip else row
-        tableau.append(row[:-1] + [r if j == i else 0
-                                   for j in range(m)] + row[-1:])
+    # Column j of [A | b] is cleared by its own lcm c_j (c_b for b).  A
+    # positive column scale flips no reduced cost and scales every ratio
+    # of one ratio test alike, so Bland's rule picks the same bases.  A
+    # row with b < 0 is negated so the artificial basis is feasible; the
+    # flips are remembered to recover multipliers for the original rows.
+    columns, scales = _integer_copy(
+        [[to_fraction(x) for x in column] for column in (*zip(*matrix), rhs)])
+    flipped = [v < 0 for v in columns[-1]]
+    signed = [[-x if flip else x for x, flip in zip(column, flipped)]
+              for column in columns]
+
+    # Of the tableau [A' | I | b'] (A' the signed, cleared A) each row
+    # keeps only its m artificial entries and its rhs.  Row m is the
+    # Phase-I cost row: the sum of the rows, less 1 on each artificial.
+    # Pivots combine whole rows, so row i stays U[i] times the starting
+    # tableau, U[i] its artificial entries, and the cost row u times it
+    # less d[m] on the artificials (1 at the start, p after each update
+    # of the row), u[k] = cost[k] + d[m]; a structural entry is the dot
+    # product of those multipliers with a column of A'.
+    tableau = [[int(i == k) for k in range(m)] + [b]
+               for i, b in enumerate(signed[-1])]
+    tableau.append([0] * m + [sum(signed[-1])])
     basis = [n + i for i in range(m)]
 
-    # Reduced costs of minimizing the sum of artificials (artificial
-    # columns carry cost 1), brought to the common scale L = lcm r_i:
-    # the sum of the rows, row i taken L / r_i times, less L on each
-    # artificial column.
-    factors = [scale // r for r in scales]
-    cost = [sum(f * row[j] for f, row in zip(factors, tableau))
-            for j in range(n + m + 1)]
-    for i in range(m):
-        cost[n + i] -= scale
-    tableau.append(cost)
-
     # Rows are scaled lazily (see linalg.eliminate): row i's exact row is
-    # tableau[i] * prev // d[i], and it stands for that row divided by its
-    # basic entry, so any positive scale of the row, r_i included, cancels
-    # from every read of one row.  The cost row stands for
-    # tableau[m] / (L * d[m]).  Pivots are positive, so every d[i] is too
+    # tableau[i] * prev // d[i], and any positive scale of a row cancels
+    # from every read of it.  Pivots are positive, so every d[i] is too
     # and signs can be read off directly.
     d = [1] * (m + 1)
     prev = 1
@@ -87,19 +78,30 @@ def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
     while True:
         cost = tableau[m]
         # Bland: entering column is the smallest index with positive
-        # reduced cost (we are driving the artificial sum down to 0).
-        entering = next((j for j in range(n + m) if cost[j] > 0), None)
-        if entering is None:
-            break
+        # reduced cost (we are driving the artificial sum down to 0);
+        # structural columns are priced only up to the first one.
+        prices = [x + d[m] for x in cost[:m]]
+        for entering, a in enumerate(signed[:n]):
+            reduced = sum(map(mul, prices, a))
+            if reduced > 0:
+                column = [sum(map(mul, row, a)) for row in tableau[:m]]
+                column.append(reduced)
+                break
+        else:
+            entering = next((k for k in range(m) if cost[k] > 0), None)
+            if entering is None:
+                break
+            column = [row[entering] for row in tableau]
+            entering += n
         # Bland: among minimum-ratio rows pick the one whose basic
         # variable has the smallest index.  With both coefficients
         # positive, b_i / a_i < b_k / a_k is b_i a_k < b_k a_i on the
         # ints; a row's divisor cancels from its own ratio.
         row = None
         for i in range(m):
-            coeff = tableau[i][entering]
+            coeff = column[i]
             if coeff > 0:
-                b = tableau[i][-1]
+                b = tableau[i][m]
                 if row is not None:
                     left, right = b * best_coeff, best_b * coeff
                     if left > right or (left == right
@@ -108,42 +110,46 @@ def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
                 row, best_b, best_coeff = i, b, coeff
         if row is None:
             raise RuntimeError("phase-I objective is bounded by construction")
-        prev = eliminate(tableau, d, row, entering,
+        # The entering column rides along as a temporary last entry.
+        for stored, x in zip(tableau, column):
+            stored.append(x)
+        prev = eliminate(tableau, d, row, m + 1,
                          (i for i in range(m + 1) if i != row), prev)
+        for stored in tableau:
+            stored.pop()
         basis[row] = entering
         if tuple(basis) in visited:
             raise RuntimeError("simplex revisited a basis")
         visited.add(tuple(basis))
 
     # The artificial sum is 0 iff every basic artificial sits at 0.
-    if all(tableau[i][-1] == 0 for i in range(m) if basis[i] >= n):
+    if all(tableau[i][m] == 0 for i in range(m) if basis[i] >= n):
+        # x' solves A'x' = b' = c_b b, so x_j = c_j x'_j / c_b.
         solution = [Fraction(0)] * n
-        for i, var in enumerate(basis):
+        for row, var in zip(tableau, basis):
             if var < n:
-                solution[var] = Fraction(tableau[i][-1], tableau[i][var])
+                solution[var] = Fraction(scales[var] * row[m], scales[-1]
+                                         * sum(map(mul, row, signed[var])))
         return FeasibilityResult(True, solution, None)
 
     # Multipliers: at optimality, y_i = (reduced cost of artificial i) + 1,
-    # read off the cost row brought to L through its divisor d[m];
-    # after the sign flips y certifies y.A <= 0 and y.b > 0 for the
-    # original system.
-    y = [Fraction(cost[n + i], scale * d[m]) + 1 for i in range(m)]
-    y = [-v if flip else v for v, flip in zip(y, flipped)]
-    _verify_farkas(rows, y)
+    # read off the cost row through its divisor d[m]; after the sign
+    # flips y certifies y.A <= 0 and y.b > 0 for the original system.
+    y = [Fraction(x + d[m], -d[m] if flip else d[m])
+         for x, flip in zip(cost, flipped)]
+    _verify_farkas(columns, y)
     return FeasibilityResult(False, None, y)
 
 
-def _verify_farkas(rows, y) -> None:
-    """Check y.b > 0 and y.A <= 0 in integer arithmetic, for rows the
-    rational rows of [A | b].
+def _verify_farkas(columns, y) -> None:
+    """Check y.b > 0 and y.A <= 0 in integer arithmetic, for columns the
+    int columns of [A | b], each cleared by its own positive scale.
 
-    y is scaled by the lcm of its denominators and [A | b] by one common
-    denominator.  Both scales are positive, so every integer dot product
-    has the sign of the rational one and the check is no weaker.
+    y is scaled by the lcm of its denominators, so every integer dot
+    product has the sign of the rational one and the check is no weaker.
     """
-    (y,), _ = clear_denominators([y])
-    rows, _ = clear_denominators(rows)
-    dots = [sum(f * x for f, x in zip(y, col)) for col in zip(*rows)]
+    (y,), _ = _integer_copy([y])
+    dots = [sum(map(mul, y, column)) for column in columns]
     if dots[-1] <= 0:
         raise AssertionError("Farkas witness failed: y.b <= 0")
     if any(v > 0 for v in dots[:-1]):

@@ -216,8 +216,8 @@ def test_pd_preservation():
     ok, witnesses = pd_preservation_certificate(HeisElement.of(1, 1, 1),
                                                 SymForm.identity())
     assert ok
-    image = SymForm([[Fraction(x) for x in row]
-                     for row in witnesses["image_form"]])
+    image = form_from_coordinates([Fraction(x, witnesses["scale"])
+                                   for x in witnesses["image"]])
     assert image.is_positive_definite()
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heiscert import lp
+from heiscert.linalg import _integer_copy
 from heiscert.lp import convex_combination_weights, solve_equality_feasibility
 
 
@@ -74,12 +75,12 @@ def test_inconsistent_system_produces_farkas():
 
 def test_string_rows_give_verified_farkas():
     # "p/q" strings are converted once at entry; the Farkas check reads
-    # the converted rows, not the caller's strings.
+    # the converted, cleared int columns, not the caller's strings.
     result = solve_equality_feasibility([["1"]], ["-1"])
     assert not result.feasible
     y = result.farkas
     assert y[0] * -1 > 0 and y[0] * 1 <= 0
-    lp._verify_farkas([[F(1), F(-1)]], y)
+    lp._verify_farkas([[1], [-1]], y)
     assert solve_equality_feasibility([["1/2"]], ["1"]).solution == [F(2)]
 
 
@@ -121,12 +122,13 @@ def test_verdicts_carry_checked_witnesses(system):
             assert sum(y[i] * matrix[i][j] for i in range(len(matrix))) <= 0
 
 
-def _fraction_phase_one(matrix, rhs):
+def _fraction_phase_one(matrix, rhs, entered=None):
     """Reference oracle: the Phase-I tableau over Fraction, scaled by one
     common denominator L (artificial block L times the identity, rows
     with b < 0 negated), pivoted by Gauss-Jordan with Bland's rule:
     the smallest entering index with positive reduced cost, and the
-    minimum ratio with ties to the smallest basic index."""
+    minimum ratio with ties to the smallest basic index.  Each entering
+    index is appended to the list entered, when one is given."""
     m, n = len(matrix), len(matrix[0])
     rows = [[F(x) for x in row] + [F(b)] for row, b in zip(matrix, rhs)]
     scale = math.lcm(*(x.denominator for row in rows for x in row))
@@ -143,6 +145,8 @@ def _fraction_phase_one(matrix, rhs):
         entering = next((j for j in range(n + m) if cost[j] > 0), None)
         if entering is None:
             break
+        if entered is not None:
+            entered.append(entering)
         candidates = [(tableau[i][-1] / tableau[i][entering], basis[i], i)
                       for i in range(m) if tableau[i][entering] > 0]
         r = min(candidates)[2]
@@ -164,17 +168,19 @@ def _fraction_phase_one(matrix, rhs):
 
 @st.composite
 def mixed_scale_systems(draw):
-    """Up to 5 rows and 5 columns: one row with denominators up to
-    15000, the others integral, b of both signs.  Half the systems have
-    b = A x for a drawn x >= 0, so they are feasible; the rest are
-    mostly infeasible."""
+    """Up to 5 rows and 5 columns: one row and one column with
+    denominators up to 15000, the other entries integral, b of both
+    signs.  Half the systems have b = A x for a drawn x >= 0, so they are
+    feasible; the rest are mostly infeasible.  Half the systems repeat
+    one row and its b, as the hull LP repeats its x10 = 1 row as
+    sum w = 1."""
     n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     fine_row = draw(st.integers(0, n_rows - 1))
+    fine_col = draw(st.integers(0, n_cols - 1))
     fine = st.fractions(min_value=-4, max_value=4, max_denominator=15000)
     coarse = st.integers(-4, 4).map(F)
-    matrix = [draw(st.lists(fine if i == fine_row else coarse,
-                            min_size=n_cols, max_size=n_cols))
-              for i in range(n_rows)]
+    matrix = [[draw(fine if fine_row == i or fine_col == j else coarse)
+               for j in range(n_cols)] for i in range(n_rows)]
     if draw(st.booleans()):
         x = draw(st.lists(st.fractions(min_value=0, max_value=3,
                                        max_denominator=7),
@@ -183,19 +189,37 @@ def mixed_scale_systems(draw):
     else:
         rhs = [draw(fine if i == fine_row else coarse)
                for i in range(n_rows)]
+    if draw(st.booleans()):
+        repeated = draw(st.integers(0, n_rows - 1))
+        matrix.append(list(matrix[repeated]))
+        rhs.append(rhs[repeated])
     return matrix, rhs
 
 
 @settings(max_examples=150, deadline=None)
 @given(mixed_scale_systems())
 def test_pivot_path_matches_fraction_tableau(system):
-    """Per-row clearing and the integer ratio test pick the pivots of
-    the common-denominator Fraction tableau, so the solution and the
-    Farkas vector come out exactly equal, not just equally valid."""
+    """Per-column clearing, on-demand pricing and the integer ratio test
+    pick the pivots of the common-denominator Fraction tableau, so the
+    solution and the Farkas vector come out exactly equal, not just
+    equally valid."""
     matrix, rhs = system
     result = solve_equality_feasibility(matrix, rhs)
     assert (result.feasible, result.solution, result.farkas) == \
         _fraction_phase_one(matrix, rhs)
+
+
+def test_artificial_column_reenters():
+    # Bland's rule brings artificial column 2 (index n + 2 = 4) back
+    # into the basis after it left; b < 0 flips row 0 and the columns
+    # clear by 2 and by 3.
+    matrix = [[F(1), F(0)], [F(1), F(1)], [Fraction(1, 2), F(0)]]
+    rhs = [Fraction(-1, 3), F(2), F(0)]
+    entered = []
+    expected = _fraction_phase_one(matrix, rhs, entered)
+    assert any(j >= len(matrix[0]) for j in entered)
+    result = solve_equality_feasibility(matrix, rhs)
+    assert (result.feasible, result.solution, result.farkas) == expected
 
 
 def test_repeated_basis_raises_instead_of_cycling(monkeypatch):
@@ -211,7 +235,9 @@ FORGED_FARKAS = {
     "yb_zero": ([F(1), F(-1)], [F(1), F(1)], "y.b <= 0"),
     "yb_negative": ([F(1), F(-1)], [F(-1), F(0)], "y.b <= 0"),
     # y.A = (0, 1/2 - 1/3): positive only through the fractional parts,
-    # so numerators alone, floors or a per-row scale would read it as 0.
+    # so numerators alone or floors would read it as 0, and so would a
+    # per-row scale (rows times 2 and 3 give 1 - 1); the column scale 6
+    # keeps it positive (3 - 2).
     "yA_fractional_positive": ([F(1), F(0)], [F(1), F(1)],
                                "positive entry"),
 }
@@ -221,5 +247,6 @@ FORGED_FARKAS = {
                          ids=FORGED_FARKAS)
 def test_forged_farkas_witness_raises(rhs, y, message):
     matrix = [[F(1), Fraction(1, 2)], [F(-1), Fraction(-1, 3)]]
+    columns, _ = _integer_copy([*zip(*matrix), rhs])
     with pytest.raises(AssertionError, match=message):
-        lp._verify_farkas([row + [b] for row, b in zip(matrix, rhs)], y)
+        lp._verify_farkas(columns, y)
