@@ -5,7 +5,9 @@ witnesses that support it and the inputs (plus generator seed) needed to
 recompute it from scratch.  Serialization is canonical JSON - sorted
 keys, fixed separators, rationals as "p/q" strings - so identical runs
 produce byte-identical files and any edit is detectable through the
-inputs digest.
+inputs digest.  jsonable dispatches on exact types and refuses unknown
+ones; to_json joins each container's text once, giving the bytes of
+json.dumps(sort_keys=True, indent=2).
 """
 
 from __future__ import annotations
@@ -14,31 +16,59 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .rationals import format_rational
+from .poly import Poly
 
 PASS = "PASS"
 FAIL = "FAIL"
 
 
 def jsonable(value: Any) -> Any:
-    """Recursively convert exact values into JSON-safe primitives."""
-    if isinstance(value, bool) or value is None:
+    """Recursively convert exact values into JSON-safe primitives.  A
+    Poly is written as str(p); any other type outside the JSON ones and
+    Fraction, floats included, raises TypeError."""
+    kind = type(value)
+    if kind is Fraction:
+        n, d = value.numerator, value.denominator
+        return str(n) if d == 1 else f"{n}/{d}"
+    if kind is int or kind is str or kind is bool or value is None:
         return value
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (list, tuple)):
+    if kind is list or kind is tuple:
         return [jsonable(v) for v in value]
-    if isinstance(value, dict):
+    if kind is dict:
         return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, float):
-        raise TypeError(f"floats are not allowed in certificates: {value!r}")
-    return str(value)
+    if kind is Poly:
+        return str(value)
+    raise TypeError(f"cannot write a {kind.__name__} into a certificate")
+
+
+def _indented(value: Any, newline: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) of what jsonable
+    returns, one join per container; newline is the line break plus the
+    indentation of the line value starts on."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join(
+            [_indented(v, inner) for v in value]) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _indented(value[k], inner)
+             for k in sorted(value)]) + newline + "}"
+    if kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    raise TypeError(f"{kind.__name__} is not JSON: {value!r}")
 
 
 def canonical_json(converted: Any) -> str:
@@ -78,7 +108,7 @@ class Certificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _indented(self.to_dict(), "\n") + "\n"
 
     @staticmethod
     def from_dict(data: dict) -> "Certificate":

@@ -19,8 +19,8 @@ from typing import Sequence
 
 from .heis import ENTRY_RING, GENERATORS, HeisElement, Representation, \
     get_representation
-from .linalg import Matrix, _echelon, _nonzero_pairs, \
-    clear_denominators, integer_product
+from .linalg import Matrix, _nonzero_pairs, clear_denominators, \
+    integer_product
 from .rationals import to_fraction
 
 # Monomial basis ordering under which the shipped 6x6 table acts on form
@@ -31,7 +31,7 @@ FORM_MONOMIALS = ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2))
 class SymForm:
     """A symmetric 3x3 rational matrix, i.e. a quadratic form.  cleared
     holds m cleared to int rows over one positive scale
-    (clear_denominators), made once for the int checks."""
+    (clear_denominators), made once for the int checks, symmetry too."""
 
     __slots__ = ("m", "cleared")
 
@@ -39,12 +39,11 @@ class SymForm:
         m = [[to_fraction(x) for x in row] for row in entries]
         if len(m) != 3 or any(len(r) != 3 for r in m):
             raise ValueError("forms are 3x3")
-        for i in range(3):
-            for j in range(i):
-                if m[i][j] != m[j][i]:
-                    raise ValueError("form matrix is not symmetric")
+        self.cleared = clear_denominators(m)
+        (_, b, c), (d, _, f), (g, h, _) = self.cleared[0]
+        if b != d or c != g or f != h:
+            raise ValueError("form matrix is not symmetric")
         self.m = tuple(tuple(r) for r in m)
-        self.cleared = clear_denominators(self.m)
 
     @staticmethod
     def identity() -> "SymForm":
@@ -71,8 +70,8 @@ class SymForm:
                         for r1, r2 in zip(self.m, other.m)])
 
     def is_positive_definite(self) -> bool:
-        """Decided on a copy of the cleared int rows (_positive_definite)."""
-        return _positive_definite([list(r) for r in self.cleared[0]])
+        """Decided on the cleared int rows (_positive_definite)."""
+        return _positive_definite(self.cleared[0])
 
     def is_positive_semidefinite(self) -> bool:
         """All principal minors (not only leading ones) nonnegative, read
@@ -87,11 +86,12 @@ class SymForm:
 
 def _positive_definite(m: list[list[int]]) -> bool:
     """Sylvester for the 3x3 int matrix m, symmetric up to positive row
-    scales, by one fraction-free pass that reduces m in place: without
-    row exchanges its pivots are the leading principal minors (Bareiss,
-    1968), and a zero one forces an exchange or a missing pivot."""
-    pivots, swaps, d = _echelon(m, reduce_above=False)
-    return swaps == 0 and len(pivots) == 3 and all(p > 0 for p in d)
+    scales: its three leading principal minors, read straight off m
+    (left unmodified), are positive.  Scaling row i by s_i > 0 multiplies
+    the k x k leading minor by s_1 ... s_k, keeping its sign."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a > 0 and a * e - b * d > 0 \
+        and a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) > 0
 
 
 def form_coordinates(form: SymForm) -> list[Fraction]:

@@ -31,8 +31,8 @@ which every int product shares.
 integer_kernel() reads an int null-space basis off one Gauss-Jordan pass
 over a presolved copy: the columns that singleton rows force to zero,
 round after round, are dropped first.
-SymForm.is_positive_definite reads its leading minors off the pivots of
-one elimination pass.
+SymForm reads its PD and PSD minors straight off its cleared int rows,
+with no elimination pass.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from .cone import (SymForm, attraction_gaps, flat_segment_certificate,
 from .heis import (DATA_DIR, HeisElement, get_representation, heis_mul,
                    symbolic_pair, verify_homomorphism,
                    verify_injectivity_generators)
-from .linalg import Matrix, _echelon, _nonzero_pairs, \
+from .linalg import Matrix, _nonzero_pairs, \
     clear_denominators, integer_nilpotent_ranks, integer_product, \
     jordan_partition
 from .metric import box, cross_ratio, hilbert_log_argument
@@ -281,18 +281,19 @@ def _pd_preserved_sample(stream: RandomStream, count: int) -> dict:
     for _ in range(count):
         form = _random_pd_form(stream)
         g = stream.next_triple()
-        cases.append({"g": list(g), "form": [list(r) for r in form.m]})
+        cases.append({"g": list(g), "form": form})
     return {"cases": cases}
 
 
-def _random_pd_form(stream: RandomStream) -> SymForm:
-    # R^T R is positive definite whenever R is invertible, that is of
-    # rank 3, read off one elimination pass on a copy.
+def _random_pd_form(stream: RandomStream) -> list[list[Fraction]]:
+    # R^T R is positive definite whenever det R != 0.  Its entries are
+    # Fractions, which jsonable writes as "p/q" strings.
     while True:
         r = [[stream.next_int(-3, 3) for _ in range(3)] for _ in range(3)]
-        pivots, _, _ = _echelon([list(row) for row in r], reduce_above=False)
-        if len(pivots) == 3:
-            return SymForm(integer_product(zip(*r), _nonzero_pairs(r), 3))
+        (a, b, c), (d, e, f), (g, h, i) = r
+        if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g):
+            return [[Fraction(x) for x in row] for row in
+                    integer_product(zip(*r), _nonzero_pairs(r), 3)]
 
 
 def _pd_preserved(cases: list[dict]):
@@ -601,7 +602,11 @@ def replay(path: Path) -> tuple[str, dict]:
     the rerun reproduces it as JSON (timestamp aside).  A seed that is
     not an integer in [0, 2**64) raises ValueError."""
     import json
-    data = json.loads(Path(path).read_text())
+    # Nesting too deep to parse, or to convert below, is malformed.
+    try:
+        data = json.loads(Path(path).read_text())
+    except RecursionError as exc:
+        raise ValueError("stored certificate is nested too deeply") from exc
     stored = Certificate.from_dict(data)
     claim = CLAIMS_BY_ID.get(stored.claim)
     if claim is None:
@@ -616,7 +621,7 @@ def replay(path: Path) -> tuple[str, dict]:
     # float anywhere in it is malformed.
     try:
         stored_body = stored.comparable()
-    except TypeError as exc:
+    except (TypeError, RecursionError) as exc:
         raise ValueError(f"malformed stored certificate for "
                          f"{stored.claim}: {exc}") from exc
     digest_ok = stored_body["inputs_digest"] == data["inputs_digest"]

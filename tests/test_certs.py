@@ -5,16 +5,20 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heiscert.certs import PASS, Certificate, canonical_json, digest, \
-    jsonable
+from heiscert.certs import PASS, Certificate, _indented, canonical_json, \
+    digest, jsonable
 from heiscert.cone import SymForm, form_from_coordinates
 from heiscert.convexity import OrbitSample, limit_point_certificate
 from heiscert.linalg import Matrix
 from heiscert.lp import convex_combination_weights, solve_equality_feasibility
 from heiscert.metric import Halfspace, box, cross_ratio, \
     hilbert_log_argument
+from heiscert.poly import PolyRing
 from heiscert.rationals import format_rational
+from heiscert.suites import CLAIMS, RunConfig, run_suite
 
 # SHA-256 of each seed-0 certificate's comparable() body, by claim; a change
 # that alters any certificate byte (timestamps aside) moves that claim's pin.
@@ -83,6 +87,59 @@ def test_floats_are_rejected():
                     lambda: Matrix([[True]]).rank()):
         with pytest.raises(TypeError):
             convert()
+
+
+@pytest.mark.parametrize("value", [{1, 2}, object(), 0.5],
+                         ids=["set", "object", "float"])
+def test_jsonable_refuses_unknown_types(value):
+    # A set would be written in hash order, so its bytes could change
+    # from run to run.
+    with pytest.raises(TypeError):
+        jsonable({"x": [value]})
+
+
+def test_jsonable_writes_poly_as_text():
+    p = PolyRing("a", "b").parse("3/2*a^2*b - b + 1")
+    assert jsonable({"p": (p,)}) == {"p": [str(p)]}
+
+
+# Quotes, backslashes, control and non-ASCII characters always among the
+# draws, and surrogates allowed in the rest.
+json_text = st.text(st.characters(exclude_categories=())
+                    | st.sampled_from('"\\\n\t\x00\x1f\x7fé☃\U0001f600'),
+                    max_size=6)
+json_trees = st.recursive(
+    st.none() | st.booleans() | json_text
+    | st.integers(-2 ** 70, 2 ** 70) | st.integers(min_value=2 ** 64),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(json_text, children, max_size=4),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+def test_writer_matches_json_dumps(tree):
+    assert _indented(tree, "\n") == json.dumps(tree, sort_keys=True,
+                                               indent=2)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_certificates_are_written_as_json_dumps_writes_them(
+        seed, tmp_path, monkeypatch):
+    written = []
+    to_json = Certificate.to_json
+
+    def recording(cert):
+        written.append((cert, to_json(cert)))
+        return written[-1][1]
+
+    monkeypatch.setattr(Certificate, "to_json", recording)
+    run_suite(RunConfig(seed=seed, output_dir=tmp_path))
+    assert len(written) == len(CLAIMS)
+    for cert, text in written:
+        assert text == json.dumps(cert.to_dict(), sort_keys=True,
+                                  indent=2) + "\n"
+        assert (tmp_path / f"{cert.claim}.json").read_text() == text
 
 
 HALF = Fraction(1, 2)

@@ -423,6 +423,16 @@ def _with_float_determinant(data: dict) -> dict:
     return {**data, "witnesses": {**data["witnesses"], "determinant": 0.0}}
 
 
+def _nested_in_inputs(depth: int):
+    """A malform giving the certificate as text, with a list nested depth
+    deep inside its inputs; json.dumps cannot write such nesting."""
+    def malform(data: dict) -> str:
+        marked = {**data, "inputs": {**data["inputs"], "nested": "MARK"}}
+        return json.dumps(marked).replace('"MARK"',
+                                          "[" * depth + "]" * depth)
+    return malform
+
+
 def _with_one_fresh_too_many(data: dict) -> dict:
     # One entry more than `heiscert verify` draws.
     fresh = data["inputs"]["fresh"]
@@ -444,15 +454,21 @@ def _with_one_fresh_too_many(data: dict) -> dict:
     ("hull.dimension", lambda data: {**data, "seed": "-1"}),
     ("orbit.formula", lambda data: {**data, "seed": str(2 ** 64)}),
     ("orbit.formula", lambda data: {**data, "seed": "-1"}),
+    # json.loads parses 900 levels, but converting them overflows.
+    ("hull.dimension", _nested_in_inputs(900)),
+    # json.loads itself overflows.
+    ("hull.dimension", _nested_in_inputs(5000)),
 ], ids=["inputs-not-object", "body-not-object", "claim-not-string",
         "float-input", "float-witness", "seed-not-integer", "seed-not-canonical",
         "seed-not-string", "sampled-seed-2**64", "sampled-seed-negative",
-        "fixed-seed-2**64", "fixed-seed-negative"])
+        "fixed-seed-2**64", "fixed-seed-negative", "nested-900",
+        "nested-5000"])
 def test_replay_malformed_certificate_exits_2(certificates, claim_id, malform,
                                               tmp_path, capsys):
     data = read_json(certificates / f"{claim_id}.json")
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(malform(data)))
+    body = malform(data)
+    path.write_text(body if isinstance(body, str) else json.dumps(body))
     assert main(["replay", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
 

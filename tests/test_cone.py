@@ -93,6 +93,22 @@ def test_positive_definite_is_leading_minors_positive(form):
     assert form.is_positive_definite() == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(symmetric_forms(), st.lists(st.integers(1, 7), min_size=3,
+                                   max_size=3))
+def test_positive_definite_reads_leading_minors_of_scaled_rows(form, scales):
+    """_positive_definite on int rows symmetric up to positive row
+    scales, against the form's Fraction leading minors; the rows are
+    left as they were."""
+    rows = [[s * x for x in row]
+            for s, row in zip(scales, form.cleared[0])]
+    before = [list(row) for row in rows]
+    expected = all(principal_minor(form, tuple(range(k))) > 0
+                   for k in (1, 2, 3))
+    assert cone._positive_definite(rows) == expected
+    assert rows == before
+
+
 def test_psd_boundary_cases():
     assert SymForm([[0, 0, 0], [0, 0, 0], [0, 0, -1]]) \
         .is_positive_semidefinite() is False
@@ -185,9 +201,9 @@ def test_pd_sampler_matches_fraction_reference(seed):
     new, old = (RandomStream(seed).split("cone.pd_preserved")
                 for _ in range(2))
     for _ in range(100):
-        form = _random_pd_form(new)
-        assert form == random_pd_form_reference(old)
-        assert all(type(x) is Fraction for row in form.m for x in row)
+        rows = _random_pd_form(new)
+        assert tuple(map(tuple, rows)) == random_pd_form_reference(old).m
+        assert all(type(x) is Fraction for row in rows for x in row)
     assert new.next_u64() == old.next_u64()
 
 
