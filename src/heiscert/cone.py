@@ -5,7 +5,9 @@ The 6x6 representation acts on symmetric 3x3 forms by congruence
 S -> g S g^T, which visibly preserves positive definiteness.  At a rational
 g both give int values over a denominator (the table from rho6's integer
 image, the congruence from the 3x3 matrix alone), compared cross-multiplied;
-PD is decided on ints.  The module certifies that the shipped table is that
+PD is decided on ints.  SymForm reads its PD and PSD minors straight off
+its cleared int rows, the 3x3 one by det3's cofactor expansion, with no
+elimination pass.  The module certifies that the shipped table is that
 symmetric-square action in the monomial basis FORM_MONOMIALS with unit
 rescaling, exact PD/PSD decisions, each generator's attracting rank-1 fixed
 form, and boundary flats, so the cone is not strictly convex.
@@ -18,7 +20,7 @@ from math import lcm
 from typing import Sequence
 
 from .heis import ENTRY_RING, GENERATORS, HeisElement, Representation, \
-    get_representation
+    generator_power, get_representation
 from .linalg import Matrix, _nonzero_pairs, clear_denominators, \
     integer_product
 from .rationals import to_fraction
@@ -61,14 +63,6 @@ class SymForm:
     def __repr__(self):
         return f"SymForm({self.m})"
 
-    def scale(self, factor: Fraction) -> "SymForm":
-        f = to_fraction(factor)
-        return SymForm([[f * x for x in row] for row in self.m])
-
-    def add(self, other: "SymForm") -> "SymForm":
-        return SymForm([[x + y for x, y in zip(r1, r2)]
-                        for r1, r2 in zip(self.m, other.m)])
-
     def is_positive_definite(self) -> bool:
         """Decided on the cleared int rows (_positive_definite)."""
         return _positive_definite(self.cleared[0])
@@ -81,7 +75,7 @@ class SymForm:
         return all(m[i][i] >= 0 for i in range(3)) \
             and all(m[i][i] * m[j][j] - m[i][j] ** 2 >= 0
                     for i, j in ((0, 1), (0, 2), (1, 2))) \
-            and Matrix(m).det() >= 0
+            and det3(m) >= 0
 
 
 def _positive_definite(m: list[list[int]]) -> bool:
@@ -89,9 +83,15 @@ def _positive_definite(m: list[list[int]]) -> bool:
     scales: its three leading principal minors, read straight off m
     (left unmodified), are positive.  Scaling row i by s_i > 0 multiplies
     the k x k leading minor by s_1 ... s_k, keeping its sign."""
+    (a, b, _), (d, e, _), _ = m
+    return a > 0 and a * e - b * d > 0 and det3(m) > 0
+
+
+def det3(m: Sequence[Sequence]) -> Fraction | int:
+    """Determinant of the 3x3 rows m by cofactor expansion along the first
+    row; int rows give an int, Fraction rows a Fraction."""
     (a, b, c), (d, e, f), (g, h, i) = m
-    return a > 0 and a * e - b * d > 0 \
-        and a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) > 0
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def form_coordinates(form: SymForm) -> list[Fraction]:
@@ -236,9 +236,7 @@ def attraction_gaps(generator: str, fixed: SymForm) -> list[Fraction]:
     gaps = []
     g = GENERATORS[generator]
     for count in (4, 8, 16):
-        # g spans a one-parameter subgroup (see heis.one_parameter_power),
-        # so g^count is g's components times count.
-        power = HeisElement(g.a * count, g.b * count, g.c * count)
+        power = generator_power(g, count)
         coords = _canonical(act_on_form(power, SymForm.identity())[0])
         gaps.append(max(abs(x - y) for x, y in zip(coords, fixed_coords)))
     return gaps
@@ -258,7 +256,7 @@ def flat_segment_certificate(f1: SymForm, f2: SymForm
     cone's boundary: every sampled mixture is PSD with determinant zero.
     The endpoints must be linearly independent, so neither may be zero."""
     for f in (f1, f2):
-        if not f.is_positive_semidefinite() or f.matrix().det() != 0:
+        if not f.is_positive_semidefinite() or det3(f.m) != 0:
             raise ValueError("inputs must be semidefinite with det 0")
     if Matrix([form_coordinates(f1), form_coordinates(f2)]).rank() < 2:
         raise ValueError("flat check needs linearly independent endpoints")
@@ -266,9 +264,10 @@ def flat_segment_certificate(f1: SymForm, f2: SymForm
     ok = True
     for t in (Fraction(0), Fraction(1, 4), Fraction(1, 2),
               Fraction(3, 4), Fraction(1)):
-        mix = f1.scale(1 - t).add(f2.scale(t))
+        mix = SymForm([[(1 - t) * x + t * y for x, y in zip(r1, r2)]
+                       for r1, r2 in zip(f1.m, f2.m)])
         psd = mix.is_positive_semidefinite()
-        det = mix.matrix().det()
+        det = det3(mix.m)
         ok = ok and psd and det == 0
         samples.append({"t": t, "psd": psd, "det": det})
     return ok, {"segment_samples": samples}

@@ -109,7 +109,7 @@ RAY_RING = PolyRing("t")
 
 def _scaled_ray(*coeffs) -> tuple[Poly, ...]:
     t = RAY_RING.var("t")
-    return tuple(RAY_RING.const(k) * t for k in coeffs)
+    return tuple(t * k for k in coeffs)
 
 # Shipped rays to infinity and evaluation schedule.  Scaling by 5 makes
 # the largest scheduled parameter already reach domination ratio < 1/1000

@@ -80,6 +80,14 @@ GEN_C = HeisElement.of(0, 0, 1)
 GENERATORS = {"A": GEN_A, "B": GEN_B, "C": GEN_C}
 
 
+def generator_power(g: HeisElement, n: Component) -> HeisElement:
+    """The n-th power of a generator g, for a rational or Poly n.  Each
+    generator spans a one-parameter subgroup ((t,0,0)*(s,0,0) =
+    (t+s,0,0) and likewise for B and C), so g^n is g's components
+    times n."""
+    return HeisElement(g.a * n, g.b * n, g.c * n)
+
+
 class EntryPlan:
     """Polynomials of ENTRY_RING compiled once for evaluation at group
     elements.
@@ -251,14 +259,12 @@ def verify_homomorphism(rep: Representation) -> tuple[bool, dict]:
     g, h = symbolic_pair()
     product = rep(g) * rep(h)
     composed = rep(heis_mul(g, h))
-    difference = product - composed
     for i in range(rep.dimension):
         for j in range(rep.dimension):
-            if not difference[i, j].is_zero():
-                return False, {
-                    "first_nonzero_entry": {"row": i + 1, "col": j + 1,
-                                            "value": str(difference[i, j])},
-                }
+            if product[i, j] != composed[i, j]:
+                value = str(product[i, j] - composed[i, j])
+                return False, {"first_nonzero_entry": {
+                    "row": i + 1, "col": j + 1, "value": value}}
     return True, {"entries_checked": rep.dimension ** 2,
                   "ring": list(PAIR_RING.names)}
 
@@ -281,16 +287,6 @@ def verify_injectivity_generators(rep: Representation) -> tuple[bool, dict]:
 
 def one_parameter_power(rep: Representation, generator: str,
                         ring: PolyRing) -> Matrix:
-    """The symbolic n-th power of a generator's image, n in ring.
-
-    Each generator spans a one-parameter subgroup ((t,0,0)*(s,0,0) =
-    (t+s,0,0) and likewise for B and C), so the n-th power is the entry
-    table specialized at parameter n.
-    """
-    if generator not in GENERATORS:
-        raise KeyError(f"generator must be one of A, B, C, got {generator!r}")
-    n = ring.var("n")
-    zero = ring.zero()
-    components = {"A": (n, zero, zero), "B": (zero, n, zero),
-                  "C": (zero, zero, n)}[generator]
-    return rep(HeisElement(*components))
+    """The symbolic n-th power of a generator's image, n in ring: the
+    entry table specialized at generator_power with parameter n."""
+    return rep(generator_power(GENERATORS[generator], ring.var("n")))

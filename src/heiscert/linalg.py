@@ -31,8 +31,6 @@ which every int product shares.
 integer_kernel() reads an int null-space basis off one Gauss-Jordan pass
 over a presolved copy: the columns that singleton rows force to zero,
 round after round, are dropped first.
-SymForm reads its PD and PSD minors straight off its cleared int rows,
-with no elimination pass.
 """
 
 from __future__ import annotations

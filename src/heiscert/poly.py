@@ -18,7 +18,7 @@ NEG_INFINITY = float("-inf")
 
 # Exponents are bounded so that accidental runaway powers fail loudly
 # instead of silently eating memory.  Only a product of two polynomials
-# makes new exponents (powers and parsing go through it), so that is
+# (powers go through it) and the parser make new exponents, so those are
 # where the bound is checked.
 MAX_EXPONENT = 2**31
 
@@ -164,7 +164,11 @@ class Poly:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self.terms.items())))
+            if self.total_degree() > 0:
+                self._hash = hash((self.ring, frozenset(self.terms.items())))
+            else:
+                # A constant equals its value, so it hashes as that value.
+                self._hash = hash(sum(self.terms.values(), Fraction(0)))
         return self._hash
 
     def __bool__(self):
@@ -278,12 +282,26 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial string")
-    if text == "0":
-        return ring.zero()
-    total = ring.zero()
+    terms: dict = {}
     for sign, chunk in _split_terms(text):
-        total = total + sign * _parse_term(ring, chunk)
-    return total
+        coeff = Fraction(sign)
+        exps = [0] * len(ring.names)
+        for factor in chunk.split("*"):
+            factor = factor.strip()
+            if not factor:
+                raise ValueError(f"empty factor in term {chunk!r}")
+            if factor[0].isdigit():
+                coeff *= parse_rational(factor)
+                continue
+            name, caret, exp_text = factor.partition("^")
+            if name not in ring._index:
+                raise ValueError(f"unknown variable {name!r} for {ring}")
+            exps[ring._index[name]] += int(exp_text) if caret else 1
+        if max(exps, default=0) > MAX_EXPONENT:
+            raise OverflowError(f"exponent out of range in {chunk!r}")
+        e = tuple(exps)
+        terms[e] = terms.get(e, 0) + coeff
+    return Poly(ring, terms)
 
 
 def _split_terms(text: str) -> Iterable[tuple[int, str]]:
@@ -304,24 +322,3 @@ def _split_terms(text: str) -> Iterable[tuple[int, str]]:
         raise ValueError(f"dangling sign in {text!r}")
     terms.append((sign, "".join(current)))
     return terms
-
-
-def _parse_term(ring: PolyRing, chunk: str) -> Poly:
-    term = ring.one()
-    for factor in chunk.split("*"):
-        factor = factor.strip()
-        if not factor:
-            raise ValueError(f"empty factor in term {chunk!r}")
-        head = factor[0]
-        if head.isdigit():
-            term = term * ring.const(parse_rational(factor))
-            continue
-        if "^" in factor:
-            name, _, exp_text = factor.partition("^")
-            exp = int(exp_text)
-        else:
-            name, exp = factor, 1
-        if name not in ring._index:
-            raise ValueError(f"unknown variable {name!r} for {ring}")
-        term = term * ring.var(name) ** exp
-    return term

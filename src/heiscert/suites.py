@@ -36,8 +36,8 @@ from pathlib import Path
 
 from . import __version__
 from . import convexity, restriction
-from .certs import FAIL, PASS, Certificate
-from .cone import (SymForm, attraction_gaps, flat_segment_certificate,
+from .certs import FAIL, PASS, Certificate, canonical_json
+from .cone import (SymForm, attraction_gaps, det3, flat_segment_certificate,
                    parabolic_fixed_form, pd_preservation_certificate,
                    sym_square_match_certificate)
 from .heis import (DATA_DIR, HeisElement, get_representation, heis_mul,
@@ -290,8 +290,7 @@ def _random_pd_form(stream: RandomStream) -> list[list[Fraction]]:
     # Fractions, which jsonable writes as "p/q" strings.
     while True:
         r = [[stream.next_int(-3, 3) for _ in range(3)] for _ in range(3)]
-        (a, b, c), (d, e, f), (g, h, i) = r
-        if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g):
+        if det3(r):
             return [[Fraction(x) for x in row] for row in
                     integer_product(zip(*r), _nonzero_pairs(r), 3)]
 
@@ -627,9 +626,8 @@ def replay(path: Path) -> tuple[str, dict]:
     digest_ok = stored_body["inputs_digest"] == data["inputs_digest"]
     recomputed = _guarded(claim, claim.replay, config)
     # Compared as JSON text: as dicts, a stored 1 equals a recomputed True.
-    same = digest_ok and \
-        json.dumps(recomputed.comparable(), sort_keys=True) == \
-        json.dumps(stored_body, sort_keys=True)
+    same = digest_ok and canonical_json(recomputed.comparable()) == \
+        canonical_json(stored_body)
     detail = {
         "claim": stored.claim,
         "stored_verdict": stored.verdict,

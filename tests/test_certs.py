@@ -146,7 +146,6 @@ HALF = Fraction(1, 2)
 UNIT_BOX = box([-1], [1])
 RATIONAL_ENTRY_POINTS = {
     "SymForm": lambda v: SymForm([[v, 0, 0], [0, 1, 0], [0, 0, 1]]),
-    "SymForm.scale": lambda v: SymForm.identity().scale(v),
     "form_from_coordinates": lambda v: form_from_coordinates([v, 0, 1, 0,
                                                                0, 1]),
     "cross_ratio": lambda v: cross_ratio([1, 0], [0, 1], [1, 1], [1, v]),

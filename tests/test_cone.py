@@ -109,6 +109,29 @@ def test_positive_definite_reads_leading_minors_of_scaled_rows(form, scales):
     assert rows == before
 
 
+small_ints = st.integers(-5, 5)
+small_fractions = st.builds(Fraction, small_ints, st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([small_ints, small_fractions]).flatmap(
+           lambda entry: st.lists(st.lists(entry, min_size=3, max_size=3),
+                                  min_size=3, max_size=3)),
+       st.sampled_from([None, (0, 1), (0, 2), (1, 2)]))
+def test_det3_matches_bareiss_det(rows, repeat):
+    """det3 against Matrix.det on int or Fraction rows, singular ones
+    included by repeating a row; Fraction rows give a Fraction."""
+    if repeat is not None:
+        i, j = repeat
+        rows[j] = list(rows[i])
+    det = cone.det3(rows)
+    assert det == Matrix(rows).det()
+    if repeat is not None:
+        assert det == 0
+    if any(type(x) is Fraction for row in rows for x in row):
+        assert type(det) is Fraction
+
+
 def test_psd_boundary_cases():
     assert SymForm([[0, 0, 0], [0, 0, 0], [0, 0, -1]]) \
         .is_positive_semidefinite() is False
@@ -314,7 +337,8 @@ def test_flat_between_fixed_forms():
 def test_flat_rejects_proportional_inputs():
     f = rank_one([1, 2, 0])
     with pytest.raises(ValueError):
-        flat_segment_certificate(f, f.scale(Fraction(3, 2)))
+        flat_segment_certificate(
+            f, SymForm([[Fraction(3, 2) * x for x in row] for row in f.m]))
 
 
 def test_flat_rejects_zero_endpoint():

@@ -6,9 +6,10 @@ import pytest
 
 from heiscert.convexity import ORBIT_LIFT
 from heiscert.heis import (ENTRY_RING, GENERATORS, EntryPlan, HeisElement,
-                           Representation, get_representation, heis_mul,
-                           one_parameter_power, symbolic_pair,
-                           verify_homomorphism, verify_injectivity_generators)
+                           Representation, generator_power,
+                           get_representation, heis_mul, one_parameter_power,
+                           symbolic_pair, verify_homomorphism,
+                           verify_injectivity_generators)
 from heiscert.linalg import Matrix
 from heiscert.poly import Poly, PolyRing
 from heiscert.restriction import GROWTH_RING
@@ -100,8 +101,11 @@ def _mutated_theta() -> Representation:
 def test_mutated_table_fails_homomorphism():
     ok, witnesses = verify_homomorphism(_mutated_theta())
     assert not ok
-    witness = witnesses["first_nonzero_entry"]
-    assert witness["value"] != "0"
+    # theta's (1, 10) entry lost its c^2 term, so the first mismatch is
+    # there: the product's entry minus the composed one.
+    assert witnesses["first_nonzero_entry"] == {
+        "row": 1, "col": 10,
+        "value": "a^2*b'^2 + 2*a*c*b' + 2*a*b'*c' + 2*c*c'"}
 
 
 def test_injectivity_witness_positions():
@@ -184,6 +188,19 @@ def test_one_parameter_power_matches_iterated_products():
             for k in range(1, 7):
                 iterated = iterated * gen_matrix
                 assert _at(symbolic, k) == iterated
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+@pytest.mark.parametrize("count", [0, 1, 2, 5])
+def test_generator_power_matches_iterated_products(name, count):
+    g = GENERATORS[name]
+    iterated = HeisElement.identity()
+    for _ in range(count):
+        iterated = heis_mul(iterated, g)
+    assert generator_power(g, count) == iterated
+    # g^(count/3) cubed is g^count.
+    root = generator_power(g, Fraction(count, 3))
+    assert heis_mul(heis_mul(root, root), root) == iterated
 
 
 def test_unknown_generator_rejected():

@@ -89,6 +89,47 @@ def test_power_past_exponent_bound_overflows():
         RING.var("a") ** (MAX_EXPONENT + 1)
 
 
+def test_parse_checks_exponent_bound():
+    top = f"a^{MAX_EXPONENT}"
+    assert RING.parse(top).degree_in("a") == MAX_EXPONENT
+    assert RING.parse(f"a*a^{MAX_EXPONENT - 1}").degree_in("a") \
+        == MAX_EXPONENT
+    for text in (f"a^{MAX_EXPONENT + 1}", f"a*{top}", f"b + 2*a*{top}"):
+        with pytest.raises(OverflowError):
+            RING.parse(text)
+
+
+def test_parse_zero_and_repeated_factors():
+    assert RING.parse("0") == RING.zero()
+    assert RING.parse("0*a") == RING.zero()
+    assert RING.parse("a*a^2") == A ** 3
+    assert RING.parse("2*a*b*3/4*a - b*c + c*b") \
+        == Fraction(3, 2) * A ** 2 * B
+
+
+@pytest.mark.parametrize("text", ["", "a^", "a^2^3", "a**2", "a + ", "x"],
+                         ids=["empty", "no-exponent", "double-exponent",
+                              "empty-factor", "dangling-sign",
+                              "unknown-variable"])
+def test_parse_rejects_malformed_terms(text):
+    with pytest.raises(ValueError):
+        RING.parse(text)
+
+
+@pytest.mark.parametrize("value", [0, 3, -7, Fraction(3, 2)])
+def test_constant_hashes_as_its_value(value):
+    const = RING.const(value)
+    assert const == value and hash(const) == hash(value)
+    assert {value: "x"}.get(const) == "x"
+    assert {const: "x"}.get(value) == "x"
+
+
+def test_nonconstant_hashes_by_ring_and_terms():
+    p = 2 * A * B + 1
+    assert hash(p) == hash((RING, frozenset(p.terms.items())))
+    assert {p: "x"}.get(RING.parse("1 + 2*a*b")) == "x"
+
+
 def test_ring_mismatch_rejected():
     other = PolyRing("x", "y")
     with pytest.raises(ValueError):
