@@ -2,19 +2,52 @@
 """Regenerate the frozen data files (the restriction conjugator T and the
 default orbit samples) and report whether anything changed.
 
-With --check, exit nonzero instead of rewriting when a regenerated file
-differs from the shipped copy.
+This is the one place T is solved for; heiscert only checks the shipped
+copy.  With --check, exit nonzero instead of rewriting when a regenerated
+file differs from the shipped copy.
 """
 
 import argparse
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from heiscert.convexity import sample_orbit  # noqa: E402
-from heiscert.heis import DATA_DIR  # noqa: E402
-from heiscert.restriction import derive_conjugator  # noqa: E402
+from heiscert.convexity import ORBIT_LIFT, sample_orbit  # noqa: E402
+from heiscert.heis import (DATA_DIR, HeisElement,  # noqa: E402
+                           get_representation)
+from heiscert.linalg import Matrix  # noqa: E402
+from heiscert.restriction import (AMBIENT_DIM,  # noqa: E402
+                                  FREE_COORDINATES, subspace_equations)
+
+
+def derive_conjugator() -> Matrix:
+    """The constant change of basis T with induced(g) = T theta(g) T^-1.
+
+    T is pinned by matching orbits: the subspace coordinates of the
+    14-dimensional orbit must equal T applied to the 10-dimensional
+    orbit.  Componentwise this is a linear solve in the monomial
+    coefficients of the two orbit polynomial tuples.
+    """
+    # The symbolic 14-dimensional orbit of the base point e6 + e10 + e14.
+    base = [Fraction(int(i in (6, 10, 14))) for i in range(1, AMBIENT_DIM + 1)]
+    lift14 = get_representation("rho14")(HeisElement.symbolic()).apply(base)
+    if not all(p.is_zero() for p in subspace_equations().apply(lift14)):
+        raise ValueError("the orbit is not in the invariant subspace")
+
+    polys = ORBIT_LIFT + tuple(lift14[f - 1] for f in FREE_COORDINATES)
+    monomials = sorted({e for p in polys for e in p.terms})
+    # T A = Y row by row is A^T T^T = Y^T: one rref of the K x 20
+    # system [A^T | Y^T], one row per monomial.  Pivots exactly in the
+    # first n columns mean A^T has full column rank and the system is
+    # consistent; T^T is then the top n rows of the right half.
+    n = len(ORBIT_LIFT)
+    reduced, pivots = Matrix([[p.terms.get(e, Fraction(0)) for p in polys]
+                              for e in monomials]).rref()
+    if pivots != list(range(n)):
+        raise ValueError("the orbit lifts do not determine T")
+    return Matrix([[reduced[j, n + i] for j in range(n)] for i in range(n)])
 
 
 def regenerate() -> dict[str, str]:

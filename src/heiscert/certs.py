@@ -119,12 +119,14 @@ class Certificate:
         missing = required - set(data)
         if missing:
             raise ValueError(f"certificate missing fields {sorted(missing)}")
-        for name, kind in (("claim", str), ("inputs", dict),
+        for name, kind in (("claim", str), ("verdict", str), ("seed", str),
+                           ("inputs_digest", str), ("paper_anchor", str),
+                           ("timestamp", str), ("inputs", dict),
                            ("witnesses", dict)):
-            if not isinstance(data[name], kind):
+            if name in data and not isinstance(data[name], kind):
                 raise ValueError(f"certificate field {name!r} has the "
                                  f"wrong type")
-        cert = Certificate(
+        return Certificate(
             claim=data["claim"],
             verdict=data["verdict"],
             witnesses=data["witnesses"],
@@ -133,7 +135,6 @@ class Certificate:
             anchor=data.get("paper_anchor", ""),
             timestamp=data.get("timestamp", ""),
         )
-        return cert
 
     def comparable(self) -> dict:
         """Everything except the timestamp, normalized for equality checks."""

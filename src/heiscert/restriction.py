@@ -7,9 +7,8 @@ the induced 10x10 action is conjugate, by a constant matrix T, to the
 table EQUATIONS; the equation matrix, the free coordinates and the
 subspace basis are all read from it.  These rational matrices multiply
 the symbolic ones directly, with no lift into the polynomial ring.  T
-is found once by an exact linear solve
-(derive_conjugator, which the regeneration script under scripts/
-reruns), shipped as a frozen witness file, and only checked here.  The
+is a frozen witness file, written by scripts/rederive_witnesses.py
+(the one place its linear solve runs) and only checked here.  The
 same module certifies the quadratic versus quartic entry growth of
 generator powers that motivates the 14-dimensional construction.
 """
@@ -19,11 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .convexity import ORBIT_LIFT
 from .heis import DATA_DIR, ENTRY_RING, GEN_A, GEN_B, HeisElement, \
     get_representation, heis_mul, one_parameter_power, symbolic_pair
 from .linalg import Matrix, clear_denominators, integer_kernel
-from .poly import Poly, PolyRing
+from .poly import PolyRing
 
 AMBIENT_DIM = 14
 SUBSPACE_DIM = 10
@@ -66,17 +64,6 @@ def derive_subspace_basis() -> Matrix:
     return Matrix(columns).transpose()
 
 
-def orbit_lift_14() -> list[Poly]:
-    """The symbolic 14-dimensional orbit of the base point
-    e6 + e10 + e14 under the 14x14 action, over ENTRY_RING."""
-    rho14 = get_representation("rho14")
-    g = HeisElement.symbolic()
-    base = [Fraction(0)] * AMBIENT_DIM
-    for i in (6, 10, 14):
-        base[i - 1] = Fraction(1)
-    return rho14(g).apply(base)
-
-
 def induced_matrix(g: HeisElement) -> Matrix:
     """The 10x10 matrix of g acting in the subspace basis.
 
@@ -85,12 +72,7 @@ def induced_matrix(g: HeisElement) -> Matrix:
     rho14(g) * basis; the dropped rows are rechecked separately by the
     invariance certificate.
     """
-    return _free_rows(_basis_image(g))
-
-
-def _basis_image(g: HeisElement) -> Matrix:
-    """rho14(g) * basis, the 14x10 image of the subspace basis."""
-    return get_representation("rho14")(g) * derive_subspace_basis()
+    return _free_rows(get_representation("rho14")(g) * derive_subspace_basis())
 
 
 def _free_rows(image: Matrix) -> Matrix:
@@ -103,47 +85,8 @@ def _symbolic_action() -> tuple[Matrix, Matrix]:
     ENTRY_RING, computed once for the certificate and the intertwiner
     solve."""
     g = HeisElement.symbolic(ENTRY_RING)
-    return _basis_image(g), get_representation("theta")(g)
-
-
-def derive_conjugator() -> Matrix:
-    """The constant change of basis T with induced(g) = T theta(g) T^-1.
-
-    T is pinned by matching orbits: the subspace coordinates of the
-    14-dimensional orbit must equal T applied to the 10-dimensional
-    orbit.  Componentwise this is a linear solve in the monomial
-    coefficients of the two orbit polynomial tuples.
-    """
-    lift14 = orbit_lift_14()
-    basis = derive_subspace_basis()
-    residual = _subspace_coordinates_and_check(lift14, basis)
-
-    polys = ORBIT_LIFT + tuple(residual)
-    monomials = sorted({e for p in polys for e in p.terms})
-    # T A = Y row by row is A^T T^T = Y^T: one rref of the K x 20
-    # system [A^T | Y^T], one row per monomial.  Pivots exactly in the
-    # first n columns mean A^T has full column rank and the system is
-    # consistent; T^T is then the top n rows of the right half.
-    n = len(ORBIT_LIFT)
-    reduced, pivots = Matrix([[p.terms.get(e, Fraction(0)) for p in polys]
-                              for e in monomials]).rref()
-    if pivots != list(range(n)):
-        raise ValueError("the orbit lifts do not determine T")
-    return Matrix([[reduced[j, n + i] for j in range(n)] for i in range(n)])
-
-
-def _subspace_coordinates_and_check(lift14, basis) -> list[Poly]:
-    """Free-coordinate components of a vector known to lie in the
-    subspace; raises if it does not."""
-    coords = [lift14[f - 1] for f in FREE_COORDINATES]
-    reconstructed = basis.apply(coords)
-    if any(x != y for x, y in zip(reconstructed, lift14)):
-        raise ValueError("vector is not in the invariant subspace")
-    return coords
-
-
-def load_witness(name: str) -> Matrix:
-    return Matrix.from_text((DATA_DIR / name).read_text())
+    image = get_representation("rho14")(g) * derive_subspace_basis()
+    return image, get_representation("theta")(g)
 
 
 def restriction_certificate() -> tuple[bool, dict]:
@@ -152,7 +95,7 @@ def restriction_certificate() -> tuple[bool, dict]:
     10-dimensional representation by the shipped witness T."""
     equations = subspace_equations()
     basis = derive_subspace_basis()
-    conjugator = load_witness(T_WITNESS)
+    conjugator = Matrix.from_text((DATA_DIR / T_WITNESS).read_text())
 
     checks = {}
     checks["equations_rank_4"] = equations.rank() == 4

@@ -613,7 +613,7 @@ def replay(path: Path) -> tuple[str, dict]:
     # A run writes str(config.seed) for a seed in [0, 2**64); anything
     # else is malformed.
     seed = stored.seed
-    if not isinstance(seed, str) or str(int(seed)) != seed:
+    if str(int(seed)) != seed:
         raise ValueError(f"stored seed {seed!r} is not an integer")
     config = RunConfig(seed=int(seed))
     # One conversion of the stored body, which also hashes its inputs; a

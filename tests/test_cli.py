@@ -458,11 +458,16 @@ def _with_one_fresh_too_many(data: dict) -> dict:
     ("hull.dimension", _nested_in_inputs(900)),
     # json.loads itself overflows.
     ("hull.dimension", _nested_in_inputs(5000)),
+    ("hull.dimension", lambda data: {**data, "timestamp": []}),
+    ("hull.dimension", lambda data: {**data, "verdict": 1}),
+    ("hull.dimension", lambda data: {**data, "inputs_digest": None}),
+    ("hull.dimension", lambda data: {**data, "paper_anchor": ["x"]}),
 ], ids=["inputs-not-object", "body-not-object", "claim-not-string",
         "float-input", "float-witness", "seed-not-integer", "seed-not-canonical",
         "seed-not-string", "sampled-seed-2**64", "sampled-seed-negative",
         "fixed-seed-2**64", "fixed-seed-negative", "nested-900",
-        "nested-5000"])
+        "nested-5000", "timestamp-not-string", "verdict-not-string",
+        "digest-not-string", "anchor-not-string"])
 def test_replay_malformed_certificate_exits_2(certificates, claim_id, malform,
                                               tmp_path, capsys):
     data = read_json(certificates / f"{claim_id}.json")

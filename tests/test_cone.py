@@ -334,6 +334,15 @@ def test_flat_between_fixed_forms():
     assert ok
 
 
+def test_flat_fails_at_a_bad_endpoint():
+    # The identity is not degenerate, so the t = 0 sample is the witness.
+    ok, witnesses = flat_segment_certificate(
+        SymForm.identity(), SymForm([[1, 2, 0], [2, 4, 0], [0, 0, 0]]))
+    assert ok is False
+    first = witnesses["segment_samples"][0]
+    assert first["t"] == 0 and first["det"] == 1
+
+
 def test_flat_rejects_proportional_inputs():
     f = rank_one([1, 2, 0])
     with pytest.raises(ValueError):

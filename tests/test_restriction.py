@@ -1,5 +1,6 @@
 """Invariant subspace of the 14-dimensional action and entry growth."""
 
+import importlib.util
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,14 +12,25 @@ from heiscert import restriction
 from heiscert.heis import ENTRY_RING, HeisElement, get_representation, \
     heis_mul, one_parameter_power
 from heiscert.poly import PolyRing
-from heiscert.restriction import (derive_conjugator, derive_subspace_basis,
-                                  growth_certificate, induced_matrix,
-                                  intertwiner_dimension, orbit_lift_14,
+from heiscert.restriction import (derive_subspace_basis, growth_certificate,
+                                  induced_matrix, intertwiner_dimension,
                                   restriction_certificate,
                                   subspace_equations)
 
 THETA = get_representation("theta")
 RHO14 = get_representation("rho14")
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / \
+    "rederive_witnesses.py"
+
+
+@pytest.fixture(scope="module")
+def rederive():
+    """The regeneration script, loaded by path: it holds the T solve."""
+    spec = importlib.util.spec_from_file_location("_rederive_witnesses",
+                                                  SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_equations_have_rank_four():
@@ -26,7 +38,8 @@ def test_equations_have_rank_four():
 
 
 def test_orbit_point_satisfies_equations():
-    lift = orbit_lift_14()
+    base = [Fraction(int(i in (6, 10, 14))) for i in range(1, 15)]
+    lift = RHO14(HeisElement.symbolic()).apply(base)
     one = ENTRY_RING.one()
     b = ENTRY_RING.var("b")
     assert lift[5] == one and lift[9] == one and lift[13] == one
@@ -47,24 +60,24 @@ def test_subspace_is_invariant_symbolically():
     assert (subspace_equations() * image).is_zero()
 
 
-def test_induced_action_is_conjugate_to_theta():
+def test_induced_action_is_conjugate_to_theta(rederive):
     g = HeisElement.symbolic(ENTRY_RING)
-    conjugator = derive_conjugator()
+    conjugator = rederive.derive_conjugator()
     assert induced_matrix(g) * conjugator == conjugator * THETA(g)
 
 
 def test_conjugator_refuses_orbit_lifts_that_do_not_determine_it(
-        monkeypatch):
+        rederive, monkeypatch):
     """With one orbit coordinate repeated, the rref of [A^T | Y^T] misses
     a pivot among the first ten columns, so no T is returned."""
-    lift = restriction.ORBIT_LIFT
-    monkeypatch.setattr(restriction, "ORBIT_LIFT", lift[:-1] + lift[-2:-1])
+    lift = rederive.ORBIT_LIFT
+    monkeypatch.setattr(rederive, "ORBIT_LIFT", lift[:-1] + lift[-2:-1])
     with pytest.raises(ValueError, match="do not determine T"):
-        derive_conjugator()
+        rederive.derive_conjugator()
 
 
-def test_conjugator_shape():
-    t = derive_conjugator()
+def test_conjugator_shape(rederive):
+    t = rederive.derive_conjugator()
     assert t.det() == -2
     # one scaled entry, otherwise a permutation matrix
     entries = sorted(abs(x) for row in t.entries for x in row if x != 0)
@@ -81,9 +94,7 @@ def test_induced_action_is_multiplicative():
 
 def test_rederive_witnesses_script_check():
     # Covers the subspace witnesses and both frozen orbit samples.
-    script = Path(__file__).resolve().parents[1] / "scripts" / \
-        "rederive_witnesses.py"
-    result = subprocess.run([sys.executable, str(script), "--check"],
+    result = subprocess.run([sys.executable, str(SCRIPT), "--check"],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stdout + result.stderr
     assert "all frozen files match their derivations" in result.stdout
