@@ -15,8 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from heiscert.convexity import ORBIT_LIFT, sample_orbit  # noqa: E402
-from heiscert.heis import (DATA_DIR, HeisElement,  # noqa: E402
-                           get_representation)
+from heiscert.heis import DATA_DIR, get_representation  # noqa: E402
 from heiscert.linalg import Matrix  # noqa: E402
 from heiscert.restriction import (AMBIENT_DIM,  # noqa: E402
                                   FREE_COORDINATES, subspace_equations)
@@ -32,7 +31,7 @@ def derive_conjugator() -> Matrix:
     """
     # The symbolic 14-dimensional orbit of the base point e6 + e10 + e14.
     base = [Fraction(int(i in (6, 10, 14))) for i in range(1, AMBIENT_DIM + 1)]
-    lift14 = get_representation("rho14")(HeisElement.symbolic()).apply(base)
+    lift14 = get_representation("rho14").table.apply(base)
     if not all(p.is_zero() for p in subspace_equations().apply(lift14)):
         raise ValueError("the orbit is not in the invariant subspace")
 

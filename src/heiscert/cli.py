@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .convexity import sample_orbit
-from .heis import HeisElement, get_representation
+from .heis import TABLE_DIMENSIONS, HeisElement, get_representation
 from .linalg import integer_nilpotent_ranks, jordan_partition
 from .metric import hilbert_log_argument, load_polytope
 from .rationals import format_rational, parse_rational
@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     jordan.add_argument("--element", required=True,
                         help="comma-separated rationals a,b,c, "
                              "as --element=-7/4,3,0")
-    jordan.add_argument("--rep", choices=["theta", "rho6", "rho14"],
+    jordan.add_argument("--rep", choices=tuple(TABLE_DIMENSIONS),
                         default="theta")
 
     hilbert = sub.add_parser("hilbert",

@@ -16,13 +16,11 @@ form, and boundary flats, so the cone is not strictly convex.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .heis import ENTRY_RING, GENERATORS, HeisElement, Representation, \
     generator_power, get_representation
-from .linalg import Matrix, _nonzero_pairs, clear_denominators, \
-    integer_product
+from .linalg import Matrix, clear_denominators, integer_product
 from .rationals import to_fraction
 
 # Monomial basis ordering under which the shipped 6x6 table acts on form
@@ -118,35 +116,26 @@ def act_on_form(g: HeisElement, form: SymForm) -> tuple[list[int], int]:
     # clears them.
     m, s = form.cleared
     coords = [[m[i][j]] for i, j in FORM_MONOMIALS]
-    image = integer_product(rows, _nonzero_pairs(coords), 1)
+    image = integer_product(rows, coords)
     return [x for (x,) in image], d * s
 
 
-def heis_3x3(g: HeisElement) -> Matrix:
-    """The defining 3x3 unit upper-triangular matrix of g; its entries
-    are Poly when g's components are."""
+def heis_3x3(g: HeisElement) -> list[list]:
+    """The rows of g's defining 3x3 unit upper-triangular matrix; its
+    entries are Poly when g's components are."""
     zero = g.a * 0
     one = zero + 1
-    return Matrix([[one, g.a, g.c], [zero, one, g.b], [zero, zero, one]])
-
-
-def integer_heis_3x3(g: HeisElement) -> tuple[list[list[int]], int]:
-    """heis_3x3 at the rational g as int rows H over e > 0, the lcm of
-    the components' denominators."""
-    a, b, c = g.components()
-    e = lcm(a.denominator, b.denominator, c.denominator)
-    a, b, c = (x.numerator * (e // x.denominator) for x in (a, b, c))
-    return [[e, a, c], [0, e, b], [0, 0, e]], e
+    return [[one, g.a, g.c], [zero, one, g.b], [zero, zero, one]]
 
 
 def congruence_image(g: HeisElement, form: SymForm) -> tuple[list, int]:
     """g S g^T at the rational g from the 3x3 matrix alone, never the 6x6
-    table, on ints: the int matrix H S H^T and its denominator e^2 s,
-    for H / e = heis_3x3(g) (integer_heis_3x3) and S = s form."""
-    h, e = integer_heis_3x3(g)
+    table, on ints: H S H^T over e^2 s, for S = s form and H over e,
+    heis_3x3(g) cleared by clear_denominators (e is the lcm of a, b, c's
+    denominators)."""
+    h, e = clear_denominators(heis_3x3(g))
     m, s = form.cleared
-    hs = integer_product(h, _nonzero_pairs(m), 3)
-    return integer_product(hs, _nonzero_pairs(zip(*h)), 3), e * e * s
+    return integer_product(integer_product(h, m), zip(*h)), e * e * s
 
 
 # -- matching the entry table against the symmetric-square action ------------
@@ -154,7 +143,7 @@ def congruence_image(g: HeisElement, form: SymForm) -> tuple[list, int]:
 def _sym_square_matrix() -> Matrix:
     """Matrix of the congruence action on form coordinates in the
     ordering FORM_MONOMIALS, for the symbolic element (a, b, c)."""
-    h = heis_3x3(HeisElement.symbolic(ENTRY_RING))
+    h = Matrix(heis_3x3(HeisElement.symbolic(ENTRY_RING)))
     columns = []
     for i, j in FORM_MONOMIALS:
         # The symmetrized basis form E_ij has a 1 at (i, j) and at (j, i).

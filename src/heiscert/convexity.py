@@ -27,7 +27,7 @@ from typing import Sequence
 from .heis import ENTRY_RING, EntryPlan, HeisElement, get_representation, \
     heis_mul
 from .lp import convex_combination_weights
-from .poly import NEG_INFINITY, Poly, PolyRing
+from .poly import Poly, PolyRing
 from .rationals import format_rational, parse_rational, to_fraction
 from .sampler import RandomStream
 
@@ -67,9 +67,7 @@ def orbit_lift(g: HeisElement) -> list:
 def orbit_formula_certificate() -> tuple[bool, dict]:
     """The entry table applied to the lifted origin reproduces the closed
     orbit formula, as an exact polynomial identity."""
-    theta = get_representation("theta")
-    g = HeisElement.symbolic(ENTRY_RING)
-    column = theta(g).apply(lift_origin())
+    column = get_representation("theta").table.apply(lift_origin())
     mismatches = [i + 1 for i, (got, want)
                   in enumerate(zip(column, ORBIT_LIFT)) if got != want]
     witnesses = {"coordinates": [str(p) for p in ORBIT_LIFT]}
@@ -166,7 +164,7 @@ def limit_point_certificate(rays: Sequence[Sequence[Poly]] = DEFAULT_RAYS,
         ray_reports.append({
             "ray": [str(p) for p in ray],
             "leading_degree": lead_degree,
-            "other_degrees": [d if d != NEG_INFINITY else "-inf"
+            "other_degrees": [d if d >= 0 else "-inf"
                               for d in other_degrees],
             "ratios": ratios,
             "passes": ok,

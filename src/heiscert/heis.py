@@ -235,15 +235,16 @@ def load_representation(name: str, dimension: int) -> Representation:
     return Representation(name, dimension, Matrix(entries))
 
 
+# The shipped entry tables, data/NAME.rep, and their dimensions.
+TABLE_DIMENSIONS = {"theta": 10, "rho6": 6, "rho14": 14}
 _CACHE: dict[str, Representation] = {}
 
 
 def get_representation(name: str) -> Representation:
     if name not in _CACHE:
-        dims = {"theta": 10, "rho6": 6, "rho14": 14}
-        if name not in dims:
+        if name not in TABLE_DIMENSIONS:
             raise KeyError(f"unknown representation {name!r}")
-        _CACHE[name] = load_representation(name, dims[name])
+        _CACHE[name] = load_representation(name, TABLE_DIMENSIONS[name])
     return _CACHE[name]
 
 

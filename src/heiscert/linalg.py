@@ -26,8 +26,8 @@ a d > 0 standing for the matrix R / d, an entry table's integer image;
 it works with dN = R - dI and never forms a full power of it: the
 echelon rows of N^(k-1) times N span the rows of N^k, so each rank is
 one elimination pass over an int product with as many rows as the
-previous rank, over N's nonzero pairs listed once, by integer_product(),
-which every int product shares.
+previous rank, over N's nonzero pairs listed once.  integer_product()
+multiplies int rows by int rows for every other caller.
 integer_kernel() reads an int null-space basis off one Gauss-Jordan pass
 over a presolved copy: the columns that singleton rows force to zero,
 round after round, are dropped first.
@@ -320,9 +320,12 @@ def _gustavson(left, nonzero, width: int) -> list[list]:
     return sums
 
 
-def integer_product(left, nonzero, width: int) -> list[list[int]]:
-    """_gustavson on int operands, each unreached entry an int 0."""
-    return [[a or 0 for a in acc] for acc in _gustavson(left, nonzero, width)]
+def integer_product(left, right) -> list[list[int]]:
+    """_gustavson on int rows, right any iterable of them (a zip of
+    columns too), each unreached entry an int 0."""
+    right = list(right)
+    return [[a or 0 for a in acc] for acc in
+            _gustavson(left, _nonzero_pairs(right), len(right[0]))]
 
 
 def integer_nilpotent_ranks(rows: list[list[int]], d: int) -> list[int]:
@@ -335,7 +338,7 @@ def integer_nilpotent_ranks(rows: list[list[int]], d: int) -> list[int]:
     do: the powers of D N are not D^k N^k.)  The full powers are never
     formed: rowspace(N^k) = rowspace(N^(k-1)) N, so the echelon rows E
     of N^(k-1), rank(N^(k-1)) of them, give rank(N^k) as the rank of
-    the product E N (one integer_product call over N's nonzero pairs, listed
+    the product E N (one _gustavson call over N's nonzero pairs, listed
     once), ranked by one fraction-free pass whose nonzero rows are the
     next E.  The ranks fall strictly until they settle (Fitting's
     lemma), and they settle at 0 exactly when N is nilpotent, so a
@@ -356,7 +359,8 @@ def integer_nilpotent_ranks(rows: list[list[int]], d: int) -> list[int]:
             raise ValueError(
                 "matrix is not unipotent: (m - I) is not nilpotent")
         # The echelon pass left the nonzero rows on top.
-        current = integer_product(current[:ranks[-1]], nonzero, n)
+        current = [[a or 0 for a in acc] for acc in
+                   _gustavson(current[:ranks[-1]], nonzero, n)]
 
 
 def integer_kernel(m: list[list[int]]) -> list[list[int]]:

@@ -14,8 +14,6 @@ from typing import Iterable, Mapping, Union
 
 from .rationals import parse_rational, to_fraction
 
-NEG_INFINITY = float("-inf")
-
 # Exponents are bounded so that accidental runaway powers fail loudly
 # instead of silently eating memory.  Only a product of two polynomials
 # (powers go through it) and the parser make new exponents, so those are
@@ -188,17 +186,14 @@ class Poly:
                     used[i] = True
         return tuple(n for n, u in zip(self.ring.names, used) if u)
 
-    def degree_in(self, name: str):
-        """Highest exponent of `name`; NEG_INFINITY for the zero poly."""
-        if not self.terms:
-            return NEG_INFINITY
+    def degree_in(self, name: str) -> int:
+        """Highest exponent of `name`; -1 for the zero poly."""
         i = self.ring._index[name]
-        return max(e[i] for e in self.terms)
+        return max((e[i] for e in self.terms), default=-1)
 
-    def total_degree(self):
-        if not self.terms:
-            return NEG_INFINITY
-        return max(sum(e) for e in self.terms)
+    def total_degree(self) -> int:
+        """Highest total degree of a term; -1 for the zero poly."""
+        return max((sum(e) for e in self.terms), default=-1)
 
     # -- evaluation and substitution --------------------------------------
 

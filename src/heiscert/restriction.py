@@ -18,8 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .heis import DATA_DIR, ENTRY_RING, GEN_A, GEN_B, HeisElement, \
-    get_representation, heis_mul, one_parameter_power, symbolic_pair
+from .heis import DATA_DIR, GEN_A, GEN_B, HeisElement, get_representation, \
+    heis_mul, one_parameter_power, symbolic_pair
 from .linalg import Matrix, clear_denominators, integer_kernel
 from .poly import PolyRing
 
@@ -80,13 +80,10 @@ def _free_rows(image: Matrix) -> Matrix:
 
 
 @lru_cache(maxsize=None)
-def _symbolic_action() -> tuple[Matrix, Matrix]:
-    """rho14(g) * basis and theta(g) at the symbolic element g of
-    ENTRY_RING, computed once for the certificate and the intertwiner
-    solve."""
-    g = HeisElement.symbolic(ENTRY_RING)
-    image = get_representation("rho14")(g) * derive_subspace_basis()
-    return image, get_representation("theta")(g)
+def _symbolic_image() -> Matrix:
+    """The rho14 table times the basis, computed once for the certificate
+    and the intertwiner solve."""
+    return get_representation("rho14").table * derive_subspace_basis()
 
 
 def restriction_certificate() -> tuple[bool, dict]:
@@ -102,13 +99,13 @@ def restriction_certificate() -> tuple[bool, dict]:
     checks["basis_rank_10"] = basis.rank() == SUBSPACE_DIM
     checks["basis_solves_equations"] = (equations * basis).is_zero()
 
-    image, theta_g = _symbolic_action()
+    image = _symbolic_image()
     checks["subspace_invariant"] = (equations * image).is_zero()
 
     induced = _free_rows(image)
     checks["induced_consistent"] = image == basis * induced
     checks["conjugate_to_theta"] = \
-        induced * conjugator == conjugator * theta_g
+        induced * conjugator == conjugator * get_representation("theta").table
     t_det = conjugator.det()
     checks["conjugator_invertible"] = t_det != 0
 
@@ -149,11 +146,10 @@ def intertwiner_dimension() -> int:
                     row[i * n + k] -= right[k][j]
                 rows.append(row)
     kernel = integer_kernel(rows)
-    image, theta_g = _symbolic_action()
-    induced = _free_rows(image)
+    induced = _free_rows(_symbolic_image())
     for vec in kernel:
         x = Matrix([vec[i * n:(i + 1) * n] for i in range(n)])
-        if induced * x != x * theta_g:
+        if induced * x != x * theta.table:
             raise AssertionError("generator conditions were not sufficient")
     return len(kernel)
 
@@ -164,9 +160,7 @@ GROWTH_RING = PolyRing("n")
 
 
 def _max_degree(matrix: Matrix, cells) -> int:
-    degrees = [matrix[i, j].degree_in("n") for i, j in cells]
-    finite = [d for d in degrees if isinstance(d, int)]
-    return max(finite) if finite else 0
+    return max([0, *(matrix[i, j].degree_in("n") for i, j in cells)])
 
 
 def growth_certificate() -> tuple[bool, dict]:

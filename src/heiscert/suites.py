@@ -43,8 +43,7 @@ from .cone import (SymForm, attraction_gaps, det3, flat_segment_certificate,
 from .heis import (DATA_DIR, HeisElement, get_representation, heis_mul,
                    symbolic_pair, verify_homomorphism,
                    verify_injectivity_generators)
-from .linalg import Matrix, _nonzero_pairs, \
-    clear_denominators, integer_nilpotent_ranks, integer_product, \
+from .linalg import Matrix, integer_nilpotent_ranks, integer_product, \
     jordan_partition
 from .metric import box, cross_ratio, hilbert_log_argument
 from .sampler import RandomStream, check_seed
@@ -196,7 +195,7 @@ def _equivariance(pairs: list[list[tuple]]):
         rows, d = theta.integer_image(g)
         lift, e = plan.integer_values(h)
         target, f = plan.integer_values(heis_mul(g, h))
-        image = integer_product(rows, _nonzero_pairs([x] for x in lift), 1)
+        image = integer_product(rows, ([x] for x in lift))
         if any(x * f != y * d * e for (x,), y in zip(image, target)):
             failures.append({"g": list(raw_g), "h": list(raw_h)})
     return symbolic_ok and not failures, {"symbolic_identity": symbolic_ok,
@@ -292,7 +291,7 @@ def _random_pd_form(stream: RandomStream) -> list[list[Fraction]]:
         r = [[stream.next_int(-3, 3) for _ in range(3)] for _ in range(3)]
         if det3(r):
             return [[Fraction(x) for x in row] for row in
-                    integer_product(zip(*r), _nonzero_pairs(r), 3)]
+                    integer_product(zip(*r), r)]
 
 
 def _pd_preserved(cases: list[dict]):
@@ -382,17 +381,17 @@ def _cross_ratio_sample(stream: RandomStream, count: int) -> dict:
 
 def _cross_ratio(line_parameters: list[list[int]], mix_values: list[int],
                  elements: list[list[Fraction]]):
-    p, q = (convexity.orbit_lift(HeisElement.of(*raw))
-            for raw in line_parameters)
-    points = [[a + t * b for a, b in zip(p, q)] for t in mix_values]
+    (p, dp), (q, dq) = (
+        convexity.ORBIT_LIFT_PLAN.integer_values(HeisElement.of(*raw))
+        for raw in line_parameters)
+    # Point t is dp dq (p / dp + t q / dq), the same projective point.
+    points = [[x * dq + t * y * dp for x, y in zip(p, q)] for t in mix_values]
     base = cross_ratio(*points)
     theta = get_representation("theta")
-    # Scaling a point keeps it: map the four cleared to one scale on ints.
-    columns = _nonzero_pairs(zip(*clear_denominators(points)[0]))
     failures = []
     for raw in elements:
         rows, _ = theta.integer_image(HeisElement.of(*raw))
-        moved = zip(*integer_product(rows, columns, len(points)))
+        moved = zip(*integer_product(rows, zip(*points)))
         if cross_ratio(*moved) != base:
             failures.append({"g": list(raw)})
     return not failures, {"base_cross_ratio": base,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from heiscert import convexity, suites
 from heiscert.certs import FAIL, PASS, digest, jsonable
 from heiscert.cli import main
-from heiscert.heis import HeisElement, get_representation
+from heiscert.heis import TABLE_DIMENSIONS, HeisElement, get_representation
 from heiscert.rationals import format_rational, parse_rational
 from heiscert.sampler import MASK64, MAX_DEN, MAX_NUM, RandomStream
 from heiscert.suites import (CLAIMS_BY_ID, DEFAULT_SAMPLE_SIZES, MATCH,
@@ -544,7 +544,7 @@ def test_orbit_command_is_deterministic(capsys):
 JORDAN_ELEMENTS = ["0,0,1", "1,0,0", "0,1,0", "2,-1/3,5/2", "-7/4,3,0"]
 
 
-@pytest.mark.parametrize("rep_name", ["theta", "rho6", "rho14"])
+@pytest.mark.parametrize("rep_name", list(TABLE_DIMENSIONS))
 def test_jordan_command(rep_name, capsys):
     # The command ranks each table's integer image; the oracle multiplies
     # out the rational powers of N = M - I.
@@ -572,6 +572,13 @@ def test_jordan_command_accepts_identity(capsys):
 def test_jordan_command_rejects_zero_denominator(capsys):
     assert main(["jordan", "--element", "1/0,0,0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_jordan_command_rejects_unknown_table(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["jordan", "--element", "0,0,1", "--rep", "rho7"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'rho7'" in capsys.readouterr().err
 
 
 def test_hilbert_command(tmp_path, capsys):

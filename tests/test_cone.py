@@ -163,7 +163,7 @@ def action_reference(g: HeisElement, form: SymForm) -> SymForm:
 
 def congruence_reference(g: HeisElement, form: SymForm) -> SymForm:
     """g S g^T as a product of Fraction matrices."""
-    h = heis_3x3(g)
+    h = Matrix(heis_3x3(g))
     return SymForm((h * form.matrix() * h.transpose()).entries)
 
 
@@ -274,16 +274,15 @@ def test_pd_preservation_spot_checks():
 
 
 def test_pd_preservation_fails_against_transposed_congruence(monkeypatch):
-    """With the int H that congruence_image uses transposed, g^T S g
+    """With the 3x3 rows that congruence_image clears transposed, g^T S g
     differs from the table's g S g^T, so the cross-multiplied comparison
     must fail."""
-    original = cone.integer_heis_3x3
+    original = cone.heis_3x3
 
     def transposed(g):
-        h, e = original(g)
-        return [list(column) for column in zip(*h)], e
+        return [list(column) for column in zip(*original(g))]
 
-    monkeypatch.setattr(cone, "integer_heis_3x3", transposed)
+    monkeypatch.setattr(cone, "heis_3x3", transposed)
     ok, witnesses = pd_preservation_certificate(HeisElement.of(1, 1, 1),
                                                 SymForm.identity())
     assert not ok

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from heiscert.convexity import ORBIT_LIFT
+from heiscert.convexity import ORBIT_LIFT, orbit_lift
 from heiscert.heis import (ENTRY_RING, GENERATORS, EntryPlan, HeisElement,
                            Representation, generator_power,
                            get_representation, heis_mul, one_parameter_power,
@@ -51,7 +51,8 @@ def test_group_law_matches_3x3_matrices():
     for _ in range(20):
         g = HeisElement.of(*stream.next_triple())
         h = HeisElement.of(*stream.next_triple())
-        assert heis_3x3(g) * heis_3x3(h) == heis_3x3(heis_mul(g, h))
+        assert Matrix(heis_3x3(g)) * Matrix(heis_3x3(h)) == \
+            Matrix(heis_3x3(heis_mul(g, h)))
 
 
 def test_associativity_symbolic_nine_variables():
@@ -81,8 +82,12 @@ def test_rho6_row_at_central_generator():
 
 
 def test_tables_specialize_to_identity():
+    """Each table is I at the identity, and is itself, as is the orbit
+    lift, at the generic element (a, b, c)."""
     for rep in ALL_REPS:
         assert rep(HeisElement.identity()) == Matrix.identity(rep.dimension)
+        assert rep(HeisElement.symbolic()) == rep.table
+    assert orbit_lift(HeisElement.symbolic()) == list(ORBIT_LIFT)
 
 
 def test_homomorphism_certificates():

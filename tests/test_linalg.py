@@ -12,7 +12,8 @@ from heiscert.convexity import ORBIT_LIFT, OrbitSample, orbit_lift
 from heiscert.heis import (DATA_DIR, ENTRY_RING, EntryPlan, HeisElement,
                            get_representation, heis_mul)
 from heiscert.linalg import (Matrix, clear_denominators, integer_kernel,
-                             integer_nilpotent_ranks, jordan_partition)
+                             integer_nilpotent_ranks, integer_product,
+                             jordan_partition)
 from heiscert.poly import Poly
 from heiscert.rationals import to_fraction
 from heiscert.restriction import derive_subspace_basis
@@ -669,15 +670,17 @@ KINDS = {"int": (st.integers(-5, 5), 0),
          "poly": (small_polys, ENTRY_RING.zero())}
 
 
+KIND_PAIRS = [("int", "int"), ("fraction", "fraction"), ("poly", "poly"),
+              ("fraction", "poly"), ("poly", "fraction"), ("int", "poly"),
+              ("int", "fraction"), ("fraction", "int")]
+
+
 @st.composite
-def product_operands(draw):
-    """Two matrices and a vector of the drawn entry kinds and shapes
-    (1 x n and n x 1 included), each cell nonzero-drawn with a drawn
-    density, plus whole zero rows and columns."""
-    left_kind, right_kind = draw(st.sampled_from(
-        [("int", "int"), ("fraction", "fraction"), ("poly", "poly"),
-         ("fraction", "poly"), ("poly", "fraction"), ("int", "poly"),
-         ("int", "fraction"), ("fraction", "int")]))
+def product_operands(draw, kind_pairs=KIND_PAIRS):
+    """Two matrices and a vector of entry kinds drawn from kind_pairs and
+    of drawn shapes (1 x n and n x 1 included), each cell nonzero-drawn
+    with a drawn density, plus whole zero rows and columns."""
+    left_kind, right_kind = draw(st.sampled_from(kind_pairs))
     n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
     density = draw(st.integers(0, 100))
 
@@ -721,6 +724,19 @@ def test_sparse_kernel_matches_dense_reference(operands):
     assert applied == expected_apply
     assert _types(product) == _types(expected)
     assert _types([applied]) == _types([expected_apply])
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_operands([("int", "int")]), st.booleans())
+def test_integer_product_matches_matrix_product(operands, as_zip):
+    """integer_product of int rows, with whole zero rows and columns and
+    the right operand given as rows or as a zip of its columns, is the
+    Matrix product, each entry an int."""
+    _, _, left, right, _ = operands
+    product = integer_product(left, zip(*zip(*right)) if as_zip else right)
+    assert product == [list(row) for row in
+                       (Matrix(left) * Matrix(right)).entries]
+    assert all(type(x) is int for row in product for x in row)
 
 
 def test_symbolic_basis_image_multiplies_only_nonzero_pairs(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heiscert.poly import MAX_EXPONENT, NEG_INFINITY, Poly, PolyRing
+from heiscert.poly import MAX_EXPONENT, Poly, PolyRing
 from heiscert.convexity import nonneg_certificate
 
 RING = PolyRing("a", "b", "c")
@@ -79,7 +79,8 @@ def test_degree_in():
     n_ring = PolyRing("n")
     n = n_ring.var("n")
     assert (n ** 4 * Fraction(1, 24)).degree_in("n") == 4
-    assert n_ring.zero().degree_in("n") == NEG_INFINITY
+    assert n_ring.zero().degree_in("n") == -1
+    assert n_ring.zero().total_degree() == -1
     assert (2 * n ** 2 + n ** 2 * Fraction(1, 2)).degree_in("n") == 2
 
 
