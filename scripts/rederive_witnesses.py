@@ -2,9 +2,10 @@
 """Regenerate the frozen data files (the restriction conjugator T and the
 default orbit samples) and report whether anything changed.
 
-This is the one place T is solved for; heiscert only checks the shipped
-copy.  With --check, exit nonzero instead of rewriting when a regenerated
-file differs from the shipped copy.
+This is the one place T is solved for and written out, row per line with
+tab-separated rationals (Matrix.from_text reads it back); heiscert only
+checks the shipped copy.  With --check, exit nonzero instead of rewriting
+when a regenerated file differs from the shipped copy.
 """
 
 import argparse
@@ -17,6 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from heiscert.convexity import ORBIT_LIFT, sample_orbit  # noqa: E402
 from heiscert.heis import DATA_DIR, get_representation  # noqa: E402
 from heiscert.linalg import Matrix  # noqa: E402
+from heiscert.rationals import format_rational  # noqa: E402
 from heiscert.restriction import (AMBIENT_DIM,  # noqa: E402
                                   FREE_COORDINATES, subspace_equations)
 
@@ -49,9 +51,15 @@ def derive_conjugator() -> Matrix:
     return Matrix([[reduced[j, n + i] for j in range(n)] for i in range(n)])
 
 
+def to_text(m: Matrix) -> str:
+    """Row-per-line, tab-separated rational entries."""
+    return "".join("\t".join(map(format_rational, row)) + "\n"
+                   for row in m.entries)
+
+
 def regenerate() -> dict[str, str]:
     return {
-        "restriction_T.tsv": derive_conjugator().to_text(),
+        "restriction_T.tsv": to_text(derive_conjugator()),
         "hull_sample.csv": sample_orbit(10, 0, "hull").to_csv(),
         "extreme_sample.csv":
             sample_orbit(20, 0, "extreme", nonzero=True).to_csv(),

@@ -154,12 +154,10 @@ def _sym_square_matrix() -> Matrix:
     return Matrix(columns).transpose()
 
 
-def sym_square_match_certificate(rep: Representation = None
-                                 ) -> tuple[bool, dict]:
-    """The shipped 6x6 table equals the symmetric-square congruence
+def sym_square_match_certificate(rep: Representation) -> tuple[bool, dict]:
+    """The 6x6 table of rep equals the symmetric-square congruence
     action in the monomial basis FORM_MONOMIALS with unit rescaling;
     on a mismatch the differing entries are listed."""
-    rep = rep or get_representation("rho6")
     expected = _sym_square_matrix()
     mismatches = [[i, j] for i in range(6) for j in range(6)
                   if expected[i, j] != rep.table[i, j]]
@@ -173,20 +171,17 @@ def sym_square_match_certificate(rep: Representation = None
 
 # -- cone preservation and boundary structure ---------------------------------
 
-def pd_preservation_certificate(g: HeisElement, form: SymForm
-                                ) -> tuple[bool, dict]:
-    """The action of g keeps a positive-definite form positive definite;
-    the int image (the six coordinates over their scale) is returned and
-    cross-checked, on ints, against g S g^T."""
+def pd_preservation_certificate(g: HeisElement, form: SymForm) -> bool:
+    """The action of g keeps a positive-definite form positive definite,
+    and its int image (act_on_form) agrees, cross-multiplied on ints,
+    with g S g^T (congruence_image)."""
     if not form.is_positive_definite():
         raise ValueError("input form must be positive definite")
     coords, scale = act_on_form(g, form)
     congruence, congruence_scale = congruence_image(g, form)
     consistent = all(x * congruence_scale == congruence[i][j] * scale
                      for x, (i, j) in zip(coords, FORM_MONOMIALS))
-    ok = _positive_definite(_symmetric(coords)) and consistent
-    return ok, {"image": coords, "scale": scale,
-                "matches_congruence": consistent}
+    return consistent and _positive_definite(_symmetric(coords))
 
 
 def parabolic_fixed_form(generator: str) -> SymForm:

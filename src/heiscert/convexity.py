@@ -3,15 +3,16 @@
 The 10-dimensional representation acts affinely on the patch
 [x1:...:x9:1]; the orbit of the origin is a polynomial embedding of the
 group whose first coordinate eventually dominates every other one.  This
-module certifies, in exact arithmetic: the closed orbit formula, its
-equivariance, domination along rays to infinity, full dimensionality of
-the orbit hull (a nonzero 10x10 determinant), proper convexity (the hull
-stays in {x1 >= 0}) and extremality of sampled orbit points via exact LP.
-Each check returns (ok, witnesses).  orbit_lift() evaluates the lifted
-formula through its compiled heis.EntryPlan, the path the entry tables
-take, so it serves rational elements, symbolic ones and rays to infinity
-alike.  Orbit points are compared as lifts in
-the affine chart x10 = 1: theta's last row is e10 (certified by
+module certifies, in exact arithmetic: the closed orbit formula, the
+fixed point and hyperplane at infinity, domination along rays to
+infinity, proper convexity (the hull stays in {x1 >= 0}) and extremality
+of sampled orbit points via exact LP.  Each claim check returns (ok,
+witnesses); the per-point extreme_point_certificate returns its verdict
+and that point's entry in the claim's witnesses.  orbit_lift() evaluates
+the lifted formula through its compiled heis.EntryPlan, the path the
+entry tables take, so it serves rational elements, symbolic ones and
+rays to infinity alike.  Orbit points are compared as lifts in the
+affine chart x10 = 1: theta's last row is e10 (certified by
 fixed_structure_certificate), so every image of a lift ends in 1 as well,
 and for such vectors projective equality is vector equality.
 """
@@ -24,8 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .heis import ENTRY_RING, EntryPlan, HeisElement, get_representation, \
-    heis_mul
+from .heis import ENTRY_RING, EntryPlan, HeisElement, get_representation
 from .lp import convex_combination_weights
 from .poly import Poly, PolyRing
 from .rationals import format_rational, parse_rational, to_fraction
@@ -89,16 +89,6 @@ def fixed_structure_certificate() -> tuple[bool, dict]:
                                                 for j in range(n - 1))
     return col_ok and row_ok, {"first_column_is_e1": col_ok,
                                "last_row_is_e10": row_ok}
-
-
-def equivariance_certificate(g: HeisElement, h: HeisElement
-                             ) -> tuple[bool, dict]:
-    """Acting on the orbit lift of h by the matrix of g gives the orbit
-    lift of g*h, compared as vectors in the affine chart x10 = 1."""
-    theta = get_representation("theta")
-    product = heis_mul(g, h)
-    ok = theta(g).apply(orbit_lift(h)) == orbit_lift(product)
-    return ok, {"target_parameter": list(product.components())}
 
 
 # -- limit point at infinity -------------------------------------------------
@@ -185,13 +175,10 @@ class OrbitSample:
             raise ValueError("orbit sample parameters must be distinct")
         self.parameters = parameters
 
-    def lifts(self) -> list[list[Fraction]]:
-        """The orbit lifts of the parameters, computed once per sample;
-        each call returns fresh lists."""
-        return [list(lift) for lift in self._lifts]
-
     @cached_property
-    def _lifts(self) -> tuple[tuple[Fraction, ...], ...]:
+    def lifts(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The orbit lifts of the parameters, computed once per sample and
+        immutable, so every reader shares them."""
         return tuple(tuple(orbit_lift(HeisElement.of(*p)))
                      for p in self.parameters)
 
@@ -258,16 +245,16 @@ def extreme_point_certificate(sample: OrbitSample, index: int
     """Is sample point `index` outside the convex hull of the others?
 
     Decided by exact LP: True comes with a verified separating
-    functional, False with the convex-combination weights.
+    functional, False with {"weights": w}, the convex-combination
+    weights: the point's entry in the claim's separating_functionals.
     """
     if len(sample) < 11:
         raise ValueError("extreme point check needs at least 11 points")
     if not 0 <= index < len(sample):
         raise IndexError("sample index out of range")
-    lifts = sample.lifts()
-    target = lifts[index]
+    lifts = sample.lifts
     others = [lift for i, lift in enumerate(lifts) if i != index]
-    result = convex_combination_weights(others, target)
+    result = convex_combination_weights(others, lifts[index])
     if result.feasible:
-        return False, {"convex_combination_weights": result.solution}
-    return True, {"separating_functional": result.farkas}
+        return False, {"weights": result.solution}
+    return True, result.farkas

@@ -74,10 +74,8 @@ def heis_mul(g: HeisElement, h: HeisElement) -> HeisElement:
     return HeisElement(g.a + h.a, g.b + h.b, g.c + h.c + g.a * h.b)
 
 
-GEN_A = HeisElement.of(1, 0, 0)
-GEN_B = HeisElement.of(0, 1, 0)
-GEN_C = HeisElement.of(0, 0, 1)
-GENERATORS = {"A": GEN_A, "B": GEN_B, "C": GEN_C}
+GENERATORS = {"A": HeisElement.of(1, 0, 0), "B": HeisElement.of(0, 1, 0),
+              "C": HeisElement.of(0, 0, 1)}
 
 
 def generator_power(g: HeisElement, n: Component) -> HeisElement:

@@ -40,7 +40,7 @@ from math import lcm, prod
 from typing import Sequence, Union
 
 from .poly import Poly
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 
 Entry = Union[int, Fraction, Poly]
 
@@ -175,14 +175,6 @@ class Matrix:
                        for row, di in zip(m, d)]), pivots
 
     # -- wire format ---------------------------------------------------------
-
-    def to_text(self) -> str:
-        """Row-per-line, tab-separated rational entries."""
-        lines = []
-        for row in self.entries:
-            cells = [format_rational(x) for x in row]
-            lines.append("\t".join(cells))
-        return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_text(text: str) -> "Matrix":

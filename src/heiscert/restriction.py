@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .heis import DATA_DIR, GEN_A, GEN_B, HeisElement, get_representation, \
+from .heis import DATA_DIR, GENERATORS, HeisElement, get_representation, \
     heis_mul, one_parameter_power, symbolic_pair
 from .linalg import Matrix, clear_denominators, integer_kernel
 from .poly import PolyRing
@@ -132,7 +132,7 @@ def intertwiner_dimension() -> int:
     theta = get_representation("theta")
     n = SUBSPACE_DIM
     rows = []
-    for gen in (GEN_A, GEN_B):
+    for gen in (GENERATORS["A"], GENERATORS["B"]):
         # One shared scale, since a scale per row breaks L X - X R = 0.
         cleared, _ = clear_denominators(
             induced_matrix(gen).entries + theta(gen).entries)

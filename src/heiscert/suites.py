@@ -185,8 +185,11 @@ def _equivariance_sample(stream: RandomStream, count: int) -> dict:
 
 
 def _equivariance(pairs: list[list[tuple]]):
-    symbolic_ok, _ = convexity.equivariance_certificate(*symbolic_pair())
     theta = get_representation("theta")
+    # Lifts compared as vectors in the affine chart x10 = 1.
+    g, h = symbolic_pair()
+    symbolic_ok = theta(g).apply(convexity.orbit_lift(h)) == \
+        convexity.orbit_lift(heis_mul(g, h))
     plan = convexity.ORBIT_LIFT_PLAN
     failures = []
     for raw_g, raw_h in pairs:
@@ -248,17 +251,11 @@ def _extreme_points_inputs() -> dict:
 
 def _extreme_points(parameters: list[tuple]):
     sample = convexity.OrbitSample(parameters)
-    verdicts = []
-    functionals = []
-    for i in range(len(sample)):
-        extreme, witnesses = convexity.extreme_point_certificate(sample, i)
-        verdicts.append(extreme)
-        functionals.append(
-            witnesses["separating_functional"] if extreme
-            else {"weights": witnesses["convex_combination_weights"]})
-    ok = all(verdicts)
+    results = [convexity.extreme_point_certificate(sample, i)
+               for i in range(len(sample))]
+    ok = all(extreme for extreme, _ in results)
     return ok, {"points": len(sample), "all_extreme": ok,
-                "separating_functionals": functionals}
+                "separating_functionals": [entry for _, entry in results]}
 
 
 # -- restrict / growth --------------------------------------------------------
@@ -295,12 +292,8 @@ def _random_pd_form(stream: RandomStream) -> list[list[Fraction]]:
 
 
 def _pd_preserved(cases: list[dict]):
-    failures = []
-    for case in cases:
-        g = HeisElement.of(*case["g"])
-        ok, _ = pd_preservation_certificate(g, SymForm(case["form"]))
-        if not ok:
-            failures.append(case)
+    failures = [case for case in cases if not pd_preservation_certificate(
+        HeisElement.of(*case["g"]), SymForm(case["form"]))]
     return not failures, {"checked": len(cases),
                           "failures": failures}
 

@@ -231,7 +231,7 @@ def test_pd_sampler_matches_fraction_reference(seed):
 
 
 def test_sym_square_match():
-    ok, witnesses = sym_square_match_certificate()
+    ok, witnesses = sym_square_match_certificate(RHO6)
     assert ok
     assert witnesses["monomial_ordering"] == \
         ["x1x1", "x1x2", "x2x2", "x1x3", "x2x3", "x3x3"]
@@ -248,16 +248,17 @@ def test_mutated_table_fails_sym_square_match():
     assert [2, 5] in witnesses["mismatched_entries"]
 
 
+def _image(g, form) -> SymForm:
+    coords, scale = act_on_form(g, form)
+    return form_from_coordinates([Fraction(x, scale) for x in coords])
+
+
 def test_pd_preservation():
-    ok, _ = pd_preservation_certificate(HeisElement.identity(),
-                                        SymForm.identity())
-    assert ok
-    ok, witnesses = pd_preservation_certificate(HeisElement.of(1, 1, 1),
-                                                SymForm.identity())
-    assert ok
-    image = form_from_coordinates([Fraction(x, witnesses["scale"])
-                                   for x in witnesses["image"]])
-    assert image.is_positive_definite()
+    assert pd_preservation_certificate(HeisElement.identity(),
+                                       SymForm.identity())
+    g = HeisElement.of(1, 1, 1)
+    assert pd_preservation_certificate(g, SymForm.identity())
+    assert _image(g, SymForm.identity()).is_positive_definite()
 
 
 def test_pd_preservation_spot_checks():
@@ -269,24 +270,22 @@ def test_pd_preservation_spot_checks():
             continue
         form = SymForm((r.transpose() * r).entries)
         g = HeisElement.of(*stream.next_triple())
-        ok, _ = pd_preservation_certificate(g, form)
-        assert ok
+        assert pd_preservation_certificate(g, form)
 
 
 def test_pd_preservation_fails_against_transposed_congruence(monkeypatch):
     """With the 3x3 rows that congruence_image clears transposed, g^T S g
     differs from the table's g S g^T, so the cross-multiplied comparison
-    must fail."""
+    must fail: the table's image is still positive definite."""
     original = cone.heis_3x3
 
     def transposed(g):
         return [list(column) for column in zip(*original(g))]
 
     monkeypatch.setattr(cone, "heis_3x3", transposed)
-    ok, witnesses = pd_preservation_certificate(HeisElement.of(1, 1, 1),
-                                                SymForm.identity())
-    assert not ok
-    assert witnesses["matches_congruence"] is False
+    g = HeisElement.of(1, 1, 1)
+    assert not pd_preservation_certificate(g, SymForm.identity())
+    assert _image(g, SymForm.identity()).is_positive_definite()
 
 
 def test_pd_preservation_rejects_indefinite_input():

@@ -6,9 +6,8 @@ import pytest
 
 from heiscert import convexity, suites
 from heiscert.convexity import (DEFAULT_RAY_TS, DEFAULT_RAYS, ORBIT_FORMULA,
-                                OrbitSample,
-                                equivariance_certificate,
-                                extreme_point_certificate, lift_origin,
+                                OrbitSample, extreme_point_certificate,
+                                lift_origin,
                                 limit_point_certificate, nonneg_certificate,
                                 orbit_lift,
                                 proper_convexity_certificate, sample_orbit)
@@ -45,22 +44,24 @@ def test_orbit_equals_matrix_column_symbolic():
     assert column == list(ORBIT_FORMULA) + [ENTRY_RING.one()]
 
 
+def equivariant(g, h, law=heis_mul) -> bool:
+    """Fraction reference: theta(g) maps the orbit lift of h to that of
+    g*h under the given group law."""
+    return THETA(g).apply(orbit_lift(h)) == orbit_lift(law(g, h))
+
+
 def test_equivariance_identity_element():
-    ok, _ = equivariance_certificate(HeisElement.identity(),
-                                     HeisElement.of(2, 3, 4))
-    assert ok
+    assert equivariant(HeisElement.identity(), HeisElement.of(2, 3, 4))
 
 
 def test_equivariance_generator_pair():
-    ok, witnesses = equivariance_certificate(HeisElement.of(1, 0, 0),
-                                             HeisElement.of(0, 1, 0))
-    assert ok
-    assert witnesses["target_parameter"] == [1, 1, 1]
+    g, h = HeisElement.of(1, 0, 0), HeisElement.of(0, 1, 0)
+    assert heis_mul(g, h).components() == (1, 1, 1)
+    assert equivariant(g, h)
 
 
 def test_equivariance_symbolic():
-    ok, _ = equivariance_certificate(*symbolic_pair())
-    assert ok
+    assert equivariant(*symbolic_pair())
 
 
 def _law_without_ab(g, h):
@@ -79,16 +80,15 @@ def test_int_equivariance_agrees_with_certificate_per_pair(
         monkeypatch, seed, broken_law):
     """The claim's int loop (theta's int image times the orbit plan's int
     lift, cross-multiplied against the target's) lists exactly the pairs
-    that equivariance_certificate refuses, under the group law and under
+    that the Fraction reference refuses, under the group law and under
     one without its a*b' term."""
-    if broken_law:
-        monkeypatch.setattr(suites, "heis_mul", _law_without_ab)
-        monkeypatch.setattr(convexity, "heis_mul", _law_without_ab)
+    law = _law_without_ab if broken_law else heis_mul
+    monkeypatch.setattr(suites, "heis_mul", law)
     pairs = _equivariance_pairs(seed)
     _, witnesses = suites._equivariance(pairs)
     refused = [{"g": list(g), "h": list(h)} for g, h in pairs
-               if not equivariance_certificate(HeisElement.of(*g),
-                                               HeisElement.of(*h))[0]]
+               if not equivariant(HeisElement.of(*g), HeisElement.of(*h),
+                                  law)]
     assert witnesses["failures"] == refused
     assert bool(refused) == broken_law
 
@@ -97,14 +97,15 @@ def test_int_equivariance_agrees_with_certificate_per_pair(
 def test_int_equivariance_fails_pairs_that_meet_the_ab_term(monkeypatch,
                                                             seed):
     """With the target's group law missing a*b', the failures are exactly
-    the pairs with a_g * b_h != 0, and the claim fails although the
-    symbolic identity (on the true law) holds."""
+    the pairs with a_g * b_h != 0, and the symbolic identity, which reads
+    the same law, fails too."""
     monkeypatch.setattr(suites, "heis_mul", _law_without_ab)
     pairs = _equivariance_pairs(seed)
     ok, witnesses = suites._equivariance(pairs)
-    assert not ok and witnesses["symbolic_identity"]
-    assert witnesses["failures"] == [{"g": list(g), "h": list(h)}
-                                     for g, h in pairs if g[0] * h[1] != 0]
+    assert not ok and witnesses["symbolic_identity"] is False
+    failures = [{"g": list(g), "h": list(h)}
+                for g, h in pairs if g[0] * h[1] != 0]
+    assert failures and witnesses["failures"] == failures
 
 
 # -- limit point ---------------------------------------------------------------
@@ -157,7 +158,7 @@ def _frozen_sample(name: str) -> OrbitSample:
 
 def test_frozen_hull_sample_has_nonzero_determinant():
     sample = _frozen_sample("hull_sample.csv")
-    assert Matrix(sample.lifts()).det() != 0
+    assert Matrix(sample.lifts).det() != 0
 
 
 def test_repeated_point_matrix_is_singular():
@@ -167,7 +168,7 @@ def test_repeated_point_matrix_is_singular():
 
 def test_center_only_sample_is_degenerate():
     params = [(Fraction(0), Fraction(0), Fraction(k)) for k in range(1, 11)]
-    assert Matrix(OrbitSample(params).lifts()).det() == 0
+    assert Matrix(OrbitSample(params).lifts).det() == 0
 
 
 def test_lift_det_matches_fraction_lift_matrix():
@@ -183,7 +184,7 @@ def test_lift_det_matches_fraction_lift_matrix():
     for raw in [frozen, center, *drawn["fresh"]]:
         det = suites._lift_det(raw)
         assert type(det) is Fraction
-        assert det == Matrix(OrbitSample(raw).lifts()).det()
+        assert det == Matrix(OrbitSample(raw).lifts).det()
     assert suites._lift_det(center) == 0 != suites._lift_det(frozen)
     for bad in (frozen[:9], frozen[:9] + frozen[:1]):
         with pytest.raises(ValueError):
@@ -192,7 +193,7 @@ def test_lift_det_matches_fraction_lift_matrix():
 
 def test_fresh_seeded_samples_stay_nondegenerate():
     for seed in range(1, 21):
-        assert Matrix(sample_orbit(10, seed, "hull").lifts()).det() != 0
+        assert Matrix(sample_orbit(10, seed, "hull").lifts).det() != 0
 
 
 def test_hull_dimension_invariant_under_group_images():
@@ -204,7 +205,7 @@ def test_hull_dimension_invariant_under_group_images():
         params[index] = tuple(
             heis_mul(g, HeisElement.of(*params[index])).components())
         moved = OrbitSample(params)
-        assert Matrix(moved.lifts()).det() != 0
+        assert Matrix(moved.lifts).det() != 0
 
 
 # -- proper convexity ------------------------------------------------------------
@@ -234,9 +235,9 @@ def test_first_coordinate_nonnegative_numerically():
 def test_simplex_vertex_is_extreme():
     params = [(Fraction(k), Fraction(0), Fraction(0)) for k in range(11)]
     sample = OrbitSample(params)
-    ok, witnesses = extreme_point_certificate(sample, 0)
+    ok, functional = extreme_point_certificate(sample, 0)
     assert ok
-    assert "separating_functional" in witnesses
+    assert isinstance(functional, list) and len(functional) == 11
 
 
 def test_simplex_centroid_is_not_extreme():
@@ -257,6 +258,49 @@ def test_all_shipped_points_are_extreme():
         assert ok
 
 
+def _dot(y, lift) -> Fraction:
+    # A functional acts on the LP column (lift, 1): the lift's
+    # coordinates plus the weights' sum row.
+    return sum(a * b for a, b in zip(y, [*lift, 1]))
+
+
+def test_extreme_points_fail_body_lists_weights_for_an_inner_point(
+        monkeypatch):
+    """With the orbit lift of one shipped point replaced by the midpoint
+    of two others' lifts, hull.extreme_points fails; that point's entry
+    is {"weights": w}, a convex combination of the other lifts giving
+    it, and every other entry is a functional that separates its point
+    from the rest."""
+    parameters = suites._extreme_points_inputs()["parameters"]
+    inner = 5
+    inner_g = HeisElement.of(*parameters[inner])
+    ends = [orbit_lift(HeisElement.of(*p)) for p in parameters[:2]]
+    midpoint = [(x + y) / 2 for x, y in zip(*ends)]
+    monkeypatch.setattr(convexity, "orbit_lift",
+                        lambda g: midpoint if g == inner_g else orbit_lift(g))
+    lifts = OrbitSample(parameters).lifts
+    assert lifts[inner] == tuple(midpoint)
+
+    ok, witnesses = suites._extreme_points(parameters)
+    assert not ok and witnesses["all_extreme"] is False
+    entries = witnesses["separating_functionals"]
+    assert isinstance(entries, list) and len(entries) == len(parameters)
+    w = entries[inner]["weights"]
+    assert list(entries[inner]) == ["weights"]
+    others = [lift for i, lift in enumerate(lifts) if i != inner]
+    assert len(w) == len(others)
+    assert all(x >= 0 for x in w) and sum(w) == 1
+    assert [sum(wi * lift[k] for wi, lift in zip(w, others))
+            for k in range(len(midpoint))] == midpoint
+    for i, y in enumerate(entries):
+        if i == inner:
+            continue
+        assert isinstance(y, list)
+        assert _dot(y, lifts[i]) > 0
+        assert all(_dot(y, lift) <= 0
+                   for j, lift in enumerate(lifts) if j != i)
+
+
 def test_too_small_sample_rejected():
     with pytest.raises(ValueError):
         extreme_point_certificate(sample_orbit(10, 0, "hull"), 0)
@@ -264,17 +308,18 @@ def test_too_small_sample_rejected():
 
 # -- orbit sample plumbing ---------------------------------------------------------
 
-def test_lifts_are_computed_once_and_copied(monkeypatch):
+def test_lifts_are_computed_once_and_immutable(monkeypatch):
     sample = OrbitSample([(1, 2, 3), (0, -1, Fraction(1, 2))])
     calls = []
     monkeypatch.setattr(convexity, "orbit_lift",
                         lambda g: calls.append(g) or orbit_lift(g))
-    first = sample.lifts()
-    first[0][0] = Fraction(-7)
-    second = sample.lifts()
+    first = sample.lifts
+    with pytest.raises(TypeError):
+        first[0][0] = Fraction(-7)
+    assert sample.lifts is first
     assert len(calls) == 2
-    assert second == [orbit_lift(HeisElement.of(*p))
-                      for p in sample.parameters]
+    assert first == tuple(tuple(orbit_lift(HeisElement.of(*p)))
+                          for p in sample.parameters)
 
 
 def test_sample_csv_round_trip():

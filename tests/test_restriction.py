@@ -11,6 +11,7 @@ import pytest
 from heiscert import restriction
 from heiscert.heis import ENTRY_RING, HeisElement, get_representation, \
     heis_mul, one_parameter_power
+from heiscert.linalg import Matrix
 from heiscert.poly import PolyRing
 from heiscert.restriction import (derive_subspace_basis, growth_certificate,
                                   induced_matrix, intertwiner_dimension,
@@ -82,6 +83,11 @@ def test_conjugator_shape(rederive):
     # one scaled entry, otherwise a permutation matrix
     entries = sorted(abs(x) for row in t.entries for x in row if x != 0)
     assert entries == [1] * 9 + [2]
+
+
+def test_matrix_text_round_trip(rederive):
+    m = Matrix([[Fraction(1, 2), Fraction(-3)], [Fraction(0), Fraction(7, 5)]])
+    assert Matrix.from_text(rederive.to_text(m)) == m
 
 
 def test_induced_action_is_multiplicative():
