@@ -21,6 +21,7 @@ from typing import Sequence
 from .heis import ENTRY_RING, GENERATORS, HeisElement, Representation, \
     generator_power, get_representation
 from .linalg import Matrix, clear_denominators, integer_product
+from .poly import Poly
 from .rationals import to_fraction
 
 # Monomial basis ordering under which the shipped 6x6 table acts on form
@@ -120,11 +121,18 @@ def act_on_form(g: HeisElement, form: SymForm) -> tuple[list[int], int]:
     return [x for (x,) in image], d * s
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def heis_3x3(g: HeisElement) -> list[list]:
     """The rows of g's defining 3x3 unit upper-triangular matrix; its
-    entries are Poly when g's components are."""
-    zero = g.a * 0
-    one = zero + 1
+    entries are Poly when g's components are, and its 0 and 1 are then
+    those of g's ring."""
+    if isinstance(g.a, Poly):
+        zero = g.a * 0
+        one = zero + 1
+    else:
+        zero, one = _ZERO, _ONE
     return [[one, g.a, g.c], [zero, one, g.b], [zero, zero, one]]
 
 

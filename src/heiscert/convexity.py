@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .heis import ENTRY_RING, EntryPlan, HeisElement, get_representation
-from .lp import convex_combination_weights
+from .lp import Cleared, affine_column, solve_equality_feasibility
 from .poly import Poly, PolyRing
 from .rationals import format_rational, parse_rational, to_fraction
 from .sampler import RandomStream
@@ -182,6 +182,12 @@ class OrbitSample:
         return tuple(tuple(orbit_lift(HeisElement.of(*p)))
                      for p in self.parameters)
 
+    @cached_property
+    def columns(self) -> tuple[Cleared, ...]:
+        """Each lift's affine LP column, cleared once per sample for the
+        LPs of every extreme-point check."""
+        return tuple(affine_column(lift) for lift in self.lifts)
+
     def __len__(self):
         return len(self.parameters)
 
@@ -252,9 +258,9 @@ def extreme_point_certificate(sample: OrbitSample, index: int
         raise ValueError("extreme point check needs at least 11 points")
     if not 0 <= index < len(sample):
         raise IndexError("sample index out of range")
-    lifts = sample.lifts
-    others = [lift for i, lift in enumerate(lifts) if i != index]
-    result = convex_combination_weights(others, lifts[index])
+    columns = sample.columns
+    others = [column for i, column in enumerate(columns) if i != index]
+    result = solve_equality_feasibility([*others, columns[index]])
     if result.feasible:
         return False, {"weights": result.solution}
     return True, result.farkas

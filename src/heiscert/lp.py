@@ -1,16 +1,18 @@
 """Exact rational linear programming: Phase-I simplex with Bland's rule.
 
 Only feasibility of equality systems {Ax = b, x >= 0} is needed here (it
-decides convex-combination membership).  Each column of [A | b] is
-scaled once to integers by the lcm of its own denominators.  The simplex
-is the revised one (Dantzig and Orchard-Hays, MTAC 8, 1954): only the
-basis-inverse block and the rhs are pivoted, with the fraction-free step
-of linalg (Edmonds' integer-preserving pivoting), and a structural
-column is priced from them on demand.  The ratio test cross-multiplies
-ints.  Bland's smallest-index rule guarantees termination.  On an
-infeasible system the final multipliers give a Farkas functional y with
-y.b > 0 and y.A <= 0, which is verified in integer arithmetic before
-being returned so the caller gets a self-checking witness."""
+decides convex-combination membership).  The simplex reads the columns
+of [A | b] as ints, each column scaled to integers by the lcm of its own
+denominators (cleared()), so that a caller that poses many systems over
+the same columns clears each column once.  The simplex is the revised
+one (Dantzig and Orchard-Hays, MTAC 8, 1954): only the basis-inverse
+block and the rhs are pivoted, with the fraction-free step of linalg
+(Edmonds' integer-preserving pivoting), and a structural column is
+priced from them on demand.  The ratio test cross-multiplies ints.
+Bland's smallest-index rule guarantees termination.  On an infeasible
+system the final multipliers give a Farkas functional y with y.b > 0
+and y.A <= 0, which is verified in integer arithmetic before being
+returned so the caller gets a self-checking witness."""
 
 from __future__ import annotations
 
@@ -22,6 +24,10 @@ from typing import Optional, Sequence
 from .linalg import _integer_copy, eliminate
 from .rationals import to_fraction
 
+# A column of [A | b] as ints over one positive scale: (ints, scale)
+# stands for the rationals ints / scale.
+Cleared = tuple[Sequence[int], int]
+
 
 @dataclass
 class FeasibilityResult:
@@ -32,26 +38,47 @@ class FeasibilityResult:
     farkas: Optional[list[Fraction]]
 
 
-def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
-                               rhs: Sequence[Fraction]) -> FeasibilityResult:
-    """Decide whether Ax = b has a solution with x >= 0."""
-    m = len(matrix)
+def cleared(values: Sequence) -> Cleared:
+    """The rationals values as ints over the lcm of their denominators,
+    and that lcm; floats and bools are refused."""
+    (column,), (scale,) = _integer_copy([[to_fraction(x) for x in values]])
+    return column, scale
+
+
+def affine_column(point: Sequence) -> Cleared:
+    """The column (point, 1), cleared: a point is a convex combination of
+    others exactly when its affine column is a nonnegative combination of
+    theirs, the last row saying that the weights sum to 1.  A Farkas
+    functional of that system is a separating affine functional."""
+    return cleared([*point, 1])
+
+
+def solve_equality_feasibility(columns: Sequence[Cleared]
+                               ) -> FeasibilityResult:
+    """Decide whether Ax = b has a solution with x >= 0, for columns the
+    cleared columns of [A | b], b last.  The solution is in the units of
+    A and b, not of their ints."""
+    if any(type(x) is not int for ints, scale in columns
+           for x in (*ints, scale)):
+        raise TypeError("columns must be ints over int scales")
+    if any(scale <= 0 for _, scale in columns):
+        raise ValueError("column scales must be positive")
+    *structural, (rhs, rhs_scale) = columns
+    m = len(rhs)
     if m == 0:
         return FeasibilityResult(True, [], None)
-    n = len(matrix[0])
-    if any(len(row) != n for row in matrix) or len(rhs) != m:
+    n = len(structural)
+    if any(len(ints) != m for ints, _ in structural):
         raise ValueError("inconsistent system shape")
 
     # Column j of [A | b] is cleared by its own lcm c_j (c_b for b).  A
     # positive column scale flips no reduced cost and scales every ratio
     # of one ratio test alike, so Bland's rule picks the same bases.  A
     # row with b < 0 is negated so the artificial basis is feasible; the
-    # flips are remembered to recover multipliers for the original rows.
-    columns, scales = _integer_copy(
-        [[to_fraction(x) for x in column] for column in (*zip(*matrix), rhs)])
-    flipped = [v < 0 for v in columns[-1]]
-    signed = [[-x if flip else x for x, flip in zip(column, flipped)]
-              for column in columns]
+    # signs of the rows are kept instead of a negated copy of every
+    # column, so a column is read as given and signed only when it enters
+    # the basis, and they recover the multipliers of the original rows.
+    signs = [-1 if v < 0 else 1 for v in rhs]
 
     # Of the tableau [A' | I | b'] (A' the signed, cleared A) each row
     # keeps only its m artificial entries and its rhs.  Row m is the
@@ -61,9 +88,9 @@ def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
     # less d[m] on the artificials (1 at the start, p after each update
     # of the row), u[k] = cost[k] + d[m]; a structural entry is the dot
     # product of those multipliers with a column of A'.
-    tableau = [[int(i == k) for k in range(m)] + [b]
-               for i, b in enumerate(signed[-1])]
-    tableau.append([0] * m + [sum(signed[-1])])
+    tableau = [[int(i == k) for k in range(m)] + [abs(b)]
+               for i, b in enumerate(rhs)]
+    tableau.append([0] * m + [sum(map(abs, rhs))])
     basis = [n + i for i in range(m)]
 
     # Rows are scaled lazily (see linalg.eliminate): row i's exact row is
@@ -80,10 +107,11 @@ def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
         # Bland: entering column is the smallest index with positive
         # reduced cost (we are driving the artificial sum down to 0);
         # structural columns are priced only up to the first one.
-        prices = [x + d[m] for x in cost[:m]]
-        for entering, a in enumerate(signed[:n]):
+        prices = [(x + d[m]) * sign for x, sign in zip(cost, signs)]
+        for entering, (a, _) in enumerate(structural):
             reduced = sum(map(mul, prices, a))
             if reduced > 0:
+                a = list(map(mul, signs, a))
                 column = [sum(map(mul, row, a)) for row in tableau[:m]]
                 column.append(reduced)
                 break
@@ -128,16 +156,16 @@ def solve_equality_feasibility(matrix: Sequence[Sequence[Fraction]],
         solution = [Fraction(0)] * n
         for row, var in zip(tableau, basis):
             if var < n:
-                solution[var] = Fraction(scales[var] * row[m], scales[-1]
-                                         * sum(map(mul, row, signed[var])))
+                a, scale = structural[var]
+                solution[var] = Fraction(scale * row[m], rhs_scale * sum(
+                    map(mul, row, map(mul, signs, a))))
         return FeasibilityResult(True, solution, None)
 
     # Multipliers: at optimality, y_i = (reduced cost of artificial i) + 1,
     # read off the cost row through its divisor d[m]; after the sign
     # flips y certifies y.A <= 0 and y.b > 0 for the original system.
-    y = [Fraction(x + d[m], -d[m] if flip else d[m])
-         for x, flip in zip(cost, flipped)]
-    _verify_farkas(columns, y)
+    y = [Fraction(x + d[m], sign * d[m]) for x, sign in zip(cost, signs)]
+    _verify_farkas([ints for ints, _ in columns], y)
     return FeasibilityResult(False, None, y)
 
 
@@ -154,19 +182,3 @@ def _verify_farkas(columns, y) -> None:
         raise AssertionError("Farkas witness failed: y.b <= 0")
     if any(v > 0 for v in dots[:-1]):
         raise AssertionError("Farkas witness failed: y.A has a positive entry")
-
-
-def convex_combination_weights(points: Sequence[Sequence[Fraction]],
-                               target: Sequence[Fraction]) -> FeasibilityResult:
-    """Is target a convex combination of the given points?
-
-    Solves sum_j w_j * points[j] = target, sum_j w_j = 1, w >= 0.  The
-    returned solution holds the weights; the Farkas functional, when
-    infeasible, is a separating affine functional.
-    """
-    dim = len(target)
-    if any(len(p) != dim for p in points):
-        raise ValueError("point dimension mismatch")
-    matrix = [[p[i] for p in points] for i in range(dim)]
-    matrix.append([Fraction(1)] * len(points))
-    return solve_equality_feasibility(matrix, [*target, Fraction(1)])

@@ -10,6 +10,7 @@ and exact; there is no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Union
 
 from .rationals import parse_rational, to_fraction
@@ -81,14 +82,14 @@ class Poly:
 
     def __init__(self, ring: PolyRing, terms: Mapping[tuple, Fraction]):
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        self.terms = {e: c for e, c in terms.items() if c}
         self._hash = None
 
     # -- ring plumbing ---------------------------------------------------
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError(
                     f"ring mismatch: {self.ring} vs {other.ring}")
             return other
@@ -101,8 +102,10 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
+        get = out.get
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            a = get(e)
+            out[e] = c if a is None else a + c
         return Poly(self.ring, out)
 
     __radd__ = __add__
@@ -130,10 +133,13 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         out: dict = {}
+        get = out.get
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                a = get(e)
+                out[e] = c1 * c2 if a is None else a + c1 * c2
         for e in out:
             if max(e, default=0) > MAX_EXPONENT:
                 raise OverflowError(f"exponent out of range in {e}")
@@ -158,7 +164,8 @@ class Poly:
             other = self.ring.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return ((self.ring is other.ring or self.ring == other.ring)
+                and self.terms == other.terms)
 
     def __hash__(self):
         if self._hash is None:

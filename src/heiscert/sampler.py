@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from math import gcd
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 # Sampled rationals are p/q with |p| <= MAX_NUM and 1 <= q <= MAX_DEN.
 MAX_NUM = 12
 MAX_DEN = 5
+# Every value next_fraction can draw, FRACTIONS[p + MAX_NUM][q - 1] = p/q,
+# built once so that a draw reads its value instead of normalising it.
+FRACTIONS = tuple(tuple(Fraction(p, q) for q in range(1, MAX_DEN + 1))
+                  for p in range(-MAX_NUM, MAX_NUM + 1))
 
 
 def mix64(x: int) -> int:
@@ -60,9 +63,10 @@ class RandomStream:
         return lo + self.next_u64() % (hi - lo + 1)
 
     def next_fraction(self) -> Fraction:
-        num = self.next_int(-MAX_NUM, MAX_NUM)
-        den = self.next_int(1, MAX_DEN)
-        return Fraction(num, den)
+        """Fraction(next_int(-MAX_NUM, MAX_NUM), next_int(1, MAX_DEN)),
+        read from FRACTIONS."""
+        row = FRACTIONS[self.next_u64() % len(FRACTIONS)]
+        return row[self.next_u64() % MAX_DEN]
 
     def next_triple(self, nonzero: bool = False
                     ) -> tuple[Fraction, Fraction, Fraction]:
@@ -73,10 +77,8 @@ class RandomStream:
                 return triple
 
     def distinct_triples(self, count: int, nonzero: bool = False) -> list:
-        # The sampled values are 0 and +-p/q in lowest terms.  A count
-        # above the number of distinct triples would draw forever.
-        values = 1 + 2 * sum(gcd(p, q) == 1 for p in range(1, MAX_NUM + 1)
-                             for q in range(1, MAX_DEN + 1))
+        # A count above the number of distinct triples would draw forever.
+        values = len({x for row in FRACTIONS for x in row})
         available = values ** 3 - nonzero  # less the identity (0, 0, 0)
         if not 0 <= count <= available:
             raise ValueError(f"count {count} is outside [0, {available}]")

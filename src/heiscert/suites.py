@@ -381,10 +381,16 @@ def _cross_ratio(line_parameters: list[list[int]], mix_values: list[int],
     points = [[x * dq + t * y * dp for x, y in zip(p, q)] for t in mix_values]
     base = cross_ratio(*points)
     theta = get_representation("theta")
+    n = theta.dimension
+    # Every element's int rows in one stack, so the four points' nonzero
+    # entries are listed once; the products are read back n rows each.
+    stacked = integer_product(
+        [row for raw in elements
+         for row in theta.integer_image(HeisElement.of(*raw))[0]],
+        zip(*points))
     failures = []
-    for raw in elements:
-        rows, _ = theta.integer_image(HeisElement.of(*raw))
-        moved = zip(*integer_product(rows, zip(*points)))
+    for k, raw in enumerate(elements):
+        moved = zip(*stacked[k * n:(k + 1) * n])
         if cross_ratio(*moved) != base:
             failures.append({"g": list(raw)})
     return not failures, {"base_cross_ratio": base,

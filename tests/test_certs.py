@@ -13,7 +13,7 @@ from heiscert.certs import PASS, Certificate, _indented, canonical_json, \
 from heiscert.cone import SymForm, form_from_coordinates
 from heiscert.convexity import OrbitSample, limit_point_certificate
 from heiscert.linalg import Matrix
-from heiscert.lp import convex_combination_weights, solve_equality_feasibility
+from heiscert.lp import affine_column, cleared, solve_equality_feasibility
 from heiscert.metric import Halfspace, box, cross_ratio, \
     hilbert_log_argument
 from heiscert.poly import PolyRing
@@ -155,11 +155,11 @@ RATIONAL_ENTRY_POINTS = {
     "hilbert_log_argument": lambda v: hilbert_log_argument(
         UNIT_BOX, [v], [Fraction(1, 4)]),
     "solve_equality_feasibility": lambda v: solve_equality_feasibility(
-        [[v]], [1]),
+        [cleared([v]), cleared([1])]),
     "solve_equality_feasibility.rhs": lambda v: solve_equality_feasibility(
-        [[1]], [v]),
-    "convex_combination_weights": lambda v: convex_combination_weights(
-        [[v], [2]], [1]),
+        [cleared([1]), cleared([v])]),
+    "affine_column": lambda v: solve_equality_feasibility(
+        [affine_column([v]), affine_column([2]), affine_column([1])]),
     "OrbitSample": lambda v: OrbitSample([(v, 0, 0)]),
     "limit_point_certificate": lambda v: limit_point_certificate(
         t_values=(v, 10, 100)),

@@ -241,11 +241,12 @@ def test_simplex_vertex_is_extreme():
 
 
 def test_simplex_centroid_is_not_extreme():
-    from heiscert.lp import convex_combination_weights
+    from heiscert.lp import affine_column, solve_equality_feasibility
     vertices = [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)],
                 [Fraction(0), Fraction(1)]]
     centroid = [Fraction(1, 3), Fraction(1, 3)]
-    result = convex_combination_weights(vertices, centroid)
+    result = solve_equality_feasibility(
+        [affine_column(p) for p in (*vertices, centroid)])
     assert result.feasible
     assert result.solution == [Fraction(1, 3)] * 3
 

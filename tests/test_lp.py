@@ -8,12 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heiscert import lp
+from heiscert.convexity import OrbitSample, extreme_point_certificate
+from heiscert.heis import DATA_DIR
 from heiscert.linalg import _integer_copy
-from heiscert.lp import convex_combination_weights, solve_equality_feasibility
+from heiscert.lp import affine_column, cleared, solve_equality_feasibility
 
 
 def F(x):
     return Fraction(x)
+
+
+def solve(matrix, rhs):
+    """The simplex on the system given by the rows of A and by b, each
+    column of [A | b] cleared by its own lcm."""
+    return solve_equality_feasibility(
+        [cleared(column) for column in (*zip(*matrix), rhs)])
+
+
+def convex_combination_weights(points, target):
+    """Is target a convex combination of points: the simplex on their
+    affine columns, the weights summing to 1 in the last row."""
+    return solve_equality_feasibility(
+        [affine_column(p) for p in (*points, target)])
 
 
 def test_standard_simplex_vertex_is_extreme():
@@ -52,21 +68,19 @@ def test_infeasible_outside_hull():
 
 
 def test_zero_rhs_feasible():
-    result = solve_equality_feasibility([[F(1), F(-1)]], [F(0)])
+    result = solve([[F(1), F(-1)]], [F(0)])
     assert result.feasible
 
 
 def test_negative_rhs_handled_by_row_flip():
-    result = solve_equality_feasibility([[F(-1), F(0)], [F(0), F(1)]],
-                                        [F(-2), F(3)])
+    result = solve([[F(-1), F(0)], [F(0), F(1)]], [F(-2), F(3)])
     assert result.feasible
     x = result.solution
     assert -x[0] == -2 and x[1] == 3
 
 
 def test_inconsistent_system_produces_farkas():
-    result = solve_equality_feasibility([[F(1), F(1)], [F(1), F(1)]],
-                                        [F(1), F(2)])
+    result = solve([[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)])
     assert not result.feasible
     y = result.farkas
     assert y[0] + 2 * y[1] > 0  # y.b > 0
@@ -74,14 +88,14 @@ def test_inconsistent_system_produces_farkas():
 
 
 def test_string_rows_give_verified_farkas():
-    # "p/q" strings are converted once at entry; the Farkas check reads
-    # the converted, cleared int columns, not the caller's strings.
-    result = solve_equality_feasibility([["1"]], ["-1"])
+    # "p/q" strings are converted once, by cleared; the Farkas check
+    # reads the converted, cleared int columns, not the caller's strings.
+    result = solve([["1"]], ["-1"])
     assert not result.feasible
     y = result.farkas
     assert y[0] * -1 > 0 and y[0] * 1 <= 0
     lp._verify_farkas([[1], [-1]], y)
-    assert solve_equality_feasibility([["1/2"]], ["1"]).solution == [F(2)]
+    assert solve([["1/2"]], ["1"]).solution == [F(2)]
 
 
 entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -109,7 +123,7 @@ def systems(draw):
 @given(systems())
 def test_verdicts_carry_checked_witnesses(system):
     matrix, rhs = system
-    result = solve_equality_feasibility(matrix, rhs)
+    result = solve(matrix, rhs)
     if result.feasible:
         x = result.solution
         assert all(v >= 0 for v in x)
@@ -204,9 +218,64 @@ def test_pivot_path_matches_fraction_tableau(system):
     solution and the Farkas vector come out exactly equal, not just
     equally valid."""
     matrix, rhs = system
-    result = solve_equality_feasibility(matrix, rhs)
+    result = solve(matrix, rhs)
     assert (result.feasible, result.solution, result.farkas) == \
         _fraction_phase_one(matrix, rhs)
+
+
+def _hull_reference(sample, index):
+    """The Fraction-tableau verdict on point index of sample against the
+    others: A's columns the other lifts, a last row of ones (the weights
+    sum to 1), b the point's lift and a 1."""
+    lifts = sample.lifts
+    others = [lift for i, lift in enumerate(lifts) if i != index]
+    matrix = [[lift[k] for lift in others] for k in range(len(lifts[index]))]
+    matrix.append([F(1)] * len(others))
+    return _fraction_phase_one(matrix, [*lifts[index], F(1)])
+
+
+def _agrees_with_reference(sample, index):
+    extreme, entry = extreme_point_certificate(sample, index)
+    feasible, solution, farkas = _hull_reference(sample, index)
+    return (extreme, entry) == ((False, {"weights": solution}) if feasible
+                                else (True, farkas))
+
+
+def test_hull_lp_on_shipped_sample_matches_fraction_tableau():
+    """The hull LPs read each lift's column as cleared once per sample,
+    and still give exactly the reference's Farkas functionals."""
+    sample = OrbitSample.from_csv(
+        (DATA_DIR / "extreme_sample.csv").read_text())
+    assert len(sample) == 20
+    assert all(_agrees_with_reference(sample, i) for i in range(20))
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(small, small, small), min_size=11, max_size=13,
+                unique=True), st.data())
+def test_hull_lp_on_drawn_samples_matches_fraction_tableau(parameters, data):
+    sample = OrbitSample(parameters)
+    index = data.draw(st.integers(0, len(sample) - 1))
+    assert _agrees_with_reference(sample, index)
+
+
+@pytest.mark.parametrize("columns", [
+    [([Fraction(1, 2)], 1), ([1], 1)],
+    [([1], 1), ([0.5], 1)],
+    [([True], 1), ([1], 1)],
+    [([1], 2.0), ([1], 1)],
+], ids=["fraction", "float", "bool", "float-scale"])
+def test_simplex_refuses_columns_that_are_not_ints(columns):
+    with pytest.raises(TypeError):
+        solve_equality_feasibility(columns)
+
+
+def test_simplex_refuses_a_nonpositive_scale():
+    with pytest.raises(ValueError):
+        solve_equality_feasibility([([1], 0), ([1], 1)])
 
 
 def test_artificial_column_reenters():
@@ -218,7 +287,7 @@ def test_artificial_column_reenters():
     entered = []
     expected = _fraction_phase_one(matrix, rhs, entered)
     assert any(j >= len(matrix[0]) for j in entered)
-    result = solve_equality_feasibility(matrix, rhs)
+    result = solve(matrix, rhs)
     assert (result.feasible, result.solution, result.farkas) == expected
 
 

@@ -201,6 +201,39 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
+def _reference_sum(*term_maps) -> dict:
+    out: dict = {}
+    for terms in term_maps:
+        for e, c in terms.items():
+            out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _reference_product(left: dict, right: dict) -> dict:
+    return _reference_sum(*({tuple(x + y for x, y in zip(e1, e2)): c1 * c2}
+                            for e1, c1 in left.items()
+                            for e2, c2 in right.items()))
+
+
+@settings(max_examples=150)
+@given(polys(), polys(), st.booleans())
+def test_sum_and_product_match_a_fraction_dict_reference(p, q, cancel):
+    """+ and * against plain dicts of Fraction, with terms that cancel
+    down to the zero polynomial; every stored coefficient stays a nonzero
+    Fraction, since certificates write coefficients as "p/q" text."""
+    if cancel:
+        q = Poly(RING, {**q.terms, **{e: -c for e, c in p.terms.items()}})
+    cases = [(p + q, _reference_sum(p.terms, q.terms)),
+             (p * q, _reference_product(p.terms, q.terms)),
+             (p * q + (-p) * q, {}),
+             (p + (-p), {})]
+    for got, want in cases:
+        assert got.terms == want
+        assert all(type(c) is Fraction and c != 0
+                   for c in got.terms.values())
+    assert (p * q + (-p) * q).is_zero() and p + (-p) == RING.zero()
+
+
 @settings(max_examples=80)
 @given(polys(), polys(), assignments)
 def test_eval_is_ring_homomorphism(p, q, point):

@@ -51,6 +51,24 @@ def test_fraction_bounds():
         assert f.denominator <= 5
 
 
+@pytest.mark.parametrize("seed", [0, 11, 12345, MASK64])
+def test_next_fraction_equals_two_next_int_draws(seed, monkeypatch):
+    """Each draw is Fraction(next_int(-12, 12), next_int(1, 5)) of a twin
+    stream, and takes exactly two next_u64 calls."""
+    stream, twin = RandomStream(seed), RandomStream(seed)
+    original = RandomStream.next_u64
+    calls = []
+    monkeypatch.setattr(RandomStream, "next_u64",
+                        lambda self: calls.append(self) or original(self))
+    draws = 3000
+    for _ in range(draws):
+        f = stream.next_fraction()
+        assert type(f) is Fraction
+        assert f == Fraction(twin.next_int(-MAX_NUM, MAX_NUM),
+                             twin.next_int(1, MAX_DEN))
+    assert sum(s is stream for s in calls) == 2 * draws
+
+
 def test_nonzero_triples():
     stream = RandomStream(13)
     for _ in range(100):
