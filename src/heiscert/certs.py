@@ -6,8 +6,8 @@ recompute it from scratch.  Serialization is canonical JSON - sorted
 keys, fixed separators, rationals as "p/q" strings - so identical runs
 produce byte-identical files and any edit is detectable through the
 inputs digest.  jsonable dispatches on exact types and refuses unknown
-ones; to_json joins each container's text once, giving the bytes of
-json.dumps(sort_keys=True, indent=2).
+ones, and any dict key that is not a str; to_json joins each container's
+text once, giving the bytes of json.dumps(sort_keys=True, indent=2).
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ FAIL = "FAIL"
 def jsonable(value: Any) -> Any:
     """Recursively convert exact values into JSON-safe primitives.  A
     Poly is written as str(p); any other type outside the JSON ones and
-    Fraction, floats included, raises TypeError."""
+    Fraction, floats included, raises TypeError, and so does a dict key
+    that is not a str (json.dumps would write True as "true", str() as
+    "True")."""
     kind = type(value)
     if kind is Fraction:
         n, d = value.numerator, value.denominator
@@ -38,7 +40,10 @@ def jsonable(value: Any) -> Any:
     if kind is list or kind is tuple:
         return [jsonable(v) for v in value]
     if kind is dict:
-        return {str(k): jsonable(v) for k, v in value.items()}
+        if not all(type(k) is str for k in value):
+            raise TypeError("cannot write a key that is not a str into a "
+                            "certificate")
+        return {k: jsonable(v) for k, v in value.items()}
     if kind is Poly:
         return str(value)
     raise TypeError(f"cannot write a {kind.__name__} into a certificate")

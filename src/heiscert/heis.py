@@ -15,7 +15,8 @@ built, and the orbit formula has its own.  A plan lists the distinct
 monomials, the largest exponent of each of a, b, c, and every term's
 coefficient numerator over one common coefficient denominator.  At a
 rational element it runs in plain integers: one power table per
-component, one int product per monomial, one int sum per entry, and a
+component (built in one pass, with no denominator powers for an integer
+component), one int product per monomial, one int sum per entry, and a
 single denominator d for them all, so Representation.integer_image hands
 out the matrix as int rows over d, and the rational matrix builds one
 Fraction per nonzero entry from them.  At a symbolic element each
@@ -118,17 +119,18 @@ class EntryPlan:
         to R / d.  With x = xn / xd for each component, a^i b^j c^k is
         an^i ad^(I-i) bn^j bd^(J-j) cn^k cd^(K-k) over ad^I bd^J cd^K,
         so d is L ad^I bd^J cd^K, each monomial is one product from a
-        power table per component, and each value adds up its terms."""
+        power table per component (an integer component's table is its
+        powers alone), and each value adds up its terms."""
         d = self.denominator
         tables = []
-        for x, top in zip(g.components(), self.max_exponents):
+        for x, top in zip((g.a, g.b, g.c), self.max_exponents):
             num, den = x.numerator, x.denominator
-            ups, downs = [1], [1]
-            for _ in range(top):
-                ups.append(ups[-1] * num)
-                downs.append(downs[-1] * den)
-            tables.append([u * v for u, v in zip(ups, reversed(downs))])
-            d *= downs[-1]
+            if den == 1:
+                tables.append([num ** i for i in range(top + 1)])
+            else:
+                tables.append([num ** i * den ** (top - i)
+                               for i in range(top + 1)])
+                d *= den ** top
         pa, pb, pc = tables
         monomials = [pa[i] * pb[j] * pc[k] for i, j, k in self.monomials]
         values = [0] * len(self.polys)

@@ -27,7 +27,9 @@ it works with dN = R - dI and never forms a full power of it: the
 echelon rows of N^(k-1) times N span the rows of N^k, so each rank is
 one elimination pass over an int product with as many rows as the
 previous rank, over N's nonzero pairs listed once.  integer_product()
-multiplies int rows by int rows for every other caller.
+multiplies int rows by int rows for every other caller, one dot product
+per entry: its operands are small and mostly nonzero, so it lists no
+pairs.
 integer_kernel() reads an int null-space basis off one Gauss-Jordan pass
 over a presolved copy: the columns that singleton rows force to zero,
 round after round, are dropped first.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from typing import Sequence, Union
 
 from .poly import Poly
@@ -294,12 +297,13 @@ def _nonzero_pairs(rows) -> list[list[tuple]]:
 
 
 def _gustavson(left, nonzero, width: int) -> list[list]:
-    """The one product kernel (Gustavson, ACM TOMS 4(3), 1978): row i
-    of the result adds x * y into column j for each nonzero
-    x = left[i][k] and each (j, y) in nonzero[k], the nonzero pairs of
-    the right operand's row k, k increasing as in the textbook sum.  An
-    entry that no nonzero pair reaches is left None, for the caller to
-    fill with its zero."""
+    """The one sparse product kernel (Gustavson, ACM TOMS 4(3), 1978),
+    behind Matrix.__mul__ and integer_nilpotent_ranks: row i of the
+    result adds x * y into column j for each nonzero x = left[i][k] and
+    each (j, y) in nonzero[k], the nonzero pairs of the right operand's
+    row k, k increasing as in the textbook sum.  An entry that no
+    nonzero pair reaches is left None, for the caller to fill with its
+    zero."""
     sums = []
     for row in left:
         acc = [None] * width
@@ -313,11 +317,18 @@ def _gustavson(left, nonzero, width: int) -> list[list]:
 
 
 def integer_product(left, right) -> list[list[int]]:
-    """_gustavson on int rows, right any iterable of them (a zip of
-    columns too), each unreached entry an int 0."""
-    right = list(right)
-    return [[a or 0 for a in acc] for acc in
-            _gustavson(left, _nonzero_pairs(right), len(right[0]))]
+    """The product of the int rows left and right, each any iterable of
+    rows (a zip of columns too), as one dot product per entry: its
+    operands are small and mostly nonzero, so listing nonzero pairs as
+    _gustavson does would cost more than it skips.  ValueError if the
+    left rows' width is not right's row count."""
+    columns = list(zip(*right))
+    left = list(left)
+    if len(left[0]) != len(columns[0]):
+        raise ValueError(f"cannot multiply rows of width {len(left[0])} "
+                         f"by {len(columns[0])} rows")
+    return [[sum(map(mul, row, column)) for column in columns]
+            for row in left]
 
 
 def integer_nilpotent_ranks(rows: list[list[int]], d: int) -> list[int]:

@@ -4,7 +4,9 @@ Counter-based: draw i of a stream with 64-bit key k is mix64(k + i*GAMMA),
 so a stream is a pure function of (key, index) and two runs with the same
 seed are bit-identical on every platform.  Streams split by hashing the
 parent key with a label, which keeps concurrent consumers independent of
-scheduling order.
+scheduling order.  Every rational a draw can return is read from one
+table built at import, and so is the count of distinct triples that
+bounds distinct_triples.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ MAX_DEN = 5
 # built once so that a draw reads its value instead of normalising it.
 FRACTIONS = tuple(tuple(Fraction(p, q) for q in range(1, MAX_DEN + 1))
                   for p in range(-MAX_NUM, MAX_NUM + 1))
+# Distinct triples next_triple draws, 85**3: a value of FRACTIONS
+# counts once, at the q which is its denominator.
+DISTINCT_TRIPLES = sum(x.denominator == q for row in FRACTIONS
+                       for q, x in enumerate(row, 1)) ** 3
 
 
 def mix64(x: int) -> int:
@@ -78,8 +84,7 @@ class RandomStream:
 
     def distinct_triples(self, count: int, nonzero: bool = False) -> list:
         # A count above the number of distinct triples would draw forever.
-        values = len({x for row in FRACTIONS for x in row})
-        available = values ** 3 - nonzero  # less the identity (0, 0, 0)
+        available = DISTINCT_TRIPLES - nonzero  # less the identity (0, 0, 0)
         if not 0 <= count <= available:
             raise ValueError(f"count {count} is outside [0, {available}]")
         out: list = []

@@ -333,12 +333,14 @@ def _hilbert_axioms_sample(stream: RandomStream, count: int) -> dict:
     instances = []
     for _ in range(count):
         dim = stream.next_int(1, 3)
-        lows = [Fraction(stream.next_int(-5, -1)) for _ in range(dim)]
-        highs = [Fraction(stream.next_int(1, 5)) for _ in range(dim)]
+        lows = [stream.next_int(-5, -1) for _ in range(dim)]
+        highs = [stream.next_int(1, 5) for _ in range(dim)]
         def interior():
-            return [lo + Fraction(stream.next_int(1, 9), 10) * (hi - lo)
+            # lo + k/10 (hi - lo), as one Fraction over 10.
+            return [Fraction(10 * lo + stream.next_int(1, 9) * (hi - lo), 10)
                     for lo, hi in zip(lows, highs)]
-        instances.append({"lows": lows, "highs": highs,
+        instances.append({"lows": [Fraction(lo) for lo in lows],
+                          "highs": [Fraction(hi) for hi in highs],
                           "x": interior(), "y": interior(), "z": interior()})
     return {"instances": instances}
 

@@ -18,7 +18,8 @@ from heiscert.metric import Halfspace, box, cross_ratio, \
     hilbert_log_argument
 from heiscert.poly import PolyRing
 from heiscert.rationals import format_rational
-from heiscert.suites import CLAIMS, RunConfig, run_suite
+from heiscert.suites import CLAIMS, CLAIMS_BY_ID, DEFAULT_SAMPLE_SIZES, \
+    RunConfig, run_suite
 
 # SHA-256 of each seed-0 certificate's comparable() body, by claim; a change
 # that alters any certificate byte (timestamps aside) moves that claim's pin.
@@ -71,6 +72,24 @@ SEED0_CERTIFICATE_SHA256 = {
         "a1cb6c5e5ed8dd8f8cb7ce8534c49bc4e3d287c024aaa7300a6660c53a658f12",
 }
 
+# The same hash for the six sampled claims at seed 23: their draws depend
+# on the seed, so a change to the sampling code that keeps seed 0 but
+# moves another seed's draws moves these.
+SEED23_SAMPLED_CERTIFICATE_SHA256 = {
+    "cone.pd_preserved":
+        "2821357363e936fd3aeac8b90d3d47c8b0e28ea0c5d6d0b3ce3be7eaf3b3f260",
+    "hilbert.cross_ratio_invariance":
+        "6fb04c6b61acca9f3d8f1665b12bf4de78458d70c480a771600affb78c8cfbd5",
+    "hilbert.metric_axioms":
+        "f837499b4f50162e713e639806449d5fb157cf8cb0b3b15a8ca046258781d1af",
+    "hull.dimension":
+        "99ffceaa5b002a47b332cac49c7385b2f78ca6ee48a8a1a034537d24741c07a7",
+    "jordan.unique_odd_largest":
+        "0e1387ebe47b78f0c1b665e17cd8e4f1a941b9a979e772b20e38af2674bdfcf3",
+    "orbit.equivariance":
+        "0ec4b45bbfad927309f2aee696ff3688a8668fbc4a40a785665be45175250947",
+}
+
 
 def test_fractions_serialize_as_strings():
     assert jsonable(Fraction(3, 2)) == "3/2"
@@ -96,6 +115,15 @@ def test_jsonable_refuses_unknown_types(value):
     # from run to run.
     with pytest.raises(TypeError):
         jsonable({"x": [value]})
+
+
+@pytest.mark.parametrize("key", [0.5, True, 1, (1, 2), None],
+                         ids=["float", "bool", "int", "tuple", "none"])
+def test_jsonable_refuses_non_str_keys(key):
+    # str() would write a float key as "0.5", True as "True" where
+    # json.dumps writes "true", and a tuple as "(1, 2)".
+    with pytest.raises(TypeError, match="key"):
+        jsonable({"x": {key: 1}})
 
 
 def test_jsonable_writes_poly_as_text():
@@ -212,14 +240,27 @@ def test_missing_fields_rejected():
         Certificate.from_dict({"claim": "x", "verdict": "PASS"})
 
 
+def _pin(certificate_json: str) -> str:
+    """SHA-256 of a written certificate's comparable() body."""
+    body = Certificate.from_dict(json.loads(certificate_json)).comparable()
+    encoded = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode()).hexdigest()
+
+
+def _moved(pins: dict, expected: dict) -> list:
+    return sorted(claim for claim in pins.keys() | expected
+                  if pins.get(claim) != expected.get(claim))
+
+
 def test_seed0_certificates_are_pinned(seed0_run):
     report = json.loads((seed0_run / "report.json").read_text())
-    pins = {}
-    for row in report["claims"]:
-        body = Certificate.from_dict(
-            json.loads((seed0_run / row["file"]).read_text())).comparable()
-        encoded = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        pins[row["claim"]] = hashlib.sha256(encoded.encode()).hexdigest()
-    moved = sorted(claim for claim in pins.keys() | SEED0_CERTIFICATE_SHA256
-                   if pins.get(claim) != SEED0_CERTIFICATE_SHA256.get(claim))
-    assert moved == []
+    pins = {row["claim"]: _pin((seed0_run / row["file"]).read_text())
+            for row in report["claims"]}
+    assert _moved(pins, SEED0_CERTIFICATE_SHA256) == []
+
+
+def test_seed23_sampled_certificates_are_pinned():
+    config = RunConfig(seed=23)
+    pins = {claim_id: _pin(CLAIMS_BY_ID[claim_id].run(config).to_json())
+            for claim_id in DEFAULT_SAMPLE_SIZES}
+    assert _moved(pins, SEED23_SAMPLED_CERTIFICATE_SHA256) == []

@@ -734,6 +734,18 @@ def test_integer_product_matches_matrix_product(operands, as_zip):
     assert all(type(x) is int for row in product for x in row)
 
 
+@pytest.mark.parametrize("left, right", [
+    ([[1, 2, 3]], [[1], [2]]), ([[1, 2]], [[1], [2], [3]])],
+    ids=["left-wider", "right-taller"])
+def test_integer_product_refuses_a_shape_mismatch(left, right):
+    """A width that is not the right operand's row count raises, as the
+    Matrix product does, instead of dropping the unmatched entries."""
+    with pytest.raises(ValueError):
+        Matrix(left) * Matrix(right)
+    with pytest.raises(ValueError):
+        integer_product(left, right)
+
+
 def test_symbolic_basis_image_multiplies_only_nonzero_pairs(monkeypatch):
     """rho14 at the symbolic element times the 14x10 subspace basis makes
     one Poly product per (nonzero, nonzero) pair plus the two that build
