@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -89,15 +88,18 @@ def _sha256(converted: Any) -> str:
     return hashlib.sha256(canonical_json(converted).encode()).hexdigest()
 
 
-@dataclass
 class Certificate:
-    claim: str
-    verdict: str
-    witnesses: dict
-    inputs: dict = field(default_factory=dict)
-    seed: str = ""
-    anchor: str = ""
-    timestamp: str = ""
+    def __init__(self, claim: str, verdict: str, witnesses: dict,
+                 inputs: dict = None, seed: str = "", anchor: str = "",
+                 timestamp: str = ""):
+        self.claim = claim
+        self.verdict = verdict
+        self.witnesses = witnesses
+        # Each certificate without inputs gets its own empty dict.
+        self.inputs = {} if inputs is None else inputs
+        self.seed = seed
+        self.anchor = anchor
+        self.timestamp = timestamp
 
     def to_dict(self) -> dict:
         inputs = jsonable(self.inputs)

@@ -19,8 +19,6 @@ and for such vectors projective equality is vector equality.
 
 from __future__ import annotations
 
-import csv
-import io
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -191,23 +189,19 @@ class OrbitSample:
     def __len__(self):
         return len(self.parameters)
 
+    # A rational cell never needs quoting, so plain commas give the CSV.
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["a", "b", "c"])
-        for a, b, c in self.parameters:
-            writer.writerow([format_rational(a), format_rational(b),
-                             format_rational(c)])
-        return buf.getvalue()
+        lines = ["a,b,c", *(",".join(map(format_rational, p))
+                            for p in self.parameters)]
+        return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_csv(text: str) -> "OrbitSample":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if header != ["a", "b", "c"]:
+        header, *rows = text.splitlines() or [""]
+        if header != "a,b,c":
             raise ValueError("orbit sample CSV must have header a,b,c")
-        params = [tuple(parse_rational(cell) for cell in row)
-                  for row in reader if row]
+        params = [tuple(parse_rational(cell) for cell in row.split(","))
+                  for row in rows if row]
         return OrbitSample(params)
 
 

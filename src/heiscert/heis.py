@@ -28,11 +28,10 @@ six-variable ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .linalg import Matrix
 from .poly import Poly, PolyRing
@@ -48,8 +47,7 @@ PAIR_RING = PolyRing("a", "b", "c", "a'", "b'", "c'")
 Component = Union[Fraction, Poly]
 
 
-@dataclass(frozen=True)
-class HeisElement:
+class HeisElement(NamedTuple):
     a: Component
     b: Component
     c: Component

@@ -16,10 +16,9 @@ returned so the caller gets a self-checking witness."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .linalg import _integer_copy, eliminate
 from .rationals import to_fraction
@@ -29,8 +28,7 @@ from .rationals import to_fraction
 Cleared = tuple[Sequence[int], int]
 
 
-@dataclass
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     feasible: bool
     # A feasible nonnegative solution when feasible.
     solution: Optional[list[Fraction]]

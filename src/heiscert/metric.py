@@ -13,7 +13,6 @@ pairs.  Taking the log is left to callers that want floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -57,24 +56,29 @@ def cross_ratio(p1, p2, p3, p4) -> Fraction:
     return Fraction(d(0, 2) * d(1, 3), d(1, 2) * d(0, 3))
 
 
-@dataclass(frozen=True)
 class Halfspace:
     """The affine constraint coeffs . z <= bound.  The constructor turns
     coeffs into a tuple and converts every value with to_fraction, so
     floats and bools raise TypeError.  It also keeps row, the int row
     [a | b] of the face cleared by its own lcm (the same face), which
     takes no part in equality, hashing or repr."""
-    coeffs: tuple[Fraction, ...]
-    bound: Fraction
-    row: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("coeffs", "bound", "row")
 
-    def __post_init__(self):
-        coeffs = tuple(to_fraction(x) for x in self.coeffs)
-        bound = to_fraction(self.bound)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "bound", bound)
-        (row,), _ = _integer_copy([(*coeffs, bound)])
-        object.__setattr__(self, "row", tuple(row))
+    def __init__(self, coeffs: Sequence, bound):
+        self.coeffs = tuple(to_fraction(x) for x in coeffs)
+        self.bound = to_fraction(bound)
+        (row,), _ = _integer_copy([(*self.coeffs, self.bound)])
+        self.row = tuple(row)
+
+    def __eq__(self, other):
+        return (type(other) is Halfspace and self.coeffs == other.coeffs
+                and self.bound == other.bound)
+
+    def __hash__(self):
+        return hash((self.coeffs, self.bound))
+
+    def __repr__(self):
+        return f"Halfspace(coeffs={self.coeffs!r}, bound={self.bound!r})"
 
     @staticmethod
     def from_text(line: str) -> "Halfspace":

@@ -91,7 +91,8 @@ class RandomStream:
         seen = set()
         while len(out) < count:
             t = self.next_triple(nonzero=nonzero)
-            if t not in seen:
-                seen.add(t)
+            # One hash per draw: the set grows only if t is new.
+            seen.add(t)
+            if len(seen) > len(out):
                 out.append(t)
         return out

@@ -235,6 +235,13 @@ def test_comparable_strips_timestamp():
     assert a.comparable() == b.comparable()
 
 
+def test_certificates_without_inputs_get_their_own_dict():
+    a = Certificate("demo", PASS, {})
+    b = Certificate("demo", PASS, {})
+    a.inputs["n"] = 1
+    assert b.inputs == {}
+
+
 def test_missing_fields_rejected():
     with pytest.raises(ValueError):
         Certificate.from_dict({"claim": "x", "verdict": "PASS"})

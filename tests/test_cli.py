@@ -3,6 +3,10 @@ replay, report files."""
 
 import json
 import math
+import subprocess
+import sys
+from datetime import datetime, timezone
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -75,6 +79,44 @@ def test_empty_suite_selection_warns(tmp_path):
 def test_unknown_suite_rejected(tmp_path):
     with pytest.raises(ValueError):
         run_suite(RunConfig(suites=("nope",), output_dir=tmp_path))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_run_config_refuses_a_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="outside"):
+        RunConfig(seed=seed)
+
+
+# Instants whose binary float is exact or within a microsecond's half;
+# the first two are whole seconds, where isoformat drops the microseconds.
+@pytest.mark.parametrize("instant", [
+    0, 1_700_000_000, Fraction(3_400_000_001, 2),
+    Fraction(951_782_400_125, 1000), Fraction(1_234_567_890_000_001, 10**6)])
+def test_run_timestamp_is_datetime_isoformat(instant):
+    expected = datetime.fromtimestamp(float(instant), timezone.utc)
+    assert suites._utc_timestamp(int(instant * 10**9)) == \
+        expected.isoformat()
+
+
+def test_setup_imports_nothing_a_passing_run_leaves_unused():
+    # The child imports what perfbench's set-up does, and the modules it
+    # adds are measured against the interpreter's start.  dataclasses
+    # (with inspect, ast and dis) stays while perfbench/tracing.py
+    # rebuilds each Claim with dataclasses.replace; ROADMAP item 11
+    # removes it.
+    src = str(Path(suites.__file__).parents[1])
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from heiscert import suites\n"
+            "from heiscert.heis import get_representation\n"
+            "for name in ('theta', 'rho6', 'rho14'):\n"
+            "    get_representation(name)\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    added = set(subprocess.run([sys.executable, "-c", code], check=True,
+                               capture_output=True, text=True).stdout.split())
+    assert "heiscert.suites" in added
+    assert {"traceback", "csv", "datetime"} & added == set()
 
 
 def test_crash_becomes_fail_certificate(tmp_path, monkeypatch):

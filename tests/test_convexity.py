@@ -1,5 +1,7 @@
 """Orbit map, limit behaviour, hull dimension, convexity and extreme points."""
 
+import csv
+import io
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from heiscert.heis import DATA_DIR, ENTRY_RING, HeisElement, \
     get_representation, heis_mul, symbolic_pair
 from heiscert.linalg import Matrix
 from heiscert.poly import PolyRing
+from heiscert.rationals import format_rational
 from heiscert.sampler import RandomStream
 
 THETA = get_representation("theta")
@@ -327,6 +330,28 @@ def test_sample_csv_round_trip():
     sample = sample_orbit(10, 0, "hull")
     again = OrbitSample.from_csv(sample.to_csv())
     assert again.parameters == sample.parameters
+
+
+@pytest.mark.parametrize("sample", [
+    _frozen_sample("hull_sample.csv"), _frozen_sample("extreme_sample.csv"),
+    sample_orbit(30, 7, "drawn", nonzero=True)],
+    ids=["hull", "extreme", "drawn"])
+def test_sample_csv_is_what_csv_writer_writes(sample):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["a", "b", "c"])
+    writer.writerows([format_rational(x) for x in p]
+                     for p in sample.parameters)
+    assert sample.to_csv() == buf.getvalue()
+    assert OrbitSample.from_csv(sample.to_csv()).parameters == \
+        sample.parameters
+
+
+@pytest.mark.parametrize("text", ["", "a,b\n1,2\n", "x,y,z\n1,2,3\n",
+                                  "a;b;c\n1;2;3\n"])
+def test_sample_csv_refuses_a_bad_header(text):
+    with pytest.raises(ValueError, match="header"):
+        OrbitSample.from_csv(text)
 
 
 def test_sampling_is_deterministic():

@@ -32,6 +32,15 @@ def test_identity_is_neutral():
     assert heis_mul(g, HeisElement.identity()) == g
 
 
+def test_element_is_immutable_and_hashes_by_value():
+    g = HeisElement.of(3, -1, Fraction(1, 2))
+    with pytest.raises(AttributeError):
+        g.a = Fraction(0)
+    twin = HeisElement.of(Fraction(6, 2), -1, Fraction(1, 2))
+    assert g == twin
+    assert hash(g) == hash(twin)
+
+
 @pytest.mark.parametrize("value", [0.1, True], ids=["float", "bool"])
 def test_element_refuses_inexact_and_bool_components(value):
     with pytest.raises(TypeError):

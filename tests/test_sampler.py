@@ -82,6 +82,15 @@ def test_distinct_triples():
     assert len(set(triples)) == 50
 
 
+def test_distinct_triples_keep_first_draws_in_order(monkeypatch):
+    one, two, three = ((Fraction(n), Fraction(0), Fraction(0))
+                       for n in (1, 2, 3))
+    draws = iter([one, one, two, one, three, two])
+    monkeypatch.setattr(RandomStream, "next_triple",
+                        lambda self, nonzero=False: next(draws))
+    assert RandomStream(15).distinct_triples(3) == [one, two, three]
+
+
 def _refuse_draws(self):
     raise AssertionError("a sample was drawn")
 
