@@ -21,7 +21,9 @@ single denominator d for them all, so Representation.integer_image hands
 out the matrix as int rows over d, and the rational matrix builds one
 Fraction per nonzero entry from them.  At a symbolic element each
 distinct monomial is a product of cached powers of the components, built
-once per call, and each entry collects its terms in one term map.
+once per call, and each entry adds up its terms on ints: the plan's
+numerators times the monomials' Poly numerators, in one int map over one
+denominator, reduced once per entry (see poly for that form).
 Homomorphism and injectivity verification run fully symbolically over a
 six-variable ring.
 """
@@ -92,8 +94,9 @@ class EntryPlan:
     The plan holds the distinct monomials a^i b^j c^k, the largest
     exponent (I, J, K) of each of a, b, c among them, and every term as
     (polynomial index, monomial index, coefficient numerator), each
-    numerator over one denominator L, the lcm of every coefficient's
-    denominator.  A zero polynomial has no terms, so it costs nothing."""
+    numerator over one denominator L, the lcm of the polynomials' own
+    denominators, compiled from their int numerators alone.  A zero
+    polynomial has no terms, so it costs nothing."""
 
     def __init__(self, polys: Sequence[Poly]):
         self.polys = tuple(polys)
@@ -101,16 +104,16 @@ class EntryPlan:
             raise ValueError(f"polynomials are not in {ENTRY_RING}")
         index: dict[tuple, int] = {}
         for p in self.polys:
-            for e in p.terms:
+            for e in p.numerators:
                 index.setdefault(e, len(index))
         self.monomials = tuple(index)
         self.max_exponents = tuple(max((e[axis] for e in index), default=0)
                                    for axis in range(3))
-        self.denominator = lcm(*(c.denominator for p in self.polys
-                                 for c in p.terms.values()))
+        self.denominator = lcm(*(p.denominator for p in self.polys))
         self.terms = tuple(
-            (n, index[e], c.numerator * (self.denominator // c.denominator))
-            for n, p in enumerate(self.polys) for e, c in p.terms.items())
+            (n, index[e], c * (self.denominator // p.denominator))
+            for n, p in enumerate(self.polys)
+            for e, c in p.numerators.items())
 
     def integer_values(self, g: HeisElement) -> tuple[list[int], int]:
         """Ints R and d > 0 with the polynomials at the rational g equal
@@ -139,7 +142,12 @@ class EntryPlan:
     def specialize(self, g: HeisElement) -> list[Component]:
         """The polynomials evaluated at g: Fraction(R, d) from
         integer_values (a shared 0 where R is 0) if g is rational,
-        otherwise polynomials in the one ring g's components share."""
+        otherwise polynomials in the one ring g's components share.
+        There each distinct monomial is one product of cached powers of
+        the components, a rational component lifted into the ring, and
+        each value adds its terms' numerators times the monomials' int
+        numerators into one int map over L S, S the lcm of the
+        monomials' denominators, reduced once."""
         components = g.components()
         if all(isinstance(v, Fraction) for v in components):
             values, d = self.integer_values(g)
@@ -151,27 +159,33 @@ class EntryPlan:
         ring = rings.pop()
         powers = [[x if isinstance(x, Poly) else ring.const(x)]
                   for x in components]   # powers[axis][n - 1] = component^n
-        symbolic: dict[tuple, dict] = {}
-        values = []
-        for p in self.polys:
-            terms: dict = {}
-            for e, coeff in p.terms.items():
-                mono = symbolic.get(e)
-                if mono is None:
-                    factors = []
-                    for seq, n in zip(powers, e):
-                        if n:
-                            while len(seq) < n:
-                                seq.append(seq[-1] * seq[0])
-                            factors.append(seq[n - 1])
-                    product = factors[0] if factors else ring.one()
-                    for f in factors[1:]:
-                        product = product * f
-                    mono = symbolic[e] = product.terms
-                for m, c in mono.items():
-                    terms[m] = terms.get(m, 0) + coeff * c
-            values.append(Poly(ring, terms))
-        return values
+        monomials = []
+        for e in self.monomials:
+            factors = []
+            for seq, n in zip(powers, e):
+                if n:
+                    while len(seq) < n:
+                        seq.append(seq[-1] * seq[0])
+                    factors.append(seq[n - 1])
+            product = factors[0] if factors else ring.one()
+            for f in factors[1:]:
+                product = product * f
+            monomials.append(product)
+        scale = lcm(*(m.denominator for m in monomials))
+        scaled = [(m.numerators.items(), scale // m.denominator)
+                  for m in monomials]
+        sums: list[dict] = [{} for _ in self.polys]
+        for n, m, c in self.terms:
+            items, factor = scaled[m]
+            c *= factor
+            acc = sums[n]
+            get = acc.get
+            for e, x in items:
+                acc[e] = get(e, 0) + c * x
+        d = self.denominator * scale
+        zero = ring.zero()
+        return [Poly.from_numerators(ring, acc, d) if acc else zero
+                for acc in sums]
 
 
 class Representation:

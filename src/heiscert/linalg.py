@@ -26,10 +26,11 @@ a d > 0 standing for the matrix R / d, an entry table's integer image;
 it works with dN = R - dI and never forms a full power of it: the
 echelon rows of N^(k-1) times N span the rows of N^k, so each rank is
 one elimination pass over an int product with as many rows as the
-previous rank, over N's nonzero pairs listed once.  integer_product()
-multiplies int rows by int rows for every other caller, one dot product
-per entry: its operands are small and mostly nonzero, so it lists no
-pairs.
+previous rank, over N's nonzero pairs listed once.  The cross-ratio
+claim's stack of theta images, mostly zero, goes through the same
+kernel.  integer_product() multiplies int rows by int rows for every
+other caller, one dot product per entry: its operands are small and
+mostly nonzero, so it lists no pairs.
 integer_kernel() reads an int null-space basis off one Gauss-Jordan pass
 over a presolved copy: the columns that singleton rows force to zero,
 round after round, are dropped first.
@@ -298,12 +299,12 @@ def _nonzero_pairs(rows) -> list[list[tuple]]:
 
 def _gustavson(left, nonzero, width: int) -> list[list]:
     """The one sparse product kernel (Gustavson, ACM TOMS 4(3), 1978),
-    behind Matrix.__mul__ and integer_nilpotent_ranks: row i of the
-    result adds x * y into column j for each nonzero x = left[i][k] and
-    each (j, y) in nonzero[k], the nonzero pairs of the right operand's
-    row k, k increasing as in the textbook sum.  An entry that no
-    nonzero pair reaches is left None, for the caller to fill with its
-    zero."""
+    behind Matrix.__mul__, integer_nilpotent_ranks and the cross-ratio
+    claim's stacked product: row i of the result adds x * y into column
+    j for each nonzero x = left[i][k] and each (j, y) in nonzero[k], the
+    nonzero pairs of the right operand's row k, k increasing as in the
+    textbook sum.  An entry that no nonzero pair reaches is left None,
+    for the caller to fill with its zero."""
     sums = []
     for row in left:
         acc = [None] * width

@@ -1,15 +1,21 @@
 """Sparse multivariate polynomials over exact rationals.
 
 A polynomial lives in a ring context (an ordered tuple of variable names)
-and is stored as a map from exponent tuples to nonzero Fraction
-coefficients.  The zero polynomial is the empty map, so structural
-equality of the term maps is semantic equality.  Everything is immutable
-and exact; there is no floating point anywhere.
+and is stored as a map from exponent tuples to nonzero int numerators
+over one positive int denominator, reduced so that the denominator and
+the numerators have gcd 1 (the zero polynomial is the empty map over 1),
+the form of FLINT's rational polynomials (Hart, ICMS 2010).  The form is
+canonical, so structural equality is semantic equality, and sums,
+differences, scalings, products and powers run on ints, with one gcd
+reduction per result and none when its denominator is 1.  Poly.terms is
+a Fraction view of the coefficients, for text and evaluation.
+Everything is immutable and exact; there is no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Union
 
@@ -46,7 +52,7 @@ class PolyRing:
         """The polynomial consisting of the single variable `name`."""
         exps = [0] * len(self.names)
         exps[self._index[name]] = 1
-        return Poly(self, {tuple(exps): Fraction(1)})
+        return _poly(self, {tuple(exps): 1}, 1)
 
     def vars(self, *names: str) -> tuple["Poly", ...]:
         return tuple(self.var(n) for n in names)
@@ -54,13 +60,15 @@ class PolyRing:
     def const(self, value: Scalar) -> "Poly":
         """The constant polynomial with the given rational value; floats
         and bools are refused."""
-        value = to_fraction(value)
-        if value == 0:
-            return Poly(self, {})
-        return Poly(self, {(0,) * len(self.names): value})
+        if type(value) is not int:
+            value = to_fraction(value)
+        if not value:
+            return _poly(self, {}, 1)
+        return _poly(self, {(0,) * len(self.names): value.numerator},
+                     value.denominator)
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return _poly(self, {}, 1)
 
     def one(self) -> "Poly":
         return self.const(1)
@@ -76,14 +84,50 @@ class PolyRing:
 
 
 class Poly:
-    """Immutable sparse polynomial over Fraction in a fixed ring."""
+    """Immutable sparse polynomial over the rationals in a fixed ring:
+    int numerators over one int denominator, in the reduced form the
+    module docstring describes."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "numerators", "denominator", "_hash")
 
-    def __init__(self, ring: PolyRing, terms: Mapping[tuple, Fraction]):
+    def __init__(self, ring: PolyRing, terms: Mapping[tuple, Scalar]):
+        """The polynomial with the given rational coefficients; zero
+        coefficients are dropped, floats and bools refused."""
+        coeffs = {e: to_fraction(c) for e, c in terms.items() if c}
+        den = lcm(*(c.denominator for c in coeffs.values()))
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if c}
+        # Each Fraction is reduced, so every prime power of the lcm is
+        # some coefficient's whole denominator, over a numerator it does
+        # not divide: the numerators and den already have gcd 1.
+        self.numerators = {e: c.numerator * (den // c.denominator)
+                           for e, c in coeffs.items()}
+        self.denominator = den
         self._hash = None
+
+    @staticmethod
+    def from_numerators(ring: PolyRing, numerators: dict,
+                        denominator: int) -> "Poly":
+        """The polynomial numerators / denominator, for a map of int
+        numerators (which it may keep) and an int denominator > 0:
+        zero numerators are dropped and the gcd of the denominator and
+        the numerators divided out."""
+        if numerators:
+            if 0 in numerators.values():
+                numerators = {e: c for e, c in numerators.items() if c}
+            if denominator != 1:
+                g = gcd(denominator, *numerators.values())
+                if g != 1:
+                    denominator //= g
+                    numerators = {e: c // g for e, c in numerators.items()}
+        else:
+            denominator = 1
+        return _poly(ring, numerators, denominator)
+
+    @property
+    def terms(self) -> dict[tuple, Fraction]:
+        """The nonzero coefficients as Fractions, in a new dict."""
+        den = self.denominator
+        return {e: Fraction(c, den) for e, c in self.numerators.items()}
 
     # -- ring plumbing ---------------------------------------------------
 
@@ -97,27 +141,32 @@ class Poly:
             return self.ring.const(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign * other over the lcm of the two denominators."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
+        left, right = self.denominator, other.denominator
+        den = left if left == right else lcm(left, right)
+        out = (dict(self.numerators) if den == left else
+               {e: c * (den // left) for e, c in self.numerators.items()})
         get = out.get
-        for e, c in other.terms.items():
-            a = get(e)
-            out[e] = c if a is None else a + c
-        return Poly(self.ring, out)
+        scale = sign * (den // right)
+        for e, c in other.numerators.items():
+            out[e] = get(e, 0) + c * scale
+        return Poly.from_numerators(self.ring, out, den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
+        return _poly(self.ring, {e: -c for e, c in self.numerators.items()},
+                     self.denominator)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -125,25 +174,26 @@ class Poly:
     def __mul__(self, other):
         if type(other) in (int, Fraction):
             # Scaling by a rational: one product per term, no expansion.
-            if not other:
-                return Poly(self.ring, {})
-            return Poly(self.ring, {e: c * other
-                                    for e, c in self.terms.items()})
+            num = other.numerator
+            scaled = ({e: c * num for e, c in self.numerators.items()}
+                      if num else {})
+            return Poly.from_numerators(self.ring, scaled,
+                                        self.denominator * other.denominator)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         out: dict = {}
         get = out.get
-        right = other.terms.items()
-        for e1, c1 in self.terms.items():
+        right = other.numerators.items()
+        for e1, c1 in self.numerators.items():
             for e2, c2 in right:
                 e = tuple(map(add, e1, e2))
-                a = get(e)
-                out[e] = c1 * c2 if a is None else a + c1 * c2
+                out[e] = get(e, 0) + c1 * c2
         for e in out:
             if max(e, default=0) > MAX_EXPONENT:
                 raise OverflowError(f"exponent out of range in {e}")
-        return Poly(self.ring, out)
+        return Poly.from_numerators(self.ring, out,
+                                    self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -160,12 +210,13 @@ class Poly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.ring.const(other)
         return ((self.ring is other.ring or self.ring == other.ring)
-                and self.terms == other.terms)
+                and self.denominator == other.denominator
+                and self.numerators == other.numerators)
 
     def __hash__(self):
         if self._hash is None:
@@ -173,21 +224,22 @@ class Poly:
                 self._hash = hash((self.ring, frozenset(self.terms.items())))
             else:
                 # A constant equals its value, so it hashes as that value.
-                self._hash = hash(sum(self.terms.values(), Fraction(0)))
+                self._hash = hash(Fraction(sum(self.numerators.values()),
+                                           self.denominator))
         return self._hash
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.numerators)
 
     # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def variables(self) -> tuple[str, ...]:
         """Names of the variables actually occurring."""
         used = [False] * len(self.ring.names)
-        for e in self.terms:
+        for e in self.numerators:
             for i, x in enumerate(e):
                 if x:
                     used[i] = True
@@ -196,11 +248,11 @@ class Poly:
     def degree_in(self, name: str) -> int:
         """Highest exponent of `name`; -1 for the zero poly."""
         i = self.ring._index[name]
-        return max((e[i] for e in self.terms), default=-1)
+        return max((e[i] for e in self.numerators), default=-1)
 
     def total_degree(self) -> int:
         """Highest total degree of a term; -1 for the zero poly."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self.numerators), default=-1)
 
     # -- evaluation and substitution --------------------------------------
 
@@ -252,7 +304,7 @@ class Poly:
                       reverse=True)
 
     def __str__(self):
-        if not self.terms:
+        if not self.numerators:
             return "0"
         pieces = []
         for e, c in self.sorted_terms():
@@ -284,16 +336,18 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial string")
-    terms: dict = {}
+    pieces = []   # (exponents, numerator, denominator) per term
     for sign, chunk in _split_terms(text):
-        coeff = Fraction(sign)
+        num, den = sign, 1
         exps = [0] * len(ring.names)
         for factor in chunk.split("*"):
             factor = factor.strip()
             if not factor:
                 raise ValueError(f"empty factor in term {chunk!r}")
             if factor[0].isdigit():
-                coeff *= parse_rational(factor)
+                value = parse_rational(factor)
+                num *= value.numerator
+                den *= value.denominator
                 continue
             name, caret, exp_text = factor.partition("^")
             if name not in ring._index:
@@ -301,9 +355,12 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
             exps[ring._index[name]] += int(exp_text) if caret else 1
         if max(exps, default=0) > MAX_EXPONENT:
             raise OverflowError(f"exponent out of range in {chunk!r}")
-        e = tuple(exps)
-        terms[e] = terms.get(e, 0) + coeff
-    return Poly(ring, terms)
+        pieces.append((tuple(exps), num, den))
+    den = lcm(*(d for _, _, d in pieces))
+    numerators: dict = {}
+    for e, num, d in pieces:
+        numerators[e] = numerators.get(e, 0) + num * (den // d)
+    return Poly.from_numerators(ring, numerators, den)
 
 
 def _split_terms(text: str) -> Iterable[tuple[int, str]]:
@@ -324,3 +381,13 @@ def _split_terms(text: str) -> Iterable[tuple[int, str]]:
         raise ValueError(f"dangling sign in {text!r}")
     terms.append((sign, "".join(current)))
     return terms
+
+
+def _poly(ring: PolyRing, numerators: dict, denominator: int) -> Poly:
+    """A Poly from numerators already in reduced form, unchecked."""
+    p = object.__new__(Poly)
+    p.ring = ring
+    p.numerators = numerators
+    p.denominator = denominator
+    p._hash = None
+    return p

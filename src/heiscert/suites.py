@@ -41,8 +41,8 @@ from .cone import (SymForm, attraction_gaps, det3, flat_segment_certificate,
 from .heis import (DATA_DIR, HeisElement, get_representation, heis_mul,
                    symbolic_pair, verify_homomorphism,
                    verify_injectivity_generators)
-from .linalg import Matrix, integer_nilpotent_ranks, integer_product, \
-    jordan_partition
+from .linalg import Matrix, _gustavson, _nonzero_pairs, \
+    integer_nilpotent_ranks, integer_product, jordan_partition
 from .metric import box, cross_ratio, hilbert_log_argument
 from .sampler import RandomStream, check_seed
 
@@ -380,12 +380,13 @@ def _cross_ratio(line_parameters: list[list[int]], mix_values: list[int],
     base = cross_ratio(*points)
     theta = get_representation("theta")
     n = theta.dimension
-    # Every element's int rows in one stack, so the four points' nonzero
-    # entries are listed once; the products are read back n rows each.
-    stacked = integer_product(
+    # Every element's int rows in one stack, through the sparse kernel:
+    # the four points' nonzero entries are listed once, theta's zero
+    # entries skipped, and the products read back n rows each.
+    stacked = [[x or 0 for x in row] for row in _gustavson(
         [row for raw in elements
          for row in theta.integer_image(HeisElement.of(*raw))[0]],
-        zip(*points))
+        _nonzero_pairs(zip(*points)), len(points))]
     failures = []
     for k, raw in enumerate(elements):
         moved = zip(*stacked[k * n:(k + 1) * n])

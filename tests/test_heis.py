@@ -255,6 +255,61 @@ def test_symbolic_specialize_matches_substitute(name):
         [p.substitute(mapping, ring) for p in flat]
 
 
+def test_symbolic_specialize_with_denominators_matches_substitute():
+    """Components with denominators, a rational one lifted into the ring
+    among them, give each entry what Poly.substitute gives it."""
+    a, b, c = ENTRY_RING.vars("a", "b", "c")
+    g, h = symbolic_pair()
+    half = Fraction(1, 2)
+    elements = [
+        HeisElement(a * half, b, c * Fraction(1, 3)),
+        HeisElement.of(a * half, Fraction(-2, 3), c - Fraction(5, 7)),
+        heis_mul(g, HeisElement(h.a * half, h.b, h.c * half + h.a)),
+    ]
+    polys = [p for rep in ALL_REPS for row in rep.table.entries
+             for p in row] + list(ORBIT_LIFT)
+    plan = EntryPlan(polys)
+    for element in elements:
+        ring = element.a.ring
+        mapping = dict(zip(ENTRY_RING.names, element.components()))
+        got = plan.specialize(element)
+        for p, value in zip(polys, got):
+            assert value == p.substitute(mapping, ring)
+
+
+def _reference_entry(left_row, right_column, composed) -> Poly:
+    """sum_k left_row[k] * right_column[k] - composed, added up as
+    dicts of Fraction coefficients."""
+    total: dict = {}
+    for x, y in zip(left_row, right_column):
+        for e1, c1 in x.terms.items():
+            for e2, c2 in y.terms.items():
+                e = tuple(i + j for i, j in zip(e1, e2))
+                total[e] = total.get(e, Fraction(0)) + c1 * c2
+    for e, c in composed.terms.items():
+        total[e] = total.get(e, Fraction(0)) - c
+    return Poly(composed.ring, total)
+
+
+def test_fractional_tamper_fails_homomorphism_with_reference_text():
+    """A table entry tampered by + a^2/3 fails the check, and the FAIL
+    text is the one the Fraction reference difference prints."""
+    a = ENTRY_RING.var("a")
+    entries = [list(row) for row in THETA.table.entries]
+    entries[0][9] = entries[0][9] + a ** 2 * Fraction(1, 3)
+    tampered = Representation("theta_tampered", 10, Matrix(entries))
+    ok, witnesses = verify_homomorphism(tampered)
+    assert not ok
+    first = witnesses["first_nonzero_entry"]
+    i, j = first["row"] - 1, first["col"] - 1
+    g, h = symbolic_pair()
+    left, right = tampered(g), tampered(h)
+    reference = _reference_entry(left.row(i), right.column(j),
+                                 tampered(heis_mul(g, h))[i, j])
+    assert (i, j) == (0, 9) and not reference.is_zero()
+    assert first["value"] == str(reference) == "-2/3*a*a'"
+
+
 def test_symbolic_specialize_needs_one_ring():
     g = HeisElement(ENTRY_RING.var("a"), GROWTH_RING.var("n"), Fraction(0))
     with pytest.raises(ValueError, match="one ring"):

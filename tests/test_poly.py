@@ -1,6 +1,8 @@
 """Exact polynomial arithmetic: examples, ring axioms, serialization."""
 
+from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -261,3 +263,86 @@ def test_power_and_substitute():
     t = target.var("t")
     q = p.substitute({"a": t, "b": target.const(1)}, target)
     assert q == t ** 2 + 2 * t + 1
+
+
+# -- int numerators over one denominator ------------------------------------------
+
+def _assert_canonical(p: Poly) -> None:
+    nums, den = p.numerators, p.denominator
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c != 0 for c in nums.values())
+    assert gcd(den, *nums.values()) == 1
+    if not nums:
+        assert den == 1
+
+
+@settings(max_examples=120)
+@given(polys(), polys(), coeffs, st.integers(min_value=-4, max_value=4),
+       st.integers(min_value=0, max_value=3))
+def test_every_result_is_canonical(p, q, ratio, k, n):
+    """den > 0, gcd(den, numerators) = 1, no zero numerator and den 1
+    for the zero polynomial, after every operation; cancelling sums and
+    scalings by 0 included."""
+    for result in (p, p + q, p - q, p - p, p * q, p * (-p), p * ratio,
+                   ratio * p, p * k, k * p, p * 0, -p, p ** n,
+                   p + ratio, p * ratio * (1 / ratio)):
+        _assert_canonical(result)
+
+
+@settings(max_examples=120)
+@given(polys(), polys())
+def test_one_polynomial_by_every_route_is_one_value(p, q):
+    """The same polynomial reached by different routes has one stored
+    form, so it compares equal, hashes equal and prints the same."""
+    third = Fraction(1, 3)
+    routes = [
+        RING.parse(str(p)),
+        # Integral coefficients given as Fraction(k, 1) or as k.
+        Poly(RING, {e: Fraction(c.numerator) if c.denominator == 1 else c
+                    for e, c in p.terms.items()}),
+        Poly(RING, {e: c.numerator if c.denominator == 1 else c
+                    for e, c in p.terms.items()}),
+        (p * Fraction(1, 2)) * 2,
+        # Sums whose denominators cancel.
+        Poly(RING, {e: c + third for e, c in p.terms.items()})
+        + Poly(RING, {e: -third for e in p.terms}),
+        (p + q * Fraction(1, 6)) - q * Fraction(1, 6),
+    ]
+    for route in routes:
+        _assert_canonical(route)
+        assert route == p and hash(route) == hash(p) and str(route) == str(p)
+        assert (route.numerators, route.denominator) \
+            == (p.numerators, p.denominator)
+
+
+@contextmanager
+def _counting_fractions():
+    """Count every Fraction built while the block runs."""
+    original = Fraction.__dict__["__new__"]
+    built = [0]
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting_new)
+    try:
+        yield built
+    finally:
+        Fraction.__new__ = original
+
+
+def test_poly_arithmetic_builds_no_fraction():
+    """Sums, differences, products, int scalings and powers of
+    polynomials with denominators run on their int numerators alone."""
+    p = (A ** 4 + B ** 4) * Fraction(1, 24) + C ** 2
+    q = A * Fraction(2, 3) - B * C * Fraction(1, 2) + 5
+    with _counting_fractions() as built:
+        results = [p + q, p - q, q - q, p * q, -q, q * 3, 2 * q, q * 0,
+                   q ** 3, (p * q) * q + p, p * q == q * p]
+    assert built[0] == 0
+    assert results[2].is_zero() and results[-1]
+    # The counter does see a Fraction that is built: the coefficient view.
+    with _counting_fractions() as built:
+        q.terms
+    assert built[0] == len(q.numerators)
