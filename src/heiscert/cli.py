@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .convexity import sample_orbit
 from .heis import TABLE_DIMENSIONS, HeisElement, get_representation
-from .linalg import integer_nilpotent_ranks, jordan_partition
+from .linalg import jordan_partition
 from .metric import hilbert_log_argument, load_polytope
 from .rationals import format_rational, parse_rational
 from .suites import MATCH, PASS, SUITE_ORDER, RunConfig, replay, run_suite
@@ -106,8 +106,7 @@ def cmd_orbit(args) -> int:
 def cmd_jordan(args) -> int:
     a, b, c = _parse_point(args.element)
     rep = get_representation(args.rep)
-    partition = jordan_partition(integer_nilpotent_ranks(
-        *rep.integer_image(HeisElement.of(a, b, c))))
+    partition = jordan_partition(rep.nilpotent_ranks(HeisElement.of(a, b, c)))
     print(f"{args.rep}({format_rational(a)},{format_rational(b)},"
           f"{format_rational(c)}) jordan blocks: {partition}")
     return 0

@@ -24,6 +24,14 @@ distinct monomial is a product of cached powers of the components, built
 once per call, and each entry adds up its terms on ints: the plan's
 numerators times the monomials' Poly numerators, in one int map over one
 denominator, reduced once per entry (see poly for that form).
+Representation.nilpotent_ranks is the one Jordan rank route.  On first
+use a table multiplies out the powers N, N^2, ... of its N = T - I
+(nilpotent, since a loaded table is unit upper triangular) until one is
+zero, and compiles the entries on each power's nonzero rows and columns
+into one EntryPlan, its power plan.  Evaluation at g is a ring map and
+N^k is identically zero off its block, so the blocks of the plan's
+values at g have the ranks of N(g)'s powers: one integer_values call
+and one fraction-free echelon pass per power.
 Homomorphism and injectivity verification run fully symbolically over a
 six-variable ring.
 """
@@ -35,7 +43,7 @@ from math import lcm
 from pathlib import Path
 from typing import NamedTuple, Sequence, Union
 
-from .linalg import Matrix
+from .linalg import Matrix, _echelon
 from .poly import Poly, PolyRing
 from .rationals import to_fraction
 
@@ -188,8 +196,36 @@ class EntryPlan:
                 for acc in sums]
 
 
+class PowerPlan(NamedTuple):
+    """The nonzero powers N, N^2, ..., N^m of N = T - I for an entry
+    table T: supports[k - 1] holds the rows and columns on which N^k is
+    not identically zero, and entries compiles N^k's entries on them,
+    row by row, for k = 1 to m in turn."""
+    entries: EntryPlan
+    supports: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
+def _compile_powers(table: Matrix) -> PowerPlan:
+    """The power plan of a unit upper-triangular table, whose N = T - I
+    is strictly upper triangular, so some power of it is zero."""
+    n = table.rows
+    power = nilpotent = table - Matrix.identity(n)
+    supports = []
+    polys: list[Poly] = []
+    while True:
+        entries = power.entries
+        rows = tuple(i for i, row in enumerate(entries) if any(row))
+        if not rows:
+            return PowerPlan(EntryPlan(polys), tuple(supports))
+        cols = tuple(j for j in range(n) if any(row[j] for row in entries))
+        supports.append((rows, cols))
+        polys += [entries[i][j] for i in rows for j in cols]
+        power = power * nilpotent
+
+
 class Representation:
-    """A symbolic unit-upper-triangular entry table in variables a, b, c."""
+    """A symbolic unit-upper-triangular entry table in variables a, b, c;
+    its power plan is compiled on the first nilpotent_ranks call."""
 
     def __init__(self, name: str, dimension: int, table: Matrix):
         if table.rows != dimension or table.cols != dimension:
@@ -205,6 +241,7 @@ class Representation:
         self.name = name
         self.dimension = dimension
         self.table = table
+        self.power_plan: PowerPlan | None = None
         if self(HeisElement.identity()) != Matrix.identity(dimension):
             raise ValueError(f"{name}: table at the identity is not I")
 
@@ -220,6 +257,27 @@ class Representation:
         n = self.dimension
         values, d = self.plan.integer_values(g)
         return [values[i:i + n] for i in range(0, n * n, n)], d
+
+    def nilpotent_ranks(self, g: HeisElement) -> list[int]:
+        """rank(N^0) = n, rank(N), rank(N^2), ... ending at 0, for
+        N = self(g) - I at the rational g: each power's block of the
+        power plan's int values, all over one d > 0, ranked by one
+        echelon pass until a rank is 0; past the plan's last power,
+        N^k is identically zero."""
+        if self.power_plan is None:
+            self.power_plan = _compile_powers(self.table)
+        values, _ = self.power_plan.entries.integer_values(g)
+        ranks = [self.dimension]
+        start = 0
+        for rows, cols in self.power_plan.supports:
+            width = len(cols)
+            stop = start + len(rows) * width
+            block = [values[i:i + width] for i in range(start, stop, width)]
+            start = stop
+            ranks.append(len(_echelon(block, reduce_above=False)[0]))
+            if not ranks[-1]:
+                return ranks
+        return ranks + [0]
 
     def __repr__(self):
         return f"Representation({self.name}, dim={self.dimension})"

@@ -20,17 +20,11 @@ carries a divisor, the pivot in force when it was last exact, and a
 pivot step touches only the rows with a nonzero entry in its column,
 dividing each exactly by its own divisor (see eliminate for why the
 division is exact); in a touched row, an entry whose pair with the
-pivot row is zero on both sides stays 0 without arithmetic.  The Jordan
-rank chain runs on ints: integer_nilpotent_ranks() takes int rows R and
-a d > 0 standing for the matrix R / d, an entry table's integer image;
-it works with dN = R - dI and never forms a full power of it: the
-echelon rows of N^(k-1) times N span the rows of N^k, so each rank is
-one elimination pass over an int product with as many rows as the
-previous rank, over N's nonzero pairs listed once.  The cross-ratio
-claim's stack of theta images, mostly zero, goes through the same
-kernel.  integer_product() multiplies int rows by int rows for every
-other caller, one dot product per entry: its operands are small and
-mostly nonzero, so it lists no pairs.
+pivot row is zero on both sides stays 0 without arithmetic.  The
+cross-ratio claim's stack of theta images, mostly zero, goes through
+the product kernel too.  integer_product() multiplies int rows by int
+rows for every other caller, one dot product per entry: its operands
+are small and mostly nonzero, so it lists no pairs.
 integer_kernel() reads an int null-space basis off one Gauss-Jordan pass
 over a presolved copy: the columns that singleton rows force to zero,
 round after round, are dropped first.
@@ -299,11 +293,10 @@ def _nonzero_pairs(rows) -> list[list[tuple]]:
 
 def _gustavson(left, nonzero, width: int) -> list[list]:
     """The one sparse product kernel (Gustavson, ACM TOMS 4(3), 1978),
-    behind Matrix.__mul__, integer_nilpotent_ranks and the cross-ratio
-    claim's stacked product: row i of the result adds x * y into column
-    j for each nonzero x = left[i][k] and each (j, y) in nonzero[k], the
-    nonzero pairs of the right operand's row k, k increasing as in the
-    textbook sum.  An entry that no nonzero pair reaches is left None,
+    behind Matrix.__mul__ and the cross-ratio claim's stacked product:
+    row i of the result adds x * y into column j for each nonzero
+    x = left[i][k] and each (j, y) in nonzero[k], the nonzero pairs of
+    the right operand's row k, k increasing as in the textbook sum.  An entry that no nonzero pair reaches is left None,
     for the caller to fill with its zero."""
     sums = []
     for row in left:
@@ -330,41 +323,6 @@ def integer_product(left, right) -> list[list[int]]:
                          f"by {len(columns[0])} rows")
     return [[sum(map(mul, row, column)) for column in columns]
             for row in left]
-
-
-def integer_nilpotent_ranks(rows: list[list[int]], d: int) -> list[int]:
-    """rank(N^0) = n, rank(N), rank(N^2), ... ending at 0, for
-    N = rows / d - I, where rows is a square list of n int rows (left
-    unmodified) and d > 0.
-
-    dN = rows - d I has the ranks of N at every power, because
-    (dN)^k = d^k N^k.  (Clearing each row by its own factor would not
-    do: the powers of D N are not D^k N^k.)  The full powers are never
-    formed: rowspace(N^k) = rowspace(N^(k-1)) N, so the echelon rows E
-    of N^(k-1), rank(N^(k-1)) of them, give rank(N^k) as the rank of
-    the product E N (one _gustavson call over N's nonzero pairs, listed
-    once), ranked by one fraction-free pass whose nonzero rows are the
-    next E.  The ranks fall strictly until they settle (Fitting's
-    lemma), and they settle at 0 exactly when N is nilpotent, so a
-    positive rank that repeats its predecessor proves the matrix is not
-    unipotent.
-    """
-    n = len(rows)
-    current = [list(row) for row in rows]
-    for i, row in enumerate(current):
-        row[i] -= d
-    nonzero = _nonzero_pairs(current)
-    ranks = [n]
-    while True:
-        ranks.append(len(_echelon(current, reduce_above=False)[0]))
-        if ranks[-1] == 0:
-            return ranks
-        if ranks[-1] == ranks[-2]:
-            raise ValueError(
-                "matrix is not unipotent: (m - I) is not nilpotent")
-        # The echelon pass left the nonzero rows on top.
-        current = [[a or 0 for a in acc] for acc in
-                   _gustavson(current[:ranks[-1]], nonzero, n)]
 
 
 def integer_kernel(m: list[list[int]]) -> list[list[int]]:
@@ -409,8 +367,8 @@ def integer_kernel(m: list[list[int]]) -> list[list[int]]:
 
 def jordan_partition(ranks: Sequence[int]) -> list[int]:
     """Jordan block sizes, largest first, from the rank sequence n,
-    rank(N), ..., 0 of a nilpotent N from integer_nilpotent_ranks: the
-    number of blocks of size > j is rank(N^j) - rank(N^(j+1)), and the
-    partition is the conjugate of those counts."""
+    rank(N), ..., 0 of a nilpotent N, as Representation.nilpotent_ranks
+    gives it: the number of blocks of size > j is rank(N^j) -
+    rank(N^(j+1)), and the partition is the conjugate of those counts."""
     at_least = [r - s for r, s in zip(ranks, ranks[1:])]
     return [sum(1 for k in at_least if k > j) for j in range(at_least[0])]

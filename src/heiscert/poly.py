@@ -86,23 +86,10 @@ class PolyRing:
 class Poly:
     """Immutable sparse polynomial over the rationals in a fixed ring:
     int numerators over one int denominator, in the reduced form the
-    module docstring describes."""
+    module docstring describes, built through from_numerators or the
+    ring's var, const and parse."""
 
     __slots__ = ("ring", "numerators", "denominator", "_hash")
-
-    def __init__(self, ring: PolyRing, terms: Mapping[tuple, Scalar]):
-        """The polynomial with the given rational coefficients; zero
-        coefficients are dropped, floats and bools refused."""
-        coeffs = {e: to_fraction(c) for e, c in terms.items() if c}
-        den = lcm(*(c.denominator for c in coeffs.values()))
-        self.ring = ring
-        # Each Fraction is reduced, so every prime power of the lcm is
-        # some coefficient's whole denominator, over a numerator it does
-        # not divide: the numerators and den already have gcd 1.
-        self.numerators = {e: c.numerator * (den // c.denominator)
-                           for e, c in coeffs.items()}
-        self.denominator = den
-        self._hash = None
 
     @staticmethod
     def from_numerators(ring: PolyRing, numerators: dict,

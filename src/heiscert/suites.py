@@ -41,8 +41,8 @@ from .cone import (SymForm, attraction_gaps, det3, flat_segment_certificate,
 from .heis import (DATA_DIR, HeisElement, get_representation, heis_mul,
                    symbolic_pair, verify_homomorphism,
                    verify_injectivity_generators)
-from .linalg import Matrix, _gustavson, _nonzero_pairs, \
-    integer_nilpotent_ranks, integer_product, jordan_partition
+from .linalg import Matrix, _gustavson, _nonzero_pairs, integer_product, \
+    jordan_partition
 from .metric import box, cross_ratio, hilbert_log_argument
 from .sampler import RandomStream, check_seed
 
@@ -141,9 +141,8 @@ CENTER_PARTITION = [3, 2, 1, 1, 1, 1, 1]
 
 
 def _jordan_center():
-    theta = get_representation("theta")
-    ranks = integer_nilpotent_ranks(
-        *theta.integer_image(HeisElement.of(0, 0, 1)))
+    ranks = get_representation("theta").nilpotent_ranks(
+        HeisElement.of(0, 0, 1))
     partition = jordan_partition(ranks)
     ok = partition == CENTER_PARTITION and ranks == [10, 3, 1, 0]
     # The stored sequence starts at rank(N); rank(N^0) is the dimension.
@@ -160,8 +159,8 @@ def _jordan_unique_odd(parameters: list[tuple]):
     histogram: dict[str, int] = {}
     failures = []
     for triple in parameters:
-        partition = jordan_partition(integer_nilpotent_ranks(
-            *theta.integer_image(HeisElement.of(*triple))))
+        partition = jordan_partition(
+            theta.nilpotent_ranks(HeisElement.of(*triple)))
         histogram[str(partition)] = histogram.get(str(partition), 0) + 1
         largest = partition[0]
         unique = partition.count(largest) == 1

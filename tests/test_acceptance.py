@@ -49,8 +49,8 @@ def test_criterion_02_orbit_formula():
 
 
 def test_criterion_03_jordan_claim():
-    # The rational matrices are cleared here, not read off integer_image,
-    # so this cross-checks the claim's route.
+    # The rational matrices' powers are multiplied out here, not read off
+    # the power plan, so this cross-checks the claim's route.
     center = _rational_partition(THETA(HeisElement.of(0, 0, 1)))
     nilpotent = THETA(HeisElement.of(0, 0, 1)) - Matrix.identity(10)
     rank_oracle = [nilpotent.rank(), (nilpotent * nilpotent).rank(),

@@ -7,13 +7,15 @@ import pytest
 from heiscert.convexity import ORBIT_LIFT, orbit_lift
 from heiscert.heis import (ENTRY_RING, GENERATORS, EntryPlan, HeisElement,
                            Representation, generator_power,
-                           get_representation, heis_mul, one_parameter_power,
+                           get_representation, heis_mul,
+                           load_representation, one_parameter_power,
                            symbolic_pair, verify_homomorphism,
                            verify_injectivity_generators)
 from heiscert.linalg import Matrix
 from heiscert.poly import Poly, PolyRing
 from heiscert.restriction import GROWTH_RING
 from heiscert.sampler import RandomStream
+from test_poly import poly_from_terms
 
 THETA = get_representation("theta")
 RHO6 = get_representation("rho6")
@@ -192,6 +194,34 @@ def test_rho14_quartic_entry():
     assert power[0, 9] == n ** 4 * Fraction(1, 24)
 
 
+def test_theta_power_plan_holds_the_all_element_jordan_facts():
+    """theta's N = T - I has nonzero powers on supports 9x9, 7x6, 4x3
+    and 1x1; N^4 is the one entry a^4 + 6a^2b^2 + b^4 at (1,10), and
+    N^5 = 0.  The plan holds each power's entries on its support, and
+    every entry off it is zero.  A loaded table compiles the plan on its
+    first rank call, and later calls share it."""
+    theta = load_representation("theta", 10)
+    assert theta.power_plan is None
+    theta.nilpotent_ranks(HeisElement.of(1, 2, 3))
+    plan = theta.power_plan
+    theta.nilpotent_ranks(HeisElement.of(0, 0, 1))
+    assert theta.power_plan is plan
+    assert [(len(rows), len(cols)) for rows, cols in plan.supports] == \
+        [(9, 9), (7, 6), (4, 3), (1, 1)]
+    assert plan.supports[-1] == ((0,), (9,))
+    assert str(plan.entries.polys[-1]) == "a^4 + 6*a^2*b^2 + b^4"
+    nilpotent = theta.table - Matrix.identity(10)
+    power = nilpotent
+    polys = []
+    for rows, cols in plan.supports:
+        polys += [power[i, j] for i in rows for j in cols]
+        assert all(power[i, j].is_zero() for i in range(10)
+                   for j in range(10) if i not in rows or j not in cols)
+        power = power * nilpotent
+    assert list(plan.entries.polys) == polys
+    assert power.is_zero()
+
+
 def test_one_parameter_power_matches_iterated_products():
     ring = PolyRing("n")
     for rep in ALL_REPS:
@@ -288,7 +318,7 @@ def _reference_entry(left_row, right_column, composed) -> Poly:
                 total[e] = total.get(e, Fraction(0)) + c1 * c2
     for e, c in composed.terms.items():
         total[e] = total.get(e, Fraction(0)) - c
-    return Poly(composed.ring, total)
+    return poly_from_terms(composed.ring, total)
 
 
 def test_fractional_tamper_fails_homomorphism_with_reference_text():

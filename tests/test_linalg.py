@@ -7,17 +7,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heiscert import linalg, suites
+from heiscert import heis, linalg, suites
 from heiscert.convexity import ORBIT_LIFT, OrbitSample, orbit_lift
-from heiscert.heis import (DATA_DIR, ENTRY_RING, EntryPlan, HeisElement,
-                           get_representation, heis_mul)
+from heiscert.heis import (DATA_DIR, ENTRY_RING, GENERATORS,
+                           TABLE_DIMENSIONS, EntryPlan, HeisElement,
+                           Representation, generator_power,
+                           get_representation, heis_mul,
+                           load_representation)
 from heiscert.linalg import (Matrix, clear_denominators, integer_kernel,
-                             integer_nilpotent_ranks, integer_product,
-                             jordan_partition)
+                             integer_product, jordan_partition)
 from heiscert.poly import Poly
 from heiscert.rationals import to_fraction
 from heiscert.restriction import derive_subspace_basis
 from heiscert.sampler import RandomStream
+from test_poly import poly_from_terms
 
 THETA = get_representation("theta")
 
@@ -138,19 +141,20 @@ def test_kernel_of_six_dim_generator():
 
 
 def _rational_partition(m):
-    """The Jordan partition of a unipotent rational matrix, cleared to
-    int rows over one denominator."""
-    return jordan_partition(
-        integer_nilpotent_ranks(*clear_denominators(m.entries)))
+    """The Jordan partition of a unipotent rational matrix, from the
+    ranks of its nilpotent part's powers multiplied out over Fraction."""
+    return jordan_partition([m.rows] + _fraction_nilpotent_ranks(m))
 
 
 def test_jordan_identity():
-    assert _rational_partition(Matrix.identity(10)) == [1] * 10
+    ranks = THETA.nilpotent_ranks(HeisElement.identity())
+    assert ranks == [10, 0]
+    assert jordan_partition(ranks) == [1] * 10
 
 
 def test_jordan_center_element():
-    partition = jordan_partition(integer_nilpotent_ranks(
-        *THETA.integer_image(HeisElement.of(0, 0, 1))))
+    partition = jordan_partition(
+        THETA.nilpotent_ranks(HeisElement.of(0, 0, 1)))
     assert partition == [3, 2, 1, 1, 1, 1, 1]
 
 
@@ -159,8 +163,8 @@ SINGLE_BLOCK = Matrix([[Fraction(1), Fraction(1), Fraction(0)],
                        [Fraction(0), Fraction(0), Fraction(1)]])
 
 
-# The transpose is unipotent but lower-triangular: nilpotency is decided
-# from the rank sequence, not from the shape.
+# The transpose is unipotent but lower-triangular: the partition is read
+# off the rank sequence alone, not the shape.
 @pytest.mark.parametrize("block", [SINGLE_BLOCK, SINGLE_BLOCK.transpose()],
                          ids=["upper", "lower"])
 def test_jordan_single_block(block):
@@ -172,13 +176,18 @@ def _rational(rows):
 
 
 # The second matrix's ranks of N, N^2 fall 2 -> 1 and then stall at 1.
+# Only a loaded table reaches the rank route, and a table is unit upper
+# triangular, so its N = T - I is nilpotent: the constructor refuses
+# these.
 @pytest.mark.parametrize("m", [
     _rational([[2, 0], [0, 1]]),
     _rational([[1, 1, 0], [0, 1, 0], [0, 0, 2]]),
 ], ids=["diagonal", "rank-stalls-at-1"])
 def test_jordan_rejects_non_unipotent(m):
     with pytest.raises(ValueError):
-        _rational_partition(m)
+        _fraction_nilpotent_ranks(m)
+    with pytest.raises(ValueError):
+        Representation("non-unipotent", m.rows, _lift(m))
 
 
 def test_dimension_mismatch_raises():
@@ -418,17 +427,16 @@ def _blocks_from_ranks(ranks):
 
 
 def test_claim_integer_route_matches_fraction_oracle():
-    """jordan.unique_odd_largest ranks theta's integer image directly;
-    its ranks and partitions equal the Fraction powers' for sampled,
-    central and identity elements."""
+    """jordan.unique_odd_largest ranks the int blocks of theta's power
+    plan; its ranks and partitions equal the Fraction powers' for
+    sampled, central and identity elements."""
     stream = RandomStream(13).split("integer-route")
     triples = [stream.next_triple(nonzero=True) for _ in range(30)]
     triples += [(0, 0, c) for c in (1, -2, Fraction(3, 5))] + [(0, 0, 0)]
     for triple in triples:
         g = HeisElement.of(*triple)
         oracle = _fraction_nilpotent_ranks(THETA(g))
-        assert integer_nilpotent_ranks(*THETA.integer_image(g)) == \
-            [10] + oracle
+        assert THETA.nilpotent_ranks(g) == [10] + oracle
         _, witnesses = suites._jordan_unique_odd(parameters=[triple])
         expected = _blocks_from_ranks([10] + oracle)
         assert witnesses["partition_histogram"] == {str(expected): 1}
@@ -439,10 +447,10 @@ def test_partition_conjugate_matches_rank_sequence():
     stream = RandomStream(5).split("jordan-props")
     for _ in range(25):
         g = HeisElement.of(*stream.next_triple(nonzero=True))
-        mat = THETA(g)
-        partition = _rational_partition(mat)
+        ranks = THETA.nilpotent_ranks(g)
+        partition = jordan_partition(ranks)
         assert sum(partition) == 10
-        ranks = [10] + _fraction_nilpotent_ranks(mat)
+        assert ranks == [10] + _fraction_nilpotent_ranks(THETA(g))
         diffs = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
         conjugate = [sum(1 for p in partition if p >= k)
                      for k in range(1, max(partition) + 1)]
@@ -450,16 +458,13 @@ def test_partition_conjugate_matches_rank_sequence():
 
 
 @st.composite
-def conjugated_triangular(draw, unipotent):
-    """P U P^-1 for an upper-triangular U and an invertible integer P, so
-    the rows of the result carry unrelated denominators.  U has a unit
-    diagonal if unipotent, else a diagonal entry other than 1."""
+def non_unipotent(draw):
+    """P U P^-1 for an upper-triangular U with a diagonal entry other
+    than 1 and an invertible integer P, so the rows of the result carry
+    unrelated denominators."""
     n = draw(st.integers(min_value=1, max_value=6))
-    if unipotent:
-        diag = [Fraction(1)] * n
-    else:
-        diag = draw(st.lists(fractional, min_size=n, max_size=n))
-        assume(any(x != 1 for x in diag))
+    diag = draw(st.lists(fractional, min_size=n, max_size=n))
+    assume(any(x != 1 for x in diag))
     upper = st.one_of(st.just(Fraction(0)), fractional)
     u = Matrix([[diag[i] if i == j else draw(upper) if j > i else Fraction(0)
                  for j in range(n)] for i in range(n)])
@@ -472,79 +477,86 @@ def conjugated_triangular(draw, unipotent):
     return p * u * Matrix([row[n:] for row in reduced.entries])
 
 
+component = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
+                      fractional)
+# Each generator's powers, and elements with zero components.
+table_elements = st.one_of(
+    st.builds(generator_power, st.sampled_from(list(GENERATORS.values())),
+              component),
+    st.builds(HeisElement.of, component, component, component))
+
+
 @settings(max_examples=120, deadline=None)
-@given(conjugated_triangular(unipotent=True))
-def test_nilpotent_ranks_match_fraction_powers(m):
-    assert integer_nilpotent_ranks(*clear_denominators(m.entries)) == \
-        [m.rows] + _fraction_nilpotent_ranks(m)
+@given(st.sampled_from(list(TABLE_DIMENSIONS)), table_elements)
+def test_nilpotent_ranks_match_fraction_powers(name, g):
+    rep = get_representation(name)
+    assert rep.nilpotent_ranks(g) == \
+        [rep.dimension] + _fraction_nilpotent_ranks(rep(g))
 
 
 @settings(max_examples=60, deadline=None)
-@given(conjugated_triangular(unipotent=False))
+@given(non_unipotent())
 def test_non_unipotent_rejected_like_fraction_powers(m):
+    """The Fraction powers refuse a non-unipotent matrix, and so does
+    the table constructor, the only way into the rank route."""
     with pytest.raises(ValueError):
         _fraction_nilpotent_ranks(m)
     with pytest.raises(ValueError):
-        integer_nilpotent_ranks(*clear_denominators(m.entries))
+        Representation("non-unipotent", m.rows, _lift(m))
 
 
-def test_nilpotent_ranks_multiply_only_echelon_rows(monkeypatch):
-    """rank(N^k) comes from the rank(N^(k-1)) echelon rows times N, so
-    each product's left operand has as many rows as the previous rank;
-    the full n x n powers are never formed.  Every product goes through
-    the one Gustavson kernel with N's nonzero pairs listed once."""
-    stream = RandomStream(7).split("row-space-chain")
-    for g in [HeisElement.of(*stream.next_triple(nonzero=True))
-              for _ in range(5)] + [HeisElement.of(0, 0, 1)]:
-        m = THETA(g)
-        shapes = []
-        right_operands = set()
-        original = linalg._gustavson
+def test_nilpotent_ranks_evaluate_once_and_rank_each_power_once(monkeypatch):
+    """An element takes one integer_values call, on the power plan, and
+    one echelon pass per power's block, in order, until a rank is 0;
+    past the plan's last power the rank is 0 without a pass."""
+    theta = load_representation("theta", 10)
+    evaluated, shapes = [], []
+    values, echelon = EntryPlan.integer_values, heis._echelon
 
-        def recorded(left, nonzero, width):
-            shapes.append((len(left), len(nonzero), width))
-            right_operands.add(id(nonzero))
-            return original(left, nonzero, width)
+    def recorded_values(plan, g):
+        evaluated.append(plan)
+        return values(plan, g)
 
-        monkeypatch.setattr(linalg, "_gustavson", recorded)
-        ranks = integer_nilpotent_ranks(*clear_denominators(m.entries))
-        monkeypatch.undo()
-        assert ranks == [10] + _fraction_nilpotent_ranks(m)
-        assert shapes == [(r, 10, 10) for r in ranks[1:-1]]
-        assert len(right_operands) == 1
+    def recorded_echelon(m, reduce_above):
+        shapes.append((len(m), len(m[0])))
+        return echelon(m, reduce_above)
+
+    monkeypatch.setattr(EntryPlan, "integer_values", recorded_values)
+    monkeypatch.setattr(heis, "_echelon", recorded_echelon)
+    blocks = [(9, 9), (7, 6), (4, 3), (1, 1)]
+    for g, ranks, passes in [(HeisElement.of(1, 2, 3), [10, 7, 4, 2, 1, 0], 4),
+                             (HeisElement.of(0, 0, 1), [10, 3, 1, 0], 3),
+                             (HeisElement.identity(), [10, 0], 1)]:
+        evaluated.clear()
+        shapes.clear()
+        assert theta.nilpotent_ranks(g) == ranks
+        assert evaluated == [theta.power_plan.entries]
+        assert shapes == blocks[:passes]
 
 
 @st.composite
-def unipotent_upper(draw):
-    """The rows of a unit upper-triangular matrix, all int or all
-    Fraction, with its strict upper part drawn sparse or dense."""
+def unipotent_tables(draw):
+    """A unit upper-triangular entry table of up to 7 x 7, its strict
+    upper part drawn sparse or dense from small polynomials in a, b, c
+    with no constant term, so the table is I at the identity."""
     n = draw(st.integers(min_value=1, max_value=7))
-    integral = draw(st.booleans())
-    one = 1 if integral else Fraction(1)
-    value = st.integers(-4, 4) if integral else fractional
-    cell = st.one_of(st.just(0 * one), value)
-    return [[one if i == j else draw(cell) if j > i else 0 * one
-             for j in range(n)] for i in range(n)]
+    one, zero = ENTRY_RING.one(), ENTRY_RING.zero()
+    monomial = st.tuples(*[st.integers(0, 2)] * 3).filter(any)
+    cell = st.one_of(st.just(zero), st.dictionaries(
+        monomial, fractional, max_size=3).map(
+            lambda terms: poly_from_terms(ENTRY_RING, terms)))
+    return Matrix([[one if i == j else draw(cell) if j > i else zero
+                    for j in range(n)] for i in range(n)])
 
 
 @settings(max_examples=120, deadline=None)
-@given(unipotent_upper(), st.data())
-def test_nilpotent_ranks_match_rank_of_powers(rows, data):
-    m = Matrix(rows)
-    n = m.rows
-    nilpotent = m - Matrix.identity(n)
-    expected = []
-    power = nilpotent
-    while not expected or expected[-1]:
-        expected.append(power.rank())
-        power = power * nilpotent
-    assert integer_nilpotent_ranks(*clear_denominators(m.entries)) == \
-        [n] + expected
-    # A diagonal entry other than 1 leaves N with a nonzero eigenvalue.
-    k = data.draw(st.integers(0, n - 1))
-    rows[k][k] = data.draw(st.sampled_from([0, -1, 2, Fraction(1, 2)]))
-    with pytest.raises(ValueError):
-        integer_nilpotent_ranks(*clear_denominators(Matrix(rows).entries))
+@given(unipotent_tables(), table_elements)
+def test_nilpotent_ranks_match_rank_of_powers(table, g):
+    """The route on drawn tables, whose powers may vanish at g before
+    the plan's last power or only past it."""
+    rep = Representation("drawn", table.rows, table)
+    assert rep.nilpotent_ranks(g) == \
+        [table.rows] + _fraction_nilpotent_ranks(rep(g))
 
 
 def test_to_fraction_passes_a_fraction_through():
@@ -604,7 +616,7 @@ def test_integer_image_over_d_matches_entrywise_eval(name, point):
 
 small_polys = st.dictionaries(
     st.tuples(*[st.integers(0, 2)] * 3), entries, max_size=3).map(
-        lambda terms: Poly(ENTRY_RING, terms))
+        lambda terms: poly_from_terms(ENTRY_RING, terms))
 scalars = st.one_of(st.integers(-5, 5), entries)
 
 

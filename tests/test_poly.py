@@ -2,7 +2,7 @@
 
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,17 @@ from heiscert.convexity import nonneg_certificate
 RING = PolyRing("a", "b", "c")
 PAIR = PolyRing("a", "b", "c", "a'", "b'", "c'")
 A, B, C = RING.vars("a", "b", "c")
+
+
+def poly_from_terms(ring: PolyRing, terms: dict) -> Poly:
+    """The polynomial of ring with the given Fraction or int
+    coefficients, zero ones dropped, built through Poly.from_numerators
+    over the lcm of their denominators."""
+    coeffs = {e: Fraction(c) for e, c in terms.items() if c}
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return Poly.from_numerators(
+        ring, {e: c.numerator * (den // c.denominator)
+               for e, c in coeffs.items()}, den)
 
 
 def test_additive_identity():
@@ -28,7 +39,7 @@ def test_composed_center_coordinate():
     # (a*b' + c)*1 + c' expanded term by term
     a, bp, c, cp = PAIR.var("a"), PAIR.var("b'"), PAIR.var("c"), PAIR.var("c'")
     result = (a * bp + c) * PAIR.one() + cp
-    expected = Poly(PAIR, {
+    expected = poly_from_terms(PAIR, {
         (1, 0, 0, 0, 1, 0): Fraction(1),
         (0, 0, 1, 0, 0, 0): Fraction(1),
         (0, 0, 0, 0, 0, 1): Fraction(1),
@@ -183,7 +194,7 @@ def polys(draw):
     terms = {}
     for _ in range(n_terms):
         terms[draw(exponents)] = draw(coeffs)
-    return Poly(RING, terms)
+    return poly_from_terms(RING, terms)
 
 
 assignments = st.fixed_dictionaries({
@@ -224,7 +235,8 @@ def test_sum_and_product_match_a_fraction_dict_reference(p, q, cancel):
     down to the zero polynomial; every stored coefficient stays a nonzero
     Fraction, since certificates write coefficients as "p/q" text."""
     if cancel:
-        q = Poly(RING, {**q.terms, **{e: -c for e, c in p.terms.items()}})
+        q = poly_from_terms(
+            RING, {**q.terms, **{e: -c for e, c in p.terms.items()}})
     cases = [(p + q, _reference_sum(p.terms, q.terms)),
              (p * q, _reference_product(p.terms, q.terms)),
              (p * q + (-p) * q, {}),
@@ -252,7 +264,8 @@ def test_string_round_trip(p):
 @settings(max_examples=60)
 @given(polys())
 def test_graded_lex_string_is_deterministic(p):
-    again = Poly(RING, dict(reversed(list(p.terms.items()))))
+    again = poly_from_terms(RING,
+                            dict(reversed(list(p.terms.items()))))
     assert str(again) == str(p)
 
 
@@ -298,14 +311,16 @@ def test_one_polynomial_by_every_route_is_one_value(p, q):
     routes = [
         RING.parse(str(p)),
         # Integral coefficients given as Fraction(k, 1) or as k.
-        Poly(RING, {e: Fraction(c.numerator) if c.denominator == 1 else c
-                    for e, c in p.terms.items()}),
-        Poly(RING, {e: c.numerator if c.denominator == 1 else c
-                    for e, c in p.terms.items()}),
+        poly_from_terms(RING, {e: Fraction(c.numerator)
+                               if c.denominator == 1 else c
+                               for e, c in p.terms.items()}),
+        poly_from_terms(RING, {e: c.numerator if c.denominator == 1 else c
+                               for e, c in p.terms.items()}),
         (p * Fraction(1, 2)) * 2,
         # Sums whose denominators cancel.
-        Poly(RING, {e: c + third for e, c in p.terms.items()})
-        + Poly(RING, {e: -third for e in p.terms}),
+        poly_from_terms(RING, {e: c + third
+                               for e, c in p.terms.items()})
+        + poly_from_terms(RING, {e: -third for e in p.terms}),
         (p + q * Fraction(1, 6)) - q * Fraction(1, 6),
     ]
     for route in routes:
