@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .heis import ENTRY_RING, GENERATORS, HeisElement, Representation, \
     generator_power, get_representation
-from .linalg import Matrix, clear_denominators, integer_product
+from .linalg import Matrix, _echelon, clear_denominators, integer_product
 from .poly import Poly
 from .rationals import to_fraction
 
@@ -197,20 +197,26 @@ def parabolic_fixed_form(generator: str) -> SymForm:
 
     With N the nilpotent part of the 6x6 image, the top nonzero power of
     N has rank 1 and sends every positive-definite form to the same ray;
-    that ray is the limit of the iterated action.  Normalized by
-    _canonical, so the largest-magnitude coordinate is 1.  The cone
-    suite, not this function, checks that it is rank 1 and PSD.
+    that ray is the limit of the iterated action.  On ints: for the
+    image R / d (integer_image), R - d I is d N, and a positive scale
+    moves neither a rank nor a ray.  Normalized by _canonical, so the
+    largest-magnitude coordinate is 1.  The cone suite, not this
+    function, checks that it is rank 1 and PSD.
     """
-    n = get_representation("rho6")(GENERATORS[generator]) - Matrix.identity(6)
+    rows, d = get_representation("rho6").integer_image(GENERATORS[generator])
+    n = [[x - d * (i == j) for j, x in enumerate(row)]
+         for i, row in enumerate(rows)]
     power = n
     while True:
-        next_power = power * n
-        if next_power.is_zero():
+        next_power = integer_product(power, n)
+        if not any(map(any, next_power)):
             break
         power = next_power
-    if power.rank() != 1:
+    # The top power times the identity form's coordinates, as one row.
+    (image,) = integer_product([[int(i == j) for i, j in FORM_MONOMIALS]],
+                               zip(*power))
+    if len(_echelon(power, reduce_above=False)[0]) != 1:
         raise ValueError("top nilpotent power does not have rank 1")
-    image = power.apply(form_coordinates(SymForm.identity()))
     if all(x == 0 for x in image):
         raise ValueError("identity form is annihilated by the top power")
     form = form_from_coordinates(_canonical(image))

@@ -8,10 +8,11 @@ fixed point and hyperplane at infinity, domination along rays to
 infinity, proper convexity (the hull stays in {x1 >= 0}) and extremality
 of sampled orbit points via exact LP.  Each claim check returns (ok,
 witnesses); the per-point extreme_point_certificate returns its verdict
-and that point's entry in the claim's witnesses.  orbit_lift() evaluates
-the lifted formula through its compiled heis.EntryPlan, the path the
-entry tables take, so it serves rational elements, symbolic ones and
-rays to infinity alike.  Orbit points are compared as lifts in the
+and that point's entry in the claim's witnesses.  The lifted formula is
+compiled once into a heis.EntryPlan, ORBIT_LIFT_PLAN, as the entry
+tables are: a rational element's lift is its int values over one
+denominator, and orbit_lift() evaluates it at symbolic elements and
+along rays to infinity.  Orbit points are compared as lifts in the
 affine chart x10 = 1: theta's last row is e10 (certified by
 fixed_structure_certificate), so every image of a lift ends in 1 as well,
 and for such vectors projective equality is vector equality.
@@ -24,7 +25,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .heis import ENTRY_RING, EntryPlan, HeisElement, get_representation
-from .lp import Cleared, affine_column, solve_equality_feasibility
+from .lp import Cleared, solve_equality_feasibility
 from .poly import Poly, PolyRing
 from .rationals import format_rational, parse_rational, to_fraction
 from .sampler import RandomStream
@@ -56,9 +57,10 @@ def lift_origin() -> list[Fraction]:
     return [Fraction(0)] * AFFINE_DIM + [Fraction(1)]
 
 
-def orbit_lift(g: HeisElement) -> list:
-    """Homogeneous lift (x1..x9, 1) of the orbit point of g: rational if
-    g is rational, polynomials in g's ring otherwise."""
+def orbit_lift(g: HeisElement) -> list[Poly]:
+    """Homogeneous lift (x1..x9, 1) of the orbit point of the symbolic g,
+    polynomials in g's ring; a rational g's lift is
+    ORBIT_LIFT_PLAN.integer_values."""
     return ORBIT_LIFT_PLAN.specialize(g)
 
 
@@ -174,17 +176,17 @@ class OrbitSample:
         self.parameters = parameters
 
     @cached_property
-    def lifts(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The orbit lifts of the parameters, computed once per sample and
-        immutable, so every reader shares them."""
-        return tuple(tuple(orbit_lift(HeisElement.of(*p)))
-                     for p in self.parameters)
-
-    @cached_property
     def columns(self) -> tuple[Cleared, ...]:
-        """Each lift's affine LP column, cleared once per sample for the
-        LPs of every extreme-point check."""
-        return tuple(affine_column(lift) for lift in self.lifts)
+        """Each point's affine LP column (lift, 1) as ((*R, d), d), for
+        its lift R / d from ORBIT_LIFT_PLAN's int values: a point is a
+        convex combination of others exactly when its affine column is a
+        nonnegative combination of theirs, the last row saying that the
+        weights sum to 1, and a Farkas functional of that system is a
+        separating affine functional.  Built once per sample for the LPs
+        of every extreme-point check, and immutable."""
+        return tuple(((*values, d), d) for values, d in (
+            ORBIT_LIFT_PLAN.integer_values(HeisElement(*p))
+            for p in self.parameters))
 
     def __len__(self):
         return len(self.parameters)

@@ -9,21 +9,21 @@ upper-triangular matrix with a, c on the first row and b in position
 The entry tables of the three representations (named theta, rho6 and
 rho14; dimensions 10, 6 and 14) are loaded from plain-text .rep files so
 they exist in exactly one transcription.  EntryPlan is the one place
-that evaluates polynomials in a, b, c at a group element, rational or
-symbolic; each entry table compiles one when its Representation is
-built, and the orbit formula has its own.  A plan lists the distinct
-monomials, the largest exponent of each of a, b, c, and every term's
-coefficient numerator over one common coefficient denominator.  At a
-rational element it runs in plain integers: one power table per
-component (built in one pass, with no denominator powers for an integer
-component), one int product per monomial, one int sum per entry, and a
-single denominator d for them all, so Representation.integer_image hands
-out the matrix as int rows over d, and the rational matrix builds one
-Fraction per nonzero entry from them.  At a symbolic element each
-distinct monomial is a product of cached powers of the components, built
-once per call, and each entry adds up its terms on ints: the plan's
-numerators times the monomials' Poly numerators, in one int map over one
-denominator, reduced once per entry (see poly for that form).
+that evaluates polynomials in a, b, c at a group element; each entry
+table compiles one when its Representation is built, and the orbit
+formula has its own.  A plan lists the distinct monomials, the largest
+exponent of each of a, b, c, and every term's coefficient numerator over
+one common coefficient denominator.  A rational element has one route,
+integer_values, in plain integers: one power table per component (built
+in one pass, with no denominator powers for an integer component), one
+int product per monomial, one int sum per entry, and a single
+denominator d for them all, so Representation.integer_image hands out
+the matrix as int rows over d and no Fraction is built.  specialize
+serves symbolic elements: each distinct monomial is a product of cached
+powers of the components, built once per call, and each entry adds up
+its terms on ints: the plan's numerators times the monomials' Poly
+numerators, in one int map over one denominator, reduced once per entry
+(see poly for that form).
 Representation.nilpotent_ranks is the one Jordan rank route.  On first
 use a table multiplies out the powers N, N^2, ... of its N = T - I
 (nilpotent, since a loaded table is unit upper triangular) until one is
@@ -74,9 +74,6 @@ class HeisElement(NamedTuple):
     @staticmethod
     def symbolic(ring: PolyRing = ENTRY_RING, names=("a", "b", "c")) -> "HeisElement":
         return HeisElement(*(ring.var(n) for n in names))
-
-    def components(self) -> tuple[Component, Component, Component]:
-        return (self.a, self.b, self.c)
 
 
 def heis_mul(g: HeisElement, h: HeisElement) -> HeisElement:
@@ -147,26 +144,23 @@ class EntryPlan:
             values[n] += c * monomials[m]
         return values, d
 
-    def specialize(self, g: HeisElement) -> list[Component]:
-        """The polynomials evaluated at g: Fraction(R, d) from
-        integer_values (a shared 0 where R is 0) if g is rational,
-        otherwise polynomials in the one ring g's components share.
-        There each distinct monomial is one product of cached powers of
-        the components, a rational component lifted into the ring, and
-        each value adds its terms' numerators times the monomials' int
-        numerators into one int map over L S, S the lcm of the
-        monomials' denominators, reduced once."""
-        components = g.components()
-        if all(isinstance(v, Fraction) for v in components):
-            values, d = self.integer_values(g)
-            zero = Fraction(0)
-            return [Fraction(x, d) if x else zero for x in values]
-        rings = {v.ring for v in components if isinstance(v, Poly)}
+    def specialize(self, g: HeisElement) -> list[Poly]:
+        """The polynomials evaluated at the symbolic g, in the one ring
+        g's components share.  Each distinct monomial is one product of
+        cached powers of the components, a rational component lifted
+        into the ring, and each value adds its terms' numerators times
+        the monomials' int numerators into one int map over L S, S the
+        lcm of the monomials' denominators, reduced once.  A rational g
+        is refused: its values are integer_values."""
+        rings = {v.ring for v in g if isinstance(v, Poly)}
+        if not rings:
+            raise TypeError("a rational element is evaluated on ints, by "
+                            "integer_values or integer_image")
         if len(rings) != 1:
             raise ValueError("symbolic components must share one ring")
         ring = rings.pop()
         powers = [[x if isinstance(x, Poly) else ring.const(x)]
-                  for x in components]   # powers[axis][n - 1] = component^n
+                  for x in g]   # powers[axis][n - 1] = component^n
         monomials = []
         for e in self.monomials:
             factors = []
@@ -242,11 +236,13 @@ class Representation:
         self.dimension = dimension
         self.table = table
         self.power_plan: PowerPlan | None = None
-        if self(HeisElement.identity()) != Matrix.identity(dimension):
+        values, d = self.plan.integer_values(HeisElement.identity())
+        if values != [d * (i == j) for i in range(dimension)
+                      for j in range(dimension)]:
             raise ValueError(f"{name}: table at the identity is not I")
 
     def __call__(self, g: HeisElement) -> Matrix:
-        """The matrix of g: rational if g is rational, symbolic otherwise."""
+        """The matrix of the symbolic g; a rational g's is integer_image."""
         n = self.dimension
         flat = self.plan.specialize(g)
         return Matrix([flat[i:i + n] for i in range(0, n * n, n)])

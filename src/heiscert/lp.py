@@ -2,13 +2,14 @@
 
 Only feasibility of equality systems {Ax = b, x >= 0} is needed here (it
 decides convex-combination membership).  The simplex reads the columns
-of [A | b] as ints, each column scaled to integers by the lcm of its own
-denominators (cleared()), so that a caller that poses many systems over
-the same columns clears each column once.  The simplex is the revised
-one (Dantzig and Orchard-Hays, MTAC 8, 1954): only the basis-inverse
-block and the rhs are pivoted, with the fraction-free step of linalg
-(Edmonds' integer-preserving pivoting), and a structural column is
-priced from them on demand.  The ratio test cross-multiplies ints.
+of [A | b] as ints, each over a positive scale of its own (Cleared), so
+that a caller that poses many systems over the same columns clears each
+column once; an entry or scale that is not an int is refused.  The
+simplex is the revised one (Dantzig and Orchard-Hays, MTAC 8, 1954):
+only the basis-inverse block and the rhs are pivoted, with the
+fraction-free step of linalg (Edmonds' integer-preserving pivoting), and
+a structural column is priced from them on demand.  The ratio test
+cross-multiplies ints.
 Bland's smallest-index rule guarantees termination.  On an infeasible
 system the final multipliers give a Farkas functional y with y.b > 0
 and y.A <= 0, which is verified in integer arithmetic before being
@@ -21,7 +22,6 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import _integer_copy, eliminate
-from .rationals import to_fraction
 
 # A column of [A | b] as ints over one positive scale: (ints, scale)
 # stands for the rationals ints / scale.
@@ -34,21 +34,6 @@ class FeasibilityResult(NamedTuple):
     solution: Optional[list[Fraction]]
     # A verified Farkas certificate (y.A <= 0, y.b > 0) when infeasible.
     farkas: Optional[list[Fraction]]
-
-
-def cleared(values: Sequence) -> Cleared:
-    """The rationals values as ints over the lcm of their denominators,
-    and that lcm; floats and bools are refused."""
-    (column,), (scale,) = _integer_copy([[to_fraction(x) for x in values]])
-    return column, scale
-
-
-def affine_column(point: Sequence) -> Cleared:
-    """The column (point, 1), cleared: a point is a convex combination of
-    others exactly when its affine column is a nonnegative combination of
-    theirs, the last row saying that the weights sum to 1.  A Farkas
-    functional of that system is a separating affine functional."""
-    return cleared([*point, 1])
 
 
 def solve_equality_feasibility(columns: Sequence[Cleared]
@@ -69,7 +54,7 @@ def solve_equality_feasibility(columns: Sequence[Cleared]
     if any(len(ints) != m for ints, _ in structural):
         raise ValueError("inconsistent system shape")
 
-    # Column j of [A | b] is cleared by its own lcm c_j (c_b for b).  A
+    # Column j of [A | b] is cleared by its own scale c_j (c_b for b).  A
     # positive column scale flips no reduced cost and scales every ratio
     # of one ratio test alike, so Bland's rule picks the same bases.  A
     # row with b < 0 is negated so the artificial basis is feasible; the

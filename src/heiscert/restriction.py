@@ -20,7 +20,8 @@ from functools import lru_cache
 
 from .heis import DATA_DIR, GENERATORS, HeisElement, get_representation, \
     heis_mul, one_parameter_power, symbolic_pair
-from .linalg import Matrix, clear_denominators, integer_kernel
+from .linalg import Matrix, clear_denominators, integer_kernel, \
+    integer_product
 from .poly import PolyRing
 
 AMBIENT_DIM = 14
@@ -65,7 +66,7 @@ def derive_subspace_basis() -> Matrix:
 
 
 def induced_matrix(g: HeisElement) -> Matrix:
-    """The 10x10 matrix of g acting in the subspace basis.
+    """The 10x10 matrix of the symbolic g acting in the subspace basis.
 
     Because the basis matrix restricted to the free coordinate rows is
     the identity, the induced matrix is just those rows of
@@ -127,23 +128,29 @@ def intertwiner_dimension() -> int:
 
     Solved on ints from the generator conditions (enough because the
     integer points are Zariski dense); every int kernel vector is then
-    reverified against the full symbolic identity.
+    reverified against the full symbolic identity.  At a generator, the
+    free rows of rho14's int image over d (integer_image) times the
+    subspace basis cleared once to ints over s give the induced matrix
+    over d s, and theta's int image is over e.
     """
     theta = get_representation("theta")
+    rho14 = get_representation("rho14")
     n = SUBSPACE_DIM
+    basis, s = clear_denominators(derive_subspace_basis().entries)
     rows = []
     for gen in (GENERATORS["A"], GENERATORS["B"]):
-        # One shared scale, since a scale per row breaks L X - X R = 0.
-        cleared, _ = clear_denominators(
-            induced_matrix(gen).entries + theta(gen).entries)
-        left, right = cleared[:n], cleared[n:]
-        # condition left @ X - X @ right = 0, unknowns X_kl flattened
+        image, d = rho14.integer_image(gen)
+        left = integer_product([image[f - 1] for f in FREE_COORDINATES],
+                               basis)
+        right, e = theta.integer_image(gen)
+        # condition left / (d s) @ X - X @ right / e = 0, unknowns X_kl
+        # flattened, at one shared scale d s e: a scale per side breaks it
         for i in range(n):
             for j in range(n):
                 row = [0] * (n * n)
                 for k in range(n):
-                    row[k * n + j] += left[i][k]
-                    row[i * n + k] -= right[k][j]
+                    row[k * n + j] += e * left[i][k]
+                    row[i * n + k] -= d * s * right[k][j]
                 rows.append(row)
     kernel = integer_kernel(rows)
     induced = _free_rows(_symbolic_image())

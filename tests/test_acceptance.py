@@ -12,7 +12,7 @@ from heiscert.certs import PASS
 from heiscert.convexity import (DEFAULT_RAY_TS, ORBIT_FORMULA, OrbitSample,
                                 extreme_point_certificate, lift_origin,
                                 limit_point_certificate, nonneg_certificate,
-                                orbit_lift, sample_orbit)
+                                sample_orbit)
 from heiscert.cone import (flat_segment_certificate, parabolic_fixed_form,
                            pd_preservation_certificate,
                            sym_square_match_certificate)
@@ -25,9 +25,15 @@ from heiscert.restriction import (growth_certificate,
                                   subspace_equations)
 from heiscert.sampler import RandomStream
 from heiscert.suites import RunConfig, run_suite
+from test_heis import rational_image, rational_lift
 from test_linalg import _rational_partition
 
 THETA = get_representation("theta")
+
+
+def _lift_det(sample: OrbitSample) -> Fraction:
+    """The determinant of the sample's Fraction lifts, one row each."""
+    return Matrix([rational_lift(p) for p in sample.parameters]).det()
 
 
 def report(number: int, title: str, ok: bool):
@@ -51,14 +57,14 @@ def test_criterion_02_orbit_formula():
 def test_criterion_03_jordan_claim():
     # The rational matrices' powers are multiplied out here, not read off
     # the power plan, so this cross-checks the claim's route.
-    center = _rational_partition(THETA(HeisElement.of(0, 0, 1)))
-    nilpotent = THETA(HeisElement.of(0, 0, 1)) - Matrix.identity(10)
+    center = _rational_partition(rational_image(THETA, (0, 0, 1)))
+    nilpotent = rational_image(THETA, (0, 0, 1)) - Matrix.identity(10)
     rank_oracle = [nilpotent.rank(), (nilpotent * nilpotent).rank(),
                    (nilpotent * nilpotent * nilpotent).rank()]
     ok = center == [3, 2, 1, 1, 1, 1, 1] and rank_oracle == [3, 1, 0]
     stream = RandomStream(0).split("acceptance-jordan")
     for triple in stream.distinct_triples(200, nonzero=True):
-        partition = _rational_partition(THETA(HeisElement.of(*triple)))
+        partition = _rational_partition(rational_image(THETA, triple))
         largest = partition[0]
         ok = ok and partition.count(largest) == 1 and largest % 2 == 1
     report(3, "unique odd largest Jordan block on 200 samples", ok)
@@ -66,12 +72,12 @@ def test_criterion_03_jordan_claim():
 
 def test_criterion_04_hull_dimension():
     frozen = OrbitSample.from_csv((DATA_DIR / "hull_sample.csv").read_text())
-    ok = Matrix(frozen.lifts).det() != 0
+    ok = _lift_det(frozen) != 0
     for seed in range(1, 21):
-        ok = ok and Matrix(sample_orbit(10, seed, "hull").lifts).det() != 0
+        ok = ok and _lift_det(sample_orbit(10, seed, "hull")) != 0
     center = OrbitSample([(Fraction(0), Fraction(0), Fraction(k))
                           for k in range(1, 11)])
-    ok = ok and Matrix(center.lifts).det() == 0
+    ok = ok and _lift_det(center) == 0
     report(4, "hull determinants: frozen and 20 fresh nonzero, "
               "center degenerate", ok)
 
@@ -173,13 +179,13 @@ def test_criterion_12_hilbert_and_cross_ratio():
             r_xy * hilbert_log_argument(faces, y, z)
         ok = ok and hilbert_log_argument(faces, x, x) == 1
 
-    p = orbit_lift(HeisElement.identity())
-    q = orbit_lift(HeisElement.of(1, 1, 1))
+    p = rational_lift(HeisElement.identity())
+    q = rational_lift(HeisElement.of(1, 1, 1))
     points = [[u + Fraction(t) * v for u, v in zip(p, q)]
               for t in (0, 1, 2, 3)]
     base = cross_ratio(*points)
     for _ in range(50):
-        mat = THETA(HeisElement.of(*stream.next_triple()))
+        mat = rational_image(THETA, stream.next_triple())
         ok = ok and cross_ratio(*(mat.apply(v) for v in points)) == base
     report(12, "Hilbert metric axioms on 50 polytopes and cross-ratio "
                "invariance under 50 elements", ok)

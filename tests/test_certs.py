@@ -13,7 +13,7 @@ from heiscert.certs import PASS, Certificate, _indented, canonical_json, \
 from heiscert.cone import SymForm, form_from_coordinates
 from heiscert.convexity import OrbitSample, limit_point_certificate
 from heiscert.linalg import Matrix
-from heiscert.lp import affine_column, cleared, solve_equality_feasibility
+from heiscert.lp import solve_equality_feasibility
 from heiscert.metric import Halfspace, box, cross_ratio, \
     hilbert_log_argument
 from heiscert.poly import PolyRing
@@ -182,28 +182,31 @@ RATIONAL_ENTRY_POINTS = {
     "box": lambda v: box([-1], [v]),
     "hilbert_log_argument": lambda v: hilbert_log_argument(
         UNIT_BOX, [v], [Fraction(1, 4)]),
-    "solve_equality_feasibility": lambda v: solve_equality_feasibility(
-        [cleared([v]), cleared([1])]),
-    "solve_equality_feasibility.rhs": lambda v: solve_equality_feasibility(
-        [cleared([1]), cleared([v])]),
-    "affine_column": lambda v: solve_equality_feasibility(
-        [affine_column([v]), affine_column([2]), affine_column([1])]),
     "OrbitSample": lambda v: OrbitSample([(v, 0, 0)]),
     "limit_point_certificate": lambda v: limit_point_certificate(
         t_values=(v, 10, 100)),
 }
+# The simplex takes int columns over int scales, and refuses any entry
+# that is not an int; its exact values are ints.
+INT_ENTRY_POINTS = {
+    "solve_equality_feasibility": lambda v: solve_equality_feasibility(
+        [([v], 1), ([1], 1)]),
+    "solve_equality_feasibility.rhs": lambda v: solve_equality_feasibility(
+        [([1], 1), ([v], 1)]),
+}
+ENTRY_POINTS = {**RATIONAL_ENTRY_POINTS, **INT_ENTRY_POINTS}
 
 
 @pytest.mark.parametrize("value", [0.5, True], ids=["float", "bool"])
-@pytest.mark.parametrize("entry", sorted(RATIONAL_ENTRY_POINTS))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_rational_entry_points_refuse_floats_and_bools(entry, value):
     with pytest.raises(TypeError):
-        RATIONAL_ENTRY_POINTS[entry](value)
+        ENTRY_POINTS[entry](value)
 
 
-@pytest.mark.parametrize("entry", sorted(RATIONAL_ENTRY_POINTS))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_rational_entry_points_accept_exact_values(entry):
-    RATIONAL_ENTRY_POINTS[entry](HALF)
+    ENTRY_POINTS[entry](1 if entry in INT_ENTRY_POINTS else HALF)
 
 
 def test_canonical_json_is_order_insensitive():

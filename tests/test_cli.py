@@ -21,6 +21,7 @@ from heiscert.rationals import format_rational, parse_rational
 from heiscert.sampler import MASK64, MAX_DEN, MAX_NUM, RandomStream
 from heiscert.suites import (CLAIMS_BY_ID, DEFAULT_SAMPLE_SIZES, MATCH,
                              MISMATCH, RunConfig, replay, run_suite)
+from test_heis import rational_image
 from test_linalg import _blocks_from_ranks, _fraction_nilpotent_ranks
 
 
@@ -596,8 +597,8 @@ def test_jordan_command(rep_name, capsys):
         assert main(["jordan", f"--element={element}", "--rep",
                      rep_name]) == 0
         g = HeisElement.of(*(parse_rational(x) for x in element.split(",")))
-        expected = _blocks_from_ranks(
-            [rep.dimension] + _fraction_nilpotent_ranks(rep(g)))
+        expected = _blocks_from_ranks([rep.dimension] + \
+            _fraction_nilpotent_ranks(rational_image(rep, g)))
         assert capsys.readouterr().out == \
             f"{rep_name}({element}) jordan blocks: {expected}\n"
     if rep_name == "theta":

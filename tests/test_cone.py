@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heiscert import cone
+from heiscert import cone, heis
 from heiscert.cone import (SymForm, act_on_form, attraction_gaps,
                            congruence_image, flat_segment_certificate,
                            form_coordinates, form_from_coordinates, heis_3x3,
                            parabolic_fixed_form, pd_preservation_certificate,
                            sym_square_match_certificate)
-from heiscert.heis import GENERATORS, HeisElement, Representation, \
-    get_representation
+from heiscert.heis import ENTRY_RING, GENERATORS, HeisElement, \
+    Representation, get_representation
 from heiscert.linalg import Matrix
 from heiscert.sampler import RandomStream
 from heiscert.suites import _random_pd_form
+from test_heis import rational_image
 
 RHO6 = get_representation("rho6")
 
@@ -158,7 +159,8 @@ def test_form_coordinates_round_trip():
 
 def action_reference(g: HeisElement, form: SymForm) -> SymForm:
     """The 6x6 action as a Fraction matrix times a Fraction vector."""
-    return form_from_coordinates(RHO6(g).apply(form_coordinates(form)))
+    return form_from_coordinates(
+        rational_image(RHO6, g).apply(form_coordinates(form)))
 
 
 def congruence_reference(g: HeisElement, form: SymForm) -> SymForm:
@@ -300,7 +302,33 @@ def test_fixed_forms_are_rank_one_eigenvectors():
         assert form.matrix().rank() == 1
         assert form.is_positive_semidefinite()
         coords = form_coordinates(form)
-        assert RHO6(GENERATORS[name]).apply(coords) == coords
+        assert rational_image(RHO6, GENERATORS[name]).apply(coords) == coords
+
+
+def test_fixed_forms_match_fraction_powers():
+    """The int route gives the form that the top nonzero power of
+    rho6(g) - I, multiplied out over Fraction, makes of the identity
+    form, over its largest-magnitude coordinate."""
+    for name in ("A", "B", "C"):
+        n = rational_image(RHO6, GENERATORS[name]) - Matrix.identity(6)
+        power = n
+        while not (power * n).is_zero():
+            power = power * n
+        image = power.apply(form_coordinates(SymForm.identity()))
+        pivot = max(image, key=abs)
+        assert form_coordinates(parabolic_fixed_form(name)) == \
+            [x / pivot for x in image]
+
+
+def test_fixed_form_refuses_a_top_power_that_is_not_rank_one(monkeypatch):
+    """On the identity table every N is 0, so the top power has rank 0."""
+    one, zero = ENTRY_RING.one(), ENTRY_RING.zero()
+    identity = Matrix([[one if i == j else zero for j in range(6)]
+                       for i in range(6)])
+    monkeypatch.setitem(heis._CACHE, "rho6",
+                        Representation("rho6", 6, identity))
+    with pytest.raises(ValueError, match="rank 1"):
+        parabolic_fixed_form("A")
 
 
 def test_fixed_forms_of_first_two_generators_differ():

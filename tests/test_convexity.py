@@ -15,20 +15,32 @@ from heiscert.convexity import (DEFAULT_RAY_TS, DEFAULT_RAYS, ORBIT_FORMULA,
                                 proper_convexity_certificate, sample_orbit)
 from heiscert.heis import DATA_DIR, ENTRY_RING, HeisElement, \
     get_representation, heis_mul, symbolic_pair
-from heiscert.linalg import Matrix
+from heiscert.linalg import Matrix, clear_denominators
 from heiscert.poly import PolyRing
 from heiscert.rationals import format_rational
 from heiscert.sampler import RandomStream
+from test_heis import rational_image, rational_lift
 
 THETA = get_representation("theta")
 
 
+def _int_lift(g: HeisElement) -> list[Fraction]:
+    """The orbit lift from the plan's int values R over d, as R / d."""
+    values, d = convexity.ORBIT_LIFT_PLAN.integer_values(g)
+    return [Fraction(x, d) for x in values]
+
+
+def _lift_matrix(parameters) -> Matrix:
+    """The Fraction lifts of the parameters, one row each."""
+    return Matrix([rational_lift(p) for p in parameters])
+
+
 def test_orbit_of_identity_is_origin():
-    assert orbit_lift(HeisElement.identity()) == lift_origin()
+    assert _int_lift(HeisElement.identity()) == lift_origin()
 
 
 def test_orbit_point_explicit_value():
-    point = orbit_lift(HeisElement.of(1, 1, 1))
+    point = _int_lift(HeisElement.of(1, 1, 1))
     expected = [Fraction(13, 12), 1, 1, Fraction(1, 6), Fraction(1, 2), 1,
                 Fraction(1, 6), Fraction(1, 2), 1, 1]
     assert point == expected
@@ -38,7 +50,7 @@ def test_orbit_equals_matrix_column_sampled():
     stream = RandomStream(17).split("orbit-vs-matrix")
     for _ in range(100):
         g = HeisElement.of(*stream.next_triple())
-        assert THETA(g).apply(lift_origin()) == orbit_lift(g)
+        assert rational_image(THETA, g).apply(lift_origin()) == _int_lift(g)
 
 
 def test_orbit_equals_matrix_column_symbolic():
@@ -49,8 +61,9 @@ def test_orbit_equals_matrix_column_symbolic():
 
 def equivariant(g, h, law=heis_mul) -> bool:
     """Fraction reference: theta(g) maps the orbit lift of h to that of
-    g*h under the given group law."""
-    return THETA(g).apply(orbit_lift(h)) == orbit_lift(law(g, h))
+    g*h under the given group law, at rational g and h."""
+    return rational_image(THETA, g).apply(rational_lift(h)) == \
+        rational_lift(law(g, h))
 
 
 def test_equivariance_identity_element():
@@ -59,12 +72,13 @@ def test_equivariance_identity_element():
 
 def test_equivariance_generator_pair():
     g, h = HeisElement.of(1, 0, 0), HeisElement.of(0, 1, 0)
-    assert heis_mul(g, h).components() == (1, 1, 1)
+    assert tuple(heis_mul(g, h)) == (1, 1, 1)
     assert equivariant(g, h)
 
 
 def test_equivariance_symbolic():
-    assert equivariant(*symbolic_pair())
+    g, h = symbolic_pair()
+    assert THETA(g).apply(orbit_lift(h)) == orbit_lift(heis_mul(g, h))
 
 
 def _law_without_ab(g, h):
@@ -161,17 +175,17 @@ def _frozen_sample(name: str) -> OrbitSample:
 
 def test_frozen_hull_sample_has_nonzero_determinant():
     sample = _frozen_sample("hull_sample.csv")
-    assert Matrix(sample.lifts).det() != 0
+    assert _lift_matrix(sample.parameters).det() != 0
 
 
 def test_repeated_point_matrix_is_singular():
-    lift = orbit_lift(HeisElement.identity())
+    lift = rational_lift(HeisElement.identity())
     assert Matrix([lift] * 10).det() == 0
 
 
 def test_center_only_sample_is_degenerate():
     params = [(Fraction(0), Fraction(0), Fraction(k)) for k in range(1, 11)]
-    assert Matrix(OrbitSample(params).lifts).det() == 0
+    assert _lift_matrix(OrbitSample(params).parameters).det() == 0
 
 
 def test_lift_det_matches_fraction_lift_matrix():
@@ -187,7 +201,7 @@ def test_lift_det_matches_fraction_lift_matrix():
     for raw in [frozen, center, *drawn["fresh"]]:
         det = suites._lift_det(raw)
         assert type(det) is Fraction
-        assert det == Matrix(OrbitSample(raw).lifts).det()
+        assert det == _lift_matrix(OrbitSample(raw).parameters).det()
     assert suites._lift_det(center) == 0 != suites._lift_det(frozen)
     for bad in (frozen[:9], frozen[:9] + frozen[:1]):
         with pytest.raises(ValueError):
@@ -196,7 +210,8 @@ def test_lift_det_matches_fraction_lift_matrix():
 
 def test_fresh_seeded_samples_stay_nondegenerate():
     for seed in range(1, 21):
-        assert Matrix(sample_orbit(10, seed, "hull").lifts).det() != 0
+        assert _lift_matrix(
+            sample_orbit(10, seed, "hull").parameters).det() != 0
 
 
 def test_hull_dimension_invariant_under_group_images():
@@ -205,10 +220,9 @@ def test_hull_dimension_invariant_under_group_images():
     for index in range(3):
         g = HeisElement.of(*stream.next_triple())
         params = list(sample.parameters)
-        params[index] = tuple(
-            heis_mul(g, HeisElement.of(*params[index])).components())
+        params[index] = tuple(heis_mul(g, HeisElement.of(*params[index])))
         moved = OrbitSample(params)
-        assert Matrix(moved.lifts).det() != 0
+        assert _lift_matrix(moved.parameters).det() != 0
 
 
 # -- proper convexity ------------------------------------------------------------
@@ -244,12 +258,11 @@ def test_simplex_vertex_is_extreme():
 
 
 def test_simplex_centroid_is_not_extreme():
-    from heiscert.lp import affine_column, solve_equality_feasibility
+    from test_lp import convex_combination_weights
     vertices = [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)],
                 [Fraction(0), Fraction(1)]]
     centroid = [Fraction(1, 3), Fraction(1, 3)]
-    result = solve_equality_feasibility(
-        [affine_column(p) for p in (*vertices, centroid)])
+    result = convex_combination_weights(vertices, centroid)
     assert result.feasible
     assert result.solution == [Fraction(1, 3)] * 3
 
@@ -270,20 +283,24 @@ def _dot(y, lift) -> Fraction:
 
 def test_extreme_points_fail_body_lists_weights_for_an_inner_point(
         monkeypatch):
-    """With the orbit lift of one shipped point replaced by the midpoint
-    of two others' lifts, hull.extreme_points fails; that point's entry
-    is {"weights": w}, a convex combination of the other lifts giving
-    it, and every other entry is a functional that separates its point
-    from the rest."""
+    """With the int lift of one shipped point replaced by the midpoint
+    of two others' lifts, hull.extreme_points fails on its int columns;
+    that point's entry is {"weights": w}, a convex combination of the
+    other lifts giving it, and every other entry is a functional that
+    separates its point from the rest."""
     parameters = suites._extreme_points_inputs()["parameters"]
     inner = 5
     inner_g = HeisElement.of(*parameters[inner])
-    ends = [orbit_lift(HeisElement.of(*p)) for p in parameters[:2]]
-    midpoint = [(x + y) / 2 for x, y in zip(*ends)]
-    monkeypatch.setattr(convexity, "orbit_lift",
-                        lambda g: midpoint if g == inner_g else orbit_lift(g))
-    lifts = OrbitSample(parameters).lifts
-    assert lifts[inner] == tuple(midpoint)
+    lifts = [rational_lift(p) for p in parameters]
+    midpoint = [(x + y) / 2 for x, y in zip(*lifts[:2])]
+    lifts[inner] = midpoint
+    (ints,), scale = clear_denominators([midpoint])
+    plan = convexity.ORBIT_LIFT_PLAN
+    values = plan.integer_values
+    monkeypatch.setattr(plan, "integer_values",
+                        lambda g: (ints, scale) if g == inner_g else values(g))
+    column, column_scale = OrbitSample(parameters).columns[inner]
+    assert [Fraction(x, column_scale) for x in column] == [*midpoint, 1]
 
     ok, witnesses = suites._extreme_points(parameters)
     assert not ok and witnesses["all_extreme"] is False
@@ -313,17 +330,23 @@ def test_too_small_sample_rejected():
 # -- orbit sample plumbing ---------------------------------------------------------
 
 def test_lifts_are_computed_once_and_immutable(monkeypatch):
+    """A sample's LP columns (lift, 1) take one integer_values call per
+    point, once per sample, and are immutable."""
     sample = OrbitSample([(1, 2, 3), (0, -1, Fraction(1, 2))])
+    plan = convexity.ORBIT_LIFT_PLAN
+    values = plan.integer_values
     calls = []
-    monkeypatch.setattr(convexity, "orbit_lift",
-                        lambda g: calls.append(g) or orbit_lift(g))
-    first = sample.lifts
+    monkeypatch.setattr(plan, "integer_values",
+                        lambda g: calls.append(g) or values(g))
+    first = sample.columns
     with pytest.raises(TypeError):
-        first[0][0] = Fraction(-7)
-    assert sample.lifts is first
-    assert len(calls) == 2
-    assert first == tuple(tuple(orbit_lift(HeisElement.of(*p)))
-                          for p in sample.parameters)
+        first[0][0][0] = -7
+    with pytest.raises(TypeError):
+        first[0] = first[1]
+    assert sample.columns is first
+    assert calls == [HeisElement.of(*p) for p in sample.parameters]
+    assert [[Fraction(x, scale) for x in ints] for ints, scale in first] == \
+        [[*rational_lift(p), 1] for p in sample.parameters]
 
 
 def test_sample_csv_round_trip():

@@ -23,6 +23,22 @@ RHO14 = get_representation("rho14")
 ALL_REPS = (THETA, RHO6, RHO14)
 
 
+def rational_image(rep: Representation, g) -> Matrix:
+    """rep's matrix at the rational point g, each entry its table
+    entry's Poly.eval: the Fraction oracle for the int route, sharing no
+    code with EntryPlan."""
+    point = dict(zip(ENTRY_RING.names, g))
+    return Matrix([[p.eval(point) for p in row]
+                   for row in rep.table.entries])
+
+
+def rational_lift(g) -> list[Fraction]:
+    """The orbit lift at the rational point g, entry by entry with
+    Poly.eval on ORBIT_LIFT."""
+    point = dict(zip(ENTRY_RING.names, g))
+    return [p.eval(point) for p in ORBIT_LIFT]
+
+
 def inverse(g: HeisElement) -> HeisElement:
     """g^-1, read off the group law: (a, b, c)^-1 = (-a, -b, ab - c)."""
     return HeisElement(-g.a, -g.b, -g.c + g.a * g.b)
@@ -81,22 +97,24 @@ def test_inverse_symbolic():
 
 
 def test_theta_row_at_first_generator():
-    row = THETA(HeisElement.of(1, 0, 0)).row(0)
-    assert list(row) == [Fraction(x) for x in
-                         (1, 2, 0, 1, Fraction(1, 2), Fraction(1, 6), 0, 2, 0,
-                          Fraction(1, 24))]
+    rows, d = THETA.integer_image(HeisElement.of(1, 0, 0))
+    assert [Fraction(x, d) for x in rows[0]] == \
+        [Fraction(x) for x in (1, 2, 0, 1, Fraction(1, 2), Fraction(1, 6), 0,
+                               2, 0, Fraction(1, 24))]
 
 
 def test_rho6_row_at_central_generator():
-    row = RHO6(HeisElement.of(0, 0, 1)).row(0)
-    assert list(row) == [Fraction(x) for x in (1, 0, 0, 2, 0, 1)]
+    rows, d = RHO6.integer_image(HeisElement.of(0, 0, 1))
+    assert [Fraction(x, d) for x in rows[0]] == [1, 0, 0, 2, 0, 1]
 
 
 def test_tables_specialize_to_identity():
-    """Each table is I at the identity, and is itself, as is the orbit
-    lift, at the generic element (a, b, c)."""
+    """Each table's int image is d I at the identity, and each table is
+    itself, as is the orbit lift, at the generic element (a, b, c)."""
     for rep in ALL_REPS:
-        assert rep(HeisElement.identity()) == Matrix.identity(rep.dimension)
+        n = rep.dimension
+        rows, d = rep.integer_image(HeisElement.identity())
+        assert rows == [[d * (i == j) for j in range(n)] for i in range(n)]
         assert rep(HeisElement.symbolic()) == rep.table
     assert orbit_lift(HeisElement.symbolic()) == list(ORBIT_LIFT)
 
@@ -159,15 +177,15 @@ def test_inverse_matrices_for_sampled_elements():
     for rep in ALL_REPS:
         for _ in range(50):
             g = HeisElement.of(*stream.next_triple())
-            assert rep(g) * rep(inverse(g)) == \
-                Matrix.identity(rep.dimension)
+            assert rational_image(rep, g) * rational_image(
+                rep, inverse(g)) == Matrix.identity(rep.dimension)
 
 
 def test_commutator_relations_in_every_representation():
     a, b, c = GENERATORS["A"], GENERATORS["B"], GENERATORS["C"]
     for rep in ALL_REPS:
-        ma, mb, mc = rep(a), rep(b), rep(c)
-        ia, ib, ic = rep(inverse(a)), rep(inverse(b)), rep(inverse(c))
+        ma, mb, mc = (rational_image(rep, g) for g in (a, b, c))
+        ia, ib, ic = (rational_image(rep, inverse(g)) for g in (a, b, c))
         identity = Matrix.identity(rep.dimension)
         commutator = ma * mb * ia * ib
         assert commutator == mc
@@ -228,7 +246,7 @@ def test_one_parameter_power_matches_iterated_products():
         for gen_name in ("A", "B", "C"):
             symbolic = one_parameter_power(rep, gen_name, ring)
             iterated = Matrix.identity(rep.dimension)
-            gen_matrix = rep(GENERATORS[gen_name])
+            gen_matrix = rational_image(rep, GENERATORS[gen_name])
             for k in range(1, 7):
                 iterated = iterated * gen_matrix
                 assert _at(symbolic, k) == iterated
@@ -272,8 +290,8 @@ def _symbolic_elements():
 def test_symbolic_specialize_matches_substitute(name):
     """Shared monomials give each entry what Poly.substitute gives it."""
     g = _symbolic_elements()[name]
-    ring = next(x.ring for x in g.components() if isinstance(x, Poly))
-    mapping = dict(zip(ENTRY_RING.names, g.components()))
+    ring = next(x.ring for x in g if isinstance(x, Poly))
+    mapping = dict(zip(ENTRY_RING.names, g))
     tables = [[p for row in rep.table.entries for p in row]
               for rep in ALL_REPS]
     for polys in tables + [list(ORBIT_LIFT)]:
@@ -301,7 +319,7 @@ def test_symbolic_specialize_with_denominators_matches_substitute():
     plan = EntryPlan(polys)
     for element in elements:
         ring = element.a.ring
-        mapping = dict(zip(ENTRY_RING.names, element.components()))
+        mapping = dict(zip(ENTRY_RING.names, element))
         got = plan.specialize(element)
         for p, value in zip(polys, got):
             assert value == p.substitute(mapping, ring)
@@ -344,3 +362,22 @@ def test_symbolic_specialize_needs_one_ring():
     g = HeisElement(ENTRY_RING.var("a"), GROWTH_RING.var("n"), Fraction(0))
     with pytest.raises(ValueError, match="one ring"):
         EntryPlan([ENTRY_RING.var("a")]).specialize(g)
+
+
+def test_rational_element_is_refused_by_the_symbolic_route():
+    """A rational element's values are ints over one denominator, so
+    the symbolic route refuses it and names integer_image; an element
+    mixing rational and Poly components still specializes."""
+    g = HeisElement.of(1, Fraction(-2, 3), 5)
+    for evaluate in (*ALL_REPS, orbit_lift):
+        with pytest.raises(TypeError, match="integer_image"):
+            evaluate(g)
+    n = GROWTH_RING.var("n")
+    mixed = HeisElement.of(n, Fraction(-2, 3), 5)
+    mapping = dict(zip(ENTRY_RING.names, mixed))
+    assert orbit_lift(mixed) == [p.substitute(mapping, GROWTH_RING)
+                                 for p in ORBIT_LIFT]
+    for rep in ALL_REPS:
+        assert rep(mixed) == Matrix([[p.substitute(mapping, GROWTH_RING)
+                                      for p in row]
+                                     for row in rep.table.entries])

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heiscert import heis, linalg, suites
-from heiscert.convexity import ORBIT_LIFT, OrbitSample, orbit_lift
+from heiscert import convexity, heis, linalg, suites
+from heiscert.convexity import ORBIT_LIFT, OrbitSample
 from heiscert.heis import (DATA_DIR, ENTRY_RING, GENERATORS,
                            TABLE_DIMENSIONS, EntryPlan, HeisElement,
                            Representation, generator_power,
@@ -20,13 +20,14 @@ from heiscert.poly import Poly
 from heiscert.rationals import to_fraction
 from heiscert.restriction import derive_subspace_basis
 from heiscert.sampler import RandomStream
+from test_heis import rational_image, rational_lift
 from test_poly import poly_from_terms
 
 THETA = get_representation("theta")
 
 
 def test_identity_multiplication():
-    m = THETA(HeisElement.of(1, 2, 3))
+    m = rational_image(THETA, (1, 2, 3))
     assert Matrix.identity(10) * m == m
 
 
@@ -34,7 +35,8 @@ def test_inverse_element_multiplies_to_identity():
     g = HeisElement.of(1, 0, 0)
     h = HeisElement.of(-1, 0, 0)
     assert heis_mul(g, h) == HeisElement.identity()
-    assert THETA(g) * THETA(h) == Matrix.identity(10)
+    assert rational_image(THETA, g) * rational_image(THETA, h) == \
+        Matrix.identity(10)
 
 
 def test_nilpotent_square_is_zero():
@@ -78,7 +80,7 @@ def _cofactor_det(rows):
 
 def test_det_matches_cofactor_oracle_on_frozen_sample():
     sample = OrbitSample.from_csv((DATA_DIR / "hull_sample.csv").read_text())
-    lifts = sample.lifts
+    lifts = [rational_lift(p) for p in sample.parameters]
     mat = Matrix(lifts)
     expected = _cofactor_det(tuple(tuple(r) for r in lifts))
     assert mat.det() == expected
@@ -92,7 +94,7 @@ def test_rank_basics():
 
 
 def test_rank_center_nilpotent_part():
-    n = THETA(HeisElement.of(0, 0, 1)) - Matrix.identity(10)
+    n = rational_image(THETA, (0, 0, 1)) - Matrix.identity(10)
     assert n.rank() == 3
 
 
@@ -132,7 +134,7 @@ def test_kernel_of_identity_is_empty():
 
 def test_kernel_of_six_dim_generator():
     rho6 = get_representation("rho6")
-    n = rho6(HeisElement.of(1, 0, 0)) - Matrix.identity(6)
+    n = rational_image(rho6, (1, 0, 0)) - Matrix.identity(6)
     basis = _kernel(n)
     assert len(basis) == 3
     for vec in basis:
@@ -435,7 +437,7 @@ def test_claim_integer_route_matches_fraction_oracle():
     triples += [(0, 0, c) for c in (1, -2, Fraction(3, 5))] + [(0, 0, 0)]
     for triple in triples:
         g = HeisElement.of(*triple)
-        oracle = _fraction_nilpotent_ranks(THETA(g))
+        oracle = _fraction_nilpotent_ranks(rational_image(THETA, g))
         assert THETA.nilpotent_ranks(g) == [10] + oracle
         _, witnesses = suites._jordan_unique_odd(parameters=[triple])
         expected = _blocks_from_ranks([10] + oracle)
@@ -450,7 +452,8 @@ def test_partition_conjugate_matches_rank_sequence():
         ranks = THETA.nilpotent_ranks(g)
         partition = jordan_partition(ranks)
         assert sum(partition) == 10
-        assert ranks == [10] + _fraction_nilpotent_ranks(THETA(g))
+        assert ranks == \
+            [10] + _fraction_nilpotent_ranks(rational_image(THETA, g))
         diffs = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
         conjugate = [sum(1 for p in partition if p >= k)
                      for k in range(1, max(partition) + 1)]
@@ -491,7 +494,7 @@ table_elements = st.one_of(
 def test_nilpotent_ranks_match_fraction_powers(name, g):
     rep = get_representation(name)
     assert rep.nilpotent_ranks(g) == \
-        [rep.dimension] + _fraction_nilpotent_ranks(rep(g))
+        [rep.dimension] + _fraction_nilpotent_ranks(rational_image(rep, g))
 
 
 @settings(max_examples=60, deadline=None)
@@ -556,7 +559,7 @@ def test_nilpotent_ranks_match_rank_of_powers(table, g):
     the plan's last power or only past it."""
     rep = Representation("drawn", table.rows, table)
     assert rep.nilpotent_ranks(g) == \
-        [table.rows] + _fraction_nilpotent_ranks(rep(g))
+        [table.rows] + _fraction_nilpotent_ranks(rational_image(rep, g))
 
 
 def test_to_fraction_passes_a_fraction_through():
@@ -576,15 +579,15 @@ points = st.tuples(coordinate, coordinate, coordinate)
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(["theta", "rho6", "rho14", "orbit"]), points)
 def test_table_specialization_matches_entrywise_eval(name, point):
-    values = dict(zip(ENTRY_RING.names, point))
     g = HeisElement.of(*point)
     if name == "orbit":
-        assert orbit_lift(g) == [p.eval(values) for p in ORBIT_LIFT]
+        values, d = convexity.ORBIT_LIFT_PLAN.integer_values(g)
+        assert [Fraction(x, d) for x in values] == rational_lift(point)
         return
     rep = get_representation(name)
-    expected = Matrix([[p.eval(values) for p in row]
-                       for row in rep.table.entries])
-    assert rep(g) == expected
+    rows, d = rep.integer_image(g)
+    assert Matrix([[Fraction(x, d) for x in row] for row in rows]) == \
+        rational_image(rep, point)
 
 
 integer_coordinate = st.one_of(

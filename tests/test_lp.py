@@ -10,26 +10,34 @@ from hypothesis import strategies as st
 from heiscert import lp
 from heiscert.convexity import OrbitSample, extreme_point_certificate
 from heiscert.heis import DATA_DIR
-from heiscert.linalg import _integer_copy
-from heiscert.lp import affine_column, cleared, solve_equality_feasibility
+from heiscert.linalg import _integer_copy, clear_denominators
+from heiscert.lp import solve_equality_feasibility
+from test_heis import rational_lift
 
 
 def F(x):
     return Fraction(x)
 
 
+def _cleared(column):
+    """The rational column as ints over the lcm of its denominators."""
+    (ints,), scale = clear_denominators([column])
+    return ints, scale
+
+
 def solve(matrix, rhs):
     """The simplex on the system given by the rows of A and by b, each
     column of [A | b] cleared by its own lcm."""
     return solve_equality_feasibility(
-        [cleared(column) for column in (*zip(*matrix), rhs)])
+        [_cleared(column) for column in (*zip(*matrix), rhs)])
 
 
 def convex_combination_weights(points, target):
     """Is target a convex combination of points: the simplex on their
-    affine columns, the weights summing to 1 in the last row."""
+    affine columns (point, 1), the weights summing to 1 in the last
+    row."""
     return solve_equality_feasibility(
-        [affine_column(p) for p in (*points, target)])
+        [_cleared([*p, 1]) for p in (*points, target)])
 
 
 def test_standard_simplex_vertex_is_extreme():
@@ -87,15 +95,15 @@ def test_inconsistent_system_produces_farkas():
     assert y[0] + y[1] <= 0     # y.A columns
 
 
-def test_string_rows_give_verified_farkas():
-    # "p/q" strings are converted once, by cleared; the Farkas check
-    # reads the converted, cleared int columns, not the caller's strings.
-    result = solve([["1"]], ["-1"])
+def test_cleared_rows_give_verified_farkas():
+    # The Farkas check reads the cleared int columns, and a solution is
+    # given in the units of A and b, not of their ints.
+    result = solve([[F(1)]], [F(-1)])
     assert not result.feasible
     y = result.farkas
     assert y[0] * -1 > 0 and y[0] * 1 <= 0
     lp._verify_farkas([[1], [-1]], y)
-    assert solve([["1/2"]], ["1"]).solution == [F(2)]
+    assert solve([[Fraction(1, 2)]], [F(1)]).solution == [F(2)]
 
 
 entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -227,7 +235,7 @@ def _hull_reference(sample, index):
     """The Fraction-tableau verdict on point index of sample against the
     others: A's columns the other lifts, a last row of ones (the weights
     sum to 1), b the point's lift and a 1."""
-    lifts = sample.lifts
+    lifts = [rational_lift(p) for p in sample.parameters]
     others = [lift for i, lift in enumerate(lifts) if i != index]
     matrix = [[lift[k] for lift in others] for k in range(len(lifts[index]))]
     matrix.append([F(1)] * len(others))

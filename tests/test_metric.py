@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heiscert.convexity import orbit_lift
 from heiscert.heis import HeisElement, get_representation
 from heiscert.linalg import Matrix
 from heiscert.metric import (Halfspace, _chord, box, cross_ratio,
                              hilbert_log_argument, load_polytope)
 from heiscert.rationals import format_rational, to_fraction
 from heiscert.sampler import RandomStream
+from test_heis import rational_image, rational_lift
 
 THETA = get_representation("theta")
 
@@ -45,14 +45,14 @@ def test_cross_ratio_rejects_coincident():
 
 
 def test_cross_ratio_invariant_under_group_matrices():
-    p = orbit_lift(HeisElement.identity())
-    q = orbit_lift(HeisElement.of(1, 1, 1))
+    p = rational_lift(HeisElement.identity())
+    q = rational_lift(HeisElement.of(1, 1, 1))
     points = [[x + Fraction(t) * y for x, y in zip(p, q)]
               for t in (0, 1, 2, 3)]
     base = cross_ratio(*points)
     stream = RandomStream(31).split("cross-ratio")
     for _ in range(25):
-        mat = THETA(HeisElement.of(*stream.next_triple()))
+        mat = rational_image(THETA, stream.next_triple())
         assert cross_ratio(*(mat.apply(v) for v in points)) == base
 
 
