@@ -4,8 +4,9 @@ its boundary flats.
 The 6x6 representation acts on symmetric 3x3 forms by congruence
 S -> g S g^T, which visibly preserves positive definiteness.  At a rational
 g both give int values over a denominator (the table from rho6's integer
-image, the congruence from the 3x3 matrix alone), compared cross-multiplied;
-PD is decided on ints.  SymForm reads its PD and PSD minors straight off
+image, the congruence from the 3x3 matrix alone, whose 0 and 1 are ints so
+that only a, b and c carry denominators), compared cross-multiplied; PD is
+decided on ints.  SymForm reads its PD and PSD minors straight off
 its cleared int rows, the 3x3 one by det3's cofactor expansion, with no
 elimination pass.  The module certifies that the shipped table is that
 symmetric-square action in the monomial basis FORM_MONOMIALS with unit
@@ -121,18 +122,15 @@ def act_on_form(g: HeisElement, form: SymForm) -> tuple[list[int], int]:
     return [x for (x,) in image], d * s
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
 def heis_3x3(g: HeisElement) -> list[list]:
     """The rows of g's defining 3x3 unit upper-triangular matrix; its
     entries are Poly when g's components are, and its 0 and 1 are then
-    those of g's ring."""
+    those of g's ring; at a rational g they are the ints 0 and 1."""
     if isinstance(g.a, Poly):
         zero = g.a * 0
         one = zero + 1
     else:
-        zero, one = _ZERO, _ONE
+        zero, one = 0, 1
     return [[one, g.a, g.c], [zero, one, g.b], [zero, zero, one]]
 
 
@@ -140,7 +138,7 @@ def congruence_image(g: HeisElement, form: SymForm) -> tuple[list, int]:
     """g S g^T at the rational g from the 3x3 matrix alone, never the 6x6
     table, on ints: H S H^T over e^2 s, for S = s form and H over e,
     heis_3x3(g) cleared by clear_denominators (e is the lcm of a, b, c's
-    denominators)."""
+    denominators, the only ones that are not the int 1)."""
     h, e = clear_denominators(heis_3x3(g))
     m, s = form.cleared
     return integer_product(integer_product(h, m), zip(*h)), e * e * s

@@ -12,16 +12,19 @@ and that point's entry in the claim's witnesses.  The lifted formula is
 compiled once into a heis.EntryPlan, ORBIT_LIFT_PLAN, as the entry
 tables are: a rational element's lift is its int values over one
 denominator, and orbit_lift() evaluates it at symbolic elements and
-along rays to infinity.  Orbit points are compared as lifts in the
-affine chart x10 = 1: theta's last row is e10 (certified by
-fixed_structure_certificate), so every image of a lift ends in 1 as well,
-and for such vectors projective equality is vector equality.
+along rays to infinity; the extreme-point LPs read each lift as a
+column cleared once per sample and reduced by its gcd.  Orbit points
+are compared as lifts in the affine chart x10 = 1: theta's last row is
+e10 (certified by fixed_structure_certificate), so every image of a
+lift ends in 1 as well, and for such vectors projective equality is
+vector equality.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Sequence
 
 from .heis import ENTRY_RING, EntryPlan, HeisElement, get_representation
@@ -177,16 +180,20 @@ class OrbitSample:
 
     @cached_property
     def columns(self) -> tuple[Cleared, ...]:
-        """Each point's affine LP column (lift, 1) as ((*R, d), d), for
-        its lift R / d from ORBIT_LIFT_PLAN's int values: a point is a
-        convex combination of others exactly when its affine column is a
-        nonnegative combination of theirs, the last row saying that the
-        weights sum to 1, and a Farkas functional of that system is a
-        separating affine functional.  Built once per sample for the LPs
-        of every extreme-point check, and immutable."""
-        return tuple(((*values, d), d) for values, d in (
-            ORBIT_LIFT_PLAN.integer_values(HeisElement(*p))
-            for p in self.parameters))
+        """Each point's affine LP column (lift, 1) as ((*R, d), d) / k,
+        for its lift R / d from ORBIT_LIFT_PLAN's int values and
+        k = gcd(d, *R): a point is a convex combination of others exactly
+        when its affine column is a nonnegative combination of theirs,
+        the last row saying that the weights sum to 1, and a Farkas
+        functional of that system is a separating affine functional.
+        Dividing by k keeps the ints small and, as a positive column
+        scale, moves neither Bland's path nor the functional.  Built once
+        per sample for the LPs of every extreme-point check, and
+        immutable."""
+        lifts = (ORBIT_LIFT_PLAN.integer_values(HeisElement(*p))
+                 for p in self.parameters)
+        return tuple((tuple(x // k for x in (*values, d)), d // k)
+                     for values, d in lifts for k in [gcd(d, *values)])
 
     def __len__(self):
         return len(self.parameters)

@@ -20,7 +20,10 @@ carries a divisor, the pivot in force when it was last exact, and a
 pivot step touches only the rows with a nonzero entry in its column,
 dividing each exactly by its own divisor (see eliminate for why the
 division is exact); in a touched row, an entry whose pair with the
-pivot row is zero on both sides stays 0 without arithmetic.  The
+pivot row is zero on both sides stays 0 without arithmetic.  A forward
+pass (det, rank, the cross ratio's pivots, each Jordan power block)
+takes no step for a pivot with no nonzero below it: one exact division
+gives its true pivot, and its row is not rewritten.  The
 cross-ratio claim's stack of theta images, mostly zero, goes through
 the product kernel too.  integer_product() multiplies int rows by int
 rows for every other caller, one dot product per entry: its operands
@@ -146,11 +149,11 @@ class Matrix:
             raise ValueError("determinant needs a square matrix")
         self._require_rational()
         m, scales = _integer_copy(self.entries)
-        pivots, swaps, _ = _echelon(m, reduce_above=False)
+        pivots, swaps, d = _echelon(m, reduce_above=False)
         if len(pivots) < self.rows:
             return Fraction(0)
-        # The last pivot was brought to scale when it was used.
-        return Fraction((-1) ** swaps * m[-1][-1], prod(scales))
+        # The last pivot, the det of the copy up to the swaps' sign.
+        return Fraction((-1) ** swaps * d[-1], prod(scales))
 
     def rank(self) -> int:
         """Exact rank by fraction-free Bareiss elimination."""
@@ -259,7 +262,13 @@ def _echelon(m: list[list[int]], reduce_above: bool
     are too (Gauss-Jordan), after which row i divided by its divisor
     d[i] is row i of the reduced echelon form.  Returns the pivot
     columns, the number of row swaps and the row divisors d (see
-    eliminate).
+    eliminate).  In the forward pass (reduce_above false) a pivot with
+    no nonzero below it clears nothing, so its row is not rewritten: the
+    true pivot p is m[r][col] * prev // d[r], one exact division, and
+    d[r] becomes p as in eliminate.  The
+    stored row stays at its old scale, which no later step of the pass
+    reads.  So d is eliminate's, and d[-1] is the last pivot of a
+    square matrix of full rank.
     """
     n_rows = len(m)
     d = [1] * n_rows
@@ -273,13 +282,18 @@ def _echelon(m: list[list[int]], reduce_above: bool
                 break
         else:
             continue
+        # Row r, if swapped down to pivot_row, is 0 in col.
+        below = [i for i in range(pivot_row + 1, n_rows) if m[i][col]]
         if pivot_row != r:
             m[r], m[pivot_row] = m[pivot_row], m[r]
             d[r], d[pivot_row] = d[pivot_row], d[r]
             swaps += 1
-        rows = [i for i in range(n_rows) if i != r] if reduce_above \
-            else range(r + 1, n_rows)
-        prev = eliminate(m, d, r, col, rows, prev)
+        if reduce_above:
+            prev = eliminate(m, d, r, col, [*range(r), *below], prev)
+        elif below:
+            prev = eliminate(m, d, r, col, below, prev)
+        else:
+            prev = d[r] = m[r][col] * prev // d[r]
         pivots.append(col)
         if r + 1 == n_rows:
             break

@@ -8,9 +8,12 @@ table EQUATIONS; the equation matrix, the free coordinates and the
 subspace basis are all read from it.  These rational matrices multiply
 the symbolic ones directly, with no lift into the polynomial ring.  T
 is a frozen witness file, written by scripts/rederive_witnesses.py
-(the one place its linear solve runs) and only checked here.  The
-same module certifies the quadratic versus quartic entry growth of
-generator powers that motivates the 14-dimensional construction.
+(the one place its linear solve runs) and only checked here.  If the
+int solve of the intertwiner space admits a vector that the symbolic
+recheck refuses, the certificate FAILs with its checks and a null
+dimension.  The same module certifies the quadratic versus quartic
+entry growth of generator powers that motivates the 14-dimensional
+construction.
 """
 
 from __future__ import annotations
@@ -115,23 +118,25 @@ def restriction_certificate() -> tuple[bool, dict]:
         induced_matrix(gp) * induced_matrix(hp) == \
         induced_matrix(heis_mul(gp, hp))
 
-    return all(checks.values()), {
+    dimension = intertwiner_dimension()
+    return all(checks.values()) and dimension is not None, {
         "checks": checks,
         "conjugator_det": t_det,
         "conjugator": [list(conjugator.row(i)) for i in range(SUBSPACE_DIM)],
-        "intertwiner_space_dimension": intertwiner_dimension(),
+        "intertwiner_space_dimension": dimension,
     }
 
 
-def intertwiner_dimension() -> int:
+def intertwiner_dimension() -> int | None:
     """Dimension of {X : induced(g) X = X theta(g) for all g}.
 
     Solved on ints from the generator conditions (enough because the
     integer points are Zariski dense); every int kernel vector is then
-    reverified against the full symbolic identity.  At a generator, the
-    free rows of rho14's int image over d (integer_image) times the
-    subspace basis cleared once to ints over s give the induced matrix
-    over d s, and theta's int image is over e.
+    reverified against the full symbolic identity; if one fails, the
+    conditions were not sufficient and the result is None.  At a
+    generator, the free rows of rho14's int image over d (integer_image)
+    times the subspace basis cleared once to ints over s give the
+    induced matrix over d s, and theta's int image is over e.
     """
     theta = get_representation("theta")
     rho14 = get_representation("rho14")
@@ -157,7 +162,7 @@ def intertwiner_dimension() -> int:
     for vec in kernel:
         x = Matrix([vec[i * n:(i + 1) * n] for i in range(n)])
         if induced * x != x * theta.table:
-            raise AssertionError("generator conditions were not sufficient")
+            return None
     return len(kernel)
 
 

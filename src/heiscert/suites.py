@@ -276,13 +276,20 @@ def _pd_preserved_sample(stream: RandomStream, count: int) -> dict:
     return {"cases": cases}
 
 
+# The 55 values an entry of R^T R can take for R in [-3, 3]^(3x3),
+# GRAM_VALUES[x + 27] = Fraction(x): a diagonal entry is a sum of three
+# squares, at most 27, and an off-diagonal one a sum of three products.
+GRAM_VALUES = tuple(map(Fraction, range(-27, 28)))
+
+
 def _random_pd_form(stream: RandomStream) -> list[list[Fraction]]:
     # R^T R is positive definite whenever det R != 0.  Its entries are
-    # Fractions, which jsonable writes as "p/q" strings.
+    # Fractions, read from GRAM_VALUES, which jsonable writes as "p/q"
+    # strings.
     while True:
         r = [[stream.next_int(-3, 3) for _ in range(3)] for _ in range(3)]
         if det3(r):
-            return [[Fraction(x) for x in row] for row in
+            return [[GRAM_VALUES[x + 27] for x in row] for row in
                     integer_product(zip(*r), r)]
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -331,7 +332,8 @@ def test_too_small_sample_rejected():
 
 def test_lifts_are_computed_once_and_immutable(monkeypatch):
     """A sample's LP columns (lift, 1) take one integer_values call per
-    point, once per sample, and are immutable."""
+    point, once per sample, are immutable, and are each reduced by the
+    gcd of their ints and scale."""
     sample = OrbitSample([(1, 2, 3), (0, -1, Fraction(1, 2))])
     plan = convexity.ORBIT_LIFT_PLAN
     values = plan.integer_values
@@ -347,6 +349,7 @@ def test_lifts_are_computed_once_and_immutable(monkeypatch):
     assert calls == [HeisElement.of(*p) for p in sample.parameters]
     assert [[Fraction(x, scale) for x in ints] for ints, scale in first] == \
         [[*rational_lift(p), 1] for p in sample.parameters]
+    assert [gcd(scale, *ints) for ints, scale in first] == [1, 1]
 
 
 def test_sample_csv_round_trip():

@@ -337,10 +337,14 @@ def sparse_int_rows(draw):
 
 def _dense_echelon(m, reduce_above):
     """Reference: the fraction-free pass of linalg._echelon with every
-    touched row rewritten densely, zero pairs included."""
+    touched row rewritten densely, zero pairs included, and every pivot
+    row brought to scale first.  Also returns, for each pivot row r with
+    no nonzero below it in a forward pass, the (prev, d) that brought it
+    to scale: _echelon leaves such a row as it was."""
     n_rows = len(m)
     d = [1] * n_rows
     pivots, swaps, prev = [], 0, 1
+    kept = {}
     for col in range(len(m[0])):
         r = len(pivots)
         found = next((i for i in range(r, n_rows) if m[i][col]), None)
@@ -350,6 +354,9 @@ def _dense_echelon(m, reduce_above):
             m[r], m[found] = m[found], m[r]
             d[r], d[found] = d[found], d[r]
             swaps += 1
+        if not reduce_above and not any(m[i][col]
+                                        for i in range(r + 1, n_rows)):
+            kept[r] = prev, d[r]
         m[r] = [x * prev // d[r] for x in m[r]]
         p = d[r] = m[r][col]
         for i in range(0 if reduce_above else r + 1, n_rows):
@@ -361,17 +368,45 @@ def _dense_echelon(m, reduce_above):
         pivots.append(col)
         if r + 1 == n_rows:
             break
-    return pivots, swaps, d
+    return (pivots, swaps, d), kept
 
 
 @settings(max_examples=200, deadline=None)
 @given(sparse_int_rows(), st.booleans())
 def test_sparse_echelon_matches_dense_step(rows, reduce_above):
+    """The same pivots, swaps and divisors as the dense step, and the
+    same rows once each row the forward pass left is brought to scale."""
     m = [list(row) for row in rows]
     expected = [list(row) for row in rows]
-    assert linalg._echelon(m, reduce_above) == \
-        _dense_echelon(expected, reduce_above)
+    result, kept = _dense_echelon(expected, reduce_above)
+    assert linalg._echelon(m, reduce_above) == result
+    for r, (prev, scale) in kept.items():
+        m[r] = [x * prev // scale for x in m[r]]
     assert m == expected
+
+
+@st.composite
+def permuted_triangular(draw):
+    """An upper triangular rational matrix with a nonzero diagonal, its
+    rows shuffled: each pivot of its forward pass has nothing below it
+    to clear, so every step is skipped, and rows are swapped."""
+    n = draw(st.integers(1, 7))
+    nonzero = fractional.filter(bool)
+    rows = [[draw(nonzero) if i == j else
+             draw(fractional) if j > i else Fraction(0)
+             for j in range(n)] for i in range(n)]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(permuted_triangular())
+def test_det_matches_cofactor_oracle_when_every_step_is_skipped(rows):
+    steps = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "eliminate", lambda *args: steps.append(args))
+        assert Matrix(rows).det() == _cofactor_det(tuple(map(tuple, rows)))
+        assert Matrix(rows).rank() == len(rows)
+    assert steps == []
 
 
 @settings(max_examples=200, deadline=None)

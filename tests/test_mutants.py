@@ -8,7 +8,8 @@ import pytest
 
 from heiscert import heis, restriction
 from heiscert.certs import FAIL, PASS
-from heiscert.heis import ENTRY_RING, Representation, get_representation
+from heiscert.heis import ENTRY_RING, HeisElement, Representation, \
+    get_representation
 from heiscert.linalg import Matrix
 from heiscert.suites import CLAIMS, CLAIMS_BY_ID, RunConfig, _guarded
 
@@ -37,17 +38,43 @@ KILL_MATRIX = [
 ]
 
 
+# Faithful representations that are not the paper's theta, and the exact
+# seed-0 FAIL set of each.
+FAITHFUL_KILLS = {"reps.injectivity.theta", "orbit.formula",
+                  "orbit.equivariance", "restrict.conjugate_to_theta"}
+
+
+def _theta_after_automorphism() -> Representation:
+    """theta o phi for the automorphism phi(a, b, c) = (2a, b, 2c): the
+    table at the symbolic element phi(a, b, c)."""
+    theta = get_representation("theta")
+    return Representation("theta", 10,
+                          theta(HeisElement(2 * _A, _B, 2 * _C)))
+
+
+def _theta_conjugated_by_diagonal() -> Representation:
+    """D theta D^-1 for D = diag(1, 2, 1, ..., 1, 3): entry (i, j)
+    scaled by D_i / D_j."""
+    scales = [1, 2, *[1] * 7, 3]
+    table = get_representation("theta").table
+    return Representation("theta", 10, Matrix(
+        [[x * Fraction(scales[i], scales[j]) for j, x in enumerate(row)]
+         for i, row in enumerate(table.entries)]))
+
+
 def _verdicts(claim_ids) -> dict:
     config = RunConfig(seed=0)
     return {c: CLAIMS_BY_ID[c].run(config).verdict for c in claim_ids}
 
 
 def _failing_claims() -> set:
-    """The ids of the claims that FAIL at seed 0, a crash counting as a
-    FAIL as in a run."""
+    """The ids of the claims that FAIL at seed 0, run as in a run; none
+    may FAIL by crashing, so each FAIL carries its own witnesses, not a
+    traceback."""
     config = RunConfig(seed=0)
-    return {c.id for c in CLAIMS
-            if _guarded(c, c.run, config).verdict == FAIL}
+    certificates = [_guarded(c, c.run, config) for c in CLAIMS]
+    assert [c.claim for c in certificates if "error" in c.witnesses] == []
+    return {c.claim for c in certificates if c.verdict == FAIL}
 
 
 def _mutant(name: str, row: int, col: int, delta) -> Representation:
@@ -92,6 +119,31 @@ def test_kill_matrix_pins_the_exact_fail_set(monkeypatch,
     name = mutation[0]
     monkeypatch.setitem(heis._CACHE, name, _mutant(*mutation))
     assert _failing_claims() == kills
+
+
+@pytest.mark.parametrize("build", [_theta_after_automorphism,
+                                   _theta_conjugated_by_diagonal])
+def test_faithful_twins_of_theta_pin_the_exact_fail_set(
+        monkeypatch, fresh_restriction_image, build):
+    monkeypatch.setitem(heis._CACHE, "theta", build())
+    assert _failing_claims() == FAITHFUL_KILLS
+
+
+def test_rho14_mutant_fails_the_restriction_with_its_checks(
+        monkeypatch, fresh_restriction_image):
+    """The symbolic recheck of the intertwiner kernel fails on the
+    rho14 (1,10) mutant: the claim FAILs with its checks dict, no
+    crash, and the checks name what broke."""
+    monkeypatch.setitem(heis._CACHE, "rho14",
+                        _mutant("rho14", 1, 10, _A ** 4 * Fraction(1, 24)))
+    certificate = CLAIMS_BY_ID["restrict.conjugate_to_theta"].run(
+        RunConfig(seed=0))
+    assert certificate.verdict == FAIL
+    witnesses = certificate.witnesses
+    assert "error" not in witnesses
+    assert witnesses["intertwiner_space_dimension"] is None
+    assert {key for key, ok in witnesses["checks"].items() if not ok} == \
+        {"conjugate_to_theta", "induced_multiplicative"}
 
 
 def test_a_constant_off_the_diagonal_does_not_load():

@@ -122,8 +122,7 @@ def test_intertwiner_kernel_is_reverified_symbolically(monkeypatch):
     # The identity does not intertwine the induced action with theta.
     identity = [int(k % 11 == 0) for k in range(100)]
     monkeypatch.setattr(restriction, "integer_kernel", lambda rows: [identity])
-    with pytest.raises(AssertionError, match="not sufficient"):
-        intertwiner_dimension()
+    assert intertwiner_dimension() is None
 
 
 def test_growth_certificate():

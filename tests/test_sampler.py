@@ -3,8 +3,27 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heiscert.sampler import MASK64, MAX_DEN, MAX_NUM, RandomStream, mix64
+from heiscert.sampler import GAMMA, MASK64, MAX_DEN, MAX_NUM, RandomStream
+
+
+def mix64(x: int) -> int:
+    """Oracle: the SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA
+    2014), written apart from RandomStream.next_u64."""
+    x &= MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, MASK64), st.integers(1, 40))
+def test_next_u64_is_splitmix64_of_the_counter(seed, draws):
+    stream = RandomStream(seed)
+    assert [stream.next_u64() for _ in range(draws)] == \
+        [mix64(seed + i * GAMMA) for i in range(1, draws + 1)]
 
 
 def test_streams_with_equal_seeds_agree():
@@ -82,13 +101,68 @@ def test_distinct_triples():
     assert len(set(triples)) == 50
 
 
-def test_distinct_triples_keep_first_draws_in_order(monkeypatch):
+class ScriptedStream(RandomStream):
+    """A stream whose first draws are the given values, counted like
+    real draws; then it draws its seed's own values."""
+
+    def __init__(self, seed, script):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def next_u64(self):
+        if self.script:
+            self._counter += 1
+            return self.script.pop(0)
+        return super().next_u64()
+
+
+def _cell_draws(*values):
+    """The two draws that make next_fraction return p/q, per (p, q)."""
+    return [x for p, q in values for x in (p + MAX_NUM, q - 1)]
+
+
+def test_distinct_triples_keep_first_draws_in_order():
     one, two, three = ((Fraction(n), Fraction(0), Fraction(0))
                        for n in (1, 2, 3))
-    draws = iter([one, one, two, one, three, two])
-    monkeypatch.setattr(RandomStream, "next_triple",
-                        lambda self, nonzero=False: next(draws))
-    assert RandomStream(15).distinct_triples(3) == [one, two, three]
+    # The draws of one, one, two, one, three, two, their first value
+    # spelled 1/1, 2/2, 4/2, 1/1, 3/1 and 2/1, and 0 as 0/1 and 0/3.
+    script = _cell_draws(*[cell for first in
+                           [(1, 1), (2, 2), (4, 2), (1, 1), (3, 1), (2, 1)]
+                           for cell in (first, (0, 1), (0, 3))])
+    stream = ScriptedStream(15, script)
+    assert stream.distinct_triples(3) == [one, two, three]
+    # The last triple, two again, is never drawn.
+    assert stream.script == _cell_draws((2, 1), (0, 1), (0, 3))
+
+
+def _fraction_keyed(stream, count, nonzero):
+    """Reference: the first count distinct next_triple draws, in order,
+    dropped by hashing the Fraction triples."""
+    out, seen = [], set()
+    while len(out) < count:
+        triple = stream.next_triple(nonzero=nonzero)
+        if triple not in seen:
+            seen.add(triple)
+            out.append(triple)
+    return out
+
+
+# Cells of values that several (p, q) share, zero among them, so drawn
+# triples repeat and collide across spellings (2/2 and 1/1).
+colliding_cells = st.sampled_from([(0, 1), (0, 4), (1, 1), (2, 2), (5, 5),
+                                   (-2, 2), (-1, 1), (2, 1), (4, 2), (6, 3)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, MASK64), st.integers(0, 30), st.booleans(),
+       st.lists(colliding_cells, max_size=60))
+def test_distinct_triples_match_fraction_keyed_reference(seed, count,
+                                                         nonzero, cells):
+    script = _cell_draws(*cells)
+    stream, twin = ScriptedStream(seed, script), ScriptedStream(seed, script)
+    assert stream.distinct_triples(count, nonzero=nonzero) == \
+        _fraction_keyed(twin, count, nonzero)
+    assert stream._counter == twin._counter
 
 
 def _refuse_draws(self):
