@@ -57,9 +57,6 @@ class SymForm:
     def __eq__(self, other):
         return isinstance(other, SymForm) and self.m == other.m
 
-    def __hash__(self):
-        return hash(self.m)
-
     def __repr__(self):
         return f"SymForm({self.m})"
 

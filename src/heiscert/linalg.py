@@ -12,10 +12,11 @@ of the operands' first entries times 0, so it has the type (0,
 Fraction(0) or the zero Poly) that a dense sum of homogeneous operands
 gives.
 Determinant, rank and reduced echelon form are restricted to rational
-matrices.  All of them run on a denominator-cleared integer copy
-through one fraction-free pivot step, eliminate(), which the lp simplex
-shares; intermediate values stay integral instead of
-accumulating huge reduced fractions.  Rows are scaled lazily: each row
+matrices.  All of them run on an integer copy cleared over one common
+scale by clear_denominators(), the one clearing routine, through one
+fraction-free pivot step, eliminate(), which the lp simplex shares;
+intermediate values stay integral instead of accumulating huge reduced
+fractions.  Rows are scaled lazily: each row
 carries a divisor, the pivot in force when it was last exact, and a
 pivot step touches only the rows with a nonzero entry in its column,
 dividing each exactly by its own divisor (see eliminate for why the
@@ -23,11 +24,10 @@ division is exact); in a touched row, an entry whose pair with the
 pivot row is zero on both sides stays 0 without arithmetic.  A forward
 pass (det, rank, the cross ratio's pivots, each Jordan power block)
 takes no step for a pivot with no nonzero below it: one exact division
-gives its true pivot, and its row is not rewritten.  The
-cross-ratio claim's stack of theta images, mostly zero, goes through
-the product kernel too.  integer_product() multiplies int rows by int
-rows for every other caller, one dot product per entry: its operands
-are small and mostly nonzero, so it lists no pairs.
+gives its true pivot, and its row is not rewritten.
+integer_product() multiplies int rows by int rows, one dot product per
+entry, for every int caller, the cross-ratio claim's stack of theta
+images included: it lists no nonzero pairs.
 integer_kernel() reads an int null-space basis off one Gauss-Jordan pass
 over a presolved copy: the columns that singleton rows force to zero,
 round after round, are dropped first.
@@ -36,7 +36,7 @@ round after round, are dropped first.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from operator import mul
 from typing import Sequence, Union
 
@@ -86,9 +86,6 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
@@ -148,17 +145,17 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
         self._require_rational()
-        m, scales = _integer_copy(self.entries)
+        m, scale = clear_denominators(self.entries)
         pivots, swaps, d = _echelon(m, reduce_above=False)
         if len(pivots) < self.rows:
             return Fraction(0)
         # The last pivot, the det of the copy up to the swaps' sign.
-        return Fraction((-1) ** swaps * d[-1], prod(scales))
+        return Fraction((-1) ** swaps * d[-1], scale ** self.rows)
 
     def rank(self) -> int:
         """Exact rank by fraction-free Bareiss elimination."""
         self._require_rational()
-        m, _ = _integer_copy(self.entries)
+        m, _ = clear_denominators(self.entries)
         return len(_echelon(m, reduce_above=False)[0])
 
     def rref(self) -> tuple["Matrix", list[int]]:
@@ -169,7 +166,7 @@ class Matrix:
         the job.
         """
         self._require_rational()
-        m, _ = _integer_copy(self.entries)
+        m, _ = clear_denominators(self.entries)
         pivots, _, d = _echelon(m, reduce_above=True)
         zero = Fraction(0)
         return Matrix([[Fraction(x, di) if x else zero for x in row]
@@ -188,26 +185,12 @@ class Matrix:
         return Matrix(rows)
 
 
-def _integer_copy(entries) -> tuple[list[list[int]], list[int]]:
-    """Clear denominators row by row; returns the int rows and each
-    row's scale, the lcm of its denominators.  Row i of the copy is row i
-    of entries times scales[i], so the copy's determinant is the
-    original's times their product."""
-    out = []
-    scales = []
-    for row in entries:
-        dens = [x.denominator for x in row]
-        row_lcm = lcm(*dens)
-        scales.append(row_lcm)
-        out.append([x.numerator * (row_lcm // d) for x, d in zip(row, dens)])
-    return out, scales
-
-
 def clear_denominators(entries) -> tuple[list[list[int]], int]:
-    """Clear denominators over one common scale, the lcm of all of them;
-    returns the int rows and that scale, so the copy is entries times
-    scale.  Unlike a per-row scale, one scale keeps products and the
-    signs of dot products."""
+    """Clear denominators over one common scale, the lcm of all of them
+    (entries int or Fraction, mixed freely); returns the int rows and
+    that scale, so the copy is entries times scale.  One positive scale
+    keeps ranks, pivots, products and the signs of dot products, and a
+    square copy's determinant is the original's times scale ** n."""
     scale = lcm(*(x.denominator for row in entries for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row]
             for row in entries], scale
@@ -306,12 +289,12 @@ def _nonzero_pairs(rows) -> list[list[tuple]]:
 
 
 def _gustavson(left, nonzero, width: int) -> list[list]:
-    """The one sparse product kernel (Gustavson, ACM TOMS 4(3), 1978),
-    behind Matrix.__mul__ and the cross-ratio claim's stacked product:
-    row i of the result adds x * y into column j for each nonzero
-    x = left[i][k] and each (j, y) in nonzero[k], the nonzero pairs of
-    the right operand's row k, k increasing as in the textbook sum.  An entry that no nonzero pair reaches is left None,
-    for the caller to fill with its zero."""
+    """The sparse product kernel (Gustavson, ACM TOMS 4(3), 1978), for
+    Matrix.__mul__ only: row i of the result adds x * y into column j for
+    each nonzero x = left[i][k] and each (j, y) in nonzero[k], the
+    nonzero pairs of the right operand's row k, k increasing as in the
+    textbook sum.  An entry that no nonzero pair reaches is left None,
+    for __mul__ to fill with its zero."""
     sums = []
     for row in left:
         acc = [None] * width
@@ -326,10 +309,10 @@ def _gustavson(left, nonzero, width: int) -> list[list]:
 
 def integer_product(left, right) -> list[list[int]]:
     """The product of the int rows left and right, each any iterable of
-    rows (a zip of columns too), as one dot product per entry: its
-    operands are small and mostly nonzero, so listing nonzero pairs as
-    _gustavson does would cost more than it skips.  ValueError if the
-    left rows' width is not right's row count."""
+    rows (a zip of columns too), as one dot product per entry: most of
+    its operands are small and mostly nonzero, so it lists no nonzero
+    pairs as _gustavson does.  ValueError if the left rows' width is not
+    right's row count."""
     columns = list(zip(*right))
     left = list(left)
     if len(left[0]) != len(columns[0]):

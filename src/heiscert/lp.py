@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .linalg import _integer_copy, eliminate
+from .linalg import clear_denominators, eliminate
 
 # A column of [A | b] as ints over one positive scale: (ints, scale)
 # stands for the rationals ints / scale.
@@ -159,7 +159,7 @@ def _verify_farkas(columns, y) -> None:
     y is scaled by the lcm of its denominators, so every integer dot
     product has the sign of the rational one and the check is no weaker.
     """
-    (y,), _ = _integer_copy([y])
+    (y,), _ = clear_denominators([y])
     dots = [sum(map(mul, y, column)) for column in columns]
     if dots[-1] <= 0:
         raise AssertionError("Farkas witness failed: y.b <= 0")

@@ -3,12 +3,13 @@
 Both run on ints, with one Fraction built per result.  The cross ratio
 of four collinear projective points is computed through 2x2
 determinants in a coordinate pair that embeds their common line, so
-points at infinity need no special casing; each point is cleared to
-ints by its own scale, which the ratio cancels.  The Hilbert metric
-between interior points of a polytope is returned as the exact rational
-argument R of the distance (1/2) log R; each face keeps its int row,
-cleared once when it is built, and the chord's two limits are int
-pairs.  Taking the log is left to callers that want floats.
+points at infinity need no special casing; the four points are cleared
+to ints over one common scale, which the ratio cancels.  The Hilbert
+metric between interior points of a polytope is returned as the exact
+rational argument R of the distance (1/2) log R; each face keeps its
+int row, cleared once when it is built, the chord's two ends are
+cleared together, and the chord's two limits are int pairs.  Taking
+the log is left to callers that want floats.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import _echelon, _integer_copy
+from .linalg import _echelon, clear_denominators
 from .rationals import parse_rational, to_fraction
 
 
@@ -28,17 +29,17 @@ def cross_ratio(p1, p2, p3, p4) -> Fraction:
     of homogeneous coordinates, any nonzero multiple standing for the same
     point; they must be pairwise distinct and collinear.
 
-    Each point is cleared to ints by its own lcm, which keeps its
-    projective class; the ratio (d02 d13) / (d12 d03) of the 2x2
-    determinants d_ij cancels every point's scale.  The two pivot
-    columns come off one fraction-free echelon pass, since row scales
-    do not move pivots, and only the result is a Fraction.
+    The points are cleared to ints over one common scale, the lcm of
+    all their denominators, which keeps each projective class; the ratio
+    (d02 d13) / (d12 d03) of the 2x2 determinants d_ij cancels it.  The
+    two pivot columns come off one fraction-free echelon pass, since a
+    scale does not move pivots, and only the result is a Fraction.
     """
     lifts = [[x if type(x) is int else to_fraction(x) for x in p]
              for p in (p1, p2, p3, p4)]
     if len({len(v) for v in lifts}) != 1:
         raise ValueError("points live in different dimensions")
-    points, _ = _integer_copy(lifts)
+    points, _ = clear_denominators(lifts)
     pivots = _echelon([list(v) for v in points], reduce_above=False)[0]
     if len(pivots) != 2:
         raise ValueError("cross ratio needs four collinear points "
@@ -60,14 +61,15 @@ class Halfspace:
     """The affine constraint coeffs . z <= bound.  The constructor turns
     coeffs into a tuple and converts every value with to_fraction, so
     floats and bools raise TypeError.  It also keeps row, the int row
-    [a | b] of the face cleared by its own lcm (the same face), which
-    takes no part in equality, hashing or repr."""
+    [a | b] times the lcm of its denominators (clear_denominators; a
+    positive multiple, so the same face), which takes no part in
+    equality, hashing or repr."""
     __slots__ = ("coeffs", "bound", "row")
 
     def __init__(self, coeffs: Sequence, bound):
         self.coeffs = tuple(to_fraction(x) for x in coeffs)
         self.bound = to_fraction(bound)
-        (row,), _ = _integer_copy([(*self.coeffs, self.bound)])
+        (row,), _ = clear_denominators([(*self.coeffs, self.bound)])
         self.row = tuple(row)
 
     def __eq__(self, other):
@@ -146,15 +148,15 @@ def _chord(polytope, x, y) -> tuple[Optional[tuple[int, int]],
     hilbert_log_argument checks).  Raises ValueError unless x and y are
     strictly inside every face.
 
-    x and y are cleared of denominators once, to x = xs/dx and
-    y = ys/dy; each face a.z <= b comes as its int row (Halfspace.row,
-    a positive scale of the face).  With ax = a.xs and ay = a.ys, the
-    slack of x is b - a.x = (b dx - ax)/dx up to that scale, the rate
-    a.(y - x) has the sign of dx ay - dy ax, and the face is met at
-    s = (b dx - ax) dy / (dx ay - dy ax).  The nearest face on each
-    side is picked by cross-multiplying, so no Fraction is built.
+    x and y are cleared of denominators together, to x = xs/L and
+    y = ys/L over their common lcm L; each face a.z <= b comes as its int
+    row (Halfspace.row, a positive scale of the face).  With ax = a.xs
+    and ay = a.ys, the slack of x is b - a.x = (b L - ax)/L and the rate
+    a.(y - x) is (ay - ax)/L, both up to the face's scale, so the face
+    is met at s = (b L - ax) / (ay - ax).  The nearest face on each side
+    is picked by cross-multiplying, so no Fraction is built.
     """
-    (xs, ys), (dx, dy) = _integer_copy([x, y])
+    (xs, ys), scale = clear_denominators([x, y])
     s_low = None
     s_high = None
     for row in (face.row for face in polytope):
@@ -164,20 +166,18 @@ def _chord(polytope, x, y) -> tuple[Optional[tuple[int, int]],
             if a:
                 ax += a * u
                 ay += a * v
-        bound = row[-1]
-        slack = bound * dx - ax
+        bound = row[-1] * scale
+        slack = bound - ax
         if slack <= 0:
             raise ValueError("x is not interior to the polytope")
-        if bound * dy <= ay:
+        if bound <= ay:
             raise ValueError("y is not interior to the polytope")
         # Each face bounds s on one side unless the chord is parallel to it.
-        rate = dx * ay - dy * ax
+        rate = ay - ax
         if rate > 0:
-            num = slack * dy
-            if s_high is None or num * s_high[1] < s_high[0] * rate:
-                s_high = (num, rate)
+            if s_high is None or slack * s_high[1] < s_high[0] * rate:
+                s_high = (slack, rate)
         elif rate < 0:
-            num = -slack * dy
-            if s_low is None or num * s_low[1] > s_low[0] * -rate:
-                s_low = (num, -rate)
+            if s_low is None or -slack * s_low[1] > s_low[0] * -rate:
+                s_low = (-slack, -rate)
     return s_low, s_high

@@ -41,8 +41,7 @@ from .cone import (SymForm, attraction_gaps, det3, flat_segment_certificate,
 from .heis import (DATA_DIR, HeisElement, get_representation, heis_mul,
                    symbolic_pair, verify_homomorphism,
                    verify_injectivity_generators)
-from .linalg import Matrix, _gustavson, _nonzero_pairs, integer_product, \
-    jordan_partition
+from .linalg import Matrix, integer_product, jordan_partition
 from .metric import box, cross_ratio, hilbert_log_argument
 from .sampler import RandomStream, check_seed
 
@@ -386,13 +385,12 @@ def _cross_ratio(line_parameters: list[list[int]], mix_values: list[int],
     base = cross_ratio(*points)
     theta = get_representation("theta")
     n = theta.dimension
-    # Every element's int rows in one stack, through the sparse kernel:
-    # the four points' nonzero entries are listed once, theta's zero
-    # entries skipped, and the products read back n rows each.
-    stacked = [[x or 0 for x in row] for row in _gustavson(
+    # Every element's int rows in one stack times the four points as
+    # columns, read back n rows each.
+    stacked = integer_product(
         [row for raw in elements
          for row in theta.integer_image(HeisElement.of(*raw))[0]],
-        _nonzero_pairs(zip(*points)), len(points))]
+        zip(*points))
     failures = []
     for k, raw in enumerate(elements):
         moved = zip(*stacked[k * n:(k + 1) * n])
@@ -588,6 +586,10 @@ def _report_markdown(report: dict) -> str:
         lines.append(f"| `{row['claim']}` | {row['suite']} | "
                      f"{row['verdict']} | {row['wall_s']:.3f} | "
                      f"{row['statement']} |")
+    lines.append("")
+    lines.append("A row's wall time includes any one-off shared work that "
+                 "its claim is the first to trigger, such as compiling "
+                 "theta's Jordan power plan.")
     lines.append("")
     lines.append("Strict convexity of an invariant domain is intentionally "
                  "not certified here: the cone picture shows boundary "

@@ -68,6 +68,9 @@ def test_report_lists_statements(tmp_path):
     assert all(row["wall_s"] >= 0 for row in report["claims"])
     assert read_json(tmp_path / "report.json")["claims"] == report["claims"]
     assert "| Wall (s) |" in markdown
+    assert ("A row's wall time includes any one-off shared work that its "
+            "claim is the first to trigger, such as compiling theta's "
+            "Jordan power plan.") in markdown
 
 
 def test_empty_suite_selection_warns(tmp_path):

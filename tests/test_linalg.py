@@ -261,6 +261,33 @@ dense_rows = st.integers(min_value=1, max_value=6).flatmap(
                        min_size=1, max_size=6))
 
 
+mixed_rows = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.one_of(st.just([0] * n), st.lists(
+            st.one_of(st.integers(-9, 9), fractional), min_size=n,
+            max_size=n)),
+        min_size=1, max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_rows)
+def test_clear_denominators_is_entries_over_their_lcm(rows):
+    """Rows of int and Fraction entries, mixed, a single row and all-zero
+    rows included, come back as int rows over one scale that equal the
+    entries, and that scale is the lcm of every denominator: each entry
+    times it is integral, and for every prime p dividing it, some entry
+    times scale / p is not."""
+    ints, scale = clear_denominators(rows)
+    assert all(type(x) is int for row in ints for x in row)
+    assert [[Fraction(x, scale) for x in row] for row in ints] == rows
+    flat = [Fraction(x) for row in rows for x in row]
+    assert all((x * scale).denominator == 1 for x in flat)
+    primes = [p for p in range(2, scale + 1)
+              if scale % p == 0 and all(p % q for q in range(2, p))]
+    for p in primes:
+        assert any((x * scale / p).denominator != 1 for x in flat)
+
+
 @settings(max_examples=250, deadline=None)
 @given(st.one_of(dense_rows, sparse_rows(16, 10)))
 def test_rref_matches_fraction_gauss_jordan(rows):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from heiscert import lp
 from heiscert.convexity import OrbitSample, extreme_point_certificate
 from heiscert.heis import DATA_DIR
-from heiscert.linalg import _integer_copy, clear_denominators
+from heiscert.linalg import clear_denominators
 from heiscert.lp import solve_equality_feasibility
 from test_heis import rational_lift
 
@@ -324,6 +324,6 @@ FORGED_FARKAS = {
                          ids=FORGED_FARKAS)
 def test_forged_farkas_witness_raises(rhs, y, message):
     matrix = [[F(1), Fraction(1, 2)], [F(-1), Fraction(-1, 3)]]
-    columns, _ = _integer_copy([*zip(*matrix), rhs])
+    columns = [_cleared(column)[0] for column in (*zip(*matrix), rhs)]
     with pytest.raises(AssertionError, match=message):
         lp._verify_farkas(columns, y)
