@@ -32,8 +32,7 @@ def jsonable(value: Any) -> Any:
     "True")."""
     kind = type(value)
     if kind is Fraction:
-        n, d = value.numerator, value.denominator
-        return str(n) if d == 1 else f"{n}/{d}"
+        return str(value)
     if kind is int or kind is str or kind is bool or value is None:
         return value
     if kind is list or kind is tuple:

@@ -13,17 +13,14 @@ that evaluates polynomials in a, b, c at a group element; each entry
 table compiles one when its Representation is built, and the orbit
 formula has its own.  A plan lists the distinct monomials, the largest
 exponent of each of a, b, c, and every term's coefficient numerator over
-one common coefficient denominator.  A rational element has one route,
-integer_values, in plain integers: one power table per component (built
-in one pass, with no denominator powers for an integer component), one
-int product per monomial, one int sum per entry, and a single
-denominator d for them all, so Representation.integer_image hands out
-the matrix as int rows over d and no Fraction is built.  specialize
-serves symbolic elements: each distinct monomial is a product of cached
-powers of the components, built once per call, and each entry adds up
-its terms on ints: the plan's numerators times the monomials' Poly
-numerators, in one int map over one denominator, reduced once per entry
-(see poly for that form).
+one common coefficient denominator.  Every element takes one recipe:
+one power table per component, scaled by powers of its denominator, so
+each monomial is one product over a single denominator d.  A rational
+element's components go in as ints (integer_values), each entry is one
+int sum, and Representation.integer_image hands out the matrix as int
+rows over d with no Fraction built; a symbolic element's go in as Polys
+with int coefficients (specialize), and each entry adds up its terms in
+one int map over d, reduced once (see poly for that form).
 Representation.nilpotent_ranks is the one Jordan rank route.  On first
 use a table multiplies out the powers N, N^2, ... of its N = T - I
 (nilpotent, since a loaded table is unit upper triangular) until one is
@@ -120,38 +117,44 @@ class EntryPlan:
             for n, p in enumerate(self.polys)
             for e, c in p.numerators.items())
 
-    def integer_values(self, g: HeisElement) -> tuple[list[int], int]:
-        """Ints R and d > 0 with the polynomials at the rational g equal
-        to R / d.  With x = xn / xd for each component, a^i b^j c^k is
-        an^i ad^(I-i) bn^j bd^(J-j) cn^k cd^(K-k) over ad^I bd^J cd^K,
-        so d is L ad^I bd^J cd^K, each monomial is one product from a
-        power table per component (an integer component's table is its
-        powers alone), and each value adds up its terms."""
+    def _monomials(self, nums: Sequence,
+                   dens: Sequence[int]) -> tuple[list, int]:
+        """Every monomial at the element with components nums[i] /
+        dens[i], as one product over d = L ad^I bd^J cd^K: a^i b^j c^k
+        is an^i ad^(I-i) bn^j bd^(J-j) cn^k cd^(K-k), read off one power
+        table per component.  A numerator is an int or a Poly; a zero
+        exponent over denominator 1 is the int 1, which a Poly times as
+        itself."""
         d = self.denominator
         tables = []
-        for x, top in zip((g.a, g.b, g.c), self.max_exponents):
-            num, den = x.numerator, x.denominator
-            if den == 1:
-                tables.append([num ** i for i in range(top + 1)])
-            else:
-                tables.append([num ** i * den ** (top - i)
-                               for i in range(top + 1)])
+        for num, den, top in zip(nums, dens, self.max_exponents):
+            powers = [1]
+            for _ in range(top):
+                powers.append(powers[-1] * num)
+            if den != 1:
+                powers = [p * den ** (top - i) for i, p in enumerate(powers)]
                 d *= den ** top
+            tables.append(powers)
         pa, pb, pc = tables
-        monomials = [pa[i] * pb[j] * pc[k] for i, j, k in self.monomials]
+        return [pa[i] * pb[j] * pc[k] for i, j, k in self.monomials], d
+
+    def integer_values(self, g: HeisElement) -> tuple[list[int], int]:
+        """Ints R and d > 0 with the polynomials at the rational g equal
+        to R / d, each value its terms summed over the int monomials."""
+        monomials, d = self._monomials([x.numerator for x in g],
+                                       [x.denominator for x in g])
         values = [0] * len(self.polys)
         for n, m, c in self.terms:
             values[n] += c * monomials[m]
         return values, d
 
     def specialize(self, g: HeisElement) -> list[Poly]:
-        """The polynomials evaluated at the symbolic g, in the one ring
-        g's components share.  Each distinct monomial is one product of
-        cached powers of the components, a rational component lifted
-        into the ring, and each value adds its terms' numerators times
-        the monomials' int numerators into one int map over L S, S the
-        lcm of the monomials' denominators, reduced once.  A rational g
-        is refused: its values are integer_values."""
+        """The polynomials at the symbolic g, in the one ring g's
+        components share.  Each component, a rational one lifted into
+        the ring, goes in as its int-coefficient numerator over its
+        denominator, so each value adds its terms into one int map over
+        d, reduced once.  A rational g is refused: its values are
+        integer_values."""
         rings = {v.ring for v in g if isinstance(v, Poly)}
         if not rings:
             raise TypeError("a rational element is evaluated on ints, by "
@@ -159,32 +162,18 @@ class EntryPlan:
         if len(rings) != 1:
             raise ValueError("symbolic components must share one ring")
         ring = rings.pop()
-        powers = [[x if isinstance(x, Poly) else ring.const(x)]
-                  for x in g]   # powers[axis][n - 1] = component^n
-        monomials = []
-        for e in self.monomials:
-            factors = []
-            for seq, n in zip(powers, e):
-                if n:
-                    while len(seq) < n:
-                        seq.append(seq[-1] * seq[0])
-                    factors.append(seq[n - 1])
-            product = factors[0] if factors else ring.one()
-            for f in factors[1:]:
-                product = product * f
-            monomials.append(product)
-        scale = lcm(*(m.denominator for m in monomials))
-        scaled = [(m.numerators.items(), scale // m.denominator)
-                  for m in monomials]
+        parts = [x if isinstance(x, Poly) else ring.const(x) for x in g]
+        monomials, d = self._monomials(
+            [Poly.from_numerators(ring, x.numerators, 1) for x in parts],
+            [x.denominator for x in parts])
+        items = [(m if isinstance(m, Poly) else ring.const(m))
+                 .numerators.items() for m in monomials]
         sums: list[dict] = [{} for _ in self.polys]
         for n, m, c in self.terms:
-            items, factor = scaled[m]
-            c *= factor
             acc = sums[n]
             get = acc.get
-            for e, x in items:
+            for e, x in items[m]:
                 acc[e] = get(e, 0) + c * x
-        d = self.denominator * scale
         zero = ring.zero()
         return [Poly.from_numerators(ring, acc, d) if acc else zero
                 for acc in sums]

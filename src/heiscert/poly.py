@@ -7,8 +7,9 @@ the numerators have gcd 1 (the zero polynomial is the empty map over 1),
 the form of FLINT's rational polynomials (Hart, ICMS 2010).  The form is
 canonical, so structural equality is semantic equality, and sums,
 differences, scalings, products and powers run on ints, with one gcd
-reduction per result and none when its denominator is 1.  Poly.terms is
-a Fraction view of the coefficients, for text and evaluation.
+reduction per result and none when its denominator is 1; a product by
+exactly 1 is the polynomial itself.  Poly.terms is a Fraction view of
+the coefficients, for text and evaluation.
 Everything is immutable and exact; there is no floating point anywhere.
 """
 
@@ -160,7 +161,10 @@ class Poly:
 
     def __mul__(self, other):
         if type(other) in (int, Fraction):
-            # Scaling by a rational: one product per term, no expansion.
+            # Scaling by a rational: one product per term, no expansion;
+            # by exactly 1, the polynomial itself.
+            if other == 1:
+                return self
             num = other.numerator
             scaled = ({e: c * num for e, c in self.numerators.items()}
                       if num else {})

@@ -3,17 +3,19 @@
 The scalar type is the standard-library Fraction, which already keeps the
 canonical form this project relies on: positive denominator, gcd-reduced,
 and construction from a zero denominator rejected.  These helpers pin the
-textual format "p/q" (just "p" when q = 1) used by every file this
-package reads or writes, and refuse floats so no inexact value can sneak
-into a certificate.
+textual format "p/q" (just "p" when q = 1, as str(Fraction) writes it)
+used by every file this package reads or writes, parse only that format,
+and refuse floats so no inexact value can sneak into a certificate.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
 Scalar = Union[int, Fraction]
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 def to_fraction(value) -> Fraction:
@@ -38,21 +40,16 @@ def to_fraction(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" with arbitrary-precision integers; malformed
-    text and a zero denominator raise ValueError."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """Parse "p/q" or "p" with arbitrary-precision integers: after the
+    strip, exactly ASCII -?[0-9]+(/[0-9]+)?, what format_rational
+    writes; anything else and a zero denominator raise ValueError."""
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"not a rational p/q with q > 0: {text!r}")
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def format_rational(value: Scalar) -> str:
     """Render as "p/q", or "p" when the denominator is 1; floats and
     bools are refused."""
-    value = to_fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(to_fraction(value))

@@ -97,6 +97,18 @@ def test_fractions_serialize_as_strings():
     assert jsonable({"x": [Fraction(1, 3), 2]}) == {"x": ["1/3", 2]}
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**30),
+       st.booleans())
+def test_fractions_are_written_as_p_over_q(num, den, integral):
+    """jsonable and format_rational write n/d, or n when d = 1, with
+    negative and integral values drawn alike."""
+    value = Fraction(num) if integral else Fraction(num, den)
+    n, d = value.numerator, value.denominator
+    spelled = str(n) if d == 1 else f"{n}/{d}"
+    assert jsonable(value) == format_rational(value) == spelled
+
+
 def test_floats_are_rejected():
     # Serialization, the wire format and exact elimination all refuse
     # inexact values (and bool, which is an int subclass).

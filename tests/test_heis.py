@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from heiscert.convexity import ORBIT_LIFT, orbit_lift
+from heiscert.convexity import ORBIT_LIFT, ORBIT_LIFT_PLAN, orbit_lift
 from heiscert.heis import (ENTRY_RING, GENERATORS, EntryPlan, HeisElement,
                            Representation, generator_power,
                            get_representation, heis_mul,
@@ -362,6 +362,16 @@ def test_symbolic_specialize_needs_one_ring():
     g = HeisElement(ENTRY_RING.var("a"), GROWTH_RING.var("n"), Fraction(0))
     with pytest.raises(ValueError, match="one ring"):
         EntryPlan([ENTRY_RING.var("a")]).specialize(g)
+
+
+def test_symbolic_element_is_refused_by_the_int_route():
+    """integer_values reads int numerators and denominators, which a
+    Poly component does not have, so it raises rather than return
+    Polys."""
+    g = HeisElement.of(GROWTH_RING.var("n"), 0, 1)
+    for plan in (THETA.plan, ORBIT_LIFT_PLAN):
+        with pytest.raises(AttributeError):
+            plan.integer_values(g)
 
 
 def test_rational_element_is_refused_by_the_symbolic_route():

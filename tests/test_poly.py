@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heiscert.poly import MAX_EXPONENT, Poly, PolyRing
+from heiscert.rationals import parse_rational
 from heiscert.convexity import nonneg_certificate
 
 RING = PolyRing("a", "b", "c")
@@ -86,6 +87,27 @@ def test_parse_reduces_rational_coefficients():
 def test_parse_rejects_malformed_coefficients(text):
     with pytest.raises(ValueError):
         RING.parse(text)
+
+
+# Spellings int() or Fraction would read but format_rational never
+# writes: an underscore separator, a non-ASCII digit, a signed
+# denominator and spaces around the slash.
+@pytest.mark.parametrize("text", ["1_000", "\u0663", "1/-2", " 3 / 4 "],
+                         ids=["underscore", "arabic-indic-digit",
+                              "signed-denominator", "spaced-slash"])
+def test_parse_reads_only_the_written_format(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+    with pytest.raises(ValueError):
+        RING.parse(f"{text}*a")
+
+
+def test_product_by_one_is_the_polynomial_itself():
+    p = Fraction(1, 2) * A ** 2 + B * C
+    assert p * 1 is p and 1 * p is p and p * Fraction(1) is p
+    assert p * 2 == A ** 2 + 2 * B * C
+    with pytest.raises(TypeError):
+        p * True
 
 
 def test_degree_in():
