@@ -16,14 +16,18 @@ Replay re-runs the claim at the stored seed and compares the JSON text
 of the two certificates, so it never evaluates stored inputs: a sampled
 certificate matches only if its inputs are the ones its seed draws, and
 a fixed one only if its inputs are the claim's own.  The runner writes
-one JSON certificate per claim plus report.json/report.md; a crash
-inside a claim becomes a FAIL certificate, in a run and in a replay
-alike, never a silent skip.  Each claim's wall time goes into its report
-row only, never into a certificate.
+one JSON certificate per claim plus report.json/report.md, whose rows
+are in suite order; the claims run concurrently in forked workers, one
+per CPU, or in the calling process when it has one CPU (`taskset -c
+0`).  A crash inside a claim becomes a FAIL certificate, in a run and
+in a replay alike, never a silent skip.  Each claim's wall time goes
+into its report row only, never into a certificate.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -500,9 +504,15 @@ CLAIMS_BY_ID = {c.id: c for c in CLAIMS}
 # -- runner -------------------------------------------------------------------
 
 def run_suite(config: RunConfig) -> dict:
-    """Execute the selected suites in dependency order; write one JSON
-    certificate per claim plus report.json and report.md.  Returns the
-    report dictionary."""
+    """Run the selected suites' claims; write one JSON certificate per
+    claim plus report.json and report.md, whose rows are in suite order.
+    Returns the report dictionary.  The claims run concurrently, in one
+    forked worker per CPU of this process's affinity mask and at most
+    one per claim, while this process only coordinates; with one CPU or
+    one claim (under `taskset -c 0`, say) they run in this process.  An
+    exception raised in a worker outside a claim reaches the caller with
+    its type, and a worker that exits without sending its rows raises
+    RuntimeError; either way no report is written."""
     unknown = set(config.suites) - set(SUITE_ORDER)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
@@ -511,19 +521,15 @@ def run_suite(config: RunConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     timestamp = _utc_timestamp(time.time_ns())
 
-    rows = []
-    for claim in CLAIMS:
-        if claim.suite not in selected:
-            continue
-        start = time.perf_counter()
-        cert = _guarded(claim, claim.run, config)
-        wall_s = time.perf_counter() - start
-        cert.timestamp = timestamp
-        path = out / f"{claim.id}.json"
-        _atomic_write(path, cert.to_json())
-        rows.append({"claim": claim.id, "suite": claim.suite,
-                     "verdict": cert.verdict, "statement": claim.statement,
-                     "file": path.name, "wall_s": wall_s})
+    indices = [i for i, claim in enumerate(CLAIMS) if claim.suite in selected]
+    # No affinity mask (macOS, Windows): run in this process.
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = sorted(affinity(0))[:len(indices)] if affinity else []
+    if len(cpus) > 1:
+        rows = _run_pooled(cpus, indices, config, out, timestamp)
+    else:
+        rows = [_run_claim(CLAIMS[i], config, out, timestamp)
+                for i in indices]
 
     overall = PASS if all(r["verdict"] == PASS for r in rows) else FAIL
     report = {
@@ -541,6 +547,96 @@ def run_suite(config: RunConfig) -> dict:
     _atomic_write(out / "report.json", _report_json(report))
     _atomic_write(out / "report.md", _report_markdown(report))
     return report
+
+
+def _run_claim(claim: Claim, config: RunConfig, out: Path,
+               timestamp: str) -> dict:
+    """Run one claim, write its certificate and return its report row."""
+    start = time.perf_counter()
+    cert = _guarded(claim, claim.run, config)
+    wall_s = time.perf_counter() - start
+    cert.timestamp = timestamp
+    path = out / f"{claim.id}.json"
+    _atomic_write(path, cert.to_json())
+    return {"claim": claim.id, "suite": claim.suite,
+            "verdict": cert.verdict, "statement": claim.statement,
+            "file": path.name, "wall_s": wall_s}
+
+
+def _run_pooled(cpus: list[int], indices: list[int], config: RunConfig,
+                out: Path, timestamp: str) -> list[dict]:
+    """The rows of CLAIMS[i] for i in indices, in that order, from one
+    forked _worker per CPU in cpus, which take the indices from one
+    pipe.  When a worker fails, the others are killed; every worker is
+    reaped before this returns or raises."""
+    tasks, feed = os.pipe()
+    os.write(feed, bytes(indices))
+    os.close(feed)
+    workers = {}
+    try:
+        for cpu in cpus:
+            reader, writer = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(cpu, tasks, writer, config, out, timestamp)
+            os.close(writer)
+            workers[pid] = open(reader, "rb")
+        rows = {}
+        for pid, pipe in list(workers.items()):
+            with pipe:
+                message = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[pid]
+            if status:
+                raise _worker_error(status, message)
+            rows.update(json.loads(message))
+        return [rows[CLAIMS[i].id] for i in indices]
+    finally:
+        os.close(tasks)
+        for pid, pipe in workers.items():
+            import signal
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _worker(cpu: int, tasks: int, results: int, config: RunConfig,
+            out: Path, timestamp: str) -> None:
+    """A forked worker; never returns.  Pinned to cpu, it runs CLAIMS[i]
+    for each index i it reads from tasks until the pipe is empty, writes
+    its rows to results as one JSON object keyed by claim id and exits
+    0.  An exception outside a claim is written instead, pickled with
+    its traceback, and the exit status is 1; anything else exits 3."""
+    status = 3
+    try:
+        try:
+            os.sched_setaffinity(0, {cpu})
+            rows = {}
+            while index := os.read(tasks, 1):
+                claim = CLAIMS[index[0]]
+                rows[claim.id] = _run_claim(claim, config, out, timestamp)
+            message, code = json.dumps(rows).encode(), 0
+        except Exception as exc:
+            import pickle
+            import traceback
+            message, code = pickle.dumps((exc, traceback.format_exc())), 1
+        with open(results, "wb") as pipe:
+            pipe.write(message)
+        status = code
+    finally:
+        os._exit(status)
+
+
+def _worker_error(status: int, message: bytes) -> Exception:
+    """The exception a worker sent with exit status 1, caused by its
+    traceback, or a RuntimeError for a worker that sent none."""
+    if status == 1:
+        import pickle
+        exc, text = pickle.loads(message)
+        exc.__cause__ = RuntimeError(f"raised in a worker process:\n{text}")
+        return exc
+    return RuntimeError(f"a worker process exited with status {status} "
+                        "without sending its report rows")
 
 
 def _utc_timestamp(ns: int) -> str:
@@ -566,7 +662,6 @@ def _guarded(claim: Claim, entry, config: RunConfig) -> Certificate:
 
 
 def _report_json(report: dict) -> str:
-    import json
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
@@ -588,8 +683,10 @@ def _report_markdown(report: dict) -> str:
                      f"{row['statement']} |")
     lines.append("")
     lines.append("A row's wall time includes any one-off shared work that "
-                 "its claim is the first to trigger, such as compiling "
-                 "theta's Jordan power plan.")
+                 "its claim is the first in its process to trigger, such "
+                 "as compiling theta's Jordan power plan; when claims run "
+                 "in worker processes, that work is paid once in each "
+                 "worker that needs it.")
     lines.append("")
     lines.append("Strict convexity of an invariant domain is intentionally "
                  "not certified here: the cone picture shows boundary "
@@ -615,7 +712,6 @@ def replay(path: Path) -> tuple[str, dict]:
     """Re-run a stored certificate's claim at its recorded seed; MATCH iff
     the rerun reproduces it as JSON (timestamp aside).  A seed that is
     not an integer in [0, 2**64) raises ValueError."""
-    import json
     # Nesting too deep to parse, or to convert below, is malformed.
     try:
         data = json.loads(Path(path).read_text())

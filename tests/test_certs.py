@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -163,9 +164,9 @@ def test_writer_matches_json_dumps(tree):
                                                indent=2)
 
 
-@pytest.mark.parametrize("seed", [0, 5])
-def test_certificates_are_written_as_json_dumps_writes_them(
-        seed, tmp_path, monkeypatch):
+def _recorded_serial_run(seed, out, monkeypatch) -> list:
+    """(certificate, text) for each certificate a run in this process
+    writes to out, as to_json gave them."""
     written = []
     to_json = Certificate.to_json
 
@@ -173,13 +174,36 @@ def test_certificates_are_written_as_json_dumps_writes_them(
         written.append((cert, to_json(cert)))
         return written[-1][1]
 
-    monkeypatch.setattr(Certificate, "to_json", recording)
-    run_suite(RunConfig(seed=seed, output_dir=tmp_path))
+    with monkeypatch.context() as patch:
+        patch.setattr(Certificate, "to_json", recording)
+        run_suite(RunConfig(seed=seed, output_dir=out))
     assert len(written) == len(CLAIMS)
-    for cert, text in written:
+    return written
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_certificates_are_written_as_json_dumps_writes_them(
+        seed, tmp_path, monkeypatch, serial):
+    for cert, text in _recorded_serial_run(seed, tmp_path, monkeypatch):
         assert text == json.dumps(cert.to_dict(), sort_keys=True,
                                   indent=2) + "\n"
         assert (tmp_path / f"{cert.claim}.json").read_text() == text
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_pooled_certificates_are_written_as_json_dumps_writes_them(
+        seed, tmp_path, monkeypatch, pooled):
+    # Workers write in other processes, so their to_json cannot be
+    # recorded here: each file is read back and checked instead.
+    run_suite(RunConfig(seed=seed, output_dir=tmp_path / "pooled"))
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        written = _recorded_serial_run(seed, tmp_path / "serial", patch)
+    for cert, _ in written:
+        text = (tmp_path / "pooled" / f"{cert.claim}.json").read_text()
+        data = json.loads(text)
+        assert text == json.dumps(data, sort_keys=True, indent=2) + "\n"
+        assert Certificate.from_dict(data).comparable() == cert.comparable()
 
 
 HALF = Fraction(1, 2)

@@ -3,6 +3,7 @@ replay, report files."""
 
 import json
 import math
+import os
 import subprocess
 import sys
 from datetime import datetime, timezone
@@ -69,8 +70,10 @@ def test_report_lists_statements(tmp_path):
     assert read_json(tmp_path / "report.json")["claims"] == report["claims"]
     assert "| Wall (s) |" in markdown
     assert ("A row's wall time includes any one-off shared work that its "
-            "claim is the first to trigger, such as compiling theta's "
-            "Jordan power plan.") in markdown
+            "claim is the first in its process to trigger, such as "
+            "compiling theta's Jordan power plan; when claims run in "
+            "worker processes, that work is paid once in each worker "
+            "that needs it.") in markdown
 
 
 def test_empty_suite_selection_warns(tmp_path):
@@ -161,6 +164,95 @@ def test_crash_certificate_replays_to_match(tmp_path, monkeypatch):
     verdict, detail = replay(path)
     assert verdict == MATCH
     assert detail["recomputed_verdict"] == FAIL
+
+
+def _with_claim(claim_id, run):
+    """suites.CLAIMS with claim_id's run replaced by run."""
+    claim = CLAIMS_BY_ID[claim_id]
+    broken = suites.Claim(claim.id, claim.suite, claim.statement, run=run,
+                          replay=claim.replay)
+    return tuple(broken if c.id == claim_id else c for c in suites.CLAIMS)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Three claims, so that they run in two worker processes.
+POOLED_SUITES = ("growth", "hilbert")
+
+
+def test_crash_in_a_worker_becomes_fail_certificate(tmp_path, monkeypatch,
+                                                    pooled):
+    def crash(config):
+        raise ZeroDivisionError(f"in process {os.getpid()}")
+
+    monkeypatch.setattr(suites, "CLAIMS",
+                        _with_claim("growth.block_degrees", crash))
+    report = run_suite(RunConfig(suites=POOLED_SUITES, output_dir=tmp_path))
+    assert_no_child_left()
+    assert report["overall"] == FAIL
+    assert [(row["claim"], row["verdict"]) for row in report["claims"]] == [
+        ("growth.block_degrees", FAIL),
+        ("hilbert.metric_axioms", PASS),
+        ("hilbert.cross_ratio_invariance", PASS)]
+    cert = read_json(tmp_path / "growth.block_degrees.json")
+    assert cert["verdict"] == FAIL
+    error = cert["witnesses"]["error"]
+    assert "ZeroDivisionError: in process " in error
+    assert f"in process {os.getpid()}\n" not in error
+
+
+def test_worker_error_outside_a_claim_keeps_its_type(tmp_path, monkeypatch,
+                                                     pooled, capsys):
+    def refuse(path, text):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(suites, "_atomic_write", refuse)
+    with pytest.raises(OSError) as raised:
+        run_suite(RunConfig(suites=POOLED_SUITES, output_dir=tmp_path))
+    assert_no_child_left()
+    assert type(raised.value) is OSError
+    assert raised.value.errno == 28
+    assert raised.value.filename.endswith(".json")
+    assert "raised in a worker process" in str(raised.value.__cause__)
+    assert not (tmp_path / "report.json").exists()
+    args = ["verify", "--out", str(tmp_path)]
+    assert main(args + [f"--suite={s}" for s in POOLED_SUITES]) == 2
+    assert_no_child_left()
+    assert "No space left on device" in capsys.readouterr().err
+
+
+def test_worker_that_dies_without_its_rows_makes_the_run_raise(
+        tmp_path, monkeypatch, pooled):
+    monkeypatch.setattr(suites, "CLAIMS", _with_claim(
+        "growth.block_degrees", lambda config: os._exit(7)))
+    with pytest.raises(RuntimeError, match="status 7 without sending"):
+        run_suite(RunConfig(suites=POOLED_SUITES, output_dir=tmp_path))
+    assert_no_child_left()
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "report.md").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 23])
+def test_pooled_run_equals_serial_run(seed, tmp_path, monkeypatch, pooled):
+    pooled_report = run_suite(RunConfig(seed=seed,
+                                        output_dir=tmp_path / "pooled"))
+    assert_no_child_left()
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial_report = run_suite(RunConfig(seed=seed,
+                                            output_dir=tmp_path / "serial"))
+    assert strip_timestamps(pooled_report) == strip_timestamps(serial_report)
+    names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert sorted(p.name for p in (tmp_path / "pooled").iterdir()) == names
+    assert len(names) == len(suites.CLAIMS) + 2
+    for name in names:
+        if name == "report.md":
+            continue
+        assert strip_timestamps(read_json(tmp_path / "pooled" / name)) == \
+            strip_timestamps(read_json(tmp_path / "serial" / name))
 
 
 def test_determinism_across_runs(tmp_path):
