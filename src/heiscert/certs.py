@@ -8,6 +8,8 @@ produce byte-identical files and any edit is detectable through the
 inputs digest.  jsonable dispatches on exact types and refuses unknown
 ones, and any dict key that is not a str; to_json joins each container's
 text once, giving the bytes of json.dumps(sort_keys=True, indent=2).
+reproduced_by compares a stored body with a recomputed one as canonical
+JSON text, and walks the stored body with jsonable only when they differ.
 """
 
 from __future__ import annotations
@@ -79,12 +81,12 @@ def canonical_json(converted: Any) -> str:
 
 
 def digest(data: Any) -> str:
-    return _sha256(jsonable(data))
+    return _sha256(canonical_json(jsonable(data)))
 
 
-def _sha256(converted: Any) -> str:
-    """digest() of values jsonable returned, without converting again."""
-    return hashlib.sha256(canonical_json(converted).encode()).hexdigest()
+def _sha256(text: str) -> str:
+    """The digest of a value whose canonical JSON text is text."""
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class Certificate:
@@ -108,7 +110,7 @@ class Certificate:
             "witnesses": jsonable(self.witnesses),
             "inputs": inputs,
             "seed": self.seed,
-            "inputs_digest": _sha256(inputs),
+            "inputs_digest": _sha256(canonical_json(inputs)),
             "paper_anchor": self.anchor,
             "timestamp": self.timestamp,
         }
@@ -147,3 +149,29 @@ class Certificate:
         body = self.to_dict()
         body.pop("timestamp")
         return body
+
+    def reproduced_by(self, recomputed: "Certificate",
+                      inputs_digest: str) -> tuple[bool, bool]:
+        """(same, digest_intact) of this certificate, parsed from a file
+        whose inputs_digest field is given, against a recomputed one: same
+        iff the digest is intact and the comparable() bodies are equal as
+        JSON text, so a stored 1 differs from a recomputed True.  Each
+        side's inputs and witnesses are written as canonical JSON once; a
+        stored body that differs is then converted, and one jsonable
+        refuses (a float, nesting too deep) raises ValueError."""
+        inputs = canonical_json(jsonable(recomputed.inputs))
+        witnesses = canonical_json(jsonable(recomputed.witnesses))
+        try:
+            stored_inputs = canonical_json(self.inputs)
+            digest_ok = _sha256(stored_inputs) == inputs_digest
+            same = (digest_ok and stored_inputs == inputs
+                    and canonical_json(self.witnesses) == witnesses
+                    and (self.claim, self.verdict, self.seed, self.anchor)
+                    == (recomputed.claim, recomputed.verdict,
+                        recomputed.seed, recomputed.anchor))
+            if not same:
+                self.comparable()
+        except (TypeError, RecursionError) as exc:
+            raise ValueError(f"malformed stored certificate for "
+                             f"{self.claim}: {exc}") from exc
+        return same, digest_ok

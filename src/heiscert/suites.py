@@ -38,7 +38,7 @@ from pathlib import Path
 
 from . import __version__
 from . import convexity, restriction
-from .certs import FAIL, PASS, Certificate, canonical_json
+from .certs import FAIL, PASS, Certificate
 from .cone import (SymForm, attraction_gaps, det3, flat_segment_certificate,
                    parabolic_fixed_form, pd_preservation_certificate,
                    sym_square_match_certificate)
@@ -512,13 +512,16 @@ def run_suite(config: RunConfig) -> dict:
     one claim (under `taskset -c 0`, say) they run in this process.  An
     exception raised in a worker outside a claim reaches the caller with
     its type, and a worker that exits without sending its rows raises
-    RuntimeError; either way no report is written."""
+    RuntimeError; either way the output directory holds no report, not
+    even an earlier run's."""
     unknown = set(config.suites) - set(SUITE_ORDER)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
     selected = [s for s in SUITE_ORDER if s in config.suites]
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in ("report.json", "report.md"):
+        (out / name).unlink(missing_ok=True)
     timestamp = _utc_timestamp(time.time_ns())
 
     indices = [i for i, claim in enumerate(CLAIMS) if claim.suite in selected]
@@ -710,9 +713,12 @@ MISMATCH = "MISMATCH"
 
 def replay(path: Path) -> tuple[str, dict]:
     """Re-run a stored certificate's claim at its recorded seed; MATCH iff
-    the rerun reproduces it as JSON (timestamp aside).  A seed that is
-    not an integer in [0, 2**64) raises ValueError."""
-    # Nesting too deep to parse, or to convert below, is malformed.
+    the rerun reproduces it as JSON (timestamp aside), which
+    Certificate.reproduced_by decides; a stored body that differs is
+    validated, and one holding a float or nested too deeply raises
+    ValueError.  So does a seed that is not an integer in [0, 2**64)."""
+    # Nesting too deep to parse, or to convert (see reproduced_by), is
+    # malformed.
     try:
         data = json.loads(Path(path).read_text())
     except RecursionError as exc:
@@ -727,18 +733,8 @@ def replay(path: Path) -> tuple[str, dict]:
     if str(int(seed)) != seed:
         raise ValueError(f"stored seed {seed!r} is not an integer")
     config = RunConfig(seed=int(seed))
-    # One conversion of the stored body, which also hashes its inputs; a
-    # float anywhere in it is malformed.
-    try:
-        stored_body = stored.comparable()
-    except (TypeError, RecursionError) as exc:
-        raise ValueError(f"malformed stored certificate for "
-                         f"{stored.claim}: {exc}") from exc
-    digest_ok = stored_body["inputs_digest"] == data["inputs_digest"]
     recomputed = _guarded(claim, claim.replay, config)
-    # Compared as JSON text: as dicts, a stored 1 equals a recomputed True.
-    same = digest_ok and canonical_json(recomputed.comparable()) == \
-        canonical_json(stored_body)
+    same, digest_ok = stored.reproduced_by(recomputed, data["inputs_digest"])
     detail = {
         "claim": stored.claim,
         "stored_verdict": stored.verdict,

@@ -1,6 +1,7 @@
 """Command-line interface and suite runner: exit codes, determinism,
 replay, report files."""
 
+import hashlib
 import json
 import math
 import os
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heiscert import convexity, suites
-from heiscert.certs import FAIL, PASS, digest, jsonable
+from heiscert.certs import FAIL, PASS, Certificate, canonical_json, digest, \
+    jsonable
 from heiscert.cli import main
 from heiscert.heis import TABLE_DIMENSIONS, HeisElement, get_representation
 from heiscert.rationals import format_rational, parse_rational
@@ -235,6 +237,31 @@ def test_worker_that_dies_without_its_rows_makes_the_run_raise(
     assert not (tmp_path / "report.md").exists()
 
 
+@pytest.mark.parametrize("runner", ["serial", "pooled"])
+def test_run_that_raises_leaves_no_earlier_report(runner, request, tmp_path,
+                                                  monkeypatch):
+    # The earlier run's PASS report must not sit beside the new run's
+    # certificates.
+    request.getfixturevalue(runner)
+    (tmp_path / "report.json").write_text(json.dumps({"overall": PASS}))
+    (tmp_path / "report.md").write_text("overall: PASS\n")
+    if runner == "serial":
+        def refuse(path, text):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(suites, "_atomic_write", refuse)
+        raised = OSError
+    else:
+        monkeypatch.setattr(suites, "CLAIMS", _with_claim(
+            "growth.block_degrees", lambda config: os._exit(7)))
+        raised = RuntimeError
+    with pytest.raises(raised):
+        run_suite(RunConfig(suites=POOLED_SUITES, output_dir=tmp_path))
+    assert_no_child_left()
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "report.md").exists()
+
+
 @pytest.mark.parametrize("seed", [0, 23])
 def test_pooled_run_equals_serial_run(seed, tmp_path, monkeypatch, pooled):
     pooled_report = run_suite(RunConfig(seed=seed,
@@ -343,6 +370,18 @@ def test_replay_is_the_run():
     assert all(claim.replay is claim.run for claim in CLAIMS_BY_ID.values())
 
 
+def test_match_converts_no_stored_body(certificates, monkeypatch):
+    # On the MATCH path the stored body is compared as text only; it is
+    # validated through comparable() only when it differs.
+    def refuse(self):
+        raise AssertionError("comparable() called on the MATCH path")
+
+    monkeypatch.setattr(Certificate, "comparable", refuse)
+    for claim_id in sorted(CLAIMS_BY_ID):
+        verdict, detail = replay(certificates / f"{claim_id}.json")
+        assert (verdict, detail["inputs_digest_intact"]) == (MATCH, True)
+
+
 @pytest.mark.parametrize("claim_id", sorted(CLAIMS_BY_ID))
 def test_every_claim_replays(certificates, claim_id, tmp_path):
     path = certificates / f"{claim_id}.json"
@@ -350,7 +389,21 @@ def test_every_claim_replays(certificates, claim_id, tmp_path):
     assert verdict == MATCH
     assert detail["inputs_digest_intact"]
 
+    # Replay compares JSON values, not file bytes: the same body written
+    # compactly, keys in file order, still matches.
     data = read_json(path)
+    compact = tmp_path / "compact.json"
+    compact.write_text(json.dumps(data))
+    assert replay(compact) == (MATCH, detail)
+
+    for edit, digest_intact in (({"paper_anchor": "edited"}, True),
+                                ({"inputs_digest": "0" * 64}, False)):
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps({**data, **edit}))
+        verdict, edited_detail = replay(edited)
+        assert (verdict, edited_detail["inputs_digest_intact"]) == \
+            (MISMATCH, digest_intact)
+
     data["verdict"] = FAIL if data["verdict"] == PASS else PASS
     flipped = tmp_path / "flipped.json"
     flipped.write_text(json.dumps(data))
@@ -561,14 +614,27 @@ def _with_float_determinant(data: dict) -> dict:
     return {**data, "witnesses": {**data["witnesses"], "determinant": 0.0}}
 
 
-def _nested_in_inputs(depth: int):
+def _nested_in(part: str, depth: int):
     """A malform giving the certificate as text, with a list nested depth
-    deep inside its inputs; json.dumps cannot write such nesting."""
+    deep inside its inputs or witnesses (part); json.dumps cannot write
+    such nesting."""
     def malform(data: dict) -> str:
-        marked = {**data, "inputs": {**data["inputs"], "nested": "MARK"}}
+        marked = {**data, part: {**data[part], "nested": "MARK"}}
         return json.dumps(marked).replace('"MARK"',
                                           "[" * depth + "]" * depth)
     return malform
+
+
+def _with_first_leaf(data: dict, part: str, value) -> dict:
+    """data with the first leaf of its inputs or witnesses (part) set to
+    value; a new inputs part gets the SHA-256 of its canonical text as
+    the digest, which digest() cannot give for a float."""
+    data = {**data, part: _replaced(data[part], _leaf_paths(data[part])[0],
+                                    value)}
+    if part == "inputs":
+        text = canonical_json(data["inputs"])
+        data["inputs_digest"] = hashlib.sha256(text.encode()).hexdigest()
+    return data
 
 
 def _with_one_fresh_too_many(data: dict) -> dict:
@@ -593,19 +659,26 @@ def _with_one_fresh_too_many(data: dict) -> dict:
     ("orbit.formula", lambda data: {**data, "seed": str(2 ** 64)}),
     ("orbit.formula", lambda data: {**data, "seed": "-1"}),
     # json.loads parses 900 levels, but converting them overflows.
-    ("hull.dimension", _nested_in_inputs(900)),
+    ("hull.dimension", _nested_in("inputs", 900)),
     # json.loads itself overflows.
-    ("hull.dimension", _nested_in_inputs(5000)),
+    ("hull.dimension", _nested_in("inputs", 5000)),
     ("hull.dimension", lambda data: {**data, "timestamp": []}),
     ("hull.dimension", lambda data: {**data, "verdict": 1}),
     ("hull.dimension", lambda data: {**data, "inputs_digest": None}),
     ("hull.dimension", lambda data: {**data, "paper_anchor": ["x"]}),
+    # json.loads reads NaN and Infinity as floats.
+    ("hull.dimension",
+     lambda data: _with_first_leaf(data, "inputs", math.nan)),
+    ("hull.degenerate_center",
+     lambda data: _with_first_leaf(data, "witnesses", math.inf)),
+    ("hull.dimension", _nested_in("witnesses", 900)),
 ], ids=["inputs-not-object", "body-not-object", "claim-not-string",
         "float-input", "float-witness", "seed-not-integer", "seed-not-canonical",
         "seed-not-string", "sampled-seed-2**64", "sampled-seed-negative",
         "fixed-seed-2**64", "fixed-seed-negative", "nested-900",
         "nested-5000", "timestamp-not-string", "verdict-not-string",
-        "digest-not-string", "anchor-not-string"])
+        "digest-not-string", "anchor-not-string", "nan-input",
+        "infinity-witness", "nested-900-witness"])
 def test_replay_malformed_certificate_exits_2(certificates, claim_id, malform,
                                               tmp_path, capsys):
     data = read_json(certificates / f"{claim_id}.json")
