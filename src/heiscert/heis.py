@@ -27,8 +27,15 @@ use a table multiplies out the powers N, N^2, ... of its N = T - I
 zero, and compiles the entries on each power's nonzero rows and columns
 into one EntryPlan, its power plan.  Evaluation at g is a ring map and
 N^k is identically zero off its block, so the blocks of the plan's
-values at g have the ranks of N(g)'s powers: one integer_values call
-and one fraction-free echelon pass per power.
+values at g have the ranks of N(g)'s powers.  The same compile ranks
+each block over Q(a, b, c) by one fraction-free echelon pass over its
+Poly entries, keeping the rank r_k and the last pivot, an r_k-square
+minor, and compiles those minors into a second, small EntryPlan.  An
+element evaluates the minors first: where one is nonzero at g, N(g)^k
+has rank r_k (the minor bounds it below, and every larger minor is the
+zero polynomial).  Only if some minor vanishes at g are the power
+plan's int values evaluated, and only those blocks ranked by one int
+echelon pass each.
 Homomorphism and injectivity verification run fully symbolically over a
 six-variable ring.
 """
@@ -183,26 +190,40 @@ class PowerPlan(NamedTuple):
     """The nonzero powers N, N^2, ..., N^m of N = T - I for an entry
     table T: supports[k - 1] holds the rows and columns on which N^k is
     not identically zero, and entries compiles N^k's entries on them,
-    row by row, for k = 1 to m in turn."""
+    row by row, for k = 1 to m in turn.  ranks holds each block's rank
+    over Q(a, b, c), and minors compiles the last pivot of its echelon
+    pass, a nonzero minor of that size."""
     entries: EntryPlan
     supports: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    ranks: tuple[int, ...]
+    minors: EntryPlan
 
 
 def _compile_powers(table: Matrix) -> PowerPlan:
     """The power plan of a unit upper-triangular table, whose N = T - I
-    is strictly upper triangular, so some power of it is zero."""
+    is strictly upper triangular, so some power of it is zero.  Each
+    block is ranked by one echelon pass over its Poly entries, exact
+    since Q[a, b, c] is an integral domain."""
     n = table.rows
     power = nilpotent = table - Matrix.identity(n)
     supports = []
     polys: list[Poly] = []
+    ranks = []
+    minors = []
     while True:
         entries = power.entries
         rows = tuple(i for i, row in enumerate(entries) if any(row))
         if not rows:
-            return PowerPlan(EntryPlan(polys), tuple(supports))
+            return PowerPlan(EntryPlan(polys), tuple(supports), tuple(ranks),
+                             EntryPlan(minors))
         cols = tuple(j for j in range(n) if any(row[j] for row in entries))
         supports.append((rows, cols))
-        polys += [entries[i][j] for i in rows for j in cols]
+        block = [[entries[i][j] for j in cols] for i in rows]
+        # Read before the echelon pass rewrites the block in place.
+        polys += [p for row in block for p in row]
+        pivots, _, d = _echelon(block, reduce_above=False)
+        ranks.append(len(pivots))
+        minors.append(d[len(pivots) - 1])
         power = power * nilpotent
 
 
@@ -245,23 +266,31 @@ class Representation:
 
     def nilpotent_ranks(self, g: HeisElement) -> list[int]:
         """rank(N^0) = n, rank(N), rank(N^2), ... ending at 0, for
-        N = self(g) - I at the rational g: each power's block of the
-        power plan's int values, all over one d > 0, ranked by one
-        echelon pass until a rank is 0; past the plan's last power,
-        N^k is identically zero."""
+        N = self(g) - I at the rational g: N^k takes the plan's rank
+        where its minor is nonzero at g, else its block's rank by one
+        echelon pass over the power plan's int values, until a rank is
+        0; past the plan's last power, N^k is identically zero."""
         if self.power_plan is None:
             self.power_plan = _compile_powers(self.table)
-        values, _ = self.power_plan.entries.integer_values(g)
+        plan = self.power_plan
+        minors, _ = plan.minors.integer_values(g)
+        if all(minors):
+            return [self.dimension, *plan.ranks, 0]
+        values, _ = plan.entries.integer_values(g)
         ranks = [self.dimension]
         start = 0
-        for rows, cols in self.power_plan.supports:
+        for (rows, cols), rank, minor in zip(plan.supports, plan.ranks,
+                                             minors):
             width = len(cols)
             stop = start + len(rows) * width
-            block = [values[i:i + width] for i in range(start, stop, width)]
+            if not minor:
+                block = [values[i:i + width]
+                         for i in range(start, stop, width)]
+                rank = len(_echelon(block, reduce_above=False)[0])
+                if not rank:
+                    return ranks + [0]
+            ranks.append(rank)
             start = stop
-            ranks.append(len(_echelon(block, reduce_above=False)[0]))
-            if not ranks[-1]:
-                return ranks
         return ranks + [0]
 
     def __repr__(self):

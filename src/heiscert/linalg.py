@@ -16,15 +16,19 @@ matrices.  All of them run on an integer copy cleared over one common
 scale by clear_denominators(), the one clearing routine, through one
 fraction-free pivot step, eliminate(), which the lp simplex shares;
 intermediate values stay integral instead of accumulating huge reduced
-fractions.  Rows are scaled lazily: each row
-carries a divisor, the pivot in force when it was last exact, and a
-pivot step touches only the rows with a nonzero entry in its column,
-dividing each exactly by its own divisor (see eliminate for why the
-division is exact); in a touched row, an entry whose pair with the
-pivot row is zero on both sides stays 0 without arithmetic.  A forward
-pass (det, rank, the cross ratio's pivots, each Jordan power block)
-takes no step for a pivot with no nonzero below it: one exact division
-gives its true pivot, and its row is not rewritten.
+fractions.  The kernel _echelon also runs once per entry table over
+Poly entries, to rank its nilpotent powers over Q(a, b, c): every step
+divides exactly in any integral domain, and Poly's // divides exactly.
+Matrix.det, rank and rref still refuse Poly entries.
+Rows are scaled lazily: each row carries a divisor, the pivot in force
+when it was last exact, and a pivot step touches only the rows with a
+nonzero entry in its column, dividing each exactly by its own divisor
+(see eliminate for why the division is exact); in a touched row, an
+entry whose pair with the pivot row is zero on both sides stays 0
+without arithmetic.  A forward pass (det, rank, the cross ratio's
+pivots, each Jordan power block) takes no step for a pivot with no
+nonzero below it: one exact division gives its true pivot, and its row
+is not rewritten.
 integer_product() multiplies int rows by int rows, one dot product per
 entry, for every int caller, the cross-ratio claim's stack of theta
 images included: it lists no nonzero pairs.
@@ -239,7 +243,8 @@ def eliminate(m: list[list[int]], d: list[int], r: int, c: int, rows,
 
 def _echelon(m: list[list[int]], reduce_above: bool
              ) -> tuple[list[int], int, list[int]]:
-    """Bring the integer matrix m to fraction-free echelon form in place.
+    """Bring the integer matrix m to fraction-free echelon form in place;
+    the same pass runs over Poly entries, whose // is exact division.
 
     Rows below each pivot are cleared; with reduce_above the rows above
     are too (Gauss-Jordan), after which row i divided by its divisor

@@ -216,8 +216,10 @@ def test_theta_power_plan_holds_the_all_element_jordan_facts():
     """theta's N = T - I has nonzero powers on supports 9x9, 7x6, 4x3
     and 1x1; N^4 is the one entry a^4 + 6a^2b^2 + b^4 at (1,10), and
     N^5 = 0.  The plan holds each power's entries on its support, and
-    every entry off it is zero.  A loaded table compiles the plan on its
-    first rank call, and later calls share it."""
+    every entry off it is zero; over Q(a, b, c) the blocks have ranks 7,
+    4, 2 and 1, each witnessed by a minor, the last pivot of its
+    echelon pass.  A loaded table compiles the plan on its first rank
+    call, and later calls share it."""
     theta = load_representation("theta", 10)
     assert theta.power_plan is None
     theta.nilpotent_ranks(HeisElement.of(1, 2, 3))
@@ -228,6 +230,9 @@ def test_theta_power_plan_holds_the_all_element_jordan_facts():
         [(9, 9), (7, 6), (4, 3), (1, 1)]
     assert plan.supports[-1] == ((0,), (9,))
     assert str(plan.entries.polys[-1]) == "a^4 + 6*a^2*b^2 + b^4"
+    assert plan.ranks == (7, 4, 2, 1)
+    assert [str(p) for p in plan.minors.polys] == \
+        ["2*a^5*b^2", "6*a^5*b^3", "3*a^4*b^2", "a^4 + 6*a^2*b^2 + b^4"]
     nilpotent = theta.table - Matrix.identity(10)
     power = nilpotent
     polys = []

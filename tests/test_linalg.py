@@ -571,11 +571,15 @@ def test_non_unipotent_rejected_like_fraction_powers(m):
 
 
 def test_nilpotent_ranks_evaluate_once_and_rank_each_power_once(monkeypatch):
-    """An element takes one integer_values call, on the power plan, and
-    one echelon pass per power's block, in order, until a rank is 0;
-    past the plan's last power the rank is 0 without a pass."""
+    """The first call compiles the plan, ranking each power's Poly block
+    in one echelon pass.  An element then takes one integer_values call,
+    on the plan's minors; only if one vanishes does it take a second, on
+    the power plan, and one int echelon pass for each block whose minor
+    vanishes, in order, until a rank is 0.  A block whose minor is
+    nonzero takes its compiled rank, and past the plan's last power the
+    rank is 0, both without a pass."""
     theta = load_representation("theta", 10)
-    evaluated, shapes = [], []
+    evaluated, passes = [], []
     values, echelon = EntryPlan.integer_values, heis._echelon
 
     def recorded_values(plan, g):
@@ -583,20 +587,29 @@ def test_nilpotent_ranks_evaluate_once_and_rank_each_power_once(monkeypatch):
         return values(plan, g)
 
     def recorded_echelon(m, reduce_above):
-        shapes.append((len(m), len(m[0])))
+        passes.append((len(m), len(m[0]),
+                       {type(x) for row in m for x in row}))
         return echelon(m, reduce_above)
 
     monkeypatch.setattr(EntryPlan, "integer_values", recorded_values)
     monkeypatch.setattr(heis, "_echelon", recorded_echelon)
     blocks = [(9, 9), (7, 6), (4, 3), (1, 1)]
-    for g, ranks, passes in [(HeisElement.of(1, 2, 3), [10, 7, 4, 2, 1, 0], 4),
+    assert theta.nilpotent_ranks(HeisElement.of(1, 2, 3)) == \
+        [10, 7, 4, 2, 1, 0]
+    plan = theta.power_plan
+    assert evaluated == [plan.minors]
+    assert passes == [(*shape, {Poly}) for shape in blocks]
+    for g, ranks, ranked in [(HeisElement.of(2, -1, 5),
+                              [10, 7, 4, 2, 1, 0], 0),
+                             (HeisElement.of(1, 0, 0),
+                              [10, 6, 3, 2, 1, 0], 3),
                              (HeisElement.of(0, 0, 1), [10, 3, 1, 0], 3),
                              (HeisElement.identity(), [10, 0], 1)]:
         evaluated.clear()
-        shapes.clear()
+        passes.clear()
         assert theta.nilpotent_ranks(g) == ranks
-        assert evaluated == [theta.power_plan.entries]
-        assert shapes == blocks[:passes]
+        assert evaluated == [plan.minors] + [plan.entries] * (ranked > 0)
+        assert passes == [(*shape, {int}) for shape in blocks[:ranked]]
 
 
 @st.composite

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heiscert.heis import ENTRY_RING, PAIR_RING
 from heiscert.poly import MAX_EXPONENT, Poly, PolyRing
 from heiscert.rationals import parse_rational
 from heiscert.convexity import nonneg_certificate
@@ -206,17 +207,17 @@ def test_fraction_zero_denominator_rejected():
 
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(
     lambda f: f != 0)
-exponents = st.tuples(*(st.integers(min_value=0, max_value=3)
-                        for _ in range(3)))
 
 
 @st.composite
-def polys(draw):
+def polys(draw, ring=RING):
     n_terms = draw(st.integers(min_value=0, max_value=4))
+    exponents = st.tuples(*(st.integers(min_value=0, max_value=3)
+                            for _ in ring.names))
     terms = {}
     for _ in range(n_terms):
         terms[draw(exponents)] = draw(coeffs)
-    return poly_from_terms(RING, terms)
+    return poly_from_terms(ring, terms)
 
 
 assignments = st.fixed_dictionaries({
@@ -350,6 +351,60 @@ def test_one_polynomial_by_every_route_is_one_value(p, q):
         assert route == p and hash(route) == hash(p) and str(route) == str(p)
         assert (route.numerators, route.denominator) \
             == (p.numerators, p.denominator)
+
+
+# -- exact division ---------------------------------------------------------------
+
+# A drawn polynomial and a nonzero one, both in ENTRY_RING or both in
+# PAIR_RING.
+poly_pairs = st.sampled_from([ENTRY_RING, PAIR_RING]).flatmap(
+    lambda ring: st.tuples(polys(ring), polys(ring).filter(bool)))
+
+
+@settings(max_examples=150)
+@given(poly_pairs)
+def test_exact_division_undoes_a_product(pair):
+    p, q = pair
+    quotient = (p * q) // q
+    _assert_canonical(quotient)
+    assert quotient == p
+
+
+@settings(max_examples=80)
+@given(polys(), st.one_of(st.integers(min_value=-6, max_value=6), coeffs)
+       .filter(bool))
+def test_division_by_a_rational_scales(p, c):
+    quotient = p // c
+    _assert_canonical(quotient)
+    assert quotient * c == p
+    assert quotient == p * (1 / Fraction(c))
+
+
+@settings(max_examples=80)
+@given(poly_pairs.filter(lambda pair: pair[1].total_degree() > 0))
+def test_division_by_a_non_divisor_raises(pair):
+    """q divides p q + 1 only if it divides 1, so a nonconstant q never
+    does."""
+    p, q = pair
+    with pytest.raises(ValueError):
+        (p * q + 1) // q
+
+
+def test_division_examples():
+    assert (A ** 2 - B ** 2) // (A - B) == A + B
+    assert (A * Fraction(2, 3) * B) // (B * 4) == A * Fraction(1, 6)
+    assert RING.zero() // (A + C) == RING.zero()
+    assert (A + B) // Fraction(-1, 2) == -2 * A - 2 * B
+    for numerator, divisor in [(A, B), (A + 1, A), (A * B, A ** 2),
+                               (A ** 2 + B ** 2, A + B)]:
+        with pytest.raises(ValueError):
+            numerator // divisor
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), RING.zero()])
+def test_division_by_zero_raises(zero):
+    with pytest.raises(ZeroDivisionError):
+        (A + B) // zero
 
 
 @contextmanager
