@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Regenerate the frozen data files (the restriction conjugator T and the
-default orbit samples) and report whether anything changed.
+"""Regenerate the frozen data files (the restriction conjugator T, the
+default orbit samples and the extreme sample's separating functionals)
+and report whether anything changed.
 
-This is the one place T is solved for and written out, row per line with
-tab-separated rationals (Matrix.from_text reads it back); heiscert only
-checks the shipped copy.  With --check, exit nonzero instead of rewriting
-when a regenerated file differs from the shipped copy.
+This is the one place T and the functionals are solved for and written
+out, row per line with tab-separated rationals (Matrix.from_text reads
+them back); heiscert only checks the shipped copies.  With --check, exit
+nonzero instead of rewriting when a regenerated file differs from the
+shipped copy.
 """
 
 import argparse
@@ -15,7 +17,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from heiscert.convexity import ORBIT_LIFT, sample_orbit  # noqa: E402
+from heiscert.convexity import (ORBIT_LIFT,  # noqa: E402
+                                OrbitSample, extreme_point_certificate,
+                                sample_orbit)
 from heiscert.heis import DATA_DIR, get_representation  # noqa: E402
 from heiscert.linalg import Matrix  # noqa: E402
 from heiscert.rationals import format_rational  # noqa: E402
@@ -51,6 +55,18 @@ def derive_conjugator() -> Matrix:
     return Matrix([[reduced[j, n + i] for j in range(n)] for i in range(n)])
 
 
+def derive_functionals(sample: OrbitSample) -> Matrix:
+    """One row per sample point: its a, b, c, then the functional that
+    the exact LP finds separating it from the other points."""
+    rows = []
+    for index, point in enumerate(sample.parameters):
+        extreme, functional = extreme_point_certificate(sample, index)
+        if not extreme:
+            raise ValueError(f"sample point {point} is not extreme")
+        rows.append([*point, *functional])
+    return Matrix(rows)
+
+
 def to_text(m: Matrix) -> str:
     """Row-per-line, tab-separated rational entries."""
     return "".join("\t".join(map(format_rational, row)) + "\n"
@@ -58,11 +74,12 @@ def to_text(m: Matrix) -> str:
 
 
 def regenerate() -> dict[str, str]:
+    extreme = sample_orbit(20, 0, "extreme", nonzero=True)
     return {
         "restriction_T.tsv": to_text(derive_conjugator()),
         "hull_sample.csv": sample_orbit(10, 0, "hull").to_csv(),
-        "extreme_sample.csv":
-            sample_orbit(20, 0, "extreme", nonzero=True).to_csv(),
+        "extreme_sample.csv": extreme.to_csv(),
+        "extreme_functionals.tsv": to_text(derive_functionals(extreme)),
     }
 
 

@@ -6,14 +6,18 @@ group whose first coordinate eventually dominates every other one.  This
 module certifies, in exact arithmetic: the closed orbit formula, the
 fixed point and hyperplane at infinity, domination along rays to
 infinity, proper convexity (the hull stays in {x1 >= 0}) and extremality
-of sampled orbit points via exact LP.  Each claim check returns (ok,
-witnesses); the per-point extreme_point_certificate returns its verdict
-and that point's entry in the claim's witnesses.  The lifted formula is
-compiled once into a heis.EntryPlan, ORBIT_LIFT_PLAN, as the entry
-tables are: a rational element's lift is its int values over one
-denominator, and orbit_lift() evaluates it at symbolic elements and
-along rays to infinity; the extreme-point LPs read each lift as a
-column cleared once per sample and reduced by its gcd.  Orbit points
+of sampled orbit points.  A point is extreme when a functional
+separates it from the others: separates() checks one found earlier on
+ints, and extreme_point_certificate() finds one by exact LP, or the
+convex-combination weights that show none exists.  Each claim check
+returns (ok, witnesses); the per-point extreme_point_certificate
+returns its verdict and that point's entry in the claim's witnesses.
+The lifted formula is compiled once into a heis.EntryPlan,
+ORBIT_LIFT_PLAN, as the entry tables are: a rational element's lift is
+its int values over one denominator, and orbit_lift() evaluates it at
+symbolic elements and along rays to infinity; both extreme-point checks
+read each lift as a column cleared once per sample and reduced by its
+gcd.  Orbit points
 are compared as lifts in the affine chart x10 = 1: theta's last row is
 e10 (certified by fixed_structure_certificate), so every image of a
 lift ends in 1 as well, and for such vectors projective equality is
@@ -28,7 +32,7 @@ from math import gcd
 from typing import Sequence
 
 from .heis import ENTRY_RING, EntryPlan, HeisElement, get_representation
-from .lp import Cleared, solve_equality_feasibility
+from .lp import Cleared, _verify_farkas, solve_equality_feasibility
 from .poly import Poly, PolyRing
 from .rationals import format_rational, parse_rational, to_fraction
 from .sampler import RandomStream
@@ -249,6 +253,25 @@ def nonneg_certificate(p: Poly) -> tuple[bool, dict]:
     return ok, {"terms": terms, "polynomial": str(p)}
 
 
+def _point_system(sample: OrbitSample, index: int) -> list[Cleared]:
+    """The LP columns [A | b] of point `index`: the other points'
+    columns, then its own."""
+    if len(sample) < 11:
+        raise ValueError("extreme point check needs at least 11 points")
+    if not 0 <= index < len(sample):
+        raise IndexError("sample index out of range")
+    columns = sample.columns
+    return [*columns[:index], *columns[index + 1:], columns[index]]
+
+
+def separates(sample: OrbitSample, index: int, functional) -> bool:
+    """Does `functional` certify sample point `index` extreme: is it a
+    Farkas vector of the point's LP, positive on its column and
+    nonpositive on every other?  Checked on ints, with no LP solved."""
+    return _verify_farkas(
+        [ints for ints, _ in _point_system(sample, index)], functional)
+
+
 def extreme_point_certificate(sample: OrbitSample, index: int
                               ) -> tuple[bool, dict]:
     """Is sample point `index` outside the convex hull of the others?
@@ -257,13 +280,7 @@ def extreme_point_certificate(sample: OrbitSample, index: int
     functional, False with {"weights": w}, the convex-combination
     weights: the point's entry in the claim's separating_functionals.
     """
-    if len(sample) < 11:
-        raise ValueError("extreme point check needs at least 11 points")
-    if not 0 <= index < len(sample):
-        raise IndexError("sample index out of range")
-    columns = sample.columns
-    others = [column for i, column in enumerate(columns) if i != index]
-    result = solve_equality_feasibility([*others, columns[index]])
+    result = solve_equality_feasibility(_point_system(sample, index))
     if result.feasible:
         return False, {"weights": result.solution}
     return True, result.farkas

@@ -2,12 +2,14 @@
 
 import csv
 import io
+import shutil
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from heiscert import convexity, suites
+from heiscert import convexity, lp, suites
+from heiscert.certs import PASS
 from heiscert.convexity import (DEFAULT_RAY_TS, DEFAULT_RAYS, ORBIT_FORMULA,
                                 OrbitSample, extreme_point_certificate,
                                 lift_origin,
@@ -20,6 +22,7 @@ from heiscert.linalg import Matrix, clear_denominators
 from heiscert.poly import PolyRing
 from heiscert.rationals import format_rational
 from heiscert.sampler import RandomStream
+from test_certs import SEED0_CERTIFICATE_SHA256, _pin
 from test_heis import rational_image, rational_lift
 
 THETA = get_representation("theta")
@@ -321,6 +324,68 @@ def test_extreme_points_fail_body_lists_weights_for_an_inner_point(
         assert _dot(y, lifts[i]) > 0
         assert all(_dot(y, lift) <= 0
                    for j, lift in enumerate(lifts) if j != i)
+
+
+def _no_simplex(*args):
+    raise AssertionError("the simplex ran")
+
+
+def _extreme_points_seed0() -> str:
+    """The pin of a seed-0 hull.extreme_points certificate."""
+    certificate = suites.CLAIMS_BY_ID["hull.extreme_points"].run(
+        suites.RunConfig(seed=0))
+    assert certificate.verdict == PASS
+    return _pin(certificate.to_json())
+
+
+def test_shipped_functionals_certify_the_shipped_sample_without_the_lp(
+        monkeypatch):
+    """Every shipped functional separates its point from the rest of the
+    shipped sample, so hull.extreme_points solves no LP and its
+    certificate is the pinned one."""
+    for module in (lp, convexity):
+        monkeypatch.setattr(module, "solve_equality_feasibility", _no_simplex)
+    assert _extreme_points_seed0() == \
+        SEED0_CERTIFICATE_SHA256["hull.extreme_points"]
+
+
+@pytest.mark.parametrize("factor", [-1, 0], ids=["negated", "zeroed"])
+def test_a_functional_that_does_not_separate_goes_to_the_lp(
+        factor, monkeypatch, tmp_path):
+    """With one shipped functional negated or zeroed, that point alone
+    goes to the LP, which finds the pinned functional again: a shipped
+    functional that does not separate never reaches a certificate."""
+    data = tmp_path / "data"
+    shutil.copytree(DATA_DIR, data)
+    path = data / "extreme_functionals.tsv"
+    bad = 7
+    rows = Matrix.from_text(path.read_text()).entries
+    rows = [(*row[:3], *(x * factor for x in row[3:])) if i == bad else row
+            for i, row in enumerate(rows)]
+    path.write_text("".join("\t".join(map(format_rational, row)) + "\n"
+                            for row in rows))
+    monkeypatch.setattr(suites, "DATA_DIR", data)
+    solved = []
+    certificate = convexity.extreme_point_certificate
+    monkeypatch.setattr(convexity, "extreme_point_certificate",
+                        lambda sample, i: solved.append(i)
+                        or certificate(sample, i))
+    assert _extreme_points_seed0() == \
+        SEED0_CERTIFICATE_SHA256["hull.extreme_points"]
+    assert solved == [bad]
+
+
+def test_shipped_functionals_are_found_by_point_not_by_position(
+        monkeypatch):
+    """With the shipped parameters reversed, each entry is still its own
+    point's shipped row, and no LP runs."""
+    monkeypatch.setattr(convexity, "solve_equality_feasibility", _no_simplex)
+    parameters = suites._extreme_points_inputs()["parameters"][::-1]
+    ok, witnesses = suites._extreme_points(parameters)
+    shipped = {row[:3]: list(row[3:]) for row in Matrix.from_text(
+        (DATA_DIR / "extreme_functionals.tsv").read_text()).entries}
+    assert ok and witnesses["separating_functionals"] == \
+        [shipped[p] for p in parameters]
 
 
 def test_too_small_sample_rejected():

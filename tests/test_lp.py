@@ -308,22 +308,30 @@ def test_repeated_basis_raises_instead_of_cycling(monkeypatch):
         convex_combination_weights([[0], [1]], [3])
 
 
+# (b, y) for A below.  Each system is infeasible (the cone of A's
+# columns lies in {b1 >= 0, b2 <= 0}), so the simplex ends at its
+# multipliers.
 FORGED_FARKAS = {
-    "yb_zero": ([F(1), F(-1)], [F(1), F(1)], "y.b <= 0"),
-    "yb_negative": ([F(1), F(-1)], [F(-1), F(0)], "y.b <= 0"),
+    # y = (-1, -1) gives y.A = (0, -1/6) <= 0, so only y.b fails.
+    "yb_zero": ([F(-1), F(1)], [F(-1), F(-1)]),
+    "yb_negative": ([F(1), F(1)], [F(-1), F(-1)]),
     # y.A = (0, 1/2 - 1/3): positive only through the fractional parts,
     # so numerators alone or floors would read it as 0, and so would a
     # per-row scale (rows times 2 and 3 give 1 - 1); the column scale 6
     # keeps it positive (3 - 2).
-    "yA_fractional_positive": ([F(1), F(0)], [F(1), F(1)],
-                               "positive entry"),
+    "yA_fractional_positive": ([F(1), F(0)], [F(1), F(1)]),
 }
 
 
-@pytest.mark.parametrize("rhs, y, message", FORGED_FARKAS.values(),
-                         ids=FORGED_FARKAS)
-def test_forged_farkas_witness_raises(rhs, y, message):
+@pytest.mark.parametrize("rhs, y", FORGED_FARKAS.values(), ids=FORGED_FARKAS)
+def test_forged_farkas_witness_raises(rhs, y, monkeypatch):
+    """The shared check refuses the forged y, and so the simplex raises
+    when y stands in for its own multipliers."""
     matrix = [[F(1), Fraction(1, 2)], [F(-1), Fraction(-1, 3)]]
     columns = [_cleared(column)[0] for column in (*zip(*matrix), rhs)]
-    with pytest.raises(AssertionError, match=message):
-        lp._verify_farkas(columns, y)
+    assert not lp._verify_farkas(columns, y)
+    # The multipliers are the only Fractions an infeasible run builds.
+    forged = iter(y)
+    monkeypatch.setattr(lp, "Fraction", lambda *_: next(forged))
+    with pytest.raises(AssertionError, match="Farkas witness failed"):
+        solve(matrix, rhs)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = Path("scripts") / "rederive_witnesses.py"
 
@@ -21,17 +23,22 @@ def test_shipped_files_match_their_derivations():
         (0, "all frozen files match their derivations\n")
 
 
-def test_a_stale_file_fails_the_check_and_is_not_rewritten(tmp_path):
-    """In a copy of the script and the package with one sample row
-    edited, --check names that file, exits 1 and leaves it as it was."""
+@pytest.mark.parametrize("name, row", [
+    ("hull_sample.csv", "0,0,0"),
+    ("extreme_functionals.tsv", "\t".join(["0"] * 14)),
+], ids=["hull_sample.csv", "extreme_functionals.tsv"])
+def test_a_stale_file_fails_the_check_and_is_not_rewritten(tmp_path, name,
+                                                           row):
+    """In a copy of the script and the package with one row added to a
+    frozen file, --check names that file, exits 1 and leaves it as it
+    was."""
     (tmp_path / "scripts").mkdir()
     shutil.copy(ROOT / SCRIPT, tmp_path / SCRIPT)
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    sample = tmp_path / "src" / "heiscert" / "data" / "hull_sample.csv"
-    stale = sample.read_text().replace("\n", "\n0,0,0\n", 1)
+    sample = tmp_path / "src" / "heiscert" / "data" / name
+    stale = sample.read_text().replace("\n", f"\n{row}\n", 1)
     sample.write_text(stale)
     result = check(tmp_path)
-    assert (result.returncode, result.stdout) == \
-        (1, "stale: hull_sample.csv\n")
+    assert (result.returncode, result.stdout) == (1, f"stale: {name}\n")
     assert sample.read_text() == stale
