@@ -3,12 +3,14 @@ its boundary flats.
 
 The 6x6 representation acts on symmetric 3x3 forms by congruence
 S -> g S g^T, which visibly preserves positive definiteness.  At a rational
-g both give int values over a denominator (the table from rho6's integer
-image, the congruence from the 3x3 matrix alone, whose 0 and 1 are ints so
-that only a, b and c carry denominators), compared cross-multiplied; PD is
-decided on ints.  SymForm reads its PD and PSD minors straight off
-its cleared int rows, the 3x3 one by det3's cofactor expansion, with no
-elimination pass.  The module certifies that the shipped table is that
+g both give the image's six int coordinates over a denominator as dot
+products written out (the table's on rho6's compiled plan values, the
+congruence's as H S H^T on the cleared rows of the 3x3 matrix alone, whose
+0 and 1 are ints so that only a, b and c carry denominators), compared
+cross-multiplied; PD is decided on ints.  SymForm clears its six distinct
+entries once and reads its PD and PSD minors straight off those int rows,
+the 3x3 one by det3's cofactor expansion, with no elimination pass.  The
+module certifies that the shipped table is that
 symmetric-square action in the monomial basis FORM_MONOMIALS with unit
 rescaling, exact PD/PSD decisions, each generator's attracting rank-1 fixed
 form, and boundary flats, so the cone is not strictly convex.
@@ -17,6 +19,7 @@ form, and boundary flats, so the cone is not strictly convex.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .heis import ENTRY_RING, GENERATORS, HeisElement, Representation, \
@@ -32,20 +35,24 @@ FORM_MONOMIALS = ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2))
 
 class SymForm:
     """A symmetric 3x3 rational matrix, i.e. a quadratic form.  cleared
-    holds m cleared to int rows over one positive scale
-    (clear_denominators), made once for the int checks, symmetry too."""
+    holds m as int rows over the lcm of its denominators, made once from
+    the six distinct entries for the int checks; symmetry is checked on
+    their (numerator, denominator) pairs."""
 
     __slots__ = ("m", "cleared")
 
     def __init__(self, entries: Sequence[Sequence[Fraction]]):
-        m = [[to_fraction(x) for x in row] for row in entries]
+        m = tuple([tuple([to_fraction(x) for x in row]) for row in entries])
         if len(m) != 3 or any(len(r) != 3 for r in m):
             raise ValueError("forms are 3x3")
-        self.cleared = clear_denominators(m)
-        (_, b, c), (d, _, f), (g, h, _) = self.cleared[0]
+        (a, b, c), (d, e, f), (g, h, i) = (
+            [x.as_integer_ratio() for x in row] for row in m)
         if b != d or c != g or f != h:
             raise ValueError("form matrix is not symmetric")
-        self.m = tuple(tuple(r) for r in m)
+        s = lcm(a[1], b[1], c[1], e[1], f[1], i[1])
+        p, q, t, u, v, w = [n * (s // k) for n, k in (a, b, c, e, f, i)]
+        self.cleared = [[p, q, t], [q, u, v], [t, v, w]], s
+        self.m = m
 
     @staticmethod
     def identity() -> "SymForm":
@@ -109,14 +116,15 @@ def _symmetric(coords: Sequence) -> list[list]:
 
 def act_on_form(g: HeisElement, form: SymForm) -> tuple[list[int], int]:
     """The 6x6 table at the rational g on form coordinates, on ints: the
-    int image of the coordinates cleared to scale s, over d s > 0."""
-    rows, d = get_representation("rho6").integer_image(g)
+    dot products of the rows of rho6's plan values R over d with the
+    coordinates cleared to scale s, over d s > 0."""
+    r, d = get_representation("rho6").plan.integer_values(g)
     # The coordinates are the form's distinct entries, so its one scale
     # clears them.
     m, s = form.cleared
-    coords = [[m[i][j]] for i, j in FORM_MONOMIALS]
-    image = integer_product(rows, coords)
-    return [x for (x,) in image], d * s
+    x0, x1, x2, x3, x4, x5 = [m[i][j] for i, j in FORM_MONOMIALS]
+    return [r[k] * x0 + r[k + 1] * x1 + r[k + 2] * x2 + r[k + 3] * x3
+            + r[k + 4] * x4 + r[k + 5] * x5 for k in range(0, 36, 6)], d * s
 
 
 def heis_3x3(g: HeisElement) -> list[list]:
@@ -131,14 +139,18 @@ def heis_3x3(g: HeisElement) -> list[list]:
     return [[one, g.a, g.c], [zero, one, g.b], [zero, zero, one]]
 
 
-def congruence_image(g: HeisElement, form: SymForm) -> tuple[list, int]:
+def congruence_image(g: HeisElement, form: SymForm) -> tuple[list[int], int]:
     """g S g^T at the rational g from the 3x3 matrix alone, never the 6x6
-    table, on ints: H S H^T over e^2 s, for S = s form and H over e,
-    heis_3x3(g) cleared by clear_denominators (e is the lcm of a, b, c's
-    denominators, the only ones that are not the int 1)."""
+    table, on ints: the FORM_MONOMIALS coordinates of H S H^T over e^2 s,
+    for S = s form and H over e, heis_3x3(g) cleared by clear_denominators
+    (e is the lcm of a, b, c's denominators, the only ones that are not
+    the int 1).  No entry of H is assumed 0 or 1."""
     h, e = clear_denominators(heis_3x3(g))
-    m, s = form.cleared
-    return integer_product(integer_product(h, m), zip(*h)), e * e * s
+    ((p, q, t), (_, u, v), (_, _, w)), s = form.cleared
+    hs = [(x * p + y * q + z * t, x * q + y * u + z * v,
+           x * t + y * v + z * w) for x, y, z in h]
+    return [hs[i][0] * h[j][0] + hs[i][1] * h[j][1] + hs[i][2] * h[j][2]
+            for i, j in FORM_MONOMIALS], e * e * s
 
 
 # -- matching the entry table against the symmetric-square action ------------
@@ -182,8 +194,8 @@ def pd_preservation_certificate(g: HeisElement, form: SymForm) -> bool:
         raise ValueError("input form must be positive definite")
     coords, scale = act_on_form(g, form)
     congruence, congruence_scale = congruence_image(g, form)
-    consistent = all(x * congruence_scale == congruence[i][j] * scale
-                     for x, (i, j) in zip(coords, FORM_MONOMIALS))
+    consistent = all(x * congruence_scale == y * scale
+                     for x, y in zip(coords, congruence))
     return consistent and _positive_definite(_symmetric(coords))
 
 

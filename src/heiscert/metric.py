@@ -101,16 +101,23 @@ def load_polytope(text: str) -> list[Halfspace]:
     return faces
 
 
+# Shared box coefficients: Halfspace keeps a Fraction as it is but builds
+# a new one from each int.
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+
+
 def box(lows: Sequence[Fraction], highs: Sequence[Fraction]) -> list[Halfspace]:
     """Axis-aligned box as a halfspace list."""
     faces = []
     for i, (lo, hi) in enumerate(zip(lows, highs)):
         if not lo < hi:
             raise ValueError("box needs lo < hi in every axis")
-        e = [0] * len(lows)
-        e[i] = 1
+        # Halfspace copies e, so the second face may reuse it.
+        e = [_ZERO] * len(lows)
+        e[i] = _ONE
         faces.append(Halfspace(e, hi))
-        faces.append(Halfspace([-x for x in e], -to_fraction(lo)))
+        e[i] = _MINUS_ONE
+        faces.append(Halfspace(e, -to_fraction(lo)))
     return faces
 
 

@@ -291,14 +291,19 @@ GRAM_VALUES = tuple(map(Fraction, range(-27, 28)))
 
 
 def _random_pd_form(stream: RandomStream) -> list[list[Fraction]]:
-    # R^T R is positive definite whenever det R != 0.  Its entries are
-    # Fractions, read from GRAM_VALUES, which jsonable writes as "p/q"
-    # strings.
+    # R^T R is positive definite whenever det R != 0.  Its six distinct
+    # entries are the dot products of R's columns (a, d, g), (b, e, h)
+    # and (c, f, i), read as Fractions from GRAM_VALUES, which jsonable
+    # writes as "p/q" strings.
     while True:
-        r = [[stream.next_int(-3, 3) for _ in range(3)] for _ in range(3)]
-        if det3(r):
-            return [[GRAM_VALUES[x + 27] for x in row] for row in
-                    integer_product(zip(*r), r)]
+        a, b, c, d, e, f, g, h, i = r = [stream.next_int(-3, 3)
+                                         for _ in range(9)]
+        if det3((r[:3], r[3:6], r[6:])):
+            p, q, t, u, v, w = [GRAM_VALUES[x + 27] for x in (
+                a * a + d * d + g * g, a * b + d * e + g * h,
+                a * c + d * f + g * i, b * b + e * e + h * h,
+                b * c + e * f + h * i, c * c + f * f + i * i)]
+            return [[p, q, t], [q, u, v], [t, v, w]]
 
 
 def _pd_preserved(cases: list[dict]):

@@ -177,10 +177,12 @@ def action_form(g: HeisElement, form: SymForm) -> SymForm:
 
 
 def congruence_form(g: HeisElement, form: SymForm) -> SymForm:
-    """congruence_image's int matrix over its denominator, as a form."""
-    matrix, scale = congruence_image(g, form)
-    assert all(type(x) is int for row in matrix for x in row) and scale > 0
-    return SymForm([[Fraction(x, scale) for x in row] for row in matrix])
+    """congruence_image's int coordinates over its denominator, as a
+    form."""
+    coords, scale = congruence_image(g, form)
+    assert all(type(x) is int for x in coords) and len(coords) == 6 \
+        and scale > 0
+    return form_from_coordinates([Fraction(x, scale) for x in coords])
 
 
 def test_action_agrees_with_congruence():
@@ -206,6 +208,21 @@ def test_action_agrees_with_congruence():
             assert congruence_form(g, form) == \
                 congruence_reference(g, form) == image
     assert action_form(HeisElement.identity(), forms[2]) == forms[2]
+
+
+# Components with every denominator 1 to 7, zero included.
+elements = st.builds(HeisElement.of, *[st.builds(Fraction, st.integers(-9, 9),
+                                                 st.integers(1, 7))] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements, symmetric_forms())
+def test_int_routes_match_fraction_references(g, form):
+    """act_on_form and congruence_image, each over its own denominator,
+    against the Fraction products: rho6's matrix at g times the form's
+    coordinates, and H S H^T."""
+    assert action_form(g, form) == action_reference(g, form)
+    assert congruence_form(g, form) == congruence_reference(g, form)
 
 
 def random_pd_form_reference(stream: RandomStream) -> SymForm:
@@ -391,3 +408,13 @@ def test_symform_validation():
         SymForm([[1, 2, 3], [0, 1, 2], [3, 2, 1]])
     with pytest.raises(ValueError):
         SymForm([[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2), (4, 4), (3, 4),
+                                        (4, 3)])
+def test_symform_refuses_a_shape_other_than_3x3(rows, cols):
+    """Symmetric inputs too, so only the shape check can refuse them."""
+    entries = [[Fraction(min(i, j)) for j in range(cols)]
+               for i in range(rows)]
+    with pytest.raises(ValueError, match="3x3"):
+        SymForm(entries)

@@ -102,7 +102,7 @@ def test_cleared_rows_give_verified_farkas():
     assert not result.feasible
     y = result.farkas
     assert y[0] * -1 > 0 and y[0] * 1 <= 0
-    lp._verify_farkas([[1], [-1]], y)
+    assert lp._verify_farkas([[1], [-1]], y)
     assert solve([[Fraction(1, 2)]], [F(1)]).solution == [F(2)]
 
 

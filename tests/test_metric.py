@@ -123,6 +123,36 @@ def test_halfspace_row_stays_out_of_eq_hash_and_repr():
                           "Fraction(-2, 3)), bound=Fraction(5, 4))")
 
 
+def box_from_int_lists(lows, highs) -> list[Halfspace]:
+    """box as it was built before its faces shared Fraction constants:
+    from int coefficient lists, which Halfspace converts."""
+    faces = []
+    for i, (lo, hi) in enumerate(zip(lows, highs)):
+        e = [0] * len(lows)
+        e[i] = 1
+        faces.append(Halfspace(e, hi))
+        faces.append(Halfspace([-x for x in e], -to_fraction(lo)))
+    return faces
+
+
+box_bound = st.one_of(st.integers(-5, 5),
+                      st.fractions(min_value=-5, max_value=5,
+                                   max_denominator=6))
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(box_bound, box_bound).filter(
+    lambda pair: pair[0] < pair[1]), min_size=1, max_size=4))
+def test_box_faces_are_fractions_equal_to_int_built_faces(axes):
+    lows, highs = (list(side) for side in zip(*axes))
+    faces = box(lows, highs)
+    reference = box_from_int_lists(lows, highs)
+    assert faces == reference
+    assert [face.row for face in faces] == [face.row for face in reference]
+    assert all(type(x) is Fraction
+               for face in faces for x in (*face.coeffs, face.bound))
+
+
 def test_polytope_file_parsing():
     faces = load_polytope("1\t1\n-1\t1\n")
     assert faces == [Halfspace([1], 1), Halfspace([-1], 1)]
