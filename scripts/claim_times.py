@@ -4,12 +4,14 @@
     python3 scripts/claim_times.py [--seed N]
 
 Writes one verify run's certificates at seed N (default 0) to a
-temporary directory, then replays every certificate twice in this
-process with suites.replay.  Prints each claim's time from the second
-pass in ms, largest first, then their total.  The first pass pays the
-one-off work, such as loading the entry tables and compiling theta's
-Jordan power plan, so the second shows each claim's own time.  Exits 1,
-naming them, if any replay is not a MATCH.  Standard library only.
+temporary directory, then replays every certificate in this process
+with suites.replay, in one pass and then WARM_PASSES more.  Prints each
+claim's median time over the warm passes in ms, largest first, then the
+total of those medians.  The first pass pays the one-off work, such as
+loading the entry tables and compiling theta's Jordan power plan, so
+the warm passes show each claim's own time, and their median keeps one
+slow pass (a host that swings in speed) out of it.  Exits 1, naming
+them, if any replay is not a MATCH.  Standard library only.
 """
 
 import argparse
@@ -17,28 +19,34 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from statistics import median
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from heiscert import suites  # noqa: E402
 
 
+# Warm passes after the first; an odd count makes each median one pass's.
+WARM_PASSES = 9
+
+
 def replay_times(seed: int) -> tuple[dict[str, float], list[str]]:
-    """The second pass's replay time in seconds of each claim, by id, and
-    the ids whose replay was not a MATCH in either pass."""
+    """Each claim's median replay time in seconds over the warm passes,
+    by id, and the ids whose replay was not a MATCH in any pass."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         suites.run_suite(suites.RunConfig(seed=seed, output_dir=out))
         mismatched = set()
-        for _ in range(2):
-            times = {}
+        times: dict[str, list[float]] = {c.id: [] for c in suites.CLAIMS}
+        for _ in range(1 + WARM_PASSES):
             for claim in suites.CLAIMS:
                 start = time.perf_counter()
                 verdict, _ = suites.replay(out / f"{claim.id}.json")
-                times[claim.id] = time.perf_counter() - start
+                times[claim.id].append(time.perf_counter() - start)
                 if verdict != suites.MATCH:
                     mismatched.add(claim.id)
-    return times, sorted(mismatched)
+    return ({claim_id: median(passes[1:])
+             for claim_id, passes in times.items()}, sorted(mismatched))
 
 
 def main(argv: list[str]) -> int:

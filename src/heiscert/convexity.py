@@ -8,10 +8,12 @@ fixed point and hyperplane at infinity, domination along rays to
 infinity, proper convexity (the hull stays in {x1 >= 0}) and extremality
 of sampled orbit points.  A point is extreme when a functional
 separates it from the others: separates() checks one found earlier on
-ints, and extreme_point_certificate() finds one by exact LP, or the
-convex-combination weights that show none exists.  Each claim check
-returns (ok, witnesses); the per-point extreme_point_certificate
-returns its verdict and that point's entry in the claim's witnesses.
+ints with verify_farkas, the one Farkas check, which the lp simplex
+shares, and extreme_point_certificate() finds one by exact LP, or the
+convex-combination weights that show none exists; it alone imports
+lp, at call time.  Each claim check returns (ok, witnesses); the
+per-point extreme_point_certificate returns its verdict and that
+point's entry in the claim's witnesses.
 The lifted formula is compiled once into a heis.EntryPlan,
 ORBIT_LIFT_PLAN, as the entry tables are: a rational element's lift is
 its int values over one denominator, and orbit_lift() evaluates it at
@@ -29,15 +31,20 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .heis import ENTRY_RING, EntryPlan, HeisElement, get_representation
-from .lp import Cleared, _verify_farkas, solve_equality_feasibility
+from .linalg import clear_denominators
 from .poly import Poly, PolyRing
 from .rationals import format_rational, parse_rational, to_fraction
 from .sampler import RandomStream
 
 AFFINE_DIM = 9
+
+# A column of [A | b] as ints over one positive scale: (ints, scale)
+# stands for the rationals ints / scale.
+Cleared = tuple[Sequence[int], int]
 
 # The closed form of the orbit of the origin: nine affine coordinates as
 # polynomials in a, b, c.  Kept as an explicit tuple (not read off the
@@ -126,7 +133,9 @@ def limit_point_certificate(rays: Sequence[Sequence[Poly]] = DEFAULT_RAYS,
     Symbolic part: on each ray the first orbit coordinate has strictly
     larger degree in t than every other coordinate.  Numeric part: the
     ratio max_i>=2 |x_i(t)| / x1(t) strictly decreases along the given
-    t values and ends below 1/1000.
+    t values and ends below 1/1000.  A ray whose first coordinate is not
+    positive at some t fails, its report naming that t and holding the
+    ratios before it.
     """
     t_values = [to_fraction(t) for t in t_values]
     if any(t <= 0 for t in t_values) or sorted(t_values) != list(t_values) \
@@ -149,23 +158,28 @@ def limit_point_certificate(rays: Sequence[Sequence[Poly]] = DEFAULT_RAYS,
         degrees_ok = all(d < lead_degree for d in other_degrees)
 
         ratios = []
+        nonpositive_at = None
         for t in t_values:
             values = [p.eval({"t": t}) for p in coords]
             if values[0] <= 0:
-                raise ValueError(f"first coordinate not positive at t={t}")
+                nonpositive_at = t
+                break
             ratios.append(max(abs(v) for v in values[1:]) / values[0])
-        decreasing = all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
-        small_enough = ratios[-1] < DOMINATION_BOUND
-        ok = degrees_ok and decreasing and small_enough
+        ok = (nonpositive_at is None and degrees_ok
+              and all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
+              and ratios[-1] < DOMINATION_BOUND)
         all_ok = all_ok and ok
-        ray_reports.append({
+        report = {
             "ray": [str(p) for p in ray],
             "leading_degree": lead_degree,
             "other_degrees": [d if d >= 0 else "-inf"
                               for d in other_degrees],
             "ratios": ratios,
-            "passes": ok,
-        })
+        }
+        if nonpositive_at is not None:
+            report["first_coordinate_not_positive_at"] = nonpositive_at
+        report["passes"] = ok
+        ray_reports.append(report)
     return all_ok, {"rays": ray_reports,
                     "bound": DOMINATION_BOUND,
                     "limit_point": "[1:0:0:0:0:0:0:0:0:0]"}
@@ -264,11 +278,26 @@ def _point_system(sample: OrbitSample, index: int) -> list[Cleared]:
     return [*columns[:index], *columns[index + 1:], columns[index]]
 
 
+def verify_farkas(columns, y) -> bool:
+    """Whether y.b > 0 and y.A <= 0, in integer arithmetic, for columns
+    the int columns of [A | b], each cleared by its own positive scale,
+    and y rational: the one check of a Farkas functional, which the lp
+    simplex runs on its own y.
+
+    y is scaled by the lcm of its denominators, so every integer dot
+    product has the sign of the rational one and the check is no weaker.
+    """
+    (y,), _ = clear_denominators([y])
+    *structural, rhs = columns
+    return sum(map(mul, y, rhs)) > 0 and all(
+        sum(map(mul, y, column)) <= 0 for column in structural)
+
+
 def separates(sample: OrbitSample, index: int, functional) -> bool:
     """Does `functional` certify sample point `index` extreme: is it a
     Farkas vector of the point's LP, positive on its column and
     nonpositive on every other?  Checked on ints, with no LP solved."""
-    return _verify_farkas(
+    return verify_farkas(
         [ints for ints, _ in _point_system(sample, index)], functional)
 
 
@@ -280,7 +309,10 @@ def extreme_point_certificate(sample: OrbitSample, index: int
     functional, False with {"weights": w}, the convex-combination
     weights: the point's entry in the claim's separating_functionals.
     """
-    result = solve_equality_feasibility(_point_system(sample, index))
+    # The one import at call time: a shipped run separates every point
+    # with its shipped functional, so lp stays off the set-up path.
+    from . import lp
+    result = lp.solve_equality_feasibility(_point_system(sample, index))
     if result.feasible:
         return False, {"weights": result.solution}
     return True, result.farkas

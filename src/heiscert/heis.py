@@ -14,8 +14,9 @@ table compiles one when its Representation is built, and the orbit
 formula has its own.  A plan lists the distinct monomials, the largest
 exponent of each of a, b, c, and every term's coefficient numerator over
 one common coefficient denominator.  Every element takes one recipe:
-one power table per component, scaled by powers of its denominator, so
-each monomial is one product over a single denominator d.  A rational
+each component is read once as (numerator, denominator), its power
+table is scaled in place by the running power of its denominator, and
+d is one product, so each monomial is one product over d.  A rational
 element's components go in as ints (integer_values), each entry is one
 int sum, and Representation.integer_image hands out the matrix as int
 rows over d with no Fraction built; a symbolic element's go in as Polys
@@ -124,23 +125,26 @@ class EntryPlan:
             for n, p in enumerate(self.polys)
             for e, c in p.numerators.items())
 
-    def _monomials(self, nums: Sequence,
-                   dens: Sequence[int]) -> tuple[list, int]:
-        """Every monomial at the element with components nums[i] /
-        dens[i], as one product over d = L ad^I bd^J cd^K: a^i b^j c^k
-        is an^i ad^(I-i) bn^j bd^(J-j) cn^k cd^(K-k), read off one power
-        table per component.  A numerator is an int or a Poly; a zero
-        exponent over denominator 1 is the int 1, which a Poly times as
-        itself."""
+    def _monomials(self, parts) -> tuple[list, int]:
+        """Every monomial at the element whose components are the pairs
+        (numerator, denominator) in parts, as one product over
+        d = L ad^I bd^J cd^K: a^i b^j c^k is an^i ad^(I-i) bn^j
+        bd^(J-j) cn^k cd^(K-k), read off one power table per component,
+        scaled in place by the running power of its denominator.  A
+        numerator is an int or a Poly; a zero exponent over denominator
+        1 is the int 1, which a Poly times as itself."""
         d = self.denominator
         tables = []
-        for num, den, top in zip(nums, dens, self.max_exponents):
+        for (num, den), top in zip(parts, self.max_exponents):
             powers = [1]
             for _ in range(top):
                 powers.append(powers[-1] * num)
             if den != 1:
-                powers = [p * den ** (top - i) for i, p in enumerate(powers)]
-                d *= den ** top
+                scale = 1
+                for i in range(top - 1, -1, -1):
+                    scale *= den
+                    powers[i] *= scale
+                d *= scale
             tables.append(powers)
         pa, pb, pc = tables
         return [pa[i] * pb[j] * pc[k] for i, j, k in self.monomials], d
@@ -148,8 +152,8 @@ class EntryPlan:
     def integer_values(self, g: HeisElement) -> tuple[list[int], int]:
         """Ints R and d > 0 with the polynomials at the rational g equal
         to R / d, each value its terms summed over the int monomials."""
-        monomials, d = self._monomials([x.numerator for x in g],
-                                       [x.denominator for x in g])
+        monomials, d = self._monomials([(x.numerator, x.denominator)
+                                        for x in g])
         values = [0] * len(self.polys)
         for n, m, c in self.terms:
             values[n] += c * monomials[m]
@@ -171,8 +175,8 @@ class EntryPlan:
         ring = rings.pop()
         parts = [x if isinstance(x, Poly) else ring.const(x) for x in g]
         monomials, d = self._monomials(
-            [Poly.from_numerators(ring, x.numerators, 1) for x in parts],
-            [x.denominator for x in parts])
+            [(Poly.from_numerators(ring, x.numerators, 1), x.denominator)
+             for x in parts])
         items = [(m if isinstance(m, Poly) else ring.const(m))
                  .numerators.items() for m in monomials]
         sums: list[dict] = [{} for _ in self.polys]

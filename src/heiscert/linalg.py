@@ -19,7 +19,9 @@ intermediate values stay integral instead of accumulating huge reduced
 fractions.  The kernel _echelon also runs once per entry table over
 Poly entries, to rank its nilpotent powers over Q(a, b, c): every step
 divides exactly in any integral domain, and Poly's // divides exactly.
-Matrix.det, rank and rref still refuse Poly entries.
+Matrix.det, rank and rref still refuse Poly entries.  integer_det() is
+the determinant step on int rows: Matrix.det runs it on its cleared
+copy, and an int caller (the hull determinants) hands it its rows.
 Rows are scaled lazily: each row carries a divisor, the pivot in force
 when it was last exact, and a pivot step touches only the rows with a
 nonzero entry in its column, dividing each exactly by its own divisor
@@ -145,16 +147,11 @@ class Matrix:
     # -- exact elimination ---------------------------------------------------
 
     def det(self) -> Fraction:
-        """Exact determinant by fraction-free Bareiss elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant needs a square matrix")
+        """Exact determinant: integer_det of the integer copy over its
+        scale to the n-th power."""
         self._require_rational()
         m, scale = clear_denominators(self.entries)
-        pivots, swaps, d = _echelon(m, reduce_above=False)
-        if len(pivots) < self.rows:
-            return Fraction(0)
-        # The last pivot, the det of the copy up to the swaps' sign.
-        return Fraction((-1) ** swaps * d[-1], scale ** self.rows)
+        return Fraction(integer_det(m), scale ** self.rows)
 
     def rank(self) -> int:
         """Exact rank by fraction-free Bareiss elimination."""
@@ -198,6 +195,19 @@ def clear_denominators(entries) -> tuple[list[list[int]], int]:
     scale = lcm(*(x.denominator for row in entries for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row]
             for row in entries], scale
+
+
+def integer_det(m) -> int:
+    """The determinant of the square int rows m (left unmodified), by
+    one fraction-free forward pass (Bareiss): the last pivot, signed by
+    the row swaps, or 0 short of full rank.  ValueError unless m is a
+    nonempty square."""
+    if not m or any(len(row) != len(m) for row in m):
+        raise ValueError("determinant needs a square matrix")
+    pivots, swaps, d = _echelon([*m], reduce_above=False)
+    if len(pivots) < len(m):
+        return 0
+    return -d[-1] if swaps % 2 else d[-1]
 
 
 def eliminate(m: list[list[int]], d: list[int], r: int, c: int, rows,

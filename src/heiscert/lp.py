@@ -12,10 +12,11 @@ a structural column is priced from them on demand.  The ratio test
 cross-multiplies ints.
 Bland's smallest-index rule guarantees termination.  On an infeasible
 system the final multipliers give a Farkas functional y with y.b > 0
-and y.A <= 0.  _verify_farkas is the one check of such a y, in integer
-arithmetic: the simplex raises when its own y fails it, and a caller
-holding a y found earlier (hull.extreme_points' shipped functionals)
-runs it instead of the simplex."""
+and y.A <= 0.  convexity.verify_farkas is the one check of such a y, in
+integer arithmetic: the simplex raises when its own y fails it, and a
+caller holding a y found earlier (hull.extreme_points' shipped
+functionals) runs it instead of the simplex, so a shipped run never
+imports this module."""
 
 from __future__ import annotations
 
@@ -23,11 +24,8 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .linalg import clear_denominators, eliminate
-
-# A column of [A | b] as ints over one positive scale: (ints, scale)
-# stands for the rationals ints / scale.
-Cleared = tuple[Sequence[int], int]
+from .convexity import Cleared, verify_farkas
+from .linalg import eliminate
 
 
 class FeasibilityResult(NamedTuple):
@@ -150,20 +148,6 @@ def solve_equality_feasibility(columns: Sequence[Cleared]
     # read off the cost row through its divisor d[m]; after the sign
     # flips y certifies y.A <= 0 and y.b > 0 for the original system.
     y = [Fraction(x + d[m], sign * d[m]) for x, sign in zip(cost, signs)]
-    if not _verify_farkas([ints for ints, _ in columns], y):
+    if not verify_farkas([ints for ints, _ in columns], y):
         raise AssertionError("Farkas witness failed")
     return FeasibilityResult(False, None, y)
-
-
-def _verify_farkas(columns, y) -> bool:
-    """Whether y.b > 0 and y.A <= 0, in integer arithmetic, for columns
-    the int columns of [A | b], each cleared by its own positive scale,
-    and y rational.
-
-    y is scaled by the lcm of its denominators, so every integer dot
-    product has the sign of the rational one and the check is no weaker.
-    """
-    (y,), _ = clear_denominators([y])
-    *structural, rhs = columns
-    return sum(map(mul, y, rhs)) > 0 and all(
-        sum(map(mul, y, column)) <= 0 for column in structural)

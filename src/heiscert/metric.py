@@ -3,13 +3,14 @@
 Both run on ints, with one Fraction built per result.  The cross ratio
 of four collinear projective points is computed through 2x2
 determinants in a coordinate pair that embeds their common line, so
-points at infinity need no special casing; the four points are cleared
-to ints over one common scale, which the ratio cancels.  The Hilbert
-metric between interior points of a polytope is returned as the exact
-rational argument R of the distance (1/2) log R; each face keeps its
-int row, cleared once when it is built, the chord's two ends are
-cleared together, and the chord's two limits are int pairs.  Taking
-the log is left to callers that want floats.
+points at infinity need no special casing; a point of int coordinates
+goes in as it is, and any other is cleared to ints by its own scale,
+which the ratio cancels.  The Hilbert metric between interior points
+of a polytope is returned as the exact rational argument R of the
+distance (1/2) log R; each face keeps its int row, cleared once when
+it is built, the chord's two ends are cleared together, and the
+chord's two limits are int pairs.  Taking the log is left to callers
+that want floats.
 """
 
 from __future__ import annotations
@@ -29,18 +30,21 @@ def cross_ratio(p1, p2, p3, p4) -> Fraction:
     of homogeneous coordinates, any nonzero multiple standing for the same
     point; they must be pairwise distinct and collinear.
 
-    The points are cleared to ints over one common scale, the lcm of
-    all their denominators, which keeps each projective class; the ratio
-    (d02 d13) / (d12 d03) of the 2x2 determinants d_ij cancels it.  The
-    two pivot columns come off one fraction-free echelon pass, since a
-    scale does not move pivots, and only the result is a Fraction.
+    A point of int coordinates is used as it is; any other point is
+    cleared to ints by the lcm of its own denominators, which keeps its
+    projective class, and the ratio (d02 d13) / (d12 d03) of the 2x2
+    determinants d_ij cancels each point's scale.  The two pivot
+    columns come off one fraction-free echelon pass, since a scale does
+    not move pivots, and only the result is a Fraction.
     """
-    lifts = [[x if type(x) is int else to_fraction(x) for x in p]
-             for p in (p1, p2, p3, p4)]
-    if len({len(v) for v in lifts}) != 1:
+    points = []
+    for p in (p1, p2, p3, p4):
+        if not all(type(x) is int for x in p):
+            (p,), _ = clear_denominators([[to_fraction(x) for x in p]])
+        points.append(p)
+    if len({len(v) for v in points}) != 1:
         raise ValueError("points live in different dimensions")
-    points, _ = clear_denominators(lifts)
-    pivots = _echelon([list(v) for v in points], reduce_above=False)[0]
+    pivots = _echelon([*points], reduce_above=False)[0]
     if len(pivots) != 2:
         raise ValueError("cross ratio needs four collinear points "
                          "spanning a line")

@@ -8,10 +8,11 @@ the form of FLINT's rational polynomials (Hart, ICMS 2010).  The form is
 canonical, so structural equality is semantic equality, and sums,
 differences, scalings, products and powers run on ints, with one gcd
 reduction per result and none when its denominator is 1; a product by
-exactly 1 is the polynomial itself.  // is exact division, by a nonzero
-rational or by a polynomial that divides, and refuses any other
-divisor (the fraction-free echelon pass needs no more).  Poly.terms is
-a Fraction view of the coefficients, for text and evaluation.
+exactly 1, the rational or the constant polynomial, is the other factor
+itself.  // is exact division, by a nonzero rational or by a
+polynomial that divides, and refuses any other divisor (the
+fraction-free echelon pass needs no more).  Poly.terms is a Fraction
+view of the coefficients, for text and evaluation.
 Everything is immutable and exact; there is no floating point anywhere.
 """
 
@@ -175,6 +176,11 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # By the constant-one polynomial, the other factor itself.
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
         out: dict = {}
         get = out.get
         right = other.numerators.items()
@@ -275,6 +281,13 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.numerators
+
+    def is_one(self) -> bool:
+        """Whether self is the constant polynomial 1."""
+        if len(self.numerators) != 1 or self.denominator != 1:
+            return False
+        (e, c), = self.numerators.items()
+        return c == 1 and not any(e)
 
     def variables(self) -> tuple[str, ...]:
         """Names of the variables actually occurring."""

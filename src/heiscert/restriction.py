@@ -149,13 +149,20 @@ def intertwiner_dimension() -> int | None:
                                basis)
         right, e = theta.integer_image(gen)
         # condition left / (d s) @ X - X @ right / e = 0, unknowns X_kl
-        # flattened, at one shared scale d s e: a scale per side breaks it
-        for i in range(n):
-            for j in range(n):
+        # flattened, at one shared scale d s e: a scale per side breaks
+        # it.  Row (i, j) takes e left[i][k] at X_kj and -d s right[k][j]
+        # at X_ik, written from the nonzero entries only.
+        lefts = [[(k * n, e * x) for k, x in enumerate(row) if x]
+                 for row in left]
+        rights = [[(k, d * s * x) for k, x in enumerate(column) if x]
+                  for column in zip(*right)]
+        for i, pairs in enumerate(lefts):
+            for j, column in enumerate(rights):
                 row = [0] * (n * n)
-                for k in range(n):
-                    row[k * n + j] += e * left[i][k]
-                    row[i * n + k] -= d * s * right[k][j]
+                for kn, x in pairs:
+                    row[kn + j] += x
+                for k, y in column:
+                    row[i * n + k] -= y
                 rows.append(row)
     kernel = integer_kernel(rows)
     induced = _free_rows(_symbolic_image())

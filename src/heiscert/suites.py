@@ -45,7 +45,7 @@ from .cone import (SymForm, attraction_gaps, det3, flat_segment_certificate,
 from .heis import (DATA_DIR, HeisElement, get_representation, heis_mul,
                    symbolic_pair, verify_homomorphism,
                    verify_injectivity_generators)
-from .linalg import Matrix, integer_product, jordan_partition
+from .linalg import Matrix, integer_det, integer_product, jordan_partition
 from .metric import box, cross_ratio, hilbert_log_argument
 from .sampler import RandomStream, check_seed
 
@@ -213,11 +213,12 @@ def _frozen_parameters(name: str) -> list[tuple]:
 
 def _lift_det(raw) -> Fraction:
     """Determinant of the ten distinct orbit lifts of raw (else raises),
-    det(R) / prod(d_i) for the lifts R_i / d_i from the orbit plan."""
+    det(R) / prod(d_i) for the lifts R_i / d_i from the orbit plan, R's
+    int rows handed to integer_det as they come."""
     plan = convexity.ORBIT_LIFT_PLAN
     rows, dens = zip(*(plan.integer_values(HeisElement(*p))
                        for p in convexity.OrbitSample(raw).parameters))
-    return Matrix(rows).det() / prod(dens)
+    return Fraction(integer_det(rows), prod(dens))
 
 
 def _hull_dimension_sample(stream: RandomStream, count: int) -> dict:
@@ -344,6 +345,13 @@ def _flat(f1: list[list[Fraction]], f2: list[list[Fraction]]):
 
 # -- hilbert ------------------------------------------------------------------
 
+# Every value the Hilbert sampler draws, TENTHS[x + 50] = Fraction(x, 10):
+# a box side lo or hi in [-5, 5] is 10 lo or 10 hi tenths, and an
+# interior coordinate lo + k/10 (hi - lo), k in [1, 9], is
+# 10 lo + k (hi - lo) tenths, within [-44, 44].
+TENTHS = tuple(Fraction(x, 10) for x in range(-50, 51))
+
+
 def _hilbert_axioms_sample(stream: RandomStream, count: int) -> dict:
     instances = []
     for _ in range(count):
@@ -351,11 +359,10 @@ def _hilbert_axioms_sample(stream: RandomStream, count: int) -> dict:
         lows = [stream.next_int(-5, -1) for _ in range(dim)]
         highs = [stream.next_int(1, 5) for _ in range(dim)]
         def interior():
-            # lo + k/10 (hi - lo), as one Fraction over 10.
-            return [Fraction(10 * lo + stream.next_int(1, 9) * (hi - lo), 10)
+            return [TENTHS[50 + 10 * lo + stream.next_int(1, 9) * (hi - lo)]
                     for lo, hi in zip(lows, highs)]
-        instances.append({"lows": [Fraction(lo) for lo in lows],
-                          "highs": [Fraction(hi) for hi in highs],
+        instances.append({"lows": [TENTHS[50 + 10 * lo] for lo in lows],
+                          "highs": [TENTHS[50 + 10 * hi] for hi in highs],
                           "x": interior(), "y": interior(), "z": interior()})
     return {"instances": instances}
 

@@ -9,14 +9,15 @@ from math import gcd
 import pytest
 
 from heiscert import convexity, lp, suites
-from heiscert.certs import PASS
+from heiscert.certs import FAIL, PASS
 from heiscert.convexity import (DEFAULT_RAY_TS, DEFAULT_RAYS, ORBIT_FORMULA,
-                                OrbitSample, extreme_point_certificate,
+                                ORBIT_LIFT, OrbitSample,
+                                extreme_point_certificate,
                                 lift_origin,
                                 limit_point_certificate, nonneg_certificate,
                                 orbit_lift,
                                 proper_convexity_certificate, sample_orbit)
-from heiscert.heis import DATA_DIR, ENTRY_RING, HeisElement, \
+from heiscert.heis import DATA_DIR, ENTRY_RING, EntryPlan, HeisElement, \
     get_representation, heis_mul, symbolic_pair
 from heiscert.linalg import Matrix, clear_denominators
 from heiscert.poly import PolyRing
@@ -158,6 +159,35 @@ def test_constant_ray_rejected():
 def test_unsorted_t_values_rejected():
     with pytest.raises(ValueError):
         limit_point_certificate(DEFAULT_RAYS, [Fraction(10), Fraction(5)])
+
+
+def test_t_zero_rejected():
+    with pytest.raises(ValueError, match="t values must be positive"):
+        limit_point_certificate(DEFAULT_RAYS, [Fraction(0), Fraction(10)])
+
+
+def test_nonpositive_first_coordinate_fails_naming_ray_and_t(monkeypatch):
+    """With x1 = (a^4 + b^4)/24 - c^2 in the orbit plan, x1 = -25 t^2 on
+    the ray (0, 0, 5t): the claim FAILs instead of crashing, and the
+    ray's report names t = 10 with no ratio before it, while the other
+    shipped rays still pass."""
+    a, b, c = ENTRY_RING.vars("a", "b", "c")
+    first = (a ** 4 + b ** 4) * Fraction(1, 24) - c ** 2
+    monkeypatch.setattr(convexity, "ORBIT_LIFT_PLAN",
+                        EntryPlan((first, *ORBIT_LIFT[1:])))
+    ray = DEFAULT_RAYS[1]
+    ok, witnesses = limit_point_certificate([ray])
+    (report,) = witnesses["rays"]
+    assert not ok and report["passes"] is False
+    assert report["ray"] == [str(p) for p in ray] == ["0", "0", "5*t"]
+    assert report["first_coordinate_not_positive_at"] == Fraction(10)
+    assert report["ratios"] == []
+    certificate = suites.CLAIMS_BY_ID["orbit.limit_point"].run(
+        suites.RunConfig(seed=0))
+    assert certificate.verdict == FAIL
+    assert "error" not in certificate.witnesses
+    assert [r["passes"] for r in certificate.witnesses["rays"]] == \
+        [True, False, True]
 
 
 def test_slow_ray_fails_domination_bound():
@@ -343,8 +373,7 @@ def test_shipped_functionals_certify_the_shipped_sample_without_the_lp(
     """Every shipped functional separates its point from the rest of the
     shipped sample, so hull.extreme_points solves no LP and its
     certificate is the pinned one."""
-    for module in (lp, convexity):
-        monkeypatch.setattr(module, "solve_equality_feasibility", _no_simplex)
+    monkeypatch.setattr(lp, "solve_equality_feasibility", _no_simplex)
     assert _extreme_points_seed0() == \
         SEED0_CERTIFICATE_SHA256["hull.extreme_points"]
 
@@ -379,7 +408,7 @@ def test_shipped_functionals_are_found_by_point_not_by_position(
         monkeypatch):
     """With the shipped parameters reversed, each entry is still its own
     point's shipped row, and no LP runs."""
-    monkeypatch.setattr(convexity, "solve_equality_feasibility", _no_simplex)
+    monkeypatch.setattr(lp, "solve_equality_feasibility", _no_simplex)
     parameters = suites._extreme_points_inputs()["parameters"][::-1]
     ok, witnesses = suites._extreme_points(parameters)
     shipped = {row[:3]: list(row[3:]) for row in Matrix.from_text(

@@ -14,8 +14,9 @@ from heiscert.heis import (DATA_DIR, ENTRY_RING, GENERATORS,
                            Representation, generator_power,
                            get_representation, heis_mul,
                            load_representation)
-from heiscert.linalg import (Matrix, clear_denominators, integer_kernel,
-                             integer_product, jordan_partition)
+from heiscert.linalg import (Matrix, clear_denominators, integer_det,
+                             integer_kernel, integer_product,
+                             jordan_partition)
 from heiscert.poly import Poly
 from heiscert.rationals import to_fraction
 from heiscert.restriction import derive_subspace_basis
@@ -311,6 +312,48 @@ def test_rref_matches_fraction_gauss_jordan(rows):
 @given(sparse_rows(8, 8, square=True, zero_rows=False))
 def test_sparse_det_matches_cofactor_oracle(rows):
     assert Matrix(rows).det() == _cofactor_det(tuple(map(tuple, rows)))
+
+
+@st.composite
+def int_squares(draw):
+    """Square int rows of size 1 to 6, about half zeros, so a pivot is
+    often found below its row and rows swap; from size 3 the last row
+    is sometimes 2 row0 - row1, so the rows are singular."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n > 2 and draw(st.booleans()):
+        rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_squares(), st.integers(1, 7))
+def test_integer_det_matches_fraction_det_and_cofactor_oracle(rows, den):
+    """integer_det of int rows is the cofactor oracle's value, leaves
+    the rows as given, and is den^n times Matrix.det of the rows over
+    den."""
+    given_rows = [list(row) for row in rows]
+    det = integer_det(rows)
+    assert type(det) is int and rows == given_rows
+    assert det == _cofactor_det(tuple(map(tuple, rows)))
+    scaled = Matrix([[Fraction(x, den) for x in row] for row in rows])
+    assert det == scaled.det() * den ** len(rows)
+
+
+def test_integer_det_signs_singular_and_shapes():
+    # One swap, two swaps (a 3-cycle) and the anti-diagonal's one.
+    assert integer_det([[0, 1], [1, 0]]) == -1
+    assert integer_det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    assert integer_det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+    assert integer_det(((0, 4), (3, 0))) == -12
+    assert integer_det([[1, 2], [2, 4]]) == integer_det([[0, 0], [0, 0]]) == 0
+    for bad in ([[1, 2]], [[1], [2]], [[1, 2], [3]], []):
+        with pytest.raises(ValueError, match="square"):
+            integer_det(bad)
+    with pytest.raises(ValueError, match="square"):
+        Matrix([[Fraction(1, 2)], [Fraction(1)]]).det()
 
 
 @settings(max_examples=60)
@@ -690,6 +733,29 @@ def test_integer_image_over_d_matches_entrywise_eval(name, point):
     assignment = dict(zip(ENTRY_RING.names, point))
     assert [Fraction(x, d) for x in values] == \
         [p.eval(assignment) for p in polys]
+
+
+# Components with denominators 1 to 7, zero and negatives among them.
+plan_coordinate = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["entries", "minors"]),
+       st.tuples(plan_coordinate, plan_coordinate, plan_coordinate))
+def test_power_plan_values_over_d_match_entrywise_eval(part, point):
+    """theta's power-plan entries and its compiled minors at a rational
+    g are ints over one d > 0 equal to each polynomial's Poly.eval."""
+    theta = get_representation("theta")
+    theta.nilpotent_ranks(HeisElement.identity())
+    plan = getattr(theta.power_plan, part)
+    values, d = plan.integer_values(HeisElement.of(*point))
+    assert type(d) is int and d > 0
+    assert all(type(x) is int for x in values)
+    assignment = dict(zip(ENTRY_RING.names, point))
+    assert [Fraction(x, d) for x in values] == \
+        [p.eval(assignment) for p in plan.polys]
 
 
 small_polys = st.dictionaries(

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heiscert import lp
-from heiscert.convexity import OrbitSample, extreme_point_certificate
+from heiscert.convexity import (OrbitSample, extreme_point_certificate,
+                                verify_farkas)
 from heiscert.heis import DATA_DIR
 from heiscert.linalg import clear_denominators
 from heiscert.lp import solve_equality_feasibility
@@ -102,7 +103,7 @@ def test_cleared_rows_give_verified_farkas():
     assert not result.feasible
     y = result.farkas
     assert y[0] * -1 > 0 and y[0] * 1 <= 0
-    assert lp._verify_farkas([[1], [-1]], y)
+    assert verify_farkas([[1], [-1]], y)
     assert solve([[Fraction(1, 2)]], [F(1)]).solution == [F(2)]
 
 
@@ -329,7 +330,7 @@ def test_forged_farkas_witness_raises(rhs, y, monkeypatch):
     when y stands in for its own multipliers."""
     matrix = [[F(1), Fraction(1, 2)], [F(-1), Fraction(-1, 3)]]
     columns = [_cleared(column)[0] for column in (*zip(*matrix), rhs)]
-    assert not lp._verify_farkas(columns, y)
+    assert not verify_farkas(columns, y)
     # The multipliers are the only Fractions an infeasible run builds.
     forged = iter(y)
     monkeypatch.setattr(lp, "Fraction", lambda *_: next(forged))

@@ -1,13 +1,14 @@
 """Cross ratio and Hilbert metric: exact values and metric axioms."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heiscert.heis import HeisElement, get_representation
-from heiscert.linalg import Matrix
+from heiscert.linalg import Matrix, clear_denominators
 from heiscert.metric import (Halfspace, _chord, box, cross_ratio,
                              hilbert_log_argument, load_polytope)
 from heiscert.rationals import format_rational, to_fraction
@@ -123,6 +124,14 @@ def test_halfspace_row_stays_out_of_eq_hash_and_repr():
                           "Fraction(-2, 3)), bound=Fraction(5, 4))")
 
 
+def test_halfspace_is_unequal_to_another_type_with_equal_fields():
+    face = Halfspace([Fraction(1, 2)], Fraction(3))
+    lookalike = SimpleNamespace(coeffs=face.coeffs, bound=face.bound,
+                                row=face.row)
+    assert not face == lookalike
+    assert face != lookalike
+
+
 def box_from_int_lists(lows, highs) -> list[Halfspace]:
     """box as it was built before its faces shared Fraction constants:
     from int coefficient lists, which Halfspace converts."""
@@ -160,6 +169,19 @@ def test_polytope_file_parsing():
         load_polytope("")
     with pytest.raises(ValueError):
         load_polytope("1 2 3\n1 2\n")
+
+
+def test_polytope_file_skips_comments_indented_or_not():
+    text = "# box\n1\t1\n   # indented comment\n\n-1\t1\n"
+    assert load_polytope(text) == [Halfspace([1], 1), Halfspace([-1], 1)]
+    with pytest.raises(ValueError, match="empty"):
+        load_polytope("  # only a comment\n")
+
+
+@pytest.mark.parametrize("lows, highs", [([1], [1]), ([0, -2], [1, -2])])
+def test_box_refuses_an_empty_axis(lows, highs):
+    with pytest.raises(ValueError, match="lo < hi"):
+        box(lows, highs)
 
 
 inner = st.integers(min_value=1, max_value=9)
@@ -390,3 +412,28 @@ def four_points(draw):
 def test_int_cross_ratio_matches_fraction_reference(points):
     assert _outcome(cross_ratio, *points) == \
         _outcome(_reference_cross_ratio, *points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(four_points())
+def test_int_points_give_the_fraction_points_cross_ratio(points):
+    """Each point cleared to ints by its own lcm (the same projective
+    point) goes in as it is, and gives what the same ints as Fractions
+    give, refusals included."""
+    ints = [clear_denominators([[to_fraction(x) for x in point]])[0][0]
+            for point in points]
+    assert all(type(x) is int for point in ints for x in point)
+    fractions = [[Fraction(x) for x in point] for point in ints]
+    assert _outcome(cross_ratio, *ints) == \
+        _outcome(cross_ratio, *fractions) == \
+        _outcome(_reference_cross_ratio, *points)
+
+
+@pytest.mark.parametrize("bad", [True, 0.5], ids=["bool", "float"])
+def test_cross_ratio_refuses_bool_and_float_among_ints(bad):
+    for k in range(4):
+        for j in range(2):
+            points = [[1, 0], [0, 1], [1, 1], [1, 2]]
+            points[k][j] = bad
+            with pytest.raises(TypeError):
+                cross_ratio(*points)

@@ -353,6 +353,22 @@ def test_one_polynomial_by_every_route_is_one_value(p, q):
             == (p.numerators, p.denominator)
 
 
+@settings(max_examples=100)
+@given(st.sampled_from([RING, PAIR, PolyRing("n")]).flatmap(polys))
+def test_product_by_the_one_polynomial_is_the_other_factor(p):
+    """p times the constant-one polynomial of its ring, on either side
+    and from an equal ring built anew, is p itself; a ring mismatch
+    still raises, and a constant other than 1 multiplies in full."""
+    one = p.ring.one()
+    assert p * one is p and one * p is p
+    assert PolyRing(*p.ring.names).one() * p is p
+    assert p * one == poly_from_terms(p.ring, p.terms)
+    assert p * p.ring.const(2) == p * 2
+    assert p * p.ring.const(Fraction(1, 2)) == p * Fraction(1, 2)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        p * PolyRing("z").one()
+
+
 # -- exact division ---------------------------------------------------------------
 
 # A drawn polynomial and a nonzero one, both in ENTRY_RING or both in
