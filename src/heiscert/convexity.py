@@ -138,8 +138,8 @@ def limit_point_certificate(rays: Sequence[Sequence[Poly]] = DEFAULT_RAYS,
     ratios before it.
     """
     t_values = [to_fraction(t) for t in t_values]
-    if any(t <= 0 for t in t_values) or sorted(t_values) != list(t_values) \
-            or len(set(t_values)) != len(t_values):
+    if not t_values or any(t <= 0 for t in t_values) \
+            or sorted(set(t_values)) != t_values:
         raise ValueError("t values must be positive and strictly increasing")
     ray_reports = []
     all_ok = True

@@ -9,9 +9,9 @@ canonical, so structural equality is semantic equality, and sums,
 differences, scalings, products and powers run on ints, with one gcd
 reduction per result and none when its denominator is 1; a product by
 exactly 1, the rational or the constant polynomial, is the other factor
-itself.  // is exact division, by a nonzero rational or by a
-polynomial that divides, and refuses any other divisor (the
-fraction-free echelon pass needs no more).  Poly.terms is a Fraction
+itself.  // is exact division, by a nonzero rational or, by long
+division, by a polynomial that divides, and refuses any other divisor
+(the fraction-free echelon pass needs no more).  Poly.terms is a Fraction
 view of the coefficients, for text and evaluation.
 Everything is immutable and exact; there is no floating point anywhere.
 """
@@ -200,48 +200,30 @@ class Poly:
         """The exact quotient self / other, for a nonzero rational or a
         Poly that divides self: ValueError if other does not divide,
         ZeroDivisionError if it is zero.  A Poly divisor is divided out
-        of the int numerators leading term by leading term in lex order;
-        a leading term that other's does not divide proves other does
-        not divide self.  Remainder and quotient share one int scale."""
+        by long division in lex order: each step takes the quotient term
+        that cancels the remainder's leading term, and a leading term
+        that other's does not divide proves other does not divide
+        self."""
         if type(other) in (int, Fraction):
             return self * Fraction(1, other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        divisor = dict(other.numerators)
-        if not divisor:
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        lead = max(divisor)
-        lc = divisor.pop(lead)
-        remainder = dict(self.numerators)
-        quotient: dict = {}
-        scale = 1
+        lead = max(other.numerators)
+        quotient, remainder = self.ring.zero(), self
         while remainder:
-            e = max(remainder)
-            c = remainder.pop(e)
+            e = max(remainder.numerators)
             shift = tuple(map(sub, e, lead))
-            if min(shift) < 0:
+            if min(shift, default=0) < 0:
                 raise ValueError(f"{other} does not divide {self}")
-            if c % lc:
-                s = abs(lc) // gcd(c, lc)
-                remainder = {k: v * s for k, v in remainder.items()}
-                quotient = {k: v * s for k, v in quotient.items()}
-                scale *= s
-                c *= s
-            t = quotient[shift] = c // lc
-            get = remainder.get
-            for e2, c2 in divisor.items():
-                k = tuple(map(add, shift, e2))
-                v = get(k, 0) - t * c2
-                if v:
-                    remainder[k] = v
-                else:
-                    del remainder[k]
-        # self / other = (quotient / scale) * other.den / self.den.
-        return Poly.from_numerators(
-            self.ring,
-            {e: q * other.denominator for e, q in quotient.items()},
-            scale * self.denominator)
+            c = Fraction(remainder.numerators[e] * other.denominator,
+                         remainder.denominator * other.numerators[lead])
+            term = _poly(self.ring, {shift: c.numerator}, c.denominator)
+            quotient += term
+            remainder -= term * other
+        return quotient
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

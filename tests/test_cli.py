@@ -129,6 +129,27 @@ def test_setup_imports_nothing_a_passing_run_leaves_unused():
     assert {"traceback", "csv", "datetime", "heiscert.lp"} & added == set()
 
 
+def test_seed0_run_and_replay_never_import_the_simplex(tmp_path):
+    # Pinned to one CPU, run_suite runs every claim in the child itself,
+    # so the child's modules are the run's.  Every shipped functional
+    # separates its point, at run and at replay, so the simplex in
+    # heiscert.lp is a fallback that neither reaches.
+    src = str(Path(suites.__file__).parents[1])
+    code = ("import os, sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from pathlib import Path\n"
+            "from heiscert.suites import RunConfig, replay, run_suite\n"
+            f"out = Path({str(tmp_path)!r})\n"
+            "run_suite(RunConfig(seed=0, output_dir=out))\n"
+            "paths = set(out.glob('*.json')) - {out / 'report.json'}\n"
+            "print(len(paths), *{replay(p)[0] for p in paths})\n"
+            "print('heiscert.lp' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.split() == ["23", suites.MATCH, "False"]
+
+
 def test_crash_becomes_fail_certificate(tmp_path, monkeypatch):
     import heiscert.suites as suites_module
     claim = suites_module.CLAIMS_BY_ID["growth.block_degrees"]

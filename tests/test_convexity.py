@@ -166,6 +166,11 @@ def test_t_zero_rejected():
         limit_point_certificate(DEFAULT_RAYS, [Fraction(0), Fraction(10)])
 
 
+def test_empty_t_schedule_rejected():
+    with pytest.raises(ValueError, match="t values must be positive"):
+        limit_point_certificate(DEFAULT_RAYS, [])
+
+
 def test_nonpositive_first_coordinate_fails_naming_ray_and_t(monkeypatch):
     """With x1 = (a^4 + b^4)/24 - c^2 in the orbit plan, x1 = -25 t^2 on
     the ray (0, 0, 5t): the claim FAILs instead of crashing, and the

@@ -222,10 +222,9 @@ def mixed_scale_systems(draw):
 @settings(max_examples=150, deadline=None)
 @given(mixed_scale_systems())
 def test_pivot_path_matches_fraction_tableau(system):
-    """Per-column clearing, on-demand pricing and the integer ratio test
-    pick the pivots of the common-denominator Fraction tableau, so the
-    solution and the Farkas vector come out exactly equal, not just
-    equally valid."""
+    """Per-column clearing and the integer ratio test pick the pivots of
+    the common-denominator Fraction tableau, so the solution and the
+    Farkas vector come out exactly equal, not just equally valid."""
     matrix, rhs = system
     result = solve(matrix, rhs)
     assert (result.feasible, result.solution, result.farkas) == \

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heiscert.heis import ENTRY_RING, PAIR_RING
@@ -355,13 +355,17 @@ def test_one_polynomial_by_every_route_is_one_value(p, q):
 
 @settings(max_examples=100)
 @given(st.sampled_from([RING, PAIR, PolyRing("n")]).flatmap(polys))
+@example(RING.one())
 def test_product_by_the_one_polynomial_is_the_other_factor(p):
     """p times the constant-one polynomial of its ring, on either side
     and from an equal ring built anew, is p itself; a ring mismatch
-    still raises, and a constant other than 1 multiplies in full."""
+    still raises, and a constant other than 1 multiplies in full.  For
+    p the constant 1 itself, one * p is the left factor, equal to p but
+    not p, so there only equality is asserted."""
     one = p.ring.one()
-    assert p * one is p and one * p is p
-    assert PolyRing(*p.ring.names).one() * p is p
+    assert p * one is p
+    for left in (one, PolyRing(*p.ring.names).one()):
+        assert left * p is p or (p.is_one() and left * p == p)
     assert p * one == poly_from_terms(p.ring, p.terms)
     assert p * p.ring.const(2) == p * 2
     assert p * p.ring.const(Fraction(1, 2)) == p * Fraction(1, 2)
@@ -415,6 +419,11 @@ def test_division_examples():
                                (A ** 2 + B ** 2, A + B)]:
         with pytest.raises(ValueError):
             numerator // divisor
+
+
+def test_division_in_a_ring_without_variables():
+    ring = PolyRing()
+    assert ring.const(2) // ring.const(4) == ring.const(Fraction(1, 2))
 
 
 @pytest.mark.parametrize("zero", [0, Fraction(0), RING.zero()])
