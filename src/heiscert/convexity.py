@@ -14,7 +14,9 @@ convex-combination weights that show none exists; it alone imports
 lp, at call time.  Each claim check returns (ok, witnesses); the
 per-point extreme_point_certificate returns its verdict and that
 point's entry in the claim's witnesses.
-The lifted formula is compiled once into a heis.EntryPlan,
+The closed formula is checked against theta's last column: the lifted
+origin is e10, and theta(g) e10 is that column, read off the table with
+no product.  The lifted formula is compiled once into a heis.EntryPlan,
 ORBIT_LIFT_PLAN, as the entry tables are: a rational element's lift is
 its int values over one denominator, and orbit_lift() evaluates it at
 symbolic elements and along rays to infinity; both extreme-point checks
@@ -40,8 +42,6 @@ from .poly import Poly, PolyRing
 from .rationals import format_rational, parse_rational, to_fraction
 from .sampler import RandomStream
 
-AFFINE_DIM = 9
-
 # A column of [A | b] as ints over one positive scale: (ints, scale)
 # stands for the rationals ints / scale.
 Cleared = tuple[Sequence[int], int]
@@ -66,11 +66,6 @@ ORBIT_LIFT: tuple[Poly, ...] = ORBIT_FORMULA + (ENTRY_RING.one(),)
 ORBIT_LIFT_PLAN = EntryPlan(ORBIT_LIFT)
 
 
-def lift_origin() -> list[Fraction]:
-    """Homogeneous lift of the affine origin."""
-    return [Fraction(0)] * AFFINE_DIM + [Fraction(1)]
-
-
 def orbit_lift(g: HeisElement) -> list[Poly]:
     """Homogeneous lift (x1..x9, 1) of the orbit point of the symbolic g,
     polynomials in g's ring; a rational g's lift is
@@ -79,9 +74,10 @@ def orbit_lift(g: HeisElement) -> list[Poly]:
 
 
 def orbit_formula_certificate() -> tuple[bool, dict]:
-    """The entry table applied to the lifted origin reproduces the closed
-    orbit formula, as an exact polynomial identity."""
-    column = get_representation("theta").table.apply(lift_origin())
+    """The entry table applied to the lifted origin e10 reproduces the
+    closed orbit formula, as an exact polynomial identity: theta(g) e10
+    is the table's last column."""
+    column = get_representation("theta").table.column(9)
     mismatches = [i + 1 for i, (got, want)
                   in enumerate(zip(column, ORBIT_LIFT)) if got != want]
     witnesses = {"coordinates": [str(p) for p in ORBIT_LIFT]}

@@ -5,12 +5,13 @@ of four collinear projective points is computed through 2x2
 determinants in a coordinate pair that embeds their common line, so
 points at infinity need no special casing; a point of int coordinates
 goes in as it is, and any other is cleared to ints by its own scale,
-which the ratio cancels.  The Hilbert metric between interior points
-of a polytope is returned as the exact rational argument R of the
-distance (1/2) log R; each face keeps its int row, cleared once when
-it is built, the chord's two ends are cleared together, and the
-chord's two limits are int pairs.  Taking the log is left to callers
-that want floats.
+which the ratio cancels.  A polytope is a list of faces a.z <= b,
+each one int row [a | b], cleared of denominators once when box or
+load_polytope builds it; those two are where floats and bools are
+refused.  The Hilbert metric between interior points is returned as
+the exact rational argument R of the distance (1/2) log R; the
+chord's two ends are cleared together, and the chord's two limits are
+int pairs.  Taking the log is left to callers that want floats.
 """
 
 from __future__ import annotations
@@ -61,83 +62,67 @@ def cross_ratio(p1, p2, p3, p4) -> Fraction:
     return Fraction(d(0, 2) * d(1, 3), d(1, 2) * d(0, 3))
 
 
-class Halfspace:
-    """The affine constraint coeffs . z <= bound.  The constructor turns
-    coeffs into a tuple and converts every value with to_fraction, so
-    floats and bools raise TypeError.  It also keeps row, the int row
-    [a | b] times the lcm of its denominators (clear_denominators; a
-    positive multiple, so the same face), which takes no part in
-    equality, hashing or repr."""
-    __slots__ = ("coeffs", "bound", "row")
+def _face(cells: Sequence) -> tuple[int, ...]:
+    """The face a.z <= b given as the values [a | b] (ints and
+    Fractions), as its int row: [a | b] times the lcm of its
+    denominators (clear_denominators), a positive multiple, so the same
+    face."""
+    (row,), _ = clear_denominators([cells])
+    return tuple(row)
 
-    def __init__(self, coeffs: Sequence, bound):
-        self.coeffs = tuple(to_fraction(x) for x in coeffs)
-        self.bound = to_fraction(bound)
-        (row,), _ = clear_denominators([(*self.coeffs, self.bound)])
-        self.row = tuple(row)
 
-    def __eq__(self, other):
-        return (type(other) is Halfspace and self.coeffs == other.coeffs
-                and self.bound == other.bound)
-
-    def __hash__(self):
-        return hash((self.coeffs, self.bound))
-
-    def __repr__(self):
-        return f"Halfspace(coeffs={self.coeffs!r}, bound={self.bound!r})"
-
-    @staticmethod
-    def from_text(line: str) -> "Halfspace":
+def load_polytope(text: str) -> list[tuple[int, ...]]:
+    """One face per line, n coefficients then the bound, each
+    rational read by parse_rational; the faces as int rows."""
+    faces = []
+    for line in text.splitlines():
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
         cells = [parse_rational(c) for c in line.split()]
         if len(cells) < 2:
             raise ValueError("halfspace line needs coefficients and a bound")
-        return Halfspace(cells[:-1], cells[-1])
-
-
-def load_polytope(text: str) -> list[Halfspace]:
-    """One halfspace per line: n coefficients then the bound."""
-    faces = [Halfspace.from_text(line) for line in text.splitlines()
-             if line.strip() and not line.lstrip().startswith("#")]
+        faces.append(_face(cells))
     if not faces:
         raise ValueError("polytope file is empty")
-    if len({len(f.coeffs) for f in faces}) != 1:
+    if len({len(f) for f in faces}) != 1:
         raise ValueError("halfspaces have inconsistent dimensions")
     return faces
 
 
-# Shared box coefficients: Halfspace keeps a Fraction as it is but builds
-# a new one from each int.
-_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
-
-
-def box(lows: Sequence[Fraction], highs: Sequence[Fraction]) -> list[Halfspace]:
-    """Axis-aligned box as a halfspace list."""
+def box(lows: Sequence[Fraction],
+        highs: Sequence[Fraction]) -> list[tuple[int, ...]]:
+    """Axis-aligned box as int face rows, x_i <= hi then -x_i <= -lo for
+    each axis; every side goes through to_fraction."""
+    if len(lows) != len(highs):
+        raise ValueError("box needs as many lows as highs")
     faces = []
     for i, (lo, hi) in enumerate(zip(lows, highs)):
+        lo, hi = to_fraction(lo), to_fraction(hi)
         if not lo < hi:
             raise ValueError("box needs lo < hi in every axis")
-        # Halfspace copies e, so the second face may reuse it.
-        e = [_ZERO] * len(lows)
-        e[i] = _ONE
-        faces.append(Halfspace(e, hi))
-        e[i] = _MINUS_ONE
-        faces.append(Halfspace(e, -to_fraction(lo)))
+        e = [0] * len(lows)
+        e[i] = 1
+        faces.append(_face([*e, hi]))
+        e[i] = -1
+        faces.append(_face([*e, -lo]))
     return faces
 
 
-def hilbert_log_argument(polytope: Sequence[Halfspace],
+def hilbert_log_argument(polytope: Sequence[Sequence[int]],
                          x: Sequence[Fraction],
                          y: Sequence[Fraction]) -> Fraction:
     """Exact R >= 1 with Hilbert distance (1/2) log R.
 
     The chord through interior points x, y meets the boundary in u (on
     the x side) and v (on the y side); R is the cross ratio
-    (|uy| |xv|) / (|ux| |yv|) in the chord's affine parameter.  Raises
-    ValueError unless x, y and every face have the same dimension.
+    (|uy| |xv|) / (|ux| |yv|) in the chord's affine parameter.  The
+    faces are int rows [a | b], as box and load_polytope build them.
+    Raises ValueError unless x, y and every face have the same
+    dimension.
     """
     x = [to_fraction(v) for v in x]
     y = [to_fraction(v) for v in y]
-    if len(y) != len(x) or any(len(f.coeffs) != len(x) for f in polytope):
+    if len(y) != len(x) or any(len(f) != len(x) + 1 for f in polytope):
         raise ValueError("x, y and the faces differ in dimension")
     s_low, s_high = _chord(polytope, x, y)
     if x == y:
@@ -160,8 +145,8 @@ def _chord(polytope, x, y) -> tuple[Optional[tuple[int, int]],
     strictly inside every face.
 
     x and y are cleared of denominators together, to x = xs/L and
-    y = ys/L over their common lcm L; each face a.z <= b comes as its int
-    row (Halfspace.row, a positive scale of the face).  With ax = a.xs
+    y = ys/L over their common lcm L; each face a.z <= b is its int row
+    [a | b].  With ax = a.xs
     and ay = a.ys, the slack of x is b - a.x = (b L - ax)/L and the rate
     a.(y - x) is (ay - ax)/L, both up to the face's scale, so the face
     is met at s = (b L - ax) / (ay - ax).  The nearest face on each side
@@ -170,7 +155,7 @@ def _chord(polytope, x, y) -> tuple[Optional[tuple[int, int]],
     (xs, ys), scale = clear_denominators([x, y])
     s_low = None
     s_high = None
-    for row in (face.row for face in polytope):
+    for row in polytope:
         ax = ay = 0
         # row is [a | b]: zip stops at the points' length, before b.
         for a, u, v in zip(row, xs, ys):

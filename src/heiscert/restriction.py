@@ -6,25 +6,27 @@ the induced 10x10 action is conjugate, by a constant matrix T, to the
 10-dimensional representation.  The equations are stated once, in the
 table EQUATIONS; the equation matrix, the free coordinates and the
 subspace basis are all read from it.  These rational matrices multiply
-the symbolic ones directly, with no lift into the polynomial ring.  T
-is a frozen witness file, written by scripts/rederive_witnesses.py
-(the one place its linear solve runs) and only checked here.  If the
-int solve of the intertwiner space admits a vector that the symbolic
-recheck refuses, the certificate FAILs with its checks and a null
-dimension.  The same module certifies the quadratic versus quartic
-entry growth of generator powers that motivates the 14-dimensional
-construction.
+the symbolic ones directly, with no lift into the polynomial ring.
+Each certificate forms the product of rho14's table and the basis once
+and compiles its free rows, the induced table, into one
+heis.EntryPlan: the multiplicativity check specializes it at the
+symbolic pair, and the intertwiner solve reads its int values at the
+generators.  T is a frozen witness file, written by
+scripts/rederive_witnesses.py (the one place its linear solve runs)
+and only checked here.  If the int solve of the intertwiner space
+admits a vector that the symbolic recheck refuses, the certificate
+FAILs with its checks and a null dimension.  The same module
+certifies the quadratic versus quartic entry growth of generator
+powers that motivates the 14-dimensional construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .heis import DATA_DIR, GENERATORS, HeisElement, get_representation, \
+from .heis import DATA_DIR, GENERATORS, EntryPlan, get_representation, \
     heis_mul, one_parameter_power, symbolic_pair
-from .linalg import Matrix, clear_denominators, integer_kernel, \
-    integer_product
+from .linalg import Matrix, integer_kernel
 from .poly import PolyRing
 
 AMBIENT_DIM = 14
@@ -52,11 +54,9 @@ def subspace_equations() -> Matrix:
     return Matrix(rows)
 
 
-@lru_cache(maxsize=None)
 def derive_subspace_basis() -> Matrix:
     """A 14x10 basis of the solution space, one column per free
-    coordinate, dependent coordinates filled from the equations.  Built
-    once; Matrix is immutable, so callers share it."""
+    coordinate, dependent coordinates filled from the equations."""
     columns = []
     for free in FREE_COORDINATES:
         vec = [Fraction(0)] * AMBIENT_DIM
@@ -68,26 +68,19 @@ def derive_subspace_basis() -> Matrix:
     return Matrix(columns).transpose()
 
 
-def induced_matrix(g: HeisElement) -> Matrix:
-    """The 10x10 matrix of the symbolic g acting in the subspace basis.
-
-    Because the basis matrix restricted to the free coordinate rows is
-    the identity, the induced matrix is just those rows of
-    rho14(g) * basis; the dropped rows are rechecked separately by the
-    invariance certificate.
-    """
-    return _free_rows(get_representation("rho14")(g) * derive_subspace_basis())
+def induced_plan(image: Matrix) -> EntryPlan:
+    """The induced action, compiled: the free coordinate rows of
+    image = rho14.table * basis, row by row, as one EntryPlan.  The
+    basis matrix is the identity on those rows, so they are the 10x10
+    matrix of g acting in the subspace basis; the dropped rows are
+    rechecked by the invariance certificate."""
+    return EntryPlan([p for f in FREE_COORDINATES for p in image.row(f - 1)])
 
 
-def _free_rows(image: Matrix) -> Matrix:
-    return Matrix([image.row(f - 1) for f in FREE_COORDINATES])
-
-
-@lru_cache(maxsize=None)
-def _symbolic_image() -> Matrix:
-    """The rho14 table times the basis, computed once for the certificate
-    and the intertwiner solve."""
-    return get_representation("rho14").table * derive_subspace_basis()
+def _square(values) -> Matrix:
+    """The SUBSPACE_DIM-square matrix of the flat row-major values."""
+    n = SUBSPACE_DIM
+    return Matrix([values[i:i + n] for i in range(0, n * n, n)])
 
 
 def restriction_certificate() -> tuple[bool, dict]:
@@ -103,10 +96,11 @@ def restriction_certificate() -> tuple[bool, dict]:
     checks["basis_rank_10"] = basis.rank() == SUBSPACE_DIM
     checks["basis_solves_equations"] = (equations * basis).is_zero()
 
-    image = _symbolic_image()
+    image = get_representation("rho14").table * basis
     checks["subspace_invariant"] = (equations * image).is_zero()
 
-    induced = _free_rows(image)
+    plan = induced_plan(image)
+    induced = _square(plan.polys)
     checks["induced_consistent"] = image == basis * induced
     checks["conjugate_to_theta"] = \
         induced * conjugator == conjugator * get_representation("theta").table
@@ -115,10 +109,10 @@ def restriction_certificate() -> tuple[bool, dict]:
 
     gp, hp = symbolic_pair()
     checks["induced_multiplicative"] = \
-        induced_matrix(gp) * induced_matrix(hp) == \
-        induced_matrix(heis_mul(gp, hp))
+        _square(plan.specialize(gp)) * _square(plan.specialize(hp)) == \
+        _square(plan.specialize(heis_mul(gp, hp)))
 
-    dimension = intertwiner_dimension()
+    dimension = intertwiner_dimension(plan)
     return all(checks.values()) and dimension is not None, {
         "checks": checks,
         "conjugator_det": t_det,
@@ -127,34 +121,31 @@ def restriction_certificate() -> tuple[bool, dict]:
     }
 
 
-def intertwiner_dimension() -> int | None:
-    """Dimension of {X : induced(g) X = X theta(g) for all g}.
+def intertwiner_dimension(plan: EntryPlan) -> int | None:
+    """Dimension of {X : induced(g) X = X theta(g) for all g}, for the
+    induced action compiled as plan (induced_plan).
 
     Solved on ints from the generator conditions (enough because the
     integer points are Zariski dense); every int kernel vector is then
     reverified against the full symbolic identity; if one fails, the
     conditions were not sufficient and the result is None.  At a
-    generator, the free rows of rho14's int image over d (integer_image)
-    times the subspace basis cleared once to ints over s give the
-    induced matrix over d s, and theta's int image is over e.
+    generator, the plan's int values over d are the induced matrix, and
+    theta's int image is over e.
     """
     theta = get_representation("theta")
-    rho14 = get_representation("rho14")
     n = SUBSPACE_DIM
-    basis, s = clear_denominators(derive_subspace_basis().entries)
     rows = []
     for gen in (GENERATORS["A"], GENERATORS["B"]):
-        image, d = rho14.integer_image(gen)
-        left = integer_product([image[f - 1] for f in FREE_COORDINATES],
-                               basis)
+        values, d = plan.integer_values(gen)
+        left = [values[i:i + n] for i in range(0, n * n, n)]
         right, e = theta.integer_image(gen)
-        # condition left / (d s) @ X - X @ right / e = 0, unknowns X_kl
-        # flattened, at one shared scale d s e: a scale per side breaks
-        # it.  Row (i, j) takes e left[i][k] at X_kj and -d s right[k][j]
+        # condition left / d @ X - X @ right / e = 0, unknowns X_kl
+        # flattened, at one shared scale d e: a scale per side breaks
+        # it.  Row (i, j) takes e left[i][k] at X_kj and -d right[k][j]
         # at X_ik, written from the nonzero entries only.
         lefts = [[(k * n, e * x) for k, x in enumerate(row) if x]
                  for row in left]
-        rights = [[(k, d * s * x) for k, x in enumerate(column) if x]
+        rights = [[(k, d * x) for k, x in enumerate(column) if x]
                   for column in zip(*right)]
         for i, pairs in enumerate(lefts):
             for j, column in enumerate(rights):
@@ -165,9 +156,9 @@ def intertwiner_dimension() -> int | None:
                     row[i * n + k] -= y
                 rows.append(row)
     kernel = integer_kernel(rows)
-    induced = _free_rows(_symbolic_image())
+    induced = _square(plan.polys)
     for vec in kernel:
-        x = Matrix([vec[i * n:(i + 1) * n] for i in range(n)])
+        x = _square(vec)
         if induced * x != x * theta.table:
             return None
     return len(kernel)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from heiscert.certs import PASS
 from heiscert.convexity import (DEFAULT_RAY_TS, ORBIT_FORMULA, OrbitSample,
-                                extreme_point_certificate, lift_origin,
+                                extreme_point_certificate,
                                 limit_point_certificate, nonneg_certificate,
                                 sample_orbit)
 from heiscert.cone import (flat_segment_certificate, parabolic_fixed_form,
@@ -49,7 +49,9 @@ def test_criterion_01_homomorphism_identities():
 
 def test_criterion_02_orbit_formula():
     g = HeisElement.symbolic(ENTRY_RING)
-    column = THETA(g).apply([ENTRY_RING.const(x) for x in lift_origin()])
+    # theta(g) applied to the lifted origin e10.
+    origin = [ENTRY_RING.const(int(i == 9)) for i in range(10)]
+    column = THETA(g).apply(origin)
     expected = list(ORBIT_FORMULA) + [ENTRY_RING.one()]
     report(2, "symbolic orbit formula", column == expected)
 

@@ -15,8 +15,7 @@ from heiscert.cone import SymForm, form_from_coordinates
 from heiscert.convexity import OrbitSample, limit_point_certificate
 from heiscert.linalg import Matrix
 from heiscert.lp import solve_equality_feasibility
-from heiscert.metric import Halfspace, box, cross_ratio, \
-    hilbert_log_argument
+from heiscert.metric import box, cross_ratio, hilbert_log_argument
 from heiscert.poly import PolyRing
 from heiscert.rationals import format_rational
 from heiscert.suites import CLAIMS, CLAIMS_BY_ID, DEFAULT_SAMPLE_SIZES, \
@@ -213,11 +212,12 @@ RATIONAL_ENTRY_POINTS = {
     "form_from_coordinates": lambda v: form_from_coordinates([v, 0, 1, 0,
                                                                0, 1]),
     "cross_ratio": lambda v: cross_ratio([1, 0], [0, 1], [1, 1], [1, v]),
-    "Halfspace": lambda v: Halfspace([v], 1),
-    "Halfspace.bound": lambda v: Halfspace([1], v),
     "box": lambda v: box([-1], [v]),
+    "box.lows": lambda v: box([v], [1]),
     "hilbert_log_argument": lambda v: hilbert_log_argument(
         UNIT_BOX, [v], [Fraction(1, 4)]),
+    "hilbert_log_argument.y": lambda v: hilbert_log_argument(
+        UNIT_BOX, [Fraction(1, 4)], [v]),
     "OrbitSample": lambda v: OrbitSample([(v, 0, 0)]),
     "limit_point_certificate": lambda v: limit_point_certificate(
         t_values=(v, 10, 100)),

@@ -13,7 +13,6 @@ from heiscert.certs import FAIL, PASS
 from heiscert.convexity import (DEFAULT_RAY_TS, DEFAULT_RAYS, ORBIT_FORMULA,
                                 ORBIT_LIFT, OrbitSample,
                                 extreme_point_certificate,
-                                lift_origin,
                                 limit_point_certificate, nonneg_certificate,
                                 orbit_lift,
                                 proper_convexity_certificate, sample_orbit)
@@ -27,6 +26,8 @@ from test_certs import SEED0_CERTIFICATE_SHA256, _pin
 from test_heis import rational_image, rational_lift
 
 THETA = get_representation("theta")
+# The homogeneous lift of the affine origin, e10.
+ORIGIN = [Fraction(0)] * 9 + [Fraction(1)]
 
 
 def _int_lift(g: HeisElement) -> list[Fraction]:
@@ -41,7 +42,7 @@ def _lift_matrix(parameters) -> Matrix:
 
 
 def test_orbit_of_identity_is_origin():
-    assert _int_lift(HeisElement.identity()) == lift_origin()
+    assert _int_lift(HeisElement.identity()) == ORIGIN
 
 
 def test_orbit_point_explicit_value():
@@ -55,12 +56,12 @@ def test_orbit_equals_matrix_column_sampled():
     stream = RandomStream(17).split("orbit-vs-matrix")
     for _ in range(100):
         g = HeisElement.of(*stream.next_triple())
-        assert rational_image(THETA, g).apply(lift_origin()) == _int_lift(g)
+        assert rational_image(THETA, g).apply(ORIGIN) == _int_lift(g)
 
 
 def test_orbit_equals_matrix_column_symbolic():
     g = HeisElement.symbolic(ENTRY_RING)
-    column = THETA(g).apply([ENTRY_RING.const(x) for x in lift_origin()])
+    column = THETA(g).apply([ENTRY_RING.const(x) for x in ORIGIN])
     assert column == list(ORBIT_FORMULA) + [ENTRY_RING.one()]
 
 

@@ -1,7 +1,6 @@
 """Cross ratio and Hilbert metric: exact values and metric axioms."""
 
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +8,8 @@ from hypothesis import strategies as st
 
 from heiscert.heis import HeisElement, get_representation
 from heiscert.linalg import Matrix, clear_denominators
-from heiscert.metric import (Halfspace, _chord, box, cross_ratio,
-                             hilbert_log_argument, load_polytope)
+from heiscert.metric import (_chord, box, cross_ratio, hilbert_log_argument,
+                             load_polytope)
 from heiscert.rationals import format_rational, to_fraction
 from heiscert.sampler import RandomStream
 from test_heis import rational_image, rational_lift
@@ -88,7 +87,7 @@ def test_exterior_point_rejected():
 
 
 def test_unbounded_chord_rejected():
-    half = [Halfspace([1], 1)]
+    half = [(1, 1)]
     with pytest.raises(ValueError):
         hilbert_log_argument(half, [Fraction(0)], [Fraction(1, 2)])
 
@@ -106,42 +105,25 @@ def test_dimension_mismatch_rejected(x, y):
         hilbert_log_argument(square, x, y)
 
 
-def test_halfspace_constructor_refuses_floats():
-    with pytest.raises(TypeError):
-        Halfspace((0.5,), 1)
-    with pytest.raises(TypeError):
-        Halfspace((1,), 0.5)
+def test_face_builders_refuse_floats():
+    """box refuses a float or bool on either side with TypeError; a
+    polytope file's text is parsed as p/q, so a decimal is refused."""
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            box([bad], [2])
+        with pytest.raises(TypeError):
+            box([-1], [bad])
+    for text in ("0.5 1\n", "1 1e0\n", "1 True\n"):
+        with pytest.raises(ValueError, match="not a rational"):
+            load_polytope(text)
 
 
-def test_halfspace_row_stays_out_of_eq_hash_and_repr():
-    face = Halfspace([Fraction(1, 2), Fraction(-2, 3)], Fraction(5, 4))
-    assert face.row == (6, -8, 15)
-    twin = Halfspace([Fraction(1, 2), Fraction(-2, 3)], Fraction(5, 4))
-    object.__setattr__(twin, "row", (0, 0, 0))
-    assert face == twin
-    assert hash(face) == hash(twin) == hash((face.coeffs, face.bound))
-    assert repr(face) == ("Halfspace(coeffs=(Fraction(1, 2), "
-                          "Fraction(-2, 3)), bound=Fraction(5, 4))")
-
-
-def test_halfspace_is_unequal_to_another_type_with_equal_fields():
-    face = Halfspace([Fraction(1, 2)], Fraction(3))
-    lookalike = SimpleNamespace(coeffs=face.coeffs, bound=face.bound,
-                                row=face.row)
-    assert not face == lookalike
-    assert face != lookalike
-
-
-def box_from_int_lists(lows, highs) -> list[Halfspace]:
-    """box as it was built before its faces shared Fraction constants:
-    from int coefficient lists, which Halfspace converts."""
-    faces = []
-    for i, (lo, hi) in enumerate(zip(lows, highs)):
-        e = [0] * len(lows)
-        e[i] = 1
-        faces.append(Halfspace(e, hi))
-        faces.append(Halfspace([-x for x in e], -to_fraction(lo)))
-    return faces
+def _fraction_face_row(coeffs, bound) -> tuple:
+    """The face coeffs . z <= bound cleared to ints by the lcm of its
+    denominators."""
+    (row,), _ = clear_denominators([[*map(Fraction, coeffs),
+                                     Fraction(bound)]])
+    return tuple(row)
 
 
 box_bound = st.one_of(st.integers(-5, 5),
@@ -152,28 +134,40 @@ box_bound = st.one_of(st.integers(-5, 5),
 @settings(max_examples=100)
 @given(st.lists(st.tuples(box_bound, box_bound).filter(
     lambda pair: pair[0] < pair[1]), min_size=1, max_size=4))
-def test_box_faces_are_fractions_equal_to_int_built_faces(axes):
+def test_box_and_polytope_file_rows_are_the_cleared_fraction_faces(axes):
+    """box's rows, and load_polytope's for the same faces written as
+    text, are the Fraction faces x_i <= hi and -x_i <= -lo cleared by
+    clear_denominators, all ints."""
     lows, highs = (list(side) for side in zip(*axes))
-    faces = box(lows, highs)
-    reference = box_from_int_lists(lows, highs)
-    assert faces == reference
-    assert [face.row for face in faces] == [face.row for face in reference]
-    assert all(type(x) is Fraction
-               for face in faces for x in (*face.coeffs, face.bound))
+    faces = []
+    for i, (lo, hi) in enumerate(axes):
+        e = [0] * len(axes)
+        e[i] = 1
+        faces.append((e, hi))
+        faces.append(([-x for x in e], -lo))
+    expected = [_fraction_face_row(coeffs, bound) for coeffs, bound in faces]
+    text = "".join(" ".join(map(format_rational, [*coeffs, bound])) + "\n"
+                   for coeffs, bound in faces)
+    assert box(lows, highs) == expected
+    assert load_polytope(text) == expected
+    assert all(type(x) is int for row in expected for x in row)
 
 
 def test_polytope_file_parsing():
     faces = load_polytope("1\t1\n-1\t1\n")
-    assert faces == [Halfspace([1], 1), Halfspace([-1], 1)]
+    assert faces == [(1, 1), (-1, 1)]
+    assert load_polytope("1/2 -2/3 5/4\n") == [(6, -8, 15)]
     with pytest.raises(ValueError):
         load_polytope("")
     with pytest.raises(ValueError):
         load_polytope("1 2 3\n1 2\n")
+    with pytest.raises(ValueError, match="coefficients and a bound"):
+        load_polytope("1\n")
 
 
 def test_polytope_file_skips_comments_indented_or_not():
     text = "# box\n1\t1\n   # indented comment\n\n-1\t1\n"
-    assert load_polytope(text) == [Halfspace([1], 1), Halfspace([-1], 1)]
+    assert load_polytope(text) == [(1, 1), (-1, 1)]
     with pytest.raises(ValueError, match="empty"):
         load_polytope("  # only a comment\n")
 
@@ -181,6 +175,14 @@ def test_polytope_file_skips_comments_indented_or_not():
 @pytest.mark.parametrize("lows, highs", [([1], [1]), ([0, -2], [1, -2])])
 def test_box_refuses_an_empty_axis(lows, highs):
     with pytest.raises(ValueError, match="lo < hi"):
+        box(lows, highs)
+
+
+@pytest.mark.parametrize("lows, highs", [([-1, -1], [1]), ([-1], [1, 1]),
+                                         ([], [1])])
+def test_box_refuses_sides_of_different_lengths(lows, highs):
+    # Zipped, [-1, -1] and [1] would make a slab, unbounded along axis 2.
+    with pytest.raises(ValueError, match="as many lows as highs"):
         box(lows, highs)
 
 
@@ -232,14 +234,15 @@ def _fraction_chord(polytope, x, y):
 
 def _reference_chord(polytope, x, y):
     """Reference oracle: the chord parameters in plain Fraction arithmetic,
-    after the same interior checks, face by face and x before y."""
+    after the same interior checks, face by face and x before y.  Each
+    face is a row [a | b], read as coefficients a and bound b."""
     def value(face, point):
-        return sum(c * v for c, v in zip(face.coeffs, point))
+        return sum(c * v for c, v in zip(face[:-1], point))
 
     for face in polytope:
-        if not value(face, x) < face.bound:
+        if not value(face, x) < face[-1]:
             raise ValueError("x is not interior to the polytope")
-        if not value(face, y) < face.bound:
+        if not value(face, y) < face[-1]:
             raise ValueError("y is not interior to the polytope")
     direction = [b - a for a, b in zip(x, y)]
     s_low = s_high = None
@@ -247,7 +250,7 @@ def _reference_chord(polytope, x, y):
         rate = value(face, direction)
         if rate == 0:
             continue
-        limit = (face.bound - value(face, x)) / rate
+        limit = Fraction(face[-1] - value(face, x)) / rate
         if rate > 0:
             s_high = limit if s_high is None else min(s_high, limit)
         else:
@@ -292,7 +295,7 @@ def polytope_with_chord(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=5))):
         coeffs = draw(st.lists(coefficient, min_size=dim, max_size=dim))
         bound = max(sum(c * v for c, v in zip(coeffs, p)) for p in (x, y))
-        faces.append(Halfspace(coeffs, bound + draw(slacks)))
+        faces.append(_fraction_face_row(coeffs, bound + draw(slacks)))
     if draw(st.booleans()):
         faces += box([v - 3 for v in x], [v + 3 for v in x])
     return draw(st.permutations(faces)), x, y

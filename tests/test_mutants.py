@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from heiscert import heis, restriction
+from heiscert import heis
 from heiscert.certs import FAIL, PASS
 from heiscert.heis import ENTRY_RING, HeisElement, Representation, \
     get_representation
@@ -85,15 +85,6 @@ def _mutant(name: str, row: int, col: int, delta) -> Representation:
     return Representation(name, shipped.dimension, Matrix(entries))
 
 
-@pytest.fixture
-def fresh_restriction_image():
-    """restriction caches rho14's table times the subspace basis; drop it
-    on both sides of a test that patches the table."""
-    restriction._symbolic_image.cache_clear()
-    yield
-    restriction._symbolic_image.cache_clear()
-
-
 def test_jordan_claims_fail_on_the_identity_table(monkeypatch):
     """The identity table loads (it is unit upper triangular) and is a
     homomorphism, but every element's image is I: its partitions are
@@ -107,15 +98,13 @@ def test_jordan_claims_fail_on_the_identity_table(monkeypatch):
     assert _verdicts(JORDAN_CLAIMS) == dict.fromkeys(JORDAN_CLAIMS, FAIL)
 
 
-def test_no_claim_fails_on_the_shipped_tables(fresh_restriction_image):
+def test_no_claim_fails_on_the_shipped_tables():
     assert _failing_claims() == set()
 
 
 @pytest.mark.parametrize("mutation, kills", KILL_MATRIX,
                          ids=[f"{m[0]}-{m[1]}-{m[2]}" for m, _ in KILL_MATRIX])
-def test_kill_matrix_pins_the_exact_fail_set(monkeypatch,
-                                             fresh_restriction_image,
-                                             mutation, kills):
+def test_kill_matrix_pins_the_exact_fail_set(monkeypatch, mutation, kills):
     name = mutation[0]
     monkeypatch.setitem(heis._CACHE, name, _mutant(*mutation))
     assert _failing_claims() == kills
@@ -123,14 +112,12 @@ def test_kill_matrix_pins_the_exact_fail_set(monkeypatch,
 
 @pytest.mark.parametrize("build", [_theta_after_automorphism,
                                    _theta_conjugated_by_diagonal])
-def test_faithful_twins_of_theta_pin_the_exact_fail_set(
-        monkeypatch, fresh_restriction_image, build):
+def test_faithful_twins_of_theta_pin_the_exact_fail_set(monkeypatch, build):
     monkeypatch.setitem(heis._CACHE, "theta", build())
     assert _failing_claims() == FAITHFUL_KILLS
 
 
-def test_rho14_mutant_fails_the_restriction_with_its_checks(
-        monkeypatch, fresh_restriction_image):
+def test_rho14_mutant_fails_the_restriction_with_its_checks(monkeypatch):
     """The symbolic recheck of the intertwiner kernel fails on the
     rho14 (1,10) mutant: the claim FAILs with its checks dict, no
     crash, and the checks name what broke."""
@@ -144,6 +131,21 @@ def test_rho14_mutant_fails_the_restriction_with_its_checks(
     assert witnesses["intertwiner_space_dimension"] is None
     assert {key for key, ok in witnesses["checks"].items() if not ok} == \
         {"conjugate_to_theta", "induced_multiplicative"}
+
+
+def test_restriction_reads_the_table_in_force_at_each_run(monkeypatch):
+    """restrict.conjugate_to_theta on the shipped rho14, then on the
+    (1,10) mutant, then on the shipped table again, with nothing
+    cleared between runs: each run reads the table then in force."""
+    claim = CLAIMS_BY_ID["restrict.conjugate_to_theta"]
+    shipped = get_representation("rho14")
+    verdicts = [claim.run(RunConfig(seed=0)).verdict]
+    monkeypatch.setitem(heis._CACHE, "rho14",
+                        _mutant("rho14", 1, 10, _A ** 4 * Fraction(1, 24)))
+    verdicts.append(claim.run(RunConfig(seed=0)).verdict)
+    monkeypatch.setitem(heis._CACHE, "rho14", shipped)
+    verdicts.append(claim.run(RunConfig(seed=0)).verdict)
+    assert verdicts == [PASS, FAIL, PASS]
 
 
 def test_a_constant_off_the_diagonal_does_not_load():

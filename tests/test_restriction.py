@@ -10,18 +10,31 @@ import pytest
 
 from heiscert import restriction
 from heiscert.heis import ENTRY_RING, HeisElement, get_representation, \
-    heis_mul, one_parameter_power
+    heis_mul, one_parameter_power, symbolic_pair
 from heiscert.linalg import Matrix
 from heiscert.poly import PolyRing
-from heiscert.restriction import (derive_subspace_basis, growth_certificate,
-                                  induced_matrix, intertwiner_dimension,
+from heiscert.restriction import (FREE_COORDINATES, derive_subspace_basis,
+                                  growth_certificate, induced_plan,
+                                  intertwiner_dimension,
                                   restriction_certificate,
                                   subspace_equations)
+from test_heis import rational_image
 
 THETA = get_representation("theta")
 RHO14 = get_representation("rho14")
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / \
     "rederive_witnesses.py"
+
+
+def induced_matrix(g: HeisElement) -> Matrix:
+    """Reference: the free coordinate rows of rho14(g) times the
+    subspace basis, the matrix of g acting in that basis."""
+    image = RHO14(g) * derive_subspace_basis()
+    return Matrix([image.row(f - 1) for f in FREE_COORDINATES])
+
+
+def shipped_plan():
+    return induced_plan(RHO14.table * derive_subspace_basis())
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +103,28 @@ def test_matrix_text_round_trip(rederive):
     assert Matrix.from_text(rederive.to_text(m)) == m
 
 
+def test_induced_plan_is_the_free_rows_of_rho14_times_the_basis():
+    """At the generic element, the plan's polynomials; at each element of
+    a symbolic pair and at their product, its specialization; at the
+    generators and one rational point, its int values over d: each
+    equals the free rows of RHO14(g) * B."""
+    plan = shipped_plan()
+    n = 10
+    generic = induced_matrix(HeisElement.symbolic(ENTRY_RING)).entries
+    assert plan.polys == tuple(p for row in generic for p in row)
+    g, h = symbolic_pair()
+    for element in (g, h, heis_mul(g, h)):
+        flat = plan.specialize(element)
+        assert Matrix([flat[i:i + n] for i in range(0, n * n, n)]) == \
+            induced_matrix(element)
+    basis = derive_subspace_basis()
+    for point in ((1, 0, 0), (0, 1, 0), (Fraction(-3, 2), 2, Fraction(1, 5))):
+        values, d = plan.integer_values(HeisElement.of(*point))
+        image = rational_image(RHO14, point) * basis
+        assert [Fraction(x, d) for x in values] == \
+            [x for f in FREE_COORDINATES for x in image.row(f - 1)]
+
+
 def test_induced_action_is_multiplicative():
     ring = PolyRing("a", "b", "c", "a'", "b'", "c'")
     g = HeisElement.symbolic(ring, ("a", "b", "c"))
@@ -115,14 +150,14 @@ def test_restriction_certificate_passes():
 def test_intertwiner_space_dimension():
     # larger than 1: the conjugator is canonical only through the
     # orbit-matching construction, not by Schur-style uniqueness
-    assert intertwiner_dimension() == 9
+    assert intertwiner_dimension(shipped_plan()) == 9
 
 
 def test_intertwiner_kernel_is_reverified_symbolically(monkeypatch):
     # The identity does not intertwine the induced action with theta.
     identity = [int(k % 11 == 0) for k in range(100)]
     monkeypatch.setattr(restriction, "integer_kernel", lambda rows: [identity])
-    assert intertwiner_dimension() is None
+    assert intertwiner_dimension(shipped_plan()) is None
 
 
 def test_growth_certificate():
