@@ -96,6 +96,21 @@ def test_run_config_refuses_a_seed_outside_64_bits(seed):
         RunConfig(seed=seed)
 
 
+@pytest.mark.parametrize("seed", [True, False, 2.0, Fraction(2)])
+def test_seed_that_is_not_an_int_is_refused_before_any_draw(seed,
+                                                          monkeypatch):
+    # A run at seed True would write the seed "True" and split its
+    # streams off "True:<claim>", not off seed 1; replay refuses that.
+    def refuse(self, first):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(RandomStream, "block", refuse)
+    for make in (lambda: RunConfig(seed=seed), lambda: RandomStream(seed),
+                 lambda: convexity.sample_orbit(4, seed)):
+        with pytest.raises(TypeError, match="not an int"):
+            make()
+
+
 # Instants whose binary float is exact or within a microsecond's half;
 # the first two are whole seconds, where isoformat drops the microseconds.
 @pytest.mark.parametrize("instant", [
@@ -754,10 +769,10 @@ def test_orbit_count_outside_distinct_triples_exits_2(count, capsys,
                                                       monkeypatch):
     # 85 sampled values give 85**3 = 614125 distinct triples; a larger
     # count can never be drawn, and a negative one is no count at all.
-    def refuse(self):
+    def refuse(self, first):
         raise AssertionError("a sample was drawn")
 
-    monkeypatch.setattr(RandomStream, "next_u64", refuse)
+    monkeypatch.setattr(RandomStream, "block", refuse)
     assert main(["orbit", "--count", count]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

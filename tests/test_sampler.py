@@ -3,15 +3,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heiscert.sampler import GAMMA, MASK64, MAX_DEN, MAX_NUM, RandomStream
+from heiscert.sampler import (BLOCK, FRACTIONS, GAMMA, MASK64, MAX_DEN,
+                              MAX_NUM, RandomStream)
 
 
 def mix64(x: int) -> int:
     """Oracle: the SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA
-    2014), written apart from RandomStream.next_u64."""
+    2014), written apart from RandomStream.block."""
     x &= MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
@@ -19,11 +20,63 @@ def mix64(x: int) -> int:
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, MASK64), st.integers(1, 40))
+@given(st.integers(0, MASK64), st.integers(1, 4 * BLOCK + 5))
+@example(0, 4 * BLOCK + 5)  # four block boundaries crossed
+@example(MASK64, 4 * BLOCK + 5)
 def test_next_u64_is_splitmix64_of_the_counter(seed, draws):
     stream = RandomStream(seed)
     assert [stream.next_u64() for _ in range(draws)] == \
         [mix64(seed + i * GAMMA) for i in range(1, draws + 1)]
+    assert stream._counter == draws
+
+
+class ReferenceStream:
+    """The scalar stream, one mix64 per draw, with no block."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self._counter = 0
+
+    def next_u64(self):
+        self._counter += 1
+        return mix64(self.seed + self._counter * GAMMA)
+
+    def next_int(self, lo, hi):
+        return lo + self.next_u64() % (hi - lo + 1)
+
+    def next_fraction(self):
+        row = FRACTIONS[self.next_u64() % len(FRACTIONS)]
+        return row[self.next_u64() % MAX_DEN]
+
+    def next_triple(self, nonzero=False):
+        while True:
+            triple = tuple(self.next_fraction() for _ in range(3))
+            if not nonzero or any(triple):
+                return triple
+
+    def distinct_triples(self, count, nonzero=False):
+        return _fraction_keyed(self, count, nonzero)
+
+
+calls = st.one_of(
+    st.tuples(st.just("next_u64")),
+    st.tuples(st.just("next_int"), st.integers(-5, 5), st.integers(5, 9)),
+    st.tuples(st.just("next_fraction")),
+    st.tuples(st.just("next_triple"), st.booleans()),
+    st.tuples(st.just("distinct_triples"), st.integers(0, 12),
+              st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, MASK64) | st.sampled_from([0, MASK64]),
+       st.lists(calls, max_size=60))
+def test_interleaved_draws_match_the_scalar_reference(seed, script):
+    stream, reference = RandomStream(seed), ReferenceStream(seed)
+    for name, *args in script:
+        assert getattr(stream, name)(*args) == \
+            getattr(reference, name)(*args)
+        assert stream._counter == reference._counter
+    assert stream.next_u64() == reference.next_u64()
 
 
 def test_streams_with_equal_seeds_agree():
@@ -73,19 +126,22 @@ def test_fraction_bounds():
 @pytest.mark.parametrize("seed", [0, 11, 12345, MASK64])
 def test_next_fraction_equals_two_next_int_draws(seed, monkeypatch):
     """Each draw is Fraction(next_int(-12, 12), next_int(1, 5)) of a twin
-    stream, and takes exactly two next_u64 calls."""
+    stream, and takes exactly two draws, all of them from blocks."""
     stream, twin = RandomStream(seed), RandomStream(seed)
-    original = RandomStream.next_u64
-    calls = []
-    monkeypatch.setattr(RandomStream, "next_u64",
-                        lambda self: calls.append(self) or original(self))
+    original = RandomStream.block
+    blocks = []
+    monkeypatch.setattr(RandomStream, "block", lambda self, first:
+                        blocks.append((self, first)) or original(self, first))
     draws = 3000
     for _ in range(draws):
         f = stream.next_fraction()
         assert type(f) is Fraction
         assert f == Fraction(twin.next_int(-MAX_NUM, MAX_NUM),
                              twin.next_int(1, MAX_DEN))
-    assert sum(s is stream for s in calls) == 2 * draws
+    assert stream._counter == twin._counter == 2 * draws
+    # Two draws never straddle a block: 6000 draws fill 94 blocks.
+    assert [first for s, first in blocks if s is stream] == \
+        [1 + BLOCK * k for k in range(-(-2 * draws // BLOCK))]
 
 
 def test_nonzero_triples():
@@ -103,17 +159,22 @@ def test_distinct_triples():
 
 class ScriptedStream(RandomStream):
     """A stream whose first draws are the given values, counted like
-    real draws; then it draws its seed's own values."""
+    real draws; then it draws its seed's own values.  The script replaces
+    the first lanes of the blocks the stream computes."""
 
     def __init__(self, seed, script):
         super().__init__(seed)
-        self.script = list(script)
+        self.scripted = list(script)
 
-    def next_u64(self):
-        if self.script:
-            self._counter += 1
-            return self.script.pop(0)
-        return super().next_u64()
+    @property
+    def script(self):
+        """The scripted values not drawn yet."""
+        return self.scripted[self._counter:]
+
+    def block(self, first):
+        own = super().block(first)
+        head = self.scripted[first - 1:first - 1 + BLOCK]
+        return tuple(head) + own[len(head):]
 
 
 def _cell_draws(*values):
@@ -165,7 +226,7 @@ def test_distinct_triples_match_fraction_keyed_reference(seed, count,
     assert stream._counter == twin._counter
 
 
-def _refuse_draws(self):
+def _refuse_draws(self, first):
     raise AssertionError("a sample was drawn")
 
 
@@ -182,7 +243,7 @@ def test_distinct_triples_refuses_a_count_it_cannot_draw(count, nonzero,
                                                         monkeypatch):
     # No draw could ever complete such a count, so none is made.
     assert VALUES == 85
-    monkeypatch.setattr(RandomStream, "next_u64", _refuse_draws)
+    monkeypatch.setattr(RandomStream, "block", _refuse_draws)
     bound = VALUES ** 3 - nonzero
     with pytest.raises(ValueError, match=rf"outside \[0, {bound}\]"):
         RandomStream(15).distinct_triples(count, nonzero=nonzero)
