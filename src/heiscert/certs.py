@@ -5,11 +5,11 @@ witnesses that support it and the inputs (plus generator seed) needed to
 recompute it from scratch.  Serialization is canonical JSON - sorted
 keys, fixed separators, rationals as "p/q" strings - so identical runs
 produce byte-identical files and any edit is detectable through the
-inputs digest.  jsonable dispatches on exact types and refuses unknown
-ones, and any dict key that is not a str; to_json joins each container's
-text once, giving the bytes of json.dumps(sort_keys=True, indent=2).
-reproduced_by compares a stored body with a recomputed one as canonical
-JSON text, and walks the stored body with jsonable only when they differ.
+inputs digest.  One writer, _json_text, converts exact values as it
+writes them and gives both to_json's indented bytes and the compact
+canonical text.  reproduced_by compares a stored body with a recomputed
+one as canonical JSON text, and writes the stored body only when they
+differ.
 """
 
 from __future__ import annotations
@@ -26,62 +26,50 @@ PASS = "PASS"
 FAIL = "FAIL"
 
 
-def jsonable(value: Any) -> Any:
-    """Recursively convert exact values into JSON-safe primitives.  A
-    Poly is written as str(p); any other type outside the JSON ones and
-    Fraction, floats included, raises TypeError, and so does a dict key
+def _json_text(value: Any, newline: str) -> str:
+    """The JSON text of an exact value: json.dumps(sort_keys=True,
+    indent=2) of it, newline being the line break plus the indentation
+    of the line value starts on, or with newline "" the compact
+    canonical text, separators (",", ":").  A Fraction or a Poly is
+    written as its str and a tuple as a list; any other type outside the
+    JSON ones, floats included, raises TypeError, and so does a dict key
     that is not a str (json.dumps would write True as "true", str() as
     "True")."""
-    kind = type(value)
-    if kind is Fraction:
-        return str(value)
-    if kind is int or kind is str or kind is bool or value is None:
-        return value
-    if kind is list or kind is tuple:
-        return [jsonable(v) for v in value]
-    if kind is dict:
-        if not all(type(k) is str for k in value):
-            raise TypeError("cannot write a key that is not a str into a "
-                            "certificate")
-        return {k: jsonable(v) for k, v in value.items()}
-    if kind is Poly:
-        return str(value)
-    raise TypeError(f"cannot write a {kind.__name__} into a certificate")
-
-
-def _indented(value: Any, newline: str) -> str:
-    """json.dumps(value, sort_keys=True, indent=2) of what jsonable
-    returns, one join per container; newline is the line break plus the
-    indentation of the line value starts on."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is int:
         return int.__repr__(value)
-    if kind is list:
+    if kind is Fraction or kind is Poly:
+        return encode_basestring_ascii(str(value))
+    if kind is list or kind is tuple:
         if not value:
             return "[]"
-        inner = newline + "  "
+        inner = newline and newline + "  "
         return "[" + inner + ("," + inner).join(
-            [_indented(v, inner) for v in value]) + newline + "]"
+            [_json_text(v, inner) for v in value]) + newline + "]"
     if kind is dict:
         if not value:
             return "{}"
-        inner = newline + "  "
+        if not all(type(k) is str for k in value):
+            raise TypeError("cannot write a key that is not a str into a "
+                            "certificate")
+        inner = newline and newline + "  "
+        colon = ": " if newline else ":"
         return "{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(k) + ": " + _indented(value[k], inner)
+            [encode_basestring_ascii(k) + colon + _json_text(value[k], inner)
              for k in sorted(value)]) + newline + "}"
     if kind is bool or value is None:
         return "null" if value is None else "true" if value else "false"
-    raise TypeError(f"{kind.__name__} is not JSON: {value!r}")
+    raise TypeError(f"cannot write a {kind.__name__} into a certificate")
 
 
-def canonical_json(converted: Any) -> str:
-    return json.dumps(converted, sort_keys=True, separators=(",", ":"))
+def canonical_json(parsed: Any) -> str:
+    return json.dumps(parsed, sort_keys=True, separators=(",", ":"))
 
 
 def digest(data: Any) -> str:
-    return _sha256(canonical_json(jsonable(data)))
+    return _sha256(_json_text(data, ""))
 
 
 def _sha256(text: str) -> str:
@@ -102,21 +90,23 @@ class Certificate:
         self.anchor = anchor
         self.timestamp = timestamp
 
-    def to_dict(self) -> dict:
-        inputs = jsonable(self.inputs)
+    def _body(self) -> dict:
         return {
             "claim": self.claim,
             "verdict": self.verdict,
-            "witnesses": jsonable(self.witnesses),
-            "inputs": inputs,
+            "witnesses": self.witnesses,
+            "inputs": self.inputs,
             "seed": self.seed,
-            "inputs_digest": _sha256(canonical_json(inputs)),
+            "inputs_digest": _sha256(_json_text(self.inputs, "")),
             "paper_anchor": self.anchor,
             "timestamp": self.timestamp,
         }
 
+    def to_dict(self) -> dict:
+        return json.loads(_json_text(self._body(), ""))
+
     def to_json(self) -> str:
-        return _indented(self.to_dict(), "\n") + "\n"
+        return _json_text(self._body(), "\n") + "\n"
 
     @staticmethod
     def from_dict(data: dict) -> "Certificate":
@@ -156,11 +146,12 @@ class Certificate:
         whose inputs_digest field is given, against a recomputed one: same
         iff the digest is intact and the comparable() bodies are equal as
         JSON text, so a stored 1 differs from a recomputed True.  Each
-        side's inputs and witnesses are written as canonical JSON once; a
-        stored body that differs is then converted, and one jsonable
-        refuses (a float, nesting too deep) raises ValueError."""
-        inputs = canonical_json(jsonable(recomputed.inputs))
-        witnesses = canonical_json(jsonable(recomputed.witnesses))
+        side's inputs and witnesses are written as canonical JSON once,
+        the stored side by json.dumps; a stored body that differs is then
+        written by the certificate writer, and one it refuses (a float,
+        nesting too deep) raises ValueError."""
+        inputs = _json_text(recomputed.inputs, "")
+        witnesses = _json_text(recomputed.witnesses, "")
         try:
             stored_inputs = canonical_json(self.inputs)
             digest_ok = _sha256(stored_inputs) == inputs_digest
@@ -170,7 +161,7 @@ class Certificate:
                     == (recomputed.claim, recomputed.verdict,
                         recomputed.seed, recomputed.anchor))
             if not same:
-                self.comparable()
+                self.to_json()
         except (TypeError, RecursionError) as exc:
             raise ValueError(f"malformed stored certificate for "
                              f"{self.claim}: {exc}") from exc

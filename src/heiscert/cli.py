@@ -104,7 +104,11 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_jordan(args) -> int:
-    a, b, c = _parse_point(args.element)
+    element = _parse_point(args.element)
+    if len(element) != 3:
+        raise ValueError(f"--element takes three rationals a,b,c, not "
+                         f"{args.element!r}")
+    a, b, c = element
     rep = get_representation(args.rep)
     partition = jordan_partition(rep.nilpotent_ranks(HeisElement.of(a, b, c)))
     print(f"{args.rep}({format_rational(a)},{format_rational(b)},"

@@ -6,14 +6,15 @@ group whose first coordinate eventually dominates every other one.  This
 module certifies, in exact arithmetic: the closed orbit formula, the
 fixed point and hyperplane at infinity, domination along rays to
 infinity, proper convexity (the hull stays in {x1 >= 0}) and extremality
-of sampled orbit points.  A point is extreme when a functional
-separates it from the others: separates() checks one found earlier on
-ints with verify_farkas, the one Farkas check, which the lp simplex
-shares, and extreme_point_certificate() finds one by exact LP, or the
-convex-combination weights that show none exists; it alone imports
-lp, at call time.  Each claim check returns (ok, witnesses); the
-per-point extreme_point_certificate returns its verdict and that
-point's entry in the claim's witnesses.
+of sampled orbit points (HULL_SAMPLE and EXTREME_SAMPLE, drawn where
+used).  A point is extreme when a functional separates it from the
+others: separates() checks one found earlier on ints with verify_farkas,
+the one Farkas check, which the lp simplex shares, and
+extreme_point_certificate() finds one by exact LP, or the
+convex-combination weights that show none exists; it alone imports lp,
+at call time.  Each claim check returns (ok, witnesses); the per-point
+extreme_point_certificate returns its verdict and that point's entry in
+the claim's witnesses.
 The closed formula is checked against theta's last column: the lifted
 origin is e10, and theta(g) e10 is that column, read off the table with
 no product.  The lifted formula is compiled once into a heis.EntryPlan,
@@ -39,7 +40,7 @@ from typing import Sequence
 from .heis import ENTRY_RING, EntryPlan, HeisElement, get_representation
 from .linalg import clear_denominators
 from .poly import Poly, PolyRing
-from .rationals import format_rational, parse_rational, to_fraction
+from .rationals import format_rational, to_fraction
 from .sampler import RandomStream
 
 # A column of [A | b] as ints over one positive scale: (ints, scale)
@@ -184,7 +185,7 @@ def limit_point_certificate(rays: Sequence[Sequence[Poly]] = DEFAULT_RAYS,
 # -- orbit samples ------------------------------------------------------------
 
 class OrbitSample:
-    """Distinct orbit parameters (a, b, c), sampled or read from a file."""
+    """Distinct orbit parameters (a, b, c)."""
 
     def __init__(self, parameters: Sequence[tuple]):
         parameters = [tuple(to_fraction(x) for x in p) for p in parameters]
@@ -218,21 +219,19 @@ class OrbitSample:
                             for p in self.parameters)]
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def from_csv(text: str) -> "OrbitSample":
-        header, *rows = text.splitlines() or [""]
-        if header != "a,b,c":
-            raise ValueError("orbit sample CSV must have header a,b,c")
-        params = [tuple(parse_rational(cell) for cell in row.split(","))
-                  for row in rows if row]
-        return OrbitSample(params)
-
 
 def sample_orbit(count: int, seed: int, label: str = "orbit",
                  nonzero: bool = False) -> OrbitSample:
     stream = RandomStream(seed).split(label)
     params = stream.distinct_triples(count, nonzero=nonzero)
     return OrbitSample(params)
+
+
+# sample_orbit's arguments for the two samples the hull claims read:
+# hull.dimension's frozen ten points, and the points hull.extreme_points
+# separates with the shipped functionals.
+HULL_SAMPLE = (10, 0, "hull", False)
+EXTREME_SAMPLE = (20, 0, "extreme", True)
 
 
 def proper_convexity_certificate() -> tuple[bool, dict]:

@@ -7,10 +7,11 @@ sampled claim draws its inputs with sample(stream, count), where the
 stream is split off the seed with the claim id as its label, so the
 streams of different claims are independent and results do not depend
 on execution order, and the count is the constant
-DEFAULT_SAMPLE_SIZES[claim id]; a fixed claim computes its own inputs.
-Either way a check sees only values its claim drew or computed, never
-stored JSON.  `_claim` turns that pair into the registry's run(config)
-entry point, and `_certificate` is the one place a Certificate is built.
+DEFAULT_SAMPLE_SIZES[claim id]; a fixed claim computes its own inputs,
+and the hull claims draw their orbit samples at seed 0.  Either way a
+check sees only values its claim drew or computed, never stored JSON.
+`_claim` turns that pair into the registry's run(config) entry point,
+and `_certificate` is the one place a Certificate is built.
 
 Replay re-runs the claim at the stored seed and compares the JSON text
 of the two certificates, so it never evaluates stored inputs: a sampled
@@ -49,8 +50,8 @@ from .linalg import Matrix, integer_det, integer_product, jordan_partition
 from .metric import box, cross_ratio, hilbert_log_argument
 from .sampler import RandomStream, check_seed
 
-SUITE_ORDER = ("reps", "jordan", "orbit", "hull", "restrict", "cone",
-               "growth", "hilbert")
+SUITE_ORDER = ("reps", "jordan", "orbit", "hull", "restrict", "growth",
+               "cone", "hilbert")
 
 DEFAULT_SAMPLE_SIZES = {
     "jordan.unique_odd_largest": 200,
@@ -206,11 +207,6 @@ def _equivariance(pairs: list[list[tuple]]):
 
 # -- hull ---------------------------------------------------------------------
 
-def _frozen_parameters(name: str) -> list[tuple]:
-    return convexity.OrbitSample.from_csv(
-        (DATA_DIR / name).read_text()).parameters
-
-
 def _lift_det(raw) -> Fraction:
     """Determinant of the ten distinct orbit lifts of raw (else raises),
     det(R) / prod(d_i) for the lifts R_i / d_i from the orbit plan, R's
@@ -222,7 +218,8 @@ def _lift_det(raw) -> Fraction:
 
 
 def _hull_dimension_sample(stream: RandomStream, count: int) -> dict:
-    return {"frozen": _frozen_parameters("hull_sample.csv"),
+    frozen = convexity.sample_orbit(*convexity.HULL_SAMPLE)
+    return {"frozen": frozen.parameters,
             "fresh": [stream.distinct_triples(10) for _ in range(count)]}
 
 
@@ -245,7 +242,8 @@ def _degenerate_center(parameters: list[tuple]):
 
 
 def _extreme_points_inputs() -> dict:
-    return {"parameters": _frozen_parameters("extreme_sample.csv")}
+    return {"parameters": convexity.sample_orbit(
+        *convexity.EXTREME_SAMPLE).parameters}
 
 
 def _extreme_points(parameters: list[tuple]):
@@ -294,8 +292,8 @@ GRAM_VALUES = tuple(map(Fraction, range(-27, 28)))
 def _random_pd_form(stream: RandomStream) -> list[list[Fraction]]:
     # R^T R is positive definite whenever det R != 0.  Its six distinct
     # entries are the dot products of R's columns (a, d, g), (b, e, h)
-    # and (c, f, i), read as Fractions from GRAM_VALUES, which jsonable
-    # writes as "p/q" strings.
+    # and (c, f, i), read as Fractions from GRAM_VALUES, which the
+    # certificate writer writes as "p/q" strings.
     while True:
         a, b, c, d, e, f, g, h, i = r = [stream.next_int(-3, 3)
                                          for _ in range(9)]

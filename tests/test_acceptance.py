@@ -9,15 +9,16 @@ import json
 from fractions import Fraction
 
 from heiscert.certs import PASS
-from heiscert.convexity import (DEFAULT_RAY_TS, ORBIT_FORMULA, OrbitSample,
+from heiscert.convexity import (DEFAULT_RAY_TS, EXTREME_SAMPLE,
+                                HULL_SAMPLE, ORBIT_FORMULA, OrbitSample,
                                 extreme_point_certificate,
                                 limit_point_certificate, nonneg_certificate,
                                 sample_orbit)
 from heiscert.cone import (flat_segment_certificate, parabolic_fixed_form,
                            pd_preservation_certificate,
                            sym_square_match_certificate)
-from heiscert.heis import (DATA_DIR, ENTRY_RING, HeisElement,
-                           get_representation, verify_homomorphism)
+from heiscert.heis import (ENTRY_RING, HeisElement, get_representation,
+                           verify_homomorphism)
 from heiscert.linalg import Matrix
 from heiscert.metric import box, cross_ratio, hilbert_log_argument
 from heiscert.restriction import (growth_certificate,
@@ -73,7 +74,7 @@ def test_criterion_03_jordan_claim():
 
 
 def test_criterion_04_hull_dimension():
-    frozen = OrbitSample.from_csv((DATA_DIR / "hull_sample.csv").read_text())
+    frozen = sample_orbit(*HULL_SAMPLE)
     ok = _lift_det(frozen) != 0
     for seed in range(1, 21):
         ok = ok and _lift_det(sample_orbit(10, seed, "hull")) != 0
@@ -152,8 +153,7 @@ def test_criterion_10_cone_picture():
 
 
 def test_criterion_11_extreme_points():
-    sample = OrbitSample.from_csv(
-        (DATA_DIR / "extreme_sample.csv").read_text())
+    sample = sample_orbit(*EXTREME_SAMPLE)
     ok = len(sample) == 20
     for index in range(len(sample)):
         ok = ok and extreme_point_certificate(sample, index)[0]

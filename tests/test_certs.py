@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heiscert.certs import PASS, Certificate, _indented, canonical_json, \
-    digest, jsonable
+from heiscert.certs import PASS, Certificate, _json_text, canonical_json, \
+    digest
 from heiscert.cone import SymForm, form_from_coordinates
 from heiscert.convexity import OrbitSample, limit_point_certificate
 from heiscert.linalg import Matrix
@@ -92,27 +92,29 @@ SEED23_SAMPLED_CERTIFICATE_SHA256 = {
 
 
 def test_fractions_serialize_as_strings():
-    assert jsonable(Fraction(3, 2)) == "3/2"
-    assert jsonable(Fraction(-4)) == "-4"
-    assert jsonable({"x": [Fraction(1, 3), 2]}) == {"x": ["1/3", 2]}
+    assert _json_text(Fraction(3, 2), "") == '"3/2"'
+    assert _json_text(Fraction(-4), "") == '"-4"'
+    assert _json_text({"x": [Fraction(1, 3), 2]}, "") == '{"x":["1/3",2]}'
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-10**30, 10**30), st.integers(1, 10**30),
        st.booleans())
 def test_fractions_are_written_as_p_over_q(num, den, integral):
-    """jsonable and format_rational write n/d, or n when d = 1, with
-    negative and integral values drawn alike."""
+    """The certificate writer and format_rational write n/d, or n when
+    d = 1, with negative and integral values drawn alike."""
     value = Fraction(num) if integral else Fraction(num, den)
     n, d = value.numerator, value.denominator
     spelled = str(n) if d == 1 else f"{n}/{d}"
-    assert jsonable(value) == format_rational(value) == spelled
+    assert _json_text(value, "") == json.dumps(format_rational(value)) \
+        == json.dumps(spelled)
 
 
 def test_floats_are_rejected():
     # Serialization, the wire format and exact elimination all refuse
     # inexact values (and bool, which is an int subclass).
-    for convert in (lambda: jsonable({"bad": 0.5}),
+    for convert in (lambda: _json_text({"bad": 0.5}, ""),
+                    lambda: _json_text({"bad": 0.5}, "\n"),
                     lambda: format_rational(0.1),
                     lambda: Matrix([[0.5]]).rank(),
                     lambda: Matrix([[True]]).rank()):
@@ -124,9 +126,10 @@ def test_floats_are_rejected():
                          ids=["set", "object", "float"])
 def test_jsonable_refuses_unknown_types(value):
     # A set would be written in hash order, so its bytes could change
-    # from run to run.
-    with pytest.raises(TypeError):
-        jsonable({"x": [value]})
+    # from run to run.  Both layouts of the certificate writer refuse.
+    for newline in ("", "\n"):
+        with pytest.raises(TypeError):
+            _json_text({"x": [value]}, newline)
 
 
 @pytest.mark.parametrize("key", [0.5, True, 1, (1, 2), None],
@@ -134,13 +137,18 @@ def test_jsonable_refuses_unknown_types(value):
 def test_jsonable_refuses_non_str_keys(key):
     # str() would write a float key as "0.5", True as "True" where
     # json.dumps writes "true", and a tuple as "(1, 2)".
-    with pytest.raises(TypeError, match="key"):
-        jsonable({"x": {key: 1}})
+    for newline in ("", "\n"):
+        with pytest.raises(TypeError, match="key"):
+            _json_text({"x": {key: 1}}, newline)
 
 
 def test_jsonable_writes_poly_as_text():
+    # A Poly is written as its str, a tuple as a list.
     p = PolyRing("a", "b").parse("3/2*a^2*b - b + 1")
-    assert jsonable({"p": (p,)}) == {"p": [str(p)]}
+    for newline, layout in (("", {"separators": (",", ":")}),
+                            ("\n", {"indent": 2})):
+        assert _json_text({"p": (p,)}, newline) == \
+            json.dumps({"p": [str(p)]}, **layout)
 
 
 # Quotes, backslashes, control and non-ASCII characters always among the
@@ -159,8 +167,9 @@ json_trees = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(json_trees)
 def test_writer_matches_json_dumps(tree):
-    assert _indented(tree, "\n") == json.dumps(tree, sort_keys=True,
-                                               indent=2)
+    assert _json_text(tree, "\n") == json.dumps(tree, sort_keys=True,
+                                                indent=2)
+    assert _json_text(tree, "") == canonical_json(tree)
 
 
 def _recorded_serial_run(seed, out, monkeypatch) -> list:

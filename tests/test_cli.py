@@ -16,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heiscert import convexity, suites
-from heiscert.certs import FAIL, PASS, Certificate, canonical_json, digest, \
-    jsonable
+from heiscert.certs import FAIL, PASS, Certificate, canonical_json, digest
 from heiscert.cli import main
 from heiscert.heis import TABLE_DIMENSIONS, HeisElement, get_representation
 from heiscert.rationals import format_rational, parse_rational
@@ -83,6 +82,13 @@ def test_empty_suite_selection_warns(tmp_path):
     assert report["overall"] == "PASS"
     assert "warning" in report
     assert report["claims"] == []
+
+
+def test_suite_order_is_the_registry_order():
+    # Report rows follow the registry, so "rows in suite order" holds
+    # only if SUITE_ORDER lists the suites as the registry meets them.
+    assert suites.SUITE_ORDER == tuple(dict.fromkeys(
+        c.suite for c in suites.CLAIMS))
 
 
 def test_unknown_suite_rejected(tmp_path):
@@ -409,11 +415,12 @@ def test_replay_is_the_run():
 
 def test_match_converts_no_stored_body(certificates, monkeypatch):
     # On the MATCH path the stored body is compared as text only; it is
-    # validated through comparable() only when it differs.
+    # validated, written by to_json, only when it differs.
     def refuse(self):
-        raise AssertionError("comparable() called on the MATCH path")
+        raise AssertionError("stored body converted on the MATCH path")
 
     monkeypatch.setattr(Certificate, "comparable", refuse)
+    monkeypatch.setattr(Certificate, "to_json", refuse)
     for claim_id in sorted(CLAIMS_BY_ID):
         verdict, detail = replay(certificates / f"{claim_id}.json")
         assert (verdict, detail["inputs_digest_intact"]) == (MATCH, True)
@@ -471,8 +478,10 @@ def test_replay_rejects_forged_fixed_inputs(certificates, claim_id, check,
     inputs = edit(data["inputs"])
     ok, witnesses = check(**inputs)
     assert ok
-    data.update(verdict=PASS, witnesses=jsonable(witnesses), inputs=inputs,
-                inputs_digest=digest(inputs))
+    data.update(verdict=PASS,
+                witnesses=Certificate(claim_id, PASS, witnesses).to_dict()[
+                    "witnesses"],
+                inputs=inputs, inputs_digest=digest(inputs))
     path = tmp_path / "forged.json"
     path.write_text(json.dumps(data))
     verdict, detail = replay(path)
@@ -512,8 +521,9 @@ def test_replay_rejects_truncated_samples(certificates, claim_id, samples,
         patch.setitem(DEFAULT_SAMPLE_SIZES, claim_id, 1)
         forged = CLAIMS_BY_ID[claim_id].run(RunConfig(seed=0))
     assert digest(forged.inputs) == digest(inputs)
-    data.update(verdict=forged.verdict, witnesses=jsonable(forged.witnesses),
-                inputs=inputs, inputs_digest=digest(inputs))
+    data.update(verdict=forged.verdict,
+                witnesses=forged.to_dict()["witnesses"], inputs=inputs,
+                inputs_digest=digest(inputs))
     path = tmp_path / "truncated.json"
     path.write_text(json.dumps(data))
     verdict, detail = replay(path)
@@ -820,6 +830,14 @@ def test_jordan_command_accepts_identity(capsys):
 def test_jordan_command_rejects_zero_denominator(capsys):
     assert main(["jordan", "--element", "1/0,0,0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("element", ["1,2", "1,2,3,4"],
+                         ids=["two-values", "four-values"])
+def test_jordan_command_rejects_an_element_not_of_three(element, capsys):
+    assert main(["jordan", f"--element={element}"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: --element takes three rationals a,b,c, not '{element}'\n"
 
 
 def test_jordan_command_rejects_unknown_table(capsys):

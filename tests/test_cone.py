@@ -238,8 +238,8 @@ def random_pd_form_reference(stream: RandomStream) -> SymForm:
 def test_pd_sampler_matches_fraction_reference(seed):
     """At seeds other than the pinned 0 the integer sampler draws the
     forms and consumes the stream as the Fraction one did, and every
-    entry is a Fraction (certs.jsonable writes int 2 as 2, Fraction 2
-    as "2")."""
+    entry is a Fraction (the certificate writer writes int 2 as 2,
+    Fraction 2 as "2")."""
     new, old = (RandomStream(seed).split("cone.pd_preserved")
                 for _ in range(2))
     for _ in range(100):

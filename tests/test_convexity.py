@@ -20,7 +20,7 @@ from heiscert.heis import DATA_DIR, ENTRY_RING, EntryPlan, HeisElement, \
     get_representation, heis_mul, symbolic_pair
 from heiscert.linalg import Matrix, clear_denominators
 from heiscert.poly import PolyRing
-from heiscert.rationals import format_rational
+from heiscert.rationals import format_rational, parse_rational
 from heiscert.sampler import RandomStream
 from test_certs import SEED0_CERTIFICATE_SHA256, _pin
 from test_heis import rational_image, rational_lift
@@ -173,10 +173,21 @@ def test_empty_t_schedule_rejected():
 
 
 def test_nonpositive_first_coordinate_fails_naming_ray_and_t(monkeypatch):
-    """With x1 = (a^4 + b^4)/24 - c^2 in the orbit plan, x1 = -25 t^2 on
-    the ray (0, 0, 5t): the claim FAILs instead of crashing, and the
-    ray's report names t = 10 with no ratio before it, while the other
-    shipped rays still pass."""
+    """On the ray (t - 10, 0, 0), x1 = (t - 10)^4/24 is 0 at t = 10: the
+    ray FAILs naming t = 10 rather than dividing by zero.  With
+    x1 = (a^4 + b^4)/24 - c^2 in the orbit plan, x1 = -25 t^2 on the ray
+    (0, 0, 5t): the claim FAILs instead of crashing, and the ray's report
+    names t = 10 with no ratio before it, while the other shipped rays
+    still pass."""
+    ring = PolyRing("t")
+    t = ring.var("t")
+    ok, witnesses = limit_point_certificate([(t - 10, ring.zero(),
+                                              ring.zero())])
+    (report,) = witnesses["rays"]
+    assert not ok and report["passes"] is False
+    assert report["first_coordinate_not_positive_at"] == Fraction(10)
+    assert report["ratios"] == []
+
     a, b, c = ENTRY_RING.vars("a", "b", "c")
     first = (a ** 4 + b ** 4) * Fraction(1, 24) - c ** 2
     monkeypatch.setattr(convexity, "ORBIT_LIFT_PLAN",
@@ -199,22 +210,21 @@ def test_nonpositive_first_coordinate_fails_naming_ray_and_t(monkeypatch):
 def test_slow_ray_fails_domination_bound():
     # x1 = t^4/24 vs x4 = t^3/6 leaves ratio 4/t = 1/250 at t = 1000,
     # which misses the 1/1000 bound: the scaling on shipped rays matters.
+    # At t = 4000 the ratio is the bound itself, which still fails.
     ring = PolyRing("t")
     t = ring.var("t")
     slow = (t, ring.zero(), ring.zero())
-    ok, witnesses = limit_point_certificate([slow], DEFAULT_RAY_TS)
-    assert not ok
-    assert witnesses["rays"][0]["ratios"][-1] == Fraction(1, 250)
+    for t_values, last in ((DEFAULT_RAY_TS, Fraction(1, 250)),
+                           ((10, 100, 4000), Fraction(1, 1000))):
+        ok, witnesses = limit_point_certificate([slow], t_values)
+        assert not ok
+        assert witnesses["rays"][0]["ratios"][-1] == last
 
 
 # -- hull dimension -------------------------------------------------------------
 
-def _frozen_sample(name: str) -> OrbitSample:
-    return OrbitSample.from_csv((DATA_DIR / name).read_text())
-
-
 def test_frozen_hull_sample_has_nonzero_determinant():
-    sample = _frozen_sample("hull_sample.csv")
+    sample = sample_orbit(*convexity.HULL_SAMPLE)
     assert _lift_matrix(sample.parameters).det() != 0
 
 
@@ -255,7 +265,7 @@ def test_fresh_seeded_samples_stay_nondegenerate():
 
 
 def test_hull_dimension_invariant_under_group_images():
-    sample = _frozen_sample("hull_sample.csv")
+    sample = sample_orbit(*convexity.HULL_SAMPLE)
     stream = RandomStream(23).split("hull-invariance")
     for index in range(3):
         g = HeisElement.of(*stream.next_triple())
@@ -308,7 +318,7 @@ def test_simplex_centroid_is_not_extreme():
 
 
 def test_all_shipped_points_are_extreme():
-    sample = _frozen_sample("extreme_sample.csv")
+    sample = sample_orbit(*convexity.EXTREME_SAMPLE)
     assert len(sample) == 20
     for index in range(len(sample)):
         ok, _ = extreme_point_certificate(sample, index)
@@ -425,7 +435,7 @@ def test_shipped_functionals_are_found_by_point_not_by_position(
 
 def test_too_small_sample_rejected():
     with pytest.raises(ValueError):
-        extreme_point_certificate(sample_orbit(10, 0, "hull"), 0)
+        extreme_point_certificate(sample_orbit(*convexity.HULL_SAMPLE), 0)
 
 
 # -- orbit sample plumbing ---------------------------------------------------------
@@ -453,13 +463,16 @@ def test_lifts_are_computed_once_and_immutable(monkeypatch):
 
 
 def test_sample_csv_round_trip():
-    sample = sample_orbit(10, 0, "hull")
-    again = OrbitSample.from_csv(sample.to_csv())
-    assert again.parameters == sample.parameters
+    sample = sample_orbit(*convexity.HULL_SAMPLE)
+    header, *rows = csv.reader(io.StringIO(sample.to_csv()))
+    assert header == ["a", "b", "c"]
+    assert [tuple(map(parse_rational, row)) for row in rows] == \
+        sample.parameters
 
 
 @pytest.mark.parametrize("sample", [
-    _frozen_sample("hull_sample.csv"), _frozen_sample("extreme_sample.csv"),
+    sample_orbit(*convexity.HULL_SAMPLE),
+    sample_orbit(*convexity.EXTREME_SAMPLE),
     sample_orbit(30, 7, "drawn", nonzero=True)],
     ids=["hull", "extreme", "drawn"])
 def test_sample_csv_is_what_csv_writer_writes(sample):
@@ -469,15 +482,6 @@ def test_sample_csv_is_what_csv_writer_writes(sample):
     writer.writerows([format_rational(x) for x in p]
                      for p in sample.parameters)
     assert sample.to_csv() == buf.getvalue()
-    assert OrbitSample.from_csv(sample.to_csv()).parameters == \
-        sample.parameters
-
-
-@pytest.mark.parametrize("text", ["", "a,b\n1,2\n", "x,y,z\n1,2,3\n",
-                                  "a;b;c\n1;2;3\n"])
-def test_sample_csv_refuses_a_bad_header(text):
-    with pytest.raises(ValueError, match="header"):
-        OrbitSample.from_csv(text)
 
 
 def test_sampling_is_deterministic():

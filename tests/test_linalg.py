@@ -8,11 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heiscert import convexity, heis, linalg, suites
-from heiscert.convexity import ORBIT_LIFT, OrbitSample
-from heiscert.heis import (DATA_DIR, ENTRY_RING, GENERATORS,
-                           TABLE_DIMENSIONS, EntryPlan, HeisElement,
-                           Representation, generator_power,
-                           get_representation, heis_mul,
+from heiscert.convexity import ORBIT_LIFT
+from heiscert.heis import (ENTRY_RING, GENERATORS, TABLE_DIMENSIONS,
+                           EntryPlan, HeisElement, Representation,
+                           generator_power, get_representation, heis_mul,
                            load_representation)
 from heiscert.linalg import (Matrix, clear_denominators, integer_det,
                              integer_kernel, integer_product,
@@ -80,7 +79,7 @@ def _cofactor_det(rows):
 
 
 def test_det_matches_cofactor_oracle_on_frozen_sample():
-    sample = OrbitSample.from_csv((DATA_DIR / "hull_sample.csv").read_text())
+    sample = convexity.sample_orbit(*convexity.HULL_SAMPLE)
     lifts = [rational_lift(p) for p in sample.parameters]
     mat = Matrix(lifts)
     expected = _cofactor_det(tuple(tuple(r) for r in lifts))

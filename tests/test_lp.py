@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heiscert import lp
-from heiscert.convexity import (OrbitSample, extreme_point_certificate,
+from heiscert.convexity import (EXTREME_SAMPLE, OrbitSample,
+                                extreme_point_certificate, sample_orbit,
                                 verify_farkas)
-from heiscert.heis import DATA_DIR
 from heiscert.linalg import clear_denominators
 from heiscert.lp import solve_equality_feasibility
 from test_heis import rational_lift
@@ -252,8 +252,7 @@ def _agrees_with_reference(sample, index):
 def test_hull_lp_on_shipped_sample_matches_fraction_tableau():
     """The hull LPs read each lift's column as cleared once per sample,
     and still give exactly the reference's Farkas functionals."""
-    sample = OrbitSample.from_csv(
-        (DATA_DIR / "extreme_sample.csv").read_text())
+    sample = sample_orbit(*EXTREME_SAMPLE)
     assert len(sample) == 20
     assert all(_agrees_with_reference(sample, i) for i in range(20))
 
