@@ -5,12 +5,14 @@
 
 Writes one verify run's certificates at seed N (default 0) to a
 temporary directory, then replays every certificate in this process
-with suites.replay, in one pass and then WARM_PASSES more.  Prints each
-claim's median time over the warm passes in ms, largest first, then the
-total of those medians.  The first pass pays the one-off work, such as
-loading the entry tables and compiling theta's Jordan power plan, so
-the warm passes show each claim's own time, and their median keeps one
-slow pass (a host that swings in speed) out of it.  Exits 1, naming
+with suites.replay, in one pass and then WARM_PASSES more.  Prints a
+header, then each claim's median time over the warm passes in ms,
+largest first, beside its time in the first pass, then the totals of
+both columns.  The first pass pays the one-off work, such as loading
+the entry tables, compiling theta's Jordan power plan and warming up
+the first replayed claim, so the warm median shows each claim's own
+time, and keeps one slow pass (a host that swings in speed) out of it,
+while the first pass shows what the one-off work adds.  Exits 1, naming
 them, if any replay is not a MATCH.  Standard library only.
 """
 
@@ -30,9 +32,11 @@ from heiscert import suites  # noqa: E402
 WARM_PASSES = 9
 
 
-def replay_times(seed: int) -> tuple[dict[str, float], list[str]]:
-    """Each claim's median replay time in seconds over the warm passes,
-    by id, and the ids whose replay was not a MATCH in any pass."""
+def replay_times(seed: int
+                 ) -> tuple[dict[str, tuple[float, float]], list[str]]:
+    """Each claim's median replay time in seconds over the warm passes
+    and its time in the first pass, by id, and the ids whose replay was
+    not a MATCH in any pass."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         suites.run_suite(suites.RunConfig(seed=seed, output_dir=out))
@@ -45,7 +49,7 @@ def replay_times(seed: int) -> tuple[dict[str, float], list[str]]:
                 times[claim.id].append(time.perf_counter() - start)
                 if verdict != suites.MATCH:
                     mismatched.add(claim.id)
-    return ({claim_id: median(passes[1:])
+    return ({claim_id: (median(passes[1:]), passes[0])
              for claim_id, passes in times.items()}, sorted(mismatched))
 
 
@@ -58,9 +62,12 @@ def main(argv: list[str]) -> int:
         print("not a MATCH: " + ", ".join(mismatched), file=sys.stderr)
         return 1
     width = max(map(len, times))
-    for claim_id, seconds in sorted(times.items(), key=lambda item: -item[1]):
-        print(f"{claim_id:<{width}} {seconds * 1e3:8.2f} ms")
-    print(f"{'total':<{width}} {sum(times.values()) * 1e3:8.2f} ms")
+    print(f"{'claim':<{width}} {'warm':>8}    {'first':>8}")
+    rows = sorted(times.items(), key=lambda item: -item[1][0])
+    totals = [sum(column) for column in zip(*times.values())]
+    for claim_id, (warm, first) in [*rows, ("total", totals)]:
+        print(f"{claim_id:<{width}} {warm * 1e3:8.2f} ms "
+              f"{first * 1e3:8.2f} ms")
     return 0
 
 

@@ -107,22 +107,21 @@ def form_from_coordinates(coords: Sequence[Fraction]) -> SymForm:
     return SymForm(_symmetric(coords))
 
 
-def _symmetric(coords: Sequence) -> list[list]:
-    m = [[0] * 3 for _ in range(3)]
-    for (i, j), value in zip(FORM_MONOMIALS, coords):
-        m[i][j] = m[j][i] = value
-    return m
+def _symmetric(coords: Sequence) -> tuple[tuple, ...]:
+    """The symmetric 3x3 rows of the FORM_MONOMIALS coordinates coords."""
+    p, q, u, t, v, w = coords
+    return (p, q, t), (q, u, v), (t, v, w)
 
 
 def act_on_form(g: HeisElement, form: SymForm) -> tuple[list[int], int]:
     """The 6x6 table at the rational g on form coordinates, on ints: the
     dot products of the rows of rho6's plan values R over d with the
-    coordinates cleared to scale s, over d s > 0."""
+    coordinates, unpacked from the form's rows cleared to scale s, over
+    d s > 0."""
     r, d = get_representation("rho6").plan.integer_values(g)
     # The coordinates are the form's distinct entries, so its one scale
     # clears them.
-    m, s = form.cleared
-    x0, x1, x2, x3, x4, x5 = [m[i][j] for i, j in FORM_MONOMIALS]
+    ((x0, x1, x3), (_, x2, x4), (_, _, x5)), s = form.cleared
     return [r[k] * x0 + r[k + 1] * x1 + r[k + 2] * x2 + r[k + 3] * x3
             + r[k + 4] * x4 + r[k + 5] * x5 for k in range(0, 36, 6)], d * s
 
@@ -189,14 +188,17 @@ def sym_square_match_certificate(rep: Representation) -> tuple[bool, dict]:
 def pd_preservation_certificate(g: HeisElement, form: SymForm) -> bool:
     """The action of g keeps a positive-definite form positive definite,
     and its int image (act_on_form) agrees, cross-multiplied on ints,
-    with g S g^T (congruence_image)."""
+    with g S g^T (congruence_image): the six pairs are compared in turn
+    up to the first that differs, and the image's leading minors are read
+    off its six coordinates (_symmetric), over a positive scale."""
     if not form.is_positive_definite():
         raise ValueError("input form must be positive definite")
     coords, scale = act_on_form(g, form)
     congruence, congruence_scale = congruence_image(g, form)
-    consistent = all(x * congruence_scale == y * scale
-                     for x, y in zip(coords, congruence))
-    return consistent and _positive_definite(_symmetric(coords))
+    for x, y in zip(coords, congruence):
+        if x * congruence_scale != y * scale:
+            return False
+    return _positive_definite(_symmetric(coords))
 
 
 def parabolic_fixed_form(generator: str) -> SymForm:

@@ -185,11 +185,12 @@ def limit_point_certificate(rays: Sequence[Sequence[Poly]] = DEFAULT_RAYS,
 # -- orbit samples ------------------------------------------------------------
 
 class OrbitSample:
-    """Distinct orbit parameters (a, b, c)."""
+    """Distinct orbit parameters (a, b, c), told apart by int pairs."""
 
     def __init__(self, parameters: Sequence[tuple]):
-        parameters = [tuple(to_fraction(x) for x in p) for p in parameters]
-        if len(set(parameters)) != len(parameters):
+        parameters = [tuple(map(to_fraction, p)) for p in parameters]
+        if len({tuple(map(Fraction.as_integer_ratio, p))
+                for p in parameters}) != len(parameters):
             raise ValueError("orbit sample parameters must be distinct")
         self.parameters = parameters
 

@@ -62,6 +62,10 @@ PAIR_RING = PolyRing("a", "b", "c", "a'", "b'", "c'")
 Component = Union[Fraction, Poly]
 
 
+def _component(x) -> Component:
+    return x if isinstance(x, Poly) else to_fraction(x)
+
+
 class HeisElement(NamedTuple):
     a: Component
     b: Component
@@ -69,8 +73,7 @@ class HeisElement(NamedTuple):
 
     @staticmethod
     def of(a, b, c) -> "HeisElement":
-        conv = lambda x: x if isinstance(x, Poly) else to_fraction(x)
-        return HeisElement(conv(a), conv(b), conv(c))
+        return HeisElement(_component(a), _component(b), _component(c))
 
     @staticmethod
     def identity() -> "HeisElement":
@@ -209,7 +212,10 @@ def _compile_powers(table: Matrix) -> PowerPlan:
     block is ranked by one echelon pass over its Poly entries, exact
     since Q[a, b, c] is an integral domain."""
     n = table.rows
-    power = nilpotent = table - Matrix.identity(n)
+    # The table with its unit diagonal, which Representation checks, at 0.
+    power = nilpotent = Matrix([[ENTRY_RING.zero() if i == j else p
+                                 for j, p in enumerate(row)]
+                                for i, row in enumerate(table.entries)])
     supports = []
     polys: list[Poly] = []
     ranks = []

@@ -42,6 +42,7 @@ round after round, are dropped first.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from operator import mul
 from typing import Sequence, Union
@@ -352,8 +353,8 @@ def integer_kernel(m: list[list[int]]) -> list[list[int]]:
     -R[r][f] * (L // d[r]) at row r's pivot, L being the lcm of the d[r]
     with R[r][f] != 0.
     """
-    width = len(m[0])
-    supports = [[j for j, x in enumerate(row) if x] for row in m]
+    columns = range(len(m[0]))
+    supports = [list(compress(columns, row)) for row in m]
     forced: set[int] = set()
     while True:
         supports = [[j for j in s if j not in forced] for s in supports]
@@ -361,15 +362,16 @@ def integer_kernel(m: list[list[int]]) -> list[list[int]]:
         if not singles:
             break
         forced |= singles
-    keep = [j for j in range(width) if j not in forced]
+    kept = [j not in forced for j in columns]
+    keep = list(compress(columns, kept))
     # With every row dead, one zero row leaves every kept column free.
-    reduced = [[row[j] for j in keep] for row, s in zip(m, supports) if s] \
-        or [[0] * len(keep)]
+    reduced = [list(compress(row, kept)) for row, s in zip(m, supports)
+               if s] or [[0] * len(keep)]
     pivots, _, d = _echelon(reduced, reduce_above=True)
     basis = []
     for f in (j for j in range(len(keep)) if j not in pivots):
         used = [r for r in range(len(pivots)) if reduced[r][f]]
-        vec = [0] * width
+        vec = [0] * len(columns)
         vec[keep[f]] = scale = lcm(*(d[r] for r in used))
         for r in used:
             vec[keep[pivots[r]]] = -reduced[r][f] * (scale // d[r])

@@ -6,13 +6,14 @@ stream is a pure function of (key, index) and two runs with the same
 seed are bit-identical on every platform.  RandomStream.block, the one
 SplitMix64 kernel, computes 64 consecutive draws in one pass over an
 int holding them as 128-bit lanes (SIMD within a register); the stream
-hands them out in order, six in one take for a triple.  Streams split
-by hashing the parent key with a label, which keeps concurrent
-consumers independent of scheduling order.  Every rational a draw can
-return is read from one table built at import, beside a table of
-small-int value ids, one per distinct value; distinct_triples drops
-repeats by those ids instead of hashing Fractions, and the count of
-distinct triples that bounds it is the number of ids cubed.
+hands them out in order, a whole sample in one take (next_ints, six for
+a triple).  Streams split by hashing the parent key with a label, which
+keeps concurrent consumers independent of scheduling order.  Every
+rational a draw can return is read from one table built at import,
+beside a table of small-int value ids, one per distinct value;
+distinct_triples drops repeats by those ids instead of hashing
+Fractions, and the count of distinct triples that bounds it is the
+number of ids cubed.
 """
 
 from __future__ import annotations
@@ -87,8 +88,10 @@ class RandomStream:
         return _LANES.unpack((x ^ (x >> 31)).to_bytes(16 * BLOCK, "little"))
 
     def _take(self, n: int) -> tuple[int, ...]:
-        """The next n <= BLOCK draws, counted; a block that cannot hold
-        them all is replaced by the one starting at the next draw."""
+        """The next n draws, 0 <= n <= BLOCK (else ValueError), counted;
+        a block that cannot hold them all is replaced by the next one."""
+        if not 0 <= n <= BLOCK:
+            raise ValueError(f"take of {n} draws is outside [0, {BLOCK}]")
         i = self._counter + 1 - self._start
         self._counter += n
         if i + n > len(self._block):
@@ -103,9 +106,14 @@ class RandomStream:
 
     def next_int(self, lo: int, hi: int) -> int:
         """Uniform-ish integer in [lo, hi] (modulo bias is irrelevant here)."""
+        return self.next_ints(1, lo, hi)[0]
+
+    def next_ints(self, count: int, lo: int, hi: int) -> list[int]:
+        """count <= BLOCK next_int(lo, hi) draws, from one take."""
         if hi < lo:
             raise ValueError("empty range")
-        return lo + self.next_u64() % (hi - lo + 1)
+        width = hi - lo + 1
+        return [lo + x % width for x in self._take(count)]
 
     def next_fraction(self) -> Fraction:
         """Fraction(next_int(-MAX_NUM, MAX_NUM), next_int(1, MAX_DEN)),

@@ -165,7 +165,8 @@ def _jordan_unique_odd(parameters: list[tuple]):
     for triple in parameters:
         partition = jordan_partition(
             theta.nilpotent_ranks(HeisElement.of(*triple)))
-        histogram[str(partition)] = histogram.get(str(partition), 0) + 1
+        key = str(partition)
+        histogram[key] = histogram.get(key, 0) + 1
         largest = partition[0]
         unique = partition.count(largest) == 1
         if not (unique and largest % 2 == 1):
@@ -295,8 +296,7 @@ def _random_pd_form(stream: RandomStream) -> list[list[Fraction]]:
     # and (c, f, i), read as Fractions from GRAM_VALUES, which the
     # certificate writer writes as "p/q" strings.
     while True:
-        a, b, c, d, e, f, g, h, i = r = [stream.next_int(-3, 3)
-                                         for _ in range(9)]
+        a, b, c, d, e, f, g, h, i = r = stream.next_ints(9, -3, 3)
         if det3((r[:3], r[3:6], r[6:])):
             p, q, t, u, v, w = [GRAM_VALUES[x + 27] for x in (
                 a * a + d * d + g * g, a * b + d * e + g * h,
@@ -354,14 +354,15 @@ def _hilbert_axioms_sample(stream: RandomStream, count: int) -> dict:
     instances = []
     for _ in range(count):
         dim = stream.next_int(1, 3)
-        lows = [stream.next_int(-5, -1) for _ in range(dim)]
-        highs = [stream.next_int(1, 5) for _ in range(dim)]
-        def interior():
-            return [TENTHS[50 + 10 * lo + stream.next_int(1, 9) * (hi - lo)]
-                    for lo, hi in zip(lows, highs)]
+        lows = stream.next_ints(dim, -5, -1)
+        highs = stream.next_ints(dim, 1, 5)
+        steps = stream.next_ints(3 * dim, 1, 9)  # x's, then y's, then z's
+        x, y, z = ([TENTHS[50 + 10 * lo + k * (hi - lo)]
+                    for lo, hi, k in zip(lows, highs, steps[i:i + dim])]
+                   for i in range(0, 3 * dim, dim))
         instances.append({"lows": [TENTHS[50 + 10 * lo] for lo in lows],
                           "highs": [TENTHS[50 + 10 * hi] for hi in highs],
-                          "x": interior(), "y": interior(), "z": interior()})
+                          "x": x, "y": y, "z": z})
     return {"instances": instances}
 
 

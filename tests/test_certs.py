@@ -13,6 +13,7 @@ from heiscert.certs import PASS, Certificate, _json_text, canonical_json, \
     digest
 from heiscert.cone import SymForm, form_from_coordinates
 from heiscert.convexity import OrbitSample, limit_point_certificate
+from heiscert.heis import HeisElement
 from heiscert.linalg import Matrix
 from heiscert.lp import solve_equality_feasibility
 from heiscert.metric import box, cross_ratio, hilbert_log_argument
@@ -228,6 +229,9 @@ RATIONAL_ENTRY_POINTS = {
     "hilbert_log_argument.y": lambda v: hilbert_log_argument(
         UNIT_BOX, [Fraction(1, 4)], [v]),
     "OrbitSample": lambda v: OrbitSample([(v, 0, 0)]),
+    "HeisElement.of": lambda v: HeisElement.of(v, 0, 0),
+    "HeisElement.of.b": lambda v: HeisElement.of(0, v, 0),
+    "HeisElement.of.c": lambda v: HeisElement.of(0, 0, v),
     "limit_point_certificate": lambda v: limit_point_certificate(
         t_values=(v, 10, 100)),
 }

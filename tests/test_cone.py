@@ -157,6 +157,14 @@ def test_form_coordinates_round_trip():
         assert form_from_coordinates(form_coordinates(form)) == form
 
 
+@pytest.mark.parametrize("count", [5, 7])
+def test_form_from_coordinates_refuses_a_count_other_than_six(count):
+    """Five coordinates would leave x3x3 at 0, and a seventh would be
+    dropped unread."""
+    with pytest.raises(ValueError):
+        form_from_coordinates([1, 0, 1, 0, 0, 1, 5][:count])
+
+
 def action_reference(g: HeisElement, form: SymForm) -> SymForm:
     """The 6x6 action as a Fraction matrix times a Fraction vector."""
     return form_from_coordinates(

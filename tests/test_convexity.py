@@ -207,6 +207,40 @@ def test_nonpositive_first_coordinate_fails_naming_ray_and_t(monkeypatch):
         [True, False, True]
 
 
+def test_ray_with_equal_first_ratios_fails():
+    """On the ray ((t - 55)^2, 0, 0), a = 2025 at both t = 10 and
+    t = 100, so the first two ratios are equal: not strictly falling,
+    though the degrees pass and the last ratio is below 1/1000."""
+    ring = PolyRing("t")
+    t = ring.var("t")
+    ray = ((t - 55) ** 2, ring.zero(), ring.zero())
+    ok, witnesses = limit_point_certificate([ray], (10, 100, 4000))
+    (report,) = witnesses["rays"]
+    assert not ok and report["passes"] is False
+    assert all(d == "-inf" or d < report["leading_degree"]
+               for d in report["other_degrees"])
+    first, second, last = report["ratios"]
+    assert first == second and last < Fraction(1, 1000)
+
+
+def test_coordinate_tying_the_first_degree_fails(monkeypatch):
+    """With x2 = (a^4 + a^3)/10^9 in the orbit plan, x2 ties x1's degree
+    4 on the ray (5t, 0, 0), while the ratios fall 0.08, 0.008, 0.0008:
+    the ray FAILs on its degrees alone."""
+    a, _, _ = ENTRY_RING.vars("a", "b", "c")
+    second = (a ** 4 + a ** 3) * Fraction(1, 10 ** 9)
+    monkeypatch.setattr(convexity, "ORBIT_LIFT_PLAN", EntryPlan(
+        (ORBIT_LIFT[0], second, *ORBIT_LIFT[2:])))
+    ray = DEFAULT_RAYS[0]
+    ok, witnesses = limit_point_certificate([ray])
+    (report,) = witnesses["rays"]
+    assert not ok and report["passes"] is False
+    assert report["ray"] == ["5*t", "0", "0"]
+    assert report["leading_degree"] == report["other_degrees"][0] == 4
+    assert report["ratios"] == [Fraction(8, 100), Fraction(8, 1000),
+                                Fraction(8, 10000)]
+
+
 def test_slow_ray_fails_domination_bound():
     # x1 = t^4/24 vs x4 = t^3/6 leaves ratio 4/t = 1/250 at t = 1000,
     # which misses the 1/1000 bound: the scaling on shipped rays matters.
@@ -231,6 +265,14 @@ def test_frozen_hull_sample_has_nonzero_determinant():
 def test_repeated_point_matrix_is_singular():
     lift = rational_lift(HeisElement.identity())
     assert Matrix([lift] * 10).det() == 0
+
+
+@pytest.mark.parametrize("first, again", [
+    ((Fraction(2, 2), 0, 0), (1, 0, 0)),
+    (("1/2", 0, 0), (Fraction(1, 2), 0, 0))])
+def test_orbit_sample_refuses_one_point_written_two_ways(first, again):
+    with pytest.raises(ValueError, match="must be distinct"):
+        OrbitSample([first, (0, 1, 0), again])
 
 
 def test_center_only_sample_is_degenerate():

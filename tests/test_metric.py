@@ -12,6 +12,7 @@ from heiscert.metric import (_chord, box, cross_ratio, hilbert_log_argument,
                              load_polytope)
 from heiscert.rationals import format_rational, to_fraction
 from heiscert.sampler import RandomStream
+from heiscert.suites import _hilbert_axioms_sample
 from test_heis import rational_image, rational_lift
 
 THETA = get_representation("theta")
@@ -218,6 +219,38 @@ def test_metric_axioms_on_random_boxes(instance):
     r_xz = hilbert_log_argument(faces, x, z)
     r_yz = hilbert_log_argument(faces, y, z)
     assert r_xz <= r_xy * r_yz
+
+
+def hilbert_sample_reference(stream: RandomStream, count: int) -> dict:
+    """The sampler, one next_int per value: dim, then the lows, the
+    highs, and the interior steps of x, y and z in turn."""
+    instances = []
+    for _ in range(count):
+        dim = stream.next_int(1, 3)
+        lows = [Fraction(stream.next_int(-5, -1)) for _ in range(dim)]
+        highs = [Fraction(stream.next_int(1, 5)) for _ in range(dim)]
+
+        def interior():
+            return [lo + Fraction(stream.next_int(1, 9), 10) * (hi - lo)
+                    for lo, hi in zip(lows, highs)]
+
+        instances.append({"lows": lows, "highs": highs, "x": interior(),
+                          "y": interior(), "z": interior()})
+    return {"instances": instances}
+
+
+@pytest.mark.parametrize("seed", [5, 2**63 + 17])
+def test_hilbert_sampler_matches_per_draw_reference(seed):
+    """At seeds other than the pinned 0 the whole-sample draws give the
+    per-draw sampler's instances, every value a Fraction, and leave the
+    stream where it left it."""
+    new, old = (RandomStream(seed).split("hilbert.metric_axioms")
+                for _ in range(2))
+    sample = _hilbert_axioms_sample(new, 100)
+    assert sample == hilbert_sample_reference(old, 100)
+    assert all(type(x) is Fraction for instance in sample["instances"]
+               for values in instance.values() for x in values)
+    assert new.next_u64() == old.next_u64()
 
 
 def _fraction_chord(polytope, x, y):

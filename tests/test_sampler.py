@@ -44,6 +44,9 @@ class ReferenceStream:
     def next_int(self, lo, hi):
         return lo + self.next_u64() % (hi - lo + 1)
 
+    def next_ints(self, count, lo, hi):
+        return [self.next_int(lo, hi) for _ in range(count)]
+
     def next_fraction(self):
         row = FRACTIONS[self.next_u64() % len(FRACTIONS)]
         return row[self.next_u64() % MAX_DEN]
@@ -61,6 +64,8 @@ class ReferenceStream:
 calls = st.one_of(
     st.tuples(st.just("next_u64")),
     st.tuples(st.just("next_int"), st.integers(-5, 5), st.integers(5, 9)),
+    st.tuples(st.just("next_ints"), st.integers(0, BLOCK),
+              st.integers(-5, 5), st.integers(5, 9)),
     st.tuples(st.just("next_fraction")),
     st.tuples(st.just("next_triple"), st.booleans()),
     st.tuples(st.just("distinct_triples"), st.integers(0, 12),
@@ -253,6 +258,34 @@ def test_distinct_triples_refuses_a_count_it_cannot_draw(count, nonzero,
 def test_empty_range_rejected():
     with pytest.raises(ValueError):
         RandomStream(1).next_int(3, 2)
+    with pytest.raises(ValueError, match="empty range"):
+        RandomStream(1).next_ints(4, 3, 2)
+
+
+def test_a_full_block_take_crosses_a_block_boundary():
+    """64 draws taken after 10 are draws 11 to 74, across the boundary
+    after draw 64, and the draw after them is draw 75."""
+    stream = RandomStream(21)
+    stream._take(10)
+    assert stream._take(BLOCK) == \
+        tuple(mix64(21 + i * GAMMA) for i in range(11, 11 + BLOCK))
+    assert stream._counter == 10 + BLOCK
+    assert stream.next_u64() == mix64(21 + (11 + BLOCK) * GAMMA)
+
+
+@pytest.mark.parametrize("count", [BLOCK + 1, -1])
+def test_take_refuses_a_count_one_block_cannot_give(count):
+    """One block holds 64 draws: a take of 65 would return 64 and count
+    65, and a negative one would move the counter back.  Neither moves
+    the stream."""
+    stream = RandomStream(0)
+    stream._take(3)
+    with pytest.raises(ValueError, match=rf"outside \[0, {BLOCK}\]"):
+        stream._take(count)
+    with pytest.raises(ValueError, match=rf"outside \[0, {BLOCK}\]"):
+        stream.next_ints(count, 0, 1)
+    assert stream._counter == 3
+    assert stream.next_u64() == mix64(4 * GAMMA)
 
 
 def test_mix64_is_stable():
